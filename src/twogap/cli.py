@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .degenerate import (
-    OneIntervalModel,
-    OnePointModel,
-    TwoPointsModel,
-    conjugation_residual,
-    two_points_abs2_routes,
-)
+from .degenerate import TwoPointsModel, conjugation_residual, two_points_abs2_routes
 from .eigen import eigen_coeffs, eigen_residual, scattering_matrix_routes
 from .errors import ParseError, TwogapError, ValidationError
 from .evolution import evolve, evolve_decoupled, scatter
@@ -63,16 +57,6 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
-def _lambda_grid(sc: Scenario) -> np.ndarray:
-    _require(sc.lambda_grid.size > 0, f"scenario {sc.name!r} needs a lambda_grid")
-    return sc.lambda_grid
-
-
-def _time_grid(sc: Scenario) -> np.ndarray:
-    _require(sc.time_grid.size > 0, f"scenario {sc.name!r} needs a time_grid")
-    return sc.time_grid
-
-
 def _need_pair(sc: Scenario):
     _require(sc.domain is not None, f"scenario {sc.name!r} needs a domain section")
     _require(sc.bm is not None, f"scenario {sc.name!r} needs a boundary section")
@@ -82,7 +66,7 @@ def _need_pair(sc: Scenario):
 def _cmd_eigen(sc: Scenario, out: Path, args) -> int:
     bm, dom = _need_pair(sc)
     rows = []
-    for la in _lambda_grid(sc):
+    for la in sc.grid("lambda_grid"):
         co = eigen_coeffs(bm, dom, float(la))
         res = float(np.max(np.abs(eigen_residual(bm, dom, co))))
         rows.append(
@@ -95,7 +79,7 @@ def _cmd_eigen(sc: Scenario, out: Path, args) -> int:
 def _cmd_density(sc: Scenario, out: Path, args) -> int:
     bm, dom = _need_pair(sc)
     rho = SpectralDensity(bm, dom)
-    rows = [(la, float(rho(float(la)))) for la in _lambda_grid(sc)]
+    rows = [(la, float(rho(float(la)))) for la in sc.grid("lambda_grid")]
     _write_csv(out / "density.csv", ["lambda", "value"], rows)
     table = fourier_coeffs(bm, domain=dom)
     _write_csv(
@@ -109,7 +93,7 @@ def _cmd_density(sc: Scenario, out: Path, args) -> int:
 def _cmd_smatrix(sc: Scenario, out: Path, args) -> int:
     bm, dom = _need_pair(sc)
     rows = []
-    for la in _lambda_grid(sc):
+    for la in sc.grid("lambda_grid"):
         routes = scattering_matrix_routes(bm, dom, float(la))
         vals = [routes["ratio"], routes["quotient"], routes["split"]]
         spread = max(abs(u - v) for i, u in enumerate(vals) for v in vals[i + 1 :])
@@ -122,7 +106,7 @@ def _cmd_evolve(sc: Scenario, out: Path, args) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
     norm_rows = []
-    for i, t in enumerate(_time_grid(sc)):
+    for i, t in enumerate(sc.grid("time_grid")):
         if bm.w == 0.0:
             packet = evolve_decoupled(bm, dom, f, float(t)).packet
             trunc = 0.0
@@ -145,7 +129,7 @@ def _cmd_scatter(sc: Scenario, out: Path, args) -> int:
     outgoing = scatter(bm, dom, f, eps=sc.eps)
     _write_csv(out / "scatter.csv", ["x", "re", "im", "abs2"], _packet_rows(outgoing))
     rows = []
-    for la in _lambda_grid(sc):
+    for la in sc.grid("lambda_grid"):
         s = scattering_matrix_routes(bm, dom, float(la))["ratio"]
         rows.append((la, s.real, s.imag))
     _write_csv(out / "scatter_smatrix.csv", ["lambda", "re", "im"], rows)
@@ -158,7 +142,7 @@ def _cmd_semigroup(sc: Scenario, out: Path, args) -> int:
     mid = sc.packets.get("mid")
     if mid is None:
         mid = StepPacket.box(lo, hi, 1.0)
-    ts = _time_grid(sc)
+    ts = sc.grid("time_grid")
     _require(bool(np.all(ts >= 0.0)), "semigroup needs a nonnegative time_grid")
     rows = [
         (t, compress_evolve(bm, dom, mid, float(t), eps=sc.eps).packet.norm2())
@@ -180,7 +164,7 @@ def _cmd_kernels(sc: Scenario, out: Path, args) -> int:
 
     bm, dom = _need_pair(sc)
     rows = []
-    for la in _lambda_grid(sc):
+    for la in sc.grid("lambda_grid"):
         gl, gr = eigenfunction_traces(bm, dom, float(la))
         tr = BoundaryTrace(gr[0], gl[0], gr[1], gl[1])
         r1, r2 = trace_condition_residuals(bm, tr)
@@ -194,12 +178,9 @@ def _cmd_kernels(sc: Scenario, out: Path, args) -> int:
 
 
 def _cmd_degenerate(sc: Scenario, out: Path, args) -> int:
-    spec = sc.extras.get("model")
-    _require(isinstance(spec, dict), f"scenario {sc.name!r} needs a model section")
-    kind = spec.get("kind")
-    if kind == "two_points":
-        model = TwoPointsModel(w=float(spec["w"]), alpha=float(spec["alpha"]))
-        xi = _lambda_grid(sc)
+    model = sc.model()
+    if isinstance(model, TwoPointsModel):
+        xi = sc.grid("lambda_grid")
         direct, series = two_points_abs2_routes(model, xi)
         _write_csv(
             out / "degenerate.csv",
@@ -207,16 +188,9 @@ def _cmd_degenerate(sc: Scenario, out: Path, args) -> int:
             zip(xi, direct, series.real, series.imag),
         )
         return 0
-    if kind == "one_point":
-        model = OnePointModel(theta=float(spec.get("theta", 0.0)))
-    elif kind == "one_interval":
-        model = OneIntervalModel(
-            theta=float(spec.get("theta", 0.0)), alpha=float(spec["alpha"])
-        )
-    else:
-        raise ParseError(f"unknown model kind {kind!r}")
     f = sc.packet("f")
-    rows = [(t, conjugation_residual(model, f, float(t))) for t in _time_grid(sc)]
+    ts = sc.grid("time_grid")
+    rows = [(t, conjugation_residual(model, f, float(t))) for t in ts]
     _write_csv(out / "degenerate.csv", ["t", "conjugation_residual"], rows)
     return 0
 
@@ -269,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--eps", type=float, default=None, help="override series cutoff")
-        p.add_argument("--tol", type=float, default=None, help="override tolerance")
     return parser
 
 
@@ -281,14 +254,10 @@ def main(argv=None) -> int:
             sc = load_scenario(candidate)
         else:
             sc = bundled_scenario(args.scenario)
-        if args.eps is not None or args.tol is not None:
+        if args.eps is not None:
             from dataclasses import replace
 
-            sc = replace(
-                sc,
-                eps=args.eps if args.eps is not None else sc.eps,
-                tol=args.tol if args.tol is not None else sc.tol,
-            )
+            sc = replace(sc, eps=args.eps)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](sc, out, args)

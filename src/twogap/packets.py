@@ -29,12 +29,6 @@ from .errors import OrderingViolation, ValidationError
 __all__ = [
     "StepPacket",
     "sum_packets",
-    "add",
-    "scale",
-    "translate",
-    "restrict",
-    "norm2",
-    "inner",
     "osc_integral",
 ]
 
@@ -217,23 +211,6 @@ class StepPacket:
         for n in np.unique(freqs):
             pick = freqs == n
             segs[int(n)] = (breaks[:-1][pick], breaks[1:][pick], values[pick])
-        return cls(*_assemble(segs), _trusted=True)
-
-    @classmethod
-    def from_segments(cls, segments) -> "StepPacket":
-        """From (lo, hi, value[, freq]) tuples; overlaps of equal freq add."""
-        by_freq = {}
-        for seg in segments:
-            if len(seg) == 3:
-                u, v, val = seg
-                n = 0
-            else:
-                u, v, val, n = seg
-            by_freq.setdefault(int(n), []).append((float(u), float(v), complex(val)))
-        segs = {
-            n: tuple(np.asarray(col) for col in zip(*rows))
-            for n, rows in by_freq.items()
-        }
         return cls(*_assemble(segs), _trusted=True)
 
     # ------------------------------------------------------------------
@@ -475,29 +452,3 @@ def sum_packets(packets) -> StepPacket:
         n: tuple(np.concatenate(col) for col in cols) for n, cols in segs.items()
     }
     return StepPacket(*_assemble(segs), _trusted=True)
-
-
-# Functional aliases matching the operation-style interface.
-
-def add(f: StepPacket, g: StepPacket) -> StepPacket:
-    return f + g
-
-
-def scale(f: StepPacket, c: complex) -> StepPacket:
-    return f.scale(c)
-
-
-def translate(f: StepPacket, s: float) -> StepPacket:
-    return f.translate(s)
-
-
-def restrict(f: StepPacket, lo=-np.inf, hi=np.inf) -> StepPacket:
-    return f.restrict(lo, hi)
-
-
-def norm2(f: StepPacket) -> float:
-    return f.norm2()
-
-
-def inner(f: StepPacket, g: StepPacket) -> complex:
-    return f.inner(g)

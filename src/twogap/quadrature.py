@@ -1,5 +1,6 @@
-"""Quadrature helpers: adaptive Simpson, Gauss-Legendre panels, closed-form
-oscillatory tails and periodized lattice sums.
+"""Quadrature helpers: Gauss-Legendre panels, the periodic rule for one
+period of the spectral density, closed-form oscillatory tails and the
+periodized lattice sum.
 
 The oscillatory-tail and lattice-sum functions exist so that integrals over
 the whole line with 1/lambda or 1/lambda^2 decay can be evaluated to ~1e-10
@@ -10,26 +11,29 @@ periodic reductions go through the classical lattice sum
     sum_{j in Z} e(j y) / (j + a) = (pi / sin(pi a)) exp(i pi a (1 - 2 {y}))
 
 valid for non-integer y (with {y} the fractional part) and non-integer a.
+Such a reduction leaves one period of the density m^-2, a Poisson kernel in
+q = sqrt(1 - w^2) with poles |ln q|/(2 pi) off the real axis (unit period);
+on it the N-point periodic rule of ``periodic_nodes`` converges like q^N
+(Trefethen & Weideman, SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
-from .errors import ValidationError
+from .errors import DegenerateRegime, ValidationError
 
 __all__ = [
-    "adaptive_simpson",
     "gauss_panels",
     "uniform_panels",
+    "periodic_nodes",
     "tail_inv1_twosided",
     "tail_inv2_twosided",
     "lattice_sum",
-    "lattice_sum_times_sin",
-    "lattice_pair",
-    "lattice_sum_da",
 ]
 
 _GAUSS_CACHE = {}
@@ -39,34 +43,6 @@ def _gauss_rule(n: int):
     if n not in _GAUSS_CACHE:
         _GAUSS_CACHE[n] = leggauss(n)
     return _GAUSS_CACHE[n]
-
-
-def adaptive_simpson(fn, a: float, b: float, tol: float = 1e-12, max_depth: int = 40):
-    """Adaptive Simpson quadrature of a scalar (possibly complex) function."""
-    if not b > a:
-        raise ValidationError("adaptive_simpson needs b > a")
-
-    def simp(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl, fr = fn(xl), fn(xr)
-        left = simp(x0, x1, f0, fl, f1)
-        right = simp(x1, x2, f1, fr, f2)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(x0, x1, f0, fl, f1, left, eps / 2.0, depth - 1) + recurse(
-            x1, x2, f1, fr, f2, right, eps / 2.0, depth - 1
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(mid), fn(b)
-    whole = simp(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
 
 
 def gauss_panels(fn, edges, order: int = 16):
@@ -89,6 +65,25 @@ def gauss_panels(fn, edges, order: int = 16):
 def uniform_panels(a: float, b: float, n_panels: int) -> np.ndarray:
     """Evenly spaced panel edges for gauss_panels."""
     return np.linspace(a, b, n_panels + 1)
+
+
+def periodic_nodes(q: float, tol: float, span: float = 0.0):
+    """Nodes and weights of the N-point midpoint rule on [0, 1).
+
+    For a 1-periodic integrand analytic in the strip |Im xi| < |ln q|/(2 pi),
+    such as the unit-period density m^-2, the rule errs by about q^N.  A
+    phase e(s xi) with |s| <= span grows by q^-span across that strip, so
+    N = ceil(ln(tol)/ln(q) + span) + 1, and N = ceil(span) + 2 at q = 0,
+    where the integrand is a trigonometric polynomial.  On the bare density
+    (span 0) the error is at most 2 q^N / (1 - q^N) times its mean.
+    """
+    if not 0.0 <= q < 1.0:
+        raise DegenerateRegime(f"the periodic rule needs 0 <= q < 1 (w > 0), got q={q}")
+    if q > 0.0:
+        n = math.ceil(math.log(tol) / math.log(q) + span) + 1
+    else:
+        n = math.ceil(span) + 2
+    return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
 
 
 def tail_inv1_twosided(u, lam0: float):
@@ -115,10 +110,6 @@ def tail_inv2_twosided(u, lam0: float):
     return 2.0 * (np.cos(s * lam0) / lam0 - s * (np.pi / 2.0 - si))
 
 
-def _frac(y):
-    return y - np.floor(y)
-
-
 def lattice_sum(y, a):
     """sum_j e(j y)/(j + a) for non-integer y and a (vectorized).
 
@@ -127,48 +118,5 @@ def lattice_sum(y, a):
     """
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
-    frac = _frac(y)
+    frac = y - np.floor(y)
     return np.pi / np.sin(np.pi * a) * np.exp(1j * np.pi * a * (1.0 - 2.0 * frac))
-
-
-def lattice_sum_times_sin(y, a):
-    """sin(pi a) * lattice_sum(y, a) = pi exp(i pi a (1 - 2 {y})).
-
-    Finite for every a; use when a multiplying sin(pi a) factor is available
-    to cancel the lattice poles (removable-singularity-safe form).
-    """
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return np.pi * np.exp(1j * np.pi * a * (1.0 - 2.0 * _frac(y)))
-
-
-def lattice_pair(y, a, b):
-    """lattice_sum(y, a) + lattice_sum(-y, b), valid also at integer y.
-
-    For y in Z the two one-sided sums separately diverge toward +-i pi while
-    their principal-value parts are pi cot; the pair is the absolutely
-    convergent object and equals pi (cot(pi a) + cot(pi b)) there.
-    """
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    frac = _frac(y)
-    near_int = np.minimum(frac, 1.0 - frac) < 1e-12
-    frac_safe = np.where(near_int, 0.25, frac)  # dummy; masked out below
-    # frac(-y) = 1 - frac(y) away from integers, so the second sum carries
-    # exp(i pi b (2 {y} - 1)).
-    regular = np.pi / np.sin(np.pi * a) * np.exp(
-        1j * np.pi * a * (1.0 - 2.0 * frac_safe)
-    ) + np.pi / np.sin(np.pi * b) * np.exp(
-        1j * np.pi * b * (2.0 * frac_safe - 1.0)
-    )
-    pv = np.pi * (1.0 / np.tan(np.pi * a) + 1.0 / np.tan(np.pi * b)) + 0j
-    return np.where(near_int, pv, regular)
-
-
-def lattice_sum_da(y, a):
-    """d/da of lattice_sum(y, a) (same non-integer restrictions)."""
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    w = lattice_sum(y, a)
-    return w * (-np.pi / np.tan(np.pi * a) + 1j * np.pi * (1.0 - 2.0 * _frac(y)))

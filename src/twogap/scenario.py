@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .degenerate import OneIntervalModel, OnePointModel, TwoPointsModel
 from .domain import (
     BoundaryMatrix,
     ExteriorDomain,
@@ -40,7 +41,6 @@ class Scenario:
     time_grid: np.ndarray
     lambda_grid: np.ndarray
     eps: float
-    tol: float
     extras: dict = field(default_factory=dict)
 
     def packet(self, name: str) -> StepPacket:
@@ -50,6 +50,35 @@ class Scenario:
             raise ParseError(
                 f"scenario {self.name!r} defines no packet {name!r}"
             ) from None
+
+    def grid(self, name: str, default=None) -> np.ndarray:
+        """``lambda_grid`` or ``time_grid``; ``default`` when the file gives
+        none, and ParseError when there is no default either."""
+        values = getattr(self, name)
+        if values.size:
+            return values
+        if default is None:
+            raise ParseError(f"scenario {self.name!r} needs a {name}")
+        return default
+
+    def model(self):
+        """The degenerate model described by the ``model`` section."""
+        spec = self.extras.get("model")
+        if not isinstance(spec, dict):
+            raise ParseError(f"scenario {self.name!r} needs a model section")
+        kind = spec.get("kind")
+        if kind == "two_points":
+            return TwoPointsModel(
+                w=_as_float(_need(spec, "w", "model"), "model.w"),
+                alpha=_as_float(_need(spec, "alpha", "model"), "model.alpha"),
+            )
+        theta = _as_float(spec.get("theta", 0.0), "model.theta")
+        if kind == "one_point":
+            return OnePointModel(theta=theta)
+        if kind == "one_interval":
+            alpha = _as_float(_need(spec, "alpha", "model"), "model.alpha")
+            return OneIntervalModel(theta=theta, alpha=alpha)
+        raise ParseError(f"unknown model kind {kind!r}")
 
 
 def _need(obj: dict, key: str, where: str):
@@ -161,7 +190,6 @@ def _parse(text: str, origin: str) -> Scenario:
         time_grid=_grid(raw.get("time_grid"), "time_grid"),
         lambda_grid=_grid(raw.get("lambda_grid"), "lambda_grid"),
         eps=_as_float(tolerances.get("eps", 1e-12), "tolerances.eps"),
-        tol=_as_float(tolerances.get("tol", 1e-8), "tolerances.tol"),
         extras={
             k: v
             for k, v in raw.items()

@@ -359,10 +359,9 @@ def _adjoint_from_grid(bm, domain, sample, cell_edges, tol, subdivide):
 
 
 def _simpson_irregular(x, y):
-    """Composite Simpson on (possibly) irregular grids, trapezoid fallback."""
+    """Composite Simpson on (possibly) irregular grids of at least 3 points;
+    an even point count ends with one trapezoid."""
     n = len(x)
-    if n < 3:
-        return np.trapezoid(y, x)
     total = 0.0 + 0.0j
     i = 0
     while i + 2 < n:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degenerate import (
-    OneIntervalModel,
-    OnePointModel,
     TwoPointsModel,
     conjugation_residual,
     isometry_ratio,
@@ -61,21 +59,14 @@ def _info(name, measured, detail=""):
     return CheckResult(name, "INFO", float(measured), None, detail)
 
 
-def _lambda_grid(sc: Scenario) -> np.ndarray:
-    if sc.lambda_grid.size:
-        return sc.lambda_grid
-    return np.linspace(-3.0, 3.0, 25)
-
-
-def _time_grid(sc: Scenario) -> np.ndarray:
-    if sc.time_grid.size:
-        return sc.time_grid
-    return np.linspace(0.0, 2.0, 5)
+# grids for scenarios that give none
+_LAMBDA_GRID = np.linspace(-3.0, 3.0, 25)
+_TIME_GRID = np.linspace(0.0, 2.0, 5)
 
 
 def _coupled_checks(sc: Scenario) -> list[CheckResult]:
     bm, dom = sc.bm, sc.domain
-    lams = _lambda_grid(sc)
+    lams = sc.grid("lambda_grid", _LAMBDA_GRID)
     out = []
 
     res = max(
@@ -116,17 +107,17 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
     bm, dom, f = sc.bm, sc.domain, sc.packets["f"]
     out = []
     norm0 = f.norm2()
-    ts = _time_grid(sc)
+    ts = sc.grid("time_grid", _TIME_GRID)
 
-    drift = max(abs(evolve(bm, dom, f, t).packet.norm2() - norm0) for t in ts)
+    drift = max(abs(evolve(bm, dom, f, t, sc.eps).packet.norm2() - norm0) for t in ts)
     out.append(_judge("evolution_unitary", drift, 1e-10))
 
     t1, t2 = (float(ts[-1]), float(ts[len(ts) // 2]))
-    once = evolve(bm, dom, f, t1 + t2).packet
-    twice = evolve(bm, dom, evolve(bm, dom, f, t1).packet, t2).packet
+    once = evolve(bm, dom, f, t1 + t2, sc.eps).packet
+    twice = evolve(bm, dom, evolve(bm, dom, f, t1, sc.eps).packet, t2, sc.eps).packet
     out.append(_judge("evolution_group_law", np.sqrt(once.distance2(twice)), 1e-9))
 
-    back = evolve(bm, dom, evolve(bm, dom, f, t1).packet, -t1).packet
+    back = evolve(bm, dom, evolve(bm, dom, f, t1, sc.eps).packet, -t1, sc.eps).packet
     out.append(_judge("evolution_inverse", np.sqrt(back.distance2(f)), 1e-9))
 
     if all(n == 0 for n in f.frequencies()):
@@ -143,9 +134,9 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
 
     s = float(ts[-1]) if ts.size else 1.0
     for sign in ("+", "-"):
-        rep_f = translation_representation(bm, dom, f, sign)
+        rep_f = translation_representation(bm, dom, f, sign, sc.eps)
         rep_uf = translation_representation(
-            bm, dom, evolve(bm, dom, f, s).packet, sign
+            bm, dom, evolve(bm, dom, f, s, sc.eps).packet, sign, sc.eps
         )
         gap = np.sqrt(rep_uf.distance2(rep_f.translate(s)))
         out.append(_judge(f"translation_rep_intertwines_{sign}", gap, 1e-9))
@@ -159,18 +150,20 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
     mid = sc.packets.get("mid")
     if mid is None:
         mid = StepPacket.box(lo, hi, 1.0)
-    ts = [t for t in _time_grid(sc) if t >= 0.0] or [0.5]
+    ts = [t for t in sc.grid("time_grid", _TIME_GRID) if t >= 0.0] or [0.5]
 
-    norms = [compress_evolve(bm, dom, mid, t).packet.norm2() for t in sorted(ts)]
+    norms = [
+        compress_evolve(bm, dom, mid, t, sc.eps).packet.norm2() for t in sorted(ts)
+    ]
     growth = max(
         (norms[i + 1] - norms[i] for i in range(len(norms) - 1)), default=0.0
     )
     out.append(_judge("semigroup_contraction_monotone", max(0.0, growth), 1e-10))
 
     if abs(dom.ell - 1.0) < 1e-12:
-        lam = _lambda_grid(sc)[:9]
+        lam = sc.grid("lambda_grid", _LAMBDA_GRID)[:9]
         t = float(ts[min(1, len(ts) - 1)])
-        eng_vals = compress_evolve(bm, dom, mid, t).packet.transform(lam)
+        eng_vals = compress_evolve(bm, dom, mid, t, sc.eps).packet.transform(lam)
         ora = semigroup_kernel_apply(bm, mid, t, lam, interval=(lo, hi)).values
         gap = float(np.max(np.abs(eng_vals - ora)))
         out.append(_judge("semigroup_kernel_route", gap, 1e-8))
@@ -185,7 +178,7 @@ def _decoupled_checks(sc: Scenario) -> list[CheckResult]:
     mid = StepPacket.box(lo, hi, 1.0) if mid is None else mid.restrict(lo, hi)
     if mid.is_empty:
         mid = StepPacket.box(lo, hi, 1.0)
-    ts = _time_grid(sc)
+    ts = sc.grid("time_grid", _TIME_GRID)
     drift = max(
         abs(evolve_decoupled(bm, dom, mid, t).packet.norm2() - mid.norm2()) for t in ts
     )
@@ -244,26 +237,15 @@ def _comb_checks(sc: Scenario) -> list[CheckResult]:
 
 
 def _model_checks(sc: Scenario) -> list[CheckResult]:
-    spec = sc.extras["model"]
-    kind = spec.get("kind")
+    model = sc.model()
     out = []
     f = sc.packets.get("f") or StepPacket.box(-1.5, -0.5, 1.0)
-    if kind == "one_point":
-        model = OnePointModel(theta=float(spec.get("theta", 0.0)))
-    elif kind == "one_interval":
-        model = OneIntervalModel(
-            theta=float(spec.get("theta", 0.0)), alpha=float(spec["alpha"])
-        )
-    elif kind == "two_points":
-        model = TwoPointsModel(w=float(spec["w"]), alpha=float(spec["alpha"]))
-    else:
-        raise TwogapError(f"unknown degenerate model kind {kind!r}")
-
-    if isinstance(model, (OnePointModel, OneIntervalModel)):
-        res = max(conjugation_residual(model, f, t) for t in _time_grid(sc))
+    if not isinstance(model, TwoPointsModel):
+        ts = sc.grid("time_grid", _TIME_GRID)
+        res = max(conjugation_residual(model, f, t) for t in ts)
         out.append(_judge("degenerate_conjugation", res, 1e-13))
     else:
-        xi = _lambda_grid(sc)
+        xi = sc.grid("lambda_grid", _LAMBDA_GRID)
         direct, series = two_points_abs2_routes(model, xi)
         out.append(
             _judge(
@@ -303,7 +285,7 @@ def _decay_checks(sc: Scenario) -> list[CheckResult]:
     horizons = [h for h in sc.time_grid if h > 0][-3:]
     if len(horizons) < 2:
         return []
-    vals = cesaro_decay(bm, dom, f, g, horizons)
+    vals = cesaro_decay(bm, dom, f, g, horizons, sc.eps)
     mono = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     return [
         CheckResult(

@@ -199,6 +199,27 @@ def test_cli_exit_codes(tmp_path):
     assert main(["eigen", "--scenario", "two_points", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "three_points", "w": 0.5, "alpha": 2.0},
+        {"kind": "one_interval", "theta": 0.1},
+        {"kind": "two_points", "w": 0.5},
+    ],
+)
+@pytest.mark.parametrize("command", ["degenerate", "verify"])
+def test_cli_bad_model_exits_2(tmp_path, command, model):
+    payload = {
+        "schema_version": 1,
+        "packets": {"f": [{"lo": -1.0, "hi": -0.5, "value": [1.0, 0.0]}]},
+        "time_grid": [0.0, 1.0],
+        "lambda_grid": [-1.0, 1.0],
+        "model": model,
+    }
+    path = write(tmp_path, payload)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
 def test_cli_outputs_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -78,7 +78,7 @@ def test_transparent_profile_is_linear():
 
 
 def test_profile_engine_vs_oracle():
-    for w, psi in ((0.8, 0.0), (0.5, 0.3), (0.65, 0.8)):
+    for w, psi in ((0.8, 0.0), (0.5, 0.3), (0.65, 0.8), (0.2, 0.25), (0.1, 0.3)):
         bm = make_boundary_matrix(w=w, theta=0.2, phi=0.1, psi=psi)
         t_grid = np.array([0.0, 0.35, 0.7, 1.0, 1.6])
         prof = norm_decay_profile(bm, n=1, t_grid=t_grid)
@@ -94,8 +94,8 @@ def test_kernel_route_matches_engine():
     dom = make_domain(2.0, 3.0)
     lam = np.array([-1.2, 0.3, 1.0, 2.0, 3.7, 5.0])
     f = StepPacket.box(1.1, 1.7, 1.0) + StepPacket.box(1.75, 1.95, 0.5j)
-    for w in (1.0, 0.8, 0.5):
-        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=0.25)
+    for w, psi in ((1.0, 0.25), (0.8, 0.25), (0.5, 0.25), (0.2, 0.25), (0.1, 0.3)):
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=psi)
         for t in (0.0, 0.4, 1.3):
             oracle = semigroup_kernel_apply(bm, f, t, lam)
             engine = compress_evolve(bm, dom, f, t).packet.transform(lam)

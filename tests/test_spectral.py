@@ -62,6 +62,11 @@ def test_period_integral_is_inverse_ell():
         bm = random_boundary(rng)
         dom = random_geometry(rng)
         assert period_integral(bm, dom) == pytest.approx(1.0 / dom.ell, abs=1e-10)
+    # weak coupling: density spikes of height ~4/w^2 and width ~w^2
+    for w in (0.2, 0.05):
+        bm = make_boundary_matrix(w=w, theta=0.3, phi=0.6, psi=rng.uniform(0.0, 1.0))
+        dom = random_geometry(rng)
+        assert period_integral(bm, dom) == pytest.approx(1.0 / dom.ell, abs=1e-10)
 
 
 def test_density_rejects_decoupled():

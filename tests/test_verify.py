@@ -37,7 +37,6 @@ def test_empty_scenario_rejected():
         time_grid=np.array([]),
         lambda_grid=np.array([]),
         eps=1e-12,
-        tol=1e-8,
     )
     with pytest.raises(TwogapError):
         run_checks(empty)
