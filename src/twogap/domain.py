@@ -60,6 +60,10 @@ class Region(Enum):
     BOUNDARY = "boundary"
 
 
+# position of each component tag in ExteriorDomain.components
+_COMPONENT_INDEX = {"iminus": 0, "izero": 1, "iplus": 2}
+
+
 @dataclass(frozen=True)
 class ExteriorDomain:
     """The line with [0, 1] and [alpha, beta] removed."""
@@ -88,13 +92,8 @@ class ExteriorDomain:
 
     def component(self, tag: str):
         """Interval for one of 'iminus' / 'izero' / 'iplus'."""
-        table = {
-            "iminus": (-np.inf, 0.0),
-            "izero": (1.0, self.alpha),
-            "iplus": (self.beta, np.inf),
-        }
         try:
-            return table[tag]
+            return self.components[_COMPONENT_INDEX[tag]]
         except KeyError:
             raise KeyError(f"unknown component tag {tag!r}") from None
 
@@ -112,16 +111,11 @@ def make_domain(alpha: float, beta: float) -> ExteriorDomain:
     return ExteriorDomain(alpha, beta)
 
 
-def classify_point(domain: ExteriorDomain, x: float, edge_tol: float = 0.0) -> Region:
-    """Locate x relative to the domain components.
-
-    Points within edge_tol of one of the four obstacle endpoints are
-    reported as BOUNDARY (by default only exact hits).
-    """
-    edges = (0.0, 1.0, domain.alpha, domain.beta)
-    for edge in edges:
-        if abs(x - edge) <= edge_tol:
-            return Region.BOUNDARY
+def classify_point(domain: ExteriorDomain, x: float) -> Region:
+    """Locate x relative to the domain components; an exact hit on one of
+    the four obstacle endpoints is BOUNDARY."""
+    if x in (0.0, 1.0, domain.alpha, domain.beta):
+        return Region.BOUNDARY
     if x < 0.0:
         return Region.I_MINUS
     if x < 1.0:

@@ -3,10 +3,13 @@
 The evolution at time t acts on a packet supported in the open domain by a
 3x3 block of translation multipliers followed by the rigid shift by t and
 restriction back to the components.  The (dest, src) block kinds live in
-``multipliers.BLOCK_KIND``; the packet picture of, say, a left-launched
-packet is: the identity copy keeps moving on I_minus, the transmitted
-geometric train enters the middle interval through a_inv, and the outgoing
-train leaves through a_inv_c (one direct reflection plus the resonance sum).
+``multipliers.BLOCK_KIND``, and ``block_row`` is the one place that applies
+them: evolution, single block entries, scattering, both translation
+representations and the compressed semigroup are all rows of that matrix.
+The packet picture of, say, a left-launched packet is: the identity copy
+keeps moving on I_minus, the transmitted geometric train enters the middle
+interval through a_inv, and the outgoing train leaves through a_inv_c (one
+direct reflection plus the resonance sum).
 
 The same formulas hold for negative t (the derivation is time-sign-free);
 the adjoint relation <U(-t) f, g> = <f, U(t) g> is verified in the tests
@@ -48,23 +51,17 @@ __all__ = [
     "correlation",
     "cesaro_decay",
     "block_matrix_entry",
+    "block_row",
     "decompose",
 ]
 
 COMPONENTS = ("iminus", "izero", "iplus")
 
-_mult_cache: dict = {}
 
-
-def _cached_multiplier(bm, domain, kind, eps):
-    key = (bm, domain, kind, eps)
-    out = _mult_cache.get(key)
-    if out is None:
-        out = make_multiplier(bm, domain, kind, eps)
-        if len(_mult_cache) > 256:
-            _mult_cache.clear()
-        _mult_cache[key] = out
-    return out
+def _require_steps(what, *packets):
+    for p in packets:
+        if any(n != 0 for n in p.frequencies()):
+            raise ValidationError(f"{what} supports frequency-0 packets only")
 
 
 def decompose(f: StepPacket, domain: ExteriorDomain, tol: float = 1e-12):
@@ -91,26 +88,27 @@ class EvolutionResult:
     truncation: float
 
 
-def _dest_packets(bm, domain, f, eps):
-    """Pre-shift sums g_dest = sum_src M_{dest,src} f_src, and tail budget."""
-    parts = dict(zip(COMPONENTS, decompose(f, domain)))
-    out = {}
+def block_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str, eps: float):
+    """Row ``dest`` of the block matrix applied to component parts.
+
+    ``parts`` holds one packet per source component, in COMPONENTS order;
+    empty parts are skipped.  Returns the pre-shift packet
+    sum_src M[dest, src] parts[src] and its series-truncation budget
+    sum_src tail[dest, src] * ||parts[src]||.
+    """
+    pieces = []
     trunc = 0.0
-    for dest in COMPONENTS:
-        pieces = []
-        for src in COMPONENTS:
-            fsrc = parts[src]
-            if fsrc.is_empty:
-                continue
-            kind = BLOCK_KIND[(dest, src)]
-            if kind == "identity":
-                pieces.append(fsrc)
-            else:
-                m = _cached_multiplier(bm, domain, kind, eps)
-                pieces.append(apply_multiplier(m, fsrc))
-                trunc += m.tail * np.sqrt(fsrc.norm2())
-        out[dest] = sum_packets(pieces) if pieces else StepPacket.zero()
-    return out, trunc
+    for src, fsrc in zip(COMPONENTS, parts):
+        if fsrc.is_empty:
+            continue
+        kind = BLOCK_KIND[(dest, src)]
+        if kind == "identity":
+            pieces.append(fsrc)
+        else:
+            m = make_multiplier(bm, domain, kind, eps)
+            pieces.append(apply_multiplier(m, fsrc))
+            trunc += m.tail * np.sqrt(fsrc.norm2())
+    return sum_packets(pieces), trunc
 
 
 def evolve(
@@ -123,13 +121,14 @@ def evolve(
     """Unitary evolution U(t) f for w > 0 (any real t)."""
     if bm.w == 0.0:
         raise DegenerateRegime("w = 0 evolution is decoupled; use evolve_decoupled")
-    dest_packets, trunc = _dest_packets(bm, domain, f, eps)
+    parts = decompose(f, domain)
     out = []
-    for dest, g in dest_packets.items():
-        if g.is_empty:
-            continue
-        lo, hi = domain.component(dest)
-        out.append(g.translate(t).restrict(lo, hi))
+    trunc = 0.0
+    for dest in COMPONENTS:
+        g, row_trunc = block_row(bm, domain, parts, dest, eps)
+        trunc += row_trunc
+        if not g.is_empty:
+            out.append(g.translate(t).restrict(*domain.component(dest)))
     return EvolutionResult(packet=sum_packets(out), t=float(t), truncation=trunc)
 
 
@@ -148,14 +147,11 @@ def block_matrix_entry(
         raise DegenerateRegime("block entries need w > 0")
     if dest not in COMPONENTS or src not in COMPONENTS:
         raise ValidationError(f"unknown components ({dest!r}, {src!r})")
-    fsrc = f.restrict(*domain.component(src))
-    if fsrc.is_empty:
-        return StepPacket.zero()
-    kind = BLOCK_KIND[(dest, src)]
-    if kind == "identity":
-        g = fsrc
-    else:
-        g = apply_multiplier(_cached_multiplier(bm, domain, kind, eps), fsrc)
+    parts = [
+        f.restrict(*domain.component(tag)) if tag == src else StepPacket.zero()
+        for tag in COMPONENTS
+    ]
+    g, _ = block_row(bm, domain, parts, dest, eps)
     return g.translate(t).restrict(*domain.component(dest))
 
 
@@ -232,8 +228,8 @@ def scatter(
     sup = f_in.support()
     if sup is None or sup[1] > 1e-12:
         raise EmptySupport("incoming packet must be supported on the left half-line")
-    m = _cached_multiplier(bm, domain, "a_inv_c", eps)
-    return apply_multiplier(m, f_in)
+    zero = StepPacket.zero()
+    return block_row(bm, domain, (f_in, zero, zero), "iplus", eps)[0]
 
 
 def translation_representation(
@@ -245,32 +241,16 @@ def translation_representation(
 ) -> StepPacket:
     """Outgoing ('+') or incoming ('-') translation representer of f.
 
-    Both act as the identity on their own half-line and rewrite the other
-    two components through the scattering multipliers; they intertwine the
-    evolution with the rigid shift (tested property).
+    Rows iplus ('+') and iminus ('-') of the block matrix: the identity on
+    their own half-line, the scattering multipliers on the other two
+    components; they intertwine the evolution with the rigid shift (tested).
     """
     if bm.w == 0.0:
         raise DegenerateRegime("translation representations need w > 0")
-    fm, f0, fp = decompose(f, domain)
-    if sign == "+":
-        table = {"iminus": "a_inv_c", "izero": "c_conj_inv"}
-        parts = [fp]
-        for src, packet in (("iminus", fm), ("izero", f0)):
-            if not packet.is_empty:
-                parts.append(
-                    apply_multiplier(_cached_multiplier(bm, domain, table[src], eps), packet)
-                )
-    elif sign == "-":
-        table = {"izero": "a_conj_inv", "iplus": "c_inv_a"}
-        parts = [fm]
-        for src, packet in (("izero", f0), ("iplus", fp)):
-            if not packet.is_empty:
-                parts.append(
-                    apply_multiplier(_cached_multiplier(bm, domain, table[src], eps), packet)
-                )
-    else:
+    dest = {"+": "iplus", "-": "iminus"}.get(sign)
+    if dest is None:
         raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
-    return sum_packets(parts)
+    return block_row(bm, domain, decompose(f, domain), dest, eps)[0]
 
 
 # ----------------------------------------------------------------------
@@ -290,11 +270,6 @@ def correlation(
     return f.inner(evolve(bm, domain, g, t, eps).packet)
 
 
-def _finite_component_edges(domain, tag):
-    lo, hi = domain.component(tag)
-    return [v for v in (lo, hi) if np.isfinite(v)]
-
-
 def cesaro_decay(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
@@ -310,10 +285,9 @@ def cesaro_decay(
     piecewise quadratic and per-interval Simpson integrates it exactly.
     Only frequency-0 packets are supported here.
     """
-    for p in (f, g):
-        if any(n != 0 for n in p.frequencies()):
-            raise ValidationError("cesaro_decay supports frequency-0 packets only")
-    dest_packets, _ = _dest_packets(bm, domain, g, eps)
+    _require_steps("cesaro_decay", f, g)
+    g_parts = decompose(g, domain)
+    dest_packets = {d: block_row(bm, domain, g_parts, d, eps)[0] for d in COMPONENTS}
     f_parts = {tag: f.restrict(*domain.component(tag)) for tag in COMPONENTS}
 
     def corr(t):
@@ -333,7 +307,7 @@ def cesaro_decay(
         fp = f_parts[tag]
         if gd.is_empty:
             continue
-        targets = list(_finite_component_edges(domain, tag))
+        targets = [v for v in domain.component(tag) if np.isfinite(v)]
         if not fp.is_empty:
             targets.extend(fp.breakpoints().tolist())
         for e in gd.breakpoints():

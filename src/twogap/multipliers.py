@@ -27,6 +27,8 @@ a, c                  the coefficient functions themselves (finite, 2 terms)
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,16 +120,19 @@ class MultiplierSeries:
         """|scalar| times the coefficient l1 mass (sup-norm bound)."""
         return abs(self.scalar) * float(sum(abs(c) for c in self.coeffs.values()))
 
-    def shifts(self) -> np.ndarray:
-        """The spatial shifts base + n * step, sorted by lattice index."""
-        ns = np.array(sorted(self.coeffs), dtype=float)
-        return self.base_shift + ns * self.step
+    def terms(self):
+        """(shifts, weights), sorted by lattice index n: the spatial shifts
+        base + n * step and the weights scalar * c_n."""
+        ns = sorted(self.coeffs)
+        shifts = self.base_shift + np.array(ns, dtype=float) * self.step
+        weights = np.array([self.scalar * self.coeffs[n] for n in ns], dtype=complex)
+        return shifts, weights
 
 
 def _geom_terms(q: float, eps: float) -> int:
     """Smallest N with q^(N+1)/(1-q) <= eps (tail of a unit geometric series)."""
-    if eps <= 0:
-        raise ValidationError("truncation tolerance must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValidationError("truncation tolerance must be positive and finite")
     if q == 0.0:
         return 0
     n = max(0, int(np.ceil(np.log(eps * (1.0 - q)) / np.log(q))) - 1)
@@ -136,13 +141,18 @@ def _geom_terms(q: float, eps: float) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=256)
 def make_multiplier(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
     kind: str,
     eps: float = 1e-12,
 ) -> MultiplierSeries:
-    """Build one of the named series for (bm, domain) at tolerance eps."""
+    """Build one of the named series for (bm, domain) at tolerance eps.
+
+    Series are cached per (bm, domain, kind, eps) and shared by every caller,
+    so the result must be treated as read-only.
+    """
     if kind == "identity":
         return MultiplierSeries(1.0 + 0j, 0.0, domain.ell, {0: 1.0 + 0j}, "identity", 0.0)
     w, q = bm.w, bm.q
@@ -192,12 +202,8 @@ def make_multiplier(
             complex(e2pi(-theta)), -(gap + 1.0), ell, coeffs, "a_inv_c",
             w * w * geo_tail,
         )
-    if kind == "c_inv_a":
-        return conjugate_multiplier(make_multiplier(bm, domain, "a_inv_c", eps))
-    if kind == "a_conj_inv":
-        return conjugate_multiplier(make_multiplier(bm, domain, "a_inv", eps))
-    if kind == "c_conj_inv":
-        return conjugate_multiplier(make_multiplier(bm, domain, "c_inv", eps))
+    if kind in ("c_inv_a", "a_conj_inv", "c_conj_inv"):
+        return conjugate_multiplier(make_multiplier(bm, domain, _CONJ_KIND[kind], eps))
     raise ValidationError(f"unknown multiplier kind {kind!r}")  # pragma: no cover
 
 
@@ -242,11 +248,9 @@ def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
     """Spatial action: scalar * sum_n c_n f(. + base + n step), one sweep."""
     if f.is_empty or not m.coeffs:
         return StepPacket.zero()
-    ns = sorted(m.coeffs)
+    shifts, weights = m.terms()
     segs = {}
-    for n in ns:
-        s = m.base_shift + n * m.step
-        weight = m.scalar * m.coeffs[n]
+    for s, weight in zip(shifts.tolist(), weights.tolist()):
         for freq, vals in f.waves.items():
             # g(x) = f(x+s): a cell value v e(freq y) becomes v e(freq s) e(freq x)
             phase = complex(e2pi(freq * s)) if freq else 1.0

@@ -333,11 +333,6 @@ class StepPacket:
         waves = {n: v[keep] for n, v in self.waves.items() if np.any(v[keep] != 0.0)}
         return StepPacket(new_lo[keep], new_hi[keep], waves, _trusted=True)
 
-    def restrict_component(self, domain, tag: str) -> "StepPacket":
-        """Restriction to one domain component ('iminus'/'izero'/'iplus')."""
-        lo, hi = domain.component(tag)
-        return self.restrict(lo, hi)
-
     # ------------------------------------------------------------------
     # integrals
     # ------------------------------------------------------------------

@@ -45,12 +45,8 @@ def _gauss_rule(n: int):
     return _GAUSS_CACHE[n]
 
 
-def gauss_panels(fn, edges, order: int = 16):
-    """Composite Gauss-Legendre quadrature with panel boundaries ``edges``.
-
-    fn must accept a flat array of nodes and return values; panels may be
-    non-uniform.  Returns the scalar integral.
-    """
+def _panel_nodes(edges, order: int):
+    """Flat nodes and weights of composite Gauss-Legendre on ``edges``."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValidationError("panel edges must be increasing")
@@ -59,6 +55,16 @@ def gauss_panels(fn, edges, order: int = 16):
     half = 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
+    return x, w
+
+
+def gauss_panels(fn, edges, order: int = 16):
+    """Composite Gauss-Legendre quadrature with panel boundaries ``edges``.
+
+    fn must accept a flat array of nodes and return values; panels may be
+    non-uniform.  Returns the scalar integral.
+    """
+    x, w = _panel_nodes(edges, order)
     return np.sum(w * fn(x))
 
 

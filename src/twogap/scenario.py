@@ -24,7 +24,7 @@ from .domain import (
     make_boundary_matrix,
     make_domain,
 )
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .packets import StepPacket, sum_packets
 
 __all__ = ["Scenario", "load_scenario", "bundled_scenario", "bundled_names"]
@@ -42,6 +42,11 @@ class Scenario:
     lambda_grid: np.ndarray
     eps: float
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # also runs on dataclasses.replace, which is how --eps overrides it
+        if not (self.eps > 0.0 and np.isfinite(self.eps)):
+            raise ValidationError(f"eps must be positive and finite, got {self.eps!r}")
 
     def packet(self, name: str) -> StepPacket:
         try:

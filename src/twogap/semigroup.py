@@ -2,12 +2,14 @@
 identities.
 
 Compressing the unitary evolution to the middle interval gives a one-
-parameter contraction semigroup: apply the two-sided density series, shift
-by t >= 0, clip back to the interval.  On the transform side the same
-operator is an integral kernel against the band-limited (Shannon) sampling
-kernel of the interval, weighted by the spectral density — evaluated here
-by an independent folded quadrature: the line integral is reduced to one
-period of the density via the closed-form lattice sums
+parameter contraction semigroup: apply the two-sided density series (the
+(izero, izero) entry of the block matrix, through ``evolution.block_row``,
+the one place that applies that matrix), shift by t >= 0, clip back to the
+interval.  On the transform side the same operator is an integral kernel
+against the band-limited (Shannon) sampling kernel of the interval, weighted
+by the spectral density — evaluated here by an independent folded
+quadrature: the line integral is reduced to one period of the density via
+the closed-form lattice sums
 
     sum_j e(j y)/(j + a) = (pi/sin(pi a)) exp(i pi a (1 - 2 {y})),
 
@@ -36,11 +38,12 @@ from .errors import (
     SupportViolation,
     ValidationError,
 )
-from .multipliers import apply_multiplier, make_multiplier
+from .eigen import eigen_coeffs
+from .evolution import block_row
 from .packets import StepPacket
 from .quadrature import _gauss_rule, lattice_sum, periodic_nodes
 from .spectral import density
-from .transform import TransformSample
+from .transform import TransformSample, _cell_ends
 
 __all__ = [
     "SemigroupState",
@@ -70,6 +73,22 @@ class SemigroupState:
     truncation: float
 
 
+# the unit middle interval (1, 2): ell = 1, so the density has unit period
+_UNIT_DOMAIN = make_domain(2.0, 3.0)
+
+
+def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> None:
+    """SupportViolation unless f carries no mass outside (lo, hi)."""
+    if f.norm2() - f.restrict(lo, hi).norm2() > 1e-12 * max(1.0, f.norm2()):
+        raise SupportViolation(f"{what} must live on ({lo:g}, {hi:g})")
+
+
+def _density_series(bm, domain, f, eps):
+    """The density series applied to f, and its truncation budget."""
+    zero = StepPacket.zero()
+    return block_row(bm, domain, (zero, f, zero), "izero", eps)
+
+
 def compress_evolve(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
@@ -83,11 +102,10 @@ def compress_evolve(
     if t < 0:
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {t}")
     lo, hi = domain.component("izero")
-    if f.norm2() - f.restrict(lo, hi).norm2() > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation("compress_evolve input must live on the middle interval")
-    m = make_multiplier(bm, domain, "m_squared_inv", eps)
-    g = apply_multiplier(m, f).translate(t).restrict(lo, hi)
-    return SemigroupState(packet=g, t=float(t), truncation=m.tail * np.sqrt(f.norm2()))
+    _require_on(f, lo, hi, "compress_evolve input")
+    ef, trunc = _density_series(bm, domain, f, eps)
+    g = ef.translate(t).restrict(lo, hi)
+    return SemigroupState(packet=g, t=float(t), truncation=trunc)
 
 
 # ----------------------------------------------------------------------
@@ -145,29 +163,12 @@ def shannon_interpolate(coeffs: ShannonBasisCoeffs, lam):
 
 # error target of the periodic rule over the folded period
 _FOLD_TOL = 1e-13
-# the density on the unit-period spectral variable (ell = 1)
-_UNIT_PERIOD = make_domain(2.0, 3.0)
-
-
-def _cell_end_data(f_centered):
-    """(end position, signed value, frequency) for every cell end."""
-    pos, val, freq = [], [], []
-    for u, v, stack in f_centered.cells():
-        for n, x in stack.items():
-            pos.extend((u, v))
-            val.extend((x, -x))
-            freq.extend((n, n))
-    return (
-        np.asarray(pos, dtype=float),
-        np.asarray(val, dtype=complex),
-        np.asarray(freq, dtype=int),
-    )
 
 
 def _fold_rule(bm, span):
     """Periodic nodes, weights and density values for one folded period."""
     xi, wq = periodic_nodes(bm.q, _FOLD_TOL, span)
-    return xi, wq * density(bm, _UNIT_PERIOD, xi)
+    return xi, wq * density(bm, _UNIT_DOMAIN, xi)
 
 
 def _kernel_transform_oracle(bm, f_centered, t, lam):
@@ -185,7 +186,7 @@ def _kernel_transform_oracle(bm, f_centered, t, lam):
     L the lattice sum, E2 = exp(i pi (lam-xi)(2{y}-1)), y = 1/2 - t - p.
     The lam -> n limit is taken analytically.
     """
-    pos, val, freq = _cell_end_data(f_centered)
+    pos, val, freq = _cell_ends(f_centered)
     xi, wq = _fold_rule(bm, abs(t) + 2.0)
     res = np.zeros(lam.shape, dtype=complex)
     for p, s, n in zip(pos, val, freq):
@@ -227,8 +228,7 @@ def semigroup_kernel_apply(
     lo, hi = float(interval[0]), float(interval[1])
     if abs((hi - lo) - 1.0) > 1e-12:
         raise ValidationError("kernel route needs a unit-length interval")
-    if f.norm2() - f.restrict(lo, hi).norm2() > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation("packet must live on the sampling interval")
+    _require_on(f, lo, hi, "packet")
     center = 0.5 * (lo + hi)
     f_c = f.translate(-center)
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
@@ -251,7 +251,7 @@ class NormDecayProfile:
 
 def _space_oracle_values(bm, f_centered, t, xs):
     """(Z(t) f)(x) for centered x samples, by the folded lattice sum."""
-    pos, val, freq = _cell_end_data(f_centered)
+    pos, val, freq = _cell_ends(f_centered)
     xi, wq = _fold_rule(bm, abs(t) + 2.0)
     out = np.zeros(len(xs), dtype=complex)
     for p, s, n in zip(pos, val, freq):
@@ -283,9 +283,7 @@ def norm_decay_profile(
     if np.any(t_grid < 0):
         raise NegativeTime("profile times must be >= 0")
     f = StepPacket.box(-0.5, 0.5, 1.0, freq=int(n))
-    dom = make_domain(2.0, 3.0)  # unit middle interval (1, 2)
-    m = make_multiplier(bm, dom, "m_squared_inv", eps)
-    ef = apply_multiplier(m, f)
+    ef, _ = _density_series(bm, _UNIT_DOMAIN, f, eps)
 
     engine = np.empty(t_grid.shape)
     oracle = np.empty(t_grid.shape)
@@ -372,11 +370,16 @@ def spatial_resolvent(
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    lo, hi = domain.component("izero")
+    return SampledProfile(x=x_grid, values=_cell_laplace(domain, lam, f, x_grid, x_grid))
+
+
+def _cell_laplace(domain, lam, f, x_grid, upto):
+    """sum over the middle-interval cells of f of
+    int_{y < upto} e^{-lam (x-y)} f(y) dy at every x of x_grid."""
     vals = np.zeros(x_grid.shape, dtype=complex)
-    for u, v, stack in f.restrict(lo, hi).cells():
-        y1 = np.minimum(x_grid, v)
-        y0 = np.minimum(x_grid, u)
+    for u, v, stack in f.restrict(*domain.component("izero")).cells():
+        y1 = np.minimum(upto, v)
+        y0 = np.minimum(upto, u)
         active = y1 > y0
         for n, val in stack.items():
             # int_{y0}^{y1} e(n y) e^{-lam (x-y)} dy with mu = lam + i 2 pi n
@@ -386,7 +389,7 @@ def spatial_resolvent(
                 - np.exp(-lam * (x_grid - y0)) * e2pi(n * y0)
             ) / mu
             vals += np.where(active, val * contrib, 0.0)
-    return SampledProfile(x=x_grid, values=vals)
+    return vals
 
 
 def compressed_resolvent_profile(
@@ -409,11 +412,8 @@ def compressed_resolvent_profile(
     lam = complex(lam)
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
-    lo, hi = domain.component("izero")
-    if f.norm2() - f.restrict(lo, hi).norm2() > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation("resolvent input must live on the middle interval")
-    m = make_multiplier(bm, domain, "m_squared_inv", eps)
-    ef = apply_multiplier(m, f)
+    _require_on(f, *domain.component("izero"), "resolvent input")
+    ef, _ = _density_series(bm, domain, f, eps)
     t_max = -np.log(1e-12) / lam.real
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     nodes, wts = _gauss_rule(order)
@@ -441,22 +441,11 @@ def _compressed_resolvent_closed(bm, domain, lam, f, x_grid):
     """
     lam = complex(lam)
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    base = spatial_resolvent(domain, lam, f, x_grid).values
-    q = bm.q
-    ell = domain.ell
+    base = _cell_laplace(domain, lam, f, x_grid, x_grid)
+    whole = _cell_laplace(domain, lam, f, x_grid, np.inf)
     # sum_{k>=1} q^k e(-k psi) e^{-lam k ell} (the k >= 1 half of the series)
-    z = q * complex(e2pi(-bm.psi)) * np.exp(-lam * ell)
-    series = z / (1.0 - z)
-    lo, hi = domain.component("izero")
-    whole = np.zeros(x_grid.shape, dtype=complex)
-    for u, v, stack in f.restrict(lo, hi).cells():
-        for n, val in stack.items():
-            mu = lam + 2j * np.pi * n
-            whole += val * (
-                np.exp(-lam * (x_grid - v)) * e2pi(n * v)
-                - np.exp(-lam * (x_grid - u)) * e2pi(n * u)
-            ) / mu
-    return SampledProfile(x=x_grid, values=base + series * whole)
+    z = bm.q * complex(e2pi(-bm.psi)) * np.exp(-lam * domain.ell)
+    return SampledProfile(x=x_grid, values=base + z / (1.0 - z) * whole)
 
 
 def resolvent_comparison(
@@ -476,8 +465,6 @@ def resolvent_comparison(
     'rescaled_discrepancy' (a reported quantity, not an identity: it
     vanishes in the transparent case and grows as w decreases).
     """
-    from .eigen import eigen_coeffs
-
     laplace = compressed_resolvent_profile(bm, domain, lam, f, x_grid, eps)
     closed = _compressed_resolvent_closed(bm, domain, lam, f, x_grid)
     m0 = float(np.abs(eigen_coeffs(bm, domain, 0.0).a))

@@ -5,7 +5,8 @@ For w > 0 the spectrum is purely absolutely continuous with density (with
 respect to Lebesgue measure in lambda)
 
     rho(lambda) = m(lambda)^-2
-               = (1 - q^2) / (1 - 2 q cos(2 pi (ell lambda - psi)) + q^2),
+               = (1 - q^2) / (1 - 2 q cos(2 pi (ell lambda - psi)) + q^2)
+               = w^2 / ((1 - q)^2 + 4 q sin^2(pi (ell lambda - psi))),
 
 a Poisson-kernel profile in the periodic variable ell lambda - psi with
 q = sqrt(1 - w^2).  Its mean over one period 1/ell is exactly 1, and its
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, TWO_PI, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, e2pi, make_boundary_matrix
 from .errors import DegenerateRegime, ValidationError
+from .multipliers import _geom_terms
 from .quadrature import periodic_nodes
 
 __all__ = [
@@ -41,13 +43,19 @@ __all__ = [
 
 
 def density(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
-    """Spectral density m(lambda)^-2; requires w > 0."""
+    """Spectral density m(lambda)^-2; requires w > 0.
+
+    Evaluated as w^2 / ((1 - q)^2 + 4 q sin^2(pi (ell lambda - psi))) with
+    1 - q = w^2 / (1 + q): no cancellation near the spikes, where
+    1 - 2 q cos + q^2 would lose about 2e-16 / w^4 relative.
+    """
     if bm.w == 0.0:
         raise DegenerateRegime("density is undefined at w = 0 (atomic part)")
     lam = np.asarray(lam, dtype=float)
     q = bm.q
-    angle = TWO_PI * (domain.ell * lam - bm.psi)
-    return (1.0 - q * q) / (1.0 - 2.0 * q * np.cos(angle) + q * q)
+    w2 = bm.w * bm.w
+    s = np.sin(np.pi * (domain.ell * lam - bm.psi))
+    return w2 / ((w2 / (1.0 + q)) ** 2 + 4.0 * q * s * s)
 
 
 @dataclass(frozen=True)
@@ -61,18 +69,15 @@ class SpectralDensity:
     def period(self) -> float:
         return 1.0 / self.domain.ell
 
-    @property
-    def b_modulus(self) -> float:
-        return self.bm.q
-
     def __call__(self, lam):
         return density(self.bm, self.domain, lam)
 
     def bounds(self):
-        """(min, max) of the density: w^2/(1+q)^2 ... w^2/(1-q)^2."""
+        """(min, max) of the density: w^2/(1+q)^2 ... w^2/(1-q)^2,
+        with 1 - q = w^2 / (1 + q) as in ``density``."""
         q = self.bm.q
-        w2 = 1.0 - q * q
-        return w2 / (1.0 + q) ** 2, w2 / (1.0 - q) ** 2
+        w2 = self.bm.w * self.bm.w
+        return w2 / (1.0 + q) ** 2, w2 / (w2 / (1.0 + q)) ** 2
 
 
 def period_integral(bm: BoundaryMatrix, domain: ExteriorDomain, tol: float = 1e-12) -> float:
@@ -80,8 +85,8 @@ def period_integral(bm: BoundaryMatrix, domain: ExteriorDomain, tol: float = 1e-
 
     The periodic rule errs by at most 2 q^N / (1 - q^N) of the exact value
     1/ell, so asking ``periodic_nodes`` for tol ell / 4 keeps that error
-    below tol / 2.  The rest of tol is for rounding, but ``density`` itself
-    rounds to about 2e-16 / w^4 relative, which passes 1e-12 below w ~ 0.12.
+    below tol / 2.  The rest of tol is for rounding: ``density`` uses a
+    cancellation-free form and rounds to a few ulp relative at any w > 0.
     """
     xi, wts = periodic_nodes(bm.q, 0.25 * tol * domain.ell)
     return float(np.sum(wts * density(bm, domain, xi / domain.ell))) / domain.ell
@@ -116,12 +121,7 @@ def fourier_coeffs(
         raise DegenerateRegime("fourier_coeffs is undefined at w = 0")
     q = bm.q
     if K is None:
-        if q == 0.0:
-            K = 0
-        else:
-            K = 0
-            while 2.0 * q ** (K + 1) / (1.0 - q) > tol:
-                K += 1
+        K = _geom_terms(q, tol / 2.0)
     K = int(K)
     if K < 0:
         raise ValidationError("K must be nonnegative")
@@ -154,11 +154,8 @@ def comb_limit_diagnostic(
     quadrature would stall on the near-comb spikes (height ~ 4/w^2, width
     ~ w^2) that are the whole point of this diagnostic.
     """
-    from .domain import make_boundary_matrix
-
     if not (0.0 < window_width < 1.0 / domain.ell):
         raise ValidationError("window width must be inside one period")
-    half = window_width / 2.0
     records = []
     for w in w_sequence:
         bm = make_boundary_matrix(w, theta, phi, psi)

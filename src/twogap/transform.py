@@ -23,22 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, Region, classify_point, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, classify_point, e2pi
 from .eigen import eigen_coeffs
 from .errors import (
     DegenerateRegime,
     GridTooCoarse,
     ValidationError,
 )
-from .evolution import COMPONENTS, decompose
+from .evolution import COMPONENTS, _require_steps, decompose
 from .multipliers import block_multiplier
 from .packets import StepPacket
 from .quadrature import (
+    _panel_nodes,
     gauss_panels,
     tail_inv1_twosided,
     tail_inv2_twosided,
     uniform_panels,
 )
+from .spectral import SpectralDensity
 
 __all__ = [
     "TransformSample",
@@ -70,6 +72,12 @@ def _panel_width(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
     return float(min(_PANEL, 3.0 * delta))
 
 
+def _window_edges(bm, domain, window):
+    """Uniform panel edges over [-window, window] at ``_panel_width``."""
+    n_panels = int(np.ceil(2.0 * window / _panel_width(bm, domain)))
+    return uniform_panels(-window, window, n_panels)
+
+
 @dataclass(frozen=True)
 class TransformSample:
     """Transform values on a grid, tagged with how they were obtained.
@@ -87,14 +95,6 @@ class TransformSample:
     source: StepPacket | None = None
 
 
-def _require_steps(*packets):
-    for p in packets:
-        if any(n != 0 for n in p.frequencies()):
-            raise ValidationError(
-                "sigma quadratures support frequency-0 packets only"
-            )
-
-
 def forward_transform(
     bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, grid
 ) -> TransformSample:
@@ -102,21 +102,16 @@ def forward_transform(
     if bm.w == 0.0:
         raise DegenerateRegime("forward transform needs w > 0")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    fm, f0, fp = decompose(f, domain)
     co = eigen_coeffs(bm, domain, grid)
-    vals = (
-        np.conj(co.a) * fm.transform(grid)
-        + f0.transform(grid)
-        + np.conj(co.c) * fp.transform(grid)
-    )
+    vals = _transform_values(co, decompose(f, domain), grid)
     return TransformSample(
         grid=grid, values=vals, provenance="analytic", bm=bm, domain=domain, source=f
     )
 
 
-def _transform_values(bm, domain, parts, lam):
-    """(V f)(lambda) from pre-split components on arbitrary points."""
-    co = eigen_coeffs(bm, domain, lam)
+def _transform_values(co, parts, lam):
+    """(V f)(lambda) from pre-split components and the eigen coefficients
+    ``co`` at the points lambda."""
     fm, f0, fp = parts
     return (
         np.conj(co.a) * fm.transform(lam)
@@ -126,21 +121,23 @@ def _transform_values(bm, domain, parts, lam):
 
 
 def _cell_ends(packet):
-    """(position, sign, value) triples for the transform end-point expansion.
+    """(position, signed value, frequency) of every cell end, as arrays.
 
-    A frequency-0 cell (u, v, value) transforms to
-    value (e(-lambda u) - e(-lambda v)) / (i 2 pi lambda); the expansion
-    enumerates (u, +value) and (v, -value).
+    A cell (u, v) carrying value * e(n x) transforms to
+    value (e((n - lambda) u) - e((n - lambda) v)) / (i 2 pi (lambda - n));
+    the expansion enumerates (u, +value, n) and (v, -value, n).
     """
-    ends_pos = []
-    ends_val = []
+    pos, val, freq = [], [], []
     for u, v, stack in packet.cells():
-        val = stack.get(0, 0.0)
-        if val == 0.0:
-            continue
-        ends_pos.extend((u, v))
-        ends_val.extend((val, -val))
-    return np.asarray(ends_pos, dtype=float), np.asarray(ends_val, dtype=complex)
+        for n, x in stack.items():
+            pos.extend((u, v))
+            val.extend((x, -x))
+            freq.extend((n, n))
+    return (
+        np.asarray(pos, dtype=float),
+        np.asarray(val, dtype=complex),
+        np.asarray(freq, dtype=int),
+    )
 
 
 def cross_term(
@@ -158,34 +155,29 @@ def cross_term(
     """
     if bm.w == 0.0:
         raise DegenerateRegime("sigma pairing needs w > 0")
-    _require_steps(f, g)
+    _require_steps("sigma quadratures", f, g)
     f_parts = decompose(f, domain)
     g_parts = decompose(g, domain)
 
     def integrand(lam):
         co = eigen_coeffs(bm, domain, lam)
-        vf = _transform_values(bm, domain, f_parts, lam)
-        vg = _transform_values(bm, domain, g_parts, lam)
+        vf = _transform_values(co, f_parts, lam)
+        vg = _transform_values(co, g_parts, lam)
         return np.conj(vf) * vg / np.abs(co.a) ** 2
 
-    n_panels = int(np.ceil(2.0 * window / _panel_width(bm, domain)))
-    total = gauss_panels(integrand, uniform_panels(-window, window, n_panels), _ORDER)
+    total = gauss_panels(integrand, _window_edges(bm, domain, window), _ORDER)
 
     # Tails: conj(Vf) Vg m^-2 = sum_{ij} M_block(i,j) conj(F_i) G_j, each term
     # a lattice of e(Delta lambda)/(4 pi^2 lambda^2) contributions.
     for i, fi in zip(COMPONENTS, f_parts):
         if fi.is_empty:
             continue
-        fpos, fval = _cell_ends(fi)
+        fpos, fval, _ = _cell_ends(fi)
         for j, gj in zip(COMPONENTS, g_parts):
             if gj.is_empty:
                 continue
-            gpos, gval = _cell_ends(gj)
-            mult = block_multiplier(bm, domain, i, j, eps=_SERIES_EPS)
-            shifts = mult.shifts()
-            weights = mult.scalar * np.array(
-                [mult.coeffs[n] for n in sorted(mult.coeffs)], dtype=complex
-            )
+            gpos, gval, _ = _cell_ends(gj)
+            shifts, weights = block_multiplier(bm, domain, i, j, eps=_SERIES_EPS).terms()
             # Delta = (f end) - (g end) + shift, coefficient conj(fval) gval w
             delta = fpos[:, None, None] - gpos[None, :, None] + shifts[None, None, :]
             coef = np.conj(fval)[:, None, None] * gval[None, :, None] * weights[None, None, :]
@@ -250,42 +242,36 @@ def adjoint_transform(
     )
 
 
-def _component_factor(bm, domain, x, lam):
-    """psi_lambda(x) m^-2 / e(lambda x) = (a, 1, c)[component(x)] * m^-2."""
-    co = eigen_coeffs(bm, domain, lam)
-    region = classify_point(domain, float(x))
-    if region is Region.I_MINUS:
-        num = co.a
-    elif region is Region.I_ZERO:
-        num = np.ones_like(co.a)
-    elif region is Region.I_PLUS:
-        num = co.c
-    else:
+def _component_factors(co):
+    """psi_lambda(x) m^-2 / e(lambda x) = (a, 1, c) m^-2, keyed by the
+    component tag of x."""
+    m2 = np.abs(co.a) ** 2
+    return dict(zip(COMPONENTS, (co.a / m2, np.ones_like(co.a) / m2, co.c / m2)))
+
+
+def _component_of(domain, x):
+    """Component tag of a reconstruction point."""
+    tag = classify_point(domain, float(x)).value
+    if tag not in COMPONENTS:
         raise ValidationError(f"reconstruction point {x} is not in the domain")
-    return num / np.abs(co.a) ** 2
+    return tag
 
 
 def _adjoint_analytic(bm, domain, f, intervals, window, subdivide):
     f_parts = decompose(f, domain)
 
     # window quadrature nodes/values shared across evaluation points
-    n_panels = int(np.ceil(2.0 * window / _panel_width(bm, domain)))
-    edges = uniform_panels(-window, window, n_panels)
-    from .quadrature import _gauss_rule
-
-    nodes, wts = _gauss_rule(_ORDER)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    lam = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    lamw = (half[:, None] * wts[None, :]).ravel()
-    gvals = _transform_values(bm, domain, f_parts, lam)
+    lam, lamw = _panel_nodes(_window_edges(bm, domain, window), _ORDER)
+    co = eigen_coeffs(bm, domain, lam)
+    gvals = _transform_values(co, f_parts, lam)
+    factors = _component_factors(co)
 
     # per-source tail data
     tail_data = []
     for j, fj in zip(COMPONENTS, f_parts):
         if fj.is_empty:
             continue
-        pos, val = _cell_ends(fj)
+        pos, val, _ = _cell_ends(fj)
         tail_data.append((j, pos, val))
 
     # evaluation points: subcell midpoints, one edge array per span
@@ -294,20 +280,11 @@ def _adjoint_analytic(bm, domain, f, intervals, window, subdivide):
 
     values = np.empty(xs.shape, dtype=complex)
     for idx, x in enumerate(xs):
-        factor = _component_factor(bm, domain, x, lam)
-        win = np.sum(lamw * gvals * factor * e2pi(lam * x))
+        dest = _component_of(domain, x)
+        win = np.sum(lamw * gvals * factors[dest] * e2pi(lam * x))
         tail = 0.0 + 0.0j
-        dest = {
-            Region.I_MINUS: "iminus",
-            Region.I_ZERO: "izero",
-            Region.I_PLUS: "iplus",
-        }[classify_point(domain, float(x))]
         for j, pos, val in tail_data:
-            mult = block_multiplier(bm, domain, dest, j, eps=_SERIES_EPS)
-            shifts = mult.shifts()
-            weights = mult.scalar * np.array(
-                [mult.coeffs[n] for n in sorted(mult.coeffs)], dtype=complex
-            )
+            shifts, weights = block_multiplier(bm, domain, dest, j, eps=_SERIES_EPS).terms()
             delta = x - pos[:, None] + shifts[None, :]
             coef = val[:, None] * weights[None, :]
             tail += np.sum(coef * tail_inv1_twosided(delta, window)) / (2j * np.pi)
@@ -333,8 +310,7 @@ def _adjoint_from_grid(bm, domain, sample, cell_edges, tol, subdivide):
     # conditionally convergent remainder of order C (up to oscillation); we
     # charge one decade of it.
     c_end = max(abs(vals[0]) * abs(grid[0]), abs(vals[-1]) * abs(grid[-1]))
-    q = bm.q
-    rho_max = (1.0 - q * q) / (1.0 - q) ** 2
+    rho_max = SpectralDensity(bm, domain).bounds()[1]
     coef_max = 2.0 / bm.w  # sup of |a| = |c|
     est = c_end * rho_max * coef_max * np.log(10.0)
     if est > tol:
@@ -351,9 +327,10 @@ def _adjoint_from_grid(bm, domain, sample, cell_edges, tol, subdivide):
     sub_edges = np.concatenate(sub_edges + [cell_edges[-1:]])
     xs = 0.5 * (sub_edges[:-1] + sub_edges[1:])
 
+    factors = _component_factors(eigen_coeffs(bm, domain, grid))
     values = np.empty(xs.shape, dtype=complex)
     for idx, x in enumerate(xs):
-        integ = vals * _component_factor(bm, domain, x, grid) * e2pi(grid * x)
+        integ = vals * factors[_component_of(domain, x)] * e2pi(grid * x)
         values[idx] = _simpson_irregular(grid, integ)
     return StepPacket.from_breakpoints(sub_edges, values)
 

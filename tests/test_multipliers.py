@@ -214,8 +214,18 @@ def test_unknown_kind_rejected():
 def test_bad_eps_rejected():
     bm = make_boundary_matrix(w=0.5)
     dom = make_domain(2.0, 3.0)
-    with pytest.raises(ValidationError):
-        make_multiplier(bm, dom, "a_inv", eps=0.0)
+    for kind in ("a_inv", "m_squared_inv"):
+        for eps in (0.0, -1e-12, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                make_multiplier(bm, dom, kind, eps=eps)
+
+
+def test_series_are_built_once_and_shared():
+    bm = make_boundary_matrix(w=0.4, psi=0.37)
+    dom = make_domain(2.3, 3.1)
+    m = make_multiplier(bm, dom, "c_inv_a", 1e-12)
+    assert make_multiplier(bm, dom, "c_inv_a", 1e-12) is m
+    assert make_multiplier(bm, dom, "c_inv_a", 1e-11) is not m
 
 
 def test_tail_bound_is_honest():
@@ -232,6 +242,6 @@ def test_shifts_follow_lattice():
     bm = make_boundary_matrix(w=0.5, psi=0.1)
     dom = make_domain(2.5, 4.0)
     m = make_multiplier(bm, dom, "a_inv", eps=1e-10)
-    shifts = m.shifts()
+    shifts = m.terms()[0]
     assert shifts[0] == pytest.approx(-1.0)
     assert np.allclose(np.diff(shifts), dom.ell)

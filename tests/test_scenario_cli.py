@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from twogap.cli import main
+from twogap.cli import _COMMANDS, main
 from twogap.errors import ParseError, ValidationError
 from twogap.scenario import (
     SCHEMA_VERSION,
@@ -220,12 +220,49 @@ def test_cli_bad_model_exits_2(tmp_path, command, model):
     assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
-def test_cli_outputs_deterministic(tmp_path):
+# exit codes of every (command, bundled scenario) pair that does not exit 0:
+# two_points has no domain (2), w_zero_boundstates is decoupled (1 for the
+# coupled-only commands) and only two_points has a degenerate model
+NONZERO_EXIT = {
+    **{(cmd, "two_points"): 2 for cmd in
+       ("density", "eigen", "evolve", "kernels", "scatter", "semigroup", "smatrix")},
+    **{(cmd, "w_zero_boundstates"): 1 for cmd in
+       ("density", "eigen", "kernels", "scatter", "semigroup", "smatrix")},
+    **{("degenerate", sc): 2 for sc in
+       ("comb_limit", "example_5_8", "example_5_9", "w_one_splice", "w_zero_boundstates")},
+}
+CLI_PAIRS = [(cmd, sc) for cmd in sorted(_COMMANDS) for sc in bundled_names()]
+
+
+@pytest.mark.parametrize("command,scenario", CLI_PAIRS)
+def test_cli_outputs_deterministic(tmp_path, capsys, command, scenario):
+    # the second run is served from the shared multiplier cache
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert main(["evolve", "--scenario", "example_5_8", "--out", str(out)]) == 0
-    for name in ("evolve_norms.csv", "evolve_000.csv"):
+        rc = main([command, "--scenario", scenario, "--out", str(out)])
+        assert rc == NONZERO_EXIT.get((command, scenario), 0)
+    files = sorted(p.name for p in out1.glob("*.csv"))
+    assert files == sorted(p.name for p in out2.glob("*.csv"))
+    assert bool(files) == (rc == 0 or command == "verify")
+    for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1e-12"])
+@pytest.mark.parametrize("command", ["evolve", "scatter", "verify"])
+def test_cli_bad_eps_exits_2(tmp_path, command, eps):
+    args = [command, "--scenario", "example_5_9", "--out", str(tmp_path)]
+    assert main(args + [f"--eps={eps}"]) == 2
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+def test_scenario_bad_eps_rejected(tmp_path, eps):
+    payload = json.loads(json.dumps(GOOD))
+    payload["tolerances"]["eps"] = eps
+    path = write(tmp_path, payload)  # json writes NaN / Infinity literals
+    with pytest.raises(ValidationError):
+        load_scenario(path)
+    assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_eps_override(tmp_path):

@@ -62,11 +62,14 @@ def test_period_integral_is_inverse_ell():
         bm = random_boundary(rng)
         dom = random_geometry(rng)
         assert period_integral(bm, dom) == pytest.approx(1.0 / dom.ell, abs=1e-10)
-    # weak coupling: density spikes of height ~4/w^2 and width ~w^2
-    for w in (0.2, 0.05):
-        bm = make_boundary_matrix(w=w, theta=0.3, phi=0.6, psi=rng.uniform(0.0, 1.0))
-        dom = random_geometry(rng)
-        assert period_integral(bm, dom) == pytest.approx(1.0 / dom.ell, abs=1e-10)
+    # weak coupling: density spikes of height ~4/w^2 and width ~w^2; near
+    # them 1 - 2q cos + q^2 cancels to ~w^4/4, and only a density free of
+    # that cancellation stays inside the default tol = 1e-12
+    for w in (0.2, 0.1, 0.05):
+        for psi in (0.0, 0.25, rng.uniform(0.0, 1.0)):
+            bm = make_boundary_matrix(w=w, theta=0.3, phi=0.6, psi=psi)
+            dom = random_geometry(rng)
+            assert period_integral(bm, dom) == pytest.approx(1.0 / dom.ell, abs=1e-12)
 
 
 def test_density_rejects_decoupled():
@@ -105,8 +108,13 @@ def test_fourier_auto_window_honors_tol():
     bm = make_boundary_matrix(w=0.5, psi=0.3)
     table = fourier_coeffs(bm, tol=1e-9)
     assert table.tail <= 1e-9
+    # the smallest such window: one coefficient fewer leaves a tail above tol
+    K, q = int(table.k[-1]), bm.q
+    assert 2.0 * q**K / (1.0 - q) > 1e-9
     with pytest.raises(ValidationError):
         fourier_coeffs(bm, K=-1)
+    with pytest.raises(ValidationError):
+        fourier_coeffs(bm, tol=0.0)
 
 
 def test_normalization_identity():
