@@ -12,15 +12,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .degenerate import TwoPointsModel, conjugation_residual, two_points_abs2_routes
-from .eigen import eigen_coeffs, eigen_residual, scattering_matrix_routes
+from .domain import e2pi
+from .eigen import (
+    eigen_coeffs,
+    eigen_residual,
+    eigenfunction_traces,
+    scattering_matrix_routes,
+)
 from .errors import ParseError, TwogapError, ValidationError
 from .evolution import evolve, evolve_decoupled, scatter
 from .packets import StepPacket
+from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from .scenario import Scenario, bundled_names, bundled_scenario, load_scenario
 from .semigroup import compress_evolve, norm_decay_profile
 from .spectral import SpectralDensity, fourier_coeffs
@@ -44,8 +52,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _packet_rows(f: StepPacket):
     """Step-outline rows (x, re, im, abs2), two per cell edge."""
-    from .domain import e2pi
-
     for u, v, stack in f.cells():
         for x in (u, v):
             val = sum(c * e2pi(n * x) for n, c in stack.items())
@@ -63,7 +69,7 @@ def _need_pair(sc: Scenario):
     return sc.bm, sc.domain
 
 
-def _cmd_eigen(sc: Scenario, out: Path, args) -> int:
+def _cmd_eigen(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     rows = []
     for la in sc.grid("lambda_grid"):
@@ -76,7 +82,7 @@ def _cmd_eigen(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_density(sc: Scenario, out: Path, args) -> int:
+def _cmd_density(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     rho = SpectralDensity(bm, dom)
     rows = [(la, float(rho(float(la)))) for la in sc.grid("lambda_grid")]
@@ -90,7 +96,7 @@ def _cmd_density(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_smatrix(sc: Scenario, out: Path, args) -> int:
+def _cmd_smatrix(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     rows = []
     for la in sc.grid("lambda_grid"):
@@ -102,7 +108,7 @@ def _cmd_smatrix(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_evolve(sc: Scenario, out: Path, args) -> int:
+def _cmd_evolve(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
     norm_rows = []
@@ -123,7 +129,7 @@ def _cmd_evolve(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_scatter(sc: Scenario, out: Path, args) -> int:
+def _cmd_scatter(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
     outgoing = scatter(bm, dom, f, eps=sc.eps)
@@ -136,7 +142,7 @@ def _cmd_scatter(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_semigroup(sc: Scenario, out: Path, args) -> int:
+def _cmd_semigroup(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     lo, hi = dom.component("izero")
     mid = sc.packets.get("mid")
@@ -158,10 +164,7 @@ def _cmd_semigroup(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_kernels(sc: Scenario, out: Path, args) -> int:
-    from .eigen import eigenfunction_traces
-    from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
-
+def _cmd_kernels(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     rows = []
     for la in sc.grid("lambda_grid"):
@@ -177,7 +180,7 @@ def _cmd_kernels(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_degenerate(sc: Scenario, out: Path, args) -> int:
+def _cmd_degenerate(sc: Scenario, out: Path) -> int:
     model = sc.model()
     if isinstance(model, TwoPointsModel):
         xi = sc.grid("lambda_grid")
@@ -195,7 +198,7 @@ def _cmd_degenerate(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_verify(sc: Scenario, out: Path, args) -> int:
+def _cmd_verify(sc: Scenario, out: Path) -> int:
     results = run_checks(sc)
     print(render_checks(results))
     rows = []
@@ -255,12 +258,10 @@ def main(argv=None) -> int:
         else:
             sc = bundled_scenario(args.scenario)
         if args.eps is not None:
-            from dataclasses import replace
-
             sc = replace(sc, eps=args.eps)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](sc, out, args)
+        return _COMMANDS[args.command](sc, out)
     except (ParseError, ValidationError) as exc:
         print(f"twogap: {exc}", file=sys.stderr)
         return 2

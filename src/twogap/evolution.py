@@ -64,15 +64,15 @@ def _require_steps(what, *packets):
             raise ValidationError(f"{what} supports frequency-0 packets only")
 
 
-def decompose(f: StepPacket, domain: ExteriorDomain, tol: float = 1e-12):
+def decompose(f: StepPacket, domain: ExteriorDomain):
     """Split f into its three component restrictions; reject obstacle mass.
 
-    Mass on the removed intervals [0,1] and [alpha,beta] above tol (squared,
-    relative to the packet norm) raises SupportViolation.
+    Mass on the removed intervals [0,1] and [alpha,beta] above 1e-12
+    (squared, relative to the packet norm) raises SupportViolation.
     """
     parts = tuple(f.restrict(*domain.component(tag)) for tag in COMPONENTS)
     leak = f.norm2() - sum(p.norm2() for p in parts)
-    if leak > tol * max(1.0, f.norm2()):
+    if leak > 1e-12 * max(1.0, f.norm2()):
         raise SupportViolation(
             f"packet carries mass {leak:.3e} on the removed intervals"
         )

@@ -2,6 +2,10 @@
 period of the spectral density, closed-form oscillatory tails and the
 periodized lattice sum.
 
+Every composite Gauss-Legendre sum in the package goes through
+``gauss_panels``; ``_panel_nodes`` builds its nodes and is called directly
+only where one node set is shared across many evaluation points.
+
 The oscillatory-tail and lattice-sum functions exist so that integrals over
 the whole line with 1/lambda or 1/lambda^2 decay can be evaluated to ~1e-10
 without astronomically wide windows: the window part is done by panels, the
@@ -19,6 +23,7 @@ on it the N-point periodic rule of ``periodic_nodes`` converges like q^N
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,20 +34,17 @@ from .errors import DegenerateRegime, ValidationError
 
 __all__ = [
     "gauss_panels",
-    "uniform_panels",
     "periodic_nodes",
     "tail_inv1_twosided",
     "tail_inv2_twosided",
     "lattice_sum",
 ]
 
-_GAUSS_CACHE = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _gauss_rule(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = leggauss(n)
-    return _GAUSS_CACHE[n]
+    """Order-n Gauss-Legendre nodes and weights on [-1, 1]; shared, read-only."""
+    return leggauss(n)
 
 
 def _panel_nodes(edges, order: int):
@@ -66,11 +68,6 @@ def gauss_panels(fn, edges, order: int = 16):
     """
     x, w = _panel_nodes(edges, order)
     return np.sum(w * fn(x))
-
-
-def uniform_panels(a: float, b: float, n_panels: int) -> np.ndarray:
-    """Evenly spaced panel edges for gauss_panels."""
-    return np.linspace(a, b, n_panels + 1)
 
 
 def periodic_nodes(q: float, tol: float, span: float = 0.0):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain
 from .errors import ValidationError
-from .quadrature import _gauss_rule, uniform_panels
+from .quadrature import gauss_panels
 
 __all__ = [
     "KernelSpec",
@@ -119,6 +119,10 @@ def kernel_interior(spec: KernelSpec, x: float):
 # how far into a half-line the quadrature reaches: test functions and
 # kernels all decay at least like e^{-|y|}, so 2*40 nats is plenty
 _HALFLINE_DEPTH = 40.0
+# panels per component (order-16 Gauss) for the inner product, and so for
+# point evaluation, and for the momentum defect
+_INNER_PANELS = 64
+_DEFECT_PANELS = 96
 
 
 def _quad_edges(spec: KernelSpec, panels: int):
@@ -127,28 +131,26 @@ def _quad_edges(spec: KernelSpec, panels: int):
         a = b - _HALFLINE_DEPTH
     if np.isinf(b):
         b = a + _HALFLINE_DEPTH
-    return uniform_panels(a, b, panels)
+    return np.linspace(a, b, panels + 1)
 
 
-def h1_inner(f, df, g, dg, spec: KernelSpec, panels: int = 64, order: int = 16):
+def h1_inner(f, df, g, dg, spec: KernelSpec):
     """<f, g> = int_spec (f conj(g) + f' conj(g')) by composite Gauss panels."""
-    edges = _quad_edges(spec, panels)
-    nodes, wts = _gauss_rule(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    ys = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * wts[None, :]).ravel()
-    vals = f(ys) * np.conj(g(ys)) + df(ys) * np.conj(dg(ys))
-    return complex(np.sum(ws * vals))
+    return complex(
+        gauss_panels(
+            lambda y: f(y) * np.conj(g(y)) + df(y) * np.conj(dg(y)),
+            _quad_edges(spec, _INNER_PANELS),
+        )
+    )
 
 
-def point_eval_via_kernel(f, df, spec: KernelSpec, which_or_x, panels: int = 64):
+def point_eval_via_kernel(f, df, spec: KernelSpec, which_or_x):
     """f evaluated through the kernel pairing instead of directly."""
     if isinstance(which_or_x, str):
         k, dk = kernel_endpoint(spec, which_or_x)
     else:
         k, dk = kernel_interior(spec, float(which_or_x))
-    return h1_inner(f, df, k, dk, spec, panels=panels)
+    return h1_inner(f, df, k, dk, spec)
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +204,7 @@ def trace_condition_residuals(bm: BoundaryMatrix, tr: BoundaryTrace):
     return float(direct), float(inverse)
 
 
-def momentum_defect(
-    f, df, g, dg, domain: ExteriorDomain, panels: int = 96, order: int = 16
-) -> complex:
+def momentum_defect(f, df, g, dg, domain: ExteriorDomain) -> complex:
     """<pf, g> - <f, pg> over all three components, by quadrature.
 
     p = -i d/dx, conjugate-second inner products.  The result should equal
@@ -212,13 +212,9 @@ def momentum_defect(
     half-lines (the quadrature reaches ~40 units beyond the finite edges).
     """
     total = 0.0 + 0.0j
-    nodes, wts = _gauss_rule(order)
     for lo, hi in domain.components:
-        edges = _quad_edges(KernelSpec(lo, hi), panels)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        ys = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        ws = (half[:, None] * wts[None, :]).ravel()
-        vals = -1j * (df(ys) * np.conj(g(ys)) + f(ys) * np.conj(dg(ys)))
-        total += np.sum(ws * vals)
+        total += gauss_panels(
+            lambda y: -1j * (df(y) * np.conj(g(y)) + f(y) * np.conj(dg(y))),
+            _quad_edges(KernelSpec(lo, hi), _DEFECT_PANELS),
+        )
     return complex(total)

@@ -1,11 +1,12 @@
 """Scenario files: JSON descriptions of a run (geometry, coupling, packets,
 grids, tolerances) consumed by the command-line tools.
 
-Malformed input (bad JSON, wrong types, missing keys) raises ParseError;
-structurally sound input with impossible values (alpha <= 1, w outside
-[0, 1], empty grids) raises ValidationError out of the constructors.  The
-distinction matters to the CLI, which maps both onto exit code 2 but wants
-to phrase the messages differently.
+Malformed input (bad JSON, wrong types, missing keys, unknown keys inside
+a fixed-schema section) raises ParseError; structurally sound input with
+impossible values (alpha <= 1, w outside [0, 1], empty grids) raises
+ValidationError out of the constructors.  The distinction matters to the
+CLI, which maps both onto exit code 2 but wants to phrase the messages
+differently.
 """
 
 from __future__ import annotations
@@ -92,6 +93,17 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _object(obj, keys: set, where: str) -> dict:
+    """obj if it is an object whose keys all lie in ``keys``, else ParseError
+    (a misspelled key would otherwise fall back to its default unnoticed)."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object")
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise ParseError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return obj
+
+
 def _as_float(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"expected a number for {where}, got {x!r}")
@@ -105,6 +117,7 @@ def _grid(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
         return np.array([_as_float(v, where) for v in spec])
     if isinstance(spec, dict):
+        _object(spec, {"start", "stop", "num"}, where)
         start = _as_float(_need(spec, "start", where), where)
         stop = _as_float(_need(spec, "stop", where), where)
         num = _need(spec, "num", where)
@@ -115,6 +128,7 @@ def _grid(spec, where: str) -> np.ndarray:
 
 
 def _parse_cell(cell, where: str):
+    _object(cell, {"lo", "hi", "value", "freq"}, where)
     lo = _as_float(_need(cell, "lo", where), f"{where}.lo")
     hi = _as_float(_need(cell, "hi", where), f"{where}.hi")
     value = _need(cell, "value", where)
@@ -163,9 +177,7 @@ def _parse(text: str, origin: str) -> Scenario:
 
     domain = None
     if "domain" in raw:
-        d = raw["domain"]
-        if not isinstance(d, dict):
-            raise ParseError(f"{origin}: domain must be an object")
+        d = _object(raw["domain"], {"alpha", "beta"}, f"{origin}: domain")
         domain = make_domain(
             _as_float(_need(d, "alpha", "domain"), "domain.alpha"),
             _as_float(_need(d, "beta", "domain"), "domain.beta"),
@@ -173,9 +185,7 @@ def _parse(text: str, origin: str) -> Scenario:
 
     bm = None
     if "boundary" in raw:
-        b = raw["boundary"]
-        if not isinstance(b, dict):
-            raise ParseError(f"{origin}: boundary must be an object")
+        b = _object(raw["boundary"], {"w", "theta", "phi", "psi"}, f"{origin}: boundary")
         bm = make_boundary_matrix(
             w=_as_float(_need(b, "w", "boundary"), "boundary.w"),
             theta=_as_float(b.get("theta", 0.0), "boundary.theta"),
@@ -183,9 +193,7 @@ def _parse(text: str, origin: str) -> Scenario:
             psi=_as_float(b.get("psi", 0.0), "boundary.psi"),
         )
 
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ParseError(f"{origin}: tolerances must be an object")
+    tolerances = _object(raw.get("tolerances", {}), {"eps"}, f"{origin}: tolerances")
 
     return Scenario(
         name=name,

@@ -39,14 +39,13 @@ from .errors import (
     ValidationError,
 )
 from .eigen import eigen_coeffs
-from .evolution import block_row
+from .evolution import EvolutionResult, block_row
 from .packets import StepPacket
-from .quadrature import _gauss_rule, lattice_sum, periodic_nodes
+from .quadrature import gauss_panels, lattice_sum, periodic_nodes
 from .spectral import density
 from .transform import TransformSample, _cell_ends
 
 __all__ = [
-    "SemigroupState",
     "ShannonBasisCoeffs",
     "compress_evolve",
     "shannon_kernel",
@@ -62,15 +61,6 @@ __all__ = [
     "resolvent_comparison",
     "parseval_bound_check",
 ]
-
-
-@dataclass(frozen=True)
-class SemigroupState:
-    """Compressed-evolution output at one time."""
-
-    packet: StepPacket
-    t: float
-    truncation: float
 
 
 # the unit middle interval (1, 2): ell = 1, so the density has unit period
@@ -95,7 +85,7 @@ def compress_evolve(
     f: StepPacket,
     t: float,
     eps: float = 1e-12,
-) -> SemigroupState:
+) -> EvolutionResult:
     """Z(t) f = clip( series(f) shifted by t ) for f on the middle interval."""
     if bm.w == 0.0:
         raise DegenerateRegime("compressed semigroup needs w > 0")
@@ -105,7 +95,7 @@ def compress_evolve(
     _require_on(f, lo, hi, "compress_evolve input")
     ef, trunc = _density_series(bm, domain, f, eps)
     g = ef.translate(t).restrict(lo, hi)
-    return SemigroupState(packet=g, t=float(t), truncation=trunc)
+    return EvolutionResult(packet=g, t=float(t), truncation=trunc)
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +264,8 @@ def norm_decay_profile(
     Works on the centered unit interval (-1/2, 1/2) (the profile only
     depends on the interval length).  The engine route applies the density
     series exactly; the oracle integrates the folded kernel representation
-    and squares on a per-piece Gauss grid.  The reference column max(1-t, 0)
-    is exact only in the transparent case w = 1.
+    and squares on an order-8 Gauss grid over the pieces.  The reference
+    column max(1-t, 0) is exact only in the transparent case w = 1.
     """
     if bm.w == 0.0:
         raise DegenerateRegime("norm decay profile needs w > 0")
@@ -287,25 +277,17 @@ def norm_decay_profile(
 
     engine = np.empty(t_grid.shape)
     oracle = np.empty(t_grid.shape)
-    nodes, wts = _gauss_rule(8)
     for k, t in enumerate(t_grid):
         zt = ef.translate(t).restrict(-0.5, 0.5)
         engine[k] = zt.norm2()
-        # piece boundaries: cell edges of f shifted by t, wrapped into the
-        # interval (pure geometry, no engine data)
-        edges = {-0.5, 0.5}
-        for e in (-0.5, 0.5):
-            val = e + t
-            wrapped = (val + 0.5) % 1.0 - 0.5
-            if -0.5 < wrapped < 0.5:
-                edges.add(wrapped)
-        edges = np.array(sorted(edges))
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            vals = _space_oracle_values(bm, f, float(t), mid)
-            total += 0.5 * (b - a) * float(np.sum(wts * np.abs(vals) ** 2))
-        oracle[k] = total
+        # piece boundaries: the cell edges of f shifted by t, wrapped into
+        # the interval (pure geometry, no engine data); both wrap to one cut
+        cut = t % 1.0 - 0.5
+        oracle[k] = gauss_panels(
+            lambda x: np.abs(_space_oracle_values(bm, f, float(t), x)) ** 2,
+            [-0.5, cut, 0.5] if -0.5 < cut < 0.5 else [-0.5, 0.5],
+            8,
+        )
     return NormDecayProfile(
         t=t_grid,
         engine=engine,
@@ -319,19 +301,18 @@ def parseval_bound_check(
     domain: ExteriorDomain,
     f: StepPacket,
     t: float,
-    window: int = 64,
     eps: float = 1e-12,
 ):
     """Partial Parseval mass of Z(t) f against the 4/w^2 energy bound.
 
-    Returns (partial_sum, bound).  The partial sum over the integer window
-    is monotone in the window, so partial <= bound is a valid (one-sided)
-    check of the full inequality.
+    Returns (partial_sum, bound).  The partial sum over the integers within
+    64 of the packet center is monotone in the window, so partial <= bound
+    is a valid (one-sided) check of the full inequality.
     """
     state = compress_evolve(bm, domain, f, t, eps)
     sup = f.support()
     center = int(round(0.5 * (sup[0] + sup[1])))
-    ns = np.arange(center - window, center + window + 1, dtype=float)
+    ns = np.arange(center - 64, center + 65, dtype=float)
     vals = state.packet.transform(ns)
     partial = float(np.sum(np.abs(vals) ** 2))
     bound = 4.0 / bm.w**2 * f.norm2()
@@ -399,13 +380,12 @@ def compressed_resolvent_profile(
     f: StepPacket,
     x_grid,
     eps: float = 1e-12,
-    order: int = 16,
 ) -> SampledProfile:
     """Laplace transform of the compressed evolution on an x grid.
 
     (R f)(x) = int_0^inf e^{-lam t} (Z(t) f)(x) dt with the integrand
     piecewise exponential in t (breakpoints where the shifted series cells
-    cross x); composite Gauss-Legendre per breakpoint panel is exact to
+    cross x); order-16 Gauss-Legendre per breakpoint panel is exact to
     machine precision, and the horizon is cut once e^{-T Re lam} <= 1e-12
     relative.
     """
@@ -416,7 +396,6 @@ def compressed_resolvent_profile(
     ef, _ = _density_series(bm, domain, f, eps)
     t_max = -np.log(1e-12) / lam.real
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    nodes, wts = _gauss_rule(order)
     out = np.empty(x_grid.shape, dtype=complex)
     edges_src = ef.breakpoints()
     for k, x in enumerate(x_grid):
@@ -424,12 +403,7 @@ def compressed_resolvent_profile(
         cuts = x - edges_src
         cuts = cuts[(cuts > 0.0) & (cuts < t_max)]
         panels = np.unique(np.concatenate(([0.0], cuts, [t_max])))
-        total = 0.0 + 0.0j
-        for a, b in zip(panels[:-1], panels[1:]):
-            ts = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            vals = ef.sample(x - ts) * np.exp(-lam * ts)
-            total += 0.5 * (b - a) * np.sum(wts * vals)
-        out[k] = total
+        out[k] = gauss_panels(lambda ts: ef.sample(x - ts) * np.exp(-lam * ts), panels, 16)
     return SampledProfile(x=x_grid, values=out)
 
 

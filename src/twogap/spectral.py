@@ -80,15 +80,15 @@ class SpectralDensity:
         return w2 / (1.0 + q) ** 2, w2 / (w2 / (1.0 + q)) ** 2
 
 
-def period_integral(bm: BoundaryMatrix, domain: ExteriorDomain, tol: float = 1e-12) -> float:
-    """Integral of the density over one period (equals 1/ell exactly).
+def period_integral(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
+    """Integral of the density over one period (exactly 1/ell), to 1e-12.
 
     The periodic rule errs by at most 2 q^N / (1 - q^N) of the exact value
-    1/ell, so asking ``periodic_nodes`` for tol ell / 4 keeps that error
-    below tol / 2.  The rest of tol is for rounding: ``density`` uses a
+    1/ell, so asking ``periodic_nodes`` for 1e-12 ell / 4 keeps that error
+    below 5e-13.  The rest is for rounding: ``density`` uses a
     cancellation-free form and rounds to a few ulp relative at any w > 0.
     """
-    xi, wts = periodic_nodes(bm.q, 0.25 * tol * domain.ell)
+    xi, wts = periodic_nodes(bm.q, 0.25e-12 * domain.ell)
     return float(np.sum(wts * density(bm, domain, xi / domain.ell))) / domain.ell
 
 

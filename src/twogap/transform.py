@@ -38,7 +38,6 @@ from .quadrature import (
     gauss_panels,
     tail_inv1_twosided,
     tail_inv2_twosided,
-    uniform_panels,
 )
 from .spectral import SpectralDensity
 
@@ -56,6 +55,8 @@ SIGMA_WINDOW = 64.0
 _PANEL = 0.125
 _ORDER = 24
 _SERIES_EPS = 1e-14
+# reconstruction points per cell of the adjoint transform
+_SUBDIVIDE = 4
 
 
 def _panel_width(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
@@ -72,10 +73,10 @@ def _panel_width(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
     return float(min(_PANEL, 3.0 * delta))
 
 
-def _window_edges(bm, domain, window):
-    """Uniform panel edges over [-window, window] at ``_panel_width``."""
-    n_panels = int(np.ceil(2.0 * window / _panel_width(bm, domain)))
-    return uniform_panels(-window, window, n_panels)
+def _window_edges(bm, domain):
+    """Uniform panel edges over [-SIGMA_WINDOW, SIGMA_WINDOW] at ``_panel_width``."""
+    n_panels = int(np.ceil(2.0 * SIGMA_WINDOW / _panel_width(bm, domain)))
+    return np.linspace(-SIGMA_WINDOW, SIGMA_WINDOW, n_panels + 1)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,6 @@ def cross_term(
     domain: ExteriorDomain,
     f: StepPacket,
     g: StepPacket,
-    window: float = SIGMA_WINDOW,
 ) -> complex:
     """The sigma-weighted pairing  int conj(Vf) Vg m^-2 d lambda.
 
@@ -165,7 +165,7 @@ def cross_term(
         vg = _transform_values(co, g_parts, lam)
         return np.conj(vf) * vg / np.abs(co.a) ** 2
 
-    total = gauss_panels(integrand, _window_edges(bm, domain, window), _ORDER)
+    total = gauss_panels(integrand, _window_edges(bm, domain), _ORDER)
 
     # Tails: conj(Vf) Vg m^-2 = sum_{ij} M_block(i,j) conj(F_i) G_j, each term
     # a lattice of e(Delta lambda)/(4 pi^2 lambda^2) contributions.
@@ -181,17 +181,15 @@ def cross_term(
             # Delta = (f end) - (g end) + shift, coefficient conj(fval) gval w
             delta = fpos[:, None, None] - gpos[None, :, None] + shifts[None, None, :]
             coef = np.conj(fval)[:, None, None] * gval[None, :, None] * weights[None, None, :]
-            total += np.sum(coef * tail_inv2_twosided(delta, window)) / (
+            total += np.sum(coef * tail_inv2_twosided(delta, SIGMA_WINDOW)) / (
                 4.0 * np.pi**2
             )
     return complex(total)
 
 
-def sigma_norm2(
-    bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, window: float = SIGMA_WINDOW
-) -> float:
+def sigma_norm2(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket) -> float:
     """Quadrature value of the sigma-weighted norm of V f (Parseval check)."""
-    return float(np.real(cross_term(bm, domain, f, f, window=window)))
+    return float(np.real(cross_term(bm, domain, f, f)))
 
 
 def adjoint_transform(
@@ -200,16 +198,15 @@ def adjoint_transform(
     sample: TransformSample,
     cell_edges=None,
     tol: float = 1e-4,
-    window: float = SIGMA_WINDOW,
-    subdivide: int = 4,
 ) -> StepPacket:
     """Reconstruct a packet from transform data: V* g as a step packet.
 
     The reconstruction integrates g(lambda) psi_lambda(x) m^-2 and returns a
-    step packet on ``cell_edges`` (values sampled at subcell midpoints).
+    step packet on ``cell_edges``, each cell split into ``_SUBDIVIDE``
+    subcells valued at their midpoints.
 
     * analytic samples: g is re-evaluated in closed form on quadrature nodes
-      and the |lambda| > window remainder is added exactly (sine-integral
+      and the |lambda| > SIGMA_WINDOW remainder is added exactly (sine-integral
       tails), so the advertised tolerance is honored; the default cells are
       the source packet's own (gaps between source cells are skipped, since
       they may cover the removed intervals).
@@ -230,16 +227,12 @@ def adjoint_transform(
             if np.any(np.diff(cell_edges) <= 0):
                 raise ValidationError("cell_edges must be increasing")
             intervals = list(zip(cell_edges[:-1], cell_edges[1:]))
-        return _adjoint_analytic(
-            bm, domain, sample.source, intervals, window, subdivide
-        )
+        return _adjoint_analytic(bm, domain, sample.source, intervals)
     if sample.provenance != "quadrature":
         raise ValidationError(f"unknown provenance {sample.provenance!r}")
     if cell_edges is None:
         raise ValidationError("quadrature samples need explicit cell_edges")
-    return _adjoint_from_grid(
-        bm, domain, sample, np.asarray(cell_edges, float), tol, subdivide
-    )
+    return _adjoint_from_grid(bm, domain, sample, np.asarray(cell_edges, float), tol)
 
 
 def _component_factors(co):
@@ -257,11 +250,11 @@ def _component_of(domain, x):
     return tag
 
 
-def _adjoint_analytic(bm, domain, f, intervals, window, subdivide):
+def _adjoint_analytic(bm, domain, f, intervals):
     f_parts = decompose(f, domain)
 
     # window quadrature nodes/values shared across evaluation points
-    lam, lamw = _panel_nodes(_window_edges(bm, domain, window), _ORDER)
+    lam, lamw = _panel_nodes(_window_edges(bm, domain), _ORDER)
     co = eigen_coeffs(bm, domain, lam)
     gvals = _transform_values(co, f_parts, lam)
     factors = _component_factors(co)
@@ -275,7 +268,7 @@ def _adjoint_analytic(bm, domain, f, intervals, window, subdivide):
         tail_data.append((j, pos, val))
 
     # evaluation points: subcell midpoints, one edge array per span
-    span_edges = [np.linspace(a, b, subdivide + 1) for a, b in intervals]
+    span_edges = [np.linspace(a, b, _SUBDIVIDE + 1) for a, b in intervals]
     xs = np.concatenate([0.5 * (se[:-1] + se[1:]) for se in span_edges])
 
     values = np.empty(xs.shape, dtype=complex)
@@ -287,7 +280,7 @@ def _adjoint_analytic(bm, domain, f, intervals, window, subdivide):
             shifts, weights = block_multiplier(bm, domain, dest, j, eps=_SERIES_EPS).terms()
             delta = x - pos[:, None] + shifts[None, :]
             coef = val[:, None] * weights[None, :]
-            tail += np.sum(coef * tail_inv1_twosided(delta, window)) / (2j * np.pi)
+            tail += np.sum(coef * tail_inv1_twosided(delta, SIGMA_WINDOW)) / (2j * np.pi)
         values[idx] = win + tail
 
     out = StepPacket.zero()
@@ -298,7 +291,7 @@ def _adjoint_analytic(bm, domain, f, intervals, window, subdivide):
     return out
 
 
-def _adjoint_from_grid(bm, domain, sample, cell_edges, tol, subdivide):
+def _adjoint_from_grid(bm, domain, sample, cell_edges, tol):
     grid = np.asarray(sample.grid, dtype=float)
     vals = np.asarray(sample.values, dtype=complex)
     if grid.ndim != 1 or grid.shape != vals.shape or len(grid) < 3:
@@ -323,7 +316,7 @@ def _adjoint_from_grid(bm, domain, sample, cell_edges, tol, subdivide):
         raise ValidationError("cell_edges must be increasing")
     sub_edges = []
     for a, b in zip(cell_edges[:-1], cell_edges[1:]):
-        sub_edges.append(np.linspace(a, b, subdivide + 1)[:-1])
+        sub_edges.append(np.linspace(a, b, _SUBDIVIDE + 1)[:-1])
     sub_edges = np.concatenate(sub_edges + [cell_edges[-1:]])
     xs = 0.5 * (sub_edges[:-1] + sub_edges[1:])
 

@@ -28,7 +28,7 @@ GOOD = {
     },
     "time_grid": {"start": 0.0, "stop": 2.0, "num": 5},
     "lambda_grid": [-1.0, 0.0, 1.0],
-    "tolerances": {"eps": 1e-12, "tol": 1e-8},
+    "tolerances": {"eps": 1e-12},
 }
 
 
@@ -78,6 +78,9 @@ def test_bundled_inventory():
         lambda d: d.update(time_grid={"start": 0.0, "stop": 1.0, "num": 0}),
         lambda d: d.update(time_grid="dense"),
         lambda d: d.update(tolerances=[1e-9]),
+        lambda d: d["tolerances"].update(esp=1e-3),
+        lambda d: d["tolerances"].update(tol=1e-8),
+        lambda d: d["boundary"].update(psy=0.2),
     ],
 )
 def test_parse_errors(tmp_path, mutate):

@@ -177,7 +177,7 @@ def test_resolvent_three_routes():
     f = StepPacket.box(1.15, 1.65, 1.0)
     xs = np.linspace(1.01, 1.99, 25)
     lam = 0.9 + 0.2j
-    for w in (1.0, 0.8):
+    for w in (1.0, 0.8, 0.3):
         bm = make_boundary_matrix(w=w, psi=0.2)
         rep = resolvent_comparison(bm, dom, lam, f, xs)
         assert rep["laplace_vs_closed"] < 1e-8
