@@ -301,7 +301,7 @@ def cesaro_decay(
             total += fp.inner(gd.translate(t).restrict(lo, hi))
         return total
 
-    crossing = set()
+    crossing = [np.empty(0)]
     for tag in COMPONENTS:
         gd = dest_packets[tag]
         fp = f_parts[tag]
@@ -310,21 +310,20 @@ def cesaro_decay(
         targets = [v for v in domain.component(tag) if np.isfinite(v)]
         if not fp.is_empty:
             targets.extend(fp.breakpoints().tolist())
-        for e in gd.breakpoints():
-            for p in targets:
-                crossing.add(p - e)
+        crossing.append(np.subtract.outer(targets, gd.breakpoints()).ravel())
+    crossing = np.unique(np.concatenate(crossing))
 
     horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
     out = np.empty(horizons.shape)
     for i, T in enumerate(horizons):
         if T <= 0:
             raise ValidationError("Cesàro horizon must be positive")
-        pts = sorted({-T, T} | {c for c in crossing if -T < c < T})
+        inside = crossing[(crossing > -T) & (crossing < T)]
+        pts = np.concatenate(([-T], inside, [T])).tolist()
+        ends = [abs(corr(t)) ** 2 for t in pts]
         total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            ya = abs(corr(a)) ** 2
+        for a, b, ya, yb in zip(pts[:-1], pts[1:], ends[:-1], ends[1:]):
             ym = abs(corr(0.5 * (a + b))) ** 2
-            yb = abs(corr(b)) ** 2
             total += (b - a) / 6.0 * (ya + 4.0 * ym + yb)
         out[i] = total / (2.0 * T)
     return out if out.size > 1 else float(out[0])

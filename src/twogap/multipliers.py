@@ -250,18 +250,15 @@ def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
         return StepPacket.zero()
     shifts, weights = m.terms()
     segs = {}
-    for s, weight in zip(shifts.tolist(), weights.tolist()):
-        for freq, vals in f.waves.items():
-            # g(x) = f(x+s): a cell value v e(freq y) becomes v e(freq s) e(freq x)
-            phase = complex(e2pi(freq * s)) if freq else 1.0
-            bucket = segs.setdefault(freq, ([], [], []))
-            bucket[0].append(f.lo - s)
-            bucket[1].append(f.hi - s)
-            bucket[2].append(vals * (weight * phase))
-    segs = {
-        freq: tuple(np.concatenate(col) for col in cols)
-        for freq, cols in segs.items()
-    }
+    for freq, vals in f.waves.items():
+        # g(x) = f(x+s): a cell value v e(freq y) becomes v e(freq s) e(freq x);
+        # rows are shifts, so the segments stay in series order
+        weights_f = weights * e2pi(freq * shifts) if freq else weights
+        segs[freq] = (
+            (f.lo[None, :] - shifts[:, None]).ravel(),
+            (f.hi[None, :] - shifts[:, None]).ravel(),
+            (vals[None, :] * weights_f[:, None]).ravel(),
+        )
     return StepPacket(*_assemble(segs), _trusted=True)
 
 

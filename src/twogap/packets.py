@@ -14,6 +14,9 @@ Storage is columnar (lo/hi arrays plus one complex coefficient array per
 frequency), and the canonical form is maintained by every constructor:
 cells sorted, disjoint, zero-width and zero-value cells dropped, adjacent
 cells with equal coefficient stacks merged (equality tolerance 1e-14).
+Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
+of its left neighbour joins that neighbour's cluster, and the cluster's
+leftmost edge stands for it, so a chain of close edges becomes one edge.
 
 All integrals are closed-form; nothing in this module is approximate beyond
 float arithmetic.
@@ -53,30 +56,15 @@ def osc_integral(u, v, k):
     return width * e2pi(k * (u + v) / 2.0) * np.sinc(k * width)
 
 
-def _cluster_edges(edges):
-    """Collapse edges closer than EDGE_TOL (absolute-plus-relative)."""
-    if len(edges) == 0:
-        return edges
-    keep = [edges[0]]
-    for x in edges[1:]:
-        if x - keep[-1] > EDGE_TOL * max(1.0, abs(x)):
-            keep.append(x)
-    return np.asarray(keep)
-
-
-def _nearest_index(edges, x):
-    """Index of the edge nearest to each x (x is within cluster tolerance)."""
-    idx = np.clip(np.searchsorted(edges, x), 0, len(edges) - 1)
-    left = np.clip(idx - 1, 0, len(edges) - 1)
-    pick_left = np.abs(edges[left] - x) < np.abs(edges[idx] - x)
-    return np.where(pick_left, left, idx)
-
-
 def _assemble(segments_by_freq):
     """Build canonical columnar storage from possibly overlapping segments.
 
     segments_by_freq maps an integer frequency to (lo, hi, val) arrays;
     overlapping segments of the same frequency add.  Returns (lo, hi, waves).
+
+    Edge rule: an edge within EDGE_TOL * max(1, |x|) of its left neighbour
+    joins that neighbour's cluster, and the cluster's leftmost edge stands
+    for every edge in it.
     """
     pieces = []
     for n, (lo, hi, val) in segments_by_freq.items():
@@ -89,21 +77,22 @@ def _assemble(segments_by_freq):
     if not pieces:
         return (np.empty(0), np.empty(0), {})
 
-    edges = np.unique(np.concatenate([np.concatenate((p[1], p[2])) for p in pieces]))
-    edges = _cluster_edges(edges)
+    ends = np.concatenate([np.concatenate((p[1], p[2])) for p in pieces])
+    edges, where = np.unique(ends, return_inverse=True)
+    starts = np.diff(edges) > EDGE_TOL * np.maximum(1.0, np.abs(edges[1:]))
+    starts = np.concatenate(([True], starts))
+    where = (np.cumsum(starts) - 1)[where]
+    edges = edges[starts]
     n_iv = len(edges) - 1
     waves = {}
+    pos = 0
     for n, lo, hi, val in pieces:
-        ilo = _nearest_index(edges, lo)
-        ihi = _nearest_index(edges, hi)
+        k = len(lo)
         delta = np.zeros(n_iv + 1, dtype=complex)
-        np.add.at(delta, ilo, val)
-        np.add.at(delta, ihi, -val)
-        level = np.cumsum(delta)[:n_iv]
-        if n in waves:
-            waves[n] = waves[n] + level
-        else:
-            waves[n] = level
+        np.add.at(delta, where[pos : pos + k], val)
+        np.add.at(delta, where[pos + k : pos + 2 * k], -val)
+        waves[n] = np.cumsum(delta)[:n_iv]
+        pos += 2 * k
 
     # Snap sweep-cancellation residue to exact zero.
     peak = max(np.max(np.abs(v), initial=0.0) for v in waves.values())
@@ -129,19 +118,10 @@ def _merge_adjacent(lo, hi, waves):
     for v in waves.values():
         scalemax = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
         joinable &= np.abs(v[:-1] - v[1:]) <= VALUE_TOL * scalemax
-    if not np.any(joinable):
-        return lo, hi, waves
-    # group index increments where cells do NOT join their predecessor
-    group = np.concatenate(([0], np.cumsum(~joinable)))
-    n_groups = group[-1] + 1
-    new_lo = np.empty(n_groups)
-    new_hi = np.empty(n_groups)
-    first = np.searchsorted(group, np.arange(n_groups), side="left")
-    last = np.searchsorted(group, np.arange(n_groups), side="right") - 1
-    new_lo[:] = lo[first]
-    new_hi[:] = hi[last]
-    new_waves = {n: v[first].copy() for n, v in waves.items()}
-    return new_lo, new_hi, new_waves
+    # a group starts at every cell that does NOT join its predecessor
+    first = np.flatnonzero(np.concatenate(([True], ~joinable)))
+    last = np.append(first[1:], m) - 1
+    return lo[first], hi[last], {n: v[first] for n, v in waves.items()}
 
 
 class StepPacket:
@@ -193,25 +173,15 @@ class StepPacket:
         )
 
     @classmethod
-    def from_breakpoints(cls, breaks, values, freqs=None) -> "StepPacket":
-        """Contiguous cells: len(breaks) = len(values) + 1, optional per-cell freq."""
+    def from_breakpoints(cls, breaks, values) -> "StepPacket":
+        """Contiguous plain-step cells: len(breaks) = len(values) + 1."""
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=complex)
         if breaks.ndim != 1 or len(breaks) != len(values) + 1:
             raise ValidationError("need one more breakpoint than cell values")
         if not np.all(np.diff(breaks) > 0):
             raise OrderingViolation("breakpoints must be strictly increasing")
-        if freqs is None:
-            freqs = np.zeros(len(values), dtype=int)
-        else:
-            freqs = np.asarray(freqs, dtype=int)
-            if freqs.shape != values.shape:
-                raise ValidationError("freqs must match values in length")
-        segs = {}
-        for n in np.unique(freqs):
-            pick = freqs == n
-            segs[int(n)] = (breaks[:-1][pick], breaks[1:][pick], values[pick])
-        return cls(*_assemble(segs), _trusted=True)
+        return cls(*_assemble({0: (breaks[:-1], breaks[1:], values)}), _trusted=True)
 
     # ------------------------------------------------------------------
     # basic queries

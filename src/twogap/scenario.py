@@ -74,17 +74,34 @@ class Scenario:
             raise ParseError(f"scenario {self.name!r} needs a model section")
         kind = spec.get("kind")
         if kind == "two_points":
+            _object(spec, {"kind", "w", "alpha"}, "model")
             return TwoPointsModel(
                 w=_as_float(_need(spec, "w", "model"), "model.w"),
                 alpha=_as_float(_need(spec, "alpha", "model"), "model.alpha"),
             )
-        theta = _as_float(spec.get("theta", 0.0), "model.theta")
         if kind == "one_point":
-            return OnePointModel(theta=theta)
+            _object(spec, {"kind", "theta"}, "model")
+            return OnePointModel(theta=_as_float(spec.get("theta", 0.0), "model.theta"))
         if kind == "one_interval":
-            alpha = _as_float(_need(spec, "alpha", "model"), "model.alpha")
-            return OneIntervalModel(theta=theta, alpha=alpha)
+            _object(spec, {"kind", "theta", "alpha"}, "model")
+            return OneIntervalModel(
+                theta=_as_float(spec.get("theta", 0.0), "model.theta"),
+                alpha=_as_float(_need(spec, "alpha", "model"), "model.alpha"),
+            )
         raise ParseError(f"unknown model kind {kind!r}")
+
+    def comb(self) -> dict:
+        """Keyword arguments of ``spectral.comb_limit_diagnostic`` (all but
+        the domain) from the ``comb`` section; psi defaults to the boundary's."""
+        spec = _object(self.extras.get("comb"), {"w_sequence", "window_width", "psi"}, "comb")
+        ws = _need(spec, "w_sequence", "comb")
+        if not isinstance(ws, list) or not ws:
+            raise ParseError("comb.w_sequence must be a non-empty list of numbers")
+        return {
+            "w_sequence": [_as_float(w, "comb.w_sequence") for w in ws],
+            "window_width": _as_float(spec.get("window_width", 0.1), "comb.window_width"),
+            "psi": _as_float(spec.get("psi", self.bm.psi if self.bm else 0.0), "comb.psi"),
+        }
 
 
 def _need(obj: dict, key: str, where: str):

@@ -138,8 +138,6 @@ def comb_limit_diagnostic(
     psi: float,
     w_sequence,
     window_width: float,
-    theta: float = 0.0,
-    phi: float = 0.0,
 ):
     """Concentration of the density near one lattice point as w decreases.
 
@@ -158,8 +156,9 @@ def comb_limit_diagnostic(
         raise ValidationError("window width must be inside one period")
     records = []
     for w in w_sequence:
-        bm = make_boundary_matrix(w, theta, phi, psi)
-        q = bm.q
+        q = make_boundary_matrix(w, psi=psi).q
+        if q == 1.0:
+            raise ValidationError(f"comb diagnostic needs q < 1, got w = {w!r}")
         s_half = np.pi * domain.ell * window_width  # half-window, angle units
         amp = (1.0 + q) / (1.0 - q)
         mass_in = float(

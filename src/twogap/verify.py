@@ -206,13 +206,7 @@ def _decoupled_checks(sc: Scenario) -> list[CheckResult]:
 
 
 def _comb_checks(sc: Scenario) -> list[CheckResult]:
-    spec = sc.extras["comb"]
-    recs = comb_limit_diagnostic(
-        sc.domain,
-        psi=float(spec.get("psi", sc.bm.psi if sc.bm else 0.0)),
-        w_sequence=[float(w) for w in spec["w_sequence"]],
-        window_width=float(spec.get("window_width", 0.1)),
-    )
+    recs = comb_limit_diagnostic(sc.domain, **sc.comb())
     out = []
     masses = [r["window_mass"] for r in recs]
     mono = all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))

@@ -95,13 +95,14 @@ def test_apply_matches_manual_translates():
     rng = np.random.default_rng(21)
     bm = random_boundary(rng)
     dom = random_geometry(rng)
-    f = random_packet(rng)
     m = make_multiplier(bm, dom, "a_inv", eps=1e-12)
-    # (M f)(x) = scalar sum_n c_n f(x + base + n step) = sum c_n T_{-base-n step} f
-    manual = StepPacket.zero()
-    for n, c in sorted(m.coeffs.items()):
-        manual = manual + f.translate(-(m.base_shift + n * m.step)).scale(m.scalar * c)
-    assert apply_multiplier(m, f).distance2(manual) < 1e-24
+    # the second packet's oscillatory cells pick up a phase per translate
+    for f in (random_packet(rng), random_packet(rng, freqs=(-1, 0, 2))):
+        # (M f)(x) = scalar sum_n c_n f(x + base + n step) = sum c_n T_{-base-n step} f
+        manual = StepPacket.zero()
+        for n, c in sorted(m.coeffs.items()):
+            manual = manual + f.translate(-(m.base_shift + n * m.step)).scale(m.scalar * c)
+        assert apply_multiplier(m, f).distance2(manual) < 1e-24
 
 
 def test_apply_oscillatory_cell_phase():

@@ -139,6 +139,18 @@ def test_merge_adjacent_cells():
     assert g.n_cells == 2
 
 
+def test_chained_edges_leave_no_hole():
+    # each edge lies within EDGE_TOL of the next, the chain spans more than it
+    f = sum_packets([
+        StepPacket.box(0.0, 1.0),
+        StepPacket.box(1.0 + 8e-15, 2.0),
+        StepPacket.box(1.0 + 1.6e-14, 3.0),
+    ])
+    assert f.lo.tolist() == [0.0, 1.0, 2.0]
+    assert f.hi.tolist() == [1.0, 2.0, 3.0]
+    assert f.waves[0].tolist() == [1.0, 2.0, 1.0]
+
+
 def test_sum_packets_matches_loop():
     rng = np.random.default_rng(3)
     parts = [

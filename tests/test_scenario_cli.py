@@ -1,6 +1,7 @@
 """Scenario files and the command-line front end."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -208,6 +209,8 @@ def test_cli_exit_codes(tmp_path):
         {"kind": "three_points", "w": 0.5, "alpha": 2.0},
         {"kind": "one_interval", "theta": 0.1},
         {"kind": "two_points", "w": 0.5},
+        {"kind": "one_point", "thetta": 0.3},
+        {"kind": "two_points", "w": 0.5, "alpha": 2.0, "theta": 0.1},
     ],
 )
 @pytest.mark.parametrize("command", ["degenerate", "verify"])
@@ -221,6 +224,24 @@ def test_cli_bad_model_exits_2(tmp_path, command, model):
     }
     path = write(tmp_path, payload)
     assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "comb",
+    [
+        {"w_seq": [0.5, 0.1]},
+        {"w_sequence": []},
+        {"w_sequence": [0.5, 0.0]},
+        {"w_sequence": "0.5"},
+        [1, 2],
+        {"w_sequence": [0.5, 0.1], "window_widht": 0.3},
+    ],
+)
+def test_cli_bad_comb_exits_2(tmp_path, comb):
+    payload = json.loads((resources.files("twogap") / "scenarios/comb_limit.json").read_text())
+    payload["comb"] = comb
+    path = write(tmp_path, payload)
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
 # exit codes of every (command, bundled scenario) pair that does not exit 0:
