@@ -1,24 +1,20 @@
 """Quadrature helpers: Gauss-Legendre panels, the periodic rule for one
-period of the spectral density, closed-form oscillatory tails and the
-periodized lattice sum.
+period of the spectral density and the periodized lattice sums.
 
 Every composite Gauss-Legendre sum in the package goes through
-``gauss_panels``; ``_panel_nodes`` builds its nodes and is called directly
-only where one node set is shared across many evaluation points.
+``gauss_panels``.
 
-The oscillatory-tail and lattice-sum functions exist so that integrals over
-the whole line with 1/lambda or 1/lambda^2 decay can be evaluated to ~1e-10
-without astronomically wide windows: the window part is done by panels, the
-remainder in closed form through the sine/cosine integrals, and fully
-periodic reductions go through the classical lattice sum
+Integrals over the whole line against the density m^-2 are folded onto one
+period: substituting lambda = (xi + k)/ell and summing over k turns each
+1/lambda or 1/lambda^2 factor into the classical lattice sum
 
-    sum_{j in Z} e(j y) / (j + a) = (pi / sin(pi a)) exp(i pi a (1 - 2 {y}))
+    sum_{k in Z} e(k y) / (k + a) = (pi / sin(pi a)) exp(i pi a (1 - 2 {y}))
 
-valid for non-integer y (with {y} the fractional part) and non-integer a.
-Such a reduction leaves one period of the density m^-2, a Poisson kernel in
-q = sqrt(1 - w^2) with poles |ln q|/(2 pi) off the real axis (unit period);
-on it the N-point periodic rule of ``periodic_nodes`` converges like q^N
-(Trefethen & Weideman, SIAM Review 56, 2014).
+valid for non-integer y (with {y} the fractional part) and non-integer a,
+or its a-derivative.  What remains is one period of m^-2, a Poisson kernel
+in q = sqrt(1 - w^2) with poles |ln q|/(2 pi) off the real axis (unit
+period); on it the N-point periodic rule of ``periodic_nodes`` converges
+like q^N (Trefethen & Weideman, SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -28,17 +24,17 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import sici
 
 from .errors import DegenerateRegime, ValidationError
 
 __all__ = [
     "gauss_panels",
     "periodic_nodes",
-    "tail_inv1_twosided",
-    "tail_inv2_twosided",
     "lattice_sum",
 ]
+
+# error target of the periodic rule over a folded period
+_FOLD_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,8 +43,12 @@ def _gauss_rule(n: int):
     return leggauss(n)
 
 
-def _panel_nodes(edges, order: int):
-    """Flat nodes and weights of composite Gauss-Legendre on ``edges``."""
+def gauss_panels(fn, edges, order: int = 16):
+    """Composite Gauss-Legendre quadrature with panel boundaries ``edges``.
+
+    fn must accept a flat array of nodes and return values; panels may be
+    non-uniform.  Returns the scalar integral.
+    """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValidationError("panel edges must be increasing")
@@ -57,16 +57,6 @@ def _panel_nodes(edges, order: int):
     half = 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
-
-
-def gauss_panels(fn, edges, order: int = 16):
-    """Composite Gauss-Legendre quadrature with panel boundaries ``edges``.
-
-    fn must accept a flat array of nodes and return values; panels may be
-    non-uniform.  Returns the scalar integral.
-    """
-    x, w = _panel_nodes(edges, order)
     return np.sum(w * fn(x))
 
 
@@ -89,30 +79,6 @@ def periodic_nodes(q: float, tol: float, span: float = 0.0):
     return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
 
 
-def tail_inv1_twosided(u, lam0: float):
-    """Closed form for int_{|l| > lam0} e(u l) / l dl (principal value).
-
-    The even (cosine) part cancels between the two rays; the result is
-    2i sign(u) (pi/2 - Si(2 pi |u| lam0)), zero at u = 0.
-    """
-    u = np.asarray(u, dtype=float)
-    sig = 2.0 * np.pi * np.abs(u) * lam0
-    si, _ = sici(sig)
-    return 2j * np.sign(u) * (np.pi / 2.0 - si)
-
-
-def tail_inv2_twosided(u, lam0: float):
-    """Closed form for int_{|l| > lam0} e(u l) / l^2 dl.
-
-    The odd (sine) part cancels; the result is real:
-    2 [cos(s lam0)/lam0 - s (pi/2 - Si(s lam0))] with s = 2 pi |u|.
-    """
-    u = np.asarray(u, dtype=float)
-    s = 2.0 * np.pi * np.abs(u)
-    si, _ = sici(s * lam0)
-    return 2.0 * (np.cos(s * lam0) / lam0 - s * (np.pi / 2.0 - si))
-
-
 def lattice_sum(y, a):
     """sum_j e(j y)/(j + a) for non-integer y and a (vectorized).
 
@@ -123,3 +89,56 @@ def lattice_sum(y, a):
     a = np.asarray(a, dtype=float)
     frac = y - np.floor(y)
     return np.pi / np.sin(np.pi * a) * np.exp(1j * np.pi * a * (1.0 - 2.0 * frac))
+
+
+# Taylor coefficients of (u - sin u)/u^3 in powers of u^2: 14 terms reach
+# full precision for |u| <= pi, the widest argument the lattice rests pass
+_U_MINUS_SIN = [(-1) ** k / math.factorial(2 * k + 3) for k in range(14)]
+
+
+def _u_minus_sin(u):
+    """u - sin(u) to full relative precision for |u| <= pi, by Horner's rule
+    on its Taylor series (no cancellation near u = 0)."""
+    u = np.asarray(u, dtype=float)
+    u2 = u * u
+    series = np.full_like(u, _U_MINUS_SIN[-1])
+    for c in _U_MINUS_SIN[-2::-1]:
+        series *= u2
+        series += c
+    return series * u2 * u
+
+
+def _lattice_sum_rest(y, xi):
+    """sum_{k != 0} e(k y)/(k + xi): ``lattice_sum`` less its k = 0 term 1/xi,
+    for 0 < |xi| <= 1/2, with the pole removed analytically.
+
+    With u = pi xi and s = 1 - 2 {y} it equals
+    pi (u - sin u - 2 u sin^2(u s / 2) + i u sin(u s)) / (u sin u).
+    """
+    u = np.pi * np.asarray(xi, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = 1.0 - 2.0 * (y - np.floor(y))
+    num = _u_minus_sin(u) - 2.0 * u * np.sin(0.5 * u * s) ** 2 + 1j * u * np.sin(u * s)
+    return np.pi * num / (u * np.sin(u))
+
+
+def _lattice_sum2_rest(y, xi):
+    """sum_{k != 0} e(k y)/(k + xi)^2 for 0 < |xi| <= 1/2, pole removed.
+
+    The full sum, -d/dxi ``lattice_sum``, is pi^2 e^{i u s} (cos u - i s sin u)
+    / sin^2 u (u = pi xi, s = 1 - 2 {y}); product-to-sum identities and
+    sin x = x - (x - sin x) leave terms of order u^2 (real) and u^3 (imag).
+    """
+    u = np.pi * np.asarray(xi, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = 1.0 - 2.0 * (y - np.floor(y))
+    d = _u_minus_sin(u)
+    re = (
+        d * (2.0 * u - d) / (u * u)
+        - (1.0 + s) * np.sin(0.5 * u * (1.0 - s)) ** 2
+        - (1.0 - s) * np.sin(0.5 * u * (1.0 + s)) ** 2
+    )
+    im = 0.5 * (
+        (1.0 + s) * _u_minus_sin(u * (1.0 - s)) - (1.0 - s) * _u_minus_sin(u * (1.0 + s))
+    )
+    return np.pi**2 * (re + 1j * im) / np.sin(u) ** 2

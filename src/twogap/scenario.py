@@ -92,15 +92,14 @@ class Scenario:
 
     def comb(self) -> dict:
         """Keyword arguments of ``spectral.comb_limit_diagnostic`` (all but
-        the domain) from the ``comb`` section; psi defaults to the boundary's."""
-        spec = _object(self.extras.get("comb"), {"w_sequence", "window_width", "psi"}, "comb")
+        the domain) from the ``comb`` section."""
+        spec = _object(self.extras.get("comb"), {"w_sequence", "window_width"}, "comb")
         ws = _need(spec, "w_sequence", "comb")
         if not isinstance(ws, list) or not ws:
             raise ParseError("comb.w_sequence must be a non-empty list of numbers")
         return {
             "w_sequence": [_as_float(w, "comb.w_sequence") for w in ws],
             "window_width": _as_float(spec.get("window_width", 0.1), "comb.window_width"),
-            "psi": _as_float(spec.get("psi", self.bm.psi if self.bm else 0.0), "comb.psi"),
         }
 
 

@@ -41,7 +41,7 @@ from .errors import (
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, block_row
 from .packets import StepPacket
-from .quadrature import gauss_panels, lattice_sum, periodic_nodes
+from .quadrature import _FOLD_TOL, gauss_panels, lattice_sum, periodic_nodes
 from .spectral import density
 from .transform import TransformSample, _cell_ends
 
@@ -150,9 +150,6 @@ def shannon_interpolate(coeffs: ShannonBasisCoeffs, lam):
 # ----------------------------------------------------------------------
 # folded-lattice oracle for the kernel form of the semigroup
 # ----------------------------------------------------------------------
-
-# error target of the periodic rule over the folded period
-_FOLD_TOL = 1e-13
 
 
 def _fold_rule(bm, span):

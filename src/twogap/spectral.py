@@ -135,15 +135,15 @@ def fourier_coeffs(
 
 def comb_limit_diagnostic(
     domain: ExteriorDomain,
-    psi: float,
     w_sequence,
     window_width: float,
 ):
     """Concentration of the density near one lattice point as w decreases.
 
     For each w, integrates the density over a window of the given width
-    centered at the lattice point psi/ell, and reports the per-period total
-    (always 1/ell) and the off-window remainder.  The window mass must
+    centered at a density peak, and reports the per-period total (always
+    1/ell) and the off-window remainder; every peak (psi + n)/ell carries
+    the same mass, so it depends on q and the width only.  The window mass must
     increase toward the full per-period mass as w -> 0 (tested as a trend,
     not a tolerance).
 
@@ -156,7 +156,7 @@ def comb_limit_diagnostic(
         raise ValidationError("window width must be inside one period")
     records = []
     for w in w_sequence:
-        q = make_boundary_matrix(w, psi=psi).q
+        q = make_boundary_matrix(w).q
         if q == 1.0:
             raise ValidationError(f"comb diagnostic needs q < 1, got w = {w!r}")
         s_half = np.pi * domain.ell * window_width  # half-window, angle units

@@ -7,14 +7,13 @@ The forward transform pairs a packet with the generalized eigenfunctions:
 an isometry onto L^2 of the density m^-2 d lambda.  The adjoint integrates
 back against psi_lambda m^-2.  Both directions have closed forms on the
 packet side; the quadrature versions here exist as *independent* checks and
-therefore never reuse the packet engine's translation algebra — they
-integrate a window [-L, L] by composite Gauss-Legendre panels and add the
-|lambda| > L remainder in closed form through sine/cosine integrals (the
-integrands decay like 1/lambda or 1/lambda^2, so bare windows could never
-reach the advertised tolerances).
+read nothing of the packet engine's translation algebra or its series.  They
+fold the whole line onto one period of the density (lambda = (xi + k)/ell,
+summed over k in closed form by lattice sums) and integrate that period by
+the periodic rule of ``quadrature.periodic_nodes``: no window, no tails.
 
-Only frequency-0 packets (plain steps) are supported by the tail expansion;
-that is all the cross-checks need.
+Only frequency-0 packets (plain steps) are supported; that is all the
+cross-checks need.
 """
 
 from __future__ import annotations
@@ -31,14 +30,8 @@ from .errors import (
     ValidationError,
 )
 from .evolution import COMPONENTS, _require_steps, decompose
-from .multipliers import block_multiplier
-from .packets import StepPacket
-from .quadrature import (
-    _panel_nodes,
-    gauss_panels,
-    tail_inv1_twosided,
-    tail_inv2_twosided,
-)
+from .packets import StepPacket, sum_packets
+from .quadrature import _FOLD_TOL, _lattice_sum2_rest, _lattice_sum_rest, periodic_nodes
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -47,45 +40,19 @@ __all__ = [
     "adjoint_transform",
     "cross_term",
     "sigma_norm2",
-    "SIGMA_WINDOW",
 ]
 
-# Window half-width / panel width / Gauss order for the sigma quadratures.
-SIGMA_WINDOW = 64.0
-_PANEL = 0.125
-_ORDER = 24
-_SERIES_EPS = 1e-14
 # reconstruction points per cell of the adjoint transform
 _SUBDIVIDE = 4
-
-
-def _panel_width(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
-    """Panel width that resolves the density's near-comb spikes.
-
-    m^-2 has complex poles at distance |ln q| / (2 pi ell) from the real
-    axis; Gauss panels wider than a few pole distances lose the spikes
-    silently as w -> 0, so the width shrinks with q.
-    """
-    q = bm.q
-    if q == 0.0:
-        return _PANEL
-    delta = abs(np.log(q)) / (2.0 * np.pi * domain.ell)
-    return float(min(_PANEL, 3.0 * delta))
-
-
-def _window_edges(bm, domain):
-    """Uniform panel edges over [-SIGMA_WINDOW, SIGMA_WINDOW] at ``_panel_width``."""
-    n_panels = int(np.ceil(2.0 * SIGMA_WINDOW / _panel_width(bm, domain)))
-    return np.linspace(-SIGMA_WINDOW, SIGMA_WINDOW, n_panels + 1)
 
 
 @dataclass(frozen=True)
 class TransformSample:
     """Transform values on a grid, tagged with how they were obtained.
 
-    provenance 'analytic' samples remember their source packet so closed-form
-    tail corrections stay available downstream; 'quadrature' samples are bare
-    numbers.
+    provenance 'analytic' samples remember their source packet so the
+    adjoint can re-evaluate the transform in closed form at its own nodes;
+    'quadrature' samples are bare numbers.
     """
 
     grid: np.ndarray
@@ -141,6 +108,39 @@ def _cell_ends(packet):
     )
 
 
+def _offsets(domain):
+    """b in COMPONENTS order: A = (a, 1, c) is e(b lambda) times a function
+    of period 1/ell."""
+    return np.array([1.0, 0.0, -domain.gap])
+
+
+def _shifted_ends(domain, parts):
+    """Component index, position + b and signed value of every cell end of
+    the component parts, as flat arrays."""
+    ends = [_cell_ends(part)[:2] for part in parts]
+    return (
+        np.concatenate([np.full(len(pos), k) for k, (pos, _) in enumerate(ends)]),
+        np.concatenate([pos + b for (pos, _), b in zip(ends, _offsets(domain))]),
+        np.concatenate([val for _, val in ends]),
+    )
+
+
+def _fold(bm, domain, y):
+    """Periodic-rule nodes xi on (-1/2, 1/2], none at the pole xi = 0, for
+    integrands carrying e(xi y) for every y in the array y; their weights, the
+    eigen coefficients at lambda = xi/ell, and rows amp_i = A_i e(-b_i lambda)/m
+    of period 1, so A_i conj(A_j) m^-2 = e((b_i - b_j) lambda) amp_i conj(amp_j).
+    """
+    x, wq = periodic_nodes(bm.q, _FOLD_TOL, np.max(np.abs(y), initial=0.0) + 1.0)
+    # an odd count would put a node on xi = 0; shift those by half a spacing
+    xi = x - 0.5 + (0.5 / len(x) if len(x) % 2 else 0.0)
+    lam = xi / domain.ell
+    co = eigen_coeffs(bm, domain, lam)
+    m = np.abs(co.a)
+    amp = np.array([co.a, np.ones_like(m), co.c]) * e2pi(-_offsets(domain)[:, None] * lam) / m
+    return xi, wq, co, amp
+
+
 def cross_term(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
@@ -150,40 +150,34 @@ def cross_term(
     """The sigma-weighted pairing  int conj(Vf) Vg m^-2 d lambda.
 
     Equals <f, g> when the transform is the claimed isometry; computed here
-    by window quadrature plus closed-form 1/lambda^2 tails so the result is
-    trustworthy at the 1e-9 level without referencing that claim.
+    by a fold onto one period of the density, without referencing that
+    claim.  Each pair of cell ends (p of f_i, r of g_j) adds
+
+        (ell / 4 pi^2) int amp_i conj(amp_j) e(xi y) sum_k e(k y)/(k + xi)^2 d xi,
+
+    y = (p - r + b_i - b_j)/ell.  The k = 0 terms of all pairs together are
+    the closed-form integrand at lambda = xi/ell over ell (sinc form, so the
+    1/xi^2 poles cancel exactly); the k != 0 rest has no pole.
     """
     if bm.w == 0.0:
         raise DegenerateRegime("sigma pairing needs w > 0")
     _require_steps("sigma quadratures", f, g)
     f_parts = decompose(f, domain)
     g_parts = decompose(g, domain)
+    fi, fpos, fval = _shifted_ends(domain, f_parts)
+    gj, gpos, gval = _shifted_ends(domain, g_parts)
+    y = (fpos[:, None] - gpos[None, :]) / domain.ell
+    xi, wq, co, amp = _fold(bm, domain, y)
 
-    def integrand(lam):
-        co = eigen_coeffs(bm, domain, lam)
-        vf = _transform_values(co, f_parts, lam)
-        vg = _transform_values(co, g_parts, lam)
-        return np.conj(vf) * vg / np.abs(co.a) ** 2
-
-    total = gauss_panels(integrand, _window_edges(bm, domain), _ORDER)
-
-    # Tails: conj(Vf) Vg m^-2 = sum_{ij} M_block(i,j) conj(F_i) G_j, each term
-    # a lattice of e(Delta lambda)/(4 pi^2 lambda^2) contributions.
-    for i, fi in zip(COMPONENTS, f_parts):
-        if fi.is_empty:
-            continue
-        fpos, fval, _ = _cell_ends(fi)
-        for j, gj in zip(COMPONENTS, g_parts):
-            if gj.is_empty:
-                continue
-            gpos, gval, _ = _cell_ends(gj)
-            shifts, weights = block_multiplier(bm, domain, i, j, eps=_SERIES_EPS).terms()
-            # Delta = (f end) - (g end) + shift, coefficient conj(fval) gval w
-            delta = fpos[:, None, None] - gpos[None, :, None] + shifts[None, None, :]
-            coef = np.conj(fval)[:, None, None] * gval[None, :, None] * weights[None, None, :]
-            total += np.sum(coef * tail_inv2_twosided(delta, SIGMA_WINDOW)) / (
-                4.0 * np.pi**2
-            )
+    lam = xi / domain.ell
+    vf = _transform_values(co, f_parts, lam)
+    vg = _transform_values(co, g_parts, lam)
+    total = np.sum(wq * np.conj(vf) * vg / np.abs(co.a) ** 2) / domain.ell
+    # k != 0, one f end at a time: arrays of (g ends) x (nodes)
+    g_amp = gval[:, None] * np.conj(amp[gj])
+    for i, y_p, s_p in zip(fi, y, np.conj(fval)):
+        rest = e2pi(y_p[:, None] * xi) * _lattice_sum2_rest(y_p[:, None], xi)
+        total += domain.ell / (4.0 * np.pi**2) * s_p * np.sum((rest * g_amp) @ (wq * amp[i]))
     return complex(total)
 
 
@@ -201,97 +195,87 @@ def adjoint_transform(
 ) -> StepPacket:
     """Reconstruct a packet from transform data: V* g as a step packet.
 
-    The reconstruction integrates g(lambda) psi_lambda(x) m^-2 and returns a
-    step packet on ``cell_edges``, each cell split into ``_SUBDIVIDE``
-    subcells valued at their midpoints.
+    Integrates g(lambda) psi_lambda(x) m^-2 at the midpoints of the
+    ``_SUBDIVIDE`` subcells of each cell of ``cell_edges``; for analytic
+    samples the default cells are the source packet's own (the gaps between
+    them may cover the removed intervals, so they are skipped).
 
-    * analytic samples: g is re-evaluated in closed form on quadrature nodes
-      and the |lambda| > SIGMA_WINDOW remainder is added exactly (sine-integral
-      tails), so the advertised tolerance is honored; the default cells are
-      the source packet's own (gaps between source cells are skipped, since
-      they may cover the removed intervals).
+    * analytic samples: g is the source packet's closed-form transform
+      (frequency 0 only), folded onto one period as in ``cross_term``.
     * quadrature samples: only the given grid values exist.  The integral is
       a composite Simpson over the grid and the unknown tail is estimated
       from the last samples; if that estimate exceeds tol, GridTooCoarse.
     """
     if bm.w == 0.0:
         raise DegenerateRegime("adjoint transform needs w > 0")
-
-    if sample.provenance == "analytic":
+    analytic = sample.provenance == "analytic"
+    if analytic:
         if sample.source is None:
             raise ValidationError("analytic sample has no source packet")
-        if cell_edges is None:
-            intervals = [(u, v) for u, v, _ in sample.source.cells()]
-        else:
-            cell_edges = np.asarray(cell_edges, dtype=float)
-            if np.any(np.diff(cell_edges) <= 0):
-                raise ValidationError("cell_edges must be increasing")
-            intervals = list(zip(cell_edges[:-1], cell_edges[1:]))
-        return _adjoint_analytic(bm, domain, sample.source, intervals)
-    if sample.provenance != "quadrature":
+        _require_steps("adjoint transform", sample.source)
+    elif sample.provenance != "quadrature":
         raise ValidationError(f"unknown provenance {sample.provenance!r}")
-    if cell_edges is None:
+    if cell_edges is not None:
+        cell_edges = np.asarray(cell_edges, dtype=float)
+        if np.any(np.diff(cell_edges) <= 0):
+            raise ValidationError("cell_edges must be increasing")
+        intervals = list(zip(cell_edges[:-1], cell_edges[1:]))
+    elif analytic:
+        intervals = [(u, v) for u, v, _ in sample.source.cells()]
+    else:
         raise ValidationError("quadrature samples need explicit cell_edges")
-    return _adjoint_from_grid(bm, domain, sample, np.asarray(cell_edges, float), tol)
+
+    # reconstruction points: subcell midpoints, one edge array per cell
+    span_edges = [np.linspace(a, b, _SUBDIVIDE + 1) for a, b in intervals]
+    xs = np.concatenate([0.5 * (se[:-1] + se[1:]) for se in span_edges])
+    dest = np.array([_component_index(domain, x) for x in xs])
+    if analytic:
+        values = _adjoint_analytic(bm, domain, sample.source, xs, dest)
+    else:
+        values = _adjoint_from_grid(bm, domain, sample, xs, dest, tol)
+    return sum_packets(
+        StepPacket.from_breakpoints(se, v)
+        for se, v in zip(span_edges, values.reshape(-1, _SUBDIVIDE))
+    )
 
 
-def _component_factors(co):
-    """psi_lambda(x) m^-2 / e(lambda x) = (a, 1, c) m^-2, keyed by the
-    component tag of x."""
-    m2 = np.abs(co.a) ** 2
-    return dict(zip(COMPONENTS, (co.a / m2, np.ones_like(co.a) / m2, co.c / m2)))
-
-
-def _component_of(domain, x):
-    """Component tag of a reconstruction point."""
+def _component_index(domain, x):
+    """Index in COMPONENTS of the component holding a reconstruction point."""
     tag = classify_point(domain, float(x)).value
     if tag not in COMPONENTS:
         raise ValidationError(f"reconstruction point {x} is not in the domain")
-    return tag
+    return COMPONENTS.index(tag)
 
 
-def _adjoint_analytic(bm, domain, f, intervals):
+def _adjoint_analytic(bm, domain, f, xs, dest):
+    """V* V f at the points xs, of component indices dest, by the one-period
+    fold.  A point x of component d and a cell end (r, t_r) of f_j add
+    (t_r / 2 pi i) int amp_d conj(amp_j) e(xi y) sum_k e(k y)/(k + xi) d xi
+    with y = (x - r + b_d - b_j)/ell; the k = 0 terms are summed as in
+    ``cross_term``.
+    """
     f_parts = decompose(f, domain)
+    j, pos, val = _shifted_ends(domain, f_parts)
+    x_b = xs + _offsets(domain)[dest]
+    y = (x_b[:, None] - pos[None, :]) / domain.ell
+    xi, wq, co, amp = _fold(bm, domain, y)
 
-    # window quadrature nodes/values shared across evaluation points
-    lam, lamw = _panel_nodes(_window_edges(bm, domain), _ORDER)
-    co = eigen_coeffs(bm, domain, lam)
-    gvals = _transform_values(co, f_parts, lam)
-    factors = _component_factors(co)
-
-    # per-source tail data
-    tail_data = []
-    for j, fj in zip(COMPONENTS, f_parts):
-        if fj.is_empty:
-            continue
-        pos, val, _ = _cell_ends(fj)
-        tail_data.append((j, pos, val))
-
-    # evaluation points: subcell midpoints, one edge array per span
-    span_edges = [np.linspace(a, b, _SUBDIVIDE + 1) for a, b in intervals]
-    xs = np.concatenate([0.5 * (se[:-1] + se[1:]) for se in span_edges])
-
+    lam = xi / domain.ell
+    # k = 0: g(lambda) A_d m^-2 e(lambda x) = g amp_d e(lambda (x + b_d)) / m
+    gvals = wq * _transform_values(co, f_parts, lam) / (domain.ell * np.abs(co.a))
+    f_amp = val[:, None] * np.conj(amp[j])
     values = np.empty(xs.shape, dtype=complex)
-    for idx, x in enumerate(xs):
-        dest = _component_of(domain, x)
-        win = np.sum(lamw * gvals * factors[dest] * e2pi(lam * x))
-        tail = 0.0 + 0.0j
-        for j, pos, val in tail_data:
-            shifts, weights = block_multiplier(bm, domain, dest, j, eps=_SERIES_EPS).terms()
-            delta = x - pos[:, None] + shifts[None, :]
-            coef = val[:, None] * weights[None, :]
-            tail += np.sum(coef * tail_inv1_twosided(delta, SIGMA_WINDOW)) / (2j * np.pi)
-        values[idx] = win + tail
-
-    out = StepPacket.zero()
-    pos = 0
-    for se in span_edges:
-        out = out + StepPacket.from_breakpoints(se, values[pos : pos + len(se) - 1])
-        pos += len(se) - 1
-    return out
+    for idx, (d, x, y_x) in enumerate(zip(dest, x_b, y)):
+        rest = e2pi(y_x[:, None] * xi) * _lattice_sum_rest(y_x[:, None], xi)
+        values[idx] = np.sum(gvals * amp[d] * e2pi(lam * x)) + np.sum(
+            (rest * f_amp) @ (wq * amp[d])
+        ) / (2j * np.pi)
+    return values
 
 
-def _adjoint_from_grid(bm, domain, sample, cell_edges, tol):
+def _adjoint_from_grid(bm, domain, sample, xs, dest, tol):
+    """V* g at the points xs, of component indices dest, by composite
+    Simpson over the sample grid."""
     grid = np.asarray(sample.grid, dtype=float)
     vals = np.asarray(sample.values, dtype=complex)
     if grid.ndim != 1 or grid.shape != vals.shape or len(grid) < 3:
@@ -312,20 +296,13 @@ def _adjoint_from_grid(bm, domain, sample, cell_edges, tol):
             "refine the transform grid (or use an analytic sample)"
         )
 
-    if np.any(np.diff(cell_edges) <= 0):
-        raise ValidationError("cell_edges must be increasing")
-    sub_edges = []
-    for a, b in zip(cell_edges[:-1], cell_edges[1:]):
-        sub_edges.append(np.linspace(a, b, _SUBDIVIDE + 1)[:-1])
-    sub_edges = np.concatenate(sub_edges + [cell_edges[-1:]])
-    xs = 0.5 * (sub_edges[:-1] + sub_edges[1:])
-
-    factors = _component_factors(eigen_coeffs(bm, domain, grid))
+    co = eigen_coeffs(bm, domain, grid)
+    # psi_lambda(x) m^-2 / e(lambda x) = (a, 1, c) m^-2 by component of x
+    factors = np.array([co.a, np.ones_like(co.a), co.c]) / np.abs(co.a) ** 2
     values = np.empty(xs.shape, dtype=complex)
-    for idx, x in enumerate(xs):
-        integ = vals * factors[_component_of(domain, x)] * e2pi(grid * x)
-        values[idx] = _simpson_irregular(grid, integ)
-    return StepPacket.from_breakpoints(sub_edges, values)
+    for idx, (x, d) in enumerate(zip(xs, dest)):
+        values[idx] = _simpson_irregular(grid, vals * factors[d] * e2pi(grid * x))
+    return values
 
 
 def _simpson_irregular(x, y):

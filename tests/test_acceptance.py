@@ -332,7 +332,7 @@ def test_criterion_11_decoupled_regime():
 
 def test_criterion_12_comb_limit():
     dom = make_domain(2.0, 3.0)
-    recs = comb_limit_diagnostic(dom, psi=0.0, w_sequence=[0.5, 0.1, 0.02], window_width=0.1)
+    recs = comb_limit_diagnostic(dom, w_sequence=[0.5, 0.1, 0.02], window_width=0.1)
     period_err = max(abs(r["period_mass"] - 1.0 / dom.ell) for r in recs)
     masses = [r["window_mass"] for r in recs]
     report("12a", "per-period mass constant 1/(alpha-1)", period_err, "1e-12", period_err <= 1e-12)

@@ -235,6 +235,7 @@ def test_cli_bad_model_exits_2(tmp_path, command, model):
         {"w_sequence": "0.5"},
         [1, 2],
         {"w_sequence": [0.5, 0.1], "window_widht": 0.3},
+        {"w_sequence": [0.5], "psi": 0.0},
     ],
 )
 def test_cli_bad_comb_exits_2(tmp_path, comb):

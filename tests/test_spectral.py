@@ -128,7 +128,7 @@ def test_normalization_identity():
 
 def test_comb_limit_monotone():
     dom = make_domain(2.0, 3.0)
-    recs = comb_limit_diagnostic(dom, psi=0.0, w_sequence=[0.5, 0.1, 0.02], window_width=0.1)
+    recs = comb_limit_diagnostic(dom, w_sequence=[0.5, 0.1, 0.02], window_width=0.1)
     masses = [r["window_mass"] for r in recs]
     assert all(b > a for a, b in zip(masses, masses[1:]))
     for r in recs:
@@ -143,7 +143,7 @@ def test_comb_window_mass_matches_quadrature():
     # at a moderate w where the density is tame
     dom = make_domain(2.5, 3.0)  # ell = 1.5
     psi, w = 0.2, 0.6
-    recs = comb_limit_diagnostic(dom, psi=psi, w_sequence=[w], window_width=0.25)
+    recs = comb_limit_diagnostic(dom, w_sequence=[w], window_width=0.25)
     bm = make_boundary_matrix(w, psi=psi)
     center = psi / dom.ell
     edges = np.linspace(center - 0.125, center + 0.125, 200001)
@@ -155,7 +155,7 @@ def test_comb_window_mass_matches_quadrature():
 def test_comb_window_validation():
     dom = make_domain(2.0, 3.0)
     with pytest.raises(ValidationError):
-        comb_limit_diagnostic(dom, psi=0.0, w_sequence=[0.5], window_width=1.5)
+        comb_limit_diagnostic(dom, w_sequence=[0.5], window_width=1.5)
 
 
 def test_measure_dispatch():

@@ -1,8 +1,15 @@
 """Forward/adjoint spectral transform and sigma-weighted pairings."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import twogap
+from twogap import multipliers
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import eigenfunction_eval
 from twogap.errors import DegenerateRegime, GridTooCoarse, ValidationError
@@ -138,6 +145,8 @@ def test_validation_and_regime_errors(ex59):
         cross_term(dec, dom, f, f)
     with pytest.raises(ValidationError):
         cross_term(bm, dom, osc, f)
+    with pytest.raises(ValidationError):
+        adjoint_transform(bm, dom, forward_transform(bm, dom, osc, [0.0]))
     sample = forward_transform(bm, dom, f, np.linspace(-1, 1, 5))
     with pytest.raises(ValidationError):
         adjoint_transform(bm, dom, TransformSample(sample.grid, sample.values, "mystery"))
@@ -165,3 +174,60 @@ def test_forward_linear(generic):
         + 0.5j * forward_transform(bm, dom, g, grid).values
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+# seven cells over all three components of alpha = 2, beta = 10/3
+_FOLD_DOMAIN = make_domain(2.0, 10.0 / 3.0)
+_FOLD_F = (
+    StepPacket.box(-2.3, -1.4, 0.8 - 0.3j)
+    + StepPacket.box(-1.1, -0.2, 1.2j)
+    + StepPacket.box(1.1, 1.45, -0.6 + 0.5j)
+    + StepPacket.box(1.6, 1.95, 0.9)
+    + StepPacket.box(3.5, 4.2, 0.4 - 1.1j)
+    + StepPacket.box(4.6, 5.3, -0.7)
+    + StepPacket.box(5.9, 6.4, 0.3 + 0.2j)
+)
+_FOLD_G = (
+    StepPacket.box(-1.7, -0.6, 1.0 - 0.4j)
+    + StepPacket.box(1.25, 1.8, 0.7j)
+    + StepPacket.box(3.9, 5.0, -0.5)
+)
+
+
+@pytest.mark.parametrize("w", [1.0, 0.9, 0.5, 0.2, 0.1, 0.05])
+def test_folded_oracles_across_coupling(w):
+    # the fold sizes its periodic rule from q, so the spikes of the density
+    # near w -> 0 cost nodes, not accuracy
+    bm = make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.45)
+    dom, f, g = _FOLD_DOMAIN, _FOLD_F, _FOLD_G
+    assert abs(sigma_norm2(bm, dom, f) - f.norm2()) < 1e-13 * max(1.0, f.norm2())
+    assert abs(cross_term(bm, dom, f, g) - f.inner(g)) < 1e-13
+    back = adjoint_transform(bm, dom, forward_transform(bm, dom, f, [0.0]))
+    # the reconstruction points: midpoints of four subcells per cell
+    edges = [np.linspace(u, v, 5) for u, v, _ in f.cells()]
+    xs = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edges])
+    assert np.max(np.abs(back.sample(xs) - f.sample(xs))) < 1e-12
+
+
+def test_quadrature_oracles_read_no_series(monkeypatch, generic):
+    # the oracles check the packet engine, so they must not share its series
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature oracle built a multiplier series")
+
+    monkeypatch.setattr(multipliers, "make_multiplier", refuse)
+    bm, dom = generic
+    f = StepPacket.box(-1.0, -0.25, 1.0) + StepPacket.box(1.3, 1.9, -0.5)
+    g = StepPacket.box(-0.75, -0.1, 2.0 - 1.0j) + StepPacket.box(4.0, 5.0, 1.0)
+    sigma_norm2(bm, dom, f)
+    cross_term(bm, dom, f, g)
+    adjoint_transform(bm, dom, forward_transform(bm, dom, f, [0.0]))
+
+
+def test_import_needs_no_scipy():
+    src = str(Path(twogap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, twogap; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
