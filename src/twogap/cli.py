@@ -150,12 +150,9 @@ def _cmd_semigroup(sc: Scenario, out: Path) -> int:
         mid = StepPacket.box(lo, hi, 1.0)
     ts = sc.grid("time_grid")
     _require(bool(np.all(ts >= 0.0)), "semigroup needs a nonnegative time_grid")
-    rows = [
-        (t, compress_evolve(bm, dom, mid, float(t), eps=sc.eps).packet.norm2())
-        for t in ts
-    ]
+    rows = [(t, compress_evolve(bm, dom, mid, float(t)).packet.norm2()) for t in ts]
     _write_csv(out / "semigroup_norms.csv", ["t", "norm2"], rows)
-    prof = norm_decay_profile(bm, 0, ts, eps=sc.eps)
+    prof = norm_decay_profile(bm, 0, ts)
     _write_csv(
         out / "semigroup_profile.csv",
         ["t", "engine", "oracle", "reference"],

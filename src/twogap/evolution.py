@@ -4,8 +4,8 @@ The evolution at time t acts on a packet supported in the open domain by a
 3x3 block of translation multipliers followed by the rigid shift by t and
 restriction back to the components.  The (dest, src) block kinds live in
 ``multipliers.BLOCK_KIND``, and ``block_row`` is the one place that applies
-them: evolution, single block entries, scattering, both translation
-representations and the compressed semigroup are all rows of that matrix.
+them: evolution, single block entries, scattering and both translation
+representations are all rows of that matrix.
 The packet picture of, say, a left-launched packet is: the identity copy
 keeps moving on I_minus, the transmitted geometric train enters the middle
 interval through a_inv, and the outgoing train leaves through a_inv_c (one
@@ -15,10 +15,10 @@ The same formulas hold for negative t (the derivation is time-sign-free);
 the adjoint relation <U(-t) f, g> = <f, U(t) g> is verified in the tests
 rather than used as a definition.
 
-At w = 0 the model decouples and the dynamics is an explicit splice: the
-middle interval wraps onto itself with a phase e(-psi) per wrap, and the two
-half-lines glue into a single line (exit at 0, re-enter at beta) with splice
-phase -e(psi - theta).
+The middle interval alone is an explicit wrap: what leaves at alpha comes
+back at 1 scaled by z = q e(-psi).  For w > 0, t >= 0 that is the
+compressed semigroup; at w = 0, |z| = 1 and the two half-lines glue into a
+single line (exit at 0, re-enter at beta) with splice phase -e(psi - theta).
 """
 
 from __future__ import annotations
@@ -156,23 +156,24 @@ def block_matrix_entry(
 
 
 # ----------------------------------------------------------------------
-# decoupled (w = 0) dynamics
+# the middle-interval wrap and the decoupled (w = 0) dynamics
 # ----------------------------------------------------------------------
 
 
 def _wrap_middle(bm, domain, f0, t):
-    """Periodic wrap of the middle interval, phase e(-psi) per forward wrap."""
+    """Damped wrap of the middle interval, z = ``bm.b_entry`` per pass: the
+    compressed semigroup for w > 0, t >= 0; unitary at w = 0 (any t)."""
     if f0.is_empty:
         return f0
     ell = domain.ell
     r = t % ell
     m = round((t - r) / ell)
-    g = f0.translate(r).scale(complex(e2pi(-bm.psi * m)))
+    g = f0.translate(r).scale(bm.q**m * complex(e2pi(-bm.psi * m)))
     inside = g.restrict(1.0, domain.alpha)
     spill = g.restrict(domain.alpha, domain.alpha + ell)
     if spill.is_empty:
         return inside
-    return inside + spill.translate(-ell).scale(complex(e2pi(-bm.psi)))
+    return inside + spill.translate(-ell).scale(bm.b_entry)
 
 
 def _splice_halflines(bm, domain, fm, fp, t):

@@ -2,12 +2,12 @@
 identities.
 
 Compressing the unitary evolution to the middle interval gives a one-
-parameter contraction semigroup: apply the two-sided density series (the
-(izero, izero) entry of the block matrix, through ``evolution.block_row``,
-the one place that applies that matrix), shift by t >= 0, clip back to the
-interval.  On the transform side the same operator is an integral kernel
-against the band-limited (Shannon) sampling kernel of the interval, weighted
-by the spectral density — evaluated here by an independent folded
+parameter contraction semigroup Z(t), t >= 0, with Z(ell) = q e(-psi) I:
+content that reaches alpha re-enters at 1 scaled by z = q e(-psi) on each
+pass, the damped wrap ``evolution._wrap_middle``, exact and series-free.  On
+the transform side the same operator is an integral kernel against the
+band-limited (Shannon) sampling kernel of the interval, weighted by the
+spectral density — evaluated here by an independent folded
 quadrature: the line integral is reduced to one period of the density via
 the closed-form lattice sums
 
@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .eigen import eigen_coeffs
-from .evolution import EvolutionResult, block_row
+from .evolution import EvolutionResult, _wrap_middle, block_row
 from .packets import StepPacket
 from .quadrature import _FOLD_TOL, gauss_panels, lattice_sum, periodic_nodes
 from .spectral import density
@@ -73,29 +73,22 @@ def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> None:
         raise SupportViolation(f"{what} must live on ({lo:g}, {hi:g})")
 
 
-def _density_series(bm, domain, f, eps):
-    """The density series applied to f, and its truncation budget."""
-    zero = StepPacket.zero()
-    return block_row(bm, domain, (zero, f, zero), "izero", eps)
-
-
 def compress_evolve(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
     f: StepPacket,
     t: float,
-    eps: float = 1e-12,
 ) -> EvolutionResult:
-    """Z(t) f = clip( series(f) shifted by t ) for f on the middle interval."""
+    """Z(t) f for f on the middle interval and t >= 0: the damped wrap
+    (z = ``bm.b_entry`` per pass), which is exact, so the truncation is 0."""
     if bm.w == 0.0:
         raise DegenerateRegime("compressed semigroup needs w > 0")
     if t < 0:
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {t}")
     lo, hi = domain.component("izero")
     _require_on(f, lo, hi, "compress_evolve input")
-    ef, trunc = _density_series(bm, domain, f, eps)
-    g = ef.translate(t).restrict(lo, hi)
-    return EvolutionResult(packet=g, t=float(t), truncation=trunc)
+    g = _wrap_middle(bm, domain, f.restrict(lo, hi), float(t))
+    return EvolutionResult(packet=g, t=float(t), truncation=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +236,6 @@ def _space_oracle_values(bm, f_centered, t, xs):
     out = np.zeros(len(xs), dtype=complex)
     for p, s, n in zip(pos, val, freq):
         y = np.asarray(xs, dtype=float)[:, None] - t - p
-        # measure-zero lattice hits; nudge within the smooth piece
-        y = np.where(np.abs(y - np.round(y)) < 1e-10, y + 3e-8, y)
         terms = e2pi(xi * y) * lattice_sum(y, xi - n)
         out += s * e2pi(n * p) / (2j * np.pi) * (terms @ wq)
     return out
@@ -254,15 +245,15 @@ def norm_decay_profile(
     bm: BoundaryMatrix,
     n: int,
     t_grid,
-    eps: float = 1e-12,
 ) -> NormDecayProfile:
     """||Z(t) e_n||^2 on the unit middle interval: engine and oracle routes.
 
-    Works on the centered unit interval (-1/2, 1/2) (the profile only
-    depends on the interval length).  The engine route applies the density
-    series exactly; the oracle integrates the folded kernel representation
-    and squares on an order-8 Gauss grid over the pieces.  The reference
-    column max(1-t, 0) is exact only in the transparent case w = 1.
+    The profile only depends on the interval length.  The engine route is
+    the damped wrap on (1, 2); the oracle integrates the folded kernel
+    representation on the centered interval (-1/2, 1/2) and squares on an
+    order-8 Gauss grid over the pieces.  With t = k + r (0 <= r < 1) the
+    exact profile is q^(2k) (1 - r) + q^(2k+2) r; the reference column
+    max(1-t, 0) is that only in the transparent case w = 1.
     """
     if bm.w == 0.0:
         raise DegenerateRegime("norm decay profile needs w > 0")
@@ -270,13 +261,12 @@ def norm_decay_profile(
     if np.any(t_grid < 0):
         raise NegativeTime("profile times must be >= 0")
     f = StepPacket.box(-0.5, 0.5, 1.0, freq=int(n))
-    ef, _ = _density_series(bm, _UNIT_DOMAIN, f, eps)
+    f_mid = StepPacket.box(1.0, 2.0, 1.0, freq=int(n))
 
     engine = np.empty(t_grid.shape)
     oracle = np.empty(t_grid.shape)
     for k, t in enumerate(t_grid):
-        zt = ef.translate(t).restrict(-0.5, 0.5)
-        engine[k] = zt.norm2()
+        engine[k] = _wrap_middle(bm, _UNIT_DOMAIN, f_mid, t).norm2()
         # piece boundaries: the cell edges of f shifted by t, wrapped into
         # the interval (pure geometry, no engine data); both wrap to one cut
         cut = t % 1.0 - 0.5
@@ -298,7 +288,6 @@ def parseval_bound_check(
     domain: ExteriorDomain,
     f: StepPacket,
     t: float,
-    eps: float = 1e-12,
 ):
     """Partial Parseval mass of Z(t) f against the 4/w^2 energy bound.
 
@@ -306,7 +295,7 @@ def parseval_bound_check(
     64 of the packet center is monotone in the window, so partial <= bound
     is a valid (one-sided) check of the full inequality.
     """
-    state = compress_evolve(bm, domain, f, t, eps)
+    state = compress_evolve(bm, domain, f, t)
     sup = f.support()
     center = int(round(0.5 * (sup[0] + sup[1])))
     ns = np.arange(center - 64, center + 65, dtype=float)
@@ -390,7 +379,8 @@ def compressed_resolvent_profile(
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
     _require_on(f, *domain.component("izero"), "resolvent input")
-    ef, _ = _density_series(bm, domain, f, eps)
+    zero = StepPacket.zero()
+    ef, _ = block_row(bm, domain, (zero, f, zero), "izero", eps)
     t_max = -np.log(1e-12) / lam.real
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     out = np.empty(x_grid.shape, dtype=complex)
@@ -415,7 +405,7 @@ def _compressed_resolvent_closed(bm, domain, lam, f, x_grid):
     base = _cell_laplace(domain, lam, f, x_grid, x_grid)
     whole = _cell_laplace(domain, lam, f, x_grid, np.inf)
     # sum_{k>=1} q^k e(-k psi) e^{-lam k ell} (the k >= 1 half of the series)
-    z = bm.q * complex(e2pi(-bm.psi)) * np.exp(-lam * domain.ell)
+    z = bm.b_entry * np.exp(-lam * domain.ell)
     return SampledProfile(x=x_grid, values=base + z / (1.0 - z) * whole)
 
 

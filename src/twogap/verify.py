@@ -153,7 +153,7 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
     ts = [t for t in sc.grid("time_grid", _TIME_GRID) if t >= 0.0] or [0.5]
 
     norms = [
-        compress_evolve(bm, dom, mid, t, sc.eps).packet.norm2() for t in sorted(ts)
+        compress_evolve(bm, dom, mid, t).packet.norm2() for t in sorted(ts)
     ]
     growth = max(
         (norms[i + 1] - norms[i] for i in range(len(norms) - 1)), default=0.0
@@ -163,7 +163,7 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
     if abs(dom.ell - 1.0) < 1e-12:
         lam = sc.grid("lambda_grid", _LAMBDA_GRID)[:9]
         t = float(ts[min(1, len(ts) - 1)])
-        eng_vals = compress_evolve(bm, dom, mid, t, sc.eps).packet.transform(lam)
+        eng_vals = compress_evolve(bm, dom, mid, t).packet.transform(lam)
         ora = semigroup_kernel_apply(bm, mid, t, lam, interval=(lo, hi)).values
         gap = float(np.max(np.abs(eng_vals - ora)))
         out.append(_judge("semigroup_kernel_route", gap, 1e-8))

@@ -255,14 +255,18 @@ def test_criterion_09_compressed_semigroup():
     err_w1 = float(np.max(np.abs(prof1.engine - prof1.reference)))
     report("09d", "w=1 decay profile vs max(1-t,0)", err_w1, "1e-14", err_w1 <= 1e-14)
 
-    # coupled profile: engine vs independent oracle, value reported not assumed
-    prof = norm_decay_profile(make_boundary_matrix(w=0.8, psi=0.2), 1, [0.0, 0.35, 0.8, 1.3])
+    # coupled profile, t = k + r: ||Z(t) e_n||^2 = q^2k (1 - r) + q^(2k+2) r
+    bm = make_boundary_matrix(w=0.8, psi=0.2)
+    t_grid = np.array([0.0, 0.35, 0.8, 1.3, 2.0 + 1e-12])
+    prof = norm_decay_profile(bm, 1, t_grid)
+    k = np.floor(t_grid)
+    r = t_grid - k
+    want = bm.q ** (2 * k) * (1.0 - r) + bm.q ** (2 * k + 2) * r
+    err_eng = float(np.max(np.abs(prof.engine - want)))
+    err_ora = float(np.max(np.abs(prof.oracle - want)))
     gap = float(np.max(np.abs(prof.engine - prof.oracle)))
-    print(
-        "criterion 09e w<1 profile (measured, B-dependence under test): "
-        f"engine={np.array2string(prof.engine, precision=6)} "
-        f"engine-vs-oracle={gap:.3e}"
-    )
+    report("09e", "w<1 profile engine vs closed form", err_eng, "1e-13", err_eng <= 1e-13)
+    report("09e", "w<1 profile oracle vs closed form", err_ora, "1e-12", err_ora <= 1e-12)
     report("09e", "w<1 profile engine vs oracle", gap, "1e-8", gap <= 1e-8)
 
 

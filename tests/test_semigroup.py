@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from twogap import evolution, multipliers
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -11,6 +12,7 @@ from twogap.errors import (
     SupportViolation,
     ValidationError,
 )
+from twogap.evolution import block_matrix_entry
 from twogap.packets import StepPacket
 from twogap.semigroup import (
     compress_evolve,
@@ -78,16 +80,51 @@ def test_transparent_profile_is_linear():
 
 
 def test_profile_engine_vs_oracle():
+    # times just off the lattice probe the jump of the oracle's lattice sums
+    t_grid = np.array([0.0, 0.35, 0.7, 1.0, 1.0 + 1e-12, 1.6, 2.0 - 1e-13, 3.0 + 5e-11])
+    k = np.floor(t_grid)
+    r = t_grid - k
     for w, psi in ((0.8, 0.0), (0.5, 0.3), (0.65, 0.8), (0.2, 0.25), (0.1, 0.3)):
         bm = make_boundary_matrix(w=w, theta=0.2, phi=0.1, psi=psi)
-        t_grid = np.array([0.0, 0.35, 0.7, 1.0, 1.6])
         prof = norm_decay_profile(bm, n=1, t_grid=t_grid)
         assert np.max(np.abs(prof.engine - prof.oracle)) < 1e-8
-        if psi == 0.0:
-            # derived closed form on 0 <= t <= 1: 1 - t w^2
-            inside = t_grid <= 1.0
-            want = 1.0 - t_grid[inside] * w**2
-            assert np.max(np.abs(prof.engine[inside] - want)) < 1e-13
+        # closed form with t = k + r: ||Z(t) e_n||^2 = q^2k (1 - r) + q^(2k+2) r
+        want = bm.q ** (2 * k) * (1.0 - r) + bm.q ** (2 * k + 2) * r
+        assert np.max(np.abs(prof.engine - want)) < 1e-13
+        assert np.max(np.abs(prof.oracle - want)) < 1e-12
+
+
+def test_compressed_semigroup_is_the_density_block():
+    # compress_evolve reads no series; the (izero, izero) block of U(t),
+    # which applies the density series, must still agree with it
+    for alpha, beta in ((2.0, 3.0), (2.25, 3.75), (3.5, 4.0)):
+        dom = make_domain(alpha, beta)
+        f = mid_packet(dom) + StepPacket.box(
+            1.0 + 0.3 * dom.ell, 1.0 + 0.8 * dom.ell, 0.4 - 0.3j, freq=2
+        )
+        scale = np.sqrt(f.norm2())
+        for w in (1.0, 0.9, 0.5, 0.2):
+            bm = make_boundary_matrix(w=w, theta=0.1, phi=0.35, psi=0.3)
+            for t in (0.0, 0.3, 2.7, 12.0):
+                got = compress_evolve(bm, dom, f, t)
+                want = block_matrix_entry(bm, dom, "izero", "izero", f, t)
+                assert got.truncation == 0.0
+                assert np.sqrt(got.packet.distance2(want)) <= 1e-13 * scale
+
+
+def test_compressed_semigroup_reads_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compressed semigroup built a multiplier series")
+
+    # patch the engine's own binding too: evolution imports the name
+    monkeypatch.setattr(multipliers, "make_multiplier", refuse)
+    monkeypatch.setattr(evolution, "make_multiplier", refuse)
+    bm = make_boundary_matrix(w=0.05, theta=0.2, phi=0.1, psi=0.3)
+    dom = make_domain(2.0, 3.0)
+    f = mid_packet(dom)
+    compress_evolve(bm, dom, f, 7.5)
+    norm_decay_profile(bm, 1, [0.0, 2.5])
+    parseval_bound_check(bm, dom, f, t=0.4)
 
 
 def test_kernel_route_matches_engine():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twogap
-from twogap import multipliers
+from twogap import evolution, multipliers
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import eigenfunction_eval
 from twogap.errors import DegenerateRegime, GridTooCoarse, ValidationError
@@ -215,6 +215,7 @@ def test_quadrature_oracles_read_no_series(monkeypatch, generic):
         raise AssertionError("quadrature oracle built a multiplier series")
 
     monkeypatch.setattr(multipliers, "make_multiplier", refuse)
+    monkeypatch.setattr(evolution, "make_multiplier", refuse)
     bm, dom = generic
     f = StepPacket.box(-1.0, -0.25, 1.0) + StepPacket.box(1.3, 1.9, -0.5)
     g = StepPacket.box(-0.75, -0.1, 2.0 - 1.0j) + StepPacket.box(4.0, 5.0, 1.0)
