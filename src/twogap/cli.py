@@ -117,7 +117,7 @@ def _cmd_evolve(sc: Scenario, out: Path) -> int:
             packet = evolve_decoupled(bm, dom, f, float(t)).packet
             trunc = 0.0
         else:
-            result = evolve(bm, dom, f, float(t), eps=sc.eps)
+            result = evolve(bm, dom, f, float(t))
             packet, trunc = result.packet, result.truncation
         _write_csv(
             out / f"evolve_{i:03d}.csv",

@@ -11,6 +11,14 @@ keeps moving on I_minus, the transmitted geometric train enters the middle
 interval through a_inv, and the outgoing train leaves through a_inv_c (one
 direct reflection plus the resonance sum).
 
+Propagation is finite: by time t only about |t| / ell reflections have
+happened.  So the finite-time routines (``evolve``, ``block_matrix_entry``,
+``correlation``, ``cesaro_decay``) give ``block_row`` a pre-shift window
+and apply only the lattice terms that reach it; they are exact finite sums
+with no eps and truncation 0, at a cost that follows the reflections, not
+w.  ``scatter`` and ``translation_representation`` describe t = inf and
+keep the eps-truncated series.
+
 The same formulas hold for negative t (the derivation is time-sign-free);
 the adjoint relation <U(-t) f, g> = <f, U(t) g> is verified in the tests
 rather than used as a definition.
@@ -23,6 +31,7 @@ single line (exit at 0, re-enter at beta) with splice phase -e(psi - theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,7 @@ from .errors import (
 from .multipliers import (
     BLOCK_KIND,
     apply_multiplier,
+    causal_multiplier,
     make_multiplier,
 )
 from .packets import StepPacket, sum_packets
@@ -81,34 +91,63 @@ def decompose(f: StepPacket, domain: ExteriorDomain):
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Evolved packet plus the accumulated series-truncation budget."""
+    """Evolved packet plus its series-truncation budget (0 when exact)."""
 
     packet: StepPacket
     t: float
     truncation: float
 
 
-def block_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str, eps: float):
+def _finite_time(t) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
+    return t
+
+
+def block_row(
+    bm: BoundaryMatrix,
+    domain: ExteriorDomain,
+    parts,
+    dest: str,
+    *,
+    window=None,
+    eps=None,
+) -> StepPacket:
     """Row ``dest`` of the block matrix applied to component parts.
 
     ``parts`` holds one packet per source component, in COMPONENTS order;
     empty parts are skipped.  Returns the pre-shift packet
-    sum_src M[dest, src] parts[src] and its series-truncation budget
-    sum_src tail[dest, src] * ||parts[src]||.
+    sum_src M[dest, src] parts[src].  Give exactly one of:
+
+    * ``window``, a pre-shift interval (lo, hi): each entry is the exact
+      finite sum of its lattice terms that reach the window, so the packet
+      is exact on the window (and meaningless outside it);
+    * ``eps``: each entry is its whole series truncated at eps (the t = inf
+      pictures and the Laplace profile, which see every term).
     """
+    if (window is None) == (eps is None):
+        raise ValidationError("block_row needs exactly one of window and eps")
     pieces = []
-    trunc = 0.0
     for src, fsrc in zip(COMPONENTS, parts):
         if fsrc.is_empty:
             continue
         kind = BLOCK_KIND[(dest, src)]
         if kind == "identity":
             pieces.append(fsrc)
-        else:
+            continue
+        if window is None:
             m = make_multiplier(bm, domain, kind, eps)
-            pieces.append(apply_multiplier(m, fsrc))
-            trunc += m.tail * np.sqrt(fsrc.norm2())
-    return sum_packets(pieces), trunc
+        else:
+            m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
+        pieces.append(apply_multiplier(m, fsrc))
+    return sum_packets(pieces)
+
+
+def _window(domain: ExteriorDomain, dest: str, t: float):
+    """Where the dest component is before the shift by t."""
+    lo, hi = domain.component(dest)
+    return lo - t, hi - t
 
 
 def evolve(
@@ -116,20 +155,23 @@ def evolve(
     domain: ExteriorDomain,
     f: StepPacket,
     t: float,
-    eps: float = 1e-12,
 ) -> EvolutionResult:
-    """Unitary evolution U(t) f for w > 0 (any real t)."""
+    """Unitary evolution U(t) f for w > 0 (any finite real t).
+
+    Each row applies only the lattice terms that reach its component at
+    time t, about |t| / ell reflections, so the sum is exact (truncation 0)
+    and its cost does not depend on w.
+    """
+    t = _finite_time(t)
     if bm.w == 0.0:
         raise DegenerateRegime("w = 0 evolution is decoupled; use evolve_decoupled")
     parts = decompose(f, domain)
     out = []
-    trunc = 0.0
     for dest in COMPONENTS:
-        g, row_trunc = block_row(bm, domain, parts, dest, eps)
-        trunc += row_trunc
+        g = block_row(bm, domain, parts, dest, window=_window(domain, dest, t))
         if not g.is_empty:
             out.append(g.translate(t).restrict(*domain.component(dest)))
-    return EvolutionResult(packet=sum_packets(out), t=float(t), truncation=trunc)
+    return EvolutionResult(packet=sum_packets(out), t=t, truncation=0.0)
 
 
 def block_matrix_entry(
@@ -139,10 +181,10 @@ def block_matrix_entry(
     src: str,
     f: StepPacket,
     t: float,
-    eps: float = 1e-12,
 ) -> StepPacket:
     """The (dest, src) block of U(t) applied to f: restriction of the
     multiplier action of the src part, shifted by t, clipped to dest."""
+    t = _finite_time(t)
     if bm.w == 0.0:
         raise DegenerateRegime("block entries need w > 0")
     if dest not in COMPONENTS or src not in COMPONENTS:
@@ -151,7 +193,7 @@ def block_matrix_entry(
         f.restrict(*domain.component(tag)) if tag == src else StepPacket.zero()
         for tag in COMPONENTS
     ]
-    g, _ = block_row(bm, domain, parts, dest, eps)
+    g = block_row(bm, domain, parts, dest, window=_window(domain, dest, t))
     return g.translate(t).restrict(*domain.component(dest))
 
 
@@ -201,11 +243,12 @@ def evolve_decoupled(
     t: float,
 ) -> EvolutionResult:
     """Exact w = 0 evolution (wrap + splice); no series, no truncation."""
+    t = _finite_time(t)
     if bm.w != 0.0:
         raise NotDecoupled(f"evolve_decoupled needs w = 0, got w = {bm.w}")
     fm, f0, fp = decompose(f, domain)
     out = _wrap_middle(bm, domain, f0, t) + _splice_halflines(bm, domain, fm, fp, t)
-    return EvolutionResult(packet=out, t=float(t), truncation=0.0)
+    return EvolutionResult(packet=out, t=t, truncation=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +273,7 @@ def scatter(
     if sup is None or sup[1] > 1e-12:
         raise EmptySupport("incoming packet must be supported on the left half-line")
     zero = StepPacket.zero()
-    return block_row(bm, domain, (f_in, zero, zero), "iplus", eps)[0]
+    return block_row(bm, domain, (f_in, zero, zero), "iplus", eps=eps)
 
 
 def translation_representation(
@@ -251,7 +294,7 @@ def translation_representation(
     dest = {"+": "iplus", "-": "iminus"}.get(sign)
     if dest is None:
         raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
-    return block_row(bm, domain, decompose(f, domain), dest, eps)[0]
+    return block_row(bm, domain, decompose(f, domain), dest, eps=eps)
 
 
 # ----------------------------------------------------------------------
@@ -265,10 +308,9 @@ def correlation(
     f: StepPacket,
     g: StepPacket,
     t: float,
-    eps: float = 1e-12,
 ) -> complex:
     """<f, U(t) g> (conjugate-first pairing)."""
-    return f.inner(evolve(bm, domain, g, t, eps).packet)
+    return f.inner(evolve(bm, domain, g, t).packet)
 
 
 def cesaro_decay(
@@ -277,18 +319,25 @@ def cesaro_decay(
     f: StepPacket,
     g: StepPacket,
     horizons,
-    eps: float = 1e-12,
 ):
     """Cesàro averages (1/2T) int_{-T}^{T} |<f, U(t) g>|^2 dt, exactly.
 
     The correlation is piecewise linear in t (cell edges of the evolved
     packet crossing cell edges of f or component boundaries), so |corr|^2 is
     piecewise quadratic and per-interval Simpson integrates it exactly.
-    Only frequency-0 packets are supported here.
+    The rows of U(t) g are built once, on the windows that |t| <= max T
+    reaches.  Only frequency-0 packets are supported here.
     """
     _require_steps("cesaro_decay", f, g)
+    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
+    if not (horizons.size and np.all(np.isfinite(horizons)) and np.all(horizons > 0)):
+        raise ValidationError("Cesàro horizons must be positive and finite")
+    reach = float(np.max(horizons))
     g_parts = decompose(g, domain)
-    dest_packets = {d: block_row(bm, domain, g_parts, d, eps)[0] for d in COMPONENTS}
+    dest_packets = {}
+    for d in COMPONENTS:
+        lo, hi = domain.component(d)
+        dest_packets[d] = block_row(bm, domain, g_parts, d, window=(lo - reach, hi + reach))
     f_parts = {tag: f.restrict(*domain.component(tag)) for tag in COMPONENTS}
 
     def corr(t):
@@ -314,11 +363,8 @@ def cesaro_decay(
         crossing.append(np.subtract.outer(targets, gd.breakpoints()).ravel())
     crossing = np.unique(np.concatenate(crossing))
 
-    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
     out = np.empty(horizons.shape)
     for i, T in enumerate(horizons):
-        if T <= 0:
-            raise ValidationError("Cesàro horizon must be positive")
         inside = crossing[(crossing > -T) & (crossing < T)]
         pts = np.concatenate(([-T], inside, [T])).tolist()
         ends = [abs(corr(t)) ** 2 for t in pts]

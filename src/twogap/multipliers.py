@@ -10,10 +10,18 @@ with integer lattice indices n and step = alpha - 1.  On the spatial side
 
     (M f)(x) = scalar * sum_n  c_n f(x + base + n * step),
 
-i.e. a finite weighted sum of translates — exact on step packets.  The
-geometric series for the inverse coefficient functions are truncated at a
-relative tolerance eps; the ``tail`` field carries the sup-norm bound
-|scalar| * sum of dropped |c_n| so callers can budget truncation error.
+i.e. a weighted sum of translates — exact on step packets.  The inverse
+coefficient functions are geometric series, and every series is generated
+by one routine (``_lattice_series``) over a range of lattice indices:
+
+* ``causal_multiplier`` keeps exactly the terms that carry a given support
+  into a given window.  At a finite time only about |t| / step terms reach
+  the output, so every evolution is an exact finite sum (tail 0).
+* ``make_multiplier`` truncates the whole series at a relative tolerance
+  eps and caches it; the ``tail`` field carries the sup-norm bound
+  |scalar| * sum of dropped |c_n|.  Only the t = inf pictures (scattering,
+  the translation representations) and the Laplace profile of the
+  compressed semigroup, which see every term, use it.
 
 Kinds
 -----
@@ -40,6 +48,7 @@ from .packets import StepPacket, _assemble
 __all__ = [
     "MultiplierSeries",
     "make_multiplier",
+    "causal_multiplier",
     "apply_multiplier",
     "conjugate_multiplier",
     "compose_multipliers",
@@ -88,6 +97,8 @@ _CONJ_KIND = {
     "c_inv_a": "a_inv_c",
     "m_squared_inv": "m_squared_inv",
 }
+# kinds whose series is the conjugate of their partner's in _CONJ_KIND
+_MIRRORED = ("a_conj_inv", "c_conj_inv", "c_inv_a")
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,73 @@ def _geom_terms(q: float, eps: float) -> int:
     return n
 
 
+def _underflow_index(q: float) -> int:
+    """Largest n with q**n > 0: every term beyond it is an exact zero."""
+    if q == 0.0:
+        return 0
+    n = int(math.log(math.ulp(0.0)) / math.log(q))
+    while q ** (n + 1) > 0.0:
+        n += 1
+    while n > 0 and q**n == 0.0:
+        n -= 1
+    return n
+
+
+def _check_kind(bm: BoundaryMatrix, kind: str) -> None:
+    if kind not in MULTIPLIER_KINDS:
+        raise ValidationError(f"unknown multiplier kind {kind!r}")
+    if bm.w == 0.0 and kind != "identity":
+        raise DegenerateRegime(
+            f"multiplier {kind!r} needs w > 0 (decoupled regime has no "
+            "transmission; use the dedicated decoupled evolution)"
+        )
+
+
+def _lattice_series(bm, domain, kind, reach, tail) -> MultiplierSeries:
+    """The terms of an inverse kind whose lattice index n lies in
+    ``reach(base_shift)`` = (lo, hi), a float range that may be unbounded.
+
+    This is the one place the series coefficients are written: the kind's
+    own indices (n >= 0, n <= 0 or all n) are kept, up to the index where
+    q^|n| underflows to an exact zero.  The mirrored kinds are conjugates of
+    their partners, generated on the mirrored range.
+    """
+    if kind in _MIRRORED:
+
+        def mirrored(base):
+            lo, hi = reach(-base)
+            return -hi, -lo
+
+        partner = _lattice_series(bm, domain, _CONJ_KIND[kind], mirrored, tail)
+        return conjugate_multiplier(partner)
+    w, q = bm.w, bm.q
+    theta, phi, psi = bm.theta, bm.phi, bm.psi
+    gap = domain.gap
+    cap = _underflow_index(q)
+    # scalar, base shift and the train: weight * q^|n| e(-n psi), first <= n <= last
+    if kind == "a_inv":
+        scalar, base, weight, first, last = w * complex(e2pi(-phi)), -1.0, 1.0, 0, cap
+    elif kind == "c_inv":
+        scalar, base, weight, first, last = w * complex(e2pi(theta - phi)), gap, 1.0, -cap, 0
+    elif kind == "m_squared_inv":
+        scalar, base, weight, first, last = 1.0 + 0j, 0.0, 1.0, -cap, cap
+    elif kind == "a_inv_c":  # the direct reflection at n = -1, then w^2 times the train
+        scalar, base, weight, first, last = complex(e2pi(-theta)), -(gap + 1.0), w * w, 0, cap
+    else:
+        raise ValidationError(f"{kind!r} is not a lattice series")
+    lo, hi = reach(base)
+    lo = math.floor(max(lo, -cap - 1.0))
+    hi = math.ceil(min(hi, cap + 1.0))
+    coeffs = {}
+    if kind == "a_inv_c" and lo <= 0 and hi >= -1:
+        # the direct reflection; kept when the rounded range reaches n <= 0,
+        # so every eps series holds it
+        coeffs[-1] = -q * complex(e2pi(psi))
+    for n in range(max(lo, first), min(hi, last) + 1):
+        coeffs[n] = weight * q ** abs(n) * complex(e2pi(-n * psi))
+    return MultiplierSeries(scalar, base, domain.ell, coeffs, kind, tail)
+
+
 @functools.lru_cache(maxsize=256)
 def make_multiplier(
     bm: BoundaryMatrix,
@@ -150,61 +228,57 @@ def make_multiplier(
 ) -> MultiplierSeries:
     """Build one of the named series for (bm, domain) at tolerance eps.
 
+    This is the whole series, truncated: what the t = inf pictures and the
+    Laplace profile read.  A finite time reads ``causal_multiplier``.
     Series are cached per (bm, domain, kind, eps) and shared by every caller,
     so the result must be treated as read-only.
     """
-    if kind == "identity":
-        return MultiplierSeries(1.0 + 0j, 0.0, domain.ell, {0: 1.0 + 0j}, "identity", 0.0)
+    _check_kind(bm, kind)
     w, q = bm.w, bm.q
     theta, phi, psi = bm.theta, bm.phi, bm.psi
     ell, gap = domain.ell, domain.gap
-    if kind not in MULTIPLIER_KINDS:
-        raise ValidationError(f"unknown multiplier kind {kind!r}")
-    if w == 0.0:
-        raise DegenerateRegime(
-            f"multiplier {kind!r} needs w > 0 (decoupled regime has no "
-            "transmission; use the dedicated decoupled evolution)"
-        )
-
+    if kind == "identity":
+        return MultiplierSeries(1.0 + 0j, 0.0, ell, {0: 1.0 + 0j}, "identity", 0.0)
     if kind == "a":
         coeffs = {0: 1.0 + 0j, 1: -q * complex(e2pi(-psi))}
         return MultiplierSeries(complex(e2pi(phi)) / w, 1.0, ell, coeffs, "a", 0.0)
     if kind == "c":
         coeffs = {0: 1.0 + 0j, -1: -q * complex(e2pi(psi))}
         return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, coeffs, "c", 0.0)
-
-    n_terms = _geom_terms(q, eps)
-    geo_tail = q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
-
-    if kind == "a_inv":
-        coeffs = {n: q**n * complex(e2pi(-n * psi)) for n in range(n_terms + 1)}
-        return MultiplierSeries(
-            w * complex(e2pi(-phi)), -1.0, ell, coeffs, "a_inv", w * geo_tail
-        )
-    if kind == "c_inv":
-        coeffs = {-n: q**n * complex(e2pi(n * psi)) for n in range(n_terms + 1)}
-        return MultiplierSeries(
-            w * complex(e2pi(theta - phi)), gap, ell, coeffs, "c_inv", w * geo_tail
-        )
     if kind == "m_squared_inv":
-        k_terms = _geom_terms(q, eps / 2.0)
-        coeffs = {
-            k: q ** abs(k) * complex(e2pi(-k * psi))
-            for k in range(-k_terms, k_terms + 1)
-        }
-        tail = 2.0 * q ** (k_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
-        return MultiplierSeries(1.0 + 0j, 0.0, ell, coeffs, "m_squared_inv", tail)
-    if kind == "a_inv_c":
-        coeffs = {-1: -q * complex(e2pi(psi))}
-        for n in range(n_terms + 1):
-            coeffs[n] = w * w * q**n * complex(e2pi(-n * psi))
-        return MultiplierSeries(
-            complex(e2pi(-theta)), -(gap + 1.0), ell, coeffs, "a_inv_c",
-            w * w * geo_tail,
-        )
-    if kind in ("c_inv_a", "a_conj_inv", "c_conj_inv"):
-        return conjugate_multiplier(make_multiplier(bm, domain, _CONJ_KIND[kind], eps))
-    raise ValidationError(f"unknown multiplier kind {kind!r}")  # pragma: no cover
+        n_terms = _geom_terms(q, eps / 2.0)
+        tail = 2.0 * q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
+    else:
+        n_terms = _geom_terms(q, eps)
+        geo_tail = q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
+        tail = (w * w if kind in ("a_inv_c", "c_inv_a") else w) * geo_tail
+    return _lattice_series(bm, domain, kind, lambda base: (-n_terms, n_terms), tail)
+
+
+def causal_multiplier(
+    bm: BoundaryMatrix,
+    domain: ExteriorDomain,
+    kind: str,
+    support,
+    window,
+) -> MultiplierSeries:
+    """Every term of ``kind`` that carries a packet supported on ``support``
+    into the open interval ``window``; exact, so its tail is 0.
+
+    Term n sends (a, b) to (a - s, b - s) with s = base + n * step, and it is
+    kept when a - s < window[1] and b - s > window[0] (the index range is
+    rounded outward, so a term at the edge may be kept with no overlap).
+    A window bounded on the side where the kind's indices are bounded makes
+    the series finite; so does the underflow of q^|n|.  Not cached.
+    """
+    _check_kind(bm, kind)
+    (a, b), (win_lo, win_hi) = support, window
+    step = domain.ell
+
+    def reach(base):
+        return (a - win_hi - base) / step, (b - win_lo - base) / step
+
+    return _lattice_series(bm, domain, kind, reach, 0.0)
 
 
 def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:

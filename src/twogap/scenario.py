@@ -12,6 +12,7 @@ differently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -123,7 +124,13 @@ def _object(obj, keys: set, where: str) -> dict:
 def _as_float(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"expected a number for {where}, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number for {where}, got {x!r}")
+    return value
 
 
 def _grid(spec, where: str) -> np.ndarray:
@@ -148,16 +155,13 @@ def _parse_cell(cell, where: str):
     lo = _as_float(_need(cell, "lo", where), f"{where}.lo")
     hi = _as_float(_need(cell, "hi", where), f"{where}.hi")
     value = _need(cell, "value", where)
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}.value must be [re, im]")
+    real, imag = (_as_float(v, f"{where}.value") for v in value)
     freq = cell.get("freq", 0)
     if isinstance(freq, bool) or not isinstance(freq, int):
         raise ParseError(f"{where}.freq must be an integer")
-    return StepPacket.box(lo, hi, complex(value[0], value[1]), freq=freq)
+    return StepPacket.box(lo, hi, complex(real, imag), freq=freq)
 
 
 def _parse_packets(spec, where: str) -> dict[str, StepPacket]:

@@ -380,7 +380,7 @@ def compressed_resolvent_profile(
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
     _require_on(f, *domain.component("izero"), "resolvent input")
     zero = StepPacket.zero()
-    ef, _ = block_row(bm, domain, (zero, f, zero), "izero", eps)
+    ef = block_row(bm, domain, (zero, f, zero), "izero", eps=eps)
     t_max = -np.log(1e-12) / lam.real
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     out = np.empty(x_grid.shape, dtype=complex)

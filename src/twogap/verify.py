@@ -109,15 +109,15 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
     norm0 = f.norm2()
     ts = sc.grid("time_grid", _TIME_GRID)
 
-    drift = max(abs(evolve(bm, dom, f, t, sc.eps).packet.norm2() - norm0) for t in ts)
+    drift = max(abs(evolve(bm, dom, f, t).packet.norm2() - norm0) for t in ts)
     out.append(_judge("evolution_unitary", drift, 1e-10))
 
     t1, t2 = (float(ts[-1]), float(ts[len(ts) // 2]))
-    once = evolve(bm, dom, f, t1 + t2, sc.eps).packet
-    twice = evolve(bm, dom, evolve(bm, dom, f, t1, sc.eps).packet, t2, sc.eps).packet
+    once = evolve(bm, dom, f, t1 + t2).packet
+    twice = evolve(bm, dom, evolve(bm, dom, f, t1).packet, t2).packet
     out.append(_judge("evolution_group_law", np.sqrt(once.distance2(twice)), 1e-9))
 
-    back = evolve(bm, dom, evolve(bm, dom, f, t1, sc.eps).packet, -t1, sc.eps).packet
+    back = evolve(bm, dom, evolve(bm, dom, f, t1).packet, -t1).packet
     out.append(_judge("evolution_inverse", np.sqrt(back.distance2(f)), 1e-9))
 
     if all(n == 0 for n in f.frequencies()):
@@ -136,7 +136,7 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
     for sign in ("+", "-"):
         rep_f = translation_representation(bm, dom, f, sign, sc.eps)
         rep_uf = translation_representation(
-            bm, dom, evolve(bm, dom, f, s, sc.eps).packet, sign, sc.eps
+            bm, dom, evolve(bm, dom, f, s).packet, sign, sc.eps
         )
         gap = np.sqrt(rep_uf.distance2(rep_f.translate(s)))
         out.append(_judge(f"translation_rep_intertwines_{sign}", gap, 1e-9))
@@ -279,7 +279,7 @@ def _decay_checks(sc: Scenario) -> list[CheckResult]:
     horizons = [h for h in sc.time_grid if h > 0][-3:]
     if len(horizons) < 2:
         return []
-    vals = cesaro_decay(bm, dom, f, g, horizons, sc.eps)
+    vals = cesaro_decay(bm, dom, f, g, horizons)
     mono = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     return [
         CheckResult(

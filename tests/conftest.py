@@ -4,8 +4,8 @@ import pytest
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.packets import StepPacket
 
-# random couplings stay inside [0.3, 0.95]: the series engines are exact for
-# any 0 < w < 1 but their term counts blow up like log(eps)/log(q) as w -> 0,
+# random couplings stay inside [0.3, 0.95]: the eps series (scattering, the
+# translation representations) grow like log(eps)/log(q) terms as w -> 0,
 # and w -> 1 collapses q -> 0 making the draw uninformative
 W_RANGE = (0.3, 0.95)
 

@@ -1,8 +1,11 @@
 """Unitary evolution, scattering action, translation representations."""
 
+import math
+
 import numpy as np
 import pytest
 
+from twogap import evolution, multipliers
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -13,6 +16,7 @@ from twogap.errors import (
 )
 from twogap.evolution import (
     block_matrix_entry,
+    block_row,
     cesaro_decay,
     correlation,
     decompose,
@@ -21,6 +25,7 @@ from twogap.evolution import (
     scatter,
     translation_representation,
 )
+from twogap.multipliers import BLOCK_KIND, make_multiplier
 from twogap.packets import StepPacket, sum_packets
 
 from conftest import random_boundary, random_geometry, random_packet
@@ -59,6 +64,7 @@ def test_unitarity_and_group_law_battery():
         n2 = f.norm2()
         for t in (-2.3, -0.4, 0.7, 3.1):
             res = evolve(bm, dom, f, t)
+            assert res.truncation == 0.0
             assert abs(res.packet.norm2() - n2) < 1e-10 * max(1.0, n2)
         for s, t in ((0.6, 1.1), (-0.9, 2.4), (1.7, -1.7)):
             two_step = evolve(bm, dom, evolve(bm, dom, f, t).packet, s).packet
@@ -287,3 +293,94 @@ def test_error_paths():
         cesaro_decay(bm, dom, StepPacket.box(-1.0, -0.5, 1.0, freq=2), f, [1.0])
     with pytest.raises(ValidationError):
         cesaro_decay(bm, dom, f, f, [0.0])
+
+
+# seven cells over all three components of alpha = 2, beta = 10/3, three of
+# them oscillating
+_WINDOW_DOMAIN = make_domain(2.0, 10.0 / 3.0)
+_WINDOW_F = (
+    StepPacket.box(-2.3, -1.4, 0.8 - 0.3j)
+    + StepPacket.box(-1.1, -0.2, 1.2j, freq=1)
+    + StepPacket.box(1.1, 1.45, -0.6 + 0.5j, freq=1)
+    + StepPacket.box(1.6, 1.95, 0.9)
+    + StepPacket.box(3.5, 4.2, 0.4 - 1.1j)
+    + StepPacket.box(4.6, 5.3, -0.7, freq=1)
+    + StepPacket.box(5.9, 6.4, 0.3 + 0.2j)
+)
+_COMPONENTS = ("iminus", "izero", "iplus")
+
+
+def test_window_matches_full_series():
+    # the causal window against every row's whole series at eps = 1e-15,
+    # built once per w, then shifted and clipped per t
+    dom, f = _WINDOW_DOMAIN, _WINDOW_F
+    scale = np.sqrt(f.norm2())
+    parts = decompose(f, dom)
+    for w in (1.0, 0.9, 0.5, 0.2, 0.05):
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+        rows = {d: block_row(bm, dom, parts, d, eps=1e-15) for d in _COMPONENTS}
+        budget = sum(
+            make_multiplier(bm, dom, BLOCK_KIND[(d, s)], 1e-15).tail * np.sqrt(p.norm2())
+            for d in _COMPONENTS
+            for s, p in zip(_COMPONENTS, parts)
+            if not p.is_empty
+        )
+        for t in (0.0, 0.5, 3.0, 20.0, -7.0, 100.0):
+            ref = sum_packets(
+                [rows[d].translate(t).restrict(*dom.component(d)) for d in _COMPONENTS]
+            )
+            res = evolve(bm, dom, f, t)
+            assert res.truncation == 0.0
+            assert np.sqrt(res.packet.distance2(ref)) <= 1e-14 * scale + budget
+
+
+def test_evolution_reads_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolution built a multiplier series")
+
+    # patch the engine's own binding too: evolution imports the name
+    monkeypatch.setattr(multipliers, "make_multiplier", refuse)
+    monkeypatch.setattr(evolution, "make_multiplier", refuse)
+    bm = make_boundary_matrix(w=0.05, theta=0.15, phi=0.3, psi=0.45)
+    dom, f = _WINDOW_DOMAIN, _WINDOW_F
+    g = StepPacket.box(-1.0, -0.4, 1.0) + StepPacket.box(1.2, 1.7, 0.5)
+    evolve(bm, dom, f, 7.5)
+    block_matrix_entry(bm, dom, "iplus", "iminus", f, 7.5)
+    correlation(bm, dom, f, f, -3.0)
+    cesaro_decay(bm, dom, g, g, [2.0, 5.0])
+
+
+def test_evolve_cost_follows_reflections(monkeypatch):
+    # at w = 0.05 the eps series holds tens of thousands of terms; the window
+    # applies about |t| / ell of them per row
+    applied = []
+    apply = multipliers.apply_multiplier
+
+    def counting(m, packet):
+        applied.append(len(m.coeffs))
+        return apply(m, packet)
+
+    monkeypatch.setattr(evolution, "apply_multiplier", counting)
+    bm = make_boundary_matrix(w=0.05, theta=0.15, phi=0.3, psi=0.45)
+    dom, f, t = _WINDOW_DOMAIN, _WINDOW_F, 100.0
+    res = evolve(bm, dom, f, t)
+    assert res.truncation == 0.0
+    width = f.support()[1] - f.support()[0]
+    assert 0 < sum(applied) <= 3 * (math.ceil((abs(t) + width) / dom.ell) + 3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_time_rejected(bad):
+    bm = make_boundary_matrix(w=0.6)
+    dom = make_domain(2.0, 3.0)
+    f = StepPacket.box(-1.0, -0.5, 1.0)
+    with pytest.raises(ValidationError):
+        evolve(bm, dom, f, bad)
+    with pytest.raises(ValidationError):
+        block_matrix_entry(bm, dom, "iplus", "iminus", f, bad)
+    with pytest.raises(ValidationError):
+        correlation(bm, dom, f, f, bad)
+    with pytest.raises(ValidationError):
+        cesaro_decay(bm, dom, f, f, [1.0, bad])
+    with pytest.raises(ValidationError):
+        evolve_decoupled(make_boundary_matrix(w=0.0), dom, f, bad)

@@ -11,6 +11,7 @@ from twogap.multipliers import (
     apply_multiplier,
     block_multiplier,
     block_multiplier_composed,
+    causal_multiplier,
     compose_multipliers,
     conjugate_multiplier,
     make_multiplier,
@@ -246,3 +247,37 @@ def test_shifts_follow_lattice():
     shifts = m.terms()[0]
     assert shifts[0] == pytest.approx(-1.0)
     assert np.allclose(np.diff(shifts), dom.ell)
+
+
+_INVERSE_KINDS = [k for k in MULTIPLIER_KINDS if k not in ("identity", "a", "c")]
+
+
+@pytest.mark.parametrize("w", [1.0, 0.7, 0.2])
+@pytest.mark.parametrize("kind", _INVERSE_KINDS)
+def test_causal_terms_are_series_terms(kind, w):
+    # one generator: a window's terms carry the same coefficients as the
+    # eps series, and exactly the indices whose image meets the window
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+    dom = make_domain(2.25, 3.75)
+    full = make_multiplier(bm, dom, kind, eps=1e-15)
+    support, window = (-1.3, -0.2), (-4.0, 6.5)
+    m = causal_multiplier(bm, dom, kind, support, window)
+    assert (m.scalar, m.base_shift, m.step, m.tail) == (full.scalar, full.base_shift, dom.ell, 0.0)
+    reaching = {
+        n for n in full.coeffs
+        if support[0] - (full.base_shift + n * dom.ell) < window[1]
+        and support[1] - (full.base_shift + n * dom.ell) > window[0]
+    }
+    assert reaching <= set(m.coeffs) <= set(full.coeffs)
+    assert len(m.coeffs) <= len(reaching) + 2
+    assert all(c == full.coeffs[n] for n, c in m.coeffs.items())
+
+
+def test_causal_needs_a_lattice_series():
+    bm = make_boundary_matrix(w=0.5)
+    dom = make_domain(2.0, 3.0)
+    for kind in ("identity", "a", "c", "nonsense"):
+        with pytest.raises(ValidationError):
+            causal_multiplier(bm, dom, kind, (-1.0, 0.0), (0.0, 1.0))
+    with pytest.raises(DegenerateRegime):
+        causal_multiplier(make_boundary_matrix(w=0.0), dom, "a_inv", (-1.0, 0.0), (0.0, 1.0))

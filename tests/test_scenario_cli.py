@@ -291,11 +291,46 @@ def test_scenario_bad_eps_rejected(tmp_path, eps):
 
 
 def test_cli_eps_override(tmp_path):
-    out = tmp_path / "run"
-    rc = main(
-        ["evolve", "--scenario", "example_5_9", "--out", str(out), "--eps", "1e-6"]
-    )
-    assert rc == 0
-    rows = (out / "evolve_norms.csv").read_text().splitlines()
-    truncs = [float(r.split(",")[2]) for r in rows[1:]]
-    assert max(truncs) > 1e-9  # cruder series cutoff is visible in the budget
+    # eps truncates only the series of the t = inf pictures (scatter); every
+    # evolution is an exact finite sum, so its truncation budget is 0
+    runs = {}
+    for label, extra in (("default", []), ("crude", ["--eps", "1e-6"])):
+        for command in ("evolve", "scatter"):
+            out = tmp_path / label / command
+            rc = main([command, "--scenario", "example_5_9", "--out", str(out)] + extra)
+            assert rc == 0
+        runs[label] = tmp_path / label
+    assert (runs["crude"] / "scatter" / "scatter.csv").read_bytes() != (
+        runs["default"] / "scatter" / "scatter.csv"
+    ).read_bytes()
+    for run in runs.values():
+        rows = (run / "evolve" / "evolve_norms.csv").read_text().splitlines()
+        assert rows[0] == "t,norm2,truncation"
+        assert all(float(r.split(",")[2]) == 0.0 for r in rows[1:])
+
+
+def _nonfinite(payload, where, value):
+    if where == "time_grid":
+        payload["time_grid"] = [0.5, value]
+    elif where == "lambda_grid":
+        payload["lambda_grid"] = [-1.0, value]
+    else:
+        payload["packets"]["f"][0]["value"] = [value, 0.0]
+    return payload
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["time_grid", "lambda_grid", "packet value"])
+def test_scenario_nonfinite_number_rejected(tmp_path, where, value):
+    payload = _nonfinite(json.loads(json.dumps(GOOD)), where, value)
+    path = write(tmp_path, payload)  # json writes NaN / Infinity literals
+    with pytest.raises(ParseError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("where", ["time_grid", "lambda_grid", "packet value"])
+@pytest.mark.parametrize("command", ["evolve", "semigroup", "verify"])
+def test_cli_nonfinite_number_exits_2(tmp_path, command, where):
+    payload = json.loads((resources.files("twogap") / "scenarios/example_5_9.json").read_text())
+    path = write(tmp_path, _nonfinite(payload, where, float("inf")))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
