@@ -1,18 +1,18 @@
 """Command-line front end.
 
-    twogap <command> --scenario <file-or-bundled-name> [--out DIR] [options]
+    twogap <command> --scenario <file-or-bundled-name> [--out DIR]
 
 Commands write deterministic CSV (every float through repr-faithful %.17g)
-so runs can be diffed byte for byte.  Exit codes: 0 on success, 1 when a
-computation or verification fails, 2 for unusable input (bad scenario
-file, missing packets, malformed arguments).
+so runs can be diffed byte for byte; no option sets a tolerance (the
+series cut is fixed).  Exit codes: 0 on success, 1 when a computation or
+verification fails, 2 for unusable input (bad scenario file, missing
+packets, malformed arguments).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +132,7 @@ def _cmd_evolve(sc: Scenario, out: Path) -> int:
 def _cmd_scatter(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
-    outgoing = scatter(bm, dom, f, eps=sc.eps)
+    outgoing = scatter(bm, dom, f)
     _write_csv(out / "scatter.csv", ["x", "re", "im", "abs2"], _packet_rows(outgoing))
     rows = []
     for la in sc.grid("lambda_grid"):
@@ -242,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
             f"({', '.join(bundled_names())})",
         )
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--eps", type=float, default=None, help="override series cutoff")
     return parser
 
 
@@ -254,8 +253,6 @@ def main(argv=None) -> int:
             sc = load_scenario(candidate)
         else:
             sc = bundled_scenario(args.scenario)
-        if args.eps is not None:
-            sc = replace(sc, eps=args.eps)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](sc, out)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import OrderingViolation, RangeViolation
+from .errors import OrderingViolation, RangeViolation, ValidationError
 
 __all__ = [
     "TWO_PI",
@@ -47,6 +47,14 @@ def e2pi(x):
     e2pi; angles in radians never appear in public interfaces.
     """
     return np.exp(1j * TWO_PI * np.asarray(x, dtype=float))
+
+
+def _real_lambda(lam) -> np.ndarray:
+    """lam as a float array; ValidationError unless every value is real."""
+    lam = np.asarray(lam)
+    if np.iscomplexobj(lam) and np.any(lam.imag):
+        raise ValidationError("lambda must be real")
+    return np.asarray(lam.real, dtype=float)
 
 
 class Region(Enum):

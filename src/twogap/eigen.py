@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, Region, classify_point, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, Region, _real_lambda, classify_point, e2pi
 from .errors import DegenerateRegime, NotDecoupled, OutOfDomain, ValidationError
 
 __all__ = [
@@ -78,7 +78,7 @@ def transfer_H(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
 def eigen_coeffs(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> EigenCoefficients:
     """Closed-form coefficients a, c plus H and the modulus m = |a| = |c|."""
     _require_coupled(bm, "eigen_coeffs")
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_lambda(lam)
     w, q = bm.w, bm.q
     ell, gap = domain.ell, domain.gap
     a = (e2pi(bm.phi + lam) / w) * (1.0 - q * e2pi(-bm.psi + ell * lam))

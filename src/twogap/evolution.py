@@ -15,9 +15,10 @@ Propagation is finite: by time t only about |t| / ell reflections have
 happened.  So the finite-time routines (``evolve``, ``block_matrix_entry``,
 ``correlation``, ``cesaro_decay``) give ``block_row`` a pre-shift window
 and apply only the lattice terms that reach it; they are exact finite sums
-with no eps and truncation 0, at a cost that follows the reflections, not
-w.  ``scatter`` and ``translation_representation`` describe t = inf and
-keep the eps-truncated series.
+with truncation 0, at a cost that follows the reflections, not w.
+``scatter`` and ``translation_representation`` describe t = inf and read
+the whole series, cut once at the fixed 1e-12 default of
+``make_multiplier``.
 
 The same formulas hold for negative t (the derivation is time-sign-free);
 the adjoint relation <U(-t) f, g> = <f, U(t) g> is verified in the tests
@@ -112,22 +113,17 @@ def block_row(
     dest: str,
     *,
     window=None,
-    eps=None,
 ) -> StepPacket:
     """Row ``dest`` of the block matrix applied to component parts.
 
     ``parts`` holds one packet per source component, in COMPONENTS order;
     empty parts are skipped.  Returns the pre-shift packet
-    sum_src M[dest, src] parts[src].  Give exactly one of:
-
-    * ``window``, a pre-shift interval (lo, hi): each entry is the exact
-      finite sum of its lattice terms that reach the window, so the packet
-      is exact on the window (and meaningless outside it);
-    * ``eps``: each entry is its whole series truncated at eps (the t = inf
-      pictures and the Laplace profile, which see every term).
+    sum_src M[dest, src] parts[src].  With a pre-shift ``window`` (lo, hi)
+    each entry is the exact finite sum of its lattice terms that reach the
+    window, so the packet is exact on the window (and meaningless outside
+    it); without one each entry is its whole series at the default cut of
+    ``make_multiplier`` (the t = inf pictures, which see every term).
     """
-    if (window is None) == (eps is None):
-        raise ValidationError("block_row needs exactly one of window and eps")
     pieces = []
     for src, fsrc in zip(COMPONENTS, parts):
         if fsrc.is_empty:
@@ -137,7 +133,7 @@ def block_row(
             pieces.append(fsrc)
             continue
         if window is None:
-            m = make_multiplier(bm, domain, kind, eps)
+            m = make_multiplier(bm, domain, kind)
         else:
             m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
         pieces.append(apply_multiplier(m, fsrc))
@@ -260,7 +256,6 @@ def scatter(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
     f_in: StepPacket,
-    eps: float = 1e-12,
 ) -> StepPacket:
     """Map an incoming packet (supported on I_minus) to its outgoing image.
 
@@ -273,7 +268,7 @@ def scatter(
     if sup is None or sup[1] > 1e-12:
         raise EmptySupport("incoming packet must be supported on the left half-line")
     zero = StepPacket.zero()
-    return block_row(bm, domain, (f_in, zero, zero), "iplus", eps=eps)
+    return block_row(bm, domain, (f_in, zero, zero), "iplus")
 
 
 def translation_representation(
@@ -281,7 +276,6 @@ def translation_representation(
     domain: ExteriorDomain,
     f: StepPacket,
     sign: str,
-    eps: float = 1e-12,
 ) -> StepPacket:
     """Outgoing ('+') or incoming ('-') translation representer of f.
 
@@ -294,7 +288,7 @@ def translation_representation(
     dest = {"+": "iplus", "-": "iminus"}.get(sign)
     if dest is None:
         raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
-    return block_row(bm, domain, decompose(f, domain), dest, eps=eps)
+    return block_row(bm, domain, decompose(f, domain), dest)
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,8 @@ by one routine (``_lattice_series``) over a range of lattice indices:
 * ``make_multiplier`` truncates the whole series at a relative tolerance
   eps and caches it; the ``tail`` field carries the sup-norm bound
   |scalar| * sum of dropped |c_n|.  Only the t = inf pictures (scattering,
-  the translation representations) and the Laplace profile of the
-  compressed semigroup, which see every term, use it.
+  the translation representations), which see every term, use it, at the
+  default eps = 1e-12; other values serve the tail-bound tests.
 
 Kinds
 -----
@@ -228,8 +228,8 @@ def make_multiplier(
 ) -> MultiplierSeries:
     """Build one of the named series for (bm, domain) at tolerance eps.
 
-    This is the whole series, truncated: what the t = inf pictures and the
-    Laplace profile read.  A finite time reads ``causal_multiplier``.
+    This is the whole series, truncated: what the t = inf pictures read.
+    A finite time or horizon reads ``causal_multiplier``.
     Series are cached per (bm, domain, kind, eps) and shared by every caller,
     so the result must be treated as read-only.
     """

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import e2pi
+from .domain import _real_lambda, e2pi
 from .errors import OrderingViolation, ValidationError
 
 __all__ = [
@@ -361,11 +361,11 @@ class StepPacket:
     def transform(self, lam) -> np.ndarray:
         """Fourier transform f^(lambda) = integral f(x) e(-lambda x) dx.
 
-        Vectorized over a grid of real (or complex-with-real-part) lambda.
+        Vectorized over a grid of real lambda (ValidationError otherwise).
         Exact per cell: each frequency-n cell contributes through
         osc_integral(u, v, n - lambda).
         """
-        lam = np.asarray(lam, dtype=float)
+        lam = _real_lambda(lam)
         scalar = lam.ndim == 0
         lam = np.atleast_1d(lam)
         out = np.zeros(lam.shape, dtype=complex)

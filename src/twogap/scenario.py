@@ -1,5 +1,5 @@
 """Scenario files: JSON descriptions of a run (geometry, coupling, packets,
-grids, tolerances) consumed by the command-line tools.
+grids) consumed by the command-line tools; no tolerance is set in them.
 
 Malformed input (bad JSON, wrong types, missing keys, unknown keys inside
 a fixed-schema section) raises ParseError; structurally sound input with
@@ -26,7 +26,7 @@ from .domain import (
     make_boundary_matrix,
     make_domain,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .packets import StepPacket, sum_packets
 
 __all__ = ["Scenario", "load_scenario", "bundled_scenario", "bundled_names"]
@@ -42,13 +42,7 @@ class Scenario:
     packets: dict[str, StepPacket]
     time_grid: np.ndarray
     lambda_grid: np.ndarray
-    eps: float
     extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # also runs on dataclasses.replace, which is how --eps overrides it
-        if not (self.eps > 0.0 and np.isfinite(self.eps)):
-            raise ValidationError(f"eps must be positive and finite, got {self.eps!r}")
 
     def packet(self, name: str) -> StepPacket:
         try:
@@ -213,7 +207,8 @@ def _parse(text: str, origin: str) -> Scenario:
             psi=_as_float(b.get("psi", 0.0), "boundary.psi"),
         )
 
-    tolerances = _object(raw.get("tolerances", {}), {"eps"}, f"{origin}: tolerances")
+    if "tolerances" in raw:
+        raise ParseError(f"{origin}: tolerances cannot be set; the series cut is fixed at 1e-12")
 
     return Scenario(
         name=name,
@@ -222,7 +217,6 @@ def _parse(text: str, origin: str) -> Scenario:
         packets=_parse_packets(raw.get("packets"), "packets"),
         time_grid=_grid(raw.get("time_grid"), "time_grid"),
         lambda_grid=_grid(raw.get("lambda_grid"), "lambda_grid"),
-        eps=_as_float(tolerances.get("eps", 1e-12), "tolerances.eps"),
         extras={
             k: v
             for k, v in raw.items()
@@ -235,7 +229,6 @@ def _parse(text: str, origin: str) -> Scenario:
                 "packets",
                 "time_grid",
                 "lambda_grid",
-                "tolerances",
             }
         },
     )

@@ -21,7 +21,8 @@ the packet engine.
 
 The module also carries the plain one-interval comparison semigroup (shift
 and truncate), its generator's resolvent in closed form, and the Laplace-
-transform route to the compressed resolvent.
+transform route to the compressed resolvent (on the causal window of its
+horizon).  A non-finite time is a ValidationError everywhere.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .eigen import eigen_coeffs
-from .evolution import EvolutionResult, _wrap_middle, block_row
+from .evolution import EvolutionResult, _finite_time, _wrap_middle, block_row
 from .packets import StepPacket
 from .quadrature import _FOLD_TOL, gauss_panels, lattice_sum, periodic_nodes
 from .spectral import density
@@ -81,14 +82,15 @@ def compress_evolve(
 ) -> EvolutionResult:
     """Z(t) f for f on the middle interval and t >= 0: the damped wrap
     (z = ``bm.b_entry`` per pass), which is exact, so the truncation is 0."""
+    t = _finite_time(t)
     if bm.w == 0.0:
         raise DegenerateRegime("compressed semigroup needs w > 0")
     if t < 0:
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {t}")
     lo, hi = domain.component("izero")
     _require_on(f, lo, hi, "compress_evolve input")
-    g = _wrap_middle(bm, domain, f.restrict(lo, hi), float(t))
-    return EvolutionResult(packet=g, t=float(t), truncation=0.0)
+    g = _wrap_middle(bm, domain, f.restrict(lo, hi), t)
+    return EvolutionResult(packet=g, t=t, truncation=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +203,7 @@ def semigroup_kernel_apply(
     provenance sample; compare against the transform of the packet-engine
     compression (they agree at the 1e-8 level; tested, never assumed).
     """
+    t = _finite_time(t)
     if bm.w == 0.0:
         raise DegenerateRegime("semigroup kernel needs w > 0")
     if t < 0:
@@ -212,7 +215,7 @@ def semigroup_kernel_apply(
     center = 0.5 * (lo + hi)
     f_c = f.translate(-center)
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    vals = _kernel_transform_oracle(bm, f_c, float(t), lam) * e2pi(-lam * center)
+    vals = _kernel_transform_oracle(bm, f_c, t, lam) * e2pi(-lam * center)
     return TransformSample(grid=lam, values=vals, provenance="quadrature", bm=bm)
 
 
@@ -257,7 +260,7 @@ def norm_decay_profile(
     """
     if bm.w == 0.0:
         raise DegenerateRegime("norm decay profile needs w > 0")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_grid = np.array([_finite_time(t) for t in np.atleast_1d(t_grid)])
     if np.any(t_grid < 0):
         raise NegativeTime("profile times must be >= 0")
     f = StepPacket.box(-0.5, 0.5, 1.0, freq=int(n))
@@ -320,6 +323,7 @@ class SampledProfile:
 
 def spatial_semigroup(domain: ExteriorDomain, f: StepPacket, t: float) -> StepPacket:
     """Shift-and-truncate semigroup on the middle interval (no coupling)."""
+    t = _finite_time(t)
     if t < 0:
         raise NegativeTime(f"needs t >= 0, got {t}")
     lo, hi = domain.component("izero")
@@ -365,23 +369,22 @@ def compressed_resolvent_profile(
     lam: complex,
     f: StepPacket,
     x_grid,
-    eps: float = 1e-12,
 ) -> SampledProfile:
     """Laplace transform of the compressed evolution on an x grid.
 
-    (R f)(x) = int_0^inf e^{-lam t} (Z(t) f)(x) dt with the integrand
-    piecewise exponential in t (breakpoints where the shifted series cells
-    cross x); order-16 Gauss-Legendre per breakpoint panel is exact to
-    machine precision, and the horizon is cut once e^{-T Re lam} <= 1e-12
-    relative.
+    (R f)(x) = int_0^T e^{-lam t} (E f)(x - t) dt, E the density row, with
+    the horizon cut once e^{-T Re lam} <= 1e-12, so E is read exactly on its
+    causal window (1 - T, alpha).  The integrand is piecewise exponential in
+    t (breakpoints where the cells of E cross x); order-16 Gauss-Legendre
+    per breakpoint panel is exact to machine precision.
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
     _require_on(f, *domain.component("izero"), "resolvent input")
-    zero = StepPacket.zero()
-    ef = block_row(bm, domain, (zero, f, zero), "izero", eps=eps)
     t_max = -np.log(1e-12) / lam.real
+    zero = StepPacket.zero()
+    ef = block_row(bm, domain, (zero, f, zero), "izero", window=(1.0 - t_max, domain.alpha))
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     out = np.empty(x_grid.shape, dtype=complex)
     edges_src = ef.breakpoints()
@@ -415,7 +418,6 @@ def resolvent_comparison(
     lam: complex,
     f: StepPacket,
     x_grid,
-    eps: float = 1e-12,
 ):
     """Three resolvent routes on one x grid, with their discrepancies.
 
@@ -426,7 +428,7 @@ def resolvent_comparison(
     'rescaled_discrepancy' (a reported quantity, not an identity: it
     vanishes in the transparent case and grows as w decreases).
     """
-    laplace = compressed_resolvent_profile(bm, domain, lam, f, x_grid, eps)
+    laplace = compressed_resolvent_profile(bm, domain, lam, f, x_grid)
     closed = _compressed_resolvent_closed(bm, domain, lam, f, x_grid)
     m0 = float(np.abs(eigen_coeffs(bm, domain, 0.0).a))
     rescaled = spatial_resolvent(domain, complex(lam) * m0**2, f, x_grid)

@@ -134,10 +134,8 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
 
     s = float(ts[-1]) if ts.size else 1.0
     for sign in ("+", "-"):
-        rep_f = translation_representation(bm, dom, f, sign, sc.eps)
-        rep_uf = translation_representation(
-            bm, dom, evolve(bm, dom, f, s).packet, sign, sc.eps
-        )
+        rep_f = translation_representation(bm, dom, f, sign)
+        rep_uf = translation_representation(bm, dom, evolve(bm, dom, f, s).packet, sign)
         gap = np.sqrt(rep_uf.distance2(rep_f.translate(s)))
         out.append(_judge(f"translation_rep_intertwines_{sign}", gap, 1e-9))
     return out

@@ -4,9 +4,10 @@ import pytest
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.packets import StepPacket
 
-# random couplings stay inside [0.3, 0.95]: the eps series (scattering, the
-# translation representations) grow like log(eps)/log(q) terms as w -> 0,
-# and w -> 1 collapses q -> 0 making the draw uninformative
+# random couplings stay inside [0.3, 0.95]: the whole series of the t = inf
+# pictures (scattering, the translation representations), cut at 1e-12,
+# grow like log(1e-12)/log(q) terms as w -> 0, and w -> 1 collapses q -> 0
+# making the draw uninformative
 W_RANGE = (0.3, 0.95)
 
 

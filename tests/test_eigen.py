@@ -17,6 +17,7 @@ from twogap.eigen import (
     transfer_H,
 )
 from twogap.errors import DegenerateRegime, NotDecoupled, OutOfDomain, ValidationError
+from twogap.packets import StepPacket
 
 from conftest import random_boundary, random_geometry
 
@@ -183,3 +184,14 @@ def test_classify_point_edges():
     assert classify_point(dom, 2.0) is Region.BOUNDARY
     assert classify_point(dom, 0.5) is Region.BARRIER_1
     assert classify_point(dom, 2.5) is Region.BARRIER_2
+
+
+@pytest.mark.parametrize("lam", [0.5 + 0.25j, np.array([0.0, 1.0 - 0.5j]), [0.3j]])
+def test_complex_lambda_rejected(ex59, lam):
+    # complex lambda (resonances) is not supported yet: refuse it rather
+    # than drop the imaginary part
+    bm, dom = ex59
+    with pytest.raises(ValidationError):
+        eigen_coeffs(bm, dom, lam)
+    with pytest.raises(ValidationError):
+        StepPacket.box(-1.0, -0.5, 1.0).transform(lam)

@@ -29,7 +29,6 @@ GOOD = {
     },
     "time_grid": {"start": 0.0, "stop": 2.0, "num": 5},
     "lambda_grid": [-1.0, 0.0, 1.0],
-    "tolerances": {"eps": 1e-12},
 }
 
 
@@ -48,7 +47,6 @@ def test_load_good_scenario(tmp_path):
     assert sc.packet("g").n_cells == 2
     assert np.allclose(sc.time_grid, np.linspace(0.0, 2.0, 5))
     assert np.allclose(sc.lambda_grid, [-1.0, 0.0, 1.0])
-    assert sc.eps == 1e-12
     with pytest.raises(ParseError):
         sc.packet("missing")
 
@@ -79,8 +77,8 @@ def test_bundled_inventory():
         lambda d: d.update(time_grid={"start": 0.0, "stop": 1.0, "num": 0}),
         lambda d: d.update(time_grid="dense"),
         lambda d: d.update(tolerances=[1e-9]),
-        lambda d: d["tolerances"].update(esp=1e-3),
-        lambda d: d["tolerances"].update(tol=1e-8),
+        lambda d: d.update(tolerances={"esp": 1e-3}),
+        lambda d: d.update(tolerances={"tol": 1e-8}),
         lambda d: d["boundary"].update(psy=0.2),
     ],
 )
@@ -273,40 +271,30 @@ def test_cli_outputs_deterministic(tmp_path, capsys, command, scenario):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1e-12"])
+# the series cut is fixed, so there is no --eps and no tolerances section:
+# every value, the old default 1e-12 included, is unusable input (exit 2)
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1e-12", "1e-12"])
 @pytest.mark.parametrize("command", ["evolve", "scatter", "verify"])
-def test_cli_bad_eps_exits_2(tmp_path, command, eps):
+def test_cli_bad_eps_exits_2(tmp_path, capsys, command, eps):
     args = [command, "--scenario", "example_5_9", "--out", str(tmp_path)]
-    assert main(args + [f"--eps={eps}"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(args + [f"--eps={eps}"])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
-def test_scenario_bad_eps_rejected(tmp_path, eps):
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0, 1e-12])
+def test_scenario_bad_eps_rejected(tmp_path, capsys, eps):
     payload = json.loads(json.dumps(GOOD))
-    payload["tolerances"]["eps"] = eps
+    payload["tolerances"] = {"eps": eps}
     path = write(tmp_path, payload)  # json writes NaN / Infinity literals
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="fixed"):
         load_scenario(path)
-    assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-
-
-def test_cli_eps_override(tmp_path):
-    # eps truncates only the series of the t = inf pictures (scatter); every
-    # evolution is an exact finite sum, so its truncation budget is 0
-    runs = {}
-    for label, extra in (("default", []), ("crude", ["--eps", "1e-6"])):
-        for command in ("evolve", "scatter"):
-            out = tmp_path / label / command
-            rc = main([command, "--scenario", "example_5_9", "--out", str(out)] + extra)
-            assert rc == 0
-        runs[label] = tmp_path / label
-    assert (runs["crude"] / "scatter" / "scatter.csv").read_bytes() != (
-        runs["default"] / "scatter" / "scatter.csv"
-    ).read_bytes()
-    for run in runs.values():
-        rows = (run / "evolve" / "evolve_norms.csv").read_text().splitlines()
-        assert rows[0] == "t,norm2,truncation"
-        assert all(float(r.split(",")[2]) == 0.0 for r in rows[1:])
+    for command in ("evolve", "scatter", "verify"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "fixed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _nonfinite(payload, where, value):

@@ -16,6 +16,7 @@ from twogap.evolution import block_matrix_entry
 from twogap.packets import StepPacket
 from twogap.semigroup import (
     compress_evolve,
+    compressed_resolvent_profile,
     norm_decay_profile,
     parseval_bound_check,
     resolvent_comparison,
@@ -125,6 +126,8 @@ def test_compressed_semigroup_reads_no_series(monkeypatch):
     compress_evolve(bm, dom, f, 7.5)
     norm_decay_profile(bm, 1, [0.0, 2.5])
     parseval_bound_check(bm, dom, f, t=0.4)
+    # the Laplace route reads the density row on its causal window only
+    compressed_resolvent_profile(bm, dom, 1.0 + 0.5j, f, [1.2, 1.9])
 
 
 def test_kernel_route_matches_engine():
@@ -264,3 +267,20 @@ def test_error_paths():
         norm_decay_profile(dec, 0, [0.0, 0.5])
     with pytest.raises(NegativeTime):
         norm_decay_profile(bm, 0, [-0.5])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_time_rejected(bad):
+    bm = make_boundary_matrix(w=0.6)
+    dom = make_domain(2.0, 3.0)
+    f = mid_packet(dom)
+    with pytest.raises(ValidationError):
+        compress_evolve(bm, dom, f, bad)
+    with pytest.raises(ValidationError):
+        norm_decay_profile(bm, 0, [0.5, bad])
+    with pytest.raises(ValidationError):
+        semigroup_kernel_apply(bm, f, bad, [0.0, 1.0])
+    with pytest.raises(ValidationError):
+        parseval_bound_check(bm, dom, f, bad)
+    with pytest.raises(ValidationError):
+        spatial_semigroup(dom, f, bad)

@@ -36,7 +36,6 @@ def test_empty_scenario_rejected():
         packets={},
         time_grid=np.array([]),
         lambda_grid=np.array([]),
-        eps=1e-12,
     )
     with pytest.raises(TwogapError):
         run_checks(empty)
