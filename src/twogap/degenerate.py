@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import e2pi
+from .domain import _real_lambda, e2pi
 from .errors import SupportViolation, ValidationError
 from .packets import StepPacket
 
@@ -185,7 +185,7 @@ def conjugation_residual(model, f: StepPacket, t: float) -> float:
 
 def two_points_multiplier(model: TwoPointsModel, xi):
     """a(xi) = (1 - q e(alpha xi)) / w."""
-    xi = np.asarray(xi, dtype=float)
+    xi = _real_lambda(xi)
     return (1.0 - model.q * e2pi(model.alpha * xi)) / model.w
 
 
@@ -193,7 +193,7 @@ def two_points_abs2_routes(model: TwoPointsModel, xi_grid):
     """|a(xi)|^2 two ways: direct modulus, and the three-term lattice series
     obtained by convolving the V coefficients {0: 1/w, +1: -q/w} with their
     conjugate reflection."""
-    xi = np.atleast_1d(np.asarray(xi_grid, dtype=float))
+    xi = np.atleast_1d(_real_lambda(xi_grid))
     direct = np.abs(two_points_multiplier(model, xi)) ** 2
     coeffs = {0: 1.0 / model.w, 1: -model.q / model.w}
     series_coeffs: dict[int, complex] = {}

@@ -70,9 +70,7 @@ def _require_coupled(bm: BoundaryMatrix, what: str):
 
 def transfer_H(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
     """Round-trip transfer factor H(lambda) = 1/(1 - q e(-psi + ell lambda))."""
-    _require_coupled(bm, "transfer_H")
-    lam = np.asarray(lam, dtype=float)
-    return 1.0 / (1.0 - bm.q * e2pi(-bm.psi + domain.ell * lam))
+    return eigen_coeffs(bm, domain, lam).h
 
 
 def eigen_coeffs(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> EigenCoefficients:
@@ -81,10 +79,10 @@ def eigen_coeffs(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> EigenCoeffi
     lam = _real_lambda(lam)
     w, q = bm.w, bm.q
     ell, gap = domain.ell, domain.gap
-    a = (e2pi(bm.phi + lam) / w) * (1.0 - q * e2pi(-bm.psi + ell * lam))
+    inv_h = 1.0 - q * e2pi(-bm.psi + ell * lam)  # the round trip, 1 / H
+    a = (e2pi(bm.phi + lam) / w) * inv_h
     c = (e2pi(bm.phi - bm.theta - gap * lam) / w) * (1.0 - q * e2pi(bm.psi - ell * lam))
-    h = 1.0 / (1.0 - q * e2pi(-bm.psi + ell * lam))
-    return EigenCoefficients(lam=lam, a=a, c=c, b_norm=1.0, h=h, m=np.abs(a))
+    return EigenCoefficients(lam=lam, a=a, c=c, b_norm=1.0, h=1.0 / inv_h, m=np.abs(a))
 
 
 def eigen_coeffs_solve(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float) -> EigenCoefficients:
@@ -112,7 +110,7 @@ def eigen_coeffs_solve(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float) -
         dtype=complex,
     )
     a, c = np.linalg.solve(mat, rhs)
-    h = 1.0 / (1.0 - q * complex(e2pi(-bm.psi + domain.ell * lam)))
+    h = transfer_H(bm, domain, lam)  # not part of the solve: the closed form
     return EigenCoefficients(lam=lam, a=a, c=c, b_norm=1.0, h=h, m=abs(a))
 
 
@@ -199,19 +197,18 @@ def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) ->
                 - q e(psi - theta) e(-beta lambda)
     """
     _require_coupled(bm, "scattering_matrix_routes")
-    lam = np.asarray(lam, dtype=float)
-    q, w = bm.q, bm.w
+    co = eigen_coeffs(bm, domain, lam)  # one call gives a, c and H
+    lam, q, w = co.lam, bm.q, bm.w
     ell, gap, beta = domain.ell, domain.gap, domain.beta
-    ratio = scattering_matrix(bm, domain, lam)
     quotient = (
         e2pi(-bm.theta - (gap + 1.0) * lam)
         * (1.0 - q * e2pi(bm.psi - ell * lam))
         / (1.0 - q * e2pi(-bm.psi + ell * lam))
     )
-    split = w * w * e2pi(-bm.theta - (gap + 1.0) * lam) * transfer_H(
-        bm, domain, lam
-    ) - q * e2pi(bm.psi - bm.theta - beta * lam)
-    return {"ratio": ratio, "quotient": quotient, "split": split}
+    split = w * w * e2pi(-bm.theta - (gap + 1.0) * lam) * co.h - q * e2pi(
+        bm.psi - bm.theta - beta * lam
+    )
+    return {"ratio": co.c / co.a, "quotient": quotient, "split": split}
 
 
 def bound_state_spectrum(
@@ -238,6 +235,7 @@ def decoupled_eigenfunction_eval(
     """
     if bm.w != 0.0:
         raise NotDecoupled(f"decoupled eigenfunctions need w = 0, got w = {bm.w}")
+    lam = _real_lambda(lam)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)

@@ -20,8 +20,13 @@ by one routine (``_lattice_series``) over a range of lattice indices:
 * ``make_multiplier`` truncates the whole series at a relative tolerance
   eps and caches it; the ``tail`` field carries the sup-norm bound
   |scalar| * sum of dropped |c_n|.  Only the t = inf pictures (scattering,
-  the translation representations), which see every term, use it, at the
-  default eps = 1e-12; other values serve the tail-bound tests.
+  the translation representations, the density Fourier table), which see
+  every term, use it, at the default eps = 1e-12; other values serve the
+  tail-bound tests.
+
+A series stores its terms as two arrays, ``indices`` (consecutive ints n)
+and ``coeffs`` (the complex c_n).  Both are read-only, so a cached series
+shared by every caller cannot be changed by one of them.
 
 Kinds
 -----
@@ -37,11 +42,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, e2pi
 from .errors import DegenerateRegime, ValidationError
 from .packets import StepPacket, _assemble
 
@@ -101,24 +106,33 @@ _CONJ_KIND = {
 _MIRRORED = ("a_conj_inv", "c_conj_inv", "c_inv_a")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierSeries:
     """One translation series; see the module docstring for semantics."""
 
     scalar: complex
     base_shift: float
     step: float
-    coeffs: dict = field(default_factory=dict)  # int lattice index -> complex
+    indices: np.ndarray  # consecutive int lattice indices n
+    coeffs: np.ndarray  # complex c_n, one per index
     kind: str = "custom"
     tail: float = 0.0
 
+    def __post_init__(self):
+        indices = np.array(self.indices, dtype=np.int64)
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if indices.shape != coeffs.shape or (indices[1:] - indices[:-1] != 1).any():
+            raise ValidationError("series indices must be consecutive, one per coefficient")
+        indices.flags.writeable = coeffs.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "coeffs", coeffs)
+
     def value(self, lam) -> np.ndarray:
         """Pointwise multiplier value on a real lambda grid."""
-        lam = np.asarray(lam, dtype=float)
+        lam = _real_lambda(lam)
         scalar_input = lam.ndim == 0
         lam = np.atleast_1d(lam)
-        ns = np.array(sorted(self.coeffs), dtype=float)
-        cs = np.array([self.coeffs[int(n)] for n in ns], dtype=complex)
+        ns, cs = self.indices, self.coeffs
         acc = np.zeros(lam.shape, dtype=complex)
         chunk = max(1, int(2e6 / max(len(lam), 1)))
         for start in range(0, len(ns), chunk):
@@ -129,15 +143,23 @@ class MultiplierSeries:
 
     def sum_abs(self) -> float:
         """|scalar| times the coefficient l1 mass (sup-norm bound)."""
-        return abs(self.scalar) * float(sum(abs(c) for c in self.coeffs.values()))
+        return abs(self.scalar) * float(np.sum(np.abs(self.coeffs)))
 
     def terms(self):
         """(shifts, weights), sorted by lattice index n: the spatial shifts
         base + n * step and the weights scalar * c_n."""
-        ns = sorted(self.coeffs)
-        shifts = self.base_shift + np.array(ns, dtype=float) * self.step
-        weights = np.array([self.scalar * self.coeffs[n] for n in ns], dtype=complex)
-        return shifts, weights
+        shifts = self.base_shift + self.indices * self.step
+        sc = complex(self.scalar)
+        return shifts, _product(sc.real, sc.imag, self.coeffs.real, self.coeffs.imag)
+
+
+def _product(ar, ai, br, bi) -> np.ndarray:
+    """(ar + i ai)(br + i bi) elementwise, rounded as Python's complex product
+    (numpy's vectorized one differs in the last bit for many terms)."""
+    out = np.empty(np.shape(br), dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
 
 
 def _geom_terms(q: float, eps: float) -> int:
@@ -209,14 +231,17 @@ def _lattice_series(bm, domain, kind, reach, tail) -> MultiplierSeries:
     lo, hi = reach(base)
     lo = math.floor(max(lo, -cap - 1.0))
     hi = math.ceil(min(hi, cap + 1.0))
-    coeffs = {}
-    if kind == "a_inv_c" and lo <= 0 and hi >= -1:
-        # the direct reflection; kept when the rounded range reaches n <= 0,
-        # so every eps series holds it
-        coeffs[-1] = -q * complex(e2pi(psi))
-    for n in range(max(lo, first), min(hi, last) + 1):
-        coeffs[n] = weight * q ** abs(n) * complex(e2pi(-n * psi))
-    return MultiplierSeries(scalar, base, domain.ell, coeffs, kind, tail)
+    # the direct reflection is kept when the rounded range reaches n <= 0, so
+    # every eps series holds it; the train then starts at n = 0
+    direct = kind == "a_inv_c" and lo <= 0 and hi >= -1
+    ns = np.arange(-1 if direct else max(lo, first), min(hi, last) + 1)
+    # Python's float pow per index: numpy's array power differs in the last bit
+    mag = weight * np.array([q**n for n in np.abs(ns).tolist()], dtype=float)
+    phase = e2pi(-ns * psi)
+    coeffs = _product(mag, 0.0, phase.real, phase.imag)
+    if direct:
+        coeffs[0] = -q * complex(e2pi(psi))
+    return MultiplierSeries(scalar, base, domain.ell, ns, coeffs, kind, tail)
 
 
 @functools.lru_cache(maxsize=256)
@@ -230,21 +255,21 @@ def make_multiplier(
 
     This is the whole series, truncated: what the t = inf pictures read.
     A finite time or horizon reads ``causal_multiplier``.
-    Series are cached per (bm, domain, kind, eps) and shared by every caller,
-    so the result must be treated as read-only.
+    Series are cached per (bm, domain, kind, eps) and shared by every caller;
+    their arrays are read-only.
     """
     _check_kind(bm, kind)
     w, q = bm.w, bm.q
     theta, phi, psi = bm.theta, bm.phi, bm.psi
     ell, gap = domain.ell, domain.gap
     if kind == "identity":
-        return MultiplierSeries(1.0 + 0j, 0.0, ell, {0: 1.0 + 0j}, "identity", 0.0)
+        return MultiplierSeries(1.0 + 0j, 0.0, ell, [0], [1.0 + 0j], "identity")
     if kind == "a":
-        coeffs = {0: 1.0 + 0j, 1: -q * complex(e2pi(-psi))}
-        return MultiplierSeries(complex(e2pi(phi)) / w, 1.0, ell, coeffs, "a", 0.0)
+        coeffs = [1.0 + 0j, -q * complex(e2pi(-psi))]
+        return MultiplierSeries(complex(e2pi(phi)) / w, 1.0, ell, [0, 1], coeffs, "a")
     if kind == "c":
-        coeffs = {0: 1.0 + 0j, -1: -q * complex(e2pi(psi))}
-        return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, coeffs, "c", 0.0)
+        coeffs = [-q * complex(e2pi(psi)), 1.0 + 0j]
+        return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, [-1, 0], coeffs, "c")
     if kind == "m_squared_inv":
         n_terms = _geom_terms(q, eps / 2.0)
         tail = 2.0 * q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
@@ -287,10 +312,10 @@ def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:
     conj(M)(lambda) has conjugated scalar, negated base shift and the
     coefficient at -n equal to conj(c_n).
     """
-    coeffs = {-n: np.conj(c) for n, c in m.coeffs.items()}
     kind = _CONJ_KIND.get(m.kind, f"conj({m.kind})")
+    indices, coeffs = -m.indices[::-1], np.conj(m.coeffs[::-1])
     return MultiplierSeries(
-        np.conj(m.scalar), -m.base_shift, m.step, coeffs, kind, m.tail
+        np.conj(m.scalar), -m.base_shift, m.step, indices, coeffs, kind, m.tail
     )
 
 
@@ -302,25 +327,19 @@ def compose_multipliers(m1: MultiplierSeries, m2: MultiplierSeries) -> Multiplie
     """
     if abs(m1.step - m2.step) > 1e-12 * max(1.0, abs(m1.step)):
         raise ValidationError("cannot compose series on different lattices")
-    coeffs = {}
-    for n1, c1 in m1.coeffs.items():
-        for n2, c2 in m2.coeffs.items():
-            k = n1 + n2
-            coeffs[k] = coeffs.get(k, 0.0 + 0j) + c1 * c2
+    indices, coeffs = [], []
+    if len(m1.coeffs) and len(m2.coeffs):  # consecutive indices: a plain convolution
+        coeffs = np.convolve(m1.coeffs, m2.coeffs)
+        indices = m1.indices[0] + m2.indices[0] + np.arange(len(coeffs))
     tail = m1.tail * m2.sum_abs() + m2.tail * m1.sum_abs() + m1.tail * m2.tail
-    return MultiplierSeries(
-        m1.scalar * m2.scalar,
-        m1.base_shift + m2.base_shift,
-        m1.step,
-        coeffs,
-        f"{m1.kind}*{m2.kind}",
-        tail,
-    )
+    scalar, base = m1.scalar * m2.scalar, m1.base_shift + m2.base_shift
+    kind = f"{m1.kind}*{m2.kind}"
+    return MultiplierSeries(scalar, base, m1.step, indices, coeffs, kind, tail)
 
 
 def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
     """Spatial action: scalar * sum_n c_n f(. + base + n step), one sweep."""
-    if f.is_empty or not m.coeffs:
+    if f.is_empty or not len(m.coeffs):
         return StepPacket.zero()
     shifts, weights = m.terms()
     segs = {}
@@ -363,14 +382,8 @@ def block_multiplier_composed(
     Exercises series composition/conjugation; agrees with block_multiplier
     up to truncation tails (tested, not assumed).
     """
-    factor = {
-        "iminus": "a",
-        "izero": "identity",
-        "iplus": "c",
-    }
+    factor = {"iminus": "a", "izero": "identity", "iplus": "c"}
     m = make_multiplier(bm, domain, "m_squared_inv", eps)
     m = compose_multipliers(m, make_multiplier(bm, domain, factor[dest], eps))
-    m = compose_multipliers(
-        m, conjugate_multiplier(make_multiplier(bm, domain, factor[src], eps))
-    )
-    return m
+    conj_src = conjugate_multiplier(make_multiplier(bm, domain, factor[src], eps))
+    return compose_multipliers(m, conj_src)

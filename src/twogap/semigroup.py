@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, e2pi, make_domain
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, e2pi, make_domain
 from .errors import (
     DegenerateRegime,
     HalfPlaneViolation,
@@ -101,7 +101,7 @@ def compress_evolve(
 def shannon_kernel(lam, xi, center: float = 0.0):
     """Sampling kernel of a unit interval centered at ``center``:
     sinc(lam - xi) e(-(lam - xi) center); reduces to sinc for center 0."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_lambda(lam)
     xi = np.asarray(xi, dtype=float)
     return np.sinc(lam - xi) * e2pi(-(lam - xi) * center)
 
@@ -134,7 +134,7 @@ def shannon_coeffs(f: StepPacket, n_lo: int, n_hi: int) -> ShannonBasisCoeffs:
 
 def shannon_interpolate(coeffs: ShannonBasisCoeffs, lam):
     """Reconstruct f^(lambda) from integer samples (band-limited formula)."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_lambda(lam)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
     k = shannon_kernel(lam[:, None], coeffs.n[None, :].astype(float), coeffs.center)
@@ -214,7 +214,7 @@ def semigroup_kernel_apply(
     _require_on(f, lo, hi, "packet")
     center = 0.5 * (lo + hi)
     f_c = f.translate(-center)
-    lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
+    lam = np.atleast_1d(_real_lambda(lambda_grid))
     vals = _kernel_transform_oracle(bm, f_c, t, lam) * e2pi(-lam * center)
     return TransformSample(grid=lam, values=vals, provenance="quadrature", bm=bm)
 

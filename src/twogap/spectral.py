@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, e2pi, make_boundary_matrix
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, make_boundary_matrix
 from .errors import DegenerateRegime, ValidationError
-from .multipliers import _geom_terms
+from .multipliers import make_multiplier
 from .quadrature import periodic_nodes
 
 __all__ = [
@@ -51,7 +51,7 @@ def density(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
     """
     if bm.w == 0.0:
         raise DegenerateRegime("density is undefined at w = 0 (atomic part)")
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_lambda(lam)
     q = bm.q
     w2 = bm.w * bm.w
     s = np.sin(np.pi * (domain.ell * lam - bm.psi))
@@ -98,7 +98,7 @@ class FourierCoefficientTable:
 
     k: np.ndarray
     values: np.ndarray
-    step: float | None
+    step: float
     tail: float
 
     def total(self) -> complex:
@@ -106,31 +106,19 @@ class FourierCoefficientTable:
 
 
 def fourier_coeffs(
-    bm: BoundaryMatrix,
-    K: int | None = None,
-    domain: ExteriorDomain | None = None,
-    tol: float = 1e-12,
+    bm: BoundaryMatrix, domain: ExteriorDomain, tol: float = 1e-12
 ) -> FourierCoefficientTable:
     """Coefficient table of the density in the periodic lattice variable.
 
-    When K is omitted, the smallest window with geometric tail bound
-    2 q^(K+1)/(1-q) <= tol is used.  The lattice step alpha - 1 is recorded
-    when a domain is supplied.
+    The table is the ``m_squared_inv`` series of ``make_multiplier`` at
+    tolerance tol: the smallest window |k| <= K whose geometric tail bound
+    2 q^(K+1)/(1-q) is at most tol, on the lattice step alpha - 1.  Its
+    arrays are the cached series' own and are read-only.
     """
     if bm.w == 0.0:
         raise DegenerateRegime("fourier_coeffs is undefined at w = 0")
-    q = bm.q
-    if K is None:
-        K = _geom_terms(q, tol / 2.0)
-    K = int(K)
-    if K < 0:
-        raise ValidationError("K must be nonnegative")
-    k = np.arange(-K, K + 1)
-    values = q ** np.abs(k) * e2pi(-k * bm.psi)
-    tail = 2.0 * q ** (K + 1) / (1.0 - q) if q > 0.0 else 0.0
-    return FourierCoefficientTable(
-        k=k, values=values, step=(domain.ell if domain is not None else None), tail=tail
-    )
+    m = make_multiplier(bm, domain, "m_squared_inv", tol)
+    return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=m.step, tail=m.tail)
 
 
 def comb_limit_diagnostic(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, classify_point, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, classify_point, e2pi
 from .eigen import eigen_coeffs
 from .errors import (
     DegenerateRegime,
@@ -69,7 +69,7 @@ def forward_transform(
     """Sample (V f)(lambda) on a real grid (closed form, exact per cell)."""
     if bm.w == 0.0:
         raise DegenerateRegime("forward transform needs w > 0")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = np.atleast_1d(_real_lambda(grid))
     co = eigen_coeffs(bm, domain, grid)
     vals = _transform_values(co, decompose(f, domain), grid)
     return TransformSample(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from twogap.degenerate import TwoPointsModel, two_points_multiplier
 from twogap.domain import Region, classify_point, e2pi, make_boundary_matrix, make_domain
 from twogap.eigen import (
     bound_state_spectrum,
@@ -17,7 +18,16 @@ from twogap.eigen import (
     transfer_H,
 )
 from twogap.errors import DegenerateRegime, NotDecoupled, OutOfDomain, ValidationError
+from twogap.multipliers import make_multiplier
 from twogap.packets import StepPacket
+from twogap.semigroup import (
+    semigroup_kernel_apply,
+    shannon_coeffs,
+    shannon_interpolate,
+    shannon_kernel,
+)
+from twogap.spectral import SpectralDensity, density
+from twogap.transform import forward_transform
 
 from conftest import random_boundary, random_geometry
 
@@ -195,3 +205,25 @@ def test_complex_lambda_rejected(ex59, lam):
         eigen_coeffs(bm, dom, lam)
     with pytest.raises(ValidationError):
         StepPacket.box(-1.0, -0.5, 1.0).transform(lam)
+    with pytest.raises(ValidationError):
+        transfer_H(bm, dom, lam)
+    with pytest.raises(ValidationError):
+        density(bm, dom, lam)
+    with pytest.raises(ValidationError):
+        SpectralDensity(bm, dom)(lam)
+    with pytest.raises(ValidationError):
+        make_multiplier(bm, dom, "a_inv").value(lam)
+    with pytest.raises(ValidationError):
+        forward_transform(bm, dom, StepPacket.box(-1.0, -0.5, 1.0), lam)
+    with pytest.raises(ValidationError):
+        semigroup_kernel_apply(bm, StepPacket.box(1.2, 1.7, 1.0), 0.5, lam)
+    with pytest.raises(ValidationError):
+        scattering_matrix_routes(bm, dom, lam)
+    with pytest.raises(ValidationError):
+        shannon_interpolate(shannon_coeffs(StepPacket.box(1.2, 1.7, 1.0), -8, 9), lam)
+    with pytest.raises(ValidationError):
+        shannon_kernel(lam, 0.0)
+    with pytest.raises(ValidationError):
+        decoupled_eigenfunction_eval(make_boundary_matrix(w=0.0), dom, lam, -0.5, "continuum")
+    with pytest.raises(ValidationError):
+        two_points_multiplier(TwoPointsModel(w=0.5, alpha=2.0), lam)

@@ -70,9 +70,10 @@ def test_density_series_is_real_even_lattice():
     dom = make_domain(2.0, 3.0)
     m = make_multiplier(bm, dom, "m_squared_inv")
     # zero phases: coefficients are q^|k|, real and symmetric
-    for k, c in m.coeffs.items():
+    coeffs = dict(zip(m.indices.tolist(), m.coeffs))
+    for k, c in coeffs.items():
         assert c == pytest.approx(0.5 ** abs(k))
-        assert m.coeffs[-k] == pytest.approx(np.conj(c))
+        assert coeffs[-k] == pytest.approx(np.conj(c))
     assert m.value(0.0) == pytest.approx(3.0, abs=1e-12)
     assert m.value(0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -101,7 +102,7 @@ def test_apply_matches_manual_translates():
     for f in (random_packet(rng), random_packet(rng, freqs=(-1, 0, 2))):
         # (M f)(x) = scalar sum_n c_n f(x + base + n step) = sum c_n T_{-base-n step} f
         manual = StepPacket.zero()
-        for n, c in sorted(m.coeffs.items()):
+        for n, c in zip(m.indices.tolist(), m.coeffs):
             manual = manual + f.translate(-(m.base_shift + n * m.step)).scale(m.scalar * c)
         assert apply_multiplier(m, f).distance2(manual) < 1e-24
 
@@ -145,7 +146,7 @@ def test_conjugate_involution():
     back = conjugate_multiplier(conjugate_multiplier(m))
     assert back.kind == m.kind
     assert back.scalar == pytest.approx(m.scalar)
-    assert back.coeffs.keys() == m.coeffs.keys()
+    assert np.array_equal(back.indices, m.indices)
 
 
 def test_compose_is_pointwise_product():
@@ -228,6 +229,11 @@ def test_series_are_built_once_and_shared():
     m = make_multiplier(bm, dom, "c_inv_a", 1e-12)
     assert make_multiplier(bm, dom, "c_inv_a", 1e-12) is m
     assert make_multiplier(bm, dom, "c_inv_a", 1e-11) is not m
+    # shared, so read-only: a write would reach every later caller
+    with pytest.raises(ValueError, match="read-only"):
+        m.coeffs[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        m.indices[0] = 0
 
 
 def test_tail_bound_is_honest():
@@ -263,14 +269,29 @@ def test_causal_terms_are_series_terms(kind, w):
     support, window = (-1.3, -0.2), (-4.0, 6.5)
     m = causal_multiplier(bm, dom, kind, support, window)
     assert (m.scalar, m.base_shift, m.step, m.tail) == (full.scalar, full.base_shift, dom.ell, 0.0)
+    full_coeffs = dict(zip(full.indices.tolist(), full.coeffs))
     reaching = {
-        n for n in full.coeffs
+        n for n in full_coeffs
         if support[0] - (full.base_shift + n * dom.ell) < window[1]
         and support[1] - (full.base_shift + n * dom.ell) > window[0]
     }
-    assert reaching <= set(m.coeffs) <= set(full.coeffs)
+    assert reaching <= set(m.indices.tolist()) <= set(full_coeffs)
     assert len(m.coeffs) <= len(reaching) + 2
-    assert all(c == full.coeffs[n] for n, c in m.coeffs.items())
+    assert all(c == full_coeffs[n] for n, c in zip(m.indices.tolist(), m.coeffs))
+
+
+@pytest.mark.parametrize("w", [0.9, 0.5, 0.05])
+def test_series_weights_are_scalar_arithmetic(w):
+    # the array code keeps the bits of the scalar loop: Python's float pow
+    # and complex product (numpy's vectorized ones differ in the last bit)
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+    dom = make_domain(2.25, 3.75)
+    for kind in ("a_inv", "m_squared_inv"):
+        m = make_multiplier(bm, dom, kind)
+        shifts, weights = m.terms()
+        ns = np.rint((shifts - m.base_shift) / dom.ell).astype(int).tolist()
+        want = [m.scalar * (bm.q ** abs(n) * complex(e2pi(-n * bm.psi))) for n in ns]
+        assert weights.tobytes() == np.array(want, dtype=complex).tobytes()
 
 
 def test_causal_needs_a_lattice_series():

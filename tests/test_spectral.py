@@ -6,6 +6,7 @@ import pytest
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import eigen_coeffs
 from twogap.errors import DegenerateRegime, ValidationError
+from twogap.multipliers import make_multiplier
 from twogap.spectral import (
     AbsolutelyContinuous,
     MixedMeasure,
@@ -78,12 +79,12 @@ def test_density_rejects_decoupled():
     with pytest.raises(DegenerateRegime):
         density(bm, dom, 0.0)
     with pytest.raises(DegenerateRegime):
-        fourier_coeffs(bm)
+        fourier_coeffs(bm, dom)
 
 
 def test_fourier_table_half_coupling(ex59):
     bm, dom = ex59
-    table = fourier_coeffs(bm, K=8, domain=dom)
+    table = fourier_coeffs(bm, domain=dom, tol=0.01)
     assert np.array_equal(table.k, np.arange(-8, 9))
     assert np.allclose(table.values, 0.5 ** np.abs(table.k))
     assert table.step == dom.ell
@@ -106,15 +107,29 @@ def test_fourier_table_synthesizes_density():
 
 def test_fourier_auto_window_honors_tol():
     bm = make_boundary_matrix(w=0.5, psi=0.3)
-    table = fourier_coeffs(bm, tol=1e-9)
+    dom = make_domain(2.0, 3.0)
+    table = fourier_coeffs(bm, domain=dom, tol=1e-9)
     assert table.tail <= 1e-9
     # the smallest such window: one coefficient fewer leaves a tail above tol
     K, q = int(table.k[-1]), bm.q
     assert 2.0 * q**K / (1.0 - q) > 1e-9
     with pytest.raises(ValidationError):
-        fourier_coeffs(bm, K=-1)
-    with pytest.raises(ValidationError):
-        fourier_coeffs(bm, tol=0.0)
+        fourier_coeffs(bm, domain=dom, tol=0.0)
+
+
+@pytest.mark.parametrize("w", [0.5, 0.2, np.sqrt(3.0) / 2.0])
+def test_fourier_table_is_the_density_series(w):
+    # one generator writes q^|k| e(-k psi): the table is the m_squared_inv
+    # series (scalar 1, base 0) as applied, bit for bit
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+    dom = make_domain(2.25, 3.75)
+    table = fourier_coeffs(bm, domain=dom)
+    series = make_multiplier(bm, dom, "m_squared_inv")
+    shifts, weights = series.terms()
+    assert (series.scalar, series.base_shift) == (1.0, 0.0)
+    assert np.array_equal(table.k, np.rint(shifts / dom.ell))
+    assert table.values.tobytes() == weights.tobytes()
+    assert (table.step, table.tail) == (dom.ell, series.tail)
 
 
 def test_normalization_identity():
