@@ -385,3 +385,104 @@ def test_nonfinite_time_rejected(bad):
         cesaro_decay(bm, dom, f, f, [1.0, bad])
     with pytest.raises(ValidationError):
         evolve_decoupled(make_boundary_matrix(w=0.0), dom, f, bad)
+
+
+def _cesaro_panel_simpson(bm, dom, f, g, horizons):
+    # the earlier route: evolve the rows to every crossing time and panel
+    # midpoint by translate, restrict and inner product, then Simpson per
+    # panel (exact on the piecewise quadratic |corr|^2)
+    reach = max(horizons)
+    g_parts = decompose(g, dom)
+    rows, f_parts = {}, {}
+    for d in _COMPONENTS:
+        lo, hi = dom.component(d)
+        rows[d] = evolution.block_row(bm, dom, g_parts, d, window=(lo - reach, hi + reach))
+        f_parts[d] = f.restrict(lo, hi)
+
+    def corr(t):
+        total = 0.0 + 0.0j
+        for d in _COMPONENTS:
+            if rows[d].is_empty or f_parts[d].is_empty:
+                continue
+            lo, hi = dom.component(d)
+            total += f_parts[d].inner(rows[d].translate(t).restrict(lo, hi))
+        return total
+
+    crossing = [np.empty(0)]
+    for d in _COMPONENTS:
+        if rows[d].is_empty:
+            continue
+        targets = [v for v in dom.component(d) if np.isfinite(v)]
+        if not f_parts[d].is_empty:
+            targets.extend(f_parts[d].breakpoints().tolist())
+        crossing.append(np.subtract.outer(targets, rows[d].breakpoints()).ravel())
+    crossing = np.unique(np.concatenate(crossing))
+    out = []
+    for T in horizons:
+        inside = crossing[(crossing > -T) & (crossing < T)]
+        pts = np.concatenate(([-T], inside, [T])).tolist()
+        ends = [abs(corr(t)) ** 2 for t in pts]
+        total = 0.0
+        for a, b, ya, yb in zip(pts[:-1], pts[1:], ends[:-1], ends[1:]):
+            ym = abs(corr(0.5 * (a + b))) ** 2
+            total += (b - a) / 6.0 * (ya + 4.0 * ym + yb)
+        out.append(total / (2.0 * T))
+    return np.array(out)
+
+
+# frequency-0 packets with cells on I_minus, I_zero and I_plus of
+# alpha = 2, beta = 10/3
+_CESARO_F = (
+    StepPacket.box(-2.3, -1.4, 0.8 - 0.3j)
+    + StepPacket.box(-0.9, -0.2, 1.2j)
+    + StepPacket.box(1.1, 1.45, -0.6 + 0.5j)
+    + StepPacket.box(3.5, 4.2, 0.4 - 1.1j)
+)
+_CESARO_G = (
+    StepPacket.box(-1.7, -0.6, -0.5 + 0.9j)
+    + StepPacket.box(1.25, 1.8, 1.1)
+    + StepPacket.box(3.9, 5.0, 0.7 + 0.4j)
+)
+
+
+@pytest.mark.parametrize("w", [1.0, 0.9, 0.5, 0.05])
+@pytest.mark.parametrize(
+    "horizons", [[4.0, 8.0], [50.0, 10.0], [200.0]], ids=["T4_8", "T50_10", "T200"]
+)
+def test_cesaro_matches_panel_simpson(w, horizons):
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+    dom = _WINDOW_DOMAIN
+    got = np.atleast_1d(cesaro_decay(bm, dom, _CESARO_F, _CESARO_G, horizons))
+    ref = _cesaro_panel_simpson(bm, dom, _CESARO_F, _CESARO_G, horizons)
+    assert np.all(ref > 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+def test_cesaro_contracts():
+    bm = make_boundary_matrix(w=0.6, theta=0.15, phi=0.3, psi=0.45)
+    dom = _WINDOW_DOMAIN
+    single = cesaro_decay(bm, dom, _CESARO_F, _CESARO_G, [6.0])
+    assert type(single) is float
+    many = cesaro_decay(bm, dom, _CESARO_F, _CESARO_G, [9.0, 3.0, 6.0])
+    assert many.shape == (3,) and many[2] == pytest.approx(single, rel=1e-12)
+    ordered = cesaro_decay(bm, dom, _CESARO_F, _CESARO_G, [3.0, 6.0, 9.0])
+    assert np.allclose(many, ordered[[2, 0, 1]], rtol=1e-12, atol=0.0)
+    # f on I_minus, g on I_plus: U(t) g reaches I_minus only for t < -(5 - beta),
+    # so no pair of cells meets for |t| <= 1
+    f = StepPacket.box(-0.9, -0.2, 1.0)
+    g = StepPacket.box(5.0, 5.5, 1.0 - 1.0j)
+    assert cesaro_decay(bm, dom, f, g, [1.0]) == 0.0
+    assert np.array_equal(cesaro_decay(bm, dom, f, g, [1.0, 0.5]), [0.0, 0.0])
+    # the longer horizon meets the rows; the shorter one still reads 0
+    avgs = cesaro_decay(bm, dom, f, g, [10.0, 1.0])
+    assert avgs[0] > 0.0 and avgs[1] == 0.0
+    zero = StepPacket.box(2.5, 3.0, 1.0)  # on the obstacle [alpha, beta]
+    assert cesaro_decay(bm, dom, zero, g, [2.0]) == 0.0
+    assert cesaro_decay(bm, dom, f, StepPacket.zero(), [2.0]) == 0.0
+    with pytest.raises(ValidationError):
+        cesaro_decay(bm, dom, StepPacket.box(-1.0, -0.5, 1.0, freq=1), g, [1.0])
+    with pytest.raises(ValidationError):
+        cesaro_decay(bm, dom, f, StepPacket.box(5.0, 5.5, 1.0, freq=-2), [1.0])
+    for bad in ([0.0], [-2.0], [1.0, np.inf], [np.nan], []):
+        with pytest.raises(ValidationError):
+            cesaro_decay(bm, dom, f, g, bad)
