@@ -15,13 +15,11 @@ from .domain import (
     e2pi,
     make_boundary_matrix,
     make_domain,
-    to_su2,
 )
 from .eigen import (
     eigen_coeffs,
     eigen_residual,
     eigenfunction_eval,
-    scattering_matrix,
     scattering_matrix_routes,
 )
 from .errors import TwogapError
@@ -29,7 +27,7 @@ from .evolution import decompose, evolve, evolve_decoupled, scatter
 from .packets import StepPacket, sum_packets
 from .scenario import Scenario, bundled_scenario, load_scenario
 from .semigroup import compress_evolve, norm_decay_profile, semigroup_kernel_apply
-from .spectral import SpectralDensity, fourier_coeffs, spectral_measure
+from .spectral import SpectralDensity, fourier_coeffs
 from .transform import adjoint_transform, forward_transform, sigma_norm2
 from .verify import run_checks
 
@@ -60,13 +58,10 @@ __all__ = [
     "norm_decay_profile",
     "run_checks",
     "scatter",
-    "scattering_matrix",
     "scattering_matrix_routes",
     "semigroup_kernel_apply",
     "sigma_norm2",
-    "spectral_measure",
     "sum_packets",
-    "to_su2",
 ]
 
 __version__ = "0.1.0"

@@ -111,20 +111,16 @@ def _cmd_smatrix(sc: Scenario, out: Path) -> int:
 def _cmd_evolve(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
+    step = evolve_decoupled if bm.w == 0.0 else evolve
     norm_rows = []
     for i, t in enumerate(sc.grid("time_grid")):
-        if bm.w == 0.0:
-            packet = evolve_decoupled(bm, dom, f, float(t)).packet
-            trunc = 0.0
-        else:
-            result = evolve(bm, dom, f, float(t))
-            packet, trunc = result.packet, result.truncation
+        result = step(bm, dom, f, float(t))
         _write_csv(
             out / f"evolve_{i:03d}.csv",
             ["x", "re", "im", "abs2"],
-            _packet_rows(packet),
+            _packet_rows(result.packet),
         )
-        norm_rows.append((t, packet.norm2(), trunc))
+        norm_rows.append((t, result.packet.norm2(), result.truncation))
     _write_csv(out / "evolve_norms.csv", ["t", "norm2", "truncation"], norm_rows)
     return 0
 
@@ -232,16 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="twogap",
         description="Momentum-operator scattering on the two-gap exterior domain.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument(
-            "--scenario",
-            required=True,
-            help="path to a scenario JSON file, or the name of a bundled one "
-            f"({', '.join(bundled_names())})",
-        )
-        p.add_argument("--out", default=".", help="output directory (default: cwd)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument(
+        "--scenario",
+        required=True,
+        help="path to a scenario JSON file, or the name of a bundled one "
+        f"({', '.join(bundled_names())})",
+    )
+    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
     return parser
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "Region",
     "make_domain",
     "make_boundary_matrix",
-    "to_su2",
     "classify_point",
 ]
 
@@ -208,13 +207,3 @@ def make_boundary_matrix(
             raise RangeViolation(f"phase {name} must be finite")
     return BoundaryMatrix(w=w, theta=theta, phi=phi, psi=psi)
 
-
-def to_su2(bm: BoundaryMatrix):
-    """Split B = e(theta/2) * V with V in SU(2); returns (phase, V).
-
-    The square root of the determinant is taken with theta/2 in cycles, so
-    the convention is continuous in theta on [0, 1).
-    """
-    half = complex(e2pi(bm.theta / 2.0))
-    v = bm.matrix() / half
-    return half, v

@@ -38,7 +38,6 @@ __all__ = [
     "eigen_residual",
     "eigenfunction_eval",
     "eigenfunction_traces",
-    "scattering_matrix",
     "scattering_matrix_routes",
     "bound_state_spectrum",
     "decoupled_eigenfunction_eval",
@@ -178,12 +177,6 @@ def eigenfunction_traces(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float)
         [complex(co.a), complex(e2pi(domain.alpha * lam))], dtype=complex
     )
     return rho1, rho2
-
-
-def scattering_matrix(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
-    """Scattering coefficient S(lambda) = c(lambda)/a(lambda) (unimodular)."""
-    co = eigen_coeffs(bm, domain, lam)
-    return co.c / co.a
 
 
 def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> dict:

@@ -124,7 +124,10 @@ def block_row(
     window, so the packet is exact on the window (and meaningless outside
     it); without one each entry is its whole series at the default cut of
     ``make_multiplier`` (the t = inf pictures, which see every term).
+    An unknown ``dest`` raises ValidationError.
     """
+    if dest not in COMPONENTS:
+        raise ValidationError(f"unknown component {dest!r}")
     pieces = []
     for src, fsrc in zip(COMPONENTS, parts):
         if fsrc.is_empty:

@@ -58,7 +58,6 @@ __all__ = [
     "conjugate_multiplier",
     "compose_multipliers",
     "BLOCK_KIND",
-    "block_multiplier",
     "block_multiplier_composed",
     "MULTIPLIER_KINDS",
 ]
@@ -355,21 +354,6 @@ def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
     return StepPacket(*_assemble(segs), _trusted=True)
 
 
-def block_multiplier(
-    bm: BoundaryMatrix,
-    domain: ExteriorDomain,
-    dest: str,
-    src: str,
-    eps: float = 1e-12,
-) -> MultiplierSeries:
-    """The (dest, src) entry of the evolution block matrix."""
-    try:
-        kind = BLOCK_KIND[(dest, src)]
-    except KeyError:
-        raise ValidationError(f"unknown block ({dest!r}, {src!r})") from None
-    return make_multiplier(bm, domain, kind, eps)
-
-
 def block_multiplier_composed(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
@@ -377,10 +361,12 @@ def block_multiplier_composed(
     src: str,
     eps: float = 1e-12,
 ) -> MultiplierSeries:
-    """Same entry built the long way: m^-2 * a_dest * conj(a_src).
+    """The (dest, src) block-matrix entry built the long way:
+    m^-2 * a_dest * conj(a_src).
 
-    Exercises series composition/conjugation; agrees with block_multiplier
-    up to truncation tails (tested, not assumed).
+    Exercises series composition/conjugation; agrees with
+    ``make_multiplier(bm, domain, BLOCK_KIND[(dest, src)], eps)`` up to
+    truncation tails (tested, not assumed).
     """
     factor = {"iminus": "a", "izero": "identity", "iplus": "c"}
     m = make_multiplier(bm, domain, "m_squared_inv", eps)

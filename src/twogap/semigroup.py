@@ -19,10 +19,10 @@ of ``quadrature.periodic_nodes``, sized from q so the quadrature error stays
 near 1e-13 however sharp the density spikes.  Nothing in the oracle touches
 the packet engine.
 
-The module also carries the plain one-interval comparison semigroup (shift
-and truncate), its generator's resolvent in closed form, and the Laplace-
-transform route to the compressed resolvent (on the causal window of its
-horizon).  A non-finite time is a ValidationError everywhere.
+The module also carries the closed-form resolvent of the plain shift
+generator on the middle interval (no coupling), and the Laplace-transform
+route to the compressed resolvent (on the causal window of its horizon).
+A non-finite time is a ValidationError everywhere.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "semigroup_kernel_apply",
     "norm_decay_profile",
     "NormDecayProfile",
-    "spatial_semigroup",
     "spatial_resolvent",
     "SampledProfile",
     "compressed_resolvent_profile",
@@ -319,15 +318,6 @@ class SampledProfile:
 
     x: np.ndarray
     values: np.ndarray
-
-
-def spatial_semigroup(domain: ExteriorDomain, f: StepPacket, t: float) -> StepPacket:
-    """Shift-and-truncate semigroup on the middle interval (no coupling)."""
-    t = _finite_time(t)
-    if t < 0:
-        raise NegativeTime(f"needs t >= 0, got {t}")
-    lo, hi = domain.component("izero")
-    return f.translate(t).restrict(lo, hi)
 
 
 def spatial_resolvent(

@@ -36,9 +36,6 @@ __all__ = [
     "period_integral",
     "fourier_coeffs",
     "comb_limit_diagnostic",
-    "AbsolutelyContinuous",
-    "MixedMeasure",
-    "spectral_measure",
 ]
 
 
@@ -163,39 +160,3 @@ def comb_limit_diagnostic(
         )
     return records
 
-
-@dataclass(frozen=True)
-class AbsolutelyContinuous:
-    """w > 0: purely absolutely continuous spectrum with the given density."""
-
-    density: SpectralDensity
-    kind: str = "absolutely_continuous"
-
-
-@dataclass(frozen=True)
-class MixedMeasure:
-    """w = 0: Lebesgue measure on the line plus the lattice comb of atoms.
-
-    The half-line continuum contributes a flat density; the middle-interval
-    bound states contribute atoms at (psi + n)/ell whose per-period count is
-    one atom per 1/ell of frequency.
-    """
-
-    atom_lattice_offset: float
-    atom_spacing: float
-    flat_density: float = 1.0
-    kind: str = "mixed"
-
-    def atoms(self, n_lo: int, n_hi: int) -> np.ndarray:
-        n = np.arange(n_lo, n_hi)
-        return self.atom_lattice_offset + n * self.atom_spacing
-
-
-def spectral_measure(bm: BoundaryMatrix, domain: ExteriorDomain):
-    """Tagged spectral-measure summary: AC for w > 0, mixed at w = 0."""
-    if bm.w > 0.0:
-        return AbsolutelyContinuous(density=SpectralDensity(bm, domain))
-    return MixedMeasure(
-        atom_lattice_offset=bm.psi / domain.ell,
-        atom_spacing=1.0 / domain.ell,
-    )

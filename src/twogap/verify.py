@@ -109,15 +109,17 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
     norm0 = f.norm2()
     ts = sc.grid("time_grid", _TIME_GRID)
 
-    drift = max(abs(evolve(bm, dom, f, t).packet.norm2() - norm0) for t in ts)
+    evolved = [evolve(bm, dom, f, t).packet for t in ts]
+    drift = max(abs(g.norm2() - norm0) for g in evolved)
     out.append(_judge("evolution_unitary", drift, 1e-10))
 
-    t1, t2 = (float(ts[-1]), float(ts[len(ts) // 2]))
+    # U(t1) f, reused by the group law, inverse and intertwining checks
+    t1, t2, u1 = float(ts[-1]), float(ts[len(ts) // 2]), evolved[-1]
     once = evolve(bm, dom, f, t1 + t2).packet
-    twice = evolve(bm, dom, evolve(bm, dom, f, t1).packet, t2).packet
+    twice = evolve(bm, dom, u1, t2).packet
     out.append(_judge("evolution_group_law", np.sqrt(once.distance2(twice)), 1e-9))
 
-    back = evolve(bm, dom, evolve(bm, dom, f, t1).packet, -t1).packet
+    back = evolve(bm, dom, u1, -t1).packet
     out.append(_judge("evolution_inverse", np.sqrt(back.distance2(f)), 1e-9))
 
     if all(n == 0 for n in f.frequencies()):
@@ -132,11 +134,10 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
                 pair_gap = max(pair_gap, abs(cross_term(bm, dom, pi, pj)))
         out.append(_judge("transform_cross_terms", pair_gap, 1e-8 * max(1.0, norm0)))
 
-    s = float(ts[-1]) if ts.size else 1.0
     for sign in ("+", "-"):
         rep_f = translation_representation(bm, dom, f, sign)
-        rep_uf = translation_representation(bm, dom, evolve(bm, dom, f, s).packet, sign)
-        gap = np.sqrt(rep_uf.distance2(rep_f.translate(s)))
+        rep_uf = translation_representation(bm, dom, u1, sign)
+        gap = np.sqrt(rep_uf.distance2(rep_f.translate(t1)))
         out.append(_judge(f"translation_rep_intertwines_{sign}", gap, 1e-9))
     return out
 
@@ -193,7 +194,7 @@ def _decoupled_checks(sc: Scenario) -> list[CheckResult]:
             for t in ts
         )
         out.append(_judge("decoupled_splice_unitary", drift, 1e-10))
-        t1 = float(ts[-1]) if ts.size else 1.0
+        t1 = float(ts[-1])
         back = evolve_decoupled(
             bm, dom, evolve_decoupled(bm, dom, halves, t1).packet, -t1
         ).packet

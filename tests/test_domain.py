@@ -7,7 +7,6 @@ from twogap.domain import (
     e2pi,
     make_boundary_matrix,
     make_domain,
-    to_su2,
 )
 from twogap.errors import OrderingViolation, RangeViolation
 
@@ -70,9 +69,3 @@ def test_boundary_matrix_range_rejected():
     with pytest.raises(RangeViolation):
         make_boundary_matrix(w=-0.1)
 
-
-def test_su2_factorization():
-    bm = make_boundary_matrix(w=0.6, theta=0.37, phi=0.11, psi=0.83)
-    det_half, half = to_su2(bm)
-    assert abs(np.linalg.det(half) - 1.0) < 1e-14
-    assert np.allclose(det_half * half, bm.matrix(), atol=1e-14)

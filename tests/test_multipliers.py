@@ -5,11 +5,11 @@ import pytest
 
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import DegenerateRegime, ValidationError
+from twogap.evolution import block_row
 from twogap.multipliers import (
     BLOCK_KIND,
     MULTIPLIER_KINDS,
     apply_multiplier,
-    block_multiplier,
     block_multiplier_composed,
     causal_multiplier,
     compose_multipliers,
@@ -185,7 +185,7 @@ def test_block_entry_two_routes(dest, src):
     rng = np.random.default_rng(sum(map(ord, dest + src)))
     bm = random_boundary(rng)
     dom = random_geometry(rng)
-    direct = block_multiplier(bm, dom, dest, src, eps=1e-13)
+    direct = make_multiplier(bm, dom, BLOCK_KIND[(dest, src)], eps=1e-13)
     composed = block_multiplier_composed(bm, dom, dest, src, eps=1e-13)
     spread = np.max(np.abs(direct.value(LAM) - composed.value(LAM)))
     assert spread < direct.tail + composed.tail + 1e-11
@@ -194,8 +194,9 @@ def test_block_entry_two_routes(dest, src):
 def test_block_entry_unknown_component():
     bm = make_boundary_matrix(w=0.5)
     dom = make_domain(2.0, 3.0)
+    parts = (StepPacket.box(-1.0, -0.5, 1.0), StepPacket.zero(), StepPacket.zero())
     with pytest.raises(ValidationError):
-        block_multiplier(bm, dom, "izero", "nowhere")
+        block_row(bm, dom, parts, "nowhere")
 
 
 def test_decoupled_regime_rejected():

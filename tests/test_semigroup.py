@@ -24,7 +24,6 @@ from twogap.semigroup import (
     shannon_coeffs,
     shannon_interpolate,
     spatial_resolvent,
-    spatial_semigroup,
 )
 
 from conftest import random_boundary, random_geometry
@@ -181,15 +180,6 @@ def test_parseval_bound():
         assert bound == pytest.approx(4.0 / bm.w**2 * f.norm2())
 
 
-def test_spatial_semigroup_nilpotent():
-    dom = make_domain(2.4, 3.0)
-    f = mid_packet(dom)
-    assert spatial_semigroup(dom, f, 2.0 * dom.ell).is_empty
-    assert spatial_semigroup(dom, f, 0.0).distance2(f) == 0.0
-    with pytest.raises(NegativeTime):
-        spatial_semigroup(dom, f, -0.1)
-
-
 def test_spatial_resolvent_closed_form():
     dom = make_domain(2.0, 3.0)
     f = StepPacket.box(1.1, 1.6, 1.0 - 0.5j) + StepPacket.box(1.6, 1.9, 0.3, freq=1)
@@ -282,5 +272,3 @@ def test_nonfinite_time_rejected(bad):
         semigroup_kernel_apply(bm, f, bad, [0.0, 1.0])
     with pytest.raises(ValidationError):
         parseval_bound_check(bm, dom, f, bad)
-    with pytest.raises(ValidationError):
-        spatial_semigroup(dom, f, bad)

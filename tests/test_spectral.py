@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from twogap.domain import make_boundary_matrix, make_domain
-from twogap.eigen import eigen_coeffs
+from twogap.eigen import bound_state_spectrum, eigen_coeffs
 from twogap.errors import DegenerateRegime, ValidationError
 from twogap.multipliers import make_multiplier
 from twogap.spectral import (
-    AbsolutelyContinuous,
-    MixedMeasure,
     SpectralDensity,
     comb_limit_diagnostic,
     density,
     fourier_coeffs,
     period_integral,
-    spectral_measure,
 )
 
 from conftest import random_boundary, random_geometry
@@ -175,13 +172,8 @@ def test_comb_window_validation():
 
 def test_measure_dispatch():
     dom = make_domain(2.0, 3.0)
-    ac = spectral_measure(make_boundary_matrix(w=0.8), dom)
-    assert isinstance(ac, AbsolutelyContinuous)
-    assert ac.kind == "absolutely_continuous"
-    assert ac.density.period == pytest.approx(1.0)
-
-    mixed = spectral_measure(make_boundary_matrix(w=0.0, psi=0.25), dom)
-    assert isinstance(mixed, MixedMeasure)
-    assert mixed.kind == "mixed"
-    assert mixed.flat_density == 1.0
-    assert np.allclose(mixed.atoms(0, 3), [0.25, 1.25, 2.25])
+    # w > 0: absolutely continuous, with the density's period 1/ell
+    assert SpectralDensity(make_boundary_matrix(w=0.8), dom).period == pytest.approx(1.0)
+    # w = 0: atoms on the lattice (psi + n)/ell
+    atoms = bound_state_spectrum(make_boundary_matrix(w=0.0, psi=0.25), dom, 0, 3)
+    assert np.allclose(atoms, [0.25, 1.25, 2.25])
