@@ -23,7 +23,7 @@ from .eigen import (
     scattering_matrix_routes,
 )
 from .errors import TwogapError
-from .evolution import decompose, evolve, evolve_decoupled, scatter
+from .evolution import decompose, evolve, evolve_decoupled, evolve_many, scatter
 from .packets import StepPacket, sum_packets
 from .scenario import Scenario, bundled_scenario, load_scenario
 from .semigroup import compress_evolve, norm_decay_profile, semigroup_kernel_apply
@@ -50,6 +50,7 @@ __all__ = [
     "eigenfunction_eval",
     "evolve",
     "evolve_decoupled",
+    "evolve_many",
     "forward_transform",
     "fourier_coeffs",
     "load_scenario",

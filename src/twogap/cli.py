@@ -26,7 +26,7 @@ from .eigen import (
     scattering_matrix_routes,
 )
 from .errors import ParseError, TwogapError, ValidationError
-from .evolution import evolve, evolve_decoupled, scatter
+from .evolution import evolve_decoupled, evolve_many, scatter
 from .packets import StepPacket
 from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from .scenario import Scenario, bundled_names, bundled_scenario, load_scenario
@@ -111,16 +111,19 @@ def _cmd_smatrix(sc: Scenario, out: Path) -> int:
 def _cmd_evolve(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
-    step = evolve_decoupled if bm.w == 0.0 else evolve
+    ts = sc.grid("time_grid")
+    if bm.w == 0.0:
+        results = [evolve_decoupled(bm, dom, f, t) for t in ts]
+    else:
+        results = evolve_many(bm, dom, f, ts)
     norm_rows = []
-    for i, t in enumerate(sc.grid("time_grid")):
-        result = step(bm, dom, f, float(t))
+    for i, result in enumerate(results):
         _write_csv(
             out / f"evolve_{i:03d}.csv",
             ["x", "re", "im", "abs2"],
             _packet_rows(result.packet),
         )
-        norm_rows.append((t, result.packet.norm2(), result.truncation))
+        norm_rows.append((result.t, result.packet.norm2(), result.truncation))
     _write_csv(out / "evolve_norms.csv", ["t", "norm2", "truncation"], norm_rows)
     return 0
 

@@ -102,7 +102,7 @@ class ExteriorDomain:
         try:
             return self.components[_COMPONENT_INDEX[tag]]
         except KeyError:
-            raise KeyError(f"unknown component tag {tag!r}") from None
+            raise ValidationError(f"unknown component tag {tag!r}") from None
 
 
 def make_domain(alpha: float, beta: float) -> ExteriorDomain:

@@ -12,10 +12,11 @@ interval through a_inv, and the outgoing train leaves through a_inv_c (one
 direct reflection plus the resonance sum).
 
 Propagation is finite: by time t only about |t| / ell reflections have
-happened.  So the finite-time routines (``evolve``, ``block_matrix_entry``,
-``correlation``, ``cesaro_decay``) give ``block_row`` a pre-shift window
-and apply only the lattice terms that reach it; they are exact finite sums
-with truncation 0, at a cost that follows the reflections, not w.
+happened.  So the finite-time routines (``evolve_many``, ``evolve``,
+``block_matrix_entry``, ``correlation``, ``cesaro_decay``) give ``block_row``
+the span of times a row serves; it applies only the lattice terms that reach
+the component over that span: exact finite sums with truncation 0, at a
+cost that follows the reflections, not w.  A time grid builds each row once.
 ``scatter`` and ``translation_representation`` describe t = inf and read
 the whole series, cut once at the fixed 1e-12 default of
 ``make_multiplier``.  ``cesaro_decay`` evolves nothing per time: it sums
@@ -57,6 +58,7 @@ from .packets import StepPacket, sum_packets
 __all__ = [
     "EvolutionResult",
     "evolve",
+    "evolve_many",
     "evolve_decoupled",
     "scatter",
     "translation_representation",
@@ -113,21 +115,22 @@ def block_row(
     parts,
     dest: str,
     *,
-    window=None,
+    span=None,
 ) -> StepPacket:
     """Row ``dest`` of the block matrix applied to component parts.
 
     ``parts`` holds one packet per source component, in COMPONENTS order;
     empty parts are skipped.  Returns the pre-shift packet
-    sum_src M[dest, src] parts[src].  With a pre-shift ``window`` (lo, hi)
-    each entry is the exact finite sum of its lattice terms that reach the
-    window, so the packet is exact on the window (and meaningless outside
-    it); without one each entry is its whole series at the default cut of
-    ``make_multiplier`` (the t = inf pictures, which see every term).
-    An unknown ``dest`` raises ValidationError.
+    sum_src M[dest, src] parts[src].  With a time ``span`` (t_lo, t_hi) each
+    entry is the exact finite sum of its lattice terms that reach the
+    pre-shift window (lo - t_hi, hi - t_lo) of dest = (lo, hi), so the packet
+    is exact there (and meaningless outside it); without one each entry is
+    its whole series at the default cut of ``make_multiplier`` (the t = inf
+    pictures, which see every term).  An unknown ``dest`` raises
+    ValidationError.
     """
-    if dest not in COMPONENTS:
-        raise ValidationError(f"unknown component {dest!r}")
+    lo, hi = domain.component(dest)
+    window = None if span is None else (lo - span[1], hi - span[0])
     pieces = []
     for src, fsrc in zip(COMPONENTS, parts):
         if fsrc.is_empty:
@@ -144,34 +147,32 @@ def block_row(
     return sum_packets(pieces)
 
 
-def _window(domain: ExteriorDomain, dest: str, t: float):
-    """Where the dest component is before the shift by t."""
-    lo, hi = domain.component(dest)
-    return lo - t, hi - t
+def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -> list[EvolutionResult]:
+    """U(t) f for each t of ``ts`` (finite reals, w > 0), in input order.
 
-
-def evolve(
-    bm: BoundaryMatrix,
-    domain: ExteriorDomain,
-    f: StepPacket,
-    t: float,
-) -> EvolutionResult:
-    """Unitary evolution U(t) f for w > 0 (any finite real t).
-
-    Each row applies only the lattice terms that reach its component at
-    time t, about |t| / ell reflections, so the sum is exact (truncation 0)
-    and its cost does not depend on w.
+    f is decomposed and each row built once, on the span (min ts, max ts),
+    then shifted and clipped per t: exact (truncation 0), at a cost that
+    follows max |t| / ell reflections, not w.  An empty ``ts`` raises
+    ValidationError.
     """
-    t = _finite_time(t)
+    ts = [_finite_time(t) for t in ts]
+    if not ts:
+        raise ValidationError("evolve_many needs at least one time")
     if bm.w == 0.0:
         raise DegenerateRegime("w = 0 evolution is decoupled; use evolve_decoupled")
     parts = decompose(f, domain)
-    out = []
-    for dest in COMPONENTS:
-        g = block_row(bm, domain, parts, dest, window=_window(domain, dest, t))
-        if not g.is_empty:
-            out.append(g.translate(t).restrict(*domain.component(dest)))
-    return EvolutionResult(packet=sum_packets(out), t=t, truncation=0.0)
+    span = (min(ts), max(ts))
+    rows = [(domain.component(d), block_row(bm, domain, parts, d, span=span)) for d in COMPONENTS]
+    rows = [(comp, g) for comp, g in rows if not g.is_empty]
+    return [
+        EvolutionResult(sum_packets([g.translate(t).restrict(*comp) for comp, g in rows]), t, 0.0)
+        for t in ts
+    ]
+
+
+def evolve(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, t: float) -> EvolutionResult:
+    """Unitary evolution U(t) f, w > 0, finite real t: ``evolve_many`` at one t."""
+    return evolve_many(bm, domain, f, [t])[0]
 
 
 def block_matrix_entry(
@@ -187,13 +188,9 @@ def block_matrix_entry(
     t = _finite_time(t)
     if bm.w == 0.0:
         raise DegenerateRegime("block entries need w > 0")
-    if dest not in COMPONENTS or src not in COMPONENTS:
-        raise ValidationError(f"unknown components ({dest!r}, {src!r})")
-    parts = [
-        f.restrict(*domain.component(tag)) if tag == src else StepPacket.zero()
-        for tag in COMPONENTS
-    ]
-    g = block_row(bm, domain, parts, dest, window=_window(domain, dest, t))
+    fsrc = f.restrict(*domain.component(src))
+    parts = [fsrc if tag == src else StepPacket.zero() for tag in COMPONENTS]
+    g = block_row(bm, domain, parts, dest, span=(t, t))
     return g.translate(t).restrict(*domain.component(dest))
 
 
@@ -341,7 +338,7 @@ def cesaro_decay(
         lo, hi = domain.component(tag)
         fp = f.restrict(lo, hi)
         if not fp.is_empty:
-            row = block_row(bm, domain, g_parts, tag, window=(lo - reach, hi + reach))
+            row = block_row(bm, domain, g_parts, tag, span=(-reach, reach))
             uv = np.conj(fp.waves[0])[:, None] * row.waves.get(0, np.empty(0))
             cols = np.broadcast_arrays(fp.lo[:, None], fp.hi[:, None], row.lo, row.hi, uv)
             pairs.append([x.ravel() for x in cols])

@@ -374,7 +374,7 @@ def compressed_resolvent_profile(
     _require_on(f, *domain.component("izero"), "resolvent input")
     t_max = -np.log(1e-12) / lam.real
     zero = StepPacket.zero()
-    ef = block_row(bm, domain, (zero, f, zero), "izero", window=(1.0 - t_max, domain.alpha))
+    ef = block_row(bm, domain, (zero, f, zero), "izero", span=(0.0, t_max))
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     out = np.empty(x_grid.shape, dtype=complex)
     edges_src = ef.breakpoints()

@@ -30,6 +30,7 @@ from .evolution import (
     decompose,
     evolve,
     evolve_decoupled,
+    evolve_many,
     translation_representation,
 )
 from .packets import StepPacket
@@ -109,17 +110,15 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
     norm0 = f.norm2()
     ts = sc.grid("time_grid", _TIME_GRID)
 
-    evolved = [evolve(bm, dom, f, t).packet for t in ts]
+    evolved = [r.packet for r in evolve_many(bm, dom, f, ts)]
     drift = max(abs(g.norm2() - norm0) for g in evolved)
     out.append(_judge("evolution_unitary", drift, 1e-10))
 
     # U(t1) f, reused by the group law, inverse and intertwining checks
     t1, t2, u1 = float(ts[-1]), float(ts[len(ts) // 2]), evolved[-1]
     once = evolve(bm, dom, f, t1 + t2).packet
-    twice = evolve(bm, dom, u1, t2).packet
+    twice, back = (r.packet for r in evolve_many(bm, dom, u1, [t2, -t1]))
     out.append(_judge("evolution_group_law", np.sqrt(once.distance2(twice)), 1e-9))
-
-    back = evolve(bm, dom, u1, -t1).packet
     out.append(_judge("evolution_inverse", np.sqrt(back.distance2(f)), 1e-9))
 
     if all(n == 0 for n in f.frequencies()):

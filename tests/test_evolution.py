@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twogap import evolution, multipliers
+from twogap import cli, evolution, multipliers
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -21,11 +21,13 @@ from twogap.evolution import (
     decompose,
     evolve,
     evolve_decoupled,
+    evolve_many,
     scatter,
     translation_representation,
 )
 from twogap.multipliers import BLOCK_KIND, apply_multiplier, make_multiplier
 from twogap.packets import StepPacket, sum_packets
+from twogap.scenario import bundled_scenario
 
 from conftest import random_boundary, random_geometry, random_packet
 
@@ -326,13 +328,14 @@ def test_window_matches_full_series():
                     pieces.append(apply_multiplier(m, p))
                     budget += m.tail * np.sqrt(p.norm2())
             rows[d] = sum_packets(pieces)
-        for t in (0.0, 0.5, 3.0, 20.0, -7.0, 100.0):
+        ts = (0.0, 0.5, 3.0, 20.0, -7.0, 100.0)
+        for t, on_grid in zip(ts, evolve_many(bm, dom, f, ts)):
             ref = sum_packets(
                 [rows[d].translate(t).restrict(*dom.component(d)) for d in _COMPONENTS]
             )
-            res = evolve(bm, dom, f, t)
-            assert res.truncation == 0.0
-            assert np.sqrt(res.packet.distance2(ref)) <= 1e-14 * scale + budget
+            for res in (evolve(bm, dom, f, t), on_grid):
+                assert res.truncation == 0.0
+                assert np.sqrt(res.packet.distance2(ref)) <= 1e-14 * scale + budget
 
 
 def test_evolution_reads_no_series(monkeypatch):
@@ -370,6 +373,46 @@ def test_evolve_cost_follows_reflections(monkeypatch):
     assert 0 < sum(applied) <= 3 * (math.ceil((abs(t) + width) / dom.ell) + 3)
 
 
+def test_evolve_many_contracts():
+    dom, f = _WINDOW_DOMAIN, _WINDOW_F  # a frequency-1 cell on each component
+    scale = np.sqrt(f.norm2())
+    ts = [3.0, -7.0, 0.5, 3.0, 100.0, 0.0]  # unsorted, with a repeat
+    for w in (1.0, 0.9, 0.5, 0.2, 0.05):
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+        got = evolve_many(bm, dom, f, ts)
+        assert [r.t for r in got] == ts
+        for t, res in zip(ts, got):
+            assert res.truncation == 0.0
+            one = evolve(bm, dom, f, t).packet
+            assert np.sqrt(res.packet.distance2(one)) <= 1e-14 * scale
+        assert got[0].packet.distance2(got[3].packet) == 0.0
+    with pytest.raises(ValidationError):
+        evolve_many(bm, dom, f, [])
+    with pytest.raises(DegenerateRegime):
+        evolve_many(make_boundary_matrix(w=0.0), dom, f, ts)
+
+
+def test_cli_evolve_builds_each_row_once(monkeypatch, tmp_path):
+    # the grid of example_5_9 holds 13 times; it builds the causal series of
+    # one single-time evolve, not 13 sets
+    built = []
+    causal = multipliers.causal_multiplier
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return causal(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "causal_multiplier", counting)
+    sc = bundled_scenario("example_5_9")
+    assert sc.grid("time_grid").size > 1
+    evolve(sc.bm, sc.domain, sc.packet("f"), 1.5)
+    once = len(built)
+    assert once > 0
+    built.clear()
+    assert cli.main(["evolve", "--scenario", "example_5_9", "--out", str(tmp_path)]) == 0
+    assert len(built) == once
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_nonfinite_time_rejected(bad):
     bm = make_boundary_matrix(w=0.6)
@@ -377,6 +420,8 @@ def test_nonfinite_time_rejected(bad):
     f = StepPacket.box(-1.0, -0.5, 1.0)
     with pytest.raises(ValidationError):
         evolve(bm, dom, f, bad)
+    with pytest.raises(ValidationError):
+        evolve_many(bm, dom, f, [1.0, bad])
     with pytest.raises(ValidationError):
         block_matrix_entry(bm, dom, "iplus", "iminus", f, bad)
     with pytest.raises(ValidationError):
@@ -396,7 +441,7 @@ def _cesaro_panel_simpson(bm, dom, f, g, horizons):
     rows, f_parts = {}, {}
     for d in _COMPONENTS:
         lo, hi = dom.component(d)
-        rows[d] = evolution.block_row(bm, dom, g_parts, d, window=(lo - reach, hi + reach))
+        rows[d] = evolution.block_row(bm, dom, g_parts, d, span=(-reach, reach))
         f_parts[d] = f.restrict(lo, hi)
 
     def corr(t):

@@ -3,11 +3,12 @@
     PYTHONPATH=src python tools/cli_snapshot.py OUT [--against DIR]
 
 Runs ``twogap.cli.main`` for each command on each bundled scenario, writing
-OUT/<command>__<scenario>/ and the exit codes to OUT/exit_codes.json.
-With ``--against DIR`` (an earlier snapshot, e.g. of another commit), it
-then reports the exit codes that differ, the count of byte-identical CSVs,
-and for each changed column the number of changed cells and the largest
-absolute and relative gap between the two snapshots.
+OUT/<command>__<scenario>/ (emptied first) and the exit codes to
+OUT/exit_codes.json.  With ``--against DIR`` (an earlier snapshot, e.g. of
+another commit), it then reports the exit codes that differ, the count of
+byte-identical CSVs, and for each changed column the number of changed cells
+and the largest absolute and relative gap between the two snapshots; it
+exits 1 if the snapshots differ at all, else 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -32,6 +34,7 @@ def snapshot(out: Path) -> dict:
     for command in sorted(_COMMANDS):
         for scenario in bundled_names():
             pair = f"{command}__{scenario}"
+            shutil.rmtree(out / pair, ignore_errors=True)  # no stale CSV from an earlier run
             args = [command, "--scenario", scenario, "--out", str(out / pair)]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 try:
@@ -73,7 +76,8 @@ def _column_gaps(old: Path, new: Path) -> dict:
     return gaps
 
 
-def compare(old: Path, new: Path) -> None:
+def compare(old: Path, new: Path) -> bool:
+    """Print the differences between two snapshots; True if there are none."""
     codes_a = json.loads((old / "exit_codes.json").read_text())
     codes_b = json.loads((new / "exit_codes.json").read_text())
     same = [p for p in codes_b if codes_a.get(p) == codes_b[p]]
@@ -91,6 +95,7 @@ def compare(old: Path, new: Path) -> None:
     for rel in changed:
         for column, (cells, gap, rel_gap) in _column_gaps(old / rel, new / rel).items():
             print(f"  {rel} {column}: {cells} cells, max abs {gap:.3g}, max rel {rel_gap:.3g}")
+    return codes_a == codes_b and not (files_a ^ files_b) and not changed
 
 
 def _main(argv=None) -> int:
@@ -99,8 +104,8 @@ def _main(argv=None) -> int:
     parser.add_argument("--against", type=Path, help="an earlier snapshot to diff against")
     args = parser.parse_args(argv)
     snapshot(args.out)
-    if args.against is not None:
-        compare(args.against, args.out)
+    if args.against is not None and not compare(args.against, args.out):
+        return 1
     return 0
 
 
