@@ -23,7 +23,7 @@ from .eigen import (
     scattering_matrix_routes,
 )
 from .errors import TwogapError
-from .evolution import decompose, evolve, evolve_decoupled, evolve_many, scatter
+from .evolution import decompose, evolve, evolve_many, scatter
 from .packets import StepPacket, sum_packets
 from .scenario import Scenario, bundled_scenario, load_scenario
 from .semigroup import compress_evolve, norm_decay_profile, semigroup_kernel_apply
@@ -49,7 +49,6 @@ __all__ = [
     "eigen_residual",
     "eigenfunction_eval",
     "evolve",
-    "evolve_decoupled",
     "evolve_many",
     "forward_transform",
     "fourier_coeffs",

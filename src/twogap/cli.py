@@ -20,13 +20,14 @@ import numpy as np
 from .degenerate import TwoPointsModel, conjugation_residual, two_points_abs2_routes
 from .domain import e2pi
 from .eigen import (
+    _route_spread,
     eigen_coeffs,
     eigen_residual,
     eigenfunction_traces,
     scattering_matrix_routes,
 )
 from .errors import ParseError, TwogapError, ValidationError
-from .evolution import evolve_decoupled, evolve_many, scatter
+from .evolution import evolve_many, scatter
 from .packets import StepPacket
 from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from .scenario import Scenario, bundled_names, bundled_scenario, load_scenario
@@ -101,9 +102,7 @@ def _cmd_smatrix(sc: Scenario, out: Path) -> int:
     rows = []
     for la in sc.grid("lambda_grid"):
         routes = scattering_matrix_routes(bm, dom, float(la))
-        vals = [routes["ratio"], routes["quotient"], routes["split"]]
-        spread = max(abs(u - v) for i, u in enumerate(vals) for v in vals[i + 1 :])
-        rows.append((la, routes["ratio"].real, routes["ratio"].imag, spread))
+        rows.append((la, routes["ratio"].real, routes["ratio"].imag, _route_spread(routes)))
     _write_csv(out / "smatrix.csv", ["lambda", "re", "im", "route_spread"], rows)
     return 0
 
@@ -111,13 +110,8 @@ def _cmd_smatrix(sc: Scenario, out: Path) -> int:
 def _cmd_evolve(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
-    ts = sc.grid("time_grid")
-    if bm.w == 0.0:
-        results = [evolve_decoupled(bm, dom, f, t) for t in ts]
-    else:
-        results = evolve_many(bm, dom, f, ts)
     norm_rows = []
-    for i, result in enumerate(results):
+    for i, result in enumerate(evolve_many(bm, dom, f, sc.grid("time_grid"))):
         _write_csv(
             out / f"evolve_{i:03d}.csv",
             ["x", "re", "im", "abs2"],

@@ -2,11 +2,15 @@
 
 These are the shrink/merge limits of the two-interval geometry, small
 enough that the conjugating map V onto the free line is completely
-explicit.  For the single point and the single interval V is unitary
-(piecewise phase, plus a rigid gap jump for the interval) and conjugates
-the extension's evolution to plain translation — the tests drive packets
-through both routes and ask for exact agreement.  For two points the map
-picks up a genuine multiplier
+explicit.  A point is the interval of width 0, so the point and the
+interval share one V, one V* and one native evolution: translation, with
+the cut jumped by ``evolution._splice``.  The w = 0 half-lines of the
+two-gap domain are the interval model of width beta and theta
+(theta - psi + 1/2) mod 1.  For the single point and the single interval
+V is unitary (piecewise phase, plus a rigid gap jump for the interval) and
+conjugates the extension's evolution to plain translation — the tests
+drive packets through both routes and ask for exact agreement.  For two
+points the map picks up a genuine multiplier
 
     a(xi) = (1 - q e(alpha xi)) / w,      q = sqrt(1 - w^2),
 
@@ -25,6 +29,7 @@ import numpy as np
 
 from .domain import _real_lambda, e2pi
 from .errors import SupportViolation, ValidationError
+from .evolution import _splice
 from .packets import StepPacket
 
 __all__ = [
@@ -81,21 +86,17 @@ class TwoPointsModel:
         return float(np.sqrt(max(0.0, 1.0 - self.w * self.w)))
 
 
-def _check_interval_support(model: OneIntervalModel, f: StepPacket):
-    blocked = f.restrict(0.0, model.alpha).norm2()
-    if blocked > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation("packet has mass on the obstacle interval")
+def _cut(model):
+    """(width, theta) of the removed point (width 0) or interval."""
+    if isinstance(model, OneIntervalModel):
+        return model.alpha, model.theta
+    if isinstance(model, OnePointModel):
+        return 0.0, model.theta
+    raise ValidationError(f"expected a point or interval model, got {type(model).__name__}")
 
 
 def degenerate_V(model, f: StepPacket) -> StepPacket:
     """Map a free-line packet onto the obstacle geometry."""
-    if isinstance(model, OnePointModel):
-        return f.restrict(-_INF, 0.0).scale(e2pi(model.theta)) + f.restrict(0.0, _INF)
-    if isinstance(model, OneIntervalModel):
-        return (
-            f.restrict(-_INF, 0.0).scale(e2pi(model.theta))
-            + f.restrict(0.0, _INF).translate(model.alpha)
-        )
     if isinstance(model, TwoPointsModel):
         w, q, al = model.w, model.q, model.alpha
         comb_l = f.scale(1.0 / w) - f.translate(-al).scale(q / w)
@@ -105,18 +106,12 @@ def degenerate_V(model, f: StepPacket) -> StepPacket:
             + f.restrict(0.0, al)
             + comb_r.restrict(al, _INF)
         )
-    raise ValidationError(f"unknown model {type(model).__name__}")
+    width, theta = _cut(model)
+    return f.restrict(-_INF, 0.0).scale(e2pi(theta)) + f.restrict(0.0, _INF).translate(width)
 
 
 def degenerate_Vstar(model, g: StepPacket) -> StepPacket:
     """Adjoint of degenerate_V (exact inverse for the two unitary models)."""
-    if isinstance(model, OnePointModel):
-        return g.restrict(-_INF, 0.0).scale(e2pi(-model.theta)) + g.restrict(0.0, _INF)
-    if isinstance(model, OneIntervalModel):
-        return (
-            g.restrict(-_INF, 0.0).scale(e2pi(-model.theta))
-            + g.restrict(model.alpha, _INF).translate(-model.alpha)
-        )
     if isinstance(model, TwoPointsModel):
         w, q, al = model.w, model.q, model.alpha
         left = g.restrict(-_INF, 0.0)
@@ -127,49 +122,23 @@ def degenerate_Vstar(model, g: StepPacket) -> StepPacket:
         back = left.scale(1.0 / w) - left.translate(al).scale(q / w)
         forth = right.scale(1.0 / w) - right.translate(-al).scale(q / w)
         return back + mid + forth
-    raise ValidationError(f"unknown model {type(model).__name__}")
+    width, theta = _cut(model)
+    return g.restrict(-_INF, 0.0).scale(e2pi(-theta)) + g.restrict(width, _INF).translate(-width)
 
 
 def degenerate_evolve(model, f: StepPacket, t: float) -> StepPacket:
     """Native evolution for the point / interval models, any t.
 
     Translation at unit speed; crossing the obstacle rightward multiplies
-    by e(-theta) (and jumps the interval width for the interval model),
-    leftward by e(theta).  Not defined for the two-point family, whose
-    interesting structure lives in V itself.
+    by e(-theta) and jumps the width (0 for the point), leftward by
+    e(theta).  Not defined for the two-point family, whose interesting
+    structure lives in V itself.  Mass on the interval raises
+    SupportViolation.
     """
-    t = float(t)
-    if isinstance(model, OnePointModel):
-        if t >= 0:
-            moved = f.restrict(-_INF, 0.0).translate(t)
-            return (
-                moved.restrict(-_INF, 0.0)
-                + moved.restrict(0.0, _INF).scale(e2pi(-model.theta))
-                + f.restrict(0.0, _INF).translate(t)
-            )
-        moved = f.restrict(0.0, _INF).translate(t)
-        return (
-            moved.restrict(0.0, _INF)
-            + moved.restrict(-_INF, 0.0).scale(e2pi(model.theta))
-            + f.restrict(-_INF, 0.0).translate(t)
-        )
-    if isinstance(model, OneIntervalModel):
-        _check_interval_support(model, f)
-        al, th = model.alpha, model.theta
-        if t >= 0:
-            moved = f.restrict(-_INF, 0.0).translate(t)
-            return (
-                moved.restrict(-_INF, 0.0)
-                + moved.restrict(0.0, _INF).translate(al).scale(e2pi(-th))
-                + f.restrict(al, _INF).translate(t)
-            )
-        moved = f.restrict(al, _INF).translate(t)
-        return (
-            moved.restrict(al, _INF)
-            + moved.restrict(-_INF, al).translate(-al).scale(e2pi(th))
-            + f.restrict(-_INF, 0.0).translate(t)
-        )
-    raise ValidationError("native evolution exists for the point/interval models only")
+    width, theta = _cut(model)
+    if f.restrict(0.0, width).norm2() > 1e-12 * max(1.0, f.norm2()):
+        raise SupportViolation("packet has mass on the obstacle interval")
+    return _splice(f, float(t), width, complex(e2pi(-theta)))
 
 
 def conjugation_residual(model, f: StepPacket, t: float) -> float:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import OrderingViolation, RangeViolation, ValidationError
+from .errors import DegenerateRegime, OrderingViolation, RangeViolation, ValidationError
 
 __all__ = [
     "TWO_PI",
@@ -187,6 +187,15 @@ class BoundaryMatrix:
                 [np.conj(b), a * det],
             ],
             dtype=complex,
+        )
+
+
+def _require_coupled(bm: BoundaryMatrix, what: str):
+    """DegenerateRegime unless w > 0 (``what`` names the caller)."""
+    if bm.w == 0.0:
+        raise DegenerateRegime(
+            f"{what} requires w > 0; the decoupled model has bound states "
+            "and a half-line continuum instead"
         )
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, Region, _real_lambda, classify_point, e2pi
-from .errors import DegenerateRegime, NotDecoupled, OutOfDomain, ValidationError
+from .domain import _require_coupled
+from .errors import NotDecoupled, OutOfDomain, ValidationError
 
 __all__ = [
     "EigenCoefficients",
@@ -57,14 +58,6 @@ class EigenCoefficients:
     b_norm: float
     h: np.ndarray
     m: np.ndarray
-
-
-def _require_coupled(bm: BoundaryMatrix, what: str):
-    if bm.w == 0.0:
-        raise DegenerateRegime(
-            f"{what} requires w > 0; the decoupled model has bound states "
-            "and a half-line continuum instead"
-        )
 
 
 def transfer_H(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
@@ -202,6 +195,12 @@ def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) ->
         bm.psi - bm.theta - beta * lam
     )
     return {"ratio": co.c / co.a, "quotient": quotient, "split": split}
+
+
+def _route_spread(routes: dict):
+    """Largest pairwise gap between the three routes of one S(lambda)."""
+    vals = [routes["ratio"], routes["quotient"], routes["split"]]
+    return max(abs(u - v) for i, u in enumerate(vals) for v in vals[i + 1 :])
 
 
 def bound_state_spectrum(

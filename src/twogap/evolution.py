@@ -28,8 +28,12 @@ rather than used as a definition.
 
 The middle interval alone is an explicit wrap: what leaves at alpha comes
 back at 1 scaled by z = q e(-psi).  For w > 0, t >= 0 that is the
-compressed semigroup; at w = 0, |z| = 1 and the two half-lines glue into a
-single line (exit at 0, re-enter at beta) with splice phase -e(psi - theta).
+compressed semigroup.  At w = 0, |z| = 1 and ``evolve_many`` needs no row:
+the middle interval wraps, and the two half-lines are one line with the
+cut [0, beta] (``_splice``): mass crossing 0 rightward re-enters at beta
+with phase -e(psi - theta), and mass crossing beta leftward goes back with
+the conjugate phase.  ``_splice`` is also the native evolution of the
+point and interval models of ``degenerate``.
 """
 
 from __future__ import annotations
@@ -39,14 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, e2pi
-from .errors import (
-    DegenerateRegime,
-    EmptySupport,
-    NotDecoupled,
-    SupportViolation,
-    ValidationError,
-)
+from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
+from .errors import EmptySupport, SupportViolation, ValidationError
 from .multipliers import (
     BLOCK_KIND,
     apply_multiplier,
@@ -59,7 +57,6 @@ __all__ = [
     "EvolutionResult",
     "evolve",
     "evolve_many",
-    "evolve_decoupled",
     "scatter",
     "translation_representation",
     "correlation",
@@ -148,19 +145,23 @@ def block_row(
 
 
 def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -> list[EvolutionResult]:
-    """U(t) f for each t of ``ts`` (finite reals, w > 0), in input order.
+    """U(t) f for each t of ``ts`` (finite reals), in input order.
 
-    f is decomposed and each row built once, on the span (min ts, max ts),
-    then shifted and clipped per t: exact (truncation 0), at a cost that
-    follows max |t| / ell reflections, not w.  An empty ``ts`` raises
-    ValidationError.
+    f is decomposed once.  For w > 0 each row is built once, on the span
+    (min ts, max ts), then shifted and clipped per t, at a cost that follows
+    max |t| / ell reflections, not w; at w = 0 each t is the middle wrap plus
+    the half-line splice.  Exact either way (truncation 0).  An empty ``ts``
+    raises ValidationError.
     """
     ts = [_finite_time(t) for t in ts]
     if not ts:
         raise ValidationError("evolve_many needs at least one time")
-    if bm.w == 0.0:
-        raise DegenerateRegime("w = 0 evolution is decoupled; use evolve_decoupled")
     parts = decompose(f, domain)
+    if bm.w == 0.0:
+        fm, f0, fp = parts
+        halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
+        moved = [_wrap_middle(bm, domain, f0, t) + _splice(halves, t, domain.beta, phase) for t in ts]
+        return [EvolutionResult(g, t, 0.0) for g, t in zip(moved, ts)]
     span = (min(ts), max(ts))
     rows = [(domain.component(d), block_row(bm, domain, parts, d, span=span)) for d in COMPONENTS]
     rows = [(comp, g) for comp, g in rows if not g.is_empty]
@@ -171,7 +172,7 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
 
 
 def evolve(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, t: float) -> EvolutionResult:
-    """Unitary evolution U(t) f, w > 0, finite real t: ``evolve_many`` at one t."""
+    """Unitary evolution U(t) f, w in [0, 1], finite real t: ``evolve_many`` at one t."""
     return evolve_many(bm, domain, f, [t])[0]
 
 
@@ -186,8 +187,7 @@ def block_matrix_entry(
     """The (dest, src) block of U(t) applied to f: restriction of the
     multiplier action of the src part, shifted by t, clipped to dest."""
     t = _finite_time(t)
-    if bm.w == 0.0:
-        raise DegenerateRegime("block entries need w > 0")
+    _require_coupled(bm, "block_matrix_entry")
     fsrc = f.restrict(*domain.component(src))
     parts = [fsrc if tag == src else StepPacket.zero() for tag in COMPONENTS]
     g = block_row(bm, domain, parts, dest, span=(t, t))
@@ -195,7 +195,7 @@ def block_matrix_entry(
 
 
 # ----------------------------------------------------------------------
-# the middle-interval wrap and the decoupled (w = 0) dynamics
+# the middle-interval wrap and the cut-line splice
 # ----------------------------------------------------------------------
 
 
@@ -215,37 +215,21 @@ def _wrap_middle(bm, domain, f0, t):
     return inside + spill.translate(-ell).scale(bm.b_entry)
 
 
-def _splice_halflines(bm, domain, fm, fp, t):
-    """Glued-line shift: exit at 0, re-enter at beta, phase -e(psi-theta)."""
-    omega = -complex(e2pi(bm.psi - bm.theta))
-    h = fm + fp.translate(-domain.beta)  # glued coordinate: I_plus -> (0, inf)
-    if h.is_empty:
-        return h
+def _splice(f, t, width, phase):
+    """Shift by t on the line with [0, width] removed (width 0: a point).
+
+    Mass that crosses 0 rightward jumps by ``width`` and gains ``phase``;
+    mass that crosses ``width`` leftward jumps back with conj(phase).
+    """
+    left, right = f.restrict(hi=0.0), f.restrict(lo=width)
     if t >= 0:
-        stay_neg = h.restrict(hi=-t).translate(t)
-        crossed = h.restrict(-t, 0.0).translate(t).scale(omega)
-        stay_pos = h.restrict(lo=0.0).translate(t)
+        moved = left.translate(t)
+        stay, cross, still = moved.restrict(hi=0.0), moved.restrict(lo=0.0), right
     else:
-        stay_neg = h.restrict(hi=0.0).translate(t)
-        crossed = h.restrict(0.0, -t).translate(t).scale(np.conj(omega))
-        stay_pos = h.restrict(lo=-t).translate(t)
-    g = sum_packets([stay_neg, crossed, stay_pos])
-    return g.restrict(hi=0.0) + g.restrict(lo=0.0).translate(domain.beta)
-
-
-def evolve_decoupled(
-    bm: BoundaryMatrix,
-    domain: ExteriorDomain,
-    f: StepPacket,
-    t: float,
-) -> EvolutionResult:
-    """Exact w = 0 evolution (wrap + splice); no series, no truncation."""
-    t = _finite_time(t)
-    if bm.w != 0.0:
-        raise NotDecoupled(f"evolve_decoupled needs w = 0, got w = {bm.w}")
-    fm, f0, fp = decompose(f, domain)
-    out = _wrap_middle(bm, domain, f0, t) + _splice_halflines(bm, domain, fm, fp, t)
-    return EvolutionResult(packet=out, t=t, truncation=0.0)
+        moved = right.translate(t)
+        stay, cross, still = moved.restrict(lo=width), moved.restrict(hi=width), left
+        width, phase = -width, np.conj(phase)
+    return stay + cross.translate(width).scale(phase) + still.translate(t)
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +247,7 @@ def scatter(
     This is the spatial action of the scattering coefficient: one direct
     reflection plus the transmitted resonance train.
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("scattering needs w > 0")
+    _require_coupled(bm, "scatter")
     sup = f_in.support()
     if sup is None or sup[1] > 1e-12:
         raise EmptySupport("incoming packet must be supported on the left half-line")
@@ -284,8 +267,7 @@ def translation_representation(
     their own half-line, the scattering multipliers on the other two
     components; they intertwine the evolution with the rigid shift (tested).
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("translation representations need w > 0")
+    _require_coupled(bm, "translation_representation")
     dest = {"+": "iplus", "-": "iminus"}.get(sign)
     if dest is None:
         raise ValidationError(f"sign must be '+' or '-', got {sign!r}")

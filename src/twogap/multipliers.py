@@ -191,7 +191,7 @@ def _check_kind(bm: BoundaryMatrix, kind: str) -> None:
     if bm.w == 0.0 and kind != "identity":
         raise DegenerateRegime(
             f"multiplier {kind!r} needs w > 0 (decoupled regime has no "
-            "transmission; use the dedicated decoupled evolution)"
+            "transmission; evolve needs no multiplier at w = 0)"
         )
 
 

@@ -341,12 +341,8 @@ class StepPacket:
         mid = 0.5 * (u + v)
 
         def levels(p):
-            idx = np.searchsorted(p.lo, mid, side="right") - 1
-            idx_c = np.clip(idx, 0, max(p.n_cells - 1, 0))
-            inside = (idx >= 0) & (mid < p.hi[idx_c]) & (mid >= p.lo[idx_c])
-            return {
-                n: np.where(inside, w[idx_c], 0.0) for n, w in p.waves.items()
-            }
+            idx, inside = p._cell_at(mid)
+            return {n: np.where(inside, w[idx], 0.0) for n, w in p.waves.items()}
 
         fl, gl = levels(f), levels(g)
         total = 0.0 + 0.0j
@@ -387,13 +383,17 @@ class StepPacket:
         x = np.atleast_1d(x)
         out = np.zeros(x.shape, dtype=complex)
         if not self.is_empty:
-            idx = np.searchsorted(self.lo, x, side="right") - 1
-            idx_c = np.clip(idx, 0, self.n_cells - 1)
-            inside = (idx >= 0) & (x < self.hi[idx_c]) & (x >= self.lo[idx_c])
+            idx, inside = self._cell_at(x)
             for n, vals in self.waves.items():
-                term = vals[idx_c] * (e2pi(n * x) if n else 1.0)
+                term = vals[idx] * (e2pi(n * x) if n else 1.0)
                 out += np.where(inside, term, 0.0)
         return out[0] if scalar else out
+
+    def _cell_at(self, x):
+        """Per point of x (non-empty packet): the index of the cell [lo, hi)
+        holding it (clipped into range) and whether one does."""
+        idx = np.clip(np.searchsorted(self.lo, x, side="right") - 1, 0, self.n_cells - 1)
+        return idx, (x >= self.lo[idx]) & (x < self.hi[idx])
 
     def distance2(self, other: "StepPacket") -> float:
         """Squared L2 distance to another packet."""

@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, e2pi, make_domain
-from .errors import (
-    DegenerateRegime,
-    HalfPlaneViolation,
-    NegativeTime,
-    SupportViolation,
-    ValidationError,
-)
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi, make_domain
+from .errors import HalfPlaneViolation, NegativeTime, SupportViolation, ValidationError
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, _finite_time, _wrap_middle, block_row
 from .packets import StepPacket
@@ -82,8 +76,7 @@ def compress_evolve(
     """Z(t) f for f on the middle interval and t >= 0: the damped wrap
     (z = ``bm.b_entry`` per pass), which is exact, so the truncation is 0."""
     t = _finite_time(t)
-    if bm.w == 0.0:
-        raise DegenerateRegime("compressed semigroup needs w > 0")
+    _require_coupled(bm, "compress_evolve")
     if t < 0:
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {t}")
     lo, hi = domain.component("izero")
@@ -203,8 +196,7 @@ def semigroup_kernel_apply(
     compression (they agree at the 1e-8 level; tested, never assumed).
     """
     t = _finite_time(t)
-    if bm.w == 0.0:
-        raise DegenerateRegime("semigroup kernel needs w > 0")
+    _require_coupled(bm, "semigroup_kernel_apply")
     if t < 0:
         raise NegativeTime(f"semigroup kernel needs t >= 0, got {t}")
     lo, hi = float(interval[0]), float(interval[1])
@@ -257,8 +249,7 @@ def norm_decay_profile(
     exact profile is q^(2k) (1 - r) + q^(2k+2) r; the reference column
     max(1-t, 0) is that only in the transparent case w = 1.
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("norm decay profile needs w > 0")
+    _require_coupled(bm, "norm_decay_profile")
     t_grid = np.array([_finite_time(t) for t in np.atleast_1d(t_grid)])
     if np.any(t_grid < 0):
         raise NegativeTime("profile times must be >= 0")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, make_boundary_matrix
-from .errors import DegenerateRegime, ValidationError
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, make_boundary_matrix
+from .errors import ValidationError
 from .multipliers import make_multiplier
 from .quadrature import periodic_nodes
 
@@ -46,8 +46,7 @@ def density(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
     1 - q = w^2 / (1 + q): no cancellation near the spikes, where
     1 - 2 q cos + q^2 would lose about 2e-16 / w^4 relative.
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("density is undefined at w = 0 (atomic part)")
+    _require_coupled(bm, "density")
     lam = _real_lambda(lam)
     q = bm.q
     w2 = bm.w * bm.w
@@ -112,8 +111,7 @@ def fourier_coeffs(
     2 q^(K+1)/(1-q) is at most tol, on the lattice step alpha - 1.  Its
     arrays are the cached series' own and are read-only.
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("fourier_coeffs is undefined at w = 0")
+    _require_coupled(bm, "fourier_coeffs")
     m = make_multiplier(bm, domain, "m_squared_inv", tol)
     return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=m.step, tail=m.tail)
 

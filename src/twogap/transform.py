@@ -22,13 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, classify_point, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, classify_point, e2pi
 from .eigen import eigen_coeffs
-from .errors import (
-    DegenerateRegime,
-    GridTooCoarse,
-    ValidationError,
-)
+from .errors import GridTooCoarse, ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
 from .packets import StepPacket, sum_packets
 from .quadrature import _FOLD_TOL, _lattice_sum2_rest, _lattice_sum_rest, periodic_nodes
@@ -67,8 +63,7 @@ def forward_transform(
     bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, grid
 ) -> TransformSample:
     """Sample (V f)(lambda) on a real grid (closed form, exact per cell)."""
-    if bm.w == 0.0:
-        raise DegenerateRegime("forward transform needs w > 0")
+    _require_coupled(bm, "forward_transform")
     grid = np.atleast_1d(_real_lambda(grid))
     co = eigen_coeffs(bm, domain, grid)
     vals = _transform_values(co, decompose(f, domain), grid)
@@ -159,8 +154,7 @@ def cross_term(
     the closed-form integrand at lambda = xi/ell over ell (sinc form, so the
     1/xi^2 poles cancel exactly); the k != 0 rest has no pole.
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("sigma pairing needs w > 0")
+    _require_coupled(bm, "sigma pairing")
     _require_steps("sigma quadratures", f, g)
     f_parts = decompose(f, domain)
     g_parts = decompose(g, domain)
@@ -206,8 +200,7 @@ def adjoint_transform(
       a composite Simpson over the grid and the unknown tail is estimated
       from the last samples; if that estimate exceeds tol, GridTooCoarse.
     """
-    if bm.w == 0.0:
-        raise DegenerateRegime("adjoint transform needs w > 0")
+    _require_coupled(bm, "adjoint_transform")
     analytic = sample.provenance == "analytic"
     if analytic:
         if sample.source is None:

@@ -23,13 +23,12 @@ from .degenerate import (
     two_points_multiplier,
 )
 from .domain import e2pi
-from .eigen import eigen_coeffs, eigen_residual, scattering_matrix_routes
+from .eigen import _route_spread, eigen_coeffs, eigen_residual, scattering_matrix_routes
 from .errors import TwogapError
 from .evolution import (
     cesaro_decay,
     decompose,
     evolve,
-    evolve_decoupled,
     evolve_many,
     translation_representation,
 )
@@ -80,11 +79,7 @@ def _coupled_checks(sc: Scenario) -> list[CheckResult]:
     uni = 0.0
     for la in lams:
         routes = scattering_matrix_routes(bm, dom, la)
-        vals = [routes["ratio"], routes["quotient"], routes["split"]]
-        spread = max(
-            spread,
-            max(abs(u - v) for i, u in enumerate(vals) for v in vals[i + 1 :]),
-        )
+        spread = max(spread, _route_spread(routes))
         uni = max(uni, abs(abs(routes["ratio"]) - 1.0))
     out.append(_judge("smatrix_route_spread", spread, 1e-12))
     out.append(_judge("smatrix_unimodular", uni, 1e-12))
@@ -177,26 +172,19 @@ def _decoupled_checks(sc: Scenario) -> list[CheckResult]:
     if mid.is_empty:
         mid = StepPacket.box(lo, hi, 1.0)
     ts = sc.grid("time_grid", _TIME_GRID)
-    drift = max(
-        abs(evolve_decoupled(bm, dom, mid, t).packet.norm2() - mid.norm2()) for t in ts
-    )
+    drift = max(abs(r.packet.norm2() - mid.norm2()) for r in evolve_many(bm, dom, mid, ts))
     out.append(_judge("decoupled_unitary", drift, 1e-10))
 
-    period = evolve_decoupled(bm, dom, mid, dom.ell).packet
+    period = evolve(bm, dom, mid, dom.ell).packet
     gap = np.sqrt(period.distance2(mid.scale(e2pi(-bm.psi))))
     out.append(_judge("decoupled_middle_periodicity", gap, 1e-10))
 
     halves = sc.packets.get("halves")
     if halves is not None:
-        drift = max(
-            abs(evolve_decoupled(bm, dom, halves, t).packet.norm2() - halves.norm2())
-            for t in ts
-        )
+        moved = [r.packet for r in evolve_many(bm, dom, halves, ts)]
+        drift = max(abs(g.norm2() - halves.norm2()) for g in moved)
         out.append(_judge("decoupled_splice_unitary", drift, 1e-10))
-        t1 = float(ts[-1])
-        back = evolve_decoupled(
-            bm, dom, evolve_decoupled(bm, dom, halves, t1).packet, -t1
-        ).packet
+        back = evolve(bm, dom, moved[-1], -float(ts[-1])).packet
         out.append(
             _judge("decoupled_splice_inverse", np.sqrt(back.distance2(halves)), 1e-10)
         )

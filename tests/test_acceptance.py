@@ -20,7 +20,6 @@ from twogap.evolution import (
     correlation,
     cesaro_decay,
     evolve,
-    evolve_decoupled,
     scatter,
     translation_representation,
 )
@@ -327,8 +326,8 @@ def test_criterion_11_decoupled_regime():
     f_out = StepPacket.box(-2.0, -0.5, 1.0) + StepPacket.box(3.5, 4.5, 1.0j)
     leak = 0.0
     for t in (0.6, 2.3, 7.9, -3.4):
-        gm = evolve_decoupled(bm, dom, f_mid, t).packet
-        go = evolve_decoupled(bm, dom, f_out, t).packet
+        gm = evolve(bm, dom, f_mid, t).packet
+        go = evolve(bm, dom, f_out, t).packet
         leak = max(leak, gm.restrict(hi=1.0).norm2() + gm.restrict(lo=dom.alpha).norm2())
         leak = max(leak, go.restrict(1.0, dom.alpha).norm2())
     report("11b", "w=0 mixing between I0 and halves", leak, "0 (exact)", leak == 0.0)

@@ -16,11 +16,12 @@ from twogap.degenerate import (
     two_points_bounds,
     two_points_multiplier,
 )
-from twogap.domain import e2pi
+from twogap.domain import e2pi, make_boundary_matrix
 from twogap.errors import SupportViolation, ValidationError
+from twogap.evolution import evolve
 from twogap.packets import StepPacket
 
-from conftest import random_packet
+from conftest import random_geometry, random_packet
 
 POINT = OnePointModel(theta=0.3)
 INTERVAL = OneIntervalModel(theta=0.55, alpha=1.5)
@@ -75,6 +76,23 @@ def test_interval_crossing_jump():
     )
     assert half.distance2(stay + jumped) < 1e-28
     assert abs(half.norm2() - f.norm2()) < 1e-13
+
+
+def test_half_lines_are_one_interval_model():
+    # at w = 0 the two half-lines are the line with [0, beta] removed, whose
+    # rightward crossing phase -e(psi - theta) is e(-theta') for
+    # theta' = theta - psi + 1/2
+    rng = np.random.default_rng(125)
+    for _ in range(4):
+        bm = make_boundary_matrix(w=0.0, theta=rng.uniform(), psi=rng.uniform())
+        dom = random_geometry(rng)
+        model = OneIntervalModel((bm.theta - bm.psi + 0.5) % 1.0, dom.beta)
+        f = random_packet(rng, lo=-3.0, hi=-0.1, freqs=(0, 1)) + random_packet(
+            rng, lo=dom.beta + 0.1, hi=dom.beta + 3.0, freqs=(0, 1)
+        )
+        for t in (0.4, 2.7, -1.3, -5.2, 6.1):
+            got = evolve(bm, dom, f, t).packet
+            assert got.distance2(degenerate_evolve(model, f, t)) <= 1e-28
 
 
 def test_two_points_adjointness():

@@ -10,7 +10,6 @@ from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
     EmptySupport,
-    NotDecoupled,
     SupportViolation,
     ValidationError,
 )
@@ -20,7 +19,6 @@ from twogap.evolution import (
     correlation,
     decompose,
     evolve,
-    evolve_decoupled,
     evolve_many,
     scatter,
     translation_representation,
@@ -213,10 +211,10 @@ def test_decoupled_wrap_phase():
     bm = make_boundary_matrix(w=0.0, theta=0.125, psi=0.25)
     dom = make_domain(2.0, 3.0)
     f = StepPacket.box(1.2, 1.8, 1.0 - 0.5j)
-    one_wrap = evolve_decoupled(bm, dom, f, dom.ell).packet
+    one_wrap = evolve(bm, dom, f, dom.ell).packet
     assert one_wrap.distance2(f.scale(e2pi(-bm.psi))) < 1e-28
     # partial wrap conserves mass and stays inside the middle interval
-    part = evolve_decoupled(bm, dom, f, 0.7).packet
+    part = evolve(bm, dom, f, 0.7).packet
     assert abs(part.norm2() - f.norm2()) < 1e-13
     assert part.support()[0] >= 1.0 and part.support()[1] <= dom.alpha
 
@@ -225,11 +223,11 @@ def test_decoupled_splice_phase():
     bm = make_boundary_matrix(w=0.0, theta=0.125, psi=0.25)
     dom = make_domain(2.0, 3.0)
     f = StepPacket.box(-0.5, 0.0, 1.0)
-    g = evolve_decoupled(bm, dom, f, 1.0).packet
+    g = evolve(bm, dom, f, 1.0).packet
     want = f.translate(dom.beta + 1.0).scale(-e2pi(bm.psi - bm.theta))
     assert g.distance2(want) < 1e-28
     # round trip is exact
-    back = evolve_decoupled(bm, dom, g, -1.0).packet
+    back = evolve(bm, dom, g, -1.0).packet
     assert back.distance2(f) < 1e-28
 
 
@@ -239,11 +237,51 @@ def test_decoupled_no_mixing():
     f_mid = StepPacket.box(1.3, 2.2, 1.0)
     f_out = StepPacket.box(-2.0, -1.0, 1.0) + StepPacket.box(4.5, 5.0, 0.5j)
     for t in (0.9, 3.7, -2.1):
-        gm = evolve_decoupled(bm, dom, f_mid, t).packet
-        go = evolve_decoupled(bm, dom, f_out, t).packet
+        gm = evolve(bm, dom, f_mid, t).packet
+        go = evolve(bm, dom, f_out, t).packet
         assert gm.restrict(hi=1.0).is_empty and gm.restrict(lo=dom.alpha).is_empty
         assert go.restrict(1.0, dom.alpha).is_empty
         assert abs(gm.inner(go)) == 0.0
+
+
+def _decoupled_packet(rng, dom):
+    # random cells with frequencies 0 and 1 on each of the three components
+    return sum_packets(
+        [
+            random_packet(rng, lo=-3.0, hi=-0.1, freqs=(0, 1)),
+            random_packet(rng, lo=1.05, hi=dom.alpha - 0.05, n_cells=2, freqs=(0, 1)),
+            random_packet(rng, lo=dom.beta + 0.1, hi=dom.beta + 3.0, freqs=(0, 1)),
+        ]
+    )
+
+
+def _same_bits(f, g):
+    return (
+        np.array_equal(f.lo, g.lo)
+        and np.array_equal(f.hi, g.hi)
+        and f.waves.keys() == g.waves.keys()
+        and all(np.array_equal(f.waves[n], g.waves[n]) for n in f.waves)
+    )
+
+
+def test_decoupled_group_law():
+    # dyadic times of both signs, long enough to wrap the middle interval
+    # and to carry half-line mass across the cut [0, beta] both ways
+    rng = np.random.default_rng(90)
+    pairs = [(0.75, 2.5), (-1.5, 4.25), (3.125, -3.5), (-2.0, -1.25)]
+    for _ in range(4):
+        bm = make_boundary_matrix(w=0.0, theta=rng.uniform(), phi=rng.uniform(), psi=rng.uniform())
+        dom = random_geometry(rng)
+        f = _decoupled_packet(rng, dom)
+        ts = sorted({t for pair in pairs for t in (*pair, sum(pair), -pair[1])})
+        on_grid = dict(zip(ts, (r.packet for r in evolve_many(bm, dom, f, ts))))
+        for t in ts:
+            assert _same_bits(on_grid[t], evolve(bm, dom, f, t).packet)
+        for s, t in pairs:
+            twice = evolve(bm, dom, on_grid[t], s).packet
+            assert twice.distance2(on_grid[s + t]) <= 1e-28
+            back = evolve(bm, dom, on_grid[t], -t).packet
+            assert back.distance2(f) <= 1e-28
 
 
 def test_correlation_decays(ex59, ex59_packet):
@@ -281,11 +319,7 @@ def test_error_paths():
     with pytest.raises(SupportViolation):
         decompose(bad, dom)
     with pytest.raises(DegenerateRegime):
-        evolve(dec, dom, f, 1.0)
-    with pytest.raises(DegenerateRegime):
         scatter(dec, dom, f)
-    with pytest.raises(NotDecoupled):
-        evolve_decoupled(bm, dom, f, 1.0)
     with pytest.raises(ValidationError):
         translation_representation(bm, dom, f, "out")
     with pytest.raises(ValidationError):
@@ -388,8 +422,6 @@ def test_evolve_many_contracts():
         assert got[0].packet.distance2(got[3].packet) == 0.0
     with pytest.raises(ValidationError):
         evolve_many(bm, dom, f, [])
-    with pytest.raises(DegenerateRegime):
-        evolve_many(make_boundary_matrix(w=0.0), dom, f, ts)
 
 
 def test_cli_evolve_builds_each_row_once(monkeypatch, tmp_path):
@@ -429,7 +461,7 @@ def test_nonfinite_time_rejected(bad):
     with pytest.raises(ValidationError):
         cesaro_decay(bm, dom, f, f, [1.0, bad])
     with pytest.raises(ValidationError):
-        evolve_decoupled(make_boundary_matrix(w=0.0), dom, f, bad)
+        evolve(make_boundary_matrix(w=0.0), dom, f, bad)
 
 
 def _cesaro_panel_simpson(bm, dom, f, g, horizons):
