@@ -1,9 +1,9 @@
 """Scenario files: JSON descriptions of a run (geometry, coupling, packets,
 grids) consumed by the command-line tools; no tolerance is set in them.
 
-Malformed input (bad JSON, wrong types, missing keys, unknown keys inside
-a fixed-schema section) raises ParseError; structurally sound input with
-impossible values (alpha <= 1, w outside [0, 1], empty grids) raises
+Malformed input (bad JSON, wrong types, missing keys, unknown keys at the
+top level or inside a section) raises ParseError; structurally sound input
+with impossible values (alpha <= 1, w outside [0, 1], empty grids) raises
 ValidationError out of the constructors.  The distinction matters to the
 CLI, which maps both onto exit code 2 but wants to phrase the messages
 differently.
@@ -32,6 +32,12 @@ from .packets import StepPacket, sum_packets
 __all__ = ["Scenario", "load_scenario", "bundled_scenario", "bundled_names"]
 
 SCHEMA_VERSION = 1
+# optional sections kept verbatim in Scenario.extras and parsed on demand
+_EXTRA_KEYS = ("comb", "model")
+_TOP_KEYS = {
+    "schema_version", "name", "domain", "boundary", "packets", "time_grid", "lambda_grid",
+    *_EXTRA_KEYS,
+}
 
 
 @dataclass(frozen=True)
@@ -185,6 +191,9 @@ def _parse(text: str, origin: str) -> Scenario:
         raise ParseError(
             f"{origin}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
+    if "tolerances" in raw:
+        raise ParseError(f"{origin}: tolerances cannot be set; the series cut is fixed at 1e-12")
+    _object(raw, _TOP_KEYS, origin)
     name = raw.get("name", Path(origin).stem)
     if not isinstance(name, str):
         raise ParseError(f"{origin}: name must be a string")
@@ -207,9 +216,6 @@ def _parse(text: str, origin: str) -> Scenario:
             psi=_as_float(b.get("psi", 0.0), "boundary.psi"),
         )
 
-    if "tolerances" in raw:
-        raise ParseError(f"{origin}: tolerances cannot be set; the series cut is fixed at 1e-12")
-
     return Scenario(
         name=name,
         domain=domain,
@@ -217,20 +223,7 @@ def _parse(text: str, origin: str) -> Scenario:
         packets=_parse_packets(raw.get("packets"), "packets"),
         time_grid=_grid(raw.get("time_grid"), "time_grid"),
         lambda_grid=_grid(raw.get("lambda_grid"), "lambda_grid"),
-        extras={
-            k: v
-            for k, v in raw.items()
-            if k
-            not in {
-                "schema_version",
-                "name",
-                "domain",
-                "boundary",
-                "packets",
-                "time_grid",
-                "lambda_grid",
-            }
-        },
+        extras={k: raw[k] for k in _EXTRA_KEYS if k in raw},
     )
 
 

@@ -19,10 +19,10 @@ of ``quadrature.periodic_nodes``, sized from q so the quadrature error stays
 near 1e-13 however sharp the density spikes.  Nothing in the oracle touches
 the packet engine.
 
-The module also carries the closed-form resolvent of the plain shift
-generator on the middle interval (no coupling), and the Laplace-transform
-route to the compressed resolvent (on the causal window of its horizon).
-A non-finite time is a ValidationError everywhere.
+The module also carries three resolvent routes on x in [1, alpha], each
+exact through the one per-cell Laplace integral ``_cell_laplace``: the plain
+shift generator's (no coupling), the density row over the causal horizon,
+and its z/(1 - z) resummation.  A non-finite time is a ValidationError.
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ __all__ = [
 _UNIT_DOMAIN = make_domain(2.0, 3.0)
 
 
-def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> None:
-    """SupportViolation unless f carries no mass outside (lo, hi)."""
-    if f.norm2() - f.restrict(lo, hi).norm2() > 1e-12 * max(1.0, f.norm2()):
+def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> StepPacket:
+    """f restricted to (lo, hi); SupportViolation if f carries mass outside."""
+    inside = f.restrict(lo, hi)
+    if f.norm2() - inside.norm2() > 1e-12 * max(1.0, f.norm2()):
         raise SupportViolation(f"{what} must live on ({lo:g}, {hi:g})")
+    return inside
 
 
 def compress_evolve(
@@ -79,9 +81,8 @@ def compress_evolve(
     _require_coupled(bm, "compress_evolve")
     if t < 0:
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {t}")
-    lo, hi = domain.component("izero")
-    _require_on(f, lo, hi, "compress_evolve input")
-    g = _wrap_middle(bm, domain, f.restrict(lo, hi), t)
+    f0 = _require_on(f, *domain.component("izero"), "compress_evolve input")
+    g = _wrap_middle(bm, domain, f0, t)
     return EvolutionResult(packet=g, t=t, truncation=0.0)
 
 
@@ -311,6 +312,16 @@ class SampledProfile:
     values: np.ndarray
 
 
+def _x_points(domain, x_grid):
+    """x_grid as a 1-d float array; ValidationError unless every point is a
+    number in the closed middle interval [1, alpha], where Z(t) f lives."""
+    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    lo, hi = domain.component("izero")
+    if not np.all((x_grid >= lo) & (x_grid <= hi)):
+        raise ValidationError(f"resolvent points must lie in [{lo:g}, {hi:g}]")
+    return x_grid
+
+
 def spatial_resolvent(
     domain: ExteriorDomain, lam: complex, f: StepPacket, x_grid
 ) -> SampledProfile:
@@ -321,27 +332,29 @@ def spatial_resolvent(
     lam = complex(lam)
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    return SampledProfile(x=x_grid, values=_cell_laplace(domain, lam, f, x_grid, x_grid))
+    f0 = _require_on(f, *domain.component("izero"), "resolvent input")
+    x_grid = _x_points(domain, x_grid)
+    return SampledProfile(x=x_grid, values=_cell_laplace(lam, f0, x_grid, -np.inf, x_grid))
 
 
-def _cell_laplace(domain, lam, f, x_grid, upto):
-    """sum over the middle-interval cells of f of
-    int_{y < upto} e^{-lam (x-y)} f(y) dy at every x of x_grid."""
-    vals = np.zeros(x_grid.shape, dtype=complex)
-    for u, v, stack in f.restrict(*domain.component("izero")).cells():
-        y1 = np.minimum(upto, v)
-        y0 = np.minimum(upto, u)
-        active = y1 > y0
-        for n, val in stack.items():
-            # int_{y0}^{y1} e(n y) e^{-lam (x-y)} dy with mu = lam + i 2 pi n
-            mu = lam + 2j * np.pi * n
-            contrib = (
-                np.exp(-lam * (x_grid - y1)) * e2pi(n * y1)
-                - np.exp(-lam * (x_grid - y0)) * e2pi(n * y0)
-            ) / mu
-            vals += np.where(active, val * contrib, 0.0)
-    return vals
+def _cell_laplace(lam, f, x_grid, lo, hi):
+    """sum over the cells (u, v) of f of int e^{-lam (x-y)} f(y) dy over
+    max(u, lo) < y < min(v, hi), at every x; lo, hi scalars or per-x arrays.
+    With mu = lam + i 2 pi n a frequency-n cell clipped to (a, b) gives
+    c e^{-lam (x-b)} e(n b) (1 - e^{-mu (b-a)}) / mu, zero when b <= a."""
+    out = np.zeros(x_grid.shape, dtype=complex)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    chunk = max(1, int(2e6 / max(len(x_grid), 1)))
+    for n, vals in f.waves.items():
+        mu = lam + 2j * np.pi * n
+        for start in range(0, f.n_cells, chunk):
+            sl = slice(start, start + chunk)
+            b = np.minimum(f.hi[sl], hi)
+            width = np.maximum(b - np.maximum(f.lo[sl], lo), 0.0)
+            cell = np.exp(-lam * (x_grid[:, None] - b)) * e2pi(n * b)
+            out += (cell * (-np.expm1(-mu * width) / mu)) @ vals[sl]
+    return out
 
 
 def compressed_resolvent_profile(
@@ -355,27 +368,20 @@ def compressed_resolvent_profile(
 
     (R f)(x) = int_0^T e^{-lam t} (E f)(x - t) dt, E the density row, with
     the horizon cut once e^{-T Re lam} <= 1e-12, so E is read exactly on its
-    causal window (1 - T, alpha).  The integrand is piecewise exponential in
-    t (breakpoints where the cells of E cross x); order-16 Gauss-Legendre
-    per breakpoint panel is exact to machine precision.
+    causal window (1 - T, alpha).  As int_{x-T}^x e^{-lam (x-y)} (E f)(y) dy
+    it is exact per cell of the step packet E f.
     """
+    _require_coupled(bm, "compressed_resolvent_profile")
     lam = complex(lam)
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
     _require_on(f, *domain.component("izero"), "resolvent input")
+    x_grid = _x_points(domain, x_grid)
     t_max = -np.log(1e-12) / lam.real
     zero = StepPacket.zero()
     ef = block_row(bm, domain, (zero, f, zero), "izero", span=(0.0, t_max))
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    out = np.empty(x_grid.shape, dtype=complex)
-    edges_src = ef.breakpoints()
-    for k, x in enumerate(x_grid):
-        # Z(t)f(x) = (Ef)(x - t): breakpoints in t at x - source edges
-        cuts = x - edges_src
-        cuts = cuts[(cuts > 0.0) & (cuts < t_max)]
-        panels = np.unique(np.concatenate(([0.0], cuts, [t_max])))
-        out[k] = gauss_panels(lambda ts: ef.sample(x - ts) * np.exp(-lam * ts), panels, 16)
-    return SampledProfile(x=x_grid, values=out)
+    values = _cell_laplace(lam, ef, x_grid, x_grid - t_max, x_grid)
+    return SampledProfile(x=x_grid, values=values)
 
 
 def _compressed_resolvent_closed(bm, domain, lam, f, x_grid):
@@ -385,12 +391,14 @@ def _compressed_resolvent_closed(bm, domain, lam, f, x_grid):
              + (sum_{k>=1} a_k e^{-lam k ell}) int_I0 e^{-lam(x-u)} f(u) du.
     """
     lam = complex(lam)
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    base = _cell_laplace(domain, lam, f, x_grid, x_grid)
-    whole = _cell_laplace(domain, lam, f, x_grid, np.inf)
-    # sum_{k>=1} q^k e(-k psi) e^{-lam k ell} (the k >= 1 half of the series)
+    f0 = f.restrict(*domain.component("izero"))
+    base = _cell_laplace(lam, f0, x_grid, -np.inf, x_grid)
+    # sum_{k>=1} q^k e(-k psi) e^{-lam k ell} (the k >= 1 half of the series);
+    # its first e^{-lam ell} goes into the whole-interval integral, whose
+    # exponent -lam (x + ell - u) then has Re <= 0 and cannot overflow
     z = bm.b_entry * np.exp(-lam * domain.ell)
-    return SampledProfile(x=x_grid, values=base + z / (1.0 - z) * whole)
+    whole = _cell_laplace(lam, f0, x_grid + domain.ell, -np.inf, np.inf)
+    return SampledProfile(x=x_grid, values=base + bm.b_entry / (1.0 - z) * whole)
 
 
 def resolvent_comparison(
@@ -402,17 +410,18 @@ def resolvent_comparison(
 ):
     """Three resolvent routes on one x grid, with their discrepancies.
 
-    Returns a dict with the Laplace-quadrature values, the closed-form
-    series values (these two must agree; 'laplace_vs_closed' is the max
-    pointwise gap) and the plain one-interval resolvent at the rescaled
-    parameter lam * m(0)^2 together with the measured rms gap
-    'rescaled_discrepancy' (a reported quantity, not an identity: it
-    vanishes in the transparent case and grows as w decreases).
+    Returns a dict with the Laplace-route values (the density row over the
+    horizon), the closed-form values (the z/(1 - z) resummation; these two
+    must agree, 'laplace_vs_closed' is the max pointwise gap) and the plain
+    one-interval resolvent at the rescaled parameter lam * m(0)^2 together
+    with the measured rms gap 'rescaled_discrepancy' (a reported quantity,
+    not an identity: it vanishes in the transparent case and grows as w
+    decreases).  Every route is exact per cell; x must lie in [1, alpha].
     """
     laplace = compressed_resolvent_profile(bm, domain, lam, f, x_grid)
-    closed = _compressed_resolvent_closed(bm, domain, lam, f, x_grid)
+    closed = _compressed_resolvent_closed(bm, domain, lam, f, laplace.x)
     m0 = float(np.abs(eigen_coeffs(bm, domain, 0.0).a))
-    rescaled = spatial_resolvent(domain, complex(lam) * m0**2, f, x_grid)
+    rescaled = spatial_resolvent(domain, complex(lam) * m0**2, f, laplace.x)
     gap_routes = float(np.max(np.abs(laplace.values - closed.values)))
     diff = laplace.values - rescaled.values
     rms = float(np.sqrt(np.mean(np.abs(diff) ** 2)))

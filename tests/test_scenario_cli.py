@@ -80,6 +80,7 @@ def test_bundled_inventory():
         lambda d: d.update(tolerances={"esp": 1e-3}),
         lambda d: d.update(tolerances={"tol": 1e-8}),
         lambda d: d["boundary"].update(psy=0.2),
+        lambda d: d.update(time_grdi=d.pop("time_grid")),
     ],
 )
 def test_parse_errors(tmp_path, mutate):
@@ -110,7 +111,7 @@ def test_extras_preserved(tmp_path):
     payload["comb"] = {"w_sequence": [0.5, 0.1], "window_width": 0.1}
     sc = load_scenario(write(tmp_path, payload))
     assert sc.extras["comb"]["window_width"] == 0.1
-    assert "domain" not in sc.extras
+    assert set(sc.extras) == {"comb"}
 
 
 def test_schema_version_constant():
@@ -190,7 +191,7 @@ def test_cli_verify_passes(tmp_path, capsys):
     assert (out / "verify.csv").exists()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # unknown scenario name -> 2
     assert main(["eigen", "--scenario", "missing_name", "--out", str(tmp_path)]) == 2
     # structurally broken file -> 2
@@ -199,6 +200,13 @@ def test_cli_exit_codes(tmp_path):
     assert main(["eigen", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
     # scenario without a domain cannot run the coupled commands -> 2
     assert main(["eigen", "--scenario", "two_points", "--out", str(tmp_path)]) == 2
+    # a misspelled top-level key is named, not ignored -> 2
+    payload = json.loads((resources.files("twogap") / "scenarios/example_5_9.json").read_text())
+    payload["time_grdi"] = payload.pop("time_grid")
+    path = write(tmp_path, payload)
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "time_grdi" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twogap import evolution, multipliers
+from twogap import evolution, multipliers, quadrature, semigroup
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -12,7 +12,7 @@ from twogap.errors import (
     SupportViolation,
     ValidationError,
 )
-from twogap.evolution import block_matrix_entry
+from twogap.evolution import block_matrix_entry, block_row
 from twogap.packets import StepPacket
 from twogap.semigroup import (
     compress_evolve,
@@ -218,6 +218,59 @@ def test_resolvent_three_routes():
             assert rep["rescaled_discrepancy"] < 1e-10
         else:
             assert rep["rescaled_discrepancy"] > 1e-3  # genuinely different
+    # large Re lambda on a long interval: no route may overflow
+    f = StepPacket.box(1.2, 3.3, 1.0)
+    rep = resolvent_comparison(make_boundary_matrix(w=0.5), make_domain(3.5, 4.0), 800.0, f, xs)
+    assert rep["laplace_vs_closed"] < 1e-8
+
+
+def _laplace_gauss_reference(bm, dom, lam, f, xs):
+    """The Laplace route by order-16 Gauss-Legendre in t, one panel between
+    consecutive times at which a cell edge of E f crosses x."""
+    lam = complex(lam)
+    t_max = -np.log(1e-12) / lam.real
+    zero = StepPacket.zero()
+    ef = block_row(bm, dom, (zero, f, zero), "izero", span=(0.0, t_max))
+    x_grid = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.empty(x_grid.shape, dtype=complex)
+    edges_src = ef.breakpoints()
+    for k, x in enumerate(x_grid):
+        # Z(t)f(x) = (Ef)(x - t): breakpoints in t at x - source edges
+        cuts = x - edges_src
+        cuts = cuts[(cuts > 0.0) & (cuts < t_max)]
+        panels = np.unique(np.concatenate(([0.0], cuts, [t_max])))
+        out[k] = quadrature.gauss_panels(
+            lambda ts: ef.sample(x - ts) * np.exp(-lam * ts), panels, 16
+        )
+    return out
+
+
+def test_laplace_route_matches_gauss_reference():
+    for alpha in (2.0, 3.5):
+        dom = make_domain(alpha, alpha + 1.25)
+        f = mid_packet(dom) + StepPacket.box(
+            1.0 + 0.3 * dom.ell, 1.0 + 0.8 * dom.ell, 0.4 - 0.3j, freq=2
+        )
+        xs = np.concatenate(([1.0, alpha], np.linspace(1.0, alpha, 9)[1:-1]))
+        for w in (1.0, 0.9, 0.5, 0.2, 0.05):
+            bm = make_boundary_matrix(w=w, theta=0.1, phi=0.35, psi=0.3)
+            for lam in (0.05, 0.3 + 2j, 1.2 + 0.7j, 8.0):
+                want = _laplace_gauss_reference(bm, dom, lam, f, xs)
+                got = compressed_resolvent_profile(bm, dom, lam, f, xs).values
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_resolvent_routes_use_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resolvent route ran a quadrature")
+
+    monkeypatch.setattr(semigroup, "gauss_panels", refuse)
+    monkeypatch.setattr(quadrature, "gauss_panels", refuse)
+    monkeypatch.setattr(StepPacket, "sample", refuse)
+    bm = make_boundary_matrix(w=0.6, psi=0.2)
+    dom = make_domain(2.0, 3.0)
+    rep = resolvent_comparison(bm, dom, 1.2 + 0.7j, mid_packet(dom), [1.0, 1.5, 2.0])
+    assert rep["laplace_vs_closed"] < 1e-8
 
 
 def test_resolvent_norm_bound():
@@ -253,6 +306,17 @@ def test_error_paths():
         resolvent_comparison(bm, dom, -1.0 + 1j, f, [1.5])
     with pytest.raises(SupportViolation):
         resolvent_comparison(bm, dom, 1.0, stray, [1.5])
+    with pytest.raises(DegenerateRegime, match="compressed_resolvent_profile"):
+        resolvent_comparison(dec, dom, 1.0, f, [1.5])
+    for xs in ([0.5, 1.5], [1.5, 2.5], [10.0], [1.5, np.nan]):
+        with pytest.raises(ValidationError):
+            resolvent_comparison(bm, dom, 0.9 + 0.2j, f, xs)
+        with pytest.raises(ValidationError):
+            spatial_resolvent(dom, 0.9 + 0.2j, f, xs)
+    # mass off (1, alpha) is refused, not dropped
+    for bad in (stray, f + StepPacket.box(3.5, 4.0, 1.0)):
+        with pytest.raises(SupportViolation):
+            spatial_resolvent(dom, 1.0, bad, [1.5])
     with pytest.raises(DegenerateRegime):
         norm_decay_profile(dec, 0, [0.0, 0.5])
     with pytest.raises(NegativeTime):
