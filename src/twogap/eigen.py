@@ -55,7 +55,6 @@ class EigenCoefficients:
     lam: np.ndarray
     a: np.ndarray
     c: np.ndarray
-    b_norm: float
     h: np.ndarray
     m: np.ndarray
 
@@ -74,7 +73,7 @@ def eigen_coeffs(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> EigenCoeffi
     inv_h = 1.0 - q * e2pi(-bm.psi + ell * lam)  # the round trip, 1 / H
     a = (e2pi(bm.phi + lam) / w) * inv_h
     c = (e2pi(bm.phi - bm.theta - gap * lam) / w) * (1.0 - q * e2pi(bm.psi - ell * lam))
-    return EigenCoefficients(lam=lam, a=a, c=c, b_norm=1.0, h=1.0 / inv_h, m=np.abs(a))
+    return EigenCoefficients(lam=lam, a=a, c=c, h=1.0 / inv_h, m=np.abs(a))
 
 
 def eigen_coeffs_solve(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float) -> EigenCoefficients:
@@ -103,7 +102,7 @@ def eigen_coeffs_solve(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float) -
     )
     a, c = np.linalg.solve(mat, rhs)
     h = transfer_H(bm, domain, lam)  # not part of the solve: the closed form
-    return EigenCoefficients(lam=lam, a=a, c=c, b_norm=1.0, h=h, m=abs(a))
+    return EigenCoefficients(lam=lam, a=a, c=c, h=h, m=abs(a))
 
 
 def eigen_residual(bm: BoundaryMatrix, domain: ExteriorDomain, coeffs: EigenCoefficients):

@@ -16,7 +16,6 @@ __all__ = [
     "EmptySupport",
     "NegativeTime",
     "HalfPlaneViolation",
-    "GridTooCoarse",
     "ParseError",
 ]
 
@@ -63,10 +62,6 @@ class NegativeTime(TwogapError):
 
 class HalfPlaneViolation(TwogapError):
     """Resolvent parameter must have positive real part."""
-
-
-class GridTooCoarse(TwogapError):
-    """Sampled data cannot meet the requested tolerance; refine the grid."""
 
 
 class ParseError(ValidationError):

@@ -82,12 +82,16 @@ def decompose(f: StepPacket, domain: ExteriorDomain):
     (squared, relative to the packet norm) raises SupportViolation.
     """
     parts = tuple(f.restrict(*domain.component(tag)) for tag in COMPONENTS)
-    leak = f.norm2() - sum(p.norm2() for p in parts)
-    if leak > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation(
-            f"packet carries mass {leak:.3e} on the removed intervals"
-        )
+    _require_kept(f, parts, "packet", "the domain")
     return parts
+
+
+def _require_kept(f: StepPacket, parts, what: str, where: str) -> None:
+    """The one leak rule: SupportViolation when the restrictions ``parts``
+    of f lose more than 1e-12 max(1, ||f||^2) of its norm^2."""
+    lost = f.norm2() - sum(p.norm2() for p in parts)
+    if lost > 1e-12 * max(1.0, f.norm2()):
+        raise SupportViolation(f"{what} carries mass {lost:.3e} off {where}")
 
 
 @dataclass(frozen=True)

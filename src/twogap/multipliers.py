@@ -24,9 +24,10 @@ by one routine (``_lattice_series``) over a range of lattice indices:
   every term, use it, at the default eps = 1e-12; other values serve the
   tail-bound tests.
 
-A series stores its terms as two arrays, ``indices`` (consecutive ints n)
-and ``coeffs`` (the complex c_n).  Both are read-only, so a cached series
-shared by every caller cannot be changed by one of them.
+A series stores its terms as the lattice index ``first`` of its first term
+and the read-only array ``coeffs`` of the complex c_n for the consecutive
+n = first, first + 1, ..., so a cached series shared by every caller cannot
+be changed by one of them.
 
 Kinds
 -----
@@ -112,19 +113,20 @@ class MultiplierSeries:
     scalar: complex
     base_shift: float
     step: float
-    indices: np.ndarray  # consecutive int lattice indices n
-    coeffs: np.ndarray  # complex c_n, one per index
+    first: int  # lattice index n of coeffs[0]
+    coeffs: np.ndarray  # complex c_n for n = first, first + 1, ...
     kind: str = "custom"
     tail: float = 0.0
 
     def __post_init__(self):
-        indices = np.array(self.indices, dtype=np.int64)
         coeffs = np.array(self.coeffs, dtype=complex)
-        if indices.shape != coeffs.shape or (indices[1:] - indices[:-1] != 1).any():
-            raise ValidationError("series indices must be consecutive, one per coefficient")
-        indices.flags.writeable = coeffs.flags.writeable = False
-        object.__setattr__(self, "indices", indices)
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The lattice indices n, one per coefficient."""
+        return self.first + np.arange(len(self.coeffs))
 
     def value(self, lam) -> np.ndarray:
         """Pointwise multiplier value on a real lambda grid."""
@@ -233,14 +235,15 @@ def _lattice_series(bm, domain, kind, reach, tail) -> MultiplierSeries:
     # the direct reflection is kept when the rounded range reaches n <= 0, so
     # every eps series holds it; the train then starts at n = 0
     direct = kind == "a_inv_c" and lo <= 0 and hi >= -1
-    ns = np.arange(-1 if direct else max(lo, first), min(hi, last) + 1)
+    start = -1 if direct else max(lo, first)
+    ns = np.arange(start, min(hi, last) + 1)
     # Python's float pow per index: numpy's array power differs in the last bit
     mag = weight * np.array([q**n for n in np.abs(ns).tolist()], dtype=float)
     phase = e2pi(-ns * psi)
     coeffs = _product(mag, 0.0, phase.real, phase.imag)
     if direct:
         coeffs[0] = -q * complex(e2pi(psi))
-    return MultiplierSeries(scalar, base, domain.ell, ns, coeffs, kind, tail)
+    return MultiplierSeries(scalar, base, domain.ell, start, coeffs, kind, tail)
 
 
 @functools.lru_cache(maxsize=256)
@@ -262,13 +265,13 @@ def make_multiplier(
     theta, phi, psi = bm.theta, bm.phi, bm.psi
     ell, gap = domain.ell, domain.gap
     if kind == "identity":
-        return MultiplierSeries(1.0 + 0j, 0.0, ell, [0], [1.0 + 0j], "identity")
+        return MultiplierSeries(1.0 + 0j, 0.0, ell, 0, [1.0 + 0j], "identity")
     if kind == "a":
         coeffs = [1.0 + 0j, -q * complex(e2pi(-psi))]
-        return MultiplierSeries(complex(e2pi(phi)) / w, 1.0, ell, [0, 1], coeffs, "a")
+        return MultiplierSeries(complex(e2pi(phi)) / w, 1.0, ell, 0, coeffs, "a")
     if kind == "c":
         coeffs = [-q * complex(e2pi(psi)), 1.0 + 0j]
-        return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, [-1, 0], coeffs, "c")
+        return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, -1, coeffs, "c")
     if kind == "m_squared_inv":
         n_terms = _geom_terms(q, eps / 2.0)
         tail = 2.0 * q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
@@ -312,9 +315,9 @@ def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:
     coefficient at -n equal to conj(c_n).
     """
     kind = _CONJ_KIND.get(m.kind, f"conj({m.kind})")
-    indices, coeffs = -m.indices[::-1], np.conj(m.coeffs[::-1])
+    first = -(m.first + len(m.coeffs) - 1)
     return MultiplierSeries(
-        np.conj(m.scalar), -m.base_shift, m.step, indices, coeffs, kind, m.tail
+        np.conj(m.scalar), -m.base_shift, m.step, first, np.conj(m.coeffs[::-1]), kind, m.tail
     )
 
 
@@ -326,14 +329,13 @@ def compose_multipliers(m1: MultiplierSeries, m2: MultiplierSeries) -> Multiplie
     """
     if abs(m1.step - m2.step) > 1e-12 * max(1.0, abs(m1.step)):
         raise ValidationError("cannot compose series on different lattices")
-    indices, coeffs = [], []
+    coeffs = []
     if len(m1.coeffs) and len(m2.coeffs):  # consecutive indices: a plain convolution
         coeffs = np.convolve(m1.coeffs, m2.coeffs)
-        indices = m1.indices[0] + m2.indices[0] + np.arange(len(coeffs))
     tail = m1.tail * m2.sum_abs() + m2.tail * m1.sum_abs() + m1.tail * m2.tail
     scalar, base = m1.scalar * m2.scalar, m1.base_shift + m2.base_shift
     kind = f"{m1.kind}*{m2.kind}"
-    return MultiplierSeries(scalar, base, m1.step, indices, coeffs, kind, tail)
+    return MultiplierSeries(scalar, base, m1.step, m1.first + m2.first, coeffs, kind, tail)
 
 
 def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:

@@ -16,8 +16,9 @@ the closed-form lattice sums
 with the two halves of each cell combined so every endpoint singularity
 cancels analytically.  The folded period is integrated by the periodic rule
 of ``quadrature.periodic_nodes``, sized from q so the quadrature error stays
-near 1e-13 however sharp the density spikes.  Nothing in the oracle touches
-the packet engine.
+near 1e-13 however sharp the density spikes.  The kernel oracle takes packets
+on the unit middle interval (1, 2), where the density has unit period.
+Nothing in the oracle touches the packet engine.
 
 The module also carries three resolvent routes on x in [1, alpha], each
 exact through the one per-cell Laplace integral ``_cell_laplace``: the plain
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi, make_domain
-from .errors import HalfPlaneViolation, NegativeTime, SupportViolation, ValidationError
+from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
-from .evolution import EvolutionResult, _finite_time, _wrap_middle, block_row
+from .evolution import EvolutionResult, _finite_time, _require_kept, _wrap_middle, block_row
 from .packets import StepPacket
 from .quadrature import _FOLD_TOL, gauss_panels, lattice_sum, periodic_nodes
 from .spectral import density
@@ -62,10 +63,10 @@ _UNIT_DOMAIN = make_domain(2.0, 3.0)
 
 
 def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> StepPacket:
-    """f restricted to (lo, hi); SupportViolation if f carries mass outside."""
+    """f restricted to (lo, hi); SupportViolation if f carries mass outside
+    (the leak rule of ``evolution._require_kept``)."""
     inside = f.restrict(lo, hi)
-    if f.norm2() - inside.norm2() > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation(f"{what} must live on ({lo:g}, {hi:g})")
+    _require_kept(f, (inside,), what, f"({lo:g}, {hi:g})")
     return inside
 
 
@@ -188,27 +189,22 @@ def semigroup_kernel_apply(
     f: StepPacket,
     t: float,
     lambda_grid,
-    interval=(1.0, 2.0),
 ) -> TransformSample:
     """Transform of Z(t) f via the sampling-kernel integral (oracle route).
 
-    f must live on the given unit-length interval.  Returns a quadrature-
-    provenance sample; compare against the transform of the packet-engine
+    f must live on the unit middle interval (1, 2).  Returns a sample with
+    no source packet; compare against the transform of the packet-engine
     compression (they agree at the 1e-8 level; tested, never assumed).
     """
     t = _finite_time(t)
     _require_coupled(bm, "semigroup_kernel_apply")
     if t < 0:
         raise NegativeTime(f"semigroup kernel needs t >= 0, got {t}")
-    lo, hi = float(interval[0]), float(interval[1])
-    if abs((hi - lo) - 1.0) > 1e-12:
-        raise ValidationError("kernel route needs a unit-length interval")
-    _require_on(f, lo, hi, "packet")
-    center = 0.5 * (lo + hi)
-    f_c = f.translate(-center)
+    # the oracle works on the interval centred at 0: shift by the midpoint 1.5
+    f_c = _require_on(f, 1.0, 2.0, "packet").translate(-1.5)
     lam = np.atleast_1d(_real_lambda(lambda_grid))
-    vals = _kernel_transform_oracle(bm, f_c, t, lam) * e2pi(-lam * center)
-    return TransformSample(grid=lam, values=vals, provenance="quadrature", bm=bm)
+    vals = _kernel_transform_oracle(bm, f_c, t, lam) * e2pi(-lam * 1.5)
+    return TransformSample(grid=lam, values=vals)
 
 
 # ----------------------------------------------------------------------
@@ -375,11 +371,11 @@ def compressed_resolvent_profile(
     lam = complex(lam)
     if lam.real <= 0:
         raise HalfPlaneViolation("resolvent needs Re lambda > 0")
-    _require_on(f, *domain.component("izero"), "resolvent input")
+    f0 = _require_on(f, *domain.component("izero"), "resolvent input")
     x_grid = _x_points(domain, x_grid)
     t_max = -np.log(1e-12) / lam.real
     zero = StepPacket.zero()
-    ef = block_row(bm, domain, (zero, f, zero), "izero", span=(0.0, t_max))
+    ef = block_row(bm, domain, (zero, f0, zero), "izero", span=(0.0, t_max))
     values = _cell_laplace(lam, ef, x_grid, x_grid - t_max, x_grid)
     return SampledProfile(x=x_grid, values=values)
 

@@ -109,7 +109,7 @@ def fourier_coeffs(
     The table is the ``m_squared_inv`` series of ``make_multiplier`` at
     tolerance tol: the smallest window |k| <= K whose geometric tail bound
     2 q^(K+1)/(1-q) is at most tol, on the lattice step alpha - 1.  Its
-    arrays are the cached series' own and are read-only.
+    values are the cached series' own coefficients and are read-only.
     """
     _require_coupled(bm, "fourier_coeffs")
     m = make_multiplier(bm, domain, "m_squared_inv", tol)

@@ -11,6 +11,8 @@ read nothing of the packet engine's translation algebra or its series.  They
 fold the whole line onto one period of the density (lambda = (xi + k)/ell,
 summed over k in closed form by lattice sums) and integrate that period by
 the periodic rule of ``quadrature.periodic_nodes``: no window, no tails.
+The adjoint has this one route: it reconstructs V* V f for the source packet
+f of a ``forward_transform`` sample, on the cells of f.
 
 Only frequency-0 packets (plain steps) are supported; that is all the
 cross-checks need.
@@ -24,11 +26,10 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, classify_point, e2pi
 from .eigen import eigen_coeffs
-from .errors import GridTooCoarse, ValidationError
+from .errors import ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
 from .packets import StepPacket, sum_packets
 from .quadrature import _FOLD_TOL, _lattice_sum2_rest, _lattice_sum_rest, periodic_nodes
-from .spectral import SpectralDensity
 
 __all__ = [
     "TransformSample",
@@ -44,18 +45,15 @@ _SUBDIVIDE = 4
 
 @dataclass(frozen=True)
 class TransformSample:
-    """Transform values on a grid, tagged with how they were obtained.
+    """Transform values on a grid.
 
-    provenance 'analytic' samples remember their source packet so the
-    adjoint can re-evaluate the transform in closed form at its own nodes;
-    'quadrature' samples are bare numbers.
+    ``forward_transform`` samples remember their source packet, which the
+    adjoint re-evaluates in closed form at its own nodes; oracle samples
+    (``semigroup_kernel_apply``) are bare numbers with no source.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    provenance: str
-    bm: BoundaryMatrix | None = None
-    domain: ExteriorDomain | None = None
     source: StepPacket | None = None
 
 
@@ -67,9 +65,7 @@ def forward_transform(
     grid = np.atleast_1d(_real_lambda(grid))
     co = eigen_coeffs(bm, domain, grid)
     vals = _transform_values(co, decompose(f, domain), grid)
-    return TransformSample(
-        grid=grid, values=vals, provenance="analytic", bm=bm, domain=domain, source=f
-    )
+    return TransformSample(grid=grid, values=vals, source=f)
 
 
 def _transform_values(co, parts, lam):
@@ -184,48 +180,47 @@ def adjoint_transform(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
     sample: TransformSample,
-    cell_edges=None,
-    tol: float = 1e-4,
 ) -> StepPacket:
-    """Reconstruct a packet from transform data: V* g as a step packet.
+    """Reconstruct a packet from its transform: V* V f as a step packet.
 
-    Integrates g(lambda) psi_lambda(x) m^-2 at the midpoints of the
-    ``_SUBDIVIDE`` subcells of each cell of ``cell_edges``; for analytic
-    samples the default cells are the source packet's own (the gaps between
-    them may cover the removed intervals, so they are skipped).
+    f is the sample's source packet (frequency 0 only); a sample without a
+    source is a ValidationError.  V* V f is evaluated at the midpoints of the
+    ``_SUBDIVIDE`` subcells of each cell of f (the gaps between the cells may
+    cover the removed intervals, so they are skipped), by the one-period fold
+    of ``cross_term``: a point x of component d and a cell end (r, t_r) of
+    f_j add
 
-    * analytic samples: g is the source packet's closed-form transform
-      (frequency 0 only), folded onto one period as in ``cross_term``.
-    * quadrature samples: only the given grid values exist.  The integral is
-      a composite Simpson over the grid and the unknown tail is estimated
-      from the last samples; if that estimate exceeds tol, GridTooCoarse.
+        (t_r / 2 pi i) int amp_d conj(amp_j) e(xi y) sum_k e(k y)/(k + xi) d xi
+
+    with y = (x - r + b_d - b_j)/ell; the k = 0 terms of all ends together
+    are the closed-form transform of f at lambda = xi/ell.
     """
     _require_coupled(bm, "adjoint_transform")
-    analytic = sample.provenance == "analytic"
-    if analytic:
-        if sample.source is None:
-            raise ValidationError("analytic sample has no source packet")
-        _require_steps("adjoint transform", sample.source)
-    elif sample.provenance != "quadrature":
-        raise ValidationError(f"unknown provenance {sample.provenance!r}")
-    if cell_edges is not None:
-        cell_edges = np.asarray(cell_edges, dtype=float)
-        if np.any(np.diff(cell_edges) <= 0):
-            raise ValidationError("cell_edges must be increasing")
-        intervals = list(zip(cell_edges[:-1], cell_edges[1:]))
-    elif analytic:
-        intervals = [(u, v) for u, v, _ in sample.source.cells()]
-    else:
-        raise ValidationError("quadrature samples need explicit cell_edges")
-
+    f = sample.source
+    if f is None:
+        raise ValidationError("adjoint_transform needs a sample with its source packet")
+    _require_steps("adjoint transform", f)
     # reconstruction points: subcell midpoints, one edge array per cell
-    span_edges = [np.linspace(a, b, _SUBDIVIDE + 1) for a, b in intervals]
+    span_edges = [np.linspace(u, v, _SUBDIVIDE + 1) for u, v, _ in f.cells()]
     xs = np.concatenate([0.5 * (se[:-1] + se[1:]) for se in span_edges])
     dest = np.array([_component_index(domain, x) for x in xs])
-    if analytic:
-        values = _adjoint_analytic(bm, domain, sample.source, xs, dest)
-    else:
-        values = _adjoint_from_grid(bm, domain, sample, xs, dest, tol)
+
+    f_parts = decompose(f, domain)
+    j, pos, val = _shifted_ends(domain, f_parts)
+    x_b = xs + _offsets(domain)[dest]
+    y = (x_b[:, None] - pos[None, :]) / domain.ell
+    xi, wq, co, amp = _fold(bm, domain, y)
+
+    lam = xi / domain.ell
+    # k = 0: (V f) A_d m^-2 e(lambda x) = (V f) amp_d e(lambda (x + b_d)) / m
+    gvals = wq * _transform_values(co, f_parts, lam) / (domain.ell * np.abs(co.a))
+    f_amp = val[:, None] * np.conj(amp[j])
+    values = np.empty(xs.shape, dtype=complex)
+    for idx, (d, x, y_x) in enumerate(zip(dest, x_b, y)):
+        rest = e2pi(y_x[:, None] * xi) * _lattice_sum_rest(y_x[:, None], xi)
+        values[idx] = np.sum(gvals * amp[d] * e2pi(lam * x)) + np.sum(
+            (rest * f_amp) @ (wq * amp[d])
+        ) / (2j * np.pi)
     return sum_packets(
         StepPacket.from_breakpoints(se, v)
         for se, v in zip(span_edges, values.reshape(-1, _SUBDIVIDE))
@@ -238,83 +233,3 @@ def _component_index(domain, x):
     if tag not in COMPONENTS:
         raise ValidationError(f"reconstruction point {x} is not in the domain")
     return COMPONENTS.index(tag)
-
-
-def _adjoint_analytic(bm, domain, f, xs, dest):
-    """V* V f at the points xs, of component indices dest, by the one-period
-    fold.  A point x of component d and a cell end (r, t_r) of f_j add
-    (t_r / 2 pi i) int amp_d conj(amp_j) e(xi y) sum_k e(k y)/(k + xi) d xi
-    with y = (x - r + b_d - b_j)/ell; the k = 0 terms are summed as in
-    ``cross_term``.
-    """
-    f_parts = decompose(f, domain)
-    j, pos, val = _shifted_ends(domain, f_parts)
-    x_b = xs + _offsets(domain)[dest]
-    y = (x_b[:, None] - pos[None, :]) / domain.ell
-    xi, wq, co, amp = _fold(bm, domain, y)
-
-    lam = xi / domain.ell
-    # k = 0: g(lambda) A_d m^-2 e(lambda x) = g amp_d e(lambda (x + b_d)) / m
-    gvals = wq * _transform_values(co, f_parts, lam) / (domain.ell * np.abs(co.a))
-    f_amp = val[:, None] * np.conj(amp[j])
-    values = np.empty(xs.shape, dtype=complex)
-    for idx, (d, x, y_x) in enumerate(zip(dest, x_b, y)):
-        rest = e2pi(y_x[:, None] * xi) * _lattice_sum_rest(y_x[:, None], xi)
-        values[idx] = np.sum(gvals * amp[d] * e2pi(lam * x)) + np.sum(
-            (rest * f_amp) @ (wq * amp[d])
-        ) / (2j * np.pi)
-    return values
-
-
-def _adjoint_from_grid(bm, domain, sample, xs, dest, tol):
-    """V* g at the points xs, of component indices dest, by composite
-    Simpson over the sample grid."""
-    grid = np.asarray(sample.grid, dtype=float)
-    vals = np.asarray(sample.values, dtype=complex)
-    if grid.ndim != 1 or grid.shape != vals.shape or len(grid) < 3:
-        raise ValidationError("need a 1-d grid with at least 3 samples")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be increasing")
-
-    # Heuristic tail estimate: |g| ~ C/|lambda| beyond the window implies a
-    # conditionally convergent remainder of order C (up to oscillation); we
-    # charge one decade of it.
-    c_end = max(abs(vals[0]) * abs(grid[0]), abs(vals[-1]) * abs(grid[-1]))
-    rho_max = SpectralDensity(bm, domain).bounds()[1]
-    coef_max = 2.0 / bm.w  # sup of |a| = |c|
-    est = c_end * rho_max * coef_max * np.log(10.0)
-    if est > tol:
-        raise GridTooCoarse(
-            f"estimated truncation {est:.2e} exceeds tol {tol:.2e}; widen or "
-            "refine the transform grid (or use an analytic sample)"
-        )
-
-    co = eigen_coeffs(bm, domain, grid)
-    # psi_lambda(x) m^-2 / e(lambda x) = (a, 1, c) m^-2 by component of x
-    factors = np.array([co.a, np.ones_like(co.a), co.c]) / np.abs(co.a) ** 2
-    values = np.empty(xs.shape, dtype=complex)
-    for idx, (x, d) in enumerate(zip(xs, dest)):
-        values[idx] = _simpson_irregular(grid, vals * factors[d] * e2pi(grid * x))
-    return values
-
-
-def _simpson_irregular(x, y):
-    """Composite Simpson on (possibly) irregular grids of at least 3 points;
-    an even point count ends with one trapezoid."""
-    n = len(x)
-    total = 0.0 + 0.0j
-    i = 0
-    while i + 2 < n:
-        h0 = x[i + 1] - x[i]
-        h1 = x[i + 2] - x[i + 1]
-        # standard 3-point Newton-Cotes weights for uneven spacing
-        h = h0 + h1
-        total += (
-            y[i] * (h * (2.0 * h0 - h1)) / (6.0 * h0)
-            + y[i + 1] * h**3 / (6.0 * h0 * h1)
-            + y[i + 2] * (h * (2.0 * h1 - h0)) / (6.0 * h1)
-        )
-        i += 2
-    if i + 1 < n:
-        total += 0.5 * (y[i] + y[i + 1]) * (x[i + 1] - x[i])
-    return total

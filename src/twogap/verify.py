@@ -157,7 +157,7 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
         lam = sc.grid("lambda_grid", _LAMBDA_GRID)[:9]
         t = float(ts[min(1, len(ts) - 1)])
         eng_vals = compress_evolve(bm, dom, mid, t).packet.transform(lam)
-        ora = semigroup_kernel_apply(bm, mid, t, lam, interval=(lo, hi)).values
+        ora = semigroup_kernel_apply(bm, mid, t, lam).values
         gap = float(np.max(np.abs(eng_vals - ora)))
         out.append(_judge("semigroup_kernel_route", gap, 1e-8))
     return out

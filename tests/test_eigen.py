@@ -41,7 +41,6 @@ def test_half_coupling_anchors(ex59):
     assert complex(co.c) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-14)
     assert complex(co.h) == pytest.approx(2.0, abs=1e-14)
     assert float(co.m) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-14)
-    assert co.b_norm == 1.0
     assert complex(transfer_H(bm, dom, 0.0)) == pytest.approx(2.0, abs=1e-14)
 
 

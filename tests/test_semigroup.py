@@ -298,8 +298,6 @@ def test_error_paths():
         compress_evolve(bm, dom, stray, 0.5)
     with pytest.raises(NegativeTime):
         semigroup_kernel_apply(bm, f, -1.0, [0.0])
-    with pytest.raises(ValidationError):
-        semigroup_kernel_apply(bm, f, 1.0, [0.0], interval=(1.0, 2.5))
     with pytest.raises(SupportViolation):
         semigroup_kernel_apply(bm, stray, 1.0, [0.0])
     with pytest.raises(HalfPlaneViolation):
@@ -321,6 +319,24 @@ def test_error_paths():
         norm_decay_profile(dec, 0, [0.0, 0.5])
     with pytest.raises(NegativeTime):
         norm_decay_profile(bm, 0, [-0.5])
+
+
+def test_oracles_integrate_the_restricted_packet():
+    # a sliver on [alpha, beta] whose norm^2 of 1e-13 passes the leak rule:
+    # every route must integrate the restricted packet, not the sliver
+    bm = make_boundary_matrix(w=0.6)
+    dom = make_domain(2.0, 3.0)
+    f = mid_packet(dom) + StepPacket.box(2.4, 2.4 + 1e-13, 1.0)
+    inside = f.restrict(1.0, 2.0)
+    xs, lam = np.linspace(1.0, 2.0, 11), np.linspace(-2.0, 2.0, 9)
+    got = compressed_resolvent_profile(bm, dom, 0.8 + 0.3j, f, xs).values
+    want = compressed_resolvent_profile(bm, dom, 0.8 + 0.3j, inside, xs).values
+    assert np.array_equal(got, want)
+    got = semigroup_kernel_apply(bm, f, 0.7, lam).values
+    assert np.array_equal(got, semigroup_kernel_apply(bm, inside, 0.7, lam).values)
+    assert resolvent_comparison(bm, dom, 0.8 + 0.3j, f, xs)["laplace_vs_closed"] == (
+        resolvent_comparison(bm, dom, 0.8 + 0.3j, inside, xs)["laplace_vs_closed"]
+    )
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
