@@ -1,4 +1,4 @@
-"""Quadrature helpers: Gauss-Legendre panels, the periodic rule for one
+"""Quadrature helpers: Gauss-Legendre panels, the mapped rule for one
 period of the spectral density and the periodized lattice sums.
 
 Every composite Gauss-Legendre sum in the package goes through
@@ -12,9 +12,19 @@ period: substituting lambda = (xi + k)/ell and summing over k turns each
 
 valid for non-integer y (with {y} the fractional part) and non-integer a,
 or its a-derivative.  What remains is one period of m^-2, a Poisson kernel
-in q = sqrt(1 - w^2) with poles |ln q|/(2 pi) off the real axis (unit
-period); on it the N-point periodic rule of ``periodic_nodes`` converges
-like q^N (Trefethen & Weideman, SIAM Review 56, 2014).
+in q = sqrt(1 - w^2) whose spike at xi = psi sharpens as w -> 0: its poles
+sit about w^2/(4 pi) off the real axis, so a plain periodic rule would need
+O(1/w^2) nodes.  ``fold_nodes`` substitutes the Moebius map
+
+    e^{i theta} = e^{i theta_0} (e^{i phi} + r) / (1 + r e^{i phi}),
+    theta = 2 pi xi, theta_0 = 2 pi psi,
+
+which clusters the nodes at the spike, and takes the midpoint rule in phi
+(Hale & Trefethen, "New quadrature formulas from conformal maps", SINUM 46,
+2008; Trefethen & Weideman, SIAM Review 56, 2014).  With r at the hyperbolic
+midpoint between 0 and q the density becomes the Poisson kernel of r in phi,
+the poles of the density and of the map both sit ln(1/r) ~ w off the real
+phi axis, and N grows like ln(1/tol)/w.
 """
 
 from __future__ import annotations
@@ -29,12 +39,15 @@ from .errors import DegenerateRegime, ValidationError
 
 __all__ = [
     "gauss_panels",
-    "periodic_nodes",
+    "fold_nodes",
     "lattice_sum",
 ]
 
-# error target of the periodic rule over a folded period
+# error target of the mapped rule over a folded period
 _FOLD_TOL = 1e-13
+
+# strip half-widths tried when sizing the mapped rule, in units of ln(1/r)
+_STRIP_FRACTIONS = np.linspace(0.01, 0.99, 99)
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,23 +73,51 @@ def gauss_panels(fn, edges, order: int = 16):
     return np.sum(w * fn(x))
 
 
-def periodic_nodes(q: float, tol: float, span: float = 0.0):
-    """Nodes and weights of the N-point midpoint rule on [0, 1).
+def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
+    """Nodes xi on (-1/2, 1/2] and weights of the mapped midpoint rule for
+    one unit period of the density m^-2 with its spike at xi = psi.
 
-    For a 1-periodic integrand analytic in the strip |Im xi| < |ln q|/(2 pi),
-    such as the unit-period density m^-2, the rule errs by about q^N.  A
-    phase e(s xi) with |s| <= span grows by q^-span across that strip, so
-    N = ceil(ln(tol)/ln(q) + span) + 1, and N = ceil(span) + 2 at q = 0,
-    where the integrand is a trigonometric polynomial.  On the bare density
-    (span 0) the error is at most 2 q^N / (1 - q^N) times its mean.
+    The weights integrate dxi, so the density itself is left to the caller.
+    r is the hyperbolic midpoint (1 + r)/(1 - r) = K = sqrt((1 + q)/(1 - q))
+    = (1 + q)/w; the Jacobian dtheta/dphi is K / (K^2 cos^2(phi/2) +
+    sin^2(phi/2)).  The phi grid is rotated so that xi = 0, the removable
+    pole of the lattice sums, lies midway between two nodes.
+
+    Sizing.  On the strip |Im phi| < a (a < ln(1/r)) the mapped density is
+    bounded by M(a) = (1 - r^2) / ((1 - r e^a)(1 - r e^-a)) and a phase
+    e(s xi) with |s| <= span by g(a)^span, g(a) = (e^a - r)/(1 - r e^a),
+    which tends to 1 + K a as a -> 0 and blows up at the map's pole.  The
+    midpoint rule then errs by at most 2 M g^span / (e^{a N} - 1) times the
+    scale of the smooth factor (Trefethen & Weideman, Thm 3.2); N is the
+    least count that meets tol at the best a of ``_STRIP_FRACTIONS``.  At
+    q = 0 (w = 1) the map is a rotation and the integrand a trigonometric
+    polynomial of degree at most span, so N = ceil(span) + 2 is exact.
     """
+    q = bm.q
     if not 0.0 <= q < 1.0:
-        raise DegenerateRegime(f"the periodic rule needs 0 <= q < 1 (w > 0), got q={q}")
+        raise DegenerateRegime(f"the fold rule needs 0 <= q < 1 (w > 0), got q={q}")
+    k = (1.0 + q) / bm.w
     if q > 0.0:
-        n = math.ceil(math.log(tol) / math.log(q) + span) + 1
+        rim = 2.0 * math.atanh(bm.w / (1.0 + q))  # ln(1/r)
+        a = _STRIP_FRACTIONS * rim
+        near = -np.expm1(a - rim)  # 1 - r e^a
+        far = -np.expm1(-a - rim)  # 1 - r e^-a
+        log_m = math.log(-math.expm1(-2.0 * rim)) - np.log(near * far)
+        log_g = a + np.log(far / near)
+        log_bound = math.log(2.0 / tol) + log_m + span * log_g
+        n = math.ceil(np.min(np.logaddexp(0.0, log_bound) / a))
     else:
         n = math.ceil(span) + 2
-    return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
+    # phi of xi = 0 (theta - theta_0 = -2 pi psi), then a grid straddling it;
+    # phi/2 is taken into [-pi/2, pi/2], so xi - psi keeps full relative
+    # precision near the spike
+    pole = 2.0 * math.atan2(-k * math.sin(math.pi * bm.psi), math.cos(math.pi * bm.psi))
+    half = 0.5 * pole + math.pi * (np.arange(n) + 0.5) / n
+    half -= math.pi * np.round(half / math.pi)
+    cos, sin = np.cos(half), np.sin(half)
+    xi = bm.psi + np.arctan2(sin, k * cos) / math.pi
+    xi -= np.ceil(xi - 0.5)
+    return xi, k / (n * (k * k * cos * cos + sin * sin))
 
 
 def lattice_sum(y, a):

@@ -14,10 +14,11 @@ the closed-form lattice sums
     sum_j e(j y)/(j + a) = (pi/sin(pi a)) exp(i pi a (1 - 2 {y})),
 
 with the two halves of each cell combined so every endpoint singularity
-cancels analytically.  The folded period is integrated by the periodic rule
-of ``quadrature.periodic_nodes``, sized from q so the quadrature error stays
-near 1e-13 however sharp the density spikes.  The kernel oracle takes packets
-on the unit middle interval (1, 2), where the density has unit period.
+cancels analytically.  The folded period is integrated by the mapped
+midpoint rule of ``quadrature.fold_nodes``, whose O(1/w) nodes cluster at the
+density spike and are sized from q and t so the quadrature error stays near
+1e-13 however sharp the spike.  The kernel oracle takes packets on the unit
+middle interval (1, 2), where the density has unit period.
 Nothing in the oracle touches the packet engine.
 
 The module also carries three resolvent routes on x in [1, alpha], each
@@ -37,7 +38,7 @@ from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, _finite_time, _require_kept, _wrap_middle, block_row
 from .packets import StepPacket
-from .quadrature import _FOLD_TOL, gauss_panels, lattice_sum, periodic_nodes
+from .quadrature import fold_nodes, gauss_panels, lattice_sum
 from .spectral import density
 from .transform import TransformSample, _cell_ends
 
@@ -142,8 +143,9 @@ def shannon_interpolate(coeffs: ShannonBasisCoeffs, lam):
 
 
 def _fold_rule(bm, span):
-    """Periodic nodes, weights and density values for one folded period."""
-    xi, wq = periodic_nodes(bm.q, _FOLD_TOL, span)
+    """``fold_nodes`` on (-1/2, 1/2] and their weights times the density; every
+    folded integrand below is periodic in xi, so the window is immaterial."""
+    xi, wq = fold_nodes(bm, span=span)
     return xi, wq * density(bm, _UNIT_DOMAIN, xi)
 
 
@@ -160,27 +162,27 @@ def _kernel_transform_oracle(bm, f_centered, t, lam):
                    i 2 pi^2 (lam - n)
 
     L the lattice sum, E2 = exp(i pi (lam-xi)(2{y}-1)), y = 1/2 - t - p.
-    The lam -> n limit is taken analytically.
+    The lam -> n limit is taken analytically.  Each cell end is one
+    (lambda x nodes) array.
     """
     pos, val, freq = _cell_ends(f_centered)
     xi, wq = _fold_rule(bm, abs(t) + 2.0)
+    angle = np.pi * (lam[:, None] - xi)
     res = np.zeros(lam.shape, dtype=complex)
     for p, s, n in zip(pos, val, freq):
         y = 0.5 - t - p
         sign = 2.0 * (y - np.floor(y)) - 1.0
         lsum = lattice_sum(y, xi - n)
         weighted = wq * s * e2pi(n * p) * e2pi(-xi * (t + p)) / (2j * np.pi**2)
-        for k, lk in enumerate(lam):
-            e2 = np.exp(1j * np.pi * (lk - xi) * sign)
-            if abs(lk - n) > 1e-12:
-                bracket = (np.sin(np.pi * (lk - xi)) * lsum + np.pi * e2) / (lk - n)
-            else:
-                # removable point: d/dlam of the bracket at lam = n
-                bracket = (
-                    np.pi * np.cos(np.pi * (lk - xi)) * lsum
-                    + 1j * np.pi**2 * sign * e2
-                )
-            res[k] += np.sum(weighted * bracket)
+        e2 = np.exp(1j * sign * angle)
+        removable = np.abs(lam - n) <= 1e-12
+        gap = np.where(removable, 1.0, lam - n)[:, None]
+        bracket = (np.sin(angle) * lsum + np.pi * e2) / gap
+        # removable point: d/dlam of the bracket at lam = n
+        bracket[removable] = (
+            np.pi * np.cos(angle[removable]) * lsum + 1j * np.pi**2 * sign * e2[removable]
+        )
+        res += bracket @ weighted
     return res
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, make_boundary_matrix
 from .errors import ValidationError
 from .multipliers import make_multiplier
-from .quadrature import periodic_nodes
+from .quadrature import fold_nodes
 
 __all__ = [
     "SpectralDensity",
@@ -79,12 +79,15 @@ class SpectralDensity:
 def period_integral(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
     """Integral of the density over one period (exactly 1/ell), to 1e-12.
 
-    The periodic rule errs by at most 2 q^N / (1 - q^N) of the exact value
-    1/ell, so asking ``periodic_nodes`` for 1e-12 ell / 4 keeps that error
-    below 5e-13.  The rest is for rounding: ``density`` uses a
-    cancellation-free form and rounds to a few ulp relative at any w > 0.
+    On the nodes of ``fold_nodes`` the density times the map's Jacobian is
+    the Poisson kernel of r, not a constant, so this is a check of the rule
+    and not an identity.  The N-point midpoint rule errs on that kernel by
+    2 r^N / (1 - r^N) of the mean, below the strip bound 2 M(a) / (e^{aN} - 1)
+    that sizes N, so asking for tol = 5e-13 ell keeps the error below 5e-13
+    of 1/ell.  The rest is for rounding: ``density`` uses a cancellation-free
+    form and rounds to a few ulp relative at any w > 0.
     """
-    xi, wts = periodic_nodes(bm.q, 0.25e-12 * domain.ell)
+    xi, wts = fold_nodes(bm, 5e-13 * domain.ell)
     return float(np.sum(wts * density(bm, domain, xi / domain.ell))) / domain.ell
 
 

@@ -10,7 +10,8 @@ packet side; the quadrature versions here exist as *independent* checks and
 read nothing of the packet engine's translation algebra or its series.  They
 fold the whole line onto one period of the density (lambda = (xi + k)/ell,
 summed over k in closed form by lattice sums) and integrate that period by
-the periodic rule of ``quadrature.periodic_nodes``: no window, no tails.
+the mapped midpoint rule of ``quadrature.fold_nodes``, whose nodes cluster
+at the density spike, O(1/w) of them: no window, no tails.
 The adjoint has this one route: it reconstructs V* V f for the source packet
 f of a ``forward_transform`` sample, on the cells of f.
 
@@ -29,7 +30,7 @@ from .eigen import eigen_coeffs
 from .errors import ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
 from .packets import StepPacket, sum_packets
-from .quadrature import _FOLD_TOL, _lattice_sum2_rest, _lattice_sum_rest, periodic_nodes
+from .quadrature import _lattice_sum2_rest, _lattice_sum_rest, fold_nodes
 
 __all__ = [
     "TransformSample",
@@ -117,14 +118,14 @@ def _shifted_ends(domain, parts):
 
 
 def _fold(bm, domain, y):
-    """Periodic-rule nodes xi on (-1/2, 1/2], none at the pole xi = 0, for
+    """``fold_nodes`` xi on (-1/2, 1/2], none at the pole xi = 0, for
     integrands carrying e(xi y) for every y in the array y; their weights, the
     eigen coefficients at lambda = xi/ell, and rows amp_i = A_i e(-b_i lambda)/m
     of period 1, so A_i conj(A_j) m^-2 = e((b_i - b_j) lambda) amp_i conj(amp_j).
+    Each amp_i conj(amp_j) grows like one more phase off the real axis, hence
+    the span max|y| + 1.
     """
-    x, wq = periodic_nodes(bm.q, _FOLD_TOL, np.max(np.abs(y), initial=0.0) + 1.0)
-    # an odd count would put a node on xi = 0; shift those by half a spacing
-    xi = x - 0.5 + (0.5 / len(x) if len(x) % 2 else 0.0)
+    xi, wq = fold_nodes(bm, span=np.max(np.abs(y), initial=0.0) + 1.0)
     lam = xi / domain.ell
     co = eigen_coeffs(bm, domain, lam)
     m = np.abs(co.a)

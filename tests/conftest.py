@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,13 @@ def random_packet(rng, lo=-3.0, hi=-0.1, n_cells=3, freqs=(0,)):
     for p in parts[1:]:
         out = out + p
     return out
+
+
+def plain_fold_nodes(bm, tol=1e-13, span=0.0):
+    """Reference for ``quadrature.fold_nodes``: the plain N-point midpoint rule
+    on (-1/2, 1/2], no node on xi = 0, N = ceil(ln(tol)/ln(q) + span) + 1
+    (ceil(span) + 2 at q = 0), error ~q^N; O(1/w^2) nodes."""
+    q = bm.q
+    n = math.ceil(math.log(tol) / math.log(q) + span) + 1 if q > 0.0 else math.ceil(span) + 2
+    xi = (np.arange(n) + 0.5) / n - 0.5 + (0.5 / n if n % 2 else 0.0)
+    return xi, np.full(n, 1.0 / n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twogap import evolution, multipliers, quadrature, semigroup
-from twogap.domain import make_boundary_matrix, make_domain
+from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
     HalfPlaneViolation,
@@ -25,8 +25,9 @@ from twogap.semigroup import (
     shannon_interpolate,
     spatial_resolvent,
 )
+from twogap.transform import _cell_ends
 
-from conftest import random_boundary, random_geometry
+from conftest import plain_fold_nodes, random_boundary, random_geometry
 
 
 def mid_packet(dom, parts=((0.15, 0.55, 1.0), (0.6, 0.9, -0.5 + 0.25j))):
@@ -139,6 +140,65 @@ def test_kernel_route_matches_engine():
             oracle = semigroup_kernel_apply(bm, f, t, lam)
             engine = compress_evolve(bm, dom, f, t).packet.transform(lam)
             assert np.max(np.abs(oracle.values - engine)) < 1e-8
+
+
+def test_oracles_with_spike_on_pole():
+    # psi = 0 puts the density spike on xi = 0, the pole of the lattice sums
+    dom = make_domain(2.0, 3.0)
+    lam = np.array([-1.2, 0.0, 0.3, 1.0, 3.7])
+    f = StepPacket.box(1.1, 1.7, 1.0) + StepPacket.box(1.75, 1.95, 0.5j)
+    for w in (0.8, 0.5, 0.2, 0.05):
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=0.0)
+        for t in (0.0, 0.4, 1.3):
+            oracle = semigroup_kernel_apply(bm, f, t, lam)
+            engine = compress_evolve(bm, dom, f, t).packet.transform(lam)
+            assert np.max(np.abs(oracle.values - engine)) < 1e-8
+        prof = norm_decay_profile(bm, n=1, t_grid=[0.0, 0.35, 1.0, 1.6, 3.0 + 5e-11])
+        assert np.max(np.abs(prof.engine - prof.oracle)) < 1e-8
+
+
+@pytest.mark.parametrize("w", [0.9, 0.5, 0.2])
+def test_oracles_match_plain_rule(monkeypatch, w):
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=0.3)
+    lam = np.array([-1.2, 0.3, 1.0, 2.0, 3.7])
+    f = StepPacket.box(1.1, 1.7, 1.0) + StepPacket.box(1.75, 1.95, 0.5j, freq=1)
+    t_grid = [0.0, 0.35, 1.0, 1.6, 3.0 + 5e-11]
+    kernel = semigroup_kernel_apply(bm, f, 1.3, lam).values
+    oracle = norm_decay_profile(bm, 1, t_grid).oracle
+    monkeypatch.setattr(semigroup, "fold_nodes", plain_fold_nodes)
+    assert np.max(np.abs(kernel - semigroup_kernel_apply(bm, f, 1.3, lam).values)) < 1e-12
+    assert np.max(np.abs(oracle - norm_decay_profile(bm, 1, t_grid).oracle)) < 1e-12
+
+
+def _kernel_oracle_loop(bm, f_centered, t, lam):
+    """Reference: the kernel oracle with one Python pass per lambda."""
+    pos, val, freq = _cell_ends(f_centered)
+    xi, wq = semigroup._fold_rule(bm, abs(t) + 2.0)
+    res = np.zeros(lam.shape, dtype=complex)
+    for p, s, n in zip(pos, val, freq):
+        y = 0.5 - t - p
+        sign = 2.0 * (y - np.floor(y)) - 1.0
+        lsum = quadrature.lattice_sum(y, xi - n)
+        weighted = wq * s * e2pi(n * p) * e2pi(-xi * (t + p)) / (2j * np.pi**2)
+        for k, lk in enumerate(lam):
+            e2 = np.exp(1j * np.pi * (lk - xi) * sign)
+            if abs(lk - n) > 1e-12:
+                bracket = (np.sin(np.pi * (lk - xi)) * lsum + np.pi * e2) / (lk - n)
+            else:
+                bracket = np.pi * np.cos(np.pi * (lk - xi)) * lsum + 1j * np.pi**2 * sign * e2
+            res[k] += np.sum(weighted * bracket)
+    return res
+
+
+def test_kernel_oracle_matches_lambda_loop():
+    # lambda = 0 and 1 hit the removable points of the frequency 0 and 1 cells
+    lam = np.array([-2.5, 0.0, 0.3, 1.0, 1.0 + 1e-13, 4.2])
+    f = (StepPacket.box(1.1, 1.5, 1.0) + StepPacket.box(1.6, 1.9, 0.5j, freq=1)).translate(-1.5)
+    for w in (0.9, 0.5, 0.2):
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=0.3)
+        want = _kernel_oracle_loop(bm, f, 0.7, lam)
+        got = semigroup._kernel_transform_oracle(bm, f, 0.7, lam)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_kernel_route_oscillatory_packet():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twogap
-from twogap import evolution, multipliers
+from twogap import evolution, multipliers, transform
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import eigenfunction_eval
 from twogap.errors import DegenerateRegime, ValidationError
@@ -22,7 +22,7 @@ from twogap.transform import (
     sigma_norm2,
 )
 
-from conftest import random_boundary, random_geometry, random_packet
+from conftest import plain_fold_nodes, random_boundary, random_geometry, random_packet
 
 
 def test_forward_matches_eigenfunction_pairing(generic):
@@ -158,11 +158,7 @@ _FOLD_G = (
 )
 
 
-@pytest.mark.parametrize("w", [1.0, 0.9, 0.5, 0.2, 0.1, 0.05])
-def test_folded_oracles_across_coupling(w):
-    # the fold sizes its periodic rule from q, so the spikes of the density
-    # near w -> 0 cost nodes, not accuracy
-    bm = make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.45)
+def _check_folded_oracles(bm):
     dom, f, g = _FOLD_DOMAIN, _FOLD_F, _FOLD_G
     assert abs(sigma_norm2(bm, dom, f) - f.norm2()) < 1e-13 * max(1.0, f.norm2())
     assert abs(cross_term(bm, dom, f, g) - f.inner(g)) < 1e-13
@@ -171,6 +167,29 @@ def test_folded_oracles_across_coupling(w):
     edges = [np.linspace(u, v, 5) for u, v, _ in f.cells()]
     xs = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edges])
     assert np.max(np.abs(back.sample(xs) - f.sample(xs))) < 1e-12
+
+
+@pytest.mark.parametrize("w", [1.0, 0.9, 0.5, 0.2, 0.1, 0.05])
+def test_folded_oracles_across_coupling(w):
+    # the fold sizes its mapped rule from q, so the spikes of the density
+    # near w -> 0 cost nodes, not accuracy
+    _check_folded_oracles(make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.45))
+
+
+@pytest.mark.parametrize("w", [0.2, 0.05])
+def test_folded_oracles_spike_on_pole(w):
+    # psi = 0 puts the density spike on xi = 0, the removable pole of the
+    # lattice sums, which the rule straddles with two nodes
+    _check_folded_oracles(make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.0))
+
+
+@pytest.mark.parametrize("w", [0.9, 0.5, 0.2])
+def test_cross_term_matches_plain_rule(monkeypatch, w):
+    bm = make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.45)
+    dom, f, g = _FOLD_DOMAIN, _FOLD_F, _FOLD_G
+    mapped = cross_term(bm, dom, f, g)
+    monkeypatch.setattr(transform, "fold_nodes", plain_fold_nodes)
+    assert abs(mapped - cross_term(bm, dom, f, g)) < 1e-12
 
 
 def test_quadrature_oracles_read_no_series(monkeypatch, generic):
