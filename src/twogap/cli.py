@@ -28,7 +28,8 @@ from .eigen import (
 )
 from .errors import ParseError, TwogapError, ValidationError
 from .evolution import evolve_many, scatter
-from .packets import StepPacket
+from .multipliers import apply_multiplier, make_multiplier
+from .packets import StepPacket, sum_packets
 from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from .scenario import Scenario, bundled_names, bundled_scenario, load_scenario
 from .semigroup import compress_evolve, norm_decay_profile
@@ -122,10 +123,18 @@ def _cmd_evolve(sc: Scenario, out: Path) -> int:
     return 0
 
 
+def _scatter_listing(bm, dom, f: StepPacket) -> StepPacket:
+    """The cells scatter.csv lists: the exact train of ``scatter`` has
+    infinitely many, so the file cuts it where the cached 1e-12 ``a_inv_c``
+    series of ``make_multiplier`` ends, applied as that series."""
+    scatter(bm, dom, f)  # the engine's own input checks and errors
+    return sum_packets([apply_multiplier(make_multiplier(bm, dom, "a_inv_c"), f)])
+
+
 def _cmd_scatter(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     f = sc.packet("f")
-    outgoing = scatter(bm, dom, f)
+    outgoing = _scatter_listing(bm, dom, f)
     _write_csv(out / "scatter.csv", ["x", "re", "im", "abs2"], _packet_rows(outgoing))
     rows = []
     for la in sc.grid("lambda_grid"):

@@ -3,9 +3,9 @@
 The evolution at time t acts on a packet supported in the open domain by a
 3x3 block of translation multipliers followed by the rigid shift by t and
 restriction back to the components.  The (dest, src) block kinds live in
-``multipliers.BLOCK_KIND``, and ``block_row`` is the one place that applies
-them: evolution, single block entries, scattering and both translation
-representations are all rows of that matrix.
+``multipliers.BLOCK_KIND``; ``block_row`` applies them at finite times
+(evolution, single block entries) and ``_train_row`` at t = inf
+(scattering, both translation representations): all are rows of that matrix.
 The packet picture of, say, a left-launched packet is: the identity copy
 keeps moving on I_minus, the transmitted geometric train enters the middle
 interval through a_inv, and the outgoing train leaves through a_inv_c (one
@@ -17,10 +17,12 @@ happened.  So the finite-time routines (``evolve_many``, ``evolve``,
 the span of times a row serves; it applies only the lattice terms that reach
 the component over that span: exact finite sums with truncation 0, at a
 cost that follows the reflections, not w.  A time grid builds each row once.
-``scatter`` and ``translation_representation`` describe t = inf and read
-the whole series, cut once at the fixed 1e-12 default of
-``make_multiplier``.  ``cesaro_decay`` evolves nothing per time: it sums
-ramps over cell-edge pairs and integrates each panel in closed form.
+``scatter`` and ``translation_representation`` describe t = inf: their rows
+are a head plus one geometric train (``packets.PacketTrain``), built from
+the few terms of ``multipliers.train_terms`` at a cost of O(cells of f) at
+every w, with exact norms and pairings.  ``cesaro_decay`` evolves nothing
+per time: it sums ramps over cell-edge pairs and integrates each panel in
+closed form.
 
 The same formulas hold for negative t (the derivation is time-sign-free);
 the adjoint relation <U(-t) f, g> = <f, U(t) g> is verified in the tests
@@ -45,13 +47,8 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
-from .multipliers import (
-    BLOCK_KIND,
-    apply_multiplier,
-    causal_multiplier,
-    make_multiplier,
-)
-from .packets import StepPacket, sum_packets
+from .multipliers import BLOCK_KIND, apply_multiplier, causal_multiplier, train_terms
+from .packets import PacketTrain, StepPacket, sum_packets
 
 __all__ = [
     "EvolutionResult",
@@ -116,22 +113,20 @@ def block_row(
     parts,
     dest: str,
     *,
-    span=None,
+    span,
 ) -> StepPacket:
-    """Row ``dest`` of the block matrix applied to component parts.
+    """Row ``dest`` of the block matrix applied to component parts, for the
+    times of ``span`` = (t_lo, t_hi).
 
     ``parts`` holds one packet per source component, in COMPONENTS order;
     empty parts are skipped.  Returns the pre-shift packet
-    sum_src M[dest, src] parts[src].  With a time ``span`` (t_lo, t_hi) each
-    entry is the exact finite sum of its lattice terms that reach the
-    pre-shift window (lo - t_hi, hi - t_lo) of dest = (lo, hi), so the packet
-    is exact there (and meaningless outside it); without one each entry is
-    its whole series at the default cut of ``make_multiplier`` (the t = inf
-    pictures, which see every term).  An unknown ``dest`` raises
-    ValidationError.
+    sum_src M[dest, src] parts[src], each entry the exact finite sum of its
+    lattice terms that reach the pre-shift window (lo - t_hi, hi - t_lo) of
+    dest = (lo, hi): the packet is exact there (and meaningless outside it).
+    An unknown ``dest`` raises ValidationError.
     """
     lo, hi = domain.component(dest)
-    window = None if span is None else (lo - span[1], hi - span[0])
+    window = (lo - span[1], hi - span[0])
     pieces = []
     for src, fsrc in zip(COMPONENTS, parts):
         if fsrc.is_empty:
@@ -140,12 +135,38 @@ def block_row(
         if kind == "identity":
             pieces.append(fsrc)
             continue
-        if window is None:
-            m = make_multiplier(bm, domain, kind)
-        else:
-            m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
+        m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
         pieces.append(apply_multiplier(m, fsrc))
     return sum_packets(pieces)
+
+
+def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> PacketTrain:
+    """Row ``dest`` ('iplus' or 'iminus') of the block matrix at t = inf.
+
+    The identity part and the direct reflection of the scattering quotient
+    make the head; the n = 0 terms of the two inverse kinds make the body of
+    one train with ratio z = q e(-psi) and step ell on iplus (conj(z) and
+    -ell on iminus, the mirrored kinds), and leak 1 - |z|^2 = w^2.
+    """
+    heads, bodies = [], []
+    for src, fsrc in zip(COMPONENTS, parts):
+        if fsrc.is_empty:
+            continue
+        kind = BLOCK_KIND[(dest, src)]
+        if kind == "identity":
+            heads.append(fsrc)
+            continue
+        m = train_terms(bm, domain, kind)
+        for n, shift, weight in zip(m.indices, *m.terms()):
+            (bodies if n == 0 else heads).append(fsrc.translate(-shift).scale(weight))
+    z, ell = bm.b_entry, domain.ell
+    if dest == "iminus":
+        z, ell = z.conjugate(), -ell
+
+    def gather(pieces):  # one piece is already canonical
+        return pieces[0] if len(pieces) == 1 else sum_packets(pieces)
+
+    return PacketTrain(gather(heads), gather(bodies), z, ell, bm.w * bm.w)
 
 
 def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -> list[EvolutionResult]:
@@ -245,18 +266,18 @@ def scatter(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
     f_in: StepPacket,
-) -> StepPacket:
+) -> PacketTrain:
     """Map an incoming packet (supported on I_minus) to its outgoing image.
 
     This is the spatial action of the scattering coefficient: one direct
-    reflection plus the transmitted resonance train.
+    reflection (the head) plus the transmitted resonance train, exact.
     """
     _require_coupled(bm, "scatter")
     sup = f_in.support()
     if sup is None or sup[1] > 1e-12:
         raise EmptySupport("incoming packet must be supported on the left half-line")
     zero = StepPacket.zero()
-    return block_row(bm, domain, (f_in, zero, zero), "iplus")
+    return _train_row(bm, domain, (f_in, zero, zero), "iplus")
 
 
 def translation_representation(
@@ -264,18 +285,19 @@ def translation_representation(
     domain: ExteriorDomain,
     f: StepPacket,
     sign: str,
-) -> StepPacket:
+) -> PacketTrain:
     """Outgoing ('+') or incoming ('-') translation representer of f.
 
-    Rows iplus ('+') and iminus ('-') of the block matrix: the identity on
-    their own half-line, the scattering multipliers on the other two
-    components; they intertwine the evolution with the rigid shift (tested).
+    Rows iplus ('+') and iminus ('-') of the block matrix at t = inf: the
+    identity on their own half-line, the scattering multipliers on the other
+    two components, as one exact train; they intertwine the evolution with
+    the rigid shift (tested).
     """
     _require_coupled(bm, "translation_representation")
     dest = {"+": "iplus", "-": "iminus"}.get(sign)
     if dest is None:
         raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
-    return block_row(bm, domain, decompose(f, domain), dest)
+    return _train_row(bm, domain, decompose(f, domain), dest)
 
 
 # ----------------------------------------------------------------------

@@ -17,12 +17,15 @@ by one routine (``_lattice_series``) over a range of lattice indices:
 * ``causal_multiplier`` keeps exactly the terms that carry a given support
   into a given window.  At a finite time only about |t| / step terms reach
   the output, so every evolution is an exact finite sum (tail 0).
+* ``train_terms`` keeps the n = 0 term of a one-sided kind and its direct
+  reflection: with the ratio z = q e(-psi) they are the whole series as an
+  exact geometric train (``packets.PacketTrain``), which is how the t = inf
+  pictures (scattering, the translation representations) read it.
 * ``make_multiplier`` truncates the whole series at a relative tolerance
   eps and caches it; the ``tail`` field carries the sup-norm bound
-  |scalar| * sum of dropped |c_n|.  Only the t = inf pictures (scattering,
-  the translation representations, the density Fourier table), which see
-  every term, use it, at the default eps = 1e-12; other values serve the
-  tail-bound tests.
+  |scalar| * sum of dropped |c_n|.  The density Fourier table of
+  ``spectral.fourier_coeffs`` and the cells ``twogap scatter`` lists use it
+  at the default eps = 1e-12; other values serve the tail-bound tests.
 
 A series stores its terms as the lattice index ``first`` of its first term
 and the read-only array ``coeffs`` of the complex c_n for the consecutive
@@ -55,6 +58,7 @@ __all__ = [
     "MultiplierSeries",
     "make_multiplier",
     "causal_multiplier",
+    "train_terms",
     "apply_multiplier",
     "conjugate_multiplier",
     "compose_multipliers",
@@ -175,6 +179,7 @@ def _geom_terms(q: float, eps: float) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=256)
 def _underflow_index(q: float) -> int:
     """Largest n with q**n > 0: every term beyond it is an exact zero."""
     if q == 0.0:
@@ -255,8 +260,8 @@ def make_multiplier(
 ) -> MultiplierSeries:
     """Build one of the named series for (bm, domain) at tolerance eps.
 
-    This is the whole series, truncated: what the t = inf pictures read.
-    A finite time or horizon reads ``causal_multiplier``.
+    This is the whole series, truncated.  A finite time or horizon reads
+    ``causal_multiplier``, and t = inf the exact train of ``train_terms``.
     Series are cached per (bm, domain, kind, eps) and shared by every caller;
     their arrays are read-only.
     """
@@ -306,6 +311,20 @@ def causal_multiplier(
         return (a - win_hi - base) / step, (b - win_lo - base) / step
 
     return _lattice_series(bm, domain, kind, reach, 0.0)
+
+
+def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str) -> MultiplierSeries:
+    """The terms of a one-sided inverse kind that do not continue its train.
+
+    That is the n = 0 term and, for the scattering quotients, the direct
+    reflection before it (n = -1 for a_inv_c, n = 1 for c_inv_a).  Every
+    other term n is z^|n| times the n = 0 term shifted by n steps, with
+    z = q e(-psi) for a_inv, c_conj_inv, a_inv_c and conj(z) for their
+    partners, so these terms and z are the kind's whole series, exactly.
+    Read from ``_lattice_series`` like every other series; tail 0.
+    """
+    _check_kind(bm, kind)
+    return _lattice_series(bm, domain, kind, lambda base: (0.0, 0.0), 0.0)
 
 
 def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:

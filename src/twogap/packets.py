@@ -18,11 +18,19 @@ Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
 of its left neighbour joins that neighbour's cluster, and the cluster's
 leftmost edge stands for it, so a chain of close edges becomes one edge.
 
+A PacketTrain is a packet followed by a geometric train of its lattice
+translates, head + sum_{n >= 0} ratio^n body(. + n step): the t = inf
+pictures of the model.  Its norms, pairings and restrictions are exact
+finite sums over the terms that reach a bounded window.
+
 All integrals are closed-form; nothing in this module is approximate beyond
 float arithmetic.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +39,7 @@ from .errors import OrderingViolation, ValidationError
 
 __all__ = [
     "StepPacket",
+    "PacketTrain",
     "sum_packets",
     "osc_integral",
 ]
@@ -256,9 +265,13 @@ class StepPacket:
         return self.scale(-1.0)
 
     def __add__(self, other):
+        if not isinstance(other, StepPacket):
+            return NotImplemented  # a PacketTrain adds from its side
         return sum_packets([self, other])
 
     def __sub__(self, other):
+        if not isinstance(other, StepPacket):
+            return NotImplemented
         return sum_packets([self, other.scale(-1.0)])
 
     def translate(self, s: float) -> "StepPacket":
@@ -325,6 +338,8 @@ class StepPacket:
 
     def inner(self, other: "StepPacket") -> complex:
         """L2 pairing <f, g> = integral of conj(f) * g (conjugate-first)."""
+        if isinstance(other, PacketTrain):
+            return other.inner(self).conjugate()
         f, g = self, other
         if f.is_empty or g.is_empty:
             return 0.0 + 0.0j
@@ -417,3 +432,182 @@ def sum_packets(packets) -> StepPacket:
         n: tuple(np.concatenate(col) for col in cols) for n, cols in segs.items()
     }
     return StepPacket(*_assemble(segs), _trusted=True)
+
+
+@dataclass(frozen=True, eq=False)
+class PacketTrain:
+    """The function head + sum_{n >= 0} ratio^n body(. + n step).
+
+    Term n is the body shifted by -n step, so a positive step runs the train
+    to -inf and a negative one to +inf.  ``leak`` is 1 - |ratio|^2 > 0, the
+    share of |.|^2 a term loses to the next one; it is given, not computed,
+    because 1 - |ratio|^2 of a rounded ratio loses digits as |ratio| -> 1
+    (the model's trains have |ratio| = q and leak w^2 exactly).
+
+    Past a cut x0 on the far side of the head and of the body's first
+    image (``_cut``), the train repeats itself: T(x - step) = ratio T(x).
+    So T is the finite packet on the near side of x0 plus the geometric
+    train of its window W one step beyond x0, whose images are disjoint,
+    and ||T||^2 = ||T near x0||^2 + ||T on W||^2 / leak: no cancelling
+    terms, with an exact zero for equal trains however they are written.
+    With an empty body every result is the head's own, bit for bit.
+    """
+
+    head: StepPacket
+    body: StepPacket
+    ratio: complex
+    step: float
+    leak: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "ratio", complex(self.ratio))
+        object.__setattr__(self, "step", float(self.step))
+        object.__setattr__(self, "leak", float(self.leak))
+        if not (math.isfinite(self.step) and self.step != 0.0):
+            raise ValidationError(f"train step must be finite and nonzero, got {self.step!r}")
+        if not 0.0 < self.leak <= 1.0:
+            raise ValidationError(f"train leak must lie in (0, 1], got {self.leak!r}")
+
+    def _like(self, head, body) -> "PacketTrain":
+        return PacketTrain(head, body, self.ratio, self.step, self.leak)
+
+    def _coerce(self, other) -> "PacketTrain":
+        """``other`` as a train of this one's ratio, step and leak: a packet
+        becomes a train with an empty body; a train must already be one."""
+        if isinstance(other, StepPacket):
+            return self._like(other, StepPacket.zero())
+        if (other.ratio, other.step, other.leak) != (self.ratio, self.step, self.leak):
+            raise ValidationError("trains combine only with equal ratio, step and leak")
+        return other
+
+    # ------------------------------------------------------------------
+    # linear/geometric operations
+    # ------------------------------------------------------------------
+
+    def scale(self, c: complex) -> "PacketTrain":
+        return self._like(self.head.scale(c), self.body.scale(c))
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        body = self.body
+        if not other.body.is_empty:
+            body = sum_packets([body, other.body])
+        return self._like(self.head + other.head, body)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def translate(self, s: float) -> "PacketTrain":
+        """The train x -> T(x - s)."""
+        return self._like(self.head.translate(s), self.body.translate(s))
+
+    # ------------------------------------------------------------------
+    # finite pieces
+    # ------------------------------------------------------------------
+
+    def materialize(self, n: int) -> StepPacket:
+        """The head plus the first n terms of the train, in one sweep."""
+        return self._terms(0, int(n))
+
+    def _terms(self, first: int, stop: int) -> StepPacket:
+        """The head plus the terms first <= n < stop, in one sweep."""
+        if stop <= first or self.body.is_empty:
+            return self.head
+        k = np.arange(first, stop)
+        segs = {}
+        # the head is the one term with shift 0 and weight 1 (exact products)
+        for p, shifts, weights in (
+            (self.head, np.zeros(1), np.ones(1, dtype=complex)),
+            (self.body, k * self.step, np.power(self.ratio, k)),
+        ):
+            for freq, vals in p.waves.items():
+                # p(x + s): a value v e(freq y) becomes v e(freq s) e(freq x)
+                wf = weights * e2pi(freq * shifts) if freq else weights
+                bucket = segs.setdefault(freq, ([], [], []))
+                bucket[0].append((p.lo[None, :] - shifts[:, None]).ravel())
+                bucket[1].append((p.hi[None, :] - shifts[:, None]).ravel())
+                bucket[2].append((vals[None, :] * wf[:, None]).ravel())
+        segs = {f: tuple(np.concatenate(col) for col in cols) for f, cols in segs.items()}
+        return StepPacket(*_assemble(segs), _trusted=True)
+
+    def restrict(self, lo=-np.inf, hi=np.inf) -> StepPacket:
+        """The train on (lo, hi), an exact finite packet: the head plus every
+        term that reaches the window.  A window unbounded on the side the
+        train runs to holds infinitely many terms: ValidationError."""
+        if hi <= lo:
+            return StepPacket.zero()
+        if self.body.is_empty:
+            return self.head.restrict(lo, hi)
+        b_lo, b_hi = self.body.support()
+        # term n covers (b_lo - n step, b_hi - n step): it meets the window
+        # for n strictly between these two bounds (both rounded outward)
+        ends = ((b_lo - hi) / self.step, (b_hi - lo) / self.step)
+        if not math.isfinite(max(ends)):
+            raise ValidationError("a train restricted to a window open on its far side is infinite")
+        first = 0 if min(ends) < 0 else math.floor(min(ends))
+        return self._terms(first, math.floor(max(ends)) + 2).restrict(lo, hi)
+
+    def _split(self, x0):
+        """(T on the near side of x0, T on the window one step beyond it)."""
+        if self.body.is_empty:
+            return self.head, StepPacket.zero()
+        s = self.step
+        near = (x0, np.inf) if s > 0 else (-np.inf, x0)
+        window = (x0 - s, x0) if s > 0 else (x0, x0 - s)
+        seen = self.restrict(min(window[0], near[0]), max(window[1], near[1]))
+        return seen.restrict(*near), seen.restrict(*window)
+
+    # ------------------------------------------------------------------
+    # integrals
+    # ------------------------------------------------------------------
+
+    def norm2(self) -> float:
+        """Squared L2 norm: ||T near x0||^2 + ||T on W||^2 / leak."""
+        if self.body.is_empty:
+            return self.head.norm2()
+        near, window = self._split(_cut(self))
+        return near.norm2() + window.norm2() / self.leak
+
+    def inner(self, other) -> complex:
+        """<T, other> (conjugate-first) against a packet or a train of the
+        same ratio, step and leak: the near sides' pairing plus the windows'
+        pairing over leak, for one cut x0 of both."""
+        other = self._coerce(other)
+        if self.body.is_empty and other.body.is_empty:
+            return self.head.inner(other.head)
+        x0 = _cut(self, other)
+        (near_f, win_f), (near_g, win_g) = self._split(x0), other._split(x0)
+        return near_f.inner(near_g) + win_f.inner(win_g) / self.leak
+
+    def distance2(self, other) -> float:
+        """Squared L2 distance to a packet or a train of the same ratio,
+        step and leak."""
+        return (self - other).norm2()
+
+    def max_abs(self) -> float:
+        """Upper bound for sup|T|: |ratio| < 1, so no image beats its window."""
+        if self.body.is_empty:
+            return self.head.max_abs()
+        near, window = self._split(_cut(self))
+        return max(near.max_abs(), window.max_abs())
+
+
+def _cut(*trains) -> float:
+    """A cut x0 for trains of one step: no head reaches past it, and no body
+    past x0 - step, so beyond x0 each train is T(x - step) = ratio T(x)."""
+    s = trains[0].step
+    edges = []
+    for t in trains:
+        if not t.head.is_empty:
+            edges.append(t.head.support()[0 if s > 0 else 1])
+        if not t.body.is_empty:
+            edges.append(t.body.support()[0 if s > 0 else 1] + s)
+    return min(edges) if s > 0 else max(edges)

@@ -1,15 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from twogap import multipliers
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.packets import StepPacket
 
-# random couplings stay inside [0.3, 0.95]: the whole series of the t = inf
-# pictures (scattering, the translation representations), cut at 1e-12,
-# grow like log(1e-12)/log(q) terms as w -> 0, and w -> 1 collapses q -> 0
-# making the draw uninformative
+# random couplings stay inside [0.3, 0.95], the range the seeded draws below
+# were made with (changing it reshuffles every draw); w -> 1 collapses q -> 0,
+# making a draw uninformative.  Weak coupling has its own seeded draws.
 W_RANGE = (0.3, 0.95)
 
 
@@ -32,6 +33,19 @@ def generic():
     dom = make_domain(2.25, 3.75)
     bm = make_boundary_matrix(w=0.7, theta=0.15, phi=0.3, psi=0.45)
     return bm, dom
+
+
+def forbid_series(monkeypatch, what):
+    """Make every twogap binding of ``make_multiplier`` raise, so a call that
+    builds a whole truncated series fails with ``what`` in its message."""
+    original = multipliers.make_multiplier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} built a multiplier series")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "twogap" and getattr(module, "make_multiplier", None) is original:
+            monkeypatch.setattr(module, "make_multiplier", refuse)
 
 
 def random_boundary(rng):

@@ -27,7 +27,7 @@ from twogap.multipliers import BLOCK_KIND, apply_multiplier, make_multiplier
 from twogap.packets import StepPacket, sum_packets
 from twogap.scenario import bundled_scenario
 
-from conftest import random_boundary, random_geometry, random_packet
+from conftest import forbid_series, random_boundary, random_geometry, random_packet
 
 
 def test_half_coupling_transmitted_train(ex59, ex59_packet):
@@ -207,6 +207,79 @@ def test_scatter_unitary_and_support():
         scatter(bm, dom, StepPacket.box(1.1, 1.2, 1.0))
 
 
+# t = inf trains: cells on all three components, a frequency-1 cell on each
+_TRAIN_DOMAIN = make_domain(2.25, 3.75)
+_TRAIN_F = (
+    StepPacket.box(-2.6, -1.9, 0.8 - 0.3j)
+    + StepPacket.box(-1.4, -0.35, -0.6 + 0.9j, freq=1)
+    + StepPacket.box(-0.3, -0.05, 1.1)
+)
+_TRAIN_REST = (
+    StepPacket.box(1.1, 1.8, 0.4 + 0.5j)
+    + StepPacket.box(1.9, 2.2, -0.7, freq=1)
+    + StepPacket.box(4.0, 4.9, 0.3 - 0.8j, freq=1)
+)
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.45])
+@pytest.mark.parametrize("w", [0.9, 0.5, 0.2, 0.05, 0.01, 0.001])
+def test_trains_keep_norm_exactly(w, psi):
+    # leak w^2, not 1 - |z|^2 of the rounded z: at w = 0.001 that errs by 1e-11
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=psi)
+    dom, f = _TRAIN_DOMAIN, _TRAIN_F
+    assert abs(scatter(bm, dom, f).norm2() - f.norm2()) <= 1e-13 * f.norm2()
+    g = f + _TRAIN_REST
+    for sign in ("+", "-"):
+        rep = translation_representation(bm, dom, g, sign)
+        assert abs(rep.norm2() - g.norm2()) <= 1e-13 * g.norm2()
+
+
+@pytest.mark.parametrize("w", [0.9, 0.5, 0.2, 0.05])
+def test_scatter_train_within_series_tail(w):
+    # the exact train against the whole a_inv_c series cut at 1e-12: on the
+    # series' support they differ by the dropped terms, which its tail bounds
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+    dom, f = _TRAIN_DOMAIN, _TRAIN_F
+    scale = np.sqrt(f.norm2())
+    series = make_multiplier(bm, dom, "a_inv_c")
+    cut = apply_multiplier(series, f)
+    train = scatter(bm, dom, f)
+    gap = np.sqrt(train.restrict(*cut.support()).distance2(cut))
+    assert gap <= series.tail * scale + 1e-14 * scale
+    # as many terms as the series, materialised (its direct reflection is the head)
+    same = train.materialize(len(series.coeffs) - 1)
+    assert np.sqrt(same.distance2(cut)) <= 1e-14 * scale
+
+
+def test_scatter_cost_follows_cells():
+    # at w = 0.01 the 1e-12 series holds about 750,000 terms; the train holds f twice
+    bm = make_boundary_matrix(w=0.01, theta=0.15, phi=0.3, psi=0.45)
+    out = scatter(bm, _TRAIN_DOMAIN, _TRAIN_F)
+    assert out.head.n_cells + out.body.n_cells <= 2 * _TRAIN_F.n_cells
+
+
+def test_weak_coupling_representations_intertwine():
+    rng = np.random.default_rng(93)
+    for _ in range(4):
+        bm = make_boundary_matrix(
+            w=rng.uniform(0.01, 0.3),
+            theta=rng.uniform(0.0, 1.0),
+            phi=rng.uniform(0.0, 1.0),
+            psi=rng.uniform(0.0, 1.0),
+        )
+        dom = random_geometry(rng)
+        f = (
+            random_packet(rng, lo=-3.0, hi=-0.2, freqs=(0, 1))
+            + random_packet(rng, lo=1.0 + 1e-3, hi=dom.alpha - 1e-3)
+            + random_packet(rng, lo=dom.beta + 0.1, hi=dom.beta + 2.0)
+        )
+        for sign in ("+", "-"):
+            rep = translation_representation(bm, dom, f, sign)
+            for t in (0.8, -1.3):
+                lhs = translation_representation(bm, dom, evolve(bm, dom, f, t).packet, sign)
+                assert lhs.distance2(rep.translate(t)) < 1e-18
+
+
 def test_decoupled_wrap_phase():
     bm = make_boundary_matrix(w=0.0, theta=0.125, psi=0.25)
     dom = make_domain(2.0, 3.0)
@@ -373,12 +446,7 @@ def test_window_matches_full_series():
 
 
 def test_evolution_reads_no_series(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("evolution built a multiplier series")
-
-    # patch the engine's own binding too: evolution imports the name
-    monkeypatch.setattr(multipliers, "make_multiplier", refuse)
-    monkeypatch.setattr(evolution, "make_multiplier", refuse)
+    forbid_series(monkeypatch, "evolution")
     bm = make_boundary_matrix(w=0.05, theta=0.15, phi=0.3, psi=0.45)
     dom, f = _WINDOW_DOMAIN, _WINDOW_F
     g = StepPacket.box(-1.0, -0.4, 1.0) + StepPacket.box(1.2, 1.7, 0.5)
@@ -386,6 +454,15 @@ def test_evolution_reads_no_series(monkeypatch):
     block_matrix_entry(bm, dom, "iplus", "iminus", f, 7.5)
     correlation(bm, dom, f, f, -3.0)
     cesaro_decay(bm, dom, g, g, [2.0, 5.0])
+    # the t = inf pictures and their exact norms read no series either
+    f_in = f.restrict(hi=0.0)
+    out = scatter(bm, dom, f_in)
+    out.norm2()
+    out.distance2(f_in)
+    for sign in ("+", "-"):
+        rep = translation_representation(bm, dom, f, sign)
+        rep.norm2()
+        rep.distance2(rep.translate(0.5))
 
 
 def test_evolve_cost_follows_reflections(monkeypatch):

@@ -196,7 +196,7 @@ def test_block_entry_unknown_component():
     dom = make_domain(2.0, 3.0)
     parts = (StepPacket.box(-1.0, -0.5, 1.0), StepPacket.zero(), StepPacket.zero())
     with pytest.raises(ValidationError):
-        block_row(bm, dom, parts, "nowhere")
+        block_row(bm, dom, parts, "nowhere", span=(0.0, 1.0))
 
 
 def test_decoupled_regime_rejected():

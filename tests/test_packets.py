@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twogap.domain import e2pi
-from twogap.packets import StepPacket, osc_integral, sum_packets
+from twogap.errors import ValidationError
+from twogap.packets import PacketTrain, StepPacket, osc_integral, sum_packets
 
 finite = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 small_complex = st.builds(
@@ -187,3 +188,66 @@ def test_inner_against_quadrature():
     h = edges[1] - edges[0]
     direct = np.sum(np.conj(f.sample(mids)) * g.sample(mids)) * h
     assert abs(f.inner(g) - direct) < 1e-8
+
+
+# a body wider than two steps, so three lags C_k = <B, B(. + k step)> are nonzero
+_BODY = StepPacket.box(0.0, 2.5, 1.0 - 0.5j) + StepPacket.box(0.7, 1.2, 0.3j, freq=1)
+_HEAD = StepPacket.box(-1.5, 0.9, 0.4 + 0.2j) + StepPacket.box(1.5, 3.1, -0.8, freq=-1)
+_RATIO = 0.6 * complex(e2pi(0.2))
+
+
+def _train(step, head=_HEAD, body=_BODY):
+    return PacketTrain(head, body, _RATIO, step, 1.0 - 0.36)
+
+
+@pytest.mark.parametrize("step", [1.0, -1.0])
+def test_train_norm_is_the_lag_sum(step):
+    body_only = _train(step, head=StepPacket.zero())
+    lags = [_BODY.inner(_BODY.translate(-k * step)) for k in range(4)]
+    want = (lags[0].real + 2.0 * sum((_RATIO**k * lags[k]).real for k in (1, 2, 3))) / 0.64
+    assert abs(body_only.norm2() - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("step", [1.0, -1.0])
+def test_train_matches_its_materialisation(step):
+    # 0.6^200 leaves nothing of the train beyond 200 terms
+    t, u = _train(step), _train(step, head=_BODY, body=_HEAD).translate(0.3)
+    mt, mu = t.materialize(200), u.materialize(200)
+    g = StepPacket.box(-4.0, 2.0, 0.5j, freq=2)
+    assert abs(t.norm2() - mt.norm2()) <= 1e-14 * mt.norm2()
+    assert abs(t.inner(g) - mt.inner(g)) <= 1e-14 * np.sqrt(mt.norm2() * g.norm2())
+    assert abs(t.inner(u) - mt.inner(mu)) <= 1e-14 * np.sqrt(mt.norm2() * mu.norm2())
+    assert abs(t.distance2(u) - mt.distance2(mu)) <= 1e-14 * (mt.norm2() + mu.norm2())
+    assert t.restrict(-3.0, 4.0).distance2(mt.restrict(-3.0, 4.0)) <= 1e-28
+    # a packet pairs with a train from its side too
+    assert g.inner(t) == t.inner(g).conjugate()
+    assert g.distance2(t) == pytest.approx(t.distance2(g), rel=1e-14)
+    assert t.max_abs() == pytest.approx(mt.max_abs(), rel=1e-14)
+
+
+@pytest.mark.parametrize("step", [1.0, -1.0])
+def test_train_written_two_ways_is_at_distance_zero(step):
+    # head + B + ratio * (train of B(. + step)) is the same function
+    t = _train(step)
+    other = _train(step, head=_HEAD + _BODY, body=_BODY.translate(-step).scale(_RATIO))
+    assert t.distance2(other) <= 1e-28 * t.norm2()
+
+
+def test_train_with_empty_body_is_its_head():
+    g = StepPacket.box(-1.0, 0.5, 2.0 - 1.0j)
+    t = _train(1.0, body=StepPacket.zero())
+    assert t.norm2() == _HEAD.norm2()
+    assert t.inner(g) == _HEAD.inner(g)
+    assert t.distance2(g) == _HEAD.distance2(g)
+    assert t.max_abs() == _HEAD.max_abs()
+    assert t.materialize(5) is _HEAD
+
+
+def test_train_rejects_what_it_cannot_sum():
+    t = _train(1.0)
+    with pytest.raises(ValidationError):
+        t.restrict(hi=0.0)  # a positive step runs the train to -inf
+    with pytest.raises(ValidationError):
+        t.distance2(PacketTrain(_HEAD, _BODY, _RATIO, 2.0, 0.64))
+    with pytest.raises(ValidationError):
+        PacketTrain(_HEAD, _BODY, 1.0, 1.0, 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twogap import evolution, multipliers, quadrature, semigroup
+from twogap import quadrature, semigroup
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -27,7 +27,7 @@ from twogap.semigroup import (
 )
 from twogap.transform import _cell_ends
 
-from conftest import plain_fold_nodes, random_boundary, random_geometry
+from conftest import forbid_series, plain_fold_nodes, random_boundary, random_geometry
 
 
 def mid_packet(dom, parts=((0.15, 0.55, 1.0), (0.6, 0.9, -0.5 + 0.25j))):
@@ -114,12 +114,7 @@ def test_compressed_semigroup_is_the_density_block():
 
 
 def test_compressed_semigroup_reads_no_series(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("compressed semigroup built a multiplier series")
-
-    # patch the engine's own binding too: evolution imports the name
-    monkeypatch.setattr(multipliers, "make_multiplier", refuse)
-    monkeypatch.setattr(evolution, "make_multiplier", refuse)
+    forbid_series(monkeypatch, "compressed semigroup")
     bm = make_boundary_matrix(w=0.05, theta=0.2, phi=0.1, psi=0.3)
     dom = make_domain(2.0, 3.0)
     f = mid_packet(dom)

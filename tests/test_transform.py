@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twogap
-from twogap import evolution, multipliers, transform
+from twogap import transform
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import eigenfunction_eval
 from twogap.errors import DegenerateRegime, ValidationError
@@ -22,7 +22,13 @@ from twogap.transform import (
     sigma_norm2,
 )
 
-from conftest import plain_fold_nodes, random_boundary, random_geometry, random_packet
+from conftest import (
+    forbid_series,
+    plain_fold_nodes,
+    random_boundary,
+    random_geometry,
+    random_packet,
+)
 
 
 def test_forward_matches_eigenfunction_pairing(generic):
@@ -194,11 +200,7 @@ def test_cross_term_matches_plain_rule(monkeypatch, w):
 
 def test_quadrature_oracles_read_no_series(monkeypatch, generic):
     # the oracles check the packet engine, so they must not share its series
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature oracle built a multiplier series")
-
-    monkeypatch.setattr(multipliers, "make_multiplier", refuse)
-    monkeypatch.setattr(evolution, "make_multiplier", refuse)
+    forbid_series(monkeypatch, "quadrature oracle")
     bm, dom = generic
     f = StepPacket.box(-1.0, -0.25, 1.0) + StepPacket.box(1.3, 1.9, -0.5)
     g = StepPacket.box(-0.75, -0.1, 2.0 - 1.0j) + StepPacket.box(4.0, 5.0, 1.0)
