@@ -52,7 +52,7 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, e2pi
 from .errors import DegenerateRegime, ValidationError
-from .packets import StepPacket, _assemble
+from .packets import StepPacket, _assemble, _translates
 
 __all__ = [
     "MultiplierSeries",
@@ -361,18 +361,7 @@ def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
     """Spatial action: scalar * sum_n c_n f(. + base + n step), one sweep."""
     if f.is_empty or not len(m.coeffs):
         return StepPacket.zero()
-    shifts, weights = m.terms()
-    segs = {}
-    for freq, vals in f.waves.items():
-        # g(x) = f(x+s): a cell value v e(freq y) becomes v e(freq s) e(freq x);
-        # rows are shifts, so the segments stay in series order
-        weights_f = weights * e2pi(freq * shifts) if freq else weights
-        segs[freq] = (
-            (f.lo[None, :] - shifts[:, None]).ravel(),
-            (f.hi[None, :] - shifts[:, None]).ravel(),
-            (vals[None, :] * weights_f[:, None]).ravel(),
-        )
-    return StepPacket(*_assemble(segs), _trusted=True)
+    return StepPacket(*_assemble(_translates(f, *m.terms())), _trusted=True)
 
 
 def block_multiplier_composed(

@@ -65,6 +65,21 @@ def osc_integral(u, v, k):
     return width * e2pi(k * (u + v) / 2.0) * np.sinc(k * width)
 
 
+def _translates(p, shifts, weights):
+    """Segments of sum_k weights[k] p(. + shifts[k]) per frequency, as
+    (lo, hi, val) arrays in shift order, for ``_assemble``: p(x + s) moves a
+    cell by -s, and a frequency-n value v becomes v e(n s)."""
+    segs = {}
+    for freq, vals in p.waves.items():
+        wf = weights * e2pi(freq * shifts) if freq else weights
+        segs[freq] = (
+            (p.lo[None, :] - shifts[:, None]).ravel(),
+            (p.hi[None, :] - shifts[:, None]).ravel(),
+            (vals[None, :] * wf[:, None]).ravel(),
+        )
+    return segs
+
+
 def _assemble(segments_by_freq):
     """Build canonical columnar storage from possibly overlapping segments.
 
@@ -522,20 +537,12 @@ class PacketTrain:
         if stop <= first or self.body.is_empty:
             return self.head
         k = np.arange(first, stop)
-        segs = {}
-        # the head is the one term with shift 0 and weight 1 (exact products)
-        for p, shifts, weights in (
-            (self.head, np.zeros(1), np.ones(1, dtype=complex)),
-            (self.body, k * self.step, np.power(self.ratio, k)),
-        ):
-            for freq, vals in p.waves.items():
-                # p(x + s): a value v e(freq y) becomes v e(freq s) e(freq x)
-                wf = weights * e2pi(freq * shifts) if freq else weights
-                bucket = segs.setdefault(freq, ([], [], []))
-                bucket[0].append((p.lo[None, :] - shifts[:, None]).ravel())
-                bucket[1].append((p.hi[None, :] - shifts[:, None]).ravel())
-                bucket[2].append((vals[None, :] * wf[:, None]).ravel())
-        segs = {f: tuple(np.concatenate(col) for col in cols) for f, cols in segs.items()}
+        segs = _translates(self.body, k * self.step, np.power(self.ratio, k))
+        for freq, vals in self.head.waves.items():
+            cols = (self.head.lo, self.head.hi, vals)
+            if freq in segs:
+                cols = tuple(np.concatenate(pair) for pair in zip(cols, segs[freq]))
+            segs[freq] = cols
         return StepPacket(*_assemble(segs), _trusted=True)
 
     def restrict(self, lo=-np.inf, hi=np.inf) -> StepPacket:
