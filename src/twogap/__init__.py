@@ -26,7 +26,12 @@ from .errors import TwogapError
 from .evolution import decompose, evolve, evolve_many, scatter
 from .packets import StepPacket, sum_packets
 from .scenario import Scenario, bundled_scenario, load_scenario
-from .semigroup import compress_evolve, norm_decay_profile, semigroup_kernel_apply
+from .semigroup import (
+    compress_evolve,
+    compress_evolve_many,
+    norm_decay_profile,
+    semigroup_kernel_apply,
+)
 from .spectral import SpectralDensity, fourier_coeffs
 from .transform import adjoint_transform, forward_transform, sigma_norm2
 from .verify import run_checks
@@ -43,6 +48,7 @@ __all__ = [
     "bundled_scenario",
     "classify_point",
     "compress_evolve",
+    "compress_evolve_many",
     "decompose",
     "e2pi",
     "eigen_coeffs",

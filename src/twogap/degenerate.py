@@ -138,7 +138,7 @@ def degenerate_evolve(model, f: StepPacket, t: float) -> StepPacket:
     width, theta = _cut(model)
     if f.restrict(0.0, width).norm2() > 1e-12 * max(1.0, f.norm2()):
         raise SupportViolation("packet has mass on the obstacle interval")
-    return _splice(f, float(t), width, complex(e2pi(-theta)))
+    return _splice(f, [float(t)], width, complex(e2pi(-theta))).packets()[0]
 
 
 def conjugation_residual(model, f: StepPacket, t: float) -> float:

@@ -16,7 +16,9 @@ happened.  So the finite-time routines (``evolve_many``, ``evolve``,
 ``block_matrix_entry``, ``correlation``, ``cesaro_decay``) give ``block_row``
 the span of times a row serves; it applies only the lattice terms that reach
 the component over that span: exact finite sums with truncation 0, at a
-cost that follows the reflections, not w.  A time grid builds each row once.
+cost that follows the reflections, not w.  A time grid builds each row once
+and sums the shifted, clipped rows of all its times in one batched sweep
+(``batch.sum_batch``), bit for bit the sweep of each time alone.
 ``scatter`` and ``translation_representation`` describe t = inf: their rows
 are a head plus one geometric train (``packets.PacketTrain``), built from
 the few terms of ``multipliers.train_terms`` at a cost of O(cells of f) at
@@ -34,8 +36,10 @@ compressed semigroup.  At w = 0, |z| = 1 and ``evolve_many`` needs no row:
 the middle interval wraps, and the two half-lines are one line with the
 cut [0, beta] (``_splice``): mass crossing 0 rightward re-enters at beta
 with phase -e(psi - theta), and mass crossing beta leftward goes back with
-the conjugate phase.  ``_splice`` is also the native evolution of the
-point and interval models of ``degenerate``.
+the conjugate phase.  Both take a whole time grid and return a
+``batch.PacketBatch``, one row per time, from a fixed number of batched
+sweeps.  ``_splice`` is also the native evolution of the point and
+interval models of ``degenerate``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import numpy as np
 from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
 from .multipliers import BLOCK_KIND, apply_multiplier, causal_multiplier, train_terms
+from .batch import PacketBatch, sum_batch
 from .packets import PacketTrain, StepPacket, sum_packets
 
 __all__ = [
@@ -86,8 +91,9 @@ def decompose(f: StepPacket, domain: ExteriorDomain):
 def _require_kept(f: StepPacket, parts, what: str, where: str) -> None:
     """The one leak rule: SupportViolation when the restrictions ``parts``
     of f lose more than 1e-12 max(1, ||f||^2) of its norm^2."""
-    lost = f.norm2() - sum(p.norm2() for p in parts)
-    if lost > 1e-12 * max(1.0, f.norm2()):
+    norm2 = f.norm2()
+    lost = norm2 - sum(p.norm2() for p in parts)
+    if lost > 1e-12 * max(1.0, norm2):
         raise SupportViolation(f"{what} carries mass {lost:.3e} off {where}")
 
 
@@ -173,10 +179,12 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
     """U(t) f for each t of ``ts`` (finite reals), in input order.
 
     f is decomposed once.  For w > 0 each row is built once, on the span
-    (min ts, max ts), then shifted and clipped per t, at a cost that follows
-    max |t| / ell reflections, not w; at w = 0 each t is the middle wrap plus
-    the half-line splice.  Exact either way (truncation 0).  An empty ``ts``
-    raises ValidationError.
+    (min ts, max ts), at a cost that follows max |t| / ell reflections, not
+    w; every row is then shifted and clipped for all t in one broadcast, and
+    one batched sweep sums the pieces of every t.  At w = 0 the middle wrap
+    and the half-line splice take the whole grid the same way.  Each result
+    is bit for bit the packet one sweep per t would give; exact either way
+    (truncation 0).  An empty ``ts`` raises ValidationError.
     """
     ts = [_finite_time(t) for t in ts]
     if not ts:
@@ -185,15 +193,17 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
     if bm.w == 0.0:
         fm, f0, fp = parts
         halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
-        moved = [_wrap_middle(bm, domain, f0, t) + _splice(halves, t, domain.beta, phase) for t in ts]
-        return [EvolutionResult(g, t, 0.0) for g, t in zip(moved, ts)]
-    span = (min(ts), max(ts))
-    rows = [(domain.component(d), block_row(bm, domain, parts, d, span=span)) for d in COMPONENTS]
-    rows = [(comp, g) for comp, g in rows if not g.is_empty]
-    return [
-        EvolutionResult(sum_packets([g.translate(t).restrict(*comp) for comp, g in rows]), t, 0.0)
-        for t in ts
-    ]
+        pieces = [_wrap_middle(bm, domain, f0, ts), _splice(halves, ts, domain.beta, phase)]
+    else:
+        span = (min(ts), max(ts))
+        pieces = []
+        for dest in COMPONENTS:
+            g = block_row(bm, domain, parts, dest, span=span)
+            if not g.is_empty:
+                g = PacketBatch.tile(g, len(ts)).translate(ts)
+                pieces.append(g.restrict(*domain.component(dest)))
+    moved = sum_batch(pieces).packets() if pieces else [StepPacket.zero()] * len(ts)
+    return [EvolutionResult(g, t, 0.0) for g, t in zip(moved, ts)]
 
 
 def evolve(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, t: float) -> EvolutionResult:
@@ -224,37 +234,43 @@ def block_matrix_entry(
 # ----------------------------------------------------------------------
 
 
-def _wrap_middle(bm, domain, f0, t):
-    """Damped wrap of the middle interval, z = ``bm.b_entry`` per pass: the
-    compressed semigroup for w > 0, t >= 0; unitary at w = 0 (any t)."""
-    if f0.is_empty:
-        return f0
+def _wrap_middle(bm, domain, f0, ts) -> PacketBatch:
+    """Damped wrap of the middle interval, z = ``bm.b_entry`` per pass, for
+    every t of ``ts`` at once: the compressed semigroup for w > 0, t >= 0;
+    unitary at w = 0 (any t).  A row whose shifted packet spills nothing
+    past alpha is its clipped shift, unswept."""
     ell = domain.ell
-    r = t % ell
-    m = round((t - r) / ell)
-    g = f0.translate(r).scale(bm.q**m * complex(e2pi(-bm.psi * m)))
+    rest = [t % ell for t in ts]
+    passes = [round((t - r) / ell) for t, r in zip(ts, rest)]
+    turn = {m: bm.q**m * complex(e2pi(-bm.psi * m)) for m in set(passes)}
+    g = PacketBatch.tile(f0, len(ts)).translate(rest).scale([turn[m] for m in passes])
     inside = g.restrict(1.0, domain.alpha)
     spill = g.restrict(domain.alpha, domain.alpha + ell)
-    if spill.is_empty:
+    spills = spill.occupied()
+    if not spills.any():
         return inside
-    return inside + spill.translate(-ell).scale(bm.b_entry)
+    wrapped = sum_batch([inside, spill.translate(-ell).scale(bm.b_entry)])
+    return PacketBatch.select(spills, wrapped, inside)
 
 
-def _splice(f, t, width, phase):
-    """Shift by t on the line with [0, width] removed (width 0: a point).
+def _splice(f, ts, width, phase) -> PacketBatch:
+    """Shift by each t of ``ts`` on the line with [0, width] removed (width
+    0: a point).
 
     Mass that crosses 0 rightward jumps by ``width`` and gains ``phase``;
     mass that crosses ``width`` leftward jumps back with conj(phase).
     """
-    left, right = f.restrict(hi=0.0), f.restrict(lo=width)
-    if t >= 0:
-        moved = left.translate(t)
-        stay, cross, still = moved.restrict(hi=0.0), moved.restrict(lo=0.0), right
-    else:
-        moved = right.translate(t)
-        stay, cross, still = moved.restrict(lo=width), moved.restrict(hi=width), left
-        width, phase = -width, np.conj(phase)
-    return stay + cross.translate(width).scale(phase) + still.translate(t)
+    ts = np.asarray(ts, dtype=float)
+    ahead = ts >= 0  # the left half moves right; else the right half moves left
+    left = PacketBatch.tile(f.restrict(hi=0.0), len(ts))
+    right = PacketBatch.tile(f.restrict(lo=width), len(ts))
+    moved = PacketBatch.select(ahead, left, right).translate(ts)
+    stay = moved.restrict(np.where(ahead, -np.inf, width), np.where(ahead, 0.0, np.inf))
+    cross = moved.restrict(np.where(ahead, 0.0, -np.inf), np.where(ahead, np.inf, width))
+    cross = cross.translate(np.where(ahead, width, -width))
+    cross = cross.scale(np.where(ahead, phase, np.conj(phase)))
+    still = PacketBatch.select(ahead, right, left).translate(ts)
+    return sum_batch([sum_batch([stay, cross]), still])
 
 
 # ----------------------------------------------------------------------

@@ -101,12 +101,7 @@ def _assemble(segments_by_freq):
     if not pieces:
         return (np.empty(0), np.empty(0), {})
 
-    ends = np.concatenate([np.concatenate((p[1], p[2])) for p in pieces])
-    edges, where = np.unique(ends, return_inverse=True)
-    starts = np.diff(edges) > EDGE_TOL * np.maximum(1.0, np.abs(edges[1:]))
-    starts = np.concatenate(([True], starts))
-    where = (np.cumsum(starts) - 1)[where]
-    edges = edges[starts]
+    edges, _, where = _edge_clusters(np.concatenate([np.concatenate(p[1:3]) for p in pieces]))
     n_iv = len(edges) - 1
     waves = {}
     pos = 0
@@ -130,22 +125,56 @@ def _assemble(segments_by_freq):
     lo = edges[:-1][occupied]
     hi = edges[1:][occupied]
     waves = {n: v[occupied] for n, v in waves.items() if np.any(v[occupied] != 0.0)}
-    return _merge_adjacent(lo, hi, waves)
+    first, last = _merge_adjacent(lo, hi, waves)
+    return lo[first], hi[last], {n: v[first] for n, v in waves.items()}
 
 
-def _merge_adjacent(lo, hi, waves):
-    """Merge contiguous cells whose coefficient stacks agree."""
+def _edge_clusters(ends, end_row=None):
+    """(edges, their rows, the edge of each end) under the edge rule, per
+    row of a batch when ``end_row`` gives each end's row.
+
+    The ends are sorted (by row, then by value) and the distinct values
+    kept; an edge within EDGE_TOL * max(1, |x|) of its left neighbour in the
+    same row joins that neighbour's cluster, and the cluster's leftmost
+    edge stands for every edge in it.
+    """
+    ends = ends + 0.0  # every zero end becomes +0.0: no order of equal zeros shows
+    if end_row is None:
+        order = np.argsort(ends)
+        x = ends[order]
+        new = x[1:] != x[:-1]
+    else:
+        order = np.lexsort((ends, end_row))
+        x, r = ends[order], end_row[order]
+        new = (x[1:] != x[:-1]) | (r[1:] != r[:-1])
+    new = np.concatenate(([True], new))[: len(x)]
+    edges = x[new]
+    starts = np.diff(edges) > EDGE_TOL * np.maximum(1.0, np.abs(edges[1:]))
+    if end_row is not None:
+        erow = r[new]
+        starts |= erow[1:] != erow[:-1]
+    starts = np.concatenate(([True], starts))[: len(edges)]
+    where = np.empty(len(x), dtype=int)
+    where[order] = (np.cumsum(starts) - 1)[np.cumsum(new) - 1]
+    return edges[starts], None if end_row is None else erow[starts], where
+
+
+def _merge_adjacent(lo, hi, waves, row=None):
+    """(first, last) cell of each run of contiguous cells whose coefficient
+    stacks agree; a run never spans two rows of a batch (``row``)."""
     m = len(lo)
     if m <= 1:
-        return lo, hi, waves
+        return np.arange(m), np.arange(m)
     joinable = hi[:-1] >= lo[1:] - EDGE_TOL * np.maximum(1.0, np.abs(lo[1:]))
+    if row is not None:
+        joinable &= row[1:] == row[:-1]
     for v in waves.values():
         scalemax = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
         joinable &= np.abs(v[:-1] - v[1:]) <= VALUE_TOL * scalemax
-    # a group starts at every cell that does NOT join its predecessor
+    # a run starts at every cell that does NOT join its predecessor
     first = np.flatnonzero(np.concatenate(([True], ~joinable)))
     last = np.append(first[1:], m) - 1
-    return lo[first], hi[last], {n: v[first] for n, v in waves.items()}
+    return first, last
 
 
 class StepPacket:
@@ -154,10 +183,12 @@ class StepPacket:
     __slots__ = ("lo", "hi", "waves")
 
     def __init__(self, lo, hi, waves, *, _trusted=False):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        waves = {int(n): np.atleast_1d(np.asarray(v, dtype=complex)) for n, v in waves.items()}
+        # trusted callers pass sorted, disjoint 1-d float lo/hi and 1-d
+        # complex values keyed by int frequencies: they are stored as given
         if not _trusted:
+            lo = np.atleast_1d(np.asarray(lo, dtype=float))
+            hi = np.atleast_1d(np.asarray(hi, dtype=float))
+            waves = {int(n): np.atleast_1d(np.asarray(v, dtype=complex)) for n, v in waves.items()}
             if lo.shape != hi.shape or lo.ndim != 1:
                 raise ValidationError("lo/hi must be matching 1-d arrays")
             for n, v in waves.items():
@@ -432,21 +463,19 @@ class StepPacket:
 
 def sum_packets(packets) -> StepPacket:
     """Sum many packets in one edge sweep (cheaper than repeated add)."""
+    cells = _sum_cells((p.lo, p.hi, p.waves) for p in packets if not p.is_empty)
+    return StepPacket(*cells, _trusted=True)
+
+
+def _sum_cells(parts):
+    """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves)
+    in one sweep; frequencies in order of first appearance."""
     segs = {}
-    for p in packets:
-        if p.is_empty:
-            continue
-        for n, v in p.waves.items():
-            bucket = segs.setdefault(n, ([], [], []))
-            bucket[0].append(p.lo)
-            bucket[1].append(p.hi)
-            bucket[2].append(v)
-    if not segs:
-        return StepPacket.zero()
-    segs = {
-        n: tuple(np.concatenate(col) for col in cols) for n, cols in segs.items()
-    }
-    return StepPacket(*_assemble(segs), _trusted=True)
+    for lo, hi, waves in parts:
+        for n, v in waves.items():
+            for col, x in zip(segs.setdefault(n, ([], [], [])), (lo, hi, v)):
+                col.append(x)
+    return _assemble({n: [np.concatenate(col) for col in cols] for n, cols in segs.items()})
 
 
 @dataclass(frozen=True, eq=False)

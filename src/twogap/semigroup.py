@@ -4,7 +4,8 @@ identities.
 Compressing the unitary evolution to the middle interval gives a one-
 parameter contraction semigroup Z(t), t >= 0, with Z(ell) = q e(-psi) I:
 content that reaches alpha re-enters at 1 scaled by z = q e(-psi) on each
-pass, the damped wrap ``evolution._wrap_middle``, exact and series-free.  On
+pass, the damped wrap ``evolution._wrap_middle``, exact and series-free, for
+a whole time grid in one batched sweep (``compress_evolve_many``).  On
 the transform side the same operator is an integral kernel against the
 band-limited (Shannon) sampling kernel of the interval, weighted by the
 spectral density — evaluated here by an independent folded
@@ -45,6 +46,7 @@ from .transform import TransformSample, _cell_ends
 __all__ = [
     "ShannonBasisCoeffs",
     "compress_evolve",
+    "compress_evolve_many",
     "shannon_kernel",
     "shannon_coeffs",
     "shannon_interpolate",
@@ -71,21 +73,37 @@ def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> StepPacket:
     return inside
 
 
+def compress_evolve_many(
+    bm: BoundaryMatrix,
+    domain: ExteriorDomain,
+    f: StepPacket,
+    ts,
+) -> list[EvolutionResult]:
+    """Z(t) f for f on the middle interval and each t >= 0 of ``ts``, in
+    input order: the damped wrap (z = ``bm.b_entry`` per pass) of the whole
+    grid in one batched sweep, exact, so the truncation is 0.  f's leak off
+    the interval is checked once per grid; any t < 0 raises NegativeTime and
+    an empty ``ts`` ValidationError."""
+    ts = [_finite_time(t) for t in ts]
+    if not ts:
+        raise ValidationError("compress_evolve_many needs at least one time")
+    _require_coupled(bm, "compress_evolve")
+    if min(ts) < 0:
+        raise NegativeTime(f"compressed semigroup needs t >= 0, got {min(ts)}")
+    f0 = _require_on(f, *domain.component("izero"), "compress_evolve input")
+    moved = _wrap_middle(bm, domain, f0, ts).packets()
+    return [EvolutionResult(packet=g, t=t, truncation=0.0) for g, t in zip(moved, ts)]
+
+
 def compress_evolve(
     bm: BoundaryMatrix,
     domain: ExteriorDomain,
     f: StepPacket,
     t: float,
 ) -> EvolutionResult:
-    """Z(t) f for f on the middle interval and t >= 0: the damped wrap
-    (z = ``bm.b_entry`` per pass), which is exact, so the truncation is 0."""
-    t = _finite_time(t)
-    _require_coupled(bm, "compress_evolve")
-    if t < 0:
-        raise NegativeTime(f"compressed semigroup needs t >= 0, got {t}")
-    f0 = _require_on(f, *domain.component("izero"), "compress_evolve input")
-    g = _wrap_middle(bm, domain, f0, t)
-    return EvolutionResult(packet=g, t=t, truncation=0.0)
+    """Z(t) f for f on the middle interval and t >= 0: ``compress_evolve_many``
+    at one t."""
+    return compress_evolve_many(bm, domain, f, [t])[0]
 
 
 # ----------------------------------------------------------------------
@@ -255,10 +273,10 @@ def norm_decay_profile(
     f = StepPacket.box(-0.5, 0.5, 1.0, freq=int(n))
     f_mid = StepPacket.box(1.0, 2.0, 1.0, freq=int(n))
 
-    engine = np.empty(t_grid.shape)
+    moved = _wrap_middle(bm, _UNIT_DOMAIN, f_mid, t_grid.tolist()).packets()
+    engine = np.array([g.norm2() for g in moved])
     oracle = np.empty(t_grid.shape)
     for k, t in enumerate(t_grid):
-        engine[k] = _wrap_middle(bm, _UNIT_DOMAIN, f_mid, t).norm2()
         # piece boundaries: the cell edges of f shifted by t, wrapped into
         # the interval (pure geometry, no engine data); both wrap to one cut
         cut = t % 1.0 - 0.5

@@ -34,7 +34,7 @@ from .evolution import (
 )
 from .packets import StepPacket
 from .scenario import Scenario
-from .semigroup import compress_evolve, semigroup_kernel_apply
+from .semigroup import compress_evolve, compress_evolve_many, semigroup_kernel_apply
 from .spectral import comb_limit_diagnostic, fourier_coeffs, period_integral
 from .transform import cross_term, sigma_norm2
 
@@ -69,6 +69,7 @@ def _coupled_checks(sc: Scenario) -> list[CheckResult]:
     lams = sc.grid("lambda_grid", _LAMBDA_GRID)
     out = []
 
+    # one call per λ, as in ``twogap eigen``: an array call changes last bits
     res = max(
         float(np.max(np.abs(eigen_residual(bm, dom, eigen_coeffs(bm, dom, la)))))
         for la in lams
@@ -77,7 +78,7 @@ def _coupled_checks(sc: Scenario) -> list[CheckResult]:
 
     spread = 0.0
     uni = 0.0
-    for la in lams:
+    for la in lams:  # one call per λ, as in ``twogap smatrix``: an array call changes bits
         routes = scattering_matrix_routes(bm, dom, la)
         spread = max(spread, _route_spread(routes))
         uni = max(uni, abs(abs(routes["ratio"]) - 1.0))
@@ -145,9 +146,7 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
         mid = StepPacket.box(lo, hi, 1.0)
     ts = [t for t in sc.grid("time_grid", _TIME_GRID) if t >= 0.0] or [0.5]
 
-    norms = [
-        compress_evolve(bm, dom, mid, t).packet.norm2() for t in sorted(ts)
-    ]
+    norms = [r.packet.norm2() for r in compress_evolve_many(bm, dom, mid, sorted(ts))]
     growth = max(
         (norms[i + 1] - norms[i] for i in range(len(norms) - 1)), default=0.0
     )
@@ -262,7 +261,7 @@ def _decay_checks(sc: Scenario) -> list[CheckResult]:
         return []
     if any(n != 0 for n in (*f.frequencies(), *g.frequencies())):
         return []
-    horizons = [h for h in sc.time_grid if h > 0][-3:]
+    horizons = [h for h in sc.grid("time_grid", _TIME_GRID) if h > 0][-3:]
     if len(horizons) < 2:
         return []
     vals = cesaro_decay(bm, dom, f, g, horizons)

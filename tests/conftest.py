@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twogap import multipliers
-from twogap.domain import make_boundary_matrix, make_domain
+from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.packets import StepPacket
 
 # random couplings stay inside [0.3, 0.95], the range the seeded draws below
@@ -75,6 +75,46 @@ def random_packet(rng, lo=-3.0, hi=-0.1, n_cells=3, freqs=(0,)):
     for p in parts[1:]:
         out = out + p
     return out
+
+
+def assert_same_packet(got, want):
+    """got and want are the same packet bit for bit: edges, values and the
+    order of the frequencies."""
+    assert got.lo.tobytes() == want.lo.tobytes()
+    assert got.hi.tobytes() == want.hi.tobytes()
+    assert list(got.waves) == list(want.waves)
+    for n, v in want.waves.items():
+        assert got.waves[n].tobytes() == v.tobytes()
+
+
+def wrap_at(bm, dom, f0, t):
+    """Reference for ``evolution._wrap_middle``: the damped middle wrap at
+    one time, one sweep per time."""
+    if f0.is_empty:
+        return f0
+    ell = dom.ell
+    r = t % ell
+    m = round((t - r) / ell)
+    g = f0.translate(r).scale(bm.q**m * complex(e2pi(-bm.psi * m)))
+    inside = g.restrict(1.0, dom.alpha)
+    spill = g.restrict(dom.alpha, dom.alpha + ell)
+    if spill.is_empty:
+        return inside
+    return inside + spill.translate(-ell).scale(bm.b_entry)
+
+
+def splice_at(f, t, width, phase):
+    """Reference for ``evolution._splice``: the shift by one t on the line
+    with [0, width] removed, one sweep per time."""
+    left, right = f.restrict(hi=0.0), f.restrict(lo=width)
+    if t >= 0:
+        moved = left.translate(t)
+        stay, cross, still = moved.restrict(hi=0.0), moved.restrict(lo=0.0), right
+    else:
+        moved = right.translate(t)
+        stay, cross, still = moved.restrict(lo=width), moved.restrict(hi=width), left
+        width, phase = -width, np.conj(phase)
+    return stay + cross.translate(width).scale(phase) + still.translate(t)
 
 
 def plain_fold_nodes(bm, tol=1e-13, span=0.0):

@@ -15,6 +15,7 @@ from twogap.errors import (
 )
 from twogap.evolution import (
     block_matrix_entry,
+    block_row,
     cesaro_decay,
     correlation,
     decompose,
@@ -27,7 +28,15 @@ from twogap.multipliers import BLOCK_KIND, apply_multiplier, make_multiplier
 from twogap.packets import StepPacket, sum_packets
 from twogap.scenario import bundled_scenario
 
-from conftest import forbid_series, random_boundary, random_geometry, random_packet
+from conftest import (
+    assert_same_packet,
+    forbid_series,
+    random_boundary,
+    random_geometry,
+    random_packet,
+    splice_at,
+    wrap_at,
+)
 
 
 def test_half_coupling_transmitted_train(ex59, ex59_packet):
@@ -499,6 +508,49 @@ def test_evolve_many_contracts():
         assert got[0].packet.distance2(got[3].packet) == 0.0
     with pytest.raises(ValidationError):
         evolve_many(bm, dom, f, [])
+
+
+def _evolve_per_time(bm, dom, f, ts):
+    """U(t) f on a grid with one sweep per t: the grid's rows, shifted and
+    clipped per t and summed (w > 0), or the middle wrap plus the half-line
+    splice per t (w = 0)."""
+    parts = decompose(f, dom)
+    if bm.w == 0.0:
+        fm, f0, fp = parts
+        halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
+        return [wrap_at(bm, dom, f0, t) + splice_at(halves, t, dom.beta, phase) for t in ts]
+    span = (min(ts), max(ts))
+    rows = [(dom.component(d), block_row(bm, dom, parts, d, span=span)) for d in _COMPONENTS]
+    rows = [(comp, g) for comp, g in rows if not g.is_empty]
+    return [sum_packets(g.translate(t).restrict(*comp) for comp, g in rows) for t in ts]
+
+
+def test_grid_sweep_is_one_sweep_per_time():
+    # the batched sweep over a grid gives each t the packet of its own sweep, bit for bit
+    rng = np.random.default_rng(19)
+    grids = ([2.5], [0.0, 0.4, -1.3, 7.25, 0.4, -20.0], list(rng.uniform(-12.0, 12.0, 9)))
+    for trial in range(12):
+        dom = random_geometry(rng)
+        w = (0.0, 1.0, None)[trial % 3]
+        bm = random_boundary(rng) if w is None else make_boundary_matrix(
+            w=w, theta=rng.uniform(), phi=rng.uniform(), psi=rng.uniform()
+        )
+        f = sum_packets([
+            random_packet(rng, -3.0, -0.1, 2, freqs=(0, 1)),
+            random_packet(rng, 1.0, dom.alpha, 2, freqs=(0, 1)),
+            random_packet(rng, dom.beta, dom.beta + 3.0, 2, freqs=(0, -1)),
+        ])
+        for ts in grids:
+            got = evolve_many(bm, dom, f, ts)
+            for res, want in zip(got, _evolve_per_time(bm, dom, f, ts)):
+                assert_same_packet(res.packet, want)
+    # the one-interval model shares the splice; width 0 is the point model
+    f = random_packet(rng, -3.0, 3.0, 4, freqs=(0, 2))
+    for width in (0.0, 0.75):
+        g = f.restrict(hi=0.0) + f.restrict(lo=width)
+        for t in (-2.5, 0.0, 1.25):
+            got = evolution._splice(g, [t], width, complex(e2pi(-0.3)))
+            assert_same_packet(got.packets()[0], splice_at(g, t, width, complex(e2pi(-0.3))))
 
 
 def test_cli_evolve_builds_each_row_once(monkeypatch, tmp_path):

@@ -3,9 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twogap.batch import PacketBatch, _assemble_rows, sum_batch
 from twogap.domain import e2pi
 from twogap.errors import ValidationError
-from twogap.packets import PacketTrain, StepPacket, osc_integral, sum_packets
+from twogap.packets import (
+    EDGE_TOL,
+    PacketTrain,
+    StepPacket,
+    _assemble,
+    osc_integral,
+    sum_packets,
+)
+
+from conftest import assert_same_packet
 
 finite = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 small_complex = st.builds(
@@ -165,6 +175,101 @@ def test_sum_packets_matches_loop():
     for p in parts[1:]:
         looped = looped + p
     assert total.distance2(looped) < 1e-20
+
+
+@st.composite
+def sweep_rows(draw):
+    """Segments (lo, hi, freq, value) of one row of a batched sweep: chains
+    that touch, edges within EDGE_TOL of each other, widths under
+    EDGE_TOL max(1, |lo|), overlaps, several frequencies, all-zero values,
+    and magnitudes 1e16 apart, so one peak snaps another to zero."""
+    cursor = draw(st.sampled_from([0.0, 1.0, -3.5, 1e3])) + draw(st.floats(-5.0, 5.0))
+    segs = []
+    for _ in range(draw(st.integers(0, 6))):
+        place = draw(st.sampled_from(["touch", "near", "free"]))
+        if place == "touch":
+            lo = cursor
+        elif place == "near":
+            lo = cursor + draw(st.floats(-2.0, 2.0)) * EDGE_TOL * max(1.0, abs(cursor))
+        else:
+            lo = cursor + draw(st.floats(-2.0, 2.0))
+        if draw(st.booleans()):
+            width = draw(st.floats(0.0, 1.5)) * EDGE_TOL * max(1.0, abs(lo))
+        else:
+            width = draw(st.floats(1e-3, 3.0))
+        size = draw(st.sampled_from([0.0, 1e-16, 1.0, 1e16]))
+        value = size * complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        segs.append((lo, lo + width, draw(st.sampled_from([0, 0, 1, -2])), value))
+        cursor = lo + width
+    return segs
+
+
+@given(st.lists(sweep_rows(), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_batched_sweep_is_the_row_sweep(rows):
+    # each row of the batch gets what _assemble gives that row alone, bit for bit
+    flat = [(b, *seg) for b, segs in enumerate(rows) for seg in segs]
+    freqs = sorted({seg[3] for seg in flat}) or [0]
+    vals = {n: np.array([s[4] if s[3] == n else 0.0 for s in flat], dtype=complex) for n in freqs}
+    row, lo, hi, waves, has = _assemble_rows(
+        len(rows),
+        np.array([s[0] for s in flat], dtype=int),
+        np.array([s[1] for s in flat], dtype=float),
+        np.array([s[2] for s in flat], dtype=float),
+        vals,
+    )
+    for b, segs in enumerate(rows):
+        by_freq = {}
+        for seg_lo, seg_hi, n, v in segs:
+            for col, x in zip(by_freq.setdefault(n, ([], [], [])), (seg_lo, seg_hi, v)):
+                col.append(x)
+        want = StepPacket(*_assemble(by_freq), _trusted=True) if by_freq else StepPacket.zero()
+        mine = row == b
+        got = {n: waves[n][mine] for n in want.waves}
+        assert_same_packet(StepPacket(lo[mine], hi[mine], got, _trusted=True), want)
+        assert [n for n in freqs if has[n][b]] == sorted(want.waves)
+
+
+three_pieces = st.lists(packets() | st.just(StepPacket.zero()), min_size=3, max_size=3)
+
+
+@given(st.lists(three_pieces, min_size=1, max_size=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_batch_methods_are_the_packet_methods(grid, data):
+    # per row: shift, scale (0 on some rows), clip, then one sum of three pieces
+    size = len(grid)
+    shifts = np.array(data.draw(st.lists(finite, min_size=size, max_size=size)))
+    # a weight of 0 drops a row; 5e-324 zeroes some values and keeps the cells
+    weight = small_complex | st.sampled_from([0j, 5e-324])
+    weights = [data.draw(st.lists(weight, min_size=size, max_size=size)) for _ in range(3)]
+    clips = [(-np.inf, 0.0), (-1.0, 2.5), (1.0, np.inf)]
+    pieces = []
+    for k in range(3):
+        batch = PacketBatch.tile(grid[0][k], size)
+        for b in range(1, size):
+            row_b = PacketBatch.tile(grid[b][k], size)
+            batch = PacketBatch.select(np.arange(size) == b, row_b, batch)
+        pieces.append(batch.translate(shifts).scale(weights[k]).restrict(*clips[k]))
+    got = sum_batch(pieces).packets()
+    for b in range(size):
+        want = sum_packets(
+            grid[b][k].translate(shifts[b]).scale(weights[k][b]).restrict(*clips[k])
+            for k in range(3)
+        )
+        assert_same_packet(got[b], want)
+
+
+def test_batch_sum_skips_a_packet_without_frequencies():
+    # a clipped packet whose kept values are all zero keeps its cells but no
+    # frequency, and adds no edge: here it would pull the edge at 1 to 1 - 5e-15
+    f = StepPacket.box(0.0, 1.0, 1.0)
+    g = StepPacket.box(1.0 - 5e-15, 2.0, 1e-300).scale(1e-300).restrict()
+    assert g.n_cells == 1 and not g.waves
+    no_freq = PacketBatch.tile(g, 2).scale(1e-300).restrict()
+    got = sum_batch([PacketBatch.tile(f, 2), no_freq]).packets()
+    for packet in got:
+        assert_same_packet(packet, sum_packets([f, g]))
+        assert packet.hi.tolist() == [1.0]
 
 
 def test_from_breakpoints():

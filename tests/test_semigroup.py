@@ -16,6 +16,7 @@ from twogap.evolution import block_matrix_entry, block_row
 from twogap.packets import StepPacket
 from twogap.semigroup import (
     compress_evolve,
+    compress_evolve_many,
     compressed_resolvent_profile,
     norm_decay_profile,
     parseval_bound_check,
@@ -27,7 +28,14 @@ from twogap.semigroup import (
 )
 from twogap.transform import _cell_ends
 
-from conftest import forbid_series, plain_fold_nodes, random_boundary, random_geometry
+from conftest import (
+    assert_same_packet,
+    forbid_series,
+    plain_fold_nodes,
+    random_boundary,
+    random_geometry,
+    wrap_at,
+)
 
 
 def mid_packet(dom, parts=((0.15, 0.55, 1.0), (0.6, 0.9, -0.5 + 0.25j))):
@@ -111,6 +119,28 @@ def test_compressed_semigroup_is_the_density_block():
                 want = block_matrix_entry(bm, dom, "izero", "izero", f, t)
                 assert got.truncation == 0.0
                 assert np.sqrt(got.packet.distance2(want)) <= 1e-13 * scale
+
+
+def test_compress_grid_is_one_wrap_per_time():
+    # one batched sweep over the grid gives each t its own wrap, bit for bit
+    rng = np.random.default_rng(29)
+    ts = [0.0, 0.35, 2.7, 0.35, 12.0, 1e3]
+    for trial in range(8):
+        dom = random_geometry(rng)
+        bm = random_boundary(rng) if trial else make_boundary_matrix(w=1.0, psi=0.3)
+        f = mid_packet(dom) + StepPacket.box(
+            1.0 + 0.3 * dom.ell, 1.0 + 0.8 * dom.ell, complex(rng.normal(), rng.normal()), freq=2
+        )
+        got = compress_evolve_many(bm, dom, f, ts)
+        assert [r.t for r in got] == ts
+        for t, res in zip(ts, got):
+            assert res.truncation == 0.0
+            assert_same_packet(res.packet, wrap_at(bm, dom, f, t))
+            assert_same_packet(res.packet, compress_evolve(bm, dom, f, t).packet)
+    with pytest.raises(NegativeTime):
+        compress_evolve_many(bm, dom, f, [1.0, -1e-9, 2.0])
+    with pytest.raises(ValidationError):
+        compress_evolve_many(bm, dom, f, [])
 
 
 def test_compressed_semigroup_reads_no_series(monkeypatch):

@@ -1,5 +1,7 @@
 """The scenario invariant battery as a library call."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,12 @@ def test_empty_scenario_rejected():
     )
     with pytest.raises(TwogapError):
         run_checks(empty)
+
+
+def test_checks_without_a_time_grid_use_the_default():
+    # every check falls back to the default time grid, the Cesàro decay included
+    sc = bundled_scenario("example_5_9")
+    bare = dataclasses.replace(sc, time_grid=np.array([]))
+    names = [r.name for r in run_checks(bare)]
+    assert names == [r.name for r in run_checks(sc)]
+    assert "cesaro_correlation_decay" in names
