@@ -5,8 +5,10 @@ whole time grid is shifted, scaled and clipped in one broadcast, and its sum
 (``sum_batch``) runs the canonical sweep of ``packets`` on every row in one
 pass (``_assemble_rows``).  Each row gets bit for bit what the one-packet
 operation and sweep give that row alone: the same edge clusters, ``add.at``
-and ``cumsum`` order, ``SNAP_REL`` peak, merges and order of frequencies.
-A batch of one row takes the one-packet sweep of ``sum_packets``.
+and ``cumsum`` order, ``SNAP_REL`` peak and merges.  The frequency rule of
+``packets`` says which frequencies a row carries: n exactly when the row
+holds a nonzero value of n, in ascending order.  A batch of one row takes
+the one-packet sweep of ``sum_packets``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import e2pi
-from .packets import EDGE_TOL, SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _sum_cells
+from .packets import (
+    EDGE_TOL, SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _nonzero, _sum_cells,
+)
 
 __all__ = ["PacketBatch", "sum_batch"]
 
@@ -28,8 +32,7 @@ def _assemble_rows(size, row, lo, hi, vals):
     runs on (row, edge) pairs, and row b's sweep runs along row b of a
     (size x edges) grid, so each row gets its own clusters, ``add.at`` and
     ``cumsum`` order, ``SNAP_REL`` peak and merges.  Returns (row, lo, hi,
-    waves, has): the cells of every row in row order, and per frequency
-    whether each row's packet keeps it.
+    waves): the cells of every row in row order.
     """
     ok = hi - lo > EDGE_TOL * np.maximum(1.0, np.abs(lo))
     row, lo, hi = row[ok], lo[ok], hi[ok]
@@ -61,36 +64,25 @@ def _assemble_rows(size, row, lo, hi, vals):
     occupied = np.any([v != 0.0 for v in waves.values()], axis=0)
     lo, hi, row = lo[occupied], hi[occupied], row[occupied]
     waves = {n: v[occupied] for n, v in waves.items()}
-    has = {}
-    for n, v in waves.items():
-        has[n] = np.zeros(size, dtype=bool)
-        has[n][row[v != 0.0]] = True
     first, last = _merge_adjacent(lo, hi, waves, row)
-    return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}, has
-
-
-def _row_freqs(rank, b):
-    """The frequencies of row b's packet, in its waves order (``rank`` as
-    lists)."""
-    return sorted((n for n in rank if rank[n][b] >= 0), key=lambda n: rank[n][b])
+    return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}
 
 
 class PacketBatch:
     """A batch of packets, one per row, stored as one flat list of cells.
 
     Cell i belongs to row ``row[i]``; the rows' cells are contiguous and in
-    row order.  ``waves[n]`` holds frequency n on every cell (0.0 where the
-    row's packet lacks n), and ``rank[n][b]`` is n's place in the waves dict
-    of row b's packet, -1 where that packet lacks n.  Each method does to
-    every row what the StepPacket method of the same name does to its
-    packet, bit for bit, with an argument per row (or one for all rows).
+    row order.  ``waves[n]`` holds frequency n on every cell, its keys in
+    ascending order; row b's packet carries n exactly when it holds a
+    nonzero value of n (0.0 elsewhere).  Each method does to every row what
+    the StepPacket method of the same name does to its packet, bit for bit,
+    with an argument per row (or one for all rows).
     """
 
-    __slots__ = ("size", "row", "lo", "hi", "waves", "rank")
+    __slots__ = ("size", "row", "lo", "hi", "waves")
 
-    def __init__(self, size, row, lo, hi, waves, rank):
-        self.size, self.row, self.lo, self.hi = size, row, lo, hi
-        self.waves, self.rank = waves, rank
+    def __init__(self, size, row, lo, hi, waves):
+        self.size, self.row, self.lo, self.hi, self.waves = size, row, lo, hi, waves
 
     @classmethod
     def tile(cls, p: StepPacket, size: int) -> "PacketBatch":
@@ -105,7 +97,6 @@ class PacketBatch:
             repeat(p.lo),
             repeat(p.hi),
             {n: repeat(v) for n, v in p.waves.items()},
-            {n: np.full(size, i) for i, n in enumerate(p.waves)},
         )
 
     def _at_cells(self, x):
@@ -126,34 +117,25 @@ class PacketBatch:
                 phase = [complex(e2pi(-n * float(x))) for x in s.ravel()]
                 v = v * (self._at_cells(np.array(phase)) if s.ndim else phase[0])
             waves[n] = v
-        return PacketBatch(self.size, self.row, self.lo + shift, self.hi + shift, waves, self.rank)
+        return PacketBatch(self.size, self.row, self.lo + shift, self.hi + shift, waves)
 
     def scale(self, c) -> "PacketBatch":
         c = np.asarray(c, dtype=complex)
         out = self
         if not np.all(c != 0.0):  # a row scaled by 0 is the zero packet
-            live = np.broadcast_to(c != 0.0, (self.size,))
-            cells = live[self.row]
+            cells = np.broadcast_to(c != 0.0, (self.size,))[self.row]
             waves = {n: v[cells] for n, v in self.waves.items()}
-            rank = {n: np.where(live, r, -1) for n, r in self.rank.items()}
-            row, lo, hi = self.row[cells], self.lo[cells], self.hi[cells]
-            out = PacketBatch(self.size, row, lo, hi, waves, rank)
+            out = PacketBatch(self.size, self.row[cells], self.lo[cells], self.hi[cells], waves)
         weight = out._at_cells(c) if c.ndim else complex(c)
         waves = {n: weight * v for n, v in out.waves.items()}
-        return PacketBatch(self.size, out.row, out.lo, out.hi, waves, out.rank)
+        return PacketBatch(self.size, out.row, out.lo, out.hi, waves)
 
     def restrict(self, lo=-np.inf, hi=np.inf) -> "PacketBatch":
         lo = np.maximum(self.lo, self._at_cells(np.asarray(lo, dtype=float)))
         hi = np.minimum(self.hi, self._at_cells(np.asarray(hi, dtype=float)))
         keep = hi - lo > EDGE_TOL
-        row = self.row[keep]
-        waves, rank = {}, {}
-        for n, v in self.waves.items():  # a row keeps n where a kept value is nonzero
-            waves[n] = v = v[keep]
-            has = np.zeros(self.size, dtype=bool)
-            has[row[v != 0.0]] = True
-            rank[n] = np.where(has, self.rank[n], -1)
-        return PacketBatch(self.size, row, lo[keep], hi[keep], waves, rank)
+        waves = {n: v[keep] for n, v in self.waves.items()}
+        return PacketBatch(self.size, self.row[keep], lo[keep], hi[keep], waves)
 
     def occupied(self) -> np.ndarray:
         """Per row: whether its packet has a cell."""
@@ -172,25 +154,21 @@ class PacketBatch:
         def column(x, y):
             return np.concatenate((x[cells[0]], y[cells[1]]))[order]
 
-        freqs = {**a.rank, **b.rank}
-        absent = np.full(a.size, -1)
         return PacketBatch(
             a.size,
             column(a.row, b.row),
             column(a.lo, b.lo),
             column(a.hi, b.hi),
-            {n: column(a._values(n), b._values(n)) for n in freqs},
-            {n: np.where(mask, a.rank.get(n, absent), b.rank.get(n, absent)) for n in freqs},
+            {n: column(a._values(n), b._values(n)) for n in sorted({*a.waves, *b.waves})},
         )
 
     def packets(self) -> list:
         """The rows as StepPackets."""
         bounds = np.searchsorted(self.row, np.arange(self.size + 1)).tolist()
-        rank = {n: r.tolist() for n, r in self.rank.items()}
         out = []
         for b in range(self.size):
             cells = slice(bounds[b], bounds[b + 1])
-            waves = {n: self.waves[n][cells] for n in _row_freqs(rank, b)}
+            waves = _nonzero({n: v[cells] for n, v in self.waves.items()})
             out.append(StepPacket(self.lo[cells], self.hi[cells], waves, _trusted=True))
         return out
 
@@ -198,34 +176,26 @@ class PacketBatch:
 def sum_batch(pieces) -> PacketBatch:
     """``sum_packets`` of the pieces, row by row, in one batched sweep.
 
-    A row's frequencies come in order of first appearance across the
-    pieces, and a row of a piece that has no cell, or no frequency, adds
-    nothing (not even edges), as in ``sum_packets``.
+    A row of a piece that holds no nonzero value adds nothing (not even
+    edges), as in ``sum_packets``.
     """
     size = pieces[0].size
     if size == 1:  # one row: the 1-D sweep of sum_packets
-        parts = (p for p in pieces if len(p.lo))
-        lo, hi, waves = _sum_cells(
-            (p.lo, p.hi, {n: p.waves[n] for n in _row_freqs(p.rank, 0)}) for p in parts
-        )
-        rank = {n: np.array([i]) for i, n in enumerate(waves)}
-        return PacketBatch(1, np.zeros(len(lo), dtype=int), lo, hi, waves, rank)
-    rank, offset, live = {}, 0, []
-    for p in pieces:
-        carries, occupied = np.zeros(size, dtype=bool), p.occupied()
-        for n, r in p.rank.items():
-            carries |= r >= 0
-            r = np.where((r >= 0) & occupied, r + offset, -1)
-            rank[n] = np.where(rank[n] >= 0, rank[n], r) if n in rank else r
-        offset = 1 + max((int(r.max()) for r in rank.values()), default=-1)
-        live.append(carries[p.row])
-    if not rank:
+        lo, hi, waves = _sum_cells((p.lo, p.hi, _nonzero(p.waves)) for p in pieces)
+        return PacketBatch(1, np.zeros(len(lo), dtype=int), lo, hi, waves)
+    freqs = sorted({n for p in pieces for n in p.waves})
+    if not freqs:
         return PacketBatch.tile(StepPacket.zero(), size)
+    live = []
+    for p in pieces:
+        carries = np.zeros(size, dtype=bool)
+        for v in p.waves.values():
+            carries[p.row[v != 0.0]] = True
+        live.append(carries[p.row])
 
     def column(get):
         return np.concatenate([get(p)[keep] for p, keep in zip(pieces, live)])
 
     row, lo, hi = column(lambda p: p.row), column(lambda p: p.lo), column(lambda p: p.hi)
-    vals = {n: column(lambda p: p._values(n)) for n in rank}
-    row, lo, hi, waves, has = _assemble_rows(size, row, lo, hi, vals)
-    return PacketBatch(size, row, lo, hi, waves, {n: np.where(has[n], rank[n], -1) for n in rank})
+    vals = {n: column(lambda p: p._values(n)) for n in freqs}
+    return PacketBatch(size, *_assemble_rows(size, row, lo, hi, vals))

@@ -29,7 +29,7 @@ from .eigen import (
 from .errors import ParseError, TwogapError, ValidationError
 from .evolution import evolve_many, scatter
 from .multipliers import apply_multiplier, make_multiplier
-from .packets import StepPacket, sum_packets
+from .packets import StepPacket
 from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from .scenario import Scenario, bundled_names, bundled_scenario, load_scenario
 from .semigroup import compress_evolve_many, norm_decay_profile
@@ -130,7 +130,7 @@ def _scatter_listing(bm, dom, f: StepPacket) -> StepPacket:
     infinitely many, so the file cuts it where the cached 1e-12 ``a_inv_c``
     series of ``make_multiplier`` ends, applied as that series."""
     scatter(bm, dom, f)  # the engine's own input checks and errors
-    return sum_packets([apply_multiplier(make_multiplier(bm, dom, "a_inv_c"), f)])
+    return apply_multiplier(make_multiplier(bm, dom, "a_inv_c"), f)
 
 
 def _cmd_scatter(sc: Scenario, out: Path) -> int:

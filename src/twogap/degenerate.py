@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import _real_lambda, e2pi
-from .errors import SupportViolation, ValidationError
-from .evolution import _splice
+from .errors import ValidationError
+from .evolution import _require_kept, _splice
 from .packets import StepPacket
 
 __all__ = [
@@ -136,8 +136,8 @@ def degenerate_evolve(model, f: StepPacket, t: float) -> StepPacket:
     SupportViolation.
     """
     width, theta = _cut(model)
-    if f.restrict(0.0, width).norm2() > 1e-12 * max(1.0, f.norm2()):
-        raise SupportViolation("packet has mass on the obstacle interval")
+    kept = (f.restrict(hi=0.0), f.restrict(lo=width))
+    _require_kept(f, kept, "packet", "the line outside the obstacle")
     return _splice(f, [float(t)], width, complex(e2pi(-theta))).packets()[0]
 
 

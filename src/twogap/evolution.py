@@ -361,7 +361,7 @@ def cesaro_decay(
     for tag in COMPONENTS:
         lo, hi = domain.component(tag)
         fp = f.restrict(lo, hi)
-        if not fp.is_empty:
+        if fp.waves:  # cells whose values all vanish carry no frequency
             row = block_row(bm, domain, g_parts, tag, span=(-reach, reach))
             uv = np.conj(fp.waves[0])[:, None] * row.waves.get(0, np.empty(0))
             cols = np.broadcast_arrays(fp.lo[:, None], fp.hi[:, None], row.lo, row.hi, uv)

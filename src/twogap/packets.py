@@ -14,6 +14,9 @@ Storage is columnar (lo/hi arrays plus one complex coefficient array per
 frequency), and the canonical form is maintained by every constructor:
 cells sorted, disjoint, zero-width and zero-value cells dropped, adjacent
 cells with equal coefficient stacks merged (equality tolerance 1e-14).
+Every constructor and operation keeps one frequency rule: the keys of
+``waves`` are in ascending order, and each key has at least one nonzero
+value (a frequency whose values all vanish, say by underflow, is dropped).
 Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
 of its left neighbour joins that neighbour's cluster, and the cluster's
 leftmost edge stands for it, so a chain of close edges becomes one edge.
@@ -84,14 +87,15 @@ def _assemble(segments_by_freq):
     """Build canonical columnar storage from possibly overlapping segments.
 
     segments_by_freq maps an integer frequency to (lo, hi, val) arrays;
-    overlapping segments of the same frequency add.  Returns (lo, hi, waves).
+    overlapping segments of the same frequency add.  Returns (lo, hi, waves)
+    under the frequency rule: ascending keys, each with a nonzero value.
 
     Edge rule: an edge within EDGE_TOL * max(1, |x|) of its left neighbour
     joins that neighbour's cluster, and the cluster's leftmost edge stands
     for every edge in it.
     """
     pieces = []
-    for n, (lo, hi, val) in segments_by_freq.items():
+    for n, (lo, hi, val) in sorted(segments_by_freq.items()):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         val = np.asarray(val, dtype=complex)
@@ -124,9 +128,15 @@ def _assemble(segments_by_freq):
         occupied |= v != 0.0
     lo = edges[:-1][occupied]
     hi = edges[1:][occupied]
-    waves = {n: v[occupied] for n, v in waves.items() if np.any(v[occupied] != 0.0)}
+    waves = {n: v[occupied] for n, v in waves.items()}
     first, last = _merge_adjacent(lo, hi, waves)
-    return lo[first], hi[last], {n: v[first] for n, v in waves.items()}
+    # a merge within VALUE_TOL can zero a frequency out: drop after it
+    return lo[first], hi[last], _nonzero({n: v[first] for n, v in waves.items()})
+
+
+def _nonzero(waves):
+    """The frequencies of ``waves`` that keep a nonzero value."""
+    return {n: v for n, v in waves.items() if v.any()}
 
 
 def _edge_clusters(ends, end_row=None):
@@ -184,7 +194,8 @@ class StepPacket:
 
     def __init__(self, lo, hi, waves, *, _trusted=False):
         # trusted callers pass sorted, disjoint 1-d float lo/hi and 1-d
-        # complex values keyed by int frequencies: they are stored as given
+        # complex values keyed by ascending int frequencies, each with a
+        # nonzero value: they are stored as given
         if not _trusted:
             lo = np.atleast_1d(np.asarray(lo, dtype=float))
             hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -201,6 +212,7 @@ class StepPacket:
                     raise OrderingViolation("every cell needs hi > lo")
                 if not np.all(lo[1:] >= hi[:-1] - EDGE_TOL):
                     raise OrderingViolation("cells must be disjoint and sorted")
+            waves = _nonzero(dict(sorted(waves.items())))
         self.lo = lo
         self.hi = hi
         self.waves = waves
@@ -260,7 +272,7 @@ class StepPacket:
         return np.unique(np.concatenate((self.lo, self.hi)))
 
     def frequencies(self):
-        return sorted(self.waves)
+        return list(self.waves)
 
     def max_abs(self) -> float:
         """Upper bound for sup|f| (sum of coefficient magnitudes per cell)."""
@@ -298,7 +310,7 @@ class StepPacket:
             return StepPacket.zero()
         return StepPacket(
             self.lo.copy(), self.hi.copy(),
-            {n: c * v for n, v in self.waves.items()},
+            _nonzero({n: c * v for n, v in self.waves.items()}),  # values can underflow
             _trusted=True,
         )
 
@@ -327,6 +339,7 @@ class StepPacket:
             return self
         waves = {}
         for n, v in self.waves.items():
+            # a unit phase keeps a nonzero value nonzero, even a subnormal one
             waves[n] = v * complex(e2pi(-n * s)) if n else v.copy()
         return StepPacket(self.lo + s, self.hi + s, waves, _trusted=True)
 
@@ -344,7 +357,7 @@ class StepPacket:
     def conjugate(self) -> "StepPacket":
         return StepPacket(
             self.lo.copy(), self.hi.copy(),
-            {-n: np.conj(v) for n, v in self.waves.items()},
+            {-n: np.conj(v) for n, v in reversed(self.waves.items())},
             _trusted=True,
         )
 
@@ -359,7 +372,7 @@ class StepPacket:
         keep = new_hi - new_lo > EDGE_TOL
         if not np.any(keep):
             return StepPacket.zero()
-        waves = {n: v[keep] for n, v in self.waves.items() if np.any(v[keep] != 0.0)}
+        waves = _nonzero({n: v[keep] for n, v in self.waves.items()})
         return StepPacket(new_lo[keep], new_hi[keep], waves, _trusted=True)
 
     # ------------------------------------------------------------------
@@ -469,7 +482,7 @@ def sum_packets(packets) -> StepPacket:
 
 def _sum_cells(parts):
     """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves)
-    in one sweep; frequencies in order of first appearance."""
+    in one sweep, under the frequency rule of ``_assemble``."""
     segs = {}
     for lo, hi, waves in parts:
         for n, v in waves.items():

@@ -392,6 +392,17 @@ def test_cesaro_trend(ex59, ex59_packet):
     assert avgs[1] < avgs[0]
 
 
+def test_cesaro_skips_a_component_of_zero_values(ex59, ex59_packet):
+    # f's cell in the middle interval holds 0, so that part carries no frequency
+    bm, dom = ex59
+    f = ex59_packet
+    padded = StepPacket(np.append(f.lo, 1.2), np.append(f.hi, 1.5), {0: np.append(f.waves[0], 0.0)})
+    middle = padded.restrict(*dom.component("izero"))
+    assert middle.n_cells == 1 and not middle.waves
+    want = cesaro_decay(bm, dom, f, f, [10.0, 100.0])
+    assert cesaro_decay(bm, dom, padded, padded, [10.0, 100.0]).tobytes() == want.tobytes()
+
+
 def test_error_paths():
     dom = make_domain(2.0, 3.0)
     bm = make_boundary_matrix(w=0.6)

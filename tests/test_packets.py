@@ -211,7 +211,7 @@ def test_batched_sweep_is_the_row_sweep(rows):
     flat = [(b, *seg) for b, segs in enumerate(rows) for seg in segs]
     freqs = sorted({seg[3] for seg in flat}) or [0]
     vals = {n: np.array([s[4] if s[3] == n else 0.0 for s in flat], dtype=complex) for n in freqs}
-    row, lo, hi, waves, has = _assemble_rows(
+    row, lo, hi, waves = _assemble_rows(
         len(rows),
         np.array([s[0] for s in flat], dtype=int),
         np.array([s[1] for s in flat], dtype=float),
@@ -227,7 +227,7 @@ def test_batched_sweep_is_the_row_sweep(rows):
         mine = row == b
         got = {n: waves[n][mine] for n in want.waves}
         assert_same_packet(StepPacket(lo[mine], hi[mine], got, _trusted=True), want)
-        assert [n for n in freqs if has[n][b]] == sorted(want.waves)
+        assert [n for n in freqs if np.any(waves[n][mine] != 0.0)] == list(want.waves)
 
 
 three_pieces = st.lists(packets() | st.just(StepPacket.zero()), min_size=3, max_size=3)
@@ -270,6 +270,51 @@ def test_batch_sum_skips_a_packet_without_frequencies():
     for packet in got:
         assert_same_packet(packet, sum_packets([f, g]))
         assert packet.hi.tolist() == [1.0]
+
+
+def assert_frequency_rule(p):
+    """The frequency rule: ascending keys, each with a nonzero value."""
+    assert list(p.waves) == sorted(p.waves)
+    for v in p.waves.values():
+        assert np.any(v != 0.0)
+
+
+@given(st.lists(boxes(), min_size=1, max_size=4), st.lists(finite, min_size=2, max_size=2),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_packet_keeps_the_frequency_rule(parts, shifts, data):
+    f = sum_packets(parts)
+    # 5e-324 zeroes every value under 1/2 in size and keeps the rest
+    weights = [data.draw(small_complex | st.sampled_from([0j, 5e-324])) for _ in range(2)]
+    lo, hi = sorted(data.draw(st.lists(finite, min_size=2, max_size=2)))
+    m = data.draw(freqs)
+    tiny = f.scale(5e-324)
+    made = [f, tiny, tiny.translate(shifts[0]), f.translate(shifts[0]), f.scale(weights[0])]
+    made += [f.restrict(lo, hi), tiny.restrict(lo, hi), f.conjugate(), f.modulate(m)]
+    # the untrusted constructor sorts the keys and drops an all-zero frequency
+    waves = {n: f.waves[n] for n in reversed(f.waves)} | {9: np.zeros(f.n_cells)}
+    built = StepPacket(f.lo, f.hi, waves)
+    assert_same_packet(built, f)
+    made.append(built)
+    rows = (PacketBatch.tile(f, 2), PacketBatch.tile(f.conjugate().modulate(m), 2))
+    batch = PacketBatch.select(np.array([True, False]), *rows)
+    batch = batch.translate(shifts).scale(weights).restrict(lo, hi)
+    made += batch.packets()
+    made += sum_batch([batch, PacketBatch.tile(tiny, 2)]).packets()
+    for p in made:
+        assert_frequency_rule(p)
+
+
+def test_a_merge_that_zeroes_a_frequency_drops_it():
+    # the cells join within VALUE_TOL, and the merged cell keeps the first
+    # cell's frequency-1 value, 0
+    f = sum_packets([
+        StepPacket.box(0.0, 1.0, 1.0),
+        StepPacket.box(1.0, 2.0, 1.0),
+        StepPacket.box(1.0, 2.0, 5e-15, freq=1),
+    ])
+    assert f.lo.tolist() == [0.0] and f.hi.tolist() == [2.0]
+    assert list(f.waves) == [0]
 
 
 def test_from_breakpoints():
