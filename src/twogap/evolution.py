@@ -3,9 +3,12 @@
 The evolution at time t acts on a packet supported in the open domain by a
 3x3 block of translation multipliers followed by the rigid shift by t and
 restriction back to the components.  The (dest, src) block kinds live in
-``multipliers.BLOCK_KIND``; ``block_row`` applies them at finite times
-(evolution, single block entries) and ``_train_row`` at t = inf
-(scattering, both translation representations): all are rows of that matrix.
+``multipliers.BLOCK_KIND``; ``block_row`` (and ``_block_rows`` for several
+rows at once) builds them at finite times (evolution, single block entries)
+and ``_train_row`` at t = inf (scattering, both translation
+representations): all are rows of that matrix.  A row is never summed
+block by block: it gathers the unswept translates of every block
+(``packets._translates``) and sums them in one canonical sweep.
 The packet picture of, say, a left-launched packet is: the identity copy
 keeps moving on I_minus, the transmitted geometric train enters the middle
 interval through a_inv, and the outgoing train leaves through a_inv_c (one
@@ -16,9 +19,11 @@ happened.  So the finite-time routines (``evolve_many``, ``evolve``,
 ``block_matrix_entry``, ``correlation``, ``cesaro_decay``) give ``block_row``
 the span of times a row serves; it applies only the lattice terms that reach
 the component over that span: exact finite sums with truncation 0, at a
-cost that follows the reflections, not w.  A time grid builds each row once
-and sums the shifted, clipped rows of all its times in one batched sweep
-(``batch.sum_batch``), bit for bit the sweep of each time alone.
+cost that follows the reflections, not w.  ``evolve_many`` builds its three
+rows once per time grid, in one batched sweep before the shift, and sums
+the shifted, clipped rows of all its times in a second one
+(``batch.sum_batch``), bit for bit the sweeps of each row and time alone:
+two sweeps per grid.  ``cesaro_decay`` builds its rows in one sweep too.
 ``scatter`` and ``translation_representation`` describe t = inf: their rows
 are a head plus one geometric train (``packets.PacketTrain``), built from
 the few terms of ``multipliers.train_terms`` at a cost of O(cells of f) at
@@ -51,9 +56,9 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
-from .multipliers import BLOCK_KIND, apply_multiplier, causal_multiplier, train_terms
+from .multipliers import BLOCK_KIND, causal_multiplier, train_terms
 from .batch import PacketBatch, sum_batch
-from .packets import PacketTrain, StepPacket, sum_packets
+from .packets import PacketTrain, StepPacket, _nonzero, _sum_cells, _translates
 
 __all__ = [
     "EvolutionResult",
@@ -125,25 +130,41 @@ def block_row(
     times of ``span`` = (t_lo, t_hi).
 
     ``parts`` holds one packet per source component, in COMPONENTS order;
-    empty parts are skipped.  Returns the pre-shift packet
+    parts without a frequency are skipped.  Returns the pre-shift packet
     sum_src M[dest, src] parts[src], each entry the exact finite sum of its
     lattice terms that reach the pre-shift window (lo - t_hi, hi - t_lo) of
     dest = (lo, hi): the packet is exact there (and meaningless outside it).
-    An unknown ``dest`` raises ValidationError.
+    The translates of every entry are gathered unswept and summed in one
+    canonical sweep.  An unknown ``dest`` raises ValidationError.
     """
-    lo, hi = domain.component(dest)
-    window = (lo - span[1], hi - span[0])
+    return _block_rows(bm, domain, parts, (dest,), span)[0]
+
+
+def _block_rows(bm, domain, parts, dests, span) -> list[StepPacket]:
+    """``block_row`` for each of ``dests``, in one sweep.
+
+    Each row gathers its cells unswept: a part's own cells for an identity
+    block, the translates of its causal terms (``packets._translates``) for
+    a multiplier block.  One batched sweep (``batch.sum_batch``) sums every
+    row, each bit for bit its own sweep; one row takes the one-packet sweep.
+    """
     pieces = []
-    for src, fsrc in zip(COMPONENTS, parts):
-        if fsrc.is_empty:
-            continue
-        kind = BLOCK_KIND[(dest, src)]
-        if kind == "identity":
-            pieces.append(fsrc)
-            continue
-        m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
-        pieces.append(apply_multiplier(m, fsrc))
-    return sum_packets(pieces)
+    for b, dest in enumerate(dests):
+        lo, hi = domain.component(dest)
+        window = (lo - span[1], hi - span[0])
+        for src, fsrc in zip(COMPONENTS, parts):
+            if not fsrc.waves:  # no cells, or cells whose values all vanish
+                continue
+            kind = BLOCK_KIND[(dest, src)]
+            if kind == "identity":
+                cells = (fsrc.lo, fsrc.hi, fsrc.waves)
+            else:
+                m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
+                cells = _translates(fsrc, *m.terms())
+            pieces.append(PacketBatch(len(dests), np.full(len(cells[0]), b), *cells))
+    if not pieces:
+        return [StepPacket.zero()] * len(dests)
+    return sum_batch(pieces).packets()
 
 
 def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> PacketTrain:
@@ -152,25 +173,32 @@ def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> 
     The identity part and the direct reflection of the scattering quotient
     make the head; the n = 0 terms of the two inverse kinds make the body of
     one train with ratio z = q e(-psi) and step ell on iplus (conj(z) and
-    -ell on iminus, the mirrored kinds), and leak 1 - |z|^2 = w^2.
+    -ell on iminus, the mirrored kinds), and leak 1 - |z|^2 = w^2.  Head and
+    body each sum the unswept cells of their terms (``packets._translates``)
+    in one sweep; a lone term is a canonical packet moved and scaled whole,
+    and needs none.
     """
     heads, bodies = [], []
     for src, fsrc in zip(COMPONENTS, parts):
-        if fsrc.is_empty:
+        if not fsrc.waves:
             continue
         kind = BLOCK_KIND[(dest, src)]
         if kind == "identity":
-            heads.append(fsrc)
+            heads.append((fsrc.lo, fsrc.hi, fsrc.waves))
             continue
         m = train_terms(bm, domain, kind)
         for n, shift, weight in zip(m.indices, *m.terms()):
-            (bodies if n == 0 else heads).append(fsrc.translate(-shift).scale(weight))
+            term = _translates(fsrc, np.array([shift]), np.array([weight]))
+            (bodies if n == 0 else heads).append(term)
     z, ell = bm.b_entry, domain.ell
     if dest == "iminus":
         z, ell = z.conjugate(), -ell
 
-    def gather(pieces):  # one piece is already canonical
-        return pieces[0] if len(pieces) == 1 else sum_packets(pieces)
+    def gather(cells):
+        if len(cells) == 1:
+            lo, hi, waves = cells[0]
+            return StepPacket(lo, hi, _nonzero(waves), _trusted=True)
+        return StepPacket(*_sum_cells(cells), _trusted=True)
 
     return PacketTrain(gather(heads), gather(bodies), z, ell, bm.w * bm.w)
 
@@ -195,10 +223,9 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
         halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
         pieces = [_wrap_middle(bm, domain, f0, ts), _splice(halves, ts, domain.beta, phase)]
     else:
-        span = (min(ts), max(ts))
         pieces = []
-        for dest in COMPONENTS:
-            g = block_row(bm, domain, parts, dest, span=span)
+        rows = _block_rows(bm, domain, parts, COMPONENTS, (min(ts), max(ts)))
+        for dest, g in zip(COMPONENTS, rows):
             if not g.is_empty:
                 g = PacketBatch.tile(g, len(ts)).translate(ts)
                 pieces.append(g.restrict(*domain.component(dest)))
@@ -356,16 +383,16 @@ def cesaro_decay(
     if not (horizons.size and np.all(np.isfinite(horizons)) and np.all(horizons > 0)):
         raise ValidationError("Cesàro horizons must be positive and finite")
     reach = float(np.max(horizons))
-    g_parts = decompose(g, domain)
+    # cells whose values all vanish carry no frequency: no row for them
+    f_parts = {tag: f.restrict(*domain.component(tag)) for tag in COMPONENTS}
+    tags = [tag for tag in COMPONENTS if f_parts[tag].waves]
+    rows = _block_rows(bm, domain, decompose(g, domain), tags, (-reach, reach))
     pairs = [[np.empty(0)] * 5]  # per cell pair: f cell (a, b), row cell (c, d), conj(u) v
-    for tag in COMPONENTS:
-        lo, hi = domain.component(tag)
-        fp = f.restrict(lo, hi)
-        if fp.waves:  # cells whose values all vanish carry no frequency
-            row = block_row(bm, domain, g_parts, tag, span=(-reach, reach))
-            uv = np.conj(fp.waves[0])[:, None] * row.waves.get(0, np.empty(0))
-            cols = np.broadcast_arrays(fp.lo[:, None], fp.hi[:, None], row.lo, row.hi, uv)
-            pairs.append([x.ravel() for x in cols])
+    for tag, row in zip(tags, rows):
+        fp = f_parts[tag]
+        uv = np.conj(fp.waves[0])[:, None] * row.waves.get(0, np.empty(0))
+        cols = np.broadcast_arrays(fp.lo[:, None], fp.hi[:, None], row.lo, row.hi, uv)
+        pairs.append([x.ravel() for x in cols])
     a, b, c, d, p = (np.concatenate(x) for x in zip(*pairs))
     live = (a - d < reach) & (b - c > -reach)  # a pair meets for a - d < t < b - c
     a, b, c, d, p = (x[live] for x in (a, b, c, d, p))

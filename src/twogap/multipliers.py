@@ -52,7 +52,7 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, e2pi
 from .errors import DegenerateRegime, ValidationError
-from .packets import StepPacket, _assemble, _translates
+from .packets import StepPacket, _sum_cells, _translates
 
 __all__ = [
     "MultiplierSeries",
@@ -361,7 +361,7 @@ def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
     """Spatial action: scalar * sum_n c_n f(. + base + n step), one sweep."""
     if f.is_empty or not len(m.coeffs):
         return StepPacket.zero()
-    return StepPacket(*_assemble(_translates(f, *m.terms())), _trusted=True)
+    return StepPacket(*_sum_cells([_translates(f, *m.terms())]), _trusted=True)
 
 
 def block_multiplier_composed(

@@ -69,18 +69,16 @@ def osc_integral(u, v, k):
 
 
 def _translates(p, shifts, weights):
-    """Segments of sum_k weights[k] p(. + shifts[k]) per frequency, as
-    (lo, hi, val) arrays in shift order, for ``_assemble``: p(x + s) moves a
-    cell by -s, and a frequency-n value v becomes v e(n s)."""
-    segs = {}
+    """The cells of sum_k weights[k] p(. + shifts[k]), unswept, in shift
+    order, as (lo, hi, waves) for ``_sum_cells``: p(x + s) moves a cell by
+    -s, and a frequency-n value v becomes v e(n s)."""
+    waves = {}
     for freq, vals in p.waves.items():
         wf = weights * e2pi(freq * shifts) if freq else weights
-        segs[freq] = (
-            (p.lo[None, :] - shifts[:, None]).ravel(),
-            (p.hi[None, :] - shifts[:, None]).ravel(),
-            (vals[None, :] * wf[:, None]).ravel(),
-        )
-    return segs
+        waves[freq] = (vals[None, :] * wf[:, None]).ravel()
+    lo = (p.lo[None, :] - shifts[:, None]).ravel()
+    hi = (p.hi[None, :] - shifts[:, None]).ravel()
+    return lo, hi, waves
 
 
 def _assemble(segments_by_freq):
@@ -579,13 +577,9 @@ class PacketTrain:
         if stop <= first or self.body.is_empty:
             return self.head
         k = np.arange(first, stop)
-        segs = _translates(self.body, k * self.step, np.power(self.ratio, k))
-        for freq, vals in self.head.waves.items():
-            cols = (self.head.lo, self.head.hi, vals)
-            if freq in segs:
-                cols = tuple(np.concatenate(pair) for pair in zip(cols, segs[freq]))
-            segs[freq] = cols
-        return StepPacket(*_assemble(segs), _trusted=True)
+        terms = _translates(self.body, k * self.step, np.power(self.ratio, k))
+        head = (self.head.lo, self.head.hi, self.head.waves)
+        return StepPacket(*_sum_cells((head, terms)), _trusted=True)
 
     def restrict(self, lo=-np.inf, hi=np.inf) -> StepPacket:
         """The train on (lo, hi), an exact finite packet: the head plus every

@@ -487,15 +487,16 @@ def test_evolution_reads_no_series(monkeypatch):
 
 def test_evolve_cost_follows_reflections(monkeypatch):
     # at w = 0.05 the eps series holds tens of thousands of terms; the window
-    # applies about |t| / ell of them per row
+    # builds about |t| / ell of them per row
     applied = []
-    apply = multipliers.apply_multiplier
+    causal = multipliers.causal_multiplier
 
-    def counting(m, packet):
+    def counting(*args, **kwargs):
+        m = causal(*args, **kwargs)
         applied.append(len(m.coeffs))
-        return apply(m, packet)
+        return m
 
-    monkeypatch.setattr(evolution, "apply_multiplier", counting)
+    monkeypatch.setattr(evolution, "causal_multiplier", counting)
     bm = make_boundary_matrix(w=0.05, theta=0.15, phi=0.3, psi=0.45)
     dom, f, t = _WINDOW_DOMAIN, _WINDOW_F, 100.0
     res = evolve(bm, dom, f, t)
@@ -562,6 +563,37 @@ def test_grid_sweep_is_one_sweep_per_time():
         for t in (-2.5, 0.0, 1.25):
             got = evolution._splice(g, [t], width, complex(e2pi(-0.3)))
             assert_same_packet(got.packets()[0], splice_at(g, t, width, complex(e2pi(-0.3))))
+
+
+def test_rows_of_one_sweep_are_each_rows_own_sweep():
+    # the batched pre-shift sweep of all three rows gives each row the packet
+    # of its own sweep, bit for bit; a part with cells but no frequency (its
+    # values all vanish) adds nothing, not even an edge
+    rng = np.random.default_rng(23)
+    for trial in range(12):
+        dom, bm = random_geometry(rng), random_boundary(rng)
+        parts = [
+            random_packet(rng, -3.0, -0.1, 3, freqs=(0, 1, -2)),
+            random_packet(rng, 1.0, dom.alpha, 2, freqs=(0, 1)),
+            random_packet(rng, dom.beta, dom.beta + 3.0, 3, freqs=(0, -1)),
+        ]
+        t_lo = rng.uniform(-15.0, 5.0)
+        span = (t_lo, t_lo + rng.uniform(0.0, 20.0))
+        rows = evolution._block_rows(bm, dom, parts, _COMPONENTS, span)
+        for d, got in zip(_COMPONENTS, rows):
+            assert_same_packet(got, block_row(bm, dom, parts, d, span=span))
+        src = trial % 3
+        muted, dropped = list(parts), list(parts)
+        muted[src] = StepPacket(parts[src].lo, parts[src].hi, {2: np.zeros(parts[src].n_cells)})
+        dropped[src] = StepPacket.zero()
+        assert muted[src].n_cells and not muted[src].waves
+        rows = evolution._block_rows(bm, dom, muted, _COMPONENTS, span)
+        for d, got in zip(_COMPONENTS, rows):
+            assert_same_packet(got, block_row(bm, dom, dropped, d, span=span))
+    with pytest.raises(ValidationError):
+        block_row(bm, dom, parts, "nowhere", span=(0.0, 1.0))
+    with pytest.raises(ValidationError):
+        evolution._block_rows(bm, dom, parts, ("iplus", "nowhere"), (0.0, 1.0))
 
 
 def test_cli_evolve_builds_each_row_once(monkeypatch, tmp_path):
