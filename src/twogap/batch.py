@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import e2pi
 from .packets import (
-    EDGE_TOL, SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _nonzero, _sum_cells,
+    EDGE_TOL, SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _nonzero, _sum_cells, _wider,
 )
 
 __all__ = ["PacketBatch", "sum_batch"]
@@ -34,7 +34,7 @@ def _assemble_rows(size, row, lo, hi, vals):
     ``cumsum`` order, ``SNAP_REL`` peak and merges.  Returns (row, lo, hi,
     waves): the cells of every row in row order.
     """
-    ok = hi - lo > EDGE_TOL * np.maximum(1.0, np.abs(lo))
+    ok = _wider(hi - lo, lo)
     row, lo, hi = row[ok], lo[ok], hi[ok]
     vals = {n: v[ok] for n, v in vals.items()}
     k = len(lo)

@@ -73,23 +73,20 @@ def _need_pair(sc: Scenario):
 
 def _cmd_eigen(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
-    rows = []
-    # one call per λ: an array call changes last bits (a or c at 4/21 λ of comb_limit)
-    for la in sc.grid("lambda_grid"):
-        co = eigen_coeffs(bm, dom, float(la))
-        res = float(np.max(np.abs(eigen_residual(bm, dom, co))))
-        rows.append(
-            (la, co.a.real, co.a.imag, co.c.real, co.c.imag, res)
-        )
-    _write_csv(out / "eigen.csv", ["lambda", "a_re", "a_im", "c_re", "c_im", "residual"], rows)
+    lams = sc.grid("lambda_grid")
+    co = eigen_coeffs(bm, dom, lams)
+    _write_csv(
+        out / "eigen.csv",
+        ["lambda", "a_re", "a_im", "c_re", "c_im", "residual"],
+        zip(lams, co.a.real, co.a.imag, co.c.real, co.c.imag, eigen_residual(bm, dom, co)),
+    )
     return 0
 
 
 def _cmd_density(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
-    rho = SpectralDensity(bm, dom)
-    rows = [(la, float(rho(float(la)))) for la in sc.grid("lambda_grid")]
-    _write_csv(out / "density.csv", ["lambda", "value"], rows)
+    lams = sc.grid("lambda_grid")
+    _write_csv(out / "density.csv", ["lambda", "value"], zip(lams, SpectralDensity(bm, dom)(lams)))
     table = fourier_coeffs(bm, domain=dom)
     _write_csv(
         out / "density_coeffs.csv",
@@ -101,12 +98,14 @@ def _cmd_density(sc: Scenario, out: Path) -> int:
 
 def _cmd_smatrix(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
-    rows = []
-    # one call per λ: an array call changes last bits (at 9/21 λ of comb_limit)
-    for la in sc.grid("lambda_grid"):
-        routes = scattering_matrix_routes(bm, dom, float(la))
-        rows.append((la, routes["ratio"].real, routes["ratio"].imag, _route_spread(routes)))
-    _write_csv(out / "smatrix.csv", ["lambda", "re", "im", "route_spread"], rows)
+    lams = sc.grid("lambda_grid")
+    routes = scattering_matrix_routes(bm, dom, lams)
+    s = routes["ratio"]
+    _write_csv(
+        out / "smatrix.csv",
+        ["lambda", "re", "im", "route_spread"],
+        zip(lams, s.real, s.imag, _route_spread(routes)),
+    )
     return 0
 
 
@@ -138,12 +137,9 @@ def _cmd_scatter(sc: Scenario, out: Path) -> int:
     f = sc.packet("f")
     outgoing = _scatter_listing(bm, dom, f)
     _write_csv(out / "scatter.csv", ["x", "re", "im", "abs2"], _packet_rows(outgoing))
-    rows = []
-    # one call per λ: an array call changes last bits (at 9/21 λ of comb_limit)
-    for la in sc.grid("lambda_grid"):
-        s = scattering_matrix_routes(bm, dom, float(la))["ratio"]
-        rows.append((la, s.real, s.imag))
-    _write_csv(out / "scatter_smatrix.csv", ["lambda", "re", "im"], rows)
+    lams = sc.grid("lambda_grid")
+    s = scattering_matrix_routes(bm, dom, lams)["ratio"]
+    _write_csv(out / "scatter_smatrix.csv", ["lambda", "re", "im"], zip(lams, s.real, s.imag))
     return 0
 
 
@@ -168,16 +164,14 @@ def _cmd_semigroup(sc: Scenario, out: Path) -> int:
 
 def _cmd_kernels(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
-    rows = []
-    for la in sc.grid("lambda_grid"):  # eigenfunction_traces takes one λ
-        gl, gr = eigenfunction_traces(bm, dom, float(la))
-        tr = BoundaryTrace(gr[0], gl[0], gr[1], gl[1])
-        r1, r2 = trace_condition_residuals(bm, tr)
-        rows.append((la, r1, r2, abs(boundary_form(tr, tr))))
+    lams = sc.grid("lambda_grid")
+    gl, gr = eigenfunction_traces(bm, dom, lams)
+    tr = BoundaryTrace(gr[0], gl[0], gr[1], gl[1])
+    r1, r2 = trace_condition_residuals(bm, tr)
     _write_csv(
         out / "kernels.csv",
         ["lambda", "residual_direct", "residual_inverse", "self_form_abs"],
-        rows,
+        zip(lams, r1, r2, np.abs(boundary_form(tr, tr))),
     )
     return 0
 

@@ -136,8 +136,7 @@ def degenerate_evolve(model, f: StepPacket, t: float) -> StepPacket:
     SupportViolation.
     """
     width, theta = _cut(model)
-    kept = (f.restrict(hi=0.0), f.restrict(lo=width))
-    _require_kept(f, kept, "packet", "the line outside the obstacle")
+    _require_kept(f, ((0.0, width),), "packet", "the line outside the obstacle")
     return _splice(f, [float(t)], width, complex(e2pi(-theta))).packets()[0]
 
 

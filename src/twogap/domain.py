@@ -18,7 +18,8 @@ makes the obstacles transparent up to phase splices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -54,6 +55,38 @@ def _real_lambda(lam) -> np.ndarray:
     if np.iscomplexobj(lam) and np.any(lam.imag):
         raise ValidationError("lambda must be real")
     return np.asarray(lam.real, dtype=float)
+
+
+def _lambda_rule(fn):
+    """``fn(bm, domain, lam)`` evaluated on lam as a 1-d array; a scalar lam
+    gets element 0 (last axis) of every output array.
+
+    numpy-scalar arithmetic rounds differently from the array loops, so
+    computing on 0-d values would let a scalar call differ in the last bits
+    from the same lambda inside a grid.  Under this rule a scalar call is,
+    bit for bit, one element of the array call.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(bm, domain, lam):
+        lam = _real_lambda(lam)
+        out = fn(bm, domain, np.atleast_1d(lam))
+        return out if lam.ndim else _first(out)
+
+    return wrapper
+
+
+def _first(out):
+    """Element 0 along the last axis of every array in ``out`` (an array, a
+    tuple or dict of arrays, or a dataclass of them); a numpy scalar where
+    that leaves no axis."""
+    if isinstance(out, np.ndarray):
+        return out[..., 0][()]
+    if isinstance(out, tuple):
+        return tuple(_first(v) for v in out)
+    if isinstance(out, dict):
+        return {k: _first(v) for k, v in out.items()}
+    return type(out)(*(_first(getattr(out, f.name)) for f in fields(out)))
 
 
 class Region(Enum):

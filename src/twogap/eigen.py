@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, Region, _real_lambda, classify_point, e2pi
-from .domain import _require_coupled
+from .domain import _lambda_rule, _require_coupled
 from .errors import NotDecoupled, OutOfDomain, ValidationError
 
 __all__ = [
@@ -47,9 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenCoefficients:
-    """Coefficients of one generalized eigenfunction (b = 1 normalization).
+    """Coefficients of the generalized eigenfunctions (b = 1 normalization).
 
-    Fields may be scalars or arrays, matching the lambda argument.
+    Fields are arrays over a lambda array, or numpy scalars for a scalar
+    lambda; a scalar call equals, bit for bit, its element of the array call.
     """
 
     lam: np.ndarray
@@ -64,10 +65,10 @@ def transfer_H(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
     return eigen_coeffs(bm, domain, lam).h
 
 
+@_lambda_rule
 def eigen_coeffs(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> EigenCoefficients:
     """Closed-form coefficients a, c plus H and the modulus m = |a| = |c|."""
     _require_coupled(bm, "eigen_coeffs")
-    lam = _real_lambda(lam)
     w, q = bm.w, bm.q
     ell, gap = domain.ell, domain.gap
     inv_h = 1.0 - q * e2pi(-bm.psi + ell * lam)  # the round trip, 1 / H
@@ -155,22 +156,22 @@ def eigenfunction_eval(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float, x
     return out[0] if scalar else out
 
 
-def eigenfunction_traces(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float):
+@_lambda_rule
+def eigenfunction_traces(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
     """One-sided obstacle traces of psi_lambda: (rho1, rho2).
 
     rho1 = (psi(1+), psi(beta+)), rho2 = (psi(0-), psi(alpha-)); the
-    boundary matrix maps rho1 to rho2.
+    boundary matrix maps rho1 to rho2.  Each has shape (2,) for a scalar
+    lambda and (2, L) for L lambdas, column i bit for bit the scalar call
+    at lambda_i.
     """
     co = eigen_coeffs(bm, domain, lam)
-    rho1 = np.array(
-        [complex(e2pi(lam)), co.c * complex(e2pi(domain.beta * lam))], dtype=complex
-    )
-    rho2 = np.array(
-        [complex(co.a), complex(e2pi(domain.alpha * lam))], dtype=complex
-    )
+    rho1 = np.stack([e2pi(lam), co.c * e2pi(domain.beta * lam)])
+    rho2 = np.stack([co.a, e2pi(domain.alpha * lam)])
     return rho1, rho2
 
 
+@_lambda_rule
 def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> dict:
     """S(lambda) via three algebraically independent routes.
 
@@ -183,7 +184,7 @@ def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) ->
     """
     _require_coupled(bm, "scattering_matrix_routes")
     co = eigen_coeffs(bm, domain, lam)  # one call gives a, c and H
-    lam, q, w = co.lam, bm.q, bm.w
+    q, w = bm.q, bm.w
     ell, gap, beta = domain.ell, domain.gap, domain.beta
     quotient = (
         e2pi(-bm.theta - (gap + 1.0) * lam)
@@ -197,9 +198,9 @@ def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) ->
 
 
 def _route_spread(routes: dict):
-    """Largest pairwise gap between the three routes of one S(lambda)."""
-    vals = [routes["ratio"], routes["quotient"], routes["split"]]
-    return max(abs(u - v) for i, u in enumerate(vals) for v in vals[i + 1 :])
+    """Largest pairwise gap between the three routes of S(lambda), per lambda."""
+    ratio, quotient, split = routes["ratio"], routes["quotient"], routes["split"]
+    return np.maximum.reduce([abs(ratio - quotient), abs(ratio - split), abs(quotient - split)])
 
 
 def bound_state_spectrum(

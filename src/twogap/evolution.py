@@ -88,17 +88,18 @@ def decompose(f: StepPacket, domain: ExteriorDomain):
     Mass on the removed intervals [0,1] and [alpha,beta] above 1e-12
     (squared, relative to the packet norm) raises SupportViolation.
     """
-    parts = tuple(f.restrict(*domain.component(tag)) for tag in COMPONENTS)
-    _require_kept(f, parts, "packet", "the domain")
-    return parts
+    _require_kept(f, ((0.0, 1.0), (domain.alpha, domain.beta)), "packet", "the domain")
+    return tuple(f.restrict(*domain.component(tag)) for tag in COMPONENTS)
 
 
-def _require_kept(f: StepPacket, parts, what: str, where: str) -> None:
-    """The one leak rule: SupportViolation when the restrictions ``parts``
-    of f lose more than 1e-12 max(1, ||f||^2) of its norm^2."""
-    norm2 = f.norm2()
-    lost = norm2 - sum(p.norm2() for p in parts)
-    if lost > 1e-12 * max(1.0, norm2):
+def _require_kept(f: StepPacket, removed, what: str, where: str) -> None:
+    """The one leak rule: SupportViolation when f carries more than
+    1e-12 max(1, ||f||^2) of norm^2 on the ``removed`` intervals (lo, hi).
+
+    The lost mass is read off f on those intervals, and ||f||^2 is taken
+    only when that mass exceeds 1e-12."""
+    lost = sum(f.restrict(lo, hi).norm2() for lo, hi in removed)
+    if lost > 1e-12 and lost > 1e-12 * max(1.0, f.norm2()):
         raise SupportViolation(f"{what} carries mass {lost:.3e} off {where}")
 
 

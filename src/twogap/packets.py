@@ -55,6 +55,11 @@ VALUE_TOL = 1e-14
 SNAP_REL = 1e-15
 
 
+def _wider(width, x):
+    """The edge rule's width test: ``width`` exceeds EDGE_TOL * max(1, |x|)."""
+    return width > EDGE_TOL * np.maximum(1.0, np.abs(x))
+
+
 def osc_integral(u, v, k):
     """Integral of e(k x) over [u, v], stable for k near 0.
 
@@ -97,7 +102,7 @@ def _assemble(segments_by_freq):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         val = np.asarray(val, dtype=complex)
-        ok = hi - lo > EDGE_TOL * np.maximum(1.0, np.abs(lo))
+        ok = _wider(hi - lo, lo)
         if np.any(ok):
             pieces.append((int(n), lo[ok], hi[ok], val[ok]))
     if not pieces:
@@ -157,7 +162,7 @@ def _edge_clusters(ends, end_row=None):
         new = (x[1:] != x[:-1]) | (r[1:] != r[:-1])
     new = np.concatenate(([True], new))[: len(x)]
     edges = x[new]
-    starts = np.diff(edges) > EDGE_TOL * np.maximum(1.0, np.abs(edges[1:]))
+    starts = _wider(np.diff(edges), edges[1:])
     if end_row is not None:
         erow = r[new]
         starts |= erow[1:] != erow[:-1]
@@ -225,15 +230,21 @@ class StepPacket:
 
     @classmethod
     def box(cls, lo: float, hi: float, value: complex = 1.0, freq: int = 0) -> "StepPacket":
-        """Single cell: value * e(freq x) on [lo, hi)."""
+        """Single cell: value * e(freq x) on [lo, hi).
+
+        Bit for bit ``sum_packets([box])``: a cell no wider than the edge
+        rule's EDGE_TOL * max(1, |lo|, |hi|) is the zero packet, and edges and
+        value are stored as the sweep stores them (no -0.0).
+        """
         if not (hi > lo):
             raise OrderingViolation(f"box needs hi > lo, got [{lo}, {hi})")
-        if value == 0:
+        lo, hi = float(lo) + 0.0, float(hi) + 0.0
+        if value == 0 or not _wider(hi - lo, max(abs(lo), abs(hi))):
             return cls.zero()
         return cls(
-            np.array([float(lo)]),
-            np.array([float(hi)]),
-            {int(freq): np.array([complex(value)])},
+            np.array([lo]),
+            np.array([hi]),
+            {int(freq): np.array([0j + complex(value)])},
             _trusted=True,
         )
 

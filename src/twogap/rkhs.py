@@ -160,7 +160,11 @@ def point_eval_via_kernel(f, df, spec: KernelSpec, which_or_x):
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Limits of a function at the four obstacle endpoints."""
+    """Limits of a function at the four obstacle endpoints.
+
+    Each field is one complex number, or an array of L of them: L traces
+    stacked, e.g. of the eigenfunctions at L lambdas.
+    """
 
     at0: complex
     at1: complex
@@ -169,12 +173,14 @@ class BoundaryTrace:
 
     @property
     def gap_left(self) -> np.ndarray:
-        """Traces at the left ends of the two gaps: (f(1), f(beta))."""
+        """Traces at the left ends of the two gaps: (f(1), f(beta)), shape
+        (2,) or (2, L)."""
         return np.array([self.at1, self.at_beta], dtype=complex)
 
     @property
     def gap_right(self) -> np.ndarray:
-        """Traces at the right ends of the two gaps: (f(0), f(alpha))."""
+        """Traces at the right ends of the two gaps: (f(0), f(alpha)), shape
+        (2,) or (2, L)."""
         return np.array([self.at0, self.at_alpha], dtype=complex)
 
 
@@ -184,11 +190,13 @@ def boundary_form(tf: BoundaryTrace, tg: BoundaryTrace) -> complex:
 
     Integration by parts gives <pf, g> - <f, pg> = i * boundary_form, so
     the form vanishes on pairs whose gap_right traces are B gap_left with
-    one unitary B.
+    one unitary B.  A complex number for single traces; for traces stacked
+    (2, L), the L forms as an array.
     """
-    return complex(
-        np.vdot(tg.gap_left, tf.gap_left) - np.vdot(tg.gap_right, tf.gap_right)
+    form = np.sum(np.conj(tg.gap_left) * tf.gap_left, axis=0) - np.sum(
+        np.conj(tg.gap_right) * tf.gap_right, axis=0
     )
+    return complex(form) if form.ndim == 0 else form
 
 
 def trace_condition_residuals(bm: BoundaryMatrix, tr: BoundaryTrace):
@@ -196,12 +204,22 @@ def trace_condition_residuals(bm: BoundaryMatrix, tr: BoundaryTrace):
 
     direct:  |B gap_left - gap_right|, inverse: |gap_left - B* gap_right|.
     Unitarity makes the two numbers equal to rounding; both are zero exactly
-    on the selfadjoint domain.
+    on the selfadjoint domain.  Two floats for a single trace; for traces
+    stacked (2, L), two arrays of L residuals.
     """
     mat = bm.matrix()
-    direct = np.linalg.norm(mat @ tr.gap_left - tr.gap_right)
-    inverse = np.linalg.norm(tr.gap_left - mat.conj().T @ tr.gap_right)
-    return float(direct), float(inverse)
+    gl, gr = tr.gap_left, tr.gap_right
+    stacked = gl.ndim == 2
+    gl, gr = gl.reshape(2, -1), gr.reshape(2, -1)  # a column per trace
+
+    def apply(m, v):  # m @ v column by column, rounded alike for any number of columns
+        return m[:, :1] * v[:1] + m[:, 1:] * v[1:]
+
+    direct = np.linalg.norm(apply(mat, gl) - gr, axis=0)
+    inverse = np.linalg.norm(gl - apply(mat.conj().T, gr), axis=0)
+    if stacked:
+        return direct, inverse
+    return float(direct[0]), float(inverse[0])
 
 
 def momentum_defect(f, df, g, dg, domain: ExteriorDomain) -> complex:

@@ -173,9 +173,8 @@ def _parse_packets(spec, where: str) -> dict[str, StepPacket]:
     for name, cells in spec.items():
         if not isinstance(cells, list) or not cells:
             raise ParseError(f"{where}.{name} must be a non-empty list of cells")
-        out[name] = sum_packets(
-            [_parse_cell(c, f"{where}.{name}[{i}]") for i, c in enumerate(cells)]
-        )
+        boxes = [_parse_cell(c, f"{where}.{name}[{i}]") for i, c in enumerate(cells)]
+        out[name] = boxes[0] if len(boxes) == 1 else sum_packets(boxes)  # a box is canonical
     return out
 
 

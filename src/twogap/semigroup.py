@@ -68,9 +68,8 @@ _UNIT_DOMAIN = make_domain(2.0, 3.0)
 def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> StepPacket:
     """f restricted to (lo, hi); SupportViolation if f carries mass outside
     (the leak rule of ``evolution._require_kept``)."""
-    inside = f.restrict(lo, hi)
-    _require_kept(f, (inside,), what, f"({lo:g}, {hi:g})")
-    return inside
+    _require_kept(f, ((-np.inf, lo), (hi, np.inf)), what, f"({lo:g}, {hi:g})")
+    return f.restrict(lo, hi)
 
 
 def compress_evolve_many(

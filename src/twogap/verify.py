@@ -69,20 +69,12 @@ def _coupled_checks(sc: Scenario) -> list[CheckResult]:
     lams = sc.grid("lambda_grid", _LAMBDA_GRID)
     out = []
 
-    # one call per λ, as in ``twogap eigen``: an array call changes last bits
-    res = max(
-        float(np.max(np.abs(eigen_residual(bm, dom, eigen_coeffs(bm, dom, la)))))
-        for la in lams
-    )
+    res = np.max(eigen_residual(bm, dom, eigen_coeffs(bm, dom, lams)))
     out.append(_judge("eigen_linear_system_residual", res, 1e-12))
 
-    spread = 0.0
-    uni = 0.0
-    for la in lams:  # one call per λ, as in ``twogap smatrix``: an array call changes bits
-        routes = scattering_matrix_routes(bm, dom, la)
-        spread = max(spread, _route_spread(routes))
-        uni = max(uni, abs(abs(routes["ratio"]) - 1.0))
-    out.append(_judge("smatrix_route_spread", spread, 1e-12))
+    routes = scattering_matrix_routes(bm, dom, lams)
+    out.append(_judge("smatrix_route_spread", np.max(_route_spread(routes)), 1e-12))
+    uni = np.max(np.abs(np.abs(routes["ratio"]) - 1.0))
     out.append(_judge("smatrix_unimodular", uni, 1e-12))
 
     out.append(

@@ -423,6 +423,29 @@ def test_error_paths():
         cesaro_decay(bm, dom, f, f, [0.0])
 
 
+def test_leak_rule_bound_is_relative_to_the_norm():
+    # ||f||^2 = 1e6: obstacle mass 5e-7 (5e-13 relative) passes, 2e-6 raises;
+    # mass on either removed interval counts, and the parts stay exact
+    dom = make_domain(2.0, 3.0)
+    f = StepPacket.box(-1.0, -0.5, np.sqrt(2e6)) + StepPacket.box(1.2, 1.7, 1.0)
+    for lo, hi in ((0.0, 1.0), (dom.alpha, dom.beta)):
+        sliver = StepPacket.box(lo + 0.25, lo + 0.25 + 5e-7, 1.0)
+        parts = decompose(f + sliver, dom)
+        for part, tag in zip(parts, evolution.COMPONENTS):
+            assert part.distance2(f.restrict(*dom.component(tag))) == 0.0
+        with pytest.raises(SupportViolation, match="off the domain"):
+            decompose(f + sliver.scale(2.0), dom)
+
+
+def test_leak_rule_skips_the_norm_of_a_clean_packet(monkeypatch):
+    # no obstacle mass: no packet with cells is normed, f included
+    normed = []
+    norm2 = StepPacket.norm2
+    monkeypatch.setattr(StepPacket, "norm2", lambda p: normed.append(p.n_cells) or norm2(p))
+    decompose(StepPacket.box(-1.0, -0.5, 1.0) + StepPacket.box(1.2, 1.7, 1.0, freq=1), make_domain(2.0, 3.0))
+    assert not any(normed)
+
+
 # seven cells over all three components of alpha = 2, beta = 10/3, three of
 # them oscillating
 _WINDOW_DOMAIN = make_domain(2.0, 10.0 / 3.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twogap.batch import PacketBatch, _assemble_rows, sum_batch
@@ -45,6 +45,30 @@ def test_box_constructor_and_sampling():
     assert np.allclose(f.sample(xs), (1.5 - 0.5j) * e2pi(3 * xs))
     assert f.sample(np.array([-0.1]))[0] == 0.0
     assert f.sample(np.array([2.1]))[0] == 0.0
+
+
+@st.composite
+def box_ends(draw):
+    """(lo, hi): a random cell, or one whose width sits within a few ulps
+    of the edge rule's bound EDGE_TOL * max(1, |lo|, |hi|)."""
+    lo = draw(st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, -1.0, 1.0]))
+    if draw(st.booleans()):
+        return lo, lo + draw(st.floats(1e-16, 10.0))
+    hi = lo + EDGE_TOL * max(1.0, abs(lo))
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        hi = np.nextafter(hi, np.inf if steps > 0 else -np.inf)
+    return lo, float(hi)
+
+
+@given(box_ends(), small_complex | st.sampled_from([1.0, -0j, complex(1.0, -0.0)]), freqs)
+@settings(max_examples=300, deadline=None)
+def test_box_is_its_own_sweep(ends, value, n):
+    lo, hi = ends
+    assume(hi > lo)
+    f = StepPacket.box(lo, hi, value, n)
+    assert_same_packet(f, sum_packets([f]))
+    assert_same_packet(f, StepPacket(*_assemble({n: ([lo], [hi], [value])}), _trusted=True))
 
 
 def test_norm2_box_closed_form():
