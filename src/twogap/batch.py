@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import e2pi
 from .packets import (
-    EDGE_TOL, SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _nonzero, _sum_cells, _wider,
+    SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _nonzero, _sum_cells, _wider,
 )
 
 __all__ = ["PacketBatch", "sum_batch"]
@@ -131,9 +131,9 @@ class PacketBatch:
         return PacketBatch(self.size, out.row, out.lo, out.hi, waves)
 
     def restrict(self, lo=-np.inf, hi=np.inf) -> "PacketBatch":
-        lo = np.maximum(self.lo, self._at_cells(np.asarray(lo, dtype=float)))
-        hi = np.minimum(self.hi, self._at_cells(np.asarray(hi, dtype=float)))
-        keep = hi - lo > EDGE_TOL
+        lo = np.maximum(self.lo, self._at_cells(np.asarray(lo, dtype=float) + 0.0))
+        hi = np.minimum(self.hi, self._at_cells(np.asarray(hi, dtype=float) + 0.0))
+        keep = _wider(hi - lo, np.maximum(hi, -lo))  # the edge rule, as in StepPacket.restrict
         waves = {n: v[keep] for n, v in self.waves.items()}
         return PacketBatch(self.size, self.row[keep], lo[keep], hi[keep], waves)
 

@@ -28,7 +28,7 @@ from .eigen import (
 )
 from .errors import ParseError, TwogapError, ValidationError
 from .evolution import evolve_many, scatter
-from .multipliers import apply_multiplier, make_multiplier
+from .multipliers import _geom_terms
 from .packets import StepPacket
 from .rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from .scenario import Scenario, bundled_names, bundled_scenario, load_scenario
@@ -126,10 +126,10 @@ def _cmd_evolve(sc: Scenario, out: Path) -> int:
 
 def _scatter_listing(bm, dom, f: StepPacket) -> StepPacket:
     """The cells scatter.csv lists: the exact train of ``scatter`` has
-    infinitely many, so the file cuts it where the cached 1e-12 ``a_inv_c``
-    series of ``make_multiplier`` ends, applied as that series."""
-    scatter(bm, dom, f)  # the engine's own input checks and errors
-    return apply_multiplier(make_multiplier(bm, dom, "a_inv_c"), f)
+    infinitely many, so the file lists its head and its first N + 1 terms,
+    with N the smallest count whose geometric tail q^(N+1)/(1 - q) is at
+    most the fixed cut 1e-12; the terms left out weigh at most w^2 1e-12."""
+    return scatter(bm, dom, f).materialize(_geom_terms(bm.q, 1e-12) + 1)
 
 
 def _cmd_scatter(sc: Scenario, out: Path) -> int:

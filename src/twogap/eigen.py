@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, Region, _real_lambda, classify_point, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, Region, classify_point, e2pi
 from .domain import _lambda_rule, _require_coupled
 from .errors import NotDecoupled, OutOfDomain, ValidationError
 
@@ -41,7 +41,6 @@ __all__ = [
     "eigenfunction_traces",
     "scattering_matrix_routes",
     "bound_state_spectrum",
-    "decoupled_eigenfunction_eval",
 ]
 
 
@@ -114,20 +113,26 @@ def eigen_residual(bm: BoundaryMatrix, domain: ExteriorDomain, coeffs: EigenCoef
 
         a = w e(phi + lambda) - q e(theta - psi + beta lambda) c
         e(alpha lambda) = q e(psi + lambda) + w e(theta - phi + beta lambda) c
+
+    Computed on 1-d arrays, so (as under ``domain._lambda_rule``) the
+    residual of scalar coefficients is, bit for bit, its element of the
+    array call.
     """
-    lam = np.asarray(coeffs.lam, dtype=float)
+    lam = np.atleast_1d(np.asarray(coeffs.lam, dtype=float))
+    a, c = np.atleast_1d(coeffs.a), np.atleast_1d(coeffs.c)
     w, q = bm.w, bm.q
     r1 = (
         w * e2pi(bm.phi + lam)
-        - q * e2pi(bm.theta - bm.psi + domain.beta * lam) * coeffs.c
-        - coeffs.a
+        - q * e2pi(bm.theta - bm.psi + domain.beta * lam) * c
+        - a
     )
     r2 = (
         q * e2pi(bm.psi + lam)
-        + w * e2pi(bm.theta - bm.phi + domain.beta * lam) * coeffs.c
+        + w * e2pi(bm.theta - bm.phi + domain.beta * lam) * c
         - e2pi(domain.alpha * lam)
     )
-    return np.maximum(np.abs(r1), np.abs(r2))
+    out = np.maximum(np.abs(r1), np.abs(r2))
+    return out if np.ndim(coeffs.lam) else out[0]
 
 
 def eigenfunction_eval(bm: BoundaryMatrix, domain: ExteriorDomain, lam: float, x):
@@ -214,45 +219,3 @@ def bound_state_spectrum(
     n = np.arange(int(n_lo), int(n_hi))
     return (bm.psi + n) / domain.ell
 
-
-def decoupled_eigenfunction_eval(
-    bm: BoundaryMatrix, domain: ExteriorDomain, lam: float, x, family: str
-):
-    """w = 0 eigenfunctions: 'bound' (middle interval) or 'continuum'.
-
-    bound:     e(lambda x) on I_zero, zero on the half-lines; lambda must sit
-               on the lattice (psi + n)/ell.
-    continuum: -e(theta - psi + beta lambda) e(lambda x) on I_minus,
-               e(lambda x) on I_plus, zero on I_zero.
-    """
-    if bm.w != 0.0:
-        raise NotDecoupled(f"decoupled eigenfunctions need w = 0, got w = {bm.w}")
-    lam = _real_lambda(lam)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if family == "bound":
-        n = lam * domain.ell - bm.psi
-        if abs(n - round(n)) > 1e-9:
-            raise ValidationError(
-                f"lambda = {lam} is not on the bound lattice (psi + n)/ell"
-            )
-    elif family != "continuum":
-        raise ValidationError(f"unknown family {family!r}")
-    out = np.empty(x.shape, dtype=complex)
-    left_coef = -complex(e2pi(bm.theta - bm.psi + domain.beta * lam))
-    for i, xi in enumerate(x):
-        region = classify_point(domain, float(xi))
-        if region in (Region.BARRIER_1, Region.BARRIER_2, Region.BOUNDARY):
-            raise OutOfDomain(f"x = {xi} lies on a removed interval")
-        wave = complex(e2pi(lam * float(xi)))
-        if family == "bound":
-            out[i] = wave if region is Region.I_ZERO else 0.0
-        else:
-            if region is Region.I_MINUS:
-                out[i] = left_coef * wave
-            elif region is Region.I_PLUS:
-                out[i] = wave
-            else:
-                out[i] = 0.0
-    return out[0] if scalar else out

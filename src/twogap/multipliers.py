@@ -24,8 +24,8 @@ by one routine (``_lattice_series``) over a range of lattice indices:
 * ``make_multiplier`` truncates the whole series at a relative tolerance
   eps and caches it; the ``tail`` field carries the sup-norm bound
   |scalar| * sum of dropped |c_n|.  The density Fourier table of
-  ``spectral.fourier_coeffs`` and the cells ``twogap scatter`` lists use it
-  at the default eps = 1e-12; other values serve the tail-bound tests.
+  ``spectral.fourier_coeffs`` reads it at the default eps = 1e-12, as does
+  acceptance criterion 01; other values serve the tail-bound tests.
 
 A series stores its terms as the lattice index ``first`` of its first term
 and the read-only array ``coeffs`` of the complex c_n for the consecutive
@@ -61,9 +61,7 @@ __all__ = [
     "train_terms",
     "apply_multiplier",
     "conjugate_multiplier",
-    "compose_multipliers",
     "BLOCK_KIND",
-    "block_multiplier_composed",
     "MULTIPLIER_KINDS",
 ]
 
@@ -145,10 +143,6 @@ class MultiplierSeries:
             acc += (cs[sl, None] * e2pi(ns[sl, None] * self.step * lam[None, :])).sum(axis=0)
         out = self.scalar * e2pi(self.base_shift * lam) * acc
         return out[0] if scalar_input else out
-
-    def sum_abs(self) -> float:
-        """|scalar| times the coefficient l1 mass (sup-norm bound)."""
-        return abs(self.scalar) * float(np.sum(np.abs(self.coeffs)))
 
     def terms(self):
         """(shifts, weights), sorted by lattice index n: the spatial shifts
@@ -261,7 +255,9 @@ def make_multiplier(
     """Build one of the named series for (bm, domain) at tolerance eps.
 
     This is the whole series, truncated.  A finite time or horizon reads
-    ``causal_multiplier``, and t = inf the exact train of ``train_terms``.
+    ``causal_multiplier``, and t = inf the exact train of ``train_terms``;
+    the one library caller is the density Fourier table of
+    ``spectral.fourier_coeffs``, and acceptance criterion 01 reads it too.
     Series are cached per (bm, domain, kind, eps) and shared by every caller;
     their arrays are read-only.
     """
@@ -340,46 +336,9 @@ def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:
     )
 
 
-def compose_multipliers(m1: MultiplierSeries, m2: MultiplierSeries) -> MultiplierSeries:
-    """Product multiplier (convolution of coefficient tables).
-
-    Both factors must live on the same lattice step.  The tail bound adds
-    the cross terms |M1_tail|*|M2| + |M2_tail|*|M1| + |M1_tail||M2_tail|.
-    """
-    if abs(m1.step - m2.step) > 1e-12 * max(1.0, abs(m1.step)):
-        raise ValidationError("cannot compose series on different lattices")
-    coeffs = []
-    if len(m1.coeffs) and len(m2.coeffs):  # consecutive indices: a plain convolution
-        coeffs = np.convolve(m1.coeffs, m2.coeffs)
-    tail = m1.tail * m2.sum_abs() + m2.tail * m1.sum_abs() + m1.tail * m2.tail
-    scalar, base = m1.scalar * m2.scalar, m1.base_shift + m2.base_shift
-    kind = f"{m1.kind}*{m2.kind}"
-    return MultiplierSeries(scalar, base, m1.step, m1.first + m2.first, coeffs, kind, tail)
-
-
 def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
     """Spatial action: scalar * sum_n c_n f(. + base + n step), one sweep."""
     if f.is_empty or not len(m.coeffs):
         return StepPacket.zero()
     return StepPacket(*_sum_cells([_translates(f, *m.terms())]), _trusted=True)
 
-
-def block_multiplier_composed(
-    bm: BoundaryMatrix,
-    domain: ExteriorDomain,
-    dest: str,
-    src: str,
-    eps: float = 1e-12,
-) -> MultiplierSeries:
-    """The (dest, src) block-matrix entry built the long way:
-    m^-2 * a_dest * conj(a_src).
-
-    Exercises series composition/conjugation; agrees with
-    ``make_multiplier(bm, domain, BLOCK_KIND[(dest, src)], eps)`` up to
-    truncation tails (tested, not assumed).
-    """
-    factor = {"iminus": "a", "izero": "identity", "iplus": "c"}
-    m = make_multiplier(bm, domain, "m_squared_inv", eps)
-    m = compose_multipliers(m, make_multiplier(bm, domain, factor[dest], eps))
-    conj_src = conjugate_multiplier(make_multiplier(bm, domain, factor[src], eps))
-    return compose_multipliers(m, conj_src)

@@ -352,17 +352,6 @@ class StepPacket:
             waves[n] = v * complex(e2pi(-n * s)) if n else v.copy()
         return StepPacket(self.lo + s, self.hi + s, waves, _trusted=True)
 
-    def modulate(self, n: int) -> "StepPacket":
-        """Multiply by the character e(n x) (shifts every frequency by n)."""
-        n = int(n)
-        if n == 0 or self.is_empty:
-            return self
-        return StepPacket(
-            self.lo.copy(), self.hi.copy(),
-            {m + n: v.copy() for m, v in self.waves.items()},
-            _trusted=True,
-        )
-
     def conjugate(self) -> "StepPacket":
         return StepPacket(
             self.lo.copy(), self.hi.copy(),
@@ -371,14 +360,20 @@ class StepPacket:
         )
 
     def restrict(self, lo=-np.inf, hi=np.inf) -> "StepPacket":
-        """Restriction to the interval (lo, hi); endpoints carry no mass."""
+        """Restriction to the interval (lo, hi); endpoints carry no mass.
+
+        Bit for bit ``sum_packets([restrict])``: a cut cell no wider than the
+        edge rule's EDGE_TOL * max(1, |lo|, |hi|) is dropped, and a cut edge
+        is stored as the sweep stores it (no -0.0).
+        """
         if hi <= lo:
             return StepPacket.zero()
         if self.is_empty:
             return self
-        new_lo = np.maximum(self.lo, lo)
-        new_hi = np.minimum(self.hi, hi)
-        keep = new_hi - new_lo > EDGE_TOL
+        new_lo = np.maximum(self.lo, lo + 0.0)
+        new_hi = np.minimum(self.hi, hi + 0.0)
+        # max(|lo|, |hi|) wherever lo <= hi; a cell with lo > hi is dropped anyway
+        keep = _wider(new_hi - new_lo, np.maximum(new_hi, -new_lo))
         if not np.any(keep):
             return StepPacket.zero()
         waves = _nonzero({n: v[keep] for n, v in self.waves.items()})

@@ -44,12 +44,8 @@ from .spectral import density
 from .transform import TransformSample, _cell_ends
 
 __all__ = [
-    "ShannonBasisCoeffs",
     "compress_evolve",
     "compress_evolve_many",
-    "shannon_kernel",
-    "shannon_coeffs",
-    "shannon_interpolate",
     "semigroup_kernel_apply",
     "norm_decay_profile",
     "NormDecayProfile",
@@ -103,55 +99,6 @@ def compress_evolve(
     """Z(t) f for f on the middle interval and t >= 0: ``compress_evolve_many``
     at one t."""
     return compress_evolve_many(bm, domain, f, [t])[0]
-
-
-# ----------------------------------------------------------------------
-# band-limited sampling machinery
-# ----------------------------------------------------------------------
-
-
-def shannon_kernel(lam, xi, center: float = 0.0):
-    """Sampling kernel of a unit interval centered at ``center``:
-    sinc(lam - xi) e(-(lam - xi) center); reduces to sinc for center 0."""
-    lam = _real_lambda(lam)
-    xi = np.asarray(xi, dtype=float)
-    return np.sinc(lam - xi) * e2pi(-(lam - xi) * center)
-
-
-@dataclass(frozen=True)
-class ShannonBasisCoeffs:
-    """Integer transform samples of a unit-interval packet."""
-
-    n: np.ndarray
-    values: np.ndarray
-    center: float
-    tail_estimate: float
-
-
-def shannon_coeffs(f: StepPacket, n_lo: int, n_hi: int) -> ShannonBasisCoeffs:
-    """Transform samples f^(n) for n in [n_lo, n_hi); f must fit in a unit
-    interval.  tail_estimate is the Parseval mass outside the window."""
-    sup = f.support()
-    if sup is None:
-        raise ValidationError("cannot sample an empty packet")
-    if sup[1] - sup[0] > 1.0 + 1e-12:
-        raise ValidationError("sampling needs support inside a unit interval")
-    n = np.arange(int(n_lo), int(n_hi))
-    vals = f.transform(n.astype(float))
-    tail = max(0.0, f.norm2() - float(np.sum(np.abs(vals) ** 2)))
-    return ShannonBasisCoeffs(
-        n=n, values=vals, center=0.5 * (sup[0] + sup[1]), tail_estimate=tail
-    )
-
-
-def shannon_interpolate(coeffs: ShannonBasisCoeffs, lam):
-    """Reconstruct f^(lambda) from integer samples (band-limited formula)."""
-    lam = _real_lambda(lam)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    k = shannon_kernel(lam[:, None], coeffs.n[None, :].astype(float), coeffs.center)
-    out = k @ coeffs.values
-    return out[0] if scalar else out
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from twogap.degenerate import TwoPointsModel, two_points_multiplier
 from twogap.domain import Region, classify_point, e2pi, make_boundary_matrix, make_domain
 from twogap.eigen import (
     bound_state_spectrum,
-    decoupled_eigenfunction_eval,
     eigen_coeffs,
     eigen_coeffs_solve,
     eigen_residual,
@@ -19,12 +18,7 @@ from twogap.eigen import (
 from twogap.errors import DegenerateRegime, NotDecoupled, OutOfDomain, ValidationError
 from twogap.multipliers import make_multiplier
 from twogap.packets import StepPacket
-from twogap.semigroup import (
-    semigroup_kernel_apply,
-    shannon_coeffs,
-    shannon_interpolate,
-    shannon_kernel,
-)
+from twogap.semigroup import semigroup_kernel_apply
 from twogap.spectral import SpectralDensity, density
 from twogap.transform import forward_transform
 
@@ -160,31 +154,6 @@ def test_bound_state_lattice():
         bound_state_spectrum(bm, dom, 3, 3)
 
 
-def test_decoupled_eigenfunctions():
-    bm = make_boundary_matrix(w=0.0, theta=0.125, psi=0.25)
-    dom = make_domain(2.0, 3.0)
-    lam = bound_state_spectrum(bm, dom, 1, 2)[0]
-    xs = np.array([-1.0, 1.5, 4.0])
-    bound = decoupled_eigenfunction_eval(bm, dom, lam, xs, "bound")
-    assert bound[0] == 0.0 and bound[2] == 0.0
-    assert abs(bound[1] - e2pi(lam * 1.5)) < 1e-14
-
-    cont = decoupled_eigenfunction_eval(bm, dom, 0.3, xs, "continuum")
-    assert cont[1] == 0.0
-    left = -e2pi(bm.theta - bm.psi + dom.beta * 0.3) * e2pi(0.3 * -1.0)
-    assert abs(cont[0] - left) < 1e-14
-    assert abs(cont[2] - e2pi(0.3 * 4.0)) < 1e-14
-
-    with pytest.raises(ValidationError):
-        decoupled_eigenfunction_eval(bm, dom, 0.3, xs, "bound")  # off lattice
-    with pytest.raises(ValidationError):
-        decoupled_eigenfunction_eval(bm, dom, 0.3, xs, "scattering")
-    with pytest.raises(OutOfDomain):
-        decoupled_eigenfunction_eval(bm, dom, 0.3, 0.5, "continuum")
-    with pytest.raises(NotDecoupled):
-        decoupled_eigenfunction_eval(make_boundary_matrix(w=0.4), dom, 0.3, xs, "continuum")
-
-
 def test_classify_point_edges():
     dom = make_domain(2.0, 3.0)
     assert classify_point(dom, 0.0) is Region.BOUNDARY
@@ -216,11 +185,5 @@ def test_complex_lambda_rejected(ex59, lam):
         semigroup_kernel_apply(bm, StepPacket.box(1.2, 1.7, 1.0), 0.5, lam)
     with pytest.raises(ValidationError):
         scattering_matrix_routes(bm, dom, lam)
-    with pytest.raises(ValidationError):
-        shannon_interpolate(shannon_coeffs(StepPacket.box(1.2, 1.7, 1.0), -8, 9), lam)
-    with pytest.raises(ValidationError):
-        shannon_kernel(lam, 0.0)
-    with pytest.raises(ValidationError):
-        decoupled_eigenfunction_eval(make_boundary_matrix(w=0.0), dom, lam, -0.5, "continuum")
     with pytest.raises(ValidationError):
         two_points_multiplier(TwoPointsModel(w=0.5, alpha=2.0), lam)

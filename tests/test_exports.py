@@ -1,7 +1,11 @@
-"""Every exported name resolves: no stale ``__all__`` entry survives a deletion."""
+"""Every exported name resolves, and every exported name has a caller: no
+stale ``__all__`` entry survives a deletion, and no public helper is kept
+alive by its own tests alone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +16,78 @@ MODULES = [twogap] + [
     for info in pkgutil.iter_modules(twogap.__path__)
 ]
 
+# Independent reference routes that no library path calls: tests compare
+# the library against them, so they stay public.
+REFERENCE_ORACLES = (
+    # test_eigen.test_solver_route_matches_closed_form: the 2x2 boundary
+    # solve against the closed-form coefficients
+    ("twogap.eigen", "eigen_coeffs_solve"),
+    # test_rkhs.test_green_identity: the Green identity's line integral
+    # against the boundary form
+    ("twogap.rkhs", "momentum_defect"),
+    # test_evolution.test_blocks_sum_to_evolution and
+    # test_semigroup.test_compressed_semigroup_is_the_density_block: the nine
+    # blocks of U(t) against evolve and compress_evolve
+    ("twogap.evolution", "block_matrix_entry"),
+)
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    """Names read (Name or Attribute loads) in ``tree``, each outside the
+    function or class that defines a name of the same spelling."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _parsed_loads(paths) -> set[str]:
+    out = set()
+    for path in paths:
+        out |= _loads(ast.parse(Path(path).read_text(), filename=str(path)))
+    return out
+
+
+LIBRARY_LOADS = _parsed_loads(Path(twogap.__file__).parent.glob("*.py"))
+ACCEPTANCE_LOADS = _parsed_loads([Path(__file__).with_name("test_acceptance.py")])
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     assert module.__all__
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("module", MODULES[1:], ids=lambda m: m.__name__)
+def test_every_export_has_a_caller(module):
+    """A submodule's public name is re-exported by the package, read by
+    library code, used by an acceptance criterion, or a named reference."""
+    idle = [
+        name
+        for name in module.__all__
+        if name not in twogap.__all__
+        and name not in LIBRARY_LOADS
+        and name not in ACCEPTANCE_LOADS
+        and (module.__name__, name) not in REFERENCE_ORACLES
+    ]
+    assert not idle
+
+
+def test_reference_oracles_are_exported():
+    for module, name in REFERENCE_ORACLES:
+        assert name in importlib.import_module(module).__all__

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twogap import cli, eigen, verify
 from twogap.domain import make_boundary_matrix, make_domain
-from twogap.eigen import eigen_coeffs, eigenfunction_traces, scattering_matrix_routes
+from twogap.eigen import eigen_coeffs, eigen_residual, eigenfunction_traces, scattering_matrix_routes
 from twogap.rkhs import BoundaryTrace, boundary_form, trace_condition_residuals
 from twogap.spectral import density
 
@@ -36,6 +36,7 @@ def test_scalar_call_is_its_element_of_the_array_call(model, grid):
     bm, dom = model
     grid = np.array(grid)
     co = eigen_coeffs(bm, dom, grid)
+    residual = eigen_residual(bm, dom, co)
     routes = scattering_matrix_routes(bm, dom, grid)
     rho1, rho2 = eigenfunction_traces(bm, dom, grid)
     rho = density(bm, dom, grid)
@@ -43,6 +44,7 @@ def test_scalar_call_is_its_element_of_the_array_call(model, grid):
         one = eigen_coeffs(bm, dom, la)
         for name in ("lam", "a", "c", "h", "m"):
             _same(getattr(one, name), getattr(co, name)[i])
+        _same(eigen_residual(bm, dom, one), residual[i])
         for name, value in scattering_matrix_routes(bm, dom, float(la)).items():
             _same(value, routes[name][i])
         r1, r2 = eigenfunction_traces(bm, dom, la)

@@ -71,6 +71,42 @@ def test_box_is_its_own_sweep(ends, value, n):
     assert_same_packet(f, StepPacket(*_assemble({n: ([lo], [hi], [value])}), _trusted=True))
 
 
+@st.composite
+def far_cuts(draw):
+    """(box, window): a box whose edges may lie far from the origin, and a
+    window; one window end lands anywhere near the box or within a few ulps
+    of the edge rule's bound EDGE_TOL * max(1, |x|) from a box edge."""
+    lo = draw(st.floats(-1e6, 1e6))
+    hi = lo + draw(st.floats(1e-3, 10.0))
+    f = StepPacket.box(lo, hi, draw(small_complex), draw(freqs))
+    edge = draw(st.sampled_from([lo, hi]))
+    if draw(st.booleans()):
+        cut = draw(st.floats(lo - 1.0, hi + 1.0))
+    else:
+        sign = 1.0 if edge == lo else -1.0
+        cut = edge + sign * EDGE_TOL * max(1.0, abs(edge))
+        steps = draw(st.integers(-4, 4))
+        for _ in range(abs(steps)):
+            cut = float(np.nextafter(cut, np.inf if steps > 0 else -np.inf))
+    other = draw(st.floats(lo - 1.0, hi + 1.0) | st.sampled_from([-np.inf, np.inf]))
+    return f, (min(cut, other), max(cut, other))
+
+
+@given(far_cuts())
+@settings(max_examples=300, deadline=None)
+def test_restrict_is_its_own_sweep(cut):
+    # restrict drops a cut cell by the edge rule, as the sweep does
+    f, (a, b) = cut
+    g = f.restrict(a, b)
+    assert_same_packet(g, sum_packets([g]))
+    for row in PacketBatch.tile(f, 2).restrict(a, b).packets():
+        assert_same_packet(row, g)
+
+
+def test_restrict_drops_a_cell_narrower_than_the_edge_rule():
+    assert StepPacket.box(99.0, 101.0).restrict(99.0, 99.0 + 5e-14).is_empty
+
+
 def test_norm2_box_closed_form():
     f = StepPacket.box(-1.0, 3.0, 2.0 + 1.0j, freq=-2)
     # |value|^2 * length; the oscillation is unimodular
@@ -135,13 +171,6 @@ def test_restrict_is_idempotent():
     g = f.restrict(0.5, 3.0)
     assert g.distance2(g.restrict(0.5, 3.0)) == 0.0
     assert g.support() == (0.5, 3.0)
-
-
-def test_modulate_shifts_transform():
-    f = StepPacket.box(-1.0, 1.0, 1.0)
-    g = f.modulate(2)
-    lam = np.array([-0.7, 0.2, 2.0])
-    assert np.allclose(g.transform(lam), f.transform(lam - 2), atol=1e-13)
 
 
 def test_transform_matches_quadrature():
@@ -312,15 +341,19 @@ def test_every_packet_keeps_the_frequency_rule(parts, shifts, data):
     weights = [data.draw(small_complex | st.sampled_from([0j, 5e-324])) for _ in range(2)]
     lo, hi = sorted(data.draw(st.lists(finite, min_size=2, max_size=2)))
     m = data.draw(freqs)
+
+    def shifted(p):  # p times e(m x): every frequency moves by m
+        return StepPacket(p.lo, p.hi, {n + m: v for n, v in p.waves.items()})
+
     tiny = f.scale(5e-324)
     made = [f, tiny, tiny.translate(shifts[0]), f.translate(shifts[0]), f.scale(weights[0])]
-    made += [f.restrict(lo, hi), tiny.restrict(lo, hi), f.conjugate(), f.modulate(m)]
+    made += [f.restrict(lo, hi), tiny.restrict(lo, hi), f.conjugate(), shifted(f)]
     # the untrusted constructor sorts the keys and drops an all-zero frequency
     waves = {n: f.waves[n] for n in reversed(f.waves)} | {9: np.zeros(f.n_cells)}
     built = StepPacket(f.lo, f.hi, waves)
     assert_same_packet(built, f)
     made.append(built)
-    rows = (PacketBatch.tile(f, 2), PacketBatch.tile(f.conjugate().modulate(m), 2))
+    rows = (PacketBatch.tile(f, 2), PacketBatch.tile(shifted(f.conjugate()), 2))
     batch = PacketBatch.select(np.array([True, False]), *rows)
     batch = batch.translate(shifts).scale(weights).restrict(lo, hi)
     made += batch.packets()

@@ -22,8 +22,6 @@ from twogap.semigroup import (
     parseval_bound_check,
     resolvent_comparison,
     semigroup_kernel_apply,
-    shannon_coeffs,
-    shannon_interpolate,
     spatial_resolvent,
 )
 from twogap.transform import _cell_ends
@@ -234,24 +232,6 @@ def test_kernel_route_oscillatory_packet():
     oracle = semigroup_kernel_apply(bm, f, 0.55, lam)
     engine = compress_evolve(bm, dom, f, 0.55).packet.transform(lam)
     assert np.max(np.abs(oracle.values - engine)) < 1e-8
-
-
-def test_shannon_interpolation():
-    f = StepPacket.box(1.2, 1.5, 1.0) + StepPacket.box(1.5, 1.9, 0.25 - 1.0j)
-    co = shannon_coeffs(f, -60, 61)
-    lam = np.linspace(-2.5, 2.5, 41)
-    got = shannon_interpolate(co, lam)
-    want = f.transform(lam)
-    # Cauchy-Schwarz: interpolation error is bounded by the root tail mass
-    assert np.max(np.abs(got - want)) <= np.sqrt(co.tail_estimate) + 1e-12
-    assert np.max(np.abs(got - want)) < 1e-3
-
-
-def test_shannon_validation():
-    with pytest.raises(ValidationError):
-        shannon_coeffs(StepPacket.zero(), 0, 4)
-    with pytest.raises(ValidationError):
-        shannon_coeffs(StepPacket.box(0.0, 1.5, 1.0), 0, 4)
 
 
 def test_parseval_bound():
