@@ -1,5 +1,6 @@
 """Quadrature helpers: Gauss-Legendre panels, the mapped rule for one
-period of the spectral density and the periodized lattice sums.
+period of the spectral density and the periodized lattice sums less their
+poles.
 
 Every composite Gauss-Legendre sum in the package goes through
 ``gauss_panels``.
@@ -40,7 +41,6 @@ from .errors import DegenerateRegime, ValidationError
 __all__ = [
     "gauss_panels",
     "fold_nodes",
-    "lattice_sum",
 ]
 
 # error target of the mapped rule over a folded period
@@ -120,18 +120,6 @@ def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
     return xi, k / (n * (k * k * cos * cos + sin * sin))
 
 
-def lattice_sum(y, a):
-    """sum_j e(j y)/(j + a) for non-integer y and a (vectorized).
-
-    Conditionally convergent (symmetric partial sums); closed form
-    (pi/sin(pi a)) exp(i pi a (1 - 2 {y})).
-    """
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    frac = y - np.floor(y)
-    return np.pi / np.sin(np.pi * a) * np.exp(1j * np.pi * a * (1.0 - 2.0 * frac))
-
-
 # Taylor coefficients of (u - sin u)/u^3 in powers of u^2: 14 terms reach
 # full precision for |u| <= pi, the widest argument the lattice rests pass
 _U_MINUS_SIN = [(-1) ** k / math.factorial(2 * k + 3) for k in range(14)]
@@ -150,7 +138,7 @@ def _u_minus_sin(u):
 
 
 def _lattice_sum_rest(y, xi):
-    """sum_{k != 0} e(k y)/(k + xi): ``lattice_sum`` less its k = 0 term 1/xi,
+    """sum_{k != 0} e(k y)/(k + xi): the lattice sum less its k = 0 term 1/xi,
     for 0 < |xi| <= 1/2, with the pole removed analytically.
 
     With u = pi xi and s = 1 - 2 {y} it equals
@@ -166,7 +154,7 @@ def _lattice_sum_rest(y, xi):
 def _lattice_sum2_rest(y, xi):
     """sum_{k != 0} e(k y)/(k + xi)^2 for 0 < |xi| <= 1/2, pole removed.
 
-    The full sum, -d/dxi ``lattice_sum``, is pi^2 e^{i u s} (cos u - i s sin u)
+    The full sum, -d/dxi of the lattice sum, is pi^2 e^{i u s} (cos u - i s sin u)
     / sin^2 u (u = pi xi, s = 1 - 2 {y}); product-to-sum identities and
     sin x = x - (x - sin x) leave terms of order u^2 (real) and u^3 (imag).
     """

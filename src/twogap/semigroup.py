@@ -18,9 +18,21 @@ with the two halves of each cell combined so every endpoint singularity
 cancels analytically.  The folded period is integrated by the mapped
 midpoint rule of ``quadrature.fold_nodes``, whose O(1/w) nodes cluster at the
 density spike and are sized from q and t so the quadrature error stays near
-1e-13 however sharp the spike.  The kernel oracle takes packets on the unit
+1e-13 however sharp the spike.  The oracles take packets on the unit
 middle interval (1, 2), where the density has unit period.
-Nothing in the oracle touches the packet engine.
+
+The folded integrands separate.  For a cell end at p, sin(pi(xi - n)) =
+(-1)^n sin(pi xi) and the phase e(xi y) of the lattice sum leaves only
+e(xi floor(y)) on the nodes, so both oracles read the two node sums
+
+    S0(K) = sum_j W_j e(xi_j K),   S1(K) = sum_j W_j pi cot(pi xi_j) e(xi_j K)
+
+(W_j the weights times the density) once per distinct lattice integer
+K = floor(y), and everything else per point or per lambda: the space oracle
+costs O(K count x nodes + points x ends), the kernel oracle O(nodes + ends x
+lambdas).  The pole of cot at xi = 0 cancels between the two ends of each
+cell; ``_node_sums`` cancels it analytically.  Nothing in the oracles
+touches the packet engine.
 
 The module also carries three resolvent routes on x in [1, alpha], each
 exact through the one per-cell Laplace integral ``_cell_laplace``: the plain
@@ -39,7 +51,7 @@ from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, _finite_time, _require_kept, _wrap_middle, block_row
 from .packets import StepPacket
-from .quadrature import fold_nodes, gauss_panels, lattice_sum
+from .quadrature import fold_nodes
 from .spectral import density
 from .transform import TransformSample, _cell_ends
 
@@ -102,7 +114,7 @@ def compress_evolve(
 
 
 # ----------------------------------------------------------------------
-# folded-lattice oracle for the kernel form of the semigroup
+# folded-lattice oracles: shared node sums, then the kernel form
 # ----------------------------------------------------------------------
 
 
@@ -113,41 +125,61 @@ def _fold_rule(bm, span):
     return xi, wq * density(bm, _UNIT_DOMAIN, xi)
 
 
+def _node_sums(xi, wq, lattice):
+    """S0(K) = sum_j W_j e(xi_j K) and S1(K) = sum_j W_j pi cot(pi xi_j)
+    (e(xi_j K) - e(xi_j K0)), K0 the least K, for each integer K of
+    ``lattice``: the columns of a (K, 2) array.  The two ends of a cell carry
+    opposite values at one frequency, so a term common to all K drops out of
+    every oracle sum; without the K0 term the pole of cot at xi = 0 never
+    enters, as each difference e(xi_j K0) expm1(i 2 pi xi_j (K - K0)) is of
+    order xi_j."""
+    base = e2pi(lattice[:1, None] * xi)
+    step = np.expm1(2j * np.pi * np.outer(lattice - lattice[:1], xi))
+    s0 = (base + base * step) @ wq
+    s1 = (base * step) @ (wq * np.pi / np.tan(np.pi * xi))
+    return np.stack([s0, s1], axis=1)
+
+
 def _kernel_transform_oracle(bm, f_centered, t, lam):
     """(Z(t) f)^(lambda) for centered unit-interval f, by folded quadrature.
 
     Implements the kernel integral
         int sinc(lambda - zeta) e(-zeta t) f^(zeta) m^-2(zeta) d zeta
-    folded onto one period: for each cell end p with signed value s_p and
+    folded onto one period: for each cell end p with signed value s and
     frequency n the lattice sum over zeta = xi + j collapses to
 
         sin(pi(lam-xi)) * L(y, xi-n)  +  pi * E2
         ---------------------------------------- ,
                    i 2 pi^2 (lam - n)
 
-    L the lattice sum, E2 = exp(i pi (lam-xi)(2{y}-1)), y = 1/2 - t - p.
-    The lam -> n limit is taken analytically.  Each cell end is one
-    (lambda x nodes) array.
+    L the lattice sum, E2 = exp(i pi sigma (lam-xi)), y = 1/2 - t - p,
+    u = {y}, sigma = 2u - 1, integrated against W_j s e(n p) e(-xi_j (t+p)).
+    The lam-dependences split off the nodes, sin(pi(lam-xi)) = sin(pi lam)
+    cos(pi xi) - cos(pi lam) sin(pi xi) and E2 = e^{i pi sigma lam}
+    e^{-i pi sigma xi}, leaving three node sums per end.  With K = floor(y),
+    sin(pi(xi-n)) = (-1)^n sin(pi xi) and e(-xi(t+p)) e^{-i pi sigma xi}
+    = e(xi K) they are multiples of S0(K) and S1(K) (``_node_sums``), and
+    written in g = lam - n the end contributes
+
+        s e(-n t) / (2 pi i) * [ sinc(g) S1(K)
+            + pi S0(K) (2u sinc(g u) sin(pi g (1-u)) + i sigma sinc(sigma g)) ],
+
+    sinc(x) = sin(pi x)/(pi x): analytic through lam = n, so no digits
+    cancel near it.  The ends of a centered packet share at most two K, so
+    the work is O(nodes + ends x lambdas).
     """
     pos, val, freq = _cell_ends(f_centered)
     xi, wq = _fold_rule(bm, abs(t) + 2.0)
-    angle = np.pi * (lam[:, None] - xi)
-    res = np.zeros(lam.shape, dtype=complex)
-    for p, s, n in zip(pos, val, freq):
-        y = 0.5 - t - p
-        sign = 2.0 * (y - np.floor(y)) - 1.0
-        lsum = lattice_sum(y, xi - n)
-        weighted = wq * s * e2pi(n * p) * e2pi(-xi * (t + p)) / (2j * np.pi**2)
-        e2 = np.exp(1j * sign * angle)
-        removable = np.abs(lam - n) <= 1e-12
-        gap = np.where(removable, 1.0, lam - n)[:, None]
-        bracket = (np.sin(angle) * lsum + np.pi * e2) / gap
-        # removable point: d/dlam of the bracket at lam = n
-        bracket[removable] = (
-            np.pi * np.cos(angle[removable]) * lsum + 1j * np.pi**2 * sign * e2[removable]
-        )
-        res += bracket @ weighted
-    return res
+    y = 0.5 - t - pos
+    lattice, at = np.unique(np.floor(y), return_inverse=True)
+    s0, s1 = _node_sums(xi, wq, lattice)[at].T
+    u = y - lattice[at]
+    sign = 2.0 * u - 1.0
+    g = lam[:, None] - freq
+    bracket = np.sinc(g) * s1 + np.pi * s0 * (
+        2.0 * u * np.sinc(g * u) * np.sin(np.pi * g * (1.0 - u)) + 1j * sign * np.sinc(sign * g)
+    )
+    return bracket @ (val * e2pi(-freq * t)) / (2j * np.pi)
 
 
 def semigroup_kernel_apply(
@@ -187,15 +219,29 @@ class NormDecayProfile:
 
 
 def _space_oracle_values(bm, f_centered, t, xs):
-    """(Z(t) f)(x) for centered x samples, by the folded lattice sum."""
+    """(Z(t) f)(x) for centered x samples, by the folded lattice sum; t is a
+    scalar or one time per x.
+
+    For a cell end p with signed value s and frequency n put y = x - t - p.
+    Since sin(pi(xi - n)) = (-1)^n sin(pi xi), the kernel factors as
+
+        e(xi y) L(y, xi - n) = pi/sin(pi xi) e(xi (floor(y) + 1/2)) e(n {y}),
+
+    so each end adds s e(n (x - t)) G(K) / (2 pi i) with K = floor(y) and
+    G(K) = sum_j W_j pi/sin(pi xi_j) e(xi_j (K + 1/2)) = S1(K) + i pi S0(K)
+    (``_node_sums``, whose S1 drops a term common to all K that the ends
+    cancel; pi e(xi/2)/sin(pi xi) = pi cot(pi xi) + i pi).  G is summed once
+    per distinct K and gathered per (point, end): the work is O(K count x
+    nodes + points x ends), the fold rule sized for max |t|.
+    """
     pos, val, freq = _cell_ends(f_centered)
-    xi, wq = _fold_rule(bm, abs(t) + 2.0)
-    out = np.zeros(len(xs), dtype=complex)
-    for p, s, n in zip(pos, val, freq):
-        y = np.asarray(xs, dtype=float)[:, None] - t - p
-        terms = e2pi(xi * y) * lattice_sum(y, xi - n)
-        out += s * e2pi(n * p) / (2j * np.pi) * (terms @ wq)
-    return out
+    xs = np.asarray(xs, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), xs.shape)
+    xi, wq = _fold_rule(bm, np.max(np.abs(t), initial=0.0) + 2.0)
+    lattice, at = np.unique(np.floor(xs[:, None] - t[:, None] - pos), return_inverse=True)
+    s0, s1 = _node_sums(xi, wq, lattice).T
+    g = (s1 + 1j * np.pi * s0)[at.reshape(len(xs), len(pos))]
+    return (g * e2pi(freq * (xs - t)[:, None])) @ val / (2j * np.pi)
 
 
 def norm_decay_profile(
@@ -207,10 +253,13 @@ def norm_decay_profile(
 
     The profile only depends on the interval length.  The engine route is
     the damped wrap on (1, 2); the oracle integrates the folded kernel
-    representation on the centered interval (-1/2, 1/2) and squares on an
-    order-8 Gauss grid over the pieces.  With t = k + r (0 <= r < 1) the
-    exact profile is q^(2k) (1 - r) + q^(2k+2) r; the reference column
-    max(1-t, 0) is that only in the transparent case w = 1.
+    representation on the centered interval (-1/2, 1/2) for the whole grid
+    in one call.  |Z(t) e_n|^2 is constant between the cell edges of e_n
+    shifted by t and wrapped into the interval (pure geometry, no engine
+    data), so each of the two pieces integrates as its length times its
+    midpoint value.  With t = k + r (0 <= r < 1) the exact profile is
+    q^(2k) (1 - r) + q^(2k+2) r; the reference column max(1-t, 0) is that
+    only in the transparent case w = 1.
     """
     _require_coupled(bm, "norm_decay_profile")
     t_grid = np.array([_finite_time(t) for t in np.atleast_1d(t_grid)])
@@ -221,16 +270,12 @@ def norm_decay_profile(
 
     moved = _wrap_middle(bm, _UNIT_DOMAIN, f_mid, t_grid.tolist()).packets()
     engine = np.array([g.norm2() for g in moved])
-    oracle = np.empty(t_grid.shape)
-    for k, t in enumerate(t_grid):
-        # piece boundaries: the cell edges of f shifted by t, wrapped into
-        # the interval (pure geometry, no engine data); both wrap to one cut
-        cut = t % 1.0 - 0.5
-        oracle[k] = gauss_panels(
-            lambda x: np.abs(_space_oracle_values(bm, f, float(t), x)) ** 2,
-            [-0.5, cut, 0.5] if -0.5 < cut < 0.5 else [-0.5, 0.5],
-            8,
-        )
+    # both edges wrap to one cut; at integer t the first piece is empty
+    cut = t_grid % 1.0 - 0.5
+    length = np.concatenate([cut + 0.5, 0.5 - cut])
+    mid = np.concatenate([0.5 * (cut - 0.5), 0.5 * (cut + 0.5)])
+    values = _space_oracle_values(bm, f, np.tile(t_grid, 2), mid)
+    oracle = (length * np.abs(values) ** 2).reshape(2, -1).sum(axis=0)
     return NormDecayProfile(
         t=t_grid,
         engine=engine,

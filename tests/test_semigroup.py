@@ -91,7 +91,9 @@ def test_profile_engine_vs_oracle():
     t_grid = np.array([0.0, 0.35, 0.7, 1.0, 1.0 + 1e-12, 1.6, 2.0 - 1e-13, 3.0 + 5e-11])
     k = np.floor(t_grid)
     r = t_grid - k
-    for w, psi in ((0.8, 0.0), (0.5, 0.3), (0.65, 0.8), (0.2, 0.25), (0.1, 0.3)):
+    for w, psi in (
+        (0.8, 0.0), (0.5, 0.3), (0.65, 0.8), (0.2, 0.25), (0.1, 0.3), (0.05, 0.3), (0.05, 0.0)
+    ):
         bm = make_boundary_matrix(w=w, theta=0.2, phi=0.1, psi=psi)
         prof = norm_decay_profile(bm, n=1, t_grid=t_grid)
         assert np.max(np.abs(prof.engine - prof.oracle)) < 1e-8
@@ -193,6 +195,13 @@ def test_oracles_match_plain_rule(monkeypatch, w):
     assert np.max(np.abs(oracle - norm_decay_profile(bm, 1, t_grid).oracle)) < 1e-12
 
 
+def _lattice_sum(y, a):
+    """sum_j e(j y)/(j + a) for non-integer y and a, by its closed form
+    (pi/sin(pi a)) exp(i pi a (1 - 2 {y}))."""
+    frac = y - np.floor(y)
+    return np.pi / np.sin(np.pi * a) * np.exp(1j * np.pi * a * (1.0 - 2.0 * frac))
+
+
 def _kernel_oracle_loop(bm, f_centered, t, lam):
     """Reference: the kernel oracle with one Python pass per lambda."""
     pos, val, freq = _cell_ends(f_centered)
@@ -201,7 +210,7 @@ def _kernel_oracle_loop(bm, f_centered, t, lam):
     for p, s, n in zip(pos, val, freq):
         y = 0.5 - t - p
         sign = 2.0 * (y - np.floor(y)) - 1.0
-        lsum = quadrature.lattice_sum(y, xi - n)
+        lsum = _lattice_sum(y, xi - n)
         weighted = wq * s * e2pi(n * p) * e2pi(-xi * (t + p)) / (2j * np.pi**2)
         for k, lk in enumerate(lam):
             e2 = np.exp(1j * np.pi * (lk - xi) * sign)
@@ -222,6 +231,75 @@ def test_kernel_oracle_matches_lambda_loop():
         want = _kernel_oracle_loop(bm, f, 0.7, lam)
         got = semigroup._kernel_transform_oracle(bm, f, 0.7, lam)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_kernel_oracle_keeps_its_digits_near_poles():
+    # at lambda = n + d the bracket's numerator and its denominator lambda - n
+    # both vanish, and psi = 0 puts the density spike on the lattice sums'
+    # pole xi = 0; the oracle must stay at the engine's precision throughout
+    dom = make_domain(2.0, 3.0)
+    f = (
+        StepPacket.box(1.0, 1.3, 1.0)
+        + StepPacket.box(1.3, 1.65, 0.5j, freq=1)
+        + StepPacket.box(1.65, 2.0, -0.4 + 0.1j, freq=-2)
+    )
+    cases = ((1.0, 1.0, 0.3), (0.9, 12.25, 0.3), (0.5, 0.4, 0.3), (0.05, 2.3, 0.3), (0.05, 2.3, 0.0))
+    for w, t, psi in cases:
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=psi)
+        for d in (0.0, 1e-13, 1.1e-12, 1e-10, 1e-6, 1e-4):
+            lam = np.array([-2.0 + d, 1.0 - d, d, 0.37])
+            oracle = semigroup_kernel_apply(bm, f, t, lam).values
+            engine = compress_evolve(bm, dom, f, t).packet.transform(lam)
+            assert np.max(np.abs(oracle - engine)) < 1e-14
+
+
+def _space_oracle_loop(bm, f_centered, t, xs):
+    """Reference: the space oracle with one (points x nodes) array of lattice
+    sums per cell end."""
+    pos, val, freq = _cell_ends(f_centered)
+    xi, wq = semigroup._fold_rule(bm, abs(t) + 2.0)
+    out = np.zeros(len(xs), dtype=complex)
+    for p, s, n in zip(pos, val, freq):
+        y = np.asarray(xs, dtype=float)[:, None] - t - p
+        terms = e2pi(xi * y) * _lattice_sum(y, xi - n)
+        out += s * e2pi(n * p) / (2j * np.pi) * (terms @ wq)
+    return out
+
+
+def test_space_oracle_matches_point_loop():
+    # psi = 0 is left out: there the spike sits on the pole xi = 0 and the
+    # loop's sin(pi (xi - n)) loses digits to the rounding of xi - n
+    f = (
+        StepPacket.box(-0.5, -0.1, 1.0)
+        + StepPacket.box(-0.1, 0.2, 0.5j, freq=1)
+        + StepPacket.box(0.2, 0.5, -0.7 + 0.2j, freq=-2)
+    )
+    xs = np.linspace(-0.49, 0.49, 23)
+    for w in (0.9, 0.5, 0.2, 0.05):
+        bm = make_boundary_matrix(w=w, theta=0.15, phi=0.4, psi=0.3)
+        for t in (0.0, 0.4, 1.3, 4.6):
+            want = _space_oracle_loop(bm, f, t, xs)
+            got = semigroup._space_oracle_values(bm, f, t, xs)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_oracles_build_one_fold_rule_per_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature.fold_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "fold_nodes", counted)
+    bm = make_boundary_matrix(w=0.4, theta=0.15, phi=0.4, psi=0.3)
+    f = StepPacket.box(1.1, 1.7, 1.0) + StepPacket.box(1.75, 1.95, 0.5j, freq=1)
+    for size in (1, 7, 40):
+        calls.clear()
+        norm_decay_profile(bm, 1, np.linspace(0.0, 4.5, size))
+        assert len(calls) == 1
+        calls.clear()
+        semigroup_kernel_apply(bm, f, 1.3, np.linspace(-3.0, 3.0, size))
+        assert len(calls) == 1
 
 
 def test_kernel_route_oscillatory_packet():
@@ -329,7 +407,7 @@ def test_resolvent_routes_use_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a resolvent route ran a quadrature")
 
-    monkeypatch.setattr(semigroup, "gauss_panels", refuse)
+    monkeypatch.setattr(semigroup, "fold_nodes", refuse)
     monkeypatch.setattr(quadrature, "gauss_panels", refuse)
     monkeypatch.setattr(StepPacket, "sample", refuse)
     bm = make_boundary_matrix(w=0.6, psi=0.2)
