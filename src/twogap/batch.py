@@ -2,70 +2,20 @@
 
 A ``PacketBatch`` holds one packet per row as one flat list of cells, so a
 whole time grid is shifted, scaled and clipped in one broadcast, and its sum
-(``sum_batch``) runs the canonical sweep of ``packets`` on every row in one
-pass (``_assemble_rows``).  Each row gets bit for bit what the one-packet
-operation and sweep give that row alone: the same edge clusters, ``add.at``
-and ``cumsum`` order, ``SNAP_REL`` peak and merges.  The frequency rule of
+(``sum_batch``) runs the one canonical sweep of ``packets`` (``_sweep``) on
+every row in one pass.  Each row gets bit for bit what the one-packet
+operation and ``sum_packets`` give that row alone.  The frequency rule of
 ``packets`` says which frequencies a row carries: n exactly when the row
-holds a nonzero value of n, in ascending order.  A batch of one row takes
-the one-packet sweep of ``sum_packets``.
-"""
+holds a nonzero value of n, in ascending order."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .domain import e2pi
-from .packets import (
-    SNAP_REL, StepPacket, _edge_clusters, _merge_adjacent, _nonzero, _sum_cells, _wider,
-)
+from .packets import StepPacket, _nonzero, _sweep, _wider
 
 __all__ = ["PacketBatch", "sum_batch"]
-
-
-def _assemble_rows(size, row, lo, hi, vals):
-    """``_assemble`` on every row of a batch in one pass, bit for bit.
-
-    Cell i, of row ``row[i]``, carries ``vals[n][i]`` for each frequency n
-    (0.0 where its packet lacks n: adding a zero changes no sum).  Cells of
-    one row come in the order ``_assemble`` would take them.  The edge sort
-    runs on (row, edge) pairs, and row b's sweep runs along row b of a
-    (size x edges) grid, so each row gets its own clusters, ``add.at`` and
-    ``cumsum`` order, ``SNAP_REL`` peak and merges.  Returns (row, lo, hi,
-    waves): the cells of every row in row order.
-    """
-    ok = _wider(hi - lo, lo)
-    row, lo, hi = row[ok], lo[ok], hi[ok]
-    vals = {n: v[ok] for n, v in vals.items()}
-    k = len(lo)
-    edges, erow, where = _edge_clusters(np.concatenate((lo, hi)), np.concatenate((row, row)))
-    # edge j of row b sits at column j of row b of the grid
-    count = np.bincount(erow, minlength=size)
-    width = int(count.max(initial=0))
-    slot = erow * width + np.arange(len(edges)) - (np.cumsum(count) - count)[erow]
-    where = slot[where]
-    opens = np.flatnonzero(erow[1:] == erow[:-1])  # edge j opens the interval to j + 1
-    waves = {}
-    for n, v in vals.items():
-        delta = np.zeros(size * width, dtype=complex)
-        np.add.at(delta, where[:k], v)
-        np.add.at(delta, where[k:], -v)
-        waves[n] = np.cumsum(delta.reshape(size, width), axis=1).ravel()[slot[opens]]
-    lo, hi, row = edges[opens], edges[opens + 1], erow[opens]
-
-    # Snap sweep-cancellation residue to exact zero, against each row's peak.
-    mags = [np.abs(v) for v in waves.values()]
-    peak = np.zeros(size)
-    np.maximum.at(peak, row, np.max(mags, axis=0, initial=0.0))
-    floor = SNAP_REL * peak[row]
-    for v, mag in zip(waves.values(), mags):
-        v[mag <= floor] = 0.0
-
-    occupied = np.any([v != 0.0 for v in waves.values()], axis=0)
-    lo, hi, row = lo[occupied], hi[occupied], row[occupied]
-    waves = {n: v[occupied] for n, v in waves.items()}
-    first, last = _merge_adjacent(lo, hi, waves, row)
-    return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}
 
 
 class PacketBatch:
@@ -180,9 +130,6 @@ def sum_batch(pieces) -> PacketBatch:
     edges), as in ``sum_packets``.
     """
     size = pieces[0].size
-    if size == 1:  # one row: the 1-D sweep of sum_packets
-        lo, hi, waves = _sum_cells((p.lo, p.hi, _nonzero(p.waves)) for p in pieces)
-        return PacketBatch(1, np.zeros(len(lo), dtype=int), lo, hi, waves)
     freqs = sorted({n for p in pieces for n in p.waves})
     if not freqs:
         return PacketBatch.tile(StepPacket.zero(), size)
@@ -198,4 +145,4 @@ def sum_batch(pieces) -> PacketBatch:
 
     row, lo, hi = column(lambda p: p.row), column(lambda p: p.lo), column(lambda p: p.hi)
     vals = {n: column(lambda p: p._values(n)) for n in freqs}
-    return PacketBatch(size, *_assemble_rows(size, row, lo, hi, vals))
+    return PacketBatch(size, *_sweep(size, row, lo, hi, vals))

@@ -147,7 +147,7 @@ def _block_rows(bm, domain, parts, dests, span) -> list[StepPacket]:
     Each row gathers its cells unswept: a part's own cells for an identity
     block, the translates of its causal terms (``packets._translates``) for
     a multiplier block.  One batched sweep (``batch.sum_batch``) sums every
-    row, each bit for bit its own sweep; one row takes the one-packet sweep.
+    row, each bit for bit its own sweep.
     """
     pieces = []
     for b, dest in enumerate(dests):

@@ -20,6 +20,9 @@ value (a frequency whose values all vanish, say by underflow, is dropped).
 Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
 of its left neighbour joins that neighbour's cluster, and the cluster's
 leftmost edge stands for it, so a chain of close edges becomes one edge.
+Every sum of cells, of one packet or of each row of a ``batch.PacketBatch``,
+runs the one canonical sweep ``_sweep``: the edge rule, the snap of
+cancellation residue and the merges are decided here and nowhere else.
 
 A PacketTrain is a packet followed by a geometric train of its lattice
 translates, head + sum_{n >= 0} ratio^n body(. + n step): the t = inf
@@ -32,6 +35,7 @@ float arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +55,7 @@ __all__ = [
 EDGE_TOL = 1e-14
 VALUE_TOL = 1e-14
 # Values this small relative to the packet peak are artifacts of edge-sweep
-# cancellation, not data; they are snapped to zero during assembly.
+# cancellation, not data; they are snapped to zero by the sweep.
 SNAP_REL = 1e-15
 
 
@@ -86,55 +90,55 @@ def _translates(p, shifts, weights):
     return lo, hi, waves
 
 
-def _assemble(segments_by_freq):
-    """Build canonical columnar storage from possibly overlapping segments.
+def _sweep(size, row, lo, hi, vals):
+    """The canonical sweep: canonical cells of every row of a batch, in one
+    pass.
 
-    segments_by_freq maps an integer frequency to (lo, hi, val) arrays;
-    overlapping segments of the same frequency add.  Returns (lo, hi, waves)
-    under the frequency rule: ascending keys, each with a nonzero value.
+    Cell i, of row ``row[i]`` (0 <= row[i] < size), carries ``vals[n][i]``
+    for each frequency n of ``vals`` (at least one; 0.0 where its packet
+    lacks n: adding a zero changes no sum), and overlapping cells of a row
+    add.  Returns (row, lo, hi, waves): the cells of every row in row order,
+    a column per key of ``vals`` (a column may have no nonzero value left).
 
-    Edge rule: an edge within EDGE_TOL * max(1, |x|) of its left neighbour
-    joins that neighbour's cluster, and the cluster's leftmost edge stands
-    for every edge in it.
+    Rows never meet: the edge sort runs on (row, edge) pairs, and row b's
+    sweep runs along row b of a (size x edges) grid, so each row gets the
+    edge clusters (``_edge_clusters``), ``add.at`` and ``cumsum`` order,
+    SNAP_REL peak and merges it would get as a batch of one.
     """
-    pieces = []
-    for n, (lo, hi, val) in sorted(segments_by_freq.items()):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        val = np.asarray(val, dtype=complex)
-        ok = _wider(hi - lo, lo)
-        if np.any(ok):
-            pieces.append((int(n), lo[ok], hi[ok], val[ok]))
-    if not pieces:
-        return (np.empty(0), np.empty(0), {})
-
-    edges, _, where = _edge_clusters(np.concatenate([np.concatenate(p[1:3]) for p in pieces]))
-    n_iv = len(edges) - 1
+    ok = _wider(hi - lo, lo)
+    row, lo, hi = row[ok], lo[ok], hi[ok]
+    vals = {n: v[ok] for n, v in vals.items()}
+    k = len(lo)
+    edges, erow, where = _edge_clusters(np.concatenate((lo, hi)), np.concatenate((row, row)))
+    # edge j of row b sits at column j of row b of the grid
+    count = np.bincount(erow, minlength=size)
+    width = int(count.max(initial=0))
+    slot = erow * width + np.arange(len(edges)) - (np.cumsum(count) - count)[erow]
+    where = slot[where]
+    opens = (erow[1:] == erow[:-1]).nonzero()[0]  # edge j opens the interval to j + 1
     waves = {}
-    pos = 0
-    for n, lo, hi, val in pieces:
-        k = len(lo)
-        delta = np.zeros(n_iv + 1, dtype=complex)
-        np.add.at(delta, where[pos : pos + k], val)
-        np.add.at(delta, where[pos + k : pos + 2 * k], -val)
-        waves[n] = np.cumsum(delta)[:n_iv]
-        pos += 2 * k
+    for n, v in vals.items():
+        delta = np.zeros(size * width, dtype=complex)
+        np.add.at(delta, where[:k], v)
+        np.add.at(delta, where[k:], -v)
+        waves[n] = np.cumsum(delta.reshape(size, width), axis=1).ravel()[slot[opens]]
+    lo, hi, row = edges[opens], edges[opens + 1], erow[opens]
 
-    # Snap sweep-cancellation residue to exact zero.
-    peak = max(np.max(np.abs(v), initial=0.0) for v in waves.values())
-    if peak > 0.0:
-        for n, v in waves.items():
-            v[np.abs(v) <= SNAP_REL * peak] = 0.0
+    # Snap sweep-cancellation residue to exact zero, against each row's peak;
+    # a cell is kept when a value survives the snap (a NaN one too).
+    mags = [np.abs(v) for v in waves.values()]
+    big = functools.reduce(np.maximum, mags)
+    peak = np.zeros(size)
+    np.maximum.at(peak, row, big)
+    floor = SNAP_REL * peak[row]
+    for v, mag in zip(waves.values(), mags):
+        v[mag <= floor] = 0.0
 
-    occupied = np.zeros(n_iv, dtype=bool)
-    for v in waves.values():
-        occupied |= v != 0.0
-    lo = edges[:-1][occupied]
-    hi = edges[1:][occupied]
+    occupied = ~(big <= floor) & (big != 0.0)
+    lo, hi, row = lo[occupied], hi[occupied], row[occupied]
     waves = {n: v[occupied] for n, v in waves.items()}
-    first, last = _merge_adjacent(lo, hi, waves)
-    # a merge within VALUE_TOL can zero a frequency out: drop after it
-    return lo[first], hi[last], _nonzero({n: v[first] for n, v in waves.items()})
+    first, last = _merge_adjacent(lo, hi, waves, row)
+    return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}
 
 
 def _nonzero(waves):
@@ -142,51 +146,40 @@ def _nonzero(waves):
     return {n: v for n, v in waves.items() if v.any()}
 
 
-def _edge_clusters(ends, end_row=None):
+def _edge_clusters(ends, end_row):
     """(edges, their rows, the edge of each end) under the edge rule, per
-    row of a batch when ``end_row`` gives each end's row.
+    row of a batch (``end_row`` gives each end's row).
 
-    The ends are sorted (by row, then by value) and the distinct values
-    kept; an edge within EDGE_TOL * max(1, |x|) of its left neighbour in the
-    same row joins that neighbour's cluster, and the cluster's leftmost
-    edge stands for every edge in it.
+    The ends are sorted by row, then by value; an end within
+    EDGE_TOL * max(1, |x|) of its left neighbour in the same row (an equal
+    one too) joins that neighbour's cluster, and the cluster's leftmost end
+    stands for every end in it.
     """
     ends = ends + 0.0  # every zero end becomes +0.0: no order of equal zeros shows
-    if end_row is None:
-        order = np.argsort(ends)
-        x = ends[order]
-        new = x[1:] != x[:-1]
-    else:
-        order = np.lexsort((ends, end_row))
-        x, r = ends[order], end_row[order]
-        new = (x[1:] != x[:-1]) | (r[1:] != r[:-1])
-    new = np.concatenate(([True], new))[: len(x)]
-    edges = x[new]
-    starts = _wider(np.diff(edges), edges[1:])
-    if end_row is not None:
-        erow = r[new]
-        starts |= erow[1:] != erow[:-1]
-    starts = np.concatenate(([True], starts))[: len(edges)]
+    order = np.lexsort((ends, end_row))
+    x, r = ends[order], end_row[order]
+    starts = np.ones(len(x), dtype=bool)
+    starts[1:] = _wider(x[1:] - x[:-1], x[1:]) | (r[1:] != r[:-1])
     where = np.empty(len(x), dtype=int)
-    where[order] = (np.cumsum(starts) - 1)[np.cumsum(new) - 1]
-    return edges[starts], None if end_row is None else erow[starts], where
+    where[order] = starts.cumsum() - 1
+    return x[starts], r[starts], where
 
 
-def _merge_adjacent(lo, hi, waves, row=None):
+def _merge_adjacent(lo, hi, waves, row):
     """(first, last) cell of each run of contiguous cells whose coefficient
     stacks agree; a run never spans two rows of a batch (``row``)."""
     m = len(lo)
     if m <= 1:
         return np.arange(m), np.arange(m)
     joinable = hi[:-1] >= lo[1:] - EDGE_TOL * np.maximum(1.0, np.abs(lo[1:]))
-    if row is not None:
-        joinable &= row[1:] == row[:-1]
+    joinable &= row[1:] == row[:-1]
     for v in waves.values():
-        scalemax = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+        mag = np.abs(v)
+        scalemax = np.maximum(1.0, np.maximum(mag[:-1], mag[1:]))
         joinable &= np.abs(v[:-1] - v[1:]) <= VALUE_TOL * scalemax
     # a run starts at every cell that does NOT join its predecessor
-    first = np.flatnonzero(np.concatenate(([True], ~joinable)))
-    last = np.append(first[1:], m) - 1
+    first = np.concatenate(([0], (~joinable).nonzero()[0] + 1))
+    last = np.concatenate((first[1:], [m])) - 1
     return first, last
 
 
@@ -257,7 +250,7 @@ class StepPacket:
             raise ValidationError("need one more breakpoint than cell values")
         if not np.all(np.diff(breaks) > 0):
             raise OrderingViolation("breakpoints must be strictly increasing")
-        return cls(*_assemble({0: (breaks[:-1], breaks[1:], values)}), _trusted=True)
+        return cls(*_sum_cells([(breaks[:-1], breaks[1:], {0: values})]), _trusted=True)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -485,14 +478,22 @@ def sum_packets(packets) -> StepPacket:
 
 
 def _sum_cells(parts):
-    """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves)
-    in one sweep, under the frequency rule of ``_assemble``."""
-    segs = {}
-    for lo, hi, waves in parts:
-        for n, v in waves.items():
-            for col, x in zip(segs.setdefault(n, ([], [], [])), (lo, hi, v)):
-                col.append(x)
-    return _assemble({n: [np.concatenate(col) for col in cols] for n, cols in segs.items()})
+    """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves),
+    in one ``_sweep`` under the frequency rule.  A part with no frequency
+    adds nothing, not even edges."""
+    parts = [part for part in parts if part[2]]
+    freqs = sorted({n for _, _, waves in parts for n in waves})
+    if not freqs:
+        return np.empty(0), np.empty(0), {}
+    lo = np.concatenate([part[0] for part in parts])
+    hi = np.concatenate([part[1] for part in parts])
+    vals = {}
+    for n in freqs:
+        column = [w[n] if n in w else np.zeros(len(a), dtype=complex) for a, _, w in parts]
+        vals[n] = np.concatenate(column)
+    _, lo, hi, waves = _sweep(1, np.zeros(len(lo), dtype=int), lo, hi, vals)
+    # a merge within VALUE_TOL can zero a frequency out: drop after it
+    return lo, hi, _nonzero(waves)
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,3 +91,25 @@ def test_every_export_has_a_caller(module):
 def test_reference_oracles_are_exported():
     for module, name in REFERENCE_ORACLES:
         assert name in importlib.import_module(module).__all__
+
+
+SWEEP_INTERNALS = {"_edge_clusters", "_merge_adjacent", "SNAP_REL"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(Path(twogap.__file__).parent.glob("*.py")) if p.name != "packets.py"],
+    ids=lambda p: p.name,
+)
+def test_one_module_owns_the_sweep(path):
+    """The edge rule, the snap and the merge are decided in ``packets`` alone:
+    no other library module reads or imports their internals, so a second
+    sweep cannot grow beside ``packets._sweep``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not (_loads(tree) | imported) & SWEEP_INTERNALS

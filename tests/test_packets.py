@@ -3,14 +3,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twogap.batch import PacketBatch, _assemble_rows, sum_batch
+from twogap.batch import PacketBatch, sum_batch
 from twogap.domain import e2pi
 from twogap.errors import ValidationError
 from twogap.packets import (
     EDGE_TOL,
     PacketTrain,
     StepPacket,
-    _assemble,
+    _sum_cells,
+    _sweep,
     osc_integral,
     sum_packets,
 )
@@ -68,7 +69,8 @@ def test_box_is_its_own_sweep(ends, value, n):
     assume(hi > lo)
     f = StepPacket.box(lo, hi, value, n)
     assert_same_packet(f, sum_packets([f]))
-    assert_same_packet(f, StepPacket(*_assemble({n: ([lo], [hi], [value])}), _trusted=True))
+    cell = (np.array([lo]), np.array([hi]), {n: np.array([value], dtype=complex)})
+    assert_same_packet(f, StepPacket(*_sum_cells([cell]), _trusted=True))
 
 
 @st.composite
@@ -260,27 +262,36 @@ def sweep_rows(draw):
 @given(st.lists(sweep_rows(), min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_batched_sweep_is_the_row_sweep(rows):
-    # each row of the batch gets what _assemble gives that row alone, bit for bit
-    flat = [(b, *seg) for b, segs in enumerate(rows) for seg in segs]
-    freqs = sorted({seg[3] for seg in flat}) or [0]
-    vals = {n: np.array([s[4] if s[3] == n else 0.0 for s in flat], dtype=complex) for n in freqs}
-    row, lo, hi, waves = _assemble_rows(
-        len(rows),
-        np.array([s[0] for s in flat], dtype=int),
-        np.array([s[1] for s in flat], dtype=float),
-        np.array([s[2] for s in flat], dtype=float),
-        vals,
-    )
+    # rows never meet: each row of a batch gets what the sweep gives that
+    # row's cells alone, bit for bit
+    freqs = sorted({seg[2] for segs in rows for seg in segs}) or [0]
+
+    def columns(segs):
+        return (
+            np.array([s[0] for s in segs], dtype=float),
+            np.array([s[1] for s in segs], dtype=float),
+            {n: np.array([s[3] if s[2] == n else 0.0 for s in segs], dtype=complex) for n in freqs},
+        )
+
+    where = np.array([b for b, segs in enumerate(rows) for _ in segs], dtype=int)
+    row, lo, hi, waves = _sweep(len(rows), where, *columns([s for segs in rows for s in segs]))
     for b, segs in enumerate(rows):
-        by_freq = {}
-        for seg_lo, seg_hi, n, v in segs:
-            for col, x in zip(by_freq.setdefault(n, ([], [], [])), (seg_lo, seg_hi, v)):
-                col.append(x)
-        want = StepPacket(*_assemble(by_freq), _trusted=True) if by_freq else StepPacket.zero()
+        _, want_lo, want_hi, want = _sweep(1, np.zeros(len(segs), dtype=int), *columns(segs))
         mine = row == b
-        got = {n: waves[n][mine] for n in want.waves}
-        assert_same_packet(StepPacket(lo[mine], hi[mine], got, _trusted=True), want)
-        assert [n for n in freqs if np.any(waves[n][mine] != 0.0)] == list(want.waves)
+        got = {n: waves[n][mine] for n in freqs}
+        assert_same_packet(StepPacket(lo[mine], hi[mine], got, _trusted=True),
+                           StepPacket(want_lo, want_hi, want, _trusted=True))
+        # the row carries n exactly when the one-packet sum keeps n
+        parts = [(np.array([a]), np.array([z]), {n: np.array([v], dtype=complex)})
+                 for a, z, n, v in segs]
+        assert [n for n in freqs if np.any(got[n] != 0.0)] == list(_sum_cells(parts)[2])
+
+
+def test_sum_keeps_a_nan_value():
+    # a NaN value survives the snap: a sum never turns bad data into zero
+    with np.errstate(invalid="ignore"):
+        f = sum_packets([StepPacket.box(0.0, 1.0, np.nan)])
+    assert f.lo.tolist() == [0.0] and np.isnan(f.waves[0][0])
 
 
 three_pieces = st.lists(packets() | st.just(StepPacket.zero()), min_size=3, max_size=3)

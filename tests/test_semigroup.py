@@ -213,11 +213,15 @@ def _kernel_oracle_loop(bm, f_centered, t, lam):
         lsum = _lattice_sum(y, xi - n)
         weighted = wq * s * e2pi(n * p) * e2pi(-xi * (t + p)) / (2j * np.pi**2)
         for k, lk in enumerate(lam):
-            e2 = np.exp(1j * np.pi * (lk - xi) * sign)
             if abs(lk - n) > 1e-12:
+                e2 = np.exp(1j * np.pi * (lk - xi) * sign)
                 bracket = (np.sin(np.pi * (lk - xi)) * lsum + np.pi * e2) / (lk - n)
             else:
-                bracket = np.pi * np.cos(np.pi * (lk - xi)) * lsum + 1j * np.pi**2 * sign * e2
+                # the numerator vanishes at lambda = n: its secant slope is
+                # its derivative at the midpoint, exact to O((lambda - n)^2)
+                m = 0.5 * (lk + n)
+                e2 = np.exp(1j * np.pi * (m - xi) * sign)
+                bracket = np.pi * np.cos(np.pi * (m - xi)) * lsum + 1j * np.pi**2 * sign * e2
             res[k] += np.sum(weighted * bracket)
     return res
 
