@@ -3,19 +3,21 @@
 A ``PacketBatch`` holds one packet per row as one flat list of cells, so a
 whole time grid is shifted, scaled and clipped in one broadcast, and its sum
 (``sum_batch``) runs the one canonical sweep of ``packets`` (``_sweep``) on
-every row in one pass.  Each row gets bit for bit what the one-packet
-operation and ``sum_packets`` give that row alone.  The frequency rule of
-``packets`` says which frequencies a row carries: n exactly when the row
-holds a nonzero value of n, in ascending order."""
+every row in one pass, bit for bit what the one-packet operation and
+``sum_packets`` give that row alone; pieces that never overlap in a row add
+with no sweep (``merge_batch``).  The frequency rule of ``packets`` says
+which frequencies a row carries: n exactly when the row holds a nonzero
+value of n, in ascending order."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .domain import e2pi
-from .packets import StepPacket, _nonzero, _sweep, _wider
+from .errors import OrderingViolation
+from .packets import StepPacket, _gather, _join, _nonzero, _sweep, _wider
 
-__all__ = ["PacketBatch", "sum_batch"]
+__all__ = ["PacketBatch", "merge_batch", "sum_batch"]
 
 
 class PacketBatch:
@@ -35,15 +37,17 @@ class PacketBatch:
         self.size, self.row, self.lo, self.hi, self.waves = size, row, lo, hi, waves
 
     @classmethod
-    def tile(cls, p: StepPacket, size: int) -> "PacketBatch":
-        """``size`` rows, each the packet p."""
+    def tile(cls, p, size: int) -> "PacketBatch":
+        """``size`` copies of a packet p (one row each) or of a batch p."""
+        m = p.size if isinstance(p, PacketBatch) else 1
 
         def repeat(x):
-            return x if size == 1 else np.concatenate((x,) * size)
+            return x if size == 1 or not len(x) else np.concatenate((x,) * size)
 
+        row = np.arange(0, m * size, m).repeat(len(p.lo))
         return cls(
-            size,
-            np.arange(size).repeat(p.n_cells),
+            m * size,
+            row + repeat(p.row) if m > 1 else row,
             repeat(p.lo),
             repeat(p.hi),
             {n: repeat(v) for n, v in p.waves.items()},
@@ -54,9 +58,9 @@ class PacketBatch:
         one row) as it is."""
         return x[self.row] if np.ndim(x) and self.size > 1 else x
 
-    def _values(self, n):
-        """Frequency n on every cell, 0.0 where no row carries it."""
-        return self.waves[n] if n in self.waves else np.zeros(len(self.row), dtype=complex)
+    def _cells(self, keep=slice(None)):
+        """The cells ``keep`` as a part (row, lo, hi, waves) of ``packets._gather``."""
+        return self.row[keep], self.lo[keep], self.hi[keep], {n: v[keep] for n, v in self.waves.items()}
 
     def translate(self, s) -> "PacketBatch":
         s = np.asarray(s, dtype=float)
@@ -73,9 +77,8 @@ class PacketBatch:
         c = np.asarray(c, dtype=complex)
         out = self
         if not np.all(c != 0.0):  # a row scaled by 0 is the zero packet
-            cells = np.broadcast_to(c != 0.0, (self.size,))[self.row]
-            waves = {n: v[cells] for n, v in self.waves.items()}
-            out = PacketBatch(self.size, self.row[cells], self.lo[cells], self.hi[cells], waves)
+            keep = np.broadcast_to(c != 0.0, (self.size,))[self.row]
+            out = PacketBatch(self.size, *self._cells(keep))
         weight = out._at_cells(c) if c.ndim else complex(c)
         waves = {n: weight * v for n, v in out.waves.items()}
         return PacketBatch(self.size, out.row, out.lo, out.hi, waves)
@@ -87,10 +90,6 @@ class PacketBatch:
         waves = {n: v[keep] for n, v in self.waves.items()}
         return PacketBatch(self.size, self.row[keep], lo[keep], hi[keep], waves)
 
-    def occupied(self) -> np.ndarray:
-        """Per row: whether its packet has a cell."""
-        return np.bincount(self.row, minlength=self.size) > 0
-
     @staticmethod
     def select(mask, a: "PacketBatch", b: "PacketBatch") -> "PacketBatch":
         """Row i of a where ``mask[i]``, else row i of b."""
@@ -98,19 +97,10 @@ class PacketBatch:
             return a
         if not mask.any():
             return b
-        cells = (mask[a.row], ~mask[b.row])
-        order = np.argsort(np.concatenate((a.row[cells[0]], b.row[cells[1]])), kind="stable")
-
-        def column(x, y):
-            return np.concatenate((x[cells[0]], y[cells[1]]))[order]
-
-        return PacketBatch(
-            a.size,
-            column(a.row, b.row),
-            column(a.lo, b.lo),
-            column(a.hi, b.hi),
-            {n: column(a._values(n), b._values(n)) for n in sorted({*a.waves, *b.waves})},
-        )
+        row, lo, hi, vals = _gather([a._cells(mask[a.row]), b._cells(~mask[b.row])])
+        order = np.argsort(row, kind="stable")
+        waves = {n: v[order] for n, v in vals.items()}
+        return PacketBatch(a.size, row[order], lo[order], hi[order], waves)
 
     def packets(self) -> list:
         """The rows as StepPackets."""
@@ -130,19 +120,26 @@ def sum_batch(pieces) -> PacketBatch:
     edges), as in ``sum_packets``.
     """
     size = pieces[0].size
-    freqs = sorted({n for p in pieces for n in p.waves})
-    if not freqs:
+    if not any(p.waves for p in pieces):
         return PacketBatch.tile(StepPacket.zero(), size)
-    live = []
+    parts = []
     for p in pieces:
         carries = np.zeros(size, dtype=bool)
         for v in p.waves.values():
             carries[p.row[v != 0.0]] = True
-        live.append(carries[p.row])
+        parts.append(p._cells(carries[p.row]))
+    return PacketBatch(size, *_sweep(size, *_gather(parts)))
 
-    def column(get):
-        return np.concatenate([get(p)[keep] for p, keep in zip(pieces, live)])
 
-    row, lo, hi = column(lambda p: p.row), column(lambda p: p.lo), column(lambda p: p.hi)
-    vals = {n: column(lambda p: p._values(n)) for n in freqs}
-    return PacketBatch(size, *_sweep(size, row, lo, hi, vals))
+def merge_batch(pieces) -> PacketBatch:
+    """The row-wise sum of pieces that never overlap within a row
+    (OrderingViolation), with no sweep: their cells in (row, lo) order, each
+    with its edges and values, canonical by ``packets._join``; as in the
+    sweep, no edge or value is -0.0."""
+    row, lo, hi, vals = _gather([p._cells() for p in pieces])
+    order = np.lexsort((lo, row))
+    row, lo, hi = row[order], lo[order] + 0.0, hi[order] + 0.0
+    if np.any((row[1:] == row[:-1]) & (lo[1:] < hi[:-1])):
+        raise OrderingViolation("merged pieces overlap")
+    waves = {n: v[order] + 0.0 for n, v in vals.items()}
+    return PacketBatch(pieces[0].size, *_join(row, lo, hi, waves))

@@ -39,25 +39,22 @@ from .verify import render_checks, run_checks
 __all__ = ["main"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    return "%.17g" % float(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """A text column as it is, a number through %.17g (the first row says
+    which is which), with one format string per file."""
+    rows = list(rows)
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) if rows else ""
+    body = ("\n" + line) * len(rows) % tuple(v for row in rows for v in row)
+    path.write_text(",".join(header) + body + "\n")
 
 
 def _packet_rows(f: StepPacket):
     """Step-outline rows (x, re, im, abs2), two per cell edge."""
-    for u, v, stack in f.cells():
-        for x in (u, v):
-            val = sum(c * e2pi(n * x) for n, c in stack.items())
-            yield (x, val.real, val.imag, abs(val) ** 2)
+    x = np.stack((f.lo, f.hi), axis=1).ravel()
+    val = np.zeros(len(x), dtype=complex)
+    for n, c in f.waves.items():
+        val = val + c.repeat(2) * e2pi(n * x)  # a zero value adds an exact zero
+    return [(u, v.real, v.imag, abs(v) ** 2) for u, v in zip(x.tolist(), val)]
 
 
 def _require(cond: bool, msg: str):
@@ -197,19 +194,10 @@ def _cmd_degenerate(sc: Scenario, out: Path) -> int:
 def _cmd_verify(sc: Scenario, out: Path) -> int:
     results = run_checks(sc)
     print(render_checks(results))
-    rows = []
-    for r in results:
-        rows.append(
-            (
-                r.name,
-                {"PASS": 0, "FAIL": 1, "INFO": 2}[r.status],
-                r.measured,
-                r.tolerance if r.tolerance is not None else float("nan"),
-            )
-        )
-    _write_csv(
-        out / "verify.csv", ["name", "status_code", "measured", "tolerance"], rows
-    )
+    code, nan = {"PASS": 0, "FAIL": 1, "INFO": 2}, float("nan")
+    rows = [(r.name, code[r.status], r.measured, nan if r.tolerance is None else r.tolerance)
+            for r in results]
+    _write_csv(out / "verify.csv", ["name", "status_code", "measured", "tolerance"], rows)
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .domain import _real_lambda, e2pi
 from .errors import ValidationError
-from .evolution import _require_kept, _splice
+from .evolution import _partition, _require_kept, _splice
 from .packets import StepPacket
 
 __all__ = [
@@ -114,9 +114,7 @@ def degenerate_Vstar(model, g: StepPacket) -> StepPacket:
     """Adjoint of degenerate_V (exact inverse for the two unitary models)."""
     if isinstance(model, TwoPointsModel):
         w, q, al = model.w, model.q, model.alpha
-        left = g.restrict(-_INF, 0.0)
-        mid = g.restrict(0.0, al)
-        right = g.restrict(al, _INF)
+        left, mid, right = _partition(g, (0.0, al))
         # adjoint of (f -> (f - q f(.+al))/w restricted left) sends the left
         # piece back with the conjugate-transposed lattice shifts
         back = left.scale(1.0 / w) - left.translate(al).scale(q / w)
@@ -136,7 +134,7 @@ def degenerate_evolve(model, f: StepPacket, t: float) -> StepPacket:
     SupportViolation.
     """
     width, theta = _cut(model)
-    _require_kept(f, ((0.0, width),), "packet", "the line outside the obstacle")
+    _require_kept(f, _partition(f, (0.0, width))[1:2], "packet", "the line outside the obstacle")
     return _splice(f, [float(t)], width, complex(e2pi(-theta))).packets()[0]
 
 

@@ -20,10 +20,9 @@ happened.  So the finite-time routines (``evolve_many``, ``evolve``,
 the span of times a row serves; it applies only the lattice terms that reach
 the component over that span: exact finite sums with truncation 0, at a
 cost that follows the reflections, not w.  ``evolve_many`` builds its three
-rows once per time grid, in one batched sweep before the shift, and sums
-the shifted, clipped rows of all its times in a second one
-(``batch.sum_batch``), bit for bit the sweeps of each row and time alone:
-two sweeps per grid.  ``cesaro_decay`` builds its rows in one sweep too.
+rows once per time grid in one sweep; shifted, each lies on its own
+component, so they add with no sweep (``batch.merge_batch``).
+``cesaro_decay`` builds its rows in one sweep too.
 ``scatter`` and ``translation_representation`` describe t = inf: their rows
 are a head plus one geometric train (``packets.PacketTrain``), built from
 the few terms of ``multipliers.train_terms`` at a cost of O(cells of f) at
@@ -57,8 +56,8 @@ import numpy as np
 from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
 from .multipliers import BLOCK_KIND, causal_multiplier, train_terms
-from .batch import PacketBatch, sum_batch
-from .packets import PacketTrain, StepPacket, _nonzero, _sum_cells, _translates
+from .batch import PacketBatch, merge_batch, sum_batch
+from .packets import PacketTrain, StepPacket, _gather, _nonzero, _sum_cells, _sweep, _translates
 
 __all__ = [
     "EvolutionResult",
@@ -88,17 +87,23 @@ def decompose(f: StepPacket, domain: ExteriorDomain):
     Mass on the removed intervals [0,1] and [alpha,beta] above 1e-12
     (squared, relative to the packet norm) raises SupportViolation.
     """
-    _require_kept(f, ((0.0, 1.0), (domain.alpha, domain.beta)), "packet", "the domain")
-    return tuple(f.restrict(*domain.component(tag)) for tag in COMPONENTS)
+    fm, on_0_1, f0, on_alpha_beta, fp = _partition(f, (0.0, 1.0, domain.alpha, domain.beta))
+    _require_kept(f, (on_0_1, on_alpha_beta), "packet", "the domain")
+    return fm, f0, fp
+
+
+def _partition(f: StepPacket, cuts):
+    """f cut at each of ``cuts``, in one batched restrict: bit for bit
+    ``StepPacket.restrict`` to (-inf, cuts[0]), (cuts[0], cuts[1]), ..."""
+    cuts = np.concatenate(([-np.inf], cuts, [np.inf]))
+    return PacketBatch.tile(f, len(cuts) - 1).restrict(cuts[:-1], cuts[1:]).packets()
 
 
 def _require_kept(f: StepPacket, removed, what: str, where: str) -> None:
-    """The one leak rule: SupportViolation when f carries more than
-    1e-12 max(1, ||f||^2) of norm^2 on the ``removed`` intervals (lo, hi).
-
-    The lost mass is read off f on those intervals, and ||f||^2 is taken
-    only when that mass exceeds 1e-12."""
-    lost = sum(f.restrict(lo, hi).norm2() for lo, hi in removed)
+    """The one leak rule: SupportViolation when the ``removed`` pieces of f
+    (from ``_partition``) carry more than 1e-12 max(1, ||f||^2) of norm^2;
+    ||f||^2 is taken only when that mass exceeds 1e-12."""
+    lost = sum(p.norm2() for p in removed)
     if lost > 1e-12 and lost > 1e-12 * max(1.0, f.norm2()):
         raise SupportViolation(f"{what} carries mass {lost:.3e} off {where}")
 
@@ -138,17 +143,14 @@ def block_row(
     The translates of every entry are gathered unswept and summed in one
     canonical sweep.  An unknown ``dest`` raises ValidationError.
     """
-    return _block_rows(bm, domain, parts, (dest,), span)[0]
+    return _block_rows(bm, domain, parts, (dest,), span).packets()[0]
 
 
-def _block_rows(bm, domain, parts, dests, span) -> list[StepPacket]:
-    """``block_row`` for each of ``dests``, in one sweep.
-
-    Each row gathers its cells unswept: a part's own cells for an identity
-    block, the translates of its causal terms (``packets._translates``) for
-    a multiplier block.  One batched sweep (``batch.sum_batch``) sums every
-    row, each bit for bit its own sweep.
-    """
+def _block_rows(bm, domain, parts, dests, span) -> PacketBatch:
+    """``block_row`` for each of ``dests``: the rows of one batch, from one
+    batched sweep of the unswept cells of every block (a part's own cells,
+    or the translates of its causal terms); a piece whose values all vanish
+    adds not even edges."""
     pieces = []
     for b, dest in enumerate(dests):
         lo, hi = domain.component(dest)
@@ -162,10 +164,11 @@ def _block_rows(bm, domain, parts, dests, span) -> list[StepPacket]:
             else:
                 m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
                 cells = _translates(fsrc, *m.terms())
-            pieces.append(PacketBatch(len(dests), np.full(len(cells[0]), b), *cells))
+            if any(v.any() for v in cells[2].values()):
+                pieces.append((np.full(len(cells[0]), b), *cells))
     if not pieces:
-        return [StepPacket.zero()] * len(dests)
-    return sum_batch(pieces).packets()
+        return PacketBatch.tile(StepPacket.zero(), len(dests))
+    return PacketBatch(len(dests), *_sweep(len(dests), *_gather(pieces)))
 
 
 def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> PacketTrain:
@@ -207,13 +210,13 @@ def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> 
 def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -> list[EvolutionResult]:
     """U(t) f for each t of ``ts`` (finite reals), in input order.
 
-    f is decomposed once.  For w > 0 each row is built once, on the span
-    (min ts, max ts), at a cost that follows max |t| / ell reflections, not
-    w; every row is then shifted and clipped for all t in one broadcast, and
-    one batched sweep sums the pieces of every t.  At w = 0 the middle wrap
-    and the half-line splice take the whole grid the same way.  Each result
-    is bit for bit the packet one sweep per t would give; exact either way
-    (truncation 0).  An empty ``ts`` raises ValidationError.
+    f is decomposed once.  For w > 0 the three rows are built once, on the
+    span (min ts, max ts), in one sweep, at a cost that follows max |t| /
+    ell reflections, not w; they are shifted and clipped for all t in one
+    broadcast, and each t merges its rows (``batch.merge_batch``, no sweep).
+    At w = 0 the middle wrap and the half-line splice take the whole grid
+    the same way.  Exact (truncation 0).  An empty ``ts`` raises
+    ValidationError.
     """
     ts = [_finite_time(t) for t in ts]
     if not ts:
@@ -224,13 +227,11 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
         halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
         pieces = [_wrap_middle(bm, domain, f0, ts), _splice(halves, ts, domain.beta, phase)]
     else:
-        pieces = []
         rows = _block_rows(bm, domain, parts, COMPONENTS, (min(ts), max(ts)))
-        for dest, g in zip(COMPONENTS, rows):
-            if not g.is_empty:
-                g = PacketBatch.tile(g, len(ts)).translate(ts)
-                pieces.append(g.restrict(*domain.component(dest)))
-    moved = sum_batch(pieces).packets() if pieces else [StepPacket.zero()] * len(ts)
+        clip = np.tile(domain.components, (len(ts), 1)).T  # grid row 3 i + d: row d, time i
+        g = PacketBatch.tile(rows, len(ts)).translate(np.repeat(ts, 3)).restrict(*clip)
+        pieces = [PacketBatch(len(ts), g.row // 3, g.lo, g.hi, g.waves)]
+    moved = merge_batch(pieces).packets()
     return [EvolutionResult(g, t, 0.0) for g, t in zip(moved, ts)]
 
 
@@ -274,7 +275,7 @@ def _wrap_middle(bm, domain, f0, ts) -> PacketBatch:
     g = PacketBatch.tile(f0, len(ts)).translate(rest).scale([turn[m] for m in passes])
     inside = g.restrict(1.0, domain.alpha)
     spill = g.restrict(domain.alpha, domain.alpha + ell)
-    spills = spill.occupied()
+    spills = np.bincount(spill.row, minlength=len(ts)) > 0  # rows that spill
     if not spills.any():
         return inside
     wrapped = sum_batch([inside, spill.translate(-ell).scale(bm.b_entry)])
@@ -387,7 +388,7 @@ def cesaro_decay(
     # cells whose values all vanish carry no frequency: no row for them
     f_parts = {tag: f.restrict(*domain.component(tag)) for tag in COMPONENTS}
     tags = [tag for tag in COMPONENTS if f_parts[tag].waves]
-    rows = _block_rows(bm, domain, decompose(g, domain), tags, (-reach, reach))
+    rows = _block_rows(bm, domain, decompose(g, domain), tags, (-reach, reach)).packets()
     pairs = [[np.empty(0)] * 5]  # per cell pair: f cell (a, b), row cell (c, d), conj(u) v
     for tag, row in zip(tags, rows):
         fp = f_parts[tag]

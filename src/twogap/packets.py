@@ -21,8 +21,8 @@ Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
 of its left neighbour joins that neighbour's cluster, and the cluster's
 leftmost edge stands for it, so a chain of close edges becomes one edge.
 Every sum of cells, of one packet or of each row of a ``batch.PacketBatch``,
-runs the one canonical sweep ``_sweep``: the edge rule, the snap of
-cancellation residue and the merges are decided here and nowhere else.
+runs the one canonical sweep ``_sweep`` (cells that never overlap need only
+``_join``): the edge rule, the snap and the merges are decided here alone.
 
 A PacketTrain is a packet followed by a geometric train of its lattice
 translates, head + sum_{n >= 0} ratio^n body(. + n step): the t = inf
@@ -137,8 +137,7 @@ def _sweep(size, row, lo, hi, vals):
     occupied = ~(big <= floor) & (big != 0.0)
     lo, hi, row = lo[occupied], hi[occupied], row[occupied]
     waves = {n: v[occupied] for n, v in waves.items()}
-    first, last = _merge_adjacent(lo, hi, waves, row)
-    return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}
+    return _merge_adjacent(row, lo, hi, waves)
 
 
 def _nonzero(waves):
@@ -165,12 +164,13 @@ def _edge_clusters(ends, end_row):
     return x[starts], r[starts], where
 
 
-def _merge_adjacent(lo, hi, waves, row):
-    """(first, last) cell of each run of contiguous cells whose coefficient
-    stacks agree; a run never spans two rows of a batch (``row``)."""
+def _merge_adjacent(row, lo, hi, waves):
+    """(row, lo, hi, waves) with each run of contiguous cells whose
+    coefficient stacks agree merged into its first cell; a run never spans
+    two rows of a batch."""
     m = len(lo)
     if m <= 1:
-        return np.arange(m), np.arange(m)
+        return row, lo, hi, waves
     joinable = hi[:-1] >= lo[1:] - EDGE_TOL * np.maximum(1.0, np.abs(lo[1:]))
     joinable &= row[1:] == row[:-1]
     for v in waves.values():
@@ -180,7 +180,19 @@ def _merge_adjacent(lo, hi, waves, row):
     # a run starts at every cell that does NOT join its predecessor
     first = np.concatenate(([0], (~joinable).nonzero()[0] + 1))
     last = np.concatenate((first[1:], [m])) - 1
-    return first, last
+    return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}
+
+
+def _join(row, lo, hi, waves):
+    """Cells in (row, lo) order, disjoint in each row, of canonical packets
+    moved whole, made canonical with no sweep: a gap that the move brought
+    within the edge rule closes onto its left edge, as the edge clusters
+    close it, and then contiguous cells whose stacks agree merge."""
+    near = (row[1:] == row[:-1]) & ~_wider(lo[1:] - hi[:-1], lo[1:])
+    if not (near & (lo[1:] != hi[:-1])).any():
+        return row, lo, hi, waves
+    lo = np.concatenate((lo[:1], np.where(near, hi[:-1], lo[1:])))
+    return _merge_adjacent(row, lo, hi, waves)
 
 
 class StepPacket:
@@ -367,7 +379,7 @@ class StepPacket:
         new_hi = np.minimum(self.hi, hi + 0.0)
         # max(|lo|, |hi|) wherever lo <= hi; a cell with lo > hi is dropped anyway
         keep = _wider(new_hi - new_lo, np.maximum(new_hi, -new_lo))
-        if not np.any(keep):
+        if not keep.any():
             return StepPacket.zero()
         waves = _nonzero({n: v[keep] for n, v in self.waves.items()})
         return StepPacket(new_lo[keep], new_hi[keep], waves, _trusted=True)
@@ -481,19 +493,22 @@ def _sum_cells(parts):
     """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves),
     in one ``_sweep`` under the frequency rule.  A part with no frequency
     adds nothing, not even edges."""
-    parts = [part for part in parts if part[2]]
-    freqs = sorted({n for _, _, waves in parts for n in waves})
-    if not freqs:
+    parts = [(np.zeros(len(lo), dtype=int), lo, hi, waves) for lo, hi, waves in parts if waves]
+    if not parts:
         return np.empty(0), np.empty(0), {}
-    lo = np.concatenate([part[0] for part in parts])
-    hi = np.concatenate([part[1] for part in parts])
-    vals = {}
-    for n in freqs:
-        column = [w[n] if n in w else np.zeros(len(a), dtype=complex) for a, _, w in parts]
-        vals[n] = np.concatenate(column)
-    _, lo, hi, waves = _sweep(1, np.zeros(len(lo), dtype=int), lo, hi, vals)
+    _, lo, hi, waves = _sweep(1, *_gather(parts))
     # a merge within VALUE_TOL can zero a frequency out: drop after it
     return lo, hi, _nonzero(waves)
+
+
+def _gather(parts):
+    """Parts (row, lo, hi, waves) as one (row, lo, hi, vals) of ``_sweep``:
+    a value column per frequency, 0.0 where a part lacks it."""
+    row, lo, hi = (np.concatenate([part[k] for part in parts]) for k in range(3))
+    vals = {}
+    for n in sorted({n for *_, waves in parts for n in waves}):
+        vals[n] = np.concatenate([w[n] if n in w else np.zeros(len(r), complex) for r, *_, w in parts])
+    return row, lo, hi, vals
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,7 +49,7 @@ import numpy as np
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi, make_domain
 from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
-from .evolution import EvolutionResult, _finite_time, _require_kept, _wrap_middle, block_row
+from .evolution import EvolutionResult, _finite_time, _partition, _require_kept, _wrap_middle, block_row
 from .packets import StepPacket
 from .quadrature import fold_nodes
 from .spectral import density
@@ -76,8 +76,9 @@ _UNIT_DOMAIN = make_domain(2.0, 3.0)
 def _require_on(f: StepPacket, lo: float, hi: float, what: str) -> StepPacket:
     """f restricted to (lo, hi); SupportViolation if f carries mass outside
     (the leak rule of ``evolution._require_kept``)."""
-    _require_kept(f, ((-np.inf, lo), (hi, np.inf)), what, f"({lo:g}, {hi:g})")
-    return f.restrict(lo, hi)
+    left, inside, right = _partition(f, (lo, hi))
+    _require_kept(f, (left, right), what, f"({lo:g}, {hi:g})")
+    return inside
 
 
 def compress_evolve_many(

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from twogap import cli, evolution, multipliers
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twogap import batch, cli, evolution, multipliers, packets
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -25,7 +28,7 @@ from twogap.evolution import (
     translation_representation,
 )
 from twogap.multipliers import BLOCK_KIND, apply_multiplier, make_multiplier
-from twogap.packets import StepPacket, sum_packets
+from twogap.packets import EDGE_TOL, VALUE_TOL, StepPacket, _wider, sum_packets
 from twogap.scenario import bundled_scenario
 
 from conftest import (
@@ -546,9 +549,9 @@ def test_evolve_many_contracts():
 
 
 def _evolve_per_time(bm, dom, f, ts):
-    """U(t) f on a grid with one sweep per t: the grid's rows, shifted and
-    clipped per t and summed (w > 0), or the middle wrap plus the half-line
-    splice per t (w = 0)."""
+    """U(t) f on a grid, one t at a time: the grid's rows, shifted and
+    clipped per t, side by side in component order (w > 0), or the middle
+    wrap plus the half-line splice in one sweep per t (w = 0)."""
     parts = decompose(f, dom)
     if bm.w == 0.0:
         fm, f0, fp = parts
@@ -557,11 +560,25 @@ def _evolve_per_time(bm, dom, f, ts):
     span = (min(ts), max(ts))
     rows = [(dom.component(d), block_row(bm, dom, parts, d, span=span)) for d in _COMPONENTS]
     rows = [(comp, g) for comp, g in rows if not g.is_empty]
-    return [sum_packets(g.translate(t).restrict(*comp) for comp, g in rows) for t in ts]
+    return [_side_by_side([g.translate(t).restrict(*comp) for comp, g in rows]) for t in ts]
+
+
+def _side_by_side(pieces):
+    """The sum of packets whose cells never overlap: all their cells in
+    order, each edge and value as it is (but no -0.0)."""
+    freqs = sorted({n for p in pieces for n in p.waves})
+    lo = np.concatenate([p.lo for p in pieces] + [np.empty(0)]) + 0.0
+    hi = np.concatenate([p.hi for p in pieces] + [np.empty(0)]) + 0.0
+    order = np.argsort(lo, kind="stable")
+    waves = {
+        n: np.concatenate([p.waves.get(n, np.zeros(p.n_cells, dtype=complex)) for p in pieces])[order] + 0.0
+        for n in freqs
+    }
+    return StepPacket(lo[order], hi[order], waves)
 
 
 def test_grid_sweep_is_one_sweep_per_time():
-    # the batched sweep over a grid gives each t the packet of its own sweep, bit for bit
+    # the batched grid gives each t the packet it gets alone, bit for bit
     rng = np.random.default_rng(19)
     grids = ([2.5], [0.0, 0.4, -1.3, 7.25, 0.4, -20.0], list(rng.uniform(-12.0, 12.0, 9)))
     for trial in range(12):
@@ -588,6 +605,105 @@ def test_grid_sweep_is_one_sweep_per_time():
             assert_same_packet(got.packets()[0], splice_at(g, t, width, complex(e2pi(-0.3))))
 
 
+def _stack(p, j, freqs):
+    """Cell j of p as the bytes of its value for each of ``freqs`` (0.0 where
+    p lacks one), -0.0 read as 0.0."""
+    return [(p.waves[n][j] + 0.0).tobytes() if n in p.waves else bytes(16) for n in freqs]
+
+
+def _assert_merged(out, pieces):
+    """out is the canonical sum of pieces on disjoint intervals with no
+    sweep: each cell of out is a run of consecutive cells of the pieces with
+    the first one's values (bit for bit) and the last one's hi, and its lo is
+    the first one's, or the previous cell's hi across a gap no wider than the
+    edge rule; and out is canonical: sorted, every cell and every nonzero gap
+    wider than the edge rule, no two contiguous cells with agreeing stacks,
+    no -0.0."""
+    ref = _side_by_side(pieces)
+    freqs = sorted(set(ref.waves) | set(out.waves))
+    i = 0
+    for j in range(out.n_cells):
+        start = ref.lo[i]
+        assert start == out.lo[j] or (
+            j and out.lo[j] == out.hi[j - 1] and not _wider(start - out.hi[j - 1], start)
+        )
+        assert _stack(out, j, freqs) == _stack(ref, i, freqs)
+        while ref.hi[i] != out.hi[j]:
+            i += 1
+        i += 1
+    assert i == ref.n_cells
+    lo, hi = out.lo, out.hi
+    assert np.all(_wider(hi - lo, lo))
+    gap = lo[1:] - hi[:-1]
+    assert np.all((gap == 0.0) | ((gap > 0.0) & _wider(gap, lo[1:])))
+    touching = gap == 0.0
+    differs = np.zeros(len(gap), dtype=bool)
+    for v in out.waves.values():
+        scale = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+        differs |= np.abs(v[:-1] - v[1:]) > VALUE_TOL * scale
+    assert np.all(differs | ~touching)
+    values = [x for v in out.waves.values() for x in (v.real, v.imag)]
+    for x in (lo, hi, *values):
+        assert not np.any(np.signbit(x) & (x == 0.0))
+
+
+@st.composite
+def near_gap_cases(draw):
+    """(w, f, t), |t| <= 1e3: f holds a pair of cells on the half-line that
+    t moves away from the obstacles, whose gap is within 2x of the edge rule
+    at the pair's position after the shift (and far wider before it)."""
+    t = draw(st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: abs(x) >= 1.0))
+    w = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    value = st.sampled_from([1.0, 1.0, -0.5j, 0.3 + 0.2j])
+    edge = draw(st.floats(1.5, 2.5)) * (-1.0 if t < 0 else 1.0) + (0.0 if t < 0 else _NEAR_DOMAIN.beta)
+    gap = draw(st.floats(0.5, 2.0)) * EDGE_TOL * abs(edge + t)
+    freq = draw(st.sampled_from([0, 1]))
+    pair = StepPacket([edge - 0.5, edge + gap], [edge, edge + 0.6], {freq: [draw(value), draw(value)]})
+    middle = StepPacket([1.2, 1.5], [1.5, 1.8], {0: [draw(value), draw(value)]})  # touching cells
+    return w, pair + middle, t
+
+
+_NEAR_DOMAIN = make_domain(2.0, 10.0 / 3.0)
+
+
+@given(near_gap_cases())
+@settings(max_examples=60, deadline=None)
+def test_evolve_merges_its_rows_into_canonical_cells(case):
+    # each t's packet is its shifted, clipped rows side by side, cell for
+    # cell, canonical also where a shift brings a gap within the edge rule
+    w, f, t = case
+    dom = _NEAR_DOMAIN
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
+    out = evolve(bm, dom, f, t).packet
+    fm, f0, fp = decompose(f, dom)
+    if w == 0.0:
+        phase = -complex(e2pi(bm.psi - bm.theta))
+        pieces = [evolution._wrap_middle(bm, dom, f0, [t]), evolution._splice(fm + fp, [t], dom.beta, phase)]
+        pieces = [g.packets()[0] for g in pieces]
+    else:
+        rows = evolution._block_rows(bm, dom, (fm, f0, fp), _COMPONENTS, (t, t)).packets()
+        pieces = [g.translate(t).restrict(*dom.component(d)) for d, g in zip(_COMPONENTS, rows)]
+    _assert_merged(out, pieces)
+
+
+def test_coupled_evolve_sweeps_once(monkeypatch):
+    # the three rows are built in one sweep and merged with none, for one t
+    # or a grid
+    swept, sweep = [], packets._sweep
+
+    def counting(*args):
+        swept.append(args[0])
+        return sweep(*args)
+
+    for module in (evolution, batch, packets):
+        monkeypatch.setattr(module, "_sweep", counting, raising=False)
+    bm = make_boundary_matrix(w=0.5, theta=0.15, phi=0.3, psi=0.45)
+    for ts in ([7.5], [0.0, -3.0, 20.0, 7.5]):
+        swept.clear()
+        evolve_many(bm, _WINDOW_DOMAIN, _WINDOW_F, ts)
+        assert swept == [3]
+
+
 def test_rows_of_one_sweep_are_each_rows_own_sweep():
     # the batched pre-shift sweep of all three rows gives each row the packet
     # of its own sweep, bit for bit; a part with cells but no frequency (its
@@ -602,7 +718,7 @@ def test_rows_of_one_sweep_are_each_rows_own_sweep():
         ]
         t_lo = rng.uniform(-15.0, 5.0)
         span = (t_lo, t_lo + rng.uniform(0.0, 20.0))
-        rows = evolution._block_rows(bm, dom, parts, _COMPONENTS, span)
+        rows = evolution._block_rows(bm, dom, parts, _COMPONENTS, span).packets()
         for d, got in zip(_COMPONENTS, rows):
             assert_same_packet(got, block_row(bm, dom, parts, d, span=span))
         src = trial % 3
@@ -610,7 +726,7 @@ def test_rows_of_one_sweep_are_each_rows_own_sweep():
         muted[src] = StepPacket(parts[src].lo, parts[src].hi, {2: np.zeros(parts[src].n_cells)})
         dropped[src] = StepPacket.zero()
         assert muted[src].n_cells and not muted[src].waves
-        rows = evolution._block_rows(bm, dom, muted, _COMPONENTS, span)
+        rows = evolution._block_rows(bm, dom, muted, _COMPONENTS, span).packets()
         for d, got in zip(_COMPONENTS, rows):
             assert_same_packet(got, block_row(bm, dom, dropped, d, span=span))
     with pytest.raises(ValidationError):
