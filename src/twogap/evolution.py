@@ -57,7 +57,7 @@ from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
 from .multipliers import BLOCK_KIND, causal_multiplier, train_terms
 from .batch import PacketBatch, merge_batch, sum_batch
-from .packets import PacketTrain, StepPacket, _gather, _nonzero, _sum_cells, _sweep, _translates
+from .packets import PacketTrain, StepPacket, _nonzero, _sum_cells, _sum_rows, _translates
 
 __all__ = [
     "EvolutionResult",
@@ -148,9 +148,8 @@ def block_row(
 
 def _block_rows(bm, domain, parts, dests, span) -> PacketBatch:
     """``block_row`` for each of ``dests``: the rows of one batch, from one
-    batched sweep of the unswept cells of every block (a part's own cells,
-    or the translates of its causal terms); a piece whose values all vanish
-    adds not even edges."""
+    batched sweep (``packets._sum_rows``) of the unswept cells of every
+    block (a part's own cells, or the translates of its causal terms)."""
     pieces = []
     for b, dest in enumerate(dests):
         lo, hi = domain.component(dest)
@@ -164,11 +163,8 @@ def _block_rows(bm, domain, parts, dests, span) -> PacketBatch:
             else:
                 m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
                 cells = _translates(fsrc, *m.terms())
-            if any(v.any() for v in cells[2].values()):
-                pieces.append((np.full(len(cells[0]), b), *cells))
-    if not pieces:
-        return PacketBatch.tile(StepPacket.zero(), len(dests))
-    return PacketBatch(len(dests), *_sweep(len(dests), *_gather(pieces)))
+            pieces.append((np.full(len(cells[0]), b), *cells))
+    return PacketBatch(len(dests), *_sum_rows(len(dests), pieces))
 
 
 def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> PacketTrain:

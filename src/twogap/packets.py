@@ -11,9 +11,13 @@ translation multiplies the frequency-n coefficient by e(-n t), restriction
 clips cells, and sums of lattice translates stay in the class.
 
 Storage is columnar (lo/hi arrays plus one complex coefficient array per
-frequency), and the canonical form is maintained by every constructor:
-cells sorted, disjoint, zero-width and zero-value cells dropped, adjacent
-cells with equal coefficient stacks merged (equality tolerance 1e-14).
+frequency).  The canonical form: cells sorted, disjoint, zero-width and
+zero-value cells dropped, adjacent cells with equal coefficient stacks
+merged (equality tolerance 1e-14).  Every sum, ``box`` and
+``from_breakpoints`` make it.  The untrusted constructor
+``StepPacket(lo, hi, waves)`` only validates the cells: touching cells
+whose stacks agree, and zero-valued cells, stay as given until a sum
+(``+ StepPacket.zero()``) makes them canonical.
 Every constructor and operation keeps one frequency rule: the keys of
 ``waves`` are in ascending order, and each key has at least one nonzero
 value (a frequency whose values all vanish, say by underflow, is dropped).
@@ -21,8 +25,10 @@ Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
 of its left neighbour joins that neighbour's cluster, and the cluster's
 leftmost edge stands for it, so a chain of close edges becomes one edge.
 Every sum of cells, of one packet or of each row of a ``batch.PacketBatch``,
-runs the one canonical sweep ``_sweep`` (cells that never overlap need only
-``_join``): the edge rule, the snap and the merges are decided here alone.
+enters the one canonical sweep ``_sweep`` through ``_sum_rows`` (cells that
+never overlap need only ``_merge_rows``), and both classes run the same
+cell operations (``_translate``, ``_scale``, ``_restrict``): the edge rule,
+the snap and the merges are decided here alone.
 
 A PacketTrain is a packet followed by a geometric train of its lattice
 translates, head + sum_{n >= 0} ratio^n body(. + n step): the t = inf
@@ -90,9 +96,47 @@ def _translates(p, shifts, weights):
     return lo, hi, waves
 
 
+def _translate(lo, hi, waves, s, row=None):
+    """(lo, hi, waves) of x -> f(x - s): the cells moved by s, and a
+    frequency-n value times e(-n s), one scalar phase per row.  ``s`` is one
+    shift, or an array of one per row with ``row`` the row of each cell."""
+    out = {}
+    for n, v in waves.items():
+        if n:  # a unit phase keeps a nonzero value nonzero, even a subnormal one
+            phase = [complex(e2pi(-n * x)) for x in ([s] if row is None else s.tolist())]
+            v = v * (phase[0] if row is None else np.array(phase)[row])
+        out[n] = v
+    shift = s if row is None else s[row]
+    return lo + shift, hi + shift, out
+
+
+def _scale(lo, hi, waves, c):
+    """(keep, lo, hi, waves): the cells times c, one weight or an array of
+    one per cell; a cell of weight 0 drops out, and ``keep`` picks the rest.
+    A frequency whose values all underflow is dropped."""
+    if isinstance(c, np.ndarray):
+        keep = slice(None) if c.all() else c != 0.0
+        c = c[keep]
+    else:
+        keep = slice(None) if c != 0 else slice(0)
+    return keep, lo[keep], hi[keep], _nonzero({n: c * v[keep] for n, v in waves.items()})
+
+
+def _restrict(lo, hi, waves, a, b):
+    """(keep, lo, hi, waves): the cells cut to the window (a, b), one for all
+    cells or an array of one per cell; ``keep`` picks the cells left.  Bit
+    for bit the sweep of the cut cells: the edge rule drops a cell no wider
+    than EDGE_TOL * max(1, |lo|, |hi|), no cut edge is -0.0, and a frequency
+    with no value left is dropped."""
+    lo, hi = np.maximum(lo, a + 0.0), np.minimum(hi, b + 0.0)
+    # max(|lo|, |hi|) wherever lo <= hi; a cell with lo > hi is dropped anyway
+    keep = _wider(hi - lo, np.maximum(hi, -lo))
+    return keep, lo[keep], hi[keep], _nonzero({n: v[keep] for n, v in waves.items()})
+
+
 def _sweep(size, row, lo, hi, vals):
     """The canonical sweep: canonical cells of every row of a batch, in one
-    pass.
+    pass.  Enter it through ``_sum_rows``.
 
     Cell i, of row ``row[i]`` (0 <= row[i] < size), carries ``vals[n][i]``
     for each frequency n of ``vals`` (at least one; 0.0 where its packet
@@ -100,12 +144,16 @@ def _sweep(size, row, lo, hi, vals):
     add.  Returns (row, lo, hi, waves): the cells of every row in row order,
     a column per key of ``vals`` (a column may have no nonzero value left).
 
+    The one empty rule: a cell whose values all vanish adds nothing, not
+    even edges, whatever else its packet holds; nor does a cell that the
+    edge rule finds too narrow.  Both are dropped before the edges cluster.
+
     Rows never meet: the edge sort runs on (row, edge) pairs, and row b's
     sweep runs along row b of a (size x edges) grid, so each row gets the
     edge clusters (``_edge_clusters``), ``add.at`` and ``cumsum`` order,
     SNAP_REL peak and merges it would get as a batch of one.
     """
-    ok = _wider(hi - lo, lo)
+    ok = _wider(hi - lo, lo) & functools.reduce(np.logical_or, [v != 0.0 for v in vals.values()])
     row, lo, hi = row[ok], lo[ok], hi[ok]
     vals = {n: v[ok] for n, v in vals.items()}
     k = len(lo)
@@ -319,14 +367,8 @@ class StepPacket:
     # ------------------------------------------------------------------
 
     def scale(self, c: complex) -> "StepPacket":
-        c = complex(c)
-        if c == 0 or self.is_empty:
-            return StepPacket.zero()
-        return StepPacket(
-            self.lo.copy(), self.hi.copy(),
-            _nonzero({n: c * v for n, v in self.waves.items()}),  # values can underflow
-            _trusted=True,
-        )
+        _, lo, hi, waves = _scale(self.lo, self.hi, self.waves, complex(c))
+        return StepPacket(lo, hi, waves, _trusted=True)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -348,41 +390,17 @@ class StepPacket:
 
     def translate(self, s: float) -> "StepPacket":
         """The packet x -> f(x - s); frequency-n coefficients gain e(-n s)."""
-        s = float(s)
-        if self.is_empty:
-            return self
-        waves = {}
-        for n, v in self.waves.items():
-            # a unit phase keeps a nonzero value nonzero, even a subnormal one
-            waves[n] = v * complex(e2pi(-n * s)) if n else v.copy()
-        return StepPacket(self.lo + s, self.hi + s, waves, _trusted=True)
+        return StepPacket(*_translate(self.lo, self.hi, self.waves, float(s)), _trusted=True)
 
     def conjugate(self) -> "StepPacket":
-        return StepPacket(
-            self.lo.copy(), self.hi.copy(),
-            {-n: np.conj(v) for n, v in reversed(self.waves.items())},
-            _trusted=True,
-        )
+        waves = {-n: np.conj(v) for n, v in reversed(self.waves.items())}
+        return StepPacket(self.lo, self.hi, waves, _trusted=True)
 
     def restrict(self, lo=-np.inf, hi=np.inf) -> "StepPacket":
         """Restriction to the interval (lo, hi); endpoints carry no mass.
-
-        Bit for bit ``sum_packets([restrict])``: a cut cell no wider than the
-        edge rule's EDGE_TOL * max(1, |lo|, |hi|) is dropped, and a cut edge
-        is stored as the sweep stores it (no -0.0).
-        """
-        if hi <= lo:
-            return StepPacket.zero()
-        if self.is_empty:
-            return self
-        new_lo = np.maximum(self.lo, lo + 0.0)
-        new_hi = np.minimum(self.hi, hi + 0.0)
-        # max(|lo|, |hi|) wherever lo <= hi; a cell with lo > hi is dropped anyway
-        keep = _wider(new_hi - new_lo, np.maximum(new_hi, -new_lo))
-        if not keep.any():
-            return StepPacket.zero()
-        waves = _nonzero({n: v[keep] for n, v in self.waves.items()})
-        return StepPacket(new_lo[keep], new_hi[keep], waves, _trusted=True)
+        Bit for bit ``sum_packets([restrict])`` (``_restrict``)."""
+        _, lo, hi, waves = _restrict(self.lo, self.hi, self.waves, lo, hi)
+        return StepPacket(lo, hi, waves, _trusted=True)
 
     # ------------------------------------------------------------------
     # integrals
@@ -485,25 +503,48 @@ class StepPacket:
 
 def sum_packets(packets) -> StepPacket:
     """Sum many packets in one edge sweep (cheaper than repeated add)."""
-    cells = _sum_cells((p.lo, p.hi, p.waves) for p in packets if not p.is_empty)
-    return StepPacket(*cells, _trusted=True)
+    return StepPacket(*_sum_cells((p.lo, p.hi, p.waves) for p in packets), _trusted=True)
 
 
 def _sum_cells(parts):
-    """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves),
-    in one ``_sweep`` under the frequency rule.  A part with no frequency
-    adds nothing, not even edges."""
-    parts = [(np.zeros(len(lo), dtype=int), lo, hi, waves) for lo, hi, waves in parts if waves]
-    if not parts:
-        return np.empty(0), np.empty(0), {}
-    _, lo, hi, waves = _sweep(1, *_gather(parts))
+    """(lo, hi, waves) of the sum of the packets given as (lo, hi, waves):
+    ``_sum_rows`` for one row, under the frequency rule."""
+    _, lo, hi, waves = _sum_rows(1, [(np.zeros(len(lo), dtype=int), lo, hi, waves) for lo, hi, waves in parts])
     # a merge within VALUE_TOL can zero a frequency out: drop after it
     return lo, hi, _nonzero(waves)
 
 
+def _sum_rows(size, parts):
+    """The one door into ``_sweep``: the canonical cells (row, lo, hi, waves)
+    of the row-wise sum of parts (row, lo, hi, waves) over ``size`` rows."""
+    if not any(waves for *_, waves in parts):  # not one value: the sum is zero
+        return np.empty(0, dtype=int), np.empty(0), np.empty(0), {}
+    return _sweep(size, *_gather(parts))
+
+
+def _merge_rows(parts):
+    """The row-wise sum of parts (row, lo, hi, waves) that never overlap
+    within a row (OrderingViolation), with no sweep: their cells in (row, lo)
+    order, made canonical by ``_join``, and as in the sweep no -0.0."""
+    row, lo, hi, vals = _gather(parts)
+    order = np.lexsort((lo, row))
+    row, lo, hi = row[order], lo[order] + 0.0, hi[order] + 0.0
+    if np.any((row[1:] == row[:-1]) & (lo[1:] < hi[:-1])):
+        raise OrderingViolation("merged pieces overlap")
+    return _join(row, lo, hi, {n: v[order] + 0.0 for n, v in vals.items()})
+
+
+def _stack(parts):
+    """Parts (row, lo, hi, waves) that share no row, as the columns of one
+    batch: the cells in row order, each row's in its part's order."""
+    row, lo, hi, vals = _gather(parts)
+    order = np.argsort(row, kind="stable")
+    return row[order], lo[order], hi[order], {n: v[order] for n, v in vals.items()}
+
+
 def _gather(parts):
-    """Parts (row, lo, hi, waves) as one (row, lo, hi, vals) of ``_sweep``:
-    a value column per frequency, 0.0 where a part lacks it."""
+    """Parts (row, lo, hi, waves) as one (row, lo, hi, vals): a value column
+    per frequency, 0.0 where a part lacks it."""
     row, lo, hi = (np.concatenate([part[k] for part in parts]) for k in range(3))
     vals = {}
     for n in sorted({n for *_, waves in parts for n in waves}):

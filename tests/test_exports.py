@@ -93,7 +93,7 @@ def test_reference_oracles_are_exported():
         assert name in importlib.import_module(module).__all__
 
 
-SWEEP_INTERNALS = {"_edge_clusters", "_merge_adjacent", "SNAP_REL"}
+SWEEP_INTERNALS = {"_edge_clusters", "_merge_adjacent", "SNAP_REL", "_sweep", "_gather", "_wider"}
 
 
 @pytest.mark.parametrize(
@@ -102,9 +102,10 @@ SWEEP_INTERNALS = {"_edge_clusters", "_merge_adjacent", "SNAP_REL"}
     ids=lambda p: p.name,
 )
 def test_one_module_owns_the_sweep(path):
-    """The edge rule, the snap and the merge are decided in ``packets`` alone:
-    no other library module reads or imports their internals, so a second
-    sweep cannot grow beside ``packets._sweep``."""
+    """The edge rule, the snap, the merge and the door into the sweep are
+    decided in ``packets`` alone: no other library module reads or imports
+    their internals (the sweep itself, its gatherer, the edge rule's width
+    test), so a second sweep or edge rule cannot grow beside ``packets``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {
         alias.name

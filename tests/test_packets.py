@@ -203,6 +203,11 @@ def test_merge_adjacent_cells():
     assert f.n_cells == 1
     g = StepPacket.box(0.0, 1.0, 1.0) + StepPacket.box(1.0, 2.0, 2.0)
     assert g.n_cells == 2
+    # the untrusted constructor keeps touching cells whose stacks agree, as
+    # given; any sum merges them
+    h = StepPacket([1.2, 1.5], [1.5, 1.8], {0: [1, 1]})
+    assert h.n_cells == 2
+    assert (h + StepPacket.zero()).n_cells == 1
 
 
 def test_chained_edges_leave_no_hole():
@@ -334,6 +339,21 @@ def test_batch_sum_skips_a_packet_without_frequencies():
     for packet in got:
         assert_same_packet(packet, sum_packets([f, g]))
         assert packet.hi.tolist() == [1.0]
+
+
+def test_a_cell_of_zero_values_moves_no_edge():
+    # the sweep's one empty rule: a cell whose values all vanish adds nothing,
+    # not even edges, whether or not its packet holds a live cell; here its
+    # edge at 2 would pull the edge at 2 + 5e-15 onto 2
+    near = StepPacket.box(2.0 + 5e-15, 3.0, 1.0)
+    mixed = StepPacket([0.0, 1.0], [1.0, 2.0], {0: [1.0, 0.0]})
+    alone = [StepPacket.box(0.0, 1.0, 1.0), StepPacket([1.0], [2.0], {0: [0.0]})]
+    assert mixed.n_cells == 2 and alone[1].n_cells == 1
+    want = [0.0, 2.0 + 5e-15]
+    for parts in ([mixed, near], [*alone, near]):
+        assert sum_packets(parts).lo.tolist() == want
+        for row in sum_batch([PacketBatch.tile(p, 2) for p in parts]).packets():
+            assert row.lo.tolist() == want
 
 
 def assert_frequency_rule(p):
