@@ -1,21 +1,21 @@
-"""Batches of step packets: one packet per time of a grid, swept at once.
+"""Batches of step packets: one packet per time of a grid, moved at once.
 
 A ``PacketBatch`` holds one packet per row as one flat list of cells, so a
 whole time grid is shifted, scaled and clipped in one broadcast by the cell
 operations that ``StepPacket`` runs on one packet (``packets._translate``,
-``_scale``, ``_restrict``).  ``sum_batch`` sums every row in one pass of the
-one canonical sweep (``packets._sum_rows``), bit for bit ``sum_packets`` of
-that row alone; pieces that never overlap in a row add with no sweep
-(``merge_batch``).  A row carries frequency n exactly when it holds a
-nonzero value of n (the frequency rule of ``packets``)."""
+``_scale``, ``_restrict``).  Pieces that lie side by side in each row add
+with no sweep (``merge_batch``); rows whose cells overlap are summed by the
+one canonical sweep (``packets._sum_rows``).  A row carries frequency n
+exactly when it holds a nonzero value of n (the frequency rule of
+``packets``)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .packets import StepPacket, _merge_rows, _nonzero, _restrict, _scale, _stack, _sum_rows, _translate
+from .packets import StepPacket, _merge_rows, _nonzero, _restrict, _scale, _translate
 
-__all__ = ["PacketBatch", "merge_batch", "sum_batch"]
+__all__ = ["PacketBatch", "merge_batch"]
 
 
 class PacketBatch:
@@ -55,10 +55,6 @@ class PacketBatch:
         x = np.asarray(x)
         return x[self.row] if x.ndim else x[()]
 
-    def _cells(self, keep=slice(None)):
-        """The cells ``keep`` as a part (row, lo, hi, waves) of a sum."""
-        return self.row[keep], self.lo[keep], self.hi[keep], {n: v[keep] for n, v in self.waves.items()}
-
     def translate(self, s) -> "PacketBatch":
         s, cells = np.asarray(s, dtype=float), (self.lo, self.hi, self.waves)
         moved = _translate(*cells, s, self.row) if s.ndim else _translate(*cells, s[()])
@@ -72,15 +68,6 @@ class PacketBatch:
         keep, lo, hi, waves = _restrict(self.lo, self.hi, self.waves, self._at_cells(lo), self._at_cells(hi))
         return PacketBatch(self.size, self.row[keep], lo, hi, waves)
 
-    @staticmethod
-    def select(mask, a: "PacketBatch", b: "PacketBatch") -> "PacketBatch":
-        """Row i of a where ``mask[i]``, else row i of b."""
-        if mask.all():
-            return a
-        if not mask.any():
-            return b
-        return PacketBatch(a.size, *_stack([a._cells(mask[a.row]), b._cells(~mask[b.row])]))
-
     def packets(self) -> list:
         """The rows as StepPackets."""
         bounds = np.searchsorted(self.row, np.arange(self.size + 1)).tolist()
@@ -92,13 +79,8 @@ class PacketBatch:
         return out
 
 
-def sum_batch(pieces) -> PacketBatch:
-    """``sum_packets`` of the pieces, row by row, in one batched sweep."""
-    size = pieces[0].size
-    return PacketBatch(size, *_sum_rows(size, [p._cells() for p in pieces]))
-
-
 def merge_batch(pieces) -> PacketBatch:
-    """The row-wise sum of pieces that never overlap within a row
-    (OrderingViolation), with no sweep (``packets._merge_rows``)."""
-    return PacketBatch(pieces[0].size, *_merge_rows([p._cells() for p in pieces]))
+    """The row-wise sum of pieces that lie side by side within a row, with
+    no sweep (``packets._merge_rows``): an overlap wider than the edge rule
+    raises OrderingViolation."""
+    return PacketBatch(pieces[0].size, *_merge_rows([(p.row, p.lo, p.hi, p.waves) for p in pieces]))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import _real_lambda, e2pi
+from .batch import merge_batch
 from .errors import ValidationError
 from .evolution import _partition, _require_kept, _splice
 from .packets import StepPacket
@@ -134,8 +135,9 @@ def degenerate_evolve(model, f: StepPacket, t: float) -> StepPacket:
     SupportViolation.
     """
     width, theta = _cut(model)
-    _require_kept(f, _partition(f, (0.0, width))[1:2], "packet", "the line outside the obstacle")
-    return _splice(f, [float(t)], width, complex(e2pi(-theta))).packets()[0]
+    left, on_cut, right = _partition(f, (0.0, width))
+    _require_kept(f, (on_cut,), "packet", "the line outside the obstacle")
+    return merge_batch(_splice(left, right, [float(t)], width, complex(e2pi(-theta)))).packets()[0]
 
 
 def conjugation_residual(model, f: StepPacket, t: float) -> float:

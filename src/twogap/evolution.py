@@ -40,10 +40,11 @@ compressed semigroup.  At w = 0, |z| = 1 and ``evolve_many`` needs no row:
 the middle interval wraps, and the two half-lines are one line with the
 cut [0, beta] (``_splice``): mass crossing 0 rightward re-enters at beta
 with phase -e(psi - theta), and mass crossing beta leftward goes back with
-the conjugate phase.  Both take a whole time grid and return a
-``batch.PacketBatch``, one row per time, from a fixed number of batched
-sweeps.  ``_splice`` is also the native evolution of the point and
-interval models of ``degenerate``.
+the conjugate phase.  Both only move cells past each other: for a whole
+time grid they return their pieces, each a ``batch.PacketBatch`` with one
+row per time, which lie side by side and add with no sweep
+(``batch.merge_batch``).  ``_splice`` is also the native evolution of the
+point and interval models of ``degenerate``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
 from .multipliers import BLOCK_KIND, causal_multiplier, train_terms
-from .batch import PacketBatch, merge_batch, sum_batch
+from .batch import PacketBatch, merge_batch
 from .packets import PacketTrain, StepPacket, _nonzero, _sum_cells, _sum_rows, _translates
 
 __all__ = [
@@ -210,9 +211,9 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
     span (min ts, max ts), in one sweep, at a cost that follows max |t| /
     ell reflections, not w; they are shifted and clipped for all t in one
     broadcast, and each t merges its rows (``batch.merge_batch``, no sweep).
-    At w = 0 the middle wrap and the half-line splice take the whole grid
-    the same way.  Exact (truncation 0).  An empty ``ts`` raises
-    ValidationError.
+    At w = 0 no row is built and nothing is swept: the pieces of the middle
+    wrap and of the half-line splice, for the whole grid, merge the same
+    way.  Exact (truncation 0).  An empty ``ts`` raises ValidationError.
     """
     ts = [_finite_time(t) for t in ts]
     if not ts:
@@ -220,8 +221,8 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
     parts = decompose(f, domain)
     if bm.w == 0.0:
         fm, f0, fp = parts
-        halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
-        pieces = [_wrap_middle(bm, domain, f0, ts), _splice(halves, ts, domain.beta, phase)]
+        phase = -complex(e2pi(bm.psi - bm.theta))
+        pieces = _wrap_middle(bm, domain, f0, ts) + _splice(fm, fp, ts, domain.beta, phase)
     else:
         rows = _block_rows(bm, domain, parts, COMPONENTS, (min(ts), max(ts)))
         clip = np.tile(domain.components, (len(ts), 1)).T  # grid row 3 i + d: row d, time i
@@ -259,43 +260,40 @@ def block_matrix_entry(
 # ----------------------------------------------------------------------
 
 
-def _wrap_middle(bm, domain, f0, ts) -> PacketBatch:
+def _wrap_middle(bm, domain, f0, ts) -> list:
     """Damped wrap of the middle interval, z = ``bm.b_entry`` per pass, for
     every t of ``ts`` at once: the compressed semigroup for w > 0, t >= 0;
-    unitary at w = 0 (any t).  A row whose shifted packet spills nothing
-    past alpha is its clipped shift, unswept."""
+    unitary at w = 0 (any t).  Two batches that lie side by side, to be
+    added by ``batch.merge_batch`` with no sweep: f0 shifted by t mod ell
+    (and scaled by z per whole pass) on (1, alpha), and its spill past
+    alpha wrapped back onto (1, 1 + t mod ell) and scaled by z."""
     ell = domain.ell
     rest = [t % ell for t in ts]
     passes = [round((t - r) / ell) for t, r in zip(ts, rest)]
     turn = {m: bm.q**m * complex(e2pi(-bm.psi * m)) for m in set(passes)}
     g = PacketBatch.tile(f0, len(ts)).translate(rest).scale([turn[m] for m in passes])
-    inside = g.restrict(1.0, domain.alpha)
-    spill = g.restrict(domain.alpha, domain.alpha + ell)
-    spills = np.bincount(spill.row, minlength=len(ts)) > 0  # rows that spill
-    if not spills.any():
-        return inside
-    wrapped = sum_batch([inside, spill.translate(-ell).scale(bm.b_entry)])
-    return PacketBatch.select(spills, wrapped, inside)
+    spill = g.restrict(domain.alpha, domain.alpha + ell).translate(-ell).scale(bm.b_entry)
+    return [g.restrict(1.0, domain.alpha), spill]
 
 
-def _splice(f, ts, width, phase) -> PacketBatch:
-    """Shift by each t of ``ts`` on the line with [0, width] removed (width
-    0: a point).
+def _splice(left, right, ts, width, phase) -> list:
+    """Shift the halves ``left`` (on x < 0) and ``right`` (on x > width) by
+    each t of ``ts`` on the line with [0, width] removed (width 0: a point),
+    as four batches that lie side by side, to be added by
+    ``batch.merge_batch`` with no sweep.
 
-    Mass that crosses 0 rightward jumps by ``width`` and gains ``phase``;
-    mass that crosses ``width`` leftward jumps back with conj(phase).
+    Mass of ``left`` that crosses 0 jumps by ``width`` and gains ``phase``;
+    mass of ``right`` that crosses ``width`` jumps back with conj(phase).
+    For each sign of t one of the two crossing pieces is empty.
     """
-    ts = np.asarray(ts, dtype=float)
-    ahead = ts >= 0  # the left half moves right; else the right half moves left
-    left = PacketBatch.tile(f.restrict(hi=0.0), len(ts))
-    right = PacketBatch.tile(f.restrict(lo=width), len(ts))
-    moved = PacketBatch.select(ahead, left, right).translate(ts)
-    stay = moved.restrict(np.where(ahead, -np.inf, width), np.where(ahead, 0.0, np.inf))
-    cross = moved.restrict(np.where(ahead, 0.0, -np.inf), np.where(ahead, np.inf, width))
-    cross = cross.translate(np.where(ahead, width, -width))
-    cross = cross.scale(np.where(ahead, phase, np.conj(phase)))
-    still = PacketBatch.select(ahead, right, left).translate(ts)
-    return sum_batch([sum_batch([stay, cross]), still])
+    left = PacketBatch.tile(left, len(ts)).translate(ts)
+    right = PacketBatch.tile(right, len(ts)).translate(ts)
+    return [
+        left.restrict(hi=0.0),
+        left.restrict(lo=0.0).translate(width).scale(phase),
+        right.restrict(lo=width),
+        right.restrict(hi=width).translate(-width).scale(np.conj(phase)),
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,14 @@ value (a frequency whose values all vanish, say by underflow, is dropped).
 Edges are identified left to right: an edge within EDGE_TOL * max(1, |x|)
 of its left neighbour joins that neighbour's cluster, and the cluster's
 leftmost edge stands for it, so a chain of close edges becomes one edge.
-Every sum of cells, of one packet or of each row of a ``batch.PacketBatch``,
-enters the one canonical sweep ``_sweep`` through ``_sum_rows`` (cells that
-never overlap need only ``_merge_rows``), and both classes run the same
-cell operations (``_translate``, ``_scale``, ``_restrict``): the edge rule,
-the snap and the merges are decided here alone.
+Every sum of cells that may overlap, of one packet or of each row of a
+batch, enters the one canonical sweep ``_sweep`` through ``_sum_rows``;
+cells that only lie side by side, as pieces moved past each other do, need
+only ``_merge_rows``, which closes their edges by the same rule and merges
+agreeing neighbours with no sweep.  ``StepPacket`` and
+``batch.PacketBatch`` run the same cell operations (``_translate``,
+``_scale``, ``_restrict``): the edge rule, the snap and the merges are
+decided here alone.
 
 A PacketTrain is a packet followed by a geometric train of its lattice
 translates, head + sum_{n >= 0} ratio^n body(. + n step): the t = inf
@@ -185,7 +188,8 @@ def _sweep(size, row, lo, hi, vals):
     occupied = ~(big <= floor) & (big != 0.0)
     lo, hi, row = lo[occupied], hi[occupied], row[occupied]
     waves = {n: v[occupied] for n, v in waves.items()}
-    return _merge_adjacent(row, lo, hi, waves)
+    touching = (row[1:] == row[:-1]) & (hi[:-1] >= lo[1:] - EDGE_TOL * np.maximum(1.0, np.abs(lo[1:])))
+    return _merge_adjacent(row, lo, hi, waves, touching)
 
 
 def _nonzero(waves):
@@ -212,35 +216,22 @@ def _edge_clusters(ends, end_row):
     return x[starts], r[starts], where
 
 
-def _merge_adjacent(row, lo, hi, waves):
-    """(row, lo, hi, waves) with each run of contiguous cells whose
-    coefficient stacks agree merged into its first cell; a run never spans
-    two rows of a batch."""
-    m = len(lo)
-    if m <= 1:
+def _merge_adjacent(row, lo, hi, waves, touching):
+    """(row, lo, hi, waves) with each run of touching cells whose
+    coefficient stacks agree merged into its first cell; ``touching[i]``
+    says that cell i + 1 starts where cell i ends, in the same row."""
+    if not touching.any():
         return row, lo, hi, waves
-    joinable = hi[:-1] >= lo[1:] - EDGE_TOL * np.maximum(1.0, np.abs(lo[1:]))
-    joinable &= row[1:] == row[:-1]
-    for v in waves.values():
-        mag = np.abs(v)
-        scalemax = np.maximum(1.0, np.maximum(mag[:-1], mag[1:]))
-        joinable &= np.abs(v[:-1] - v[1:]) <= VALUE_TOL * scalemax
+    stacks = np.array(list(waves.values())).reshape(len(waves), len(lo))  # a row per frequency
+    mag = np.abs(stacks)
+    scalemax = np.maximum(1.0, np.maximum(mag[:, :-1], mag[:, 1:]))
+    joinable = touching & np.all(np.abs(stacks[:, :-1] - stacks[:, 1:]) <= VALUE_TOL * scalemax, axis=0)
+    if not joinable.any():
+        return row, lo, hi, waves
     # a run starts at every cell that does NOT join its predecessor
     first = np.concatenate(([0], (~joinable).nonzero()[0] + 1))
-    last = np.concatenate((first[1:], [m])) - 1
+    last = np.concatenate((first[1:], [len(lo)])) - 1
     return row[first], lo[first], hi[last], {n: v[first] for n, v in waves.items()}
-
-
-def _join(row, lo, hi, waves):
-    """Cells in (row, lo) order, disjoint in each row, of canonical packets
-    moved whole, made canonical with no sweep: a gap that the move brought
-    within the edge rule closes onto its left edge, as the edge clusters
-    close it, and then contiguous cells whose stacks agree merge."""
-    near = (row[1:] == row[:-1]) & ~_wider(lo[1:] - hi[:-1], lo[1:])
-    if not (near & (lo[1:] != hi[:-1])).any():
-        return row, lo, hi, waves
-    lo = np.concatenate((lo[:1], np.where(near, hi[:-1], lo[1:])))
-    return _merge_adjacent(row, lo, hi, waves)
 
 
 class StepPacket:
@@ -523,23 +514,27 @@ def _sum_rows(size, parts):
 
 
 def _merge_rows(parts):
-    """The row-wise sum of parts (row, lo, hi, waves) that never overlap
-    within a row (OrderingViolation), with no sweep: their cells in (row, lo)
-    order, made canonical by ``_join``, and as in the sweep no -0.0."""
+    """The row-wise sum of parts (row, lo, hi, waves), canonical packets
+    moved whole that lie side by side in each row, with no sweep: their
+    cells in (row, lo) order, and as in the sweep no -0.0.  An overlap wider
+    than the edge rule raises OrderingViolation; a gap or overlap within it
+    closes onto its leftmost edge, as the edge clusters close it, and then
+    touching cells whose stacks agree merge, also across parts."""
     row, lo, hi, vals = _gather(parts)
     order = np.lexsort((lo, row))
     row, lo, hi = row[order], lo[order] + 0.0, hi[order] + 0.0
-    if np.any((row[1:] == row[:-1]) & (lo[1:] < hi[:-1])):
+    gap = lo[1:] - hi[:-1]
+    same = row[1:] == row[:-1]
+    wide = _wider(np.abs(gap), lo[1:])
+    if (same & wide & (gap < 0.0)).any():
         raise OrderingViolation("merged pieces overlap")
-    return _join(row, lo, hi, {n: v[order] + 0.0 for n, v in vals.items()})
-
-
-def _stack(parts):
-    """Parts (row, lo, hi, waves) that share no row, as the columns of one
-    batch: the cells in row order, each row's in its part's order."""
-    row, lo, hi, vals = _gather(parts)
-    order = np.argsort(row, kind="stable")
-    return row[order], lo[order], hi[order], {n: v[order] for n, v in vals.items()}
+    near = same & ~wide  # after the close, exactly the cells that touch
+    shut = near & (gap != 0.0)
+    if shut.any():
+        edge = np.minimum(hi[:-1], lo[1:])
+        lo = np.concatenate((lo[:1], np.where(shut, edge, lo[1:])))
+        hi = np.concatenate((np.where(shut, edge, hi[:-1]), hi[-1:]))
+    return _merge_adjacent(row, lo, hi, {n: v[order] + 0.0 for n, v in vals.items()}, near)
 
 
 def _gather(parts):

@@ -5,7 +5,7 @@ Compressing the unitary evolution to the middle interval gives a one-
 parameter contraction semigroup Z(t), t >= 0, with Z(ell) = q e(-psi) I:
 content that reaches alpha re-enters at 1 scaled by z = q e(-psi) on each
 pass, the damped wrap ``evolution._wrap_middle``, exact and series-free, for
-a whole time grid in one batched sweep (``compress_evolve_many``).  On
+a whole time grid with no sweep (``compress_evolve_many``).  On
 the transform side the same operator is an integral kernel against the
 band-limited (Shannon) sampling kernel of the interval, weighted by the
 spectral density — evaluated here by an independent folded
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi, make_domain
+from .batch import merge_batch
 from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, _finite_time, _partition, _require_kept, _wrap_middle, block_row
@@ -89,9 +90,9 @@ def compress_evolve_many(
 ) -> list[EvolutionResult]:
     """Z(t) f for f on the middle interval and each t >= 0 of ``ts``, in
     input order: the damped wrap (z = ``bm.b_entry`` per pass) of the whole
-    grid in one batched sweep, exact, so the truncation is 0.  f's leak off
-    the interval is checked once per grid; any t < 0 raises NegativeTime and
-    an empty ``ts`` ValidationError."""
+    grid, its pieces merged with no sweep, exact, so the truncation is 0.
+    f's leak off the interval is checked once per grid; any t < 0 raises
+    NegativeTime and an empty ``ts`` ValidationError."""
     ts = [_finite_time(t) for t in ts]
     if not ts:
         raise ValidationError("compress_evolve_many needs at least one time")
@@ -99,7 +100,7 @@ def compress_evolve_many(
     if min(ts) < 0:
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {min(ts)}")
     f0 = _require_on(f, *domain.component("izero"), "compress_evolve input")
-    moved = _wrap_middle(bm, domain, f0, ts).packets()
+    moved = merge_batch(_wrap_middle(bm, domain, f0, ts)).packets()
     return [EvolutionResult(packet=g, t=t, truncation=0.0) for g, t in zip(moved, ts)]
 
 
@@ -269,7 +270,7 @@ def norm_decay_profile(
     f = StepPacket.box(-0.5, 0.5, 1.0, freq=int(n))
     f_mid = StepPacket.box(1.0, 2.0, 1.0, freq=int(n))
 
-    moved = _wrap_middle(bm, _UNIT_DOMAIN, f_mid, t_grid.tolist()).packets()
+    moved = merge_batch(_wrap_middle(bm, _UNIT_DOMAIN, f_mid, t_grid.tolist())).packets()
     engine = np.array([g.norm2() for g in moved])
     # both edges wrap to one cut; at integer t the first piece is empty
     cut = t_grid % 1.0 - 0.5

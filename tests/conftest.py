@@ -6,7 +6,7 @@ import pytest
 
 from twogap import multipliers
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
-from twogap.packets import StepPacket
+from twogap.packets import VALUE_TOL, StepPacket, _wider
 
 # random couplings stay inside [0.3, 0.95], the range the seeded draws below
 # were made with (changing it reshuffles every draw); w -> 1 collapses q -> 0,
@@ -87,26 +87,57 @@ def assert_same_packet(got, want):
         assert got.waves[n].tobytes() == v.tobytes()
 
 
+def cells_in_order(pieces):
+    """(lo, hi, waves) of every cell of the pieces, sorted by lo, each edge
+    and value as it is (but no -0.0): a value column per frequency of any
+    piece, 0.0 where a piece lacks it."""
+    freqs = sorted({n for p in pieces for n in p.waves})
+    lo = np.concatenate([p.lo for p in pieces] + [np.empty(0)]) + 0.0
+    hi = np.concatenate([p.hi for p in pieces] + [np.empty(0)]) + 0.0
+    order = np.argsort(lo, kind="stable")
+    waves = {
+        n: np.concatenate([p.waves.get(n, np.zeros(p.n_cells, dtype=complex)) for p in pieces])[order] + 0.0
+        for n in freqs
+    }
+    return lo[order], hi[order], waves
+
+
+def side_by_side(pieces):
+    """Reference for ``batch.merge_batch`` of one row: the sum of packets
+    whose cells never overlap beyond the edge rule, cell by cell.  A gap or
+    overlap within the edge rule closes onto its leftmost edge; a cell that
+    then touches the cell before it and whose stack agrees with that cell's
+    (VALUE_TOL) extends the run, which keeps its first cell's values."""
+    lo, hi, waves = cells_in_order(pieces)
+    stacks = np.array(list(waves.values())).reshape(len(waves), len(lo)).T
+    runs = []  # [lo, hi, stack of the run's first cell, stack of its last]
+    for a, b, v in zip(lo, hi, stacks):
+        if runs and not _wider(a - runs[-1][1], a):
+            a = runs[-1][1] = min(a, runs[-1][1])
+            last = runs[-1][3]
+            if np.all(np.abs(last - v) <= VALUE_TOL * np.maximum(1.0, np.maximum(np.abs(last), np.abs(v)))):
+                runs[-1][1], runs[-1][3] = b, v
+                continue
+        runs.append([a, b, v, v])
+    stacks = np.array([r[2] for r in runs]).reshape(len(runs), len(waves)).T
+    return StepPacket([r[0] for r in runs], [r[1] for r in runs], dict(zip(waves, stacks)))
+
+
 def wrap_at(bm, dom, f0, t):
     """Reference for ``evolution._wrap_middle``: the damped middle wrap at
-    one time, one sweep per time."""
-    if f0.is_empty:
-        return f0
+    one time, its two pieces side by side."""
     ell = dom.ell
     r = t % ell
     m = round((t - r) / ell)
     g = f0.translate(r).scale(bm.q**m * complex(e2pi(-bm.psi * m)))
-    inside = g.restrict(1.0, dom.alpha)
-    spill = g.restrict(dom.alpha, dom.alpha + ell)
-    if spill.is_empty:
-        return inside
-    return inside + spill.translate(-ell).scale(bm.b_entry)
+    spill = g.restrict(dom.alpha, dom.alpha + ell).translate(-ell).scale(bm.b_entry)
+    return side_by_side([g.restrict(1.0, dom.alpha), spill])
 
 
-def splice_at(f, t, width, phase):
-    """Reference for ``evolution._splice``: the shift by one t on the line
-    with [0, width] removed, one sweep per time."""
-    left, right = f.restrict(hi=0.0), f.restrict(lo=width)
+def splice_at(left, right, t, width, phase):
+    """Reference for ``evolution._splice``: the halves shifted by one t on
+    the line with [0, width] removed, the piece that crosses the cut jumped
+    over it, side by side."""
     if t >= 0:
         moved = left.translate(t)
         stay, cross, still = moved.restrict(hi=0.0), moved.restrict(lo=0.0), right
@@ -114,7 +145,7 @@ def splice_at(f, t, width, phase):
         moved = right.translate(t)
         stay, cross, still = moved.restrict(lo=width), moved.restrict(hi=width), left
         width, phase = -width, np.conj(phase)
-    return stay + cross.translate(width).scale(phase) + still.translate(t)
+    return side_by_side([stay, cross.translate(width).scale(phase), still.translate(t)])
 
 
 def plain_fold_nodes(bm, tol=1e-13, span=0.0):

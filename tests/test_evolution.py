@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twogap import batch, cli, evolution, multipliers, packets
+from twogap.degenerate import OneIntervalModel, OnePointModel, degenerate_evolve
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
     DegenerateRegime,
@@ -30,13 +31,16 @@ from twogap.evolution import (
 from twogap.multipliers import BLOCK_KIND, apply_multiplier, make_multiplier
 from twogap.packets import EDGE_TOL, VALUE_TOL, StepPacket, _wider, sum_packets
 from twogap.scenario import bundled_scenario
+from twogap.semigroup import compress_evolve, compress_evolve_many
 
 from conftest import (
     assert_same_packet,
+    cells_in_order,
     forbid_series,
     random_boundary,
     random_geometry,
     random_packet,
+    side_by_side,
     splice_at,
     wrap_at,
 )
@@ -549,32 +553,18 @@ def test_evolve_many_contracts():
 
 
 def _evolve_per_time(bm, dom, f, ts):
-    """U(t) f on a grid, one t at a time: the grid's rows, shifted and
-    clipped per t, side by side in component order (w > 0), or the middle
-    wrap plus the half-line splice in one sweep per t (w = 0)."""
+    """U(t) f on a grid, one t at a time, side by side: the grid's rows,
+    shifted and clipped per t (w > 0), or the middle wrap and the half-line
+    splice (w = 0)."""
     parts = decompose(f, dom)
     if bm.w == 0.0:
         fm, f0, fp = parts
-        halves, phase = fm + fp, -complex(e2pi(bm.psi - bm.theta))
-        return [wrap_at(bm, dom, f0, t) + splice_at(halves, t, dom.beta, phase) for t in ts]
+        phase = -complex(e2pi(bm.psi - bm.theta))
+        return [side_by_side([wrap_at(bm, dom, f0, t), splice_at(fm, fp, t, dom.beta, phase)]) for t in ts]
     span = (min(ts), max(ts))
     rows = [(dom.component(d), block_row(bm, dom, parts, d, span=span)) for d in _COMPONENTS]
     rows = [(comp, g) for comp, g in rows if not g.is_empty]
-    return [_side_by_side([g.translate(t).restrict(*comp) for comp, g in rows]) for t in ts]
-
-
-def _side_by_side(pieces):
-    """The sum of packets whose cells never overlap: all their cells in
-    order, each edge and value as it is (but no -0.0)."""
-    freqs = sorted({n for p in pieces for n in p.waves})
-    lo = np.concatenate([p.lo for p in pieces] + [np.empty(0)]) + 0.0
-    hi = np.concatenate([p.hi for p in pieces] + [np.empty(0)]) + 0.0
-    order = np.argsort(lo, kind="stable")
-    waves = {
-        n: np.concatenate([p.waves.get(n, np.zeros(p.n_cells, dtype=complex)) for p in pieces])[order] + 0.0
-        for n in freqs
-    }
-    return StepPacket(lo[order], hi[order], waves)
+    return [side_by_side([g.translate(t).restrict(*comp) for comp, g in rows]) for t in ts]
 
 
 def test_grid_sweep_is_one_sweep_per_time():
@@ -599,39 +589,42 @@ def test_grid_sweep_is_one_sweep_per_time():
     # the one-interval model shares the splice; width 0 is the point model
     f = random_packet(rng, -3.0, 3.0, 4, freqs=(0, 2))
     for width in (0.0, 0.75):
-        g = f.restrict(hi=0.0) + f.restrict(lo=width)
+        left, right = f.restrict(hi=0.0), f.restrict(lo=width)
         for t in (-2.5, 0.0, 1.25):
-            got = evolution._splice(g, [t], width, complex(e2pi(-0.3)))
-            assert_same_packet(got.packets()[0], splice_at(g, t, width, complex(e2pi(-0.3))))
+            got = batch.merge_batch(evolution._splice(left, right, [t], width, complex(e2pi(-0.3))))
+            assert_same_packet(got.packets()[0], splice_at(left, right, t, width, complex(e2pi(-0.3))))
 
 
-def _stack(p, j, freqs):
-    """Cell j of p as the bytes of its value for each of ``freqs`` (0.0 where
-    p lacks one), -0.0 read as 0.0."""
-    return [(p.waves[n][j] + 0.0).tobytes() if n in p.waves else bytes(16) for n in freqs]
+def _stack(waves, j, freqs):
+    """Cell j of a packet's ``waves`` as the bytes of its value for each of
+    ``freqs`` (0.0 where it lacks one), -0.0 read as 0.0."""
+    return [(waves[n][j] + 0.0).tobytes() if n in waves else bytes(16) for n in freqs]
 
 
 def _assert_merged(out, pieces):
-    """out is the canonical sum of pieces on disjoint intervals with no
+    """out is the canonical sum of pieces that lie side by side, with no
     sweep: each cell of out is a run of consecutive cells of the pieces with
-    the first one's values (bit for bit) and the last one's hi, and its lo is
-    the first one's, or the previous cell's hi across a gap no wider than the
+    the first one's values (bit for bit); its lo is the first one's, or the
+    previous cell's hi across a gap no wider than the edge rule; its hi is
+    the last one's, or the next one's lo across an overlap no wider than the
     edge rule; and out is canonical: sorted, every cell and every nonzero gap
     wider than the edge rule, no two contiguous cells with agreeing stacks,
     no -0.0."""
-    ref = _side_by_side(pieces)
-    freqs = sorted(set(ref.waves) | set(out.waves))
+    ref_lo, ref_hi, ref_waves = cells_in_order(pieces)
+    end = np.minimum(ref_hi, np.append(ref_lo[1:], np.inf))
+    assert np.all(~_wider(ref_hi - end, end))
+    freqs = sorted(set(ref_waves) | set(out.waves))
     i = 0
     for j in range(out.n_cells):
-        start = ref.lo[i]
+        start = ref_lo[i]
         assert start == out.lo[j] or (
             j and out.lo[j] == out.hi[j - 1] and not _wider(start - out.hi[j - 1], start)
         )
-        assert _stack(out, j, freqs) == _stack(ref, i, freqs)
-        while ref.hi[i] != out.hi[j]:
+        assert _stack(out.waves, j, freqs) == _stack(ref_waves, i, freqs)
+        while end[i] != out.hi[j]:
             i += 1
         i += 1
-    assert i == ref.n_cells
+    assert i == len(ref_lo)
     lo, hi = out.lo, out.hi
     assert np.all(_wider(hi - lo, lo))
     gap = lo[1:] - hi[:-1]
@@ -659,7 +652,10 @@ def near_gap_cases(draw):
     gap = draw(st.floats(0.5, 2.0)) * EDGE_TOL * abs(edge + t)
     freq = draw(st.sampled_from([0, 1]))
     pair = StepPacket([edge - 0.5, edge + gap], [edge, edge + 0.6], {freq: [draw(value), draw(value)]})
-    middle = StepPacket([1.2, 1.5], [1.5, 1.8], {0: [draw(value), draw(value)]})  # touching cells
+    # touching cells; or cells filling (1, alpha), whose wrap brings the
+    # spill's end within an ulp of the start of the part that stays
+    cuts = draw(st.sampled_from([(1.2, 1.5, 1.8), (1.0, 1.5, 2.0)]))
+    middle = StepPacket(cuts[:2], cuts[1:], {0: [draw(value), draw(value)]})
     return w, pair + middle, t
 
 
@@ -670,7 +666,8 @@ _NEAR_DOMAIN = make_domain(2.0, 10.0 / 3.0)
 @settings(max_examples=60, deadline=None)
 def test_evolve_merges_its_rows_into_canonical_cells(case):
     # each t's packet is its shifted, clipped rows side by side, cell for
-    # cell, canonical also where a shift brings a gap within the edge rule
+    # cell, canonical also where a shift brings a gap within the edge rule;
+    # so is the compressed semigroup's, from its inside and wrapped spill
     w, f, t = case
     dom = _NEAR_DOMAIN
     bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
@@ -678,17 +675,33 @@ def test_evolve_merges_its_rows_into_canonical_cells(case):
     fm, f0, fp = decompose(f, dom)
     if w == 0.0:
         phase = -complex(e2pi(bm.psi - bm.theta))
-        pieces = [evolution._wrap_middle(bm, dom, f0, [t]), evolution._splice(fm + fp, [t], dom.beta, phase)]
+        pieces = evolution._wrap_middle(bm, dom, f0, [t]) + evolution._splice(fm, fp, [t], dom.beta, phase)
         pieces = [g.packets()[0] for g in pieces]
     else:
         rows = evolution._block_rows(bm, dom, (fm, f0, fp), _COMPONENTS, (t, t)).packets()
         pieces = [g.translate(t).restrict(*dom.component(d)) for d, g in zip(_COMPONENTS, rows)]
+        wrap = [g.packets()[0] for g in evolution._wrap_middle(bm, dom, f0, [abs(t)])]
+        _assert_merged(compress_evolve(bm, dom, f0, abs(t)).packet, wrap)
     _assert_merged(out, pieces)
 
 
-def test_coupled_evolve_sweeps_once(monkeypatch):
-    # the three rows are built in one sweep and merged with none, for one t
-    # or a grid
+def test_decoupled_evolve_closes_an_overlap_the_constructor_accepts():
+    # the untrusted constructor accepts cells that overlap by less than
+    # EDGE_TOL; evolved at w = 0, they close onto the leftmost edge, as the
+    # sweeps of the coupled evolution and of the compressed semigroup close
+    # them
+    f = StepPacket([1.2, 1.5 - 5e-15], [1.5, 1.8], {0: [1.0, 2.0]})
+    bms = [make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45) for w in (0.0, 0.5)]
+    got = [evolve(bm, _NEAR_DOMAIN, f, 0.1).packet for bm in bms]
+    got.append(compress_evolve(bms[1], _NEAR_DOMAIN, f, 0.1).packet)
+    for g in got:
+        assert_same_packet(g, got[1])
+    assert got[0].hi[0] == got[0].lo[1] == 1.5 - 5e-15 + 0.1
+    assert np.allclose([*got[0].lo, *got[0].hi], [1.3, 1.6, 1.6, 1.9], rtol=0.0, atol=1e-14)
+
+
+def _count_sweeps(monkeypatch):
+    """The list that every later canonical sweep appends its row count to."""
     swept, sweep = [], packets._sweep
 
     def counting(*args):
@@ -697,11 +710,36 @@ def test_coupled_evolve_sweeps_once(monkeypatch):
 
     for module in (evolution, batch, packets):
         monkeypatch.setattr(module, "_sweep", counting, raising=False)
+    return swept
+
+
+def test_coupled_evolve_sweeps_once(monkeypatch):
+    # the three rows are built in one sweep and merged with none, for one t
+    # or a grid
+    swept = _count_sweeps(monkeypatch)
     bm = make_boundary_matrix(w=0.5, theta=0.15, phi=0.3, psi=0.45)
     for ts in ([7.5], [0.0, -3.0, 20.0, 7.5]):
         swept.clear()
         evolve_many(bm, _WINDOW_DOMAIN, _WINDOW_F, ts)
         assert swept == [3]
+
+
+def test_side_by_side_evolutions_never_sweep(monkeypatch):
+    # the w = 0 evolution, the compressed semigroup and the point and
+    # interval models only move cells past each other: their pieces merge
+    # with no sweep, also where the wrap spills and where mass crosses a cut
+    swept = _count_sweeps(monkeypatch)
+    dom, f = _WINDOW_DOMAIN, _WINDOW_F
+    bm = make_boundary_matrix(w=0.0, theta=0.15, phi=0.3, psi=0.45)
+    assert len(evolve_many(bm, dom, f, [0.3, -3.0, 20.0, 7.5])) == 4
+    assert swept == []
+    coupled = make_boundary_matrix(w=0.5, theta=0.15, phi=0.3, psi=0.45)
+    moved = compress_evolve_many(coupled, dom, f.restrict(1.0, dom.alpha), [0.0, 0.3, 1.25, 12.5])
+    assert moved[1].packet.n_cells == 3  # at t = 0.3 the cell on (1.6, 1.95) spills
+    assert swept == []
+    for model in (OnePointModel(theta=0.2), OneIntervalModel(theta=0.2, alpha=0.75)):
+        assert not degenerate_evolve(model, f.restrict(hi=0.0), 1.25).restrict(lo=0.0).is_empty
+    assert swept == []
 
 
 def test_rows_of_one_sweep_are_each_rows_own_sweep():

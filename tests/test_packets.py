@@ -3,14 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twogap.batch import PacketBatch, sum_batch
+from twogap.batch import PacketBatch, merge_batch
 from twogap.domain import e2pi
-from twogap.errors import ValidationError
+from twogap.errors import OrderingViolation, ValidationError
 from twogap.packets import (
     EDGE_TOL,
     PacketTrain,
     StepPacket,
+    _gather,
     _sum_cells,
+    _sum_rows,
     _sweep,
     osc_integral,
     sum_packets,
@@ -299,6 +301,17 @@ def test_sum_keeps_a_nan_value():
     assert f.lo.tolist() == [0.0] and np.isnan(f.waves[0][0])
 
 
+def rows_of(ps):
+    """A batch whose row b holds the cells of packet ps[b] as they are."""
+    return PacketBatch(len(ps), *_gather([(np.full(p.n_cells, b), p.lo, p.hi, p.waves) for b, p in enumerate(ps)]))
+
+
+def sum_rows(pieces):
+    """The row-wise sum of batches in one batched sweep (``_sum_rows``)."""
+    size = pieces[0].size
+    return PacketBatch(size, *_sum_rows(size, [(p.row, p.lo, p.hi, p.waves) for p in pieces]))
+
+
 three_pieces = st.lists(packets() | st.just(StepPacket.zero()), min_size=3, max_size=3)
 
 
@@ -314,12 +327,9 @@ def test_batch_methods_are_the_packet_methods(grid, data):
     clips = [(-np.inf, 0.0), (-1.0, 2.5), (1.0, np.inf)]
     pieces = []
     for k in range(3):
-        batch = PacketBatch.tile(grid[0][k], size)
-        for b in range(1, size):
-            row_b = PacketBatch.tile(grid[b][k], size)
-            batch = PacketBatch.select(np.arange(size) == b, row_b, batch)
+        batch = rows_of([grid[b][k] for b in range(size)])
         pieces.append(batch.translate(shifts).scale(weights[k]).restrict(*clips[k]))
-    got = sum_batch(pieces).packets()
+    got = sum_rows(pieces).packets()
     for b in range(size):
         want = sum_packets(
             grid[b][k].translate(shifts[b]).scale(weights[k][b]).restrict(*clips[k])
@@ -335,7 +345,7 @@ def test_batch_sum_skips_a_packet_without_frequencies():
     g = StepPacket.box(1.0 - 5e-15, 2.0, 1e-300).scale(1e-300).restrict()
     assert g.n_cells == 1 and not g.waves
     no_freq = PacketBatch.tile(g, 2).scale(1e-300).restrict()
-    got = sum_batch([PacketBatch.tile(f, 2), no_freq]).packets()
+    got = sum_rows([PacketBatch.tile(f, 2), no_freq]).packets()
     for packet in got:
         assert_same_packet(packet, sum_packets([f, g]))
         assert packet.hi.tolist() == [1.0]
@@ -352,7 +362,7 @@ def test_a_cell_of_zero_values_moves_no_edge():
     want = [0.0, 2.0 + 5e-15]
     for parts in ([mixed, near], [*alone, near]):
         assert sum_packets(parts).lo.tolist() == want
-        for row in sum_batch([PacketBatch.tile(p, 2) for p in parts]).packets():
+        for row in sum_rows([PacketBatch.tile(p, 2) for p in parts]).packets():
             assert row.lo.tolist() == want
 
 
@@ -384,11 +394,10 @@ def test_every_packet_keeps_the_frequency_rule(parts, shifts, data):
     built = StepPacket(f.lo, f.hi, waves)
     assert_same_packet(built, f)
     made.append(built)
-    rows = (PacketBatch.tile(f, 2), PacketBatch.tile(shifted(f.conjugate()), 2))
-    batch = PacketBatch.select(np.array([True, False]), *rows)
+    batch = rows_of([f, shifted(f.conjugate())])
     batch = batch.translate(shifts).scale(weights).restrict(lo, hi)
     made += batch.packets()
-    made += sum_batch([batch, PacketBatch.tile(tiny, 2)]).packets()
+    made += sum_rows([batch, PacketBatch.tile(tiny, 2)]).packets()
     for p in made:
         assert_frequency_rule(p)
 
@@ -403,6 +412,28 @@ def test_a_merge_that_zeroes_a_frequency_drops_it():
     ])
     assert f.lo.tolist() == [0.0] and f.hi.tolist() == [2.0]
     assert list(f.waves) == [0]
+
+
+def test_merge_closes_edges_within_the_rule_and_refuses_a_wider_overlap():
+    # pieces side by side: a gap or overlap within the edge rule closes onto
+    # its leftmost edge, as the edge clusters of a sweep close it, and cells
+    # of different pieces whose stacks agree join; an overlap wider than the
+    # rule is an error
+    def merged(*ps):
+        return merge_batch([PacketBatch.tile(p, 2) for p in ps]).packets()
+
+    left = StepPacket.box(0.0, 1.0, 1.0)
+    for right in (StepPacket.box(1.0 - 5e-15, 2.0, 2.0), StepPacket.box(1.0 + 5e-15, 2.0, 2.0)):
+        for got in merged(right, left):
+            assert_same_packet(got, left + right)
+            assert got.hi[0] == got.lo[1] == min(1.0, right.lo[0])
+    for got in merged(StepPacket.box(1.0 - 5e-15, 2.0, 1.0), left):
+        assert_same_packet(got, StepPacket.box(0.0, 2.0, 1.0))
+    far = StepPacket.box(1e3 - 5e-12, 1e3 + 1.0, 2.0)  # the rule widens with |x|
+    for got in merged(StepPacket.box(999.0, 1e3, 1.0), far):
+        assert got.lo.tolist() == [999.0, 1e3 - 5e-12] and got.hi[0] == got.lo[1]
+    with pytest.raises(OrderingViolation):
+        merged(left, StepPacket.box(1.0 - 3e-14, 2.0, 2.0))
 
 
 def test_from_breakpoints():

@@ -122,7 +122,7 @@ def test_compressed_semigroup_is_the_density_block():
 
 
 def test_compress_grid_is_one_wrap_per_time():
-    # one batched sweep over the grid gives each t its own wrap, bit for bit
+    # the batched wrap of the grid gives each t its own wrap, bit for bit
     rng = np.random.default_rng(29)
     ts = [0.0, 0.35, 2.7, 0.35, 12.0, 1e3]
     for trial in range(8):
