@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -137,37 +138,52 @@ def _u_minus_sin(u):
     return series * u2 * u
 
 
-def _lattice_sum_rest(y, xi):
+class _LatticeNodes(NamedTuple):
+    """The factors of the lattice rests that depend on the nodes alone, for
+    u = pi xi: computed once per node set, shared by every y."""
+
+    u: np.ndarray
+    u_minus_sin: np.ndarray  # u - sin u
+    u_sin: np.ndarray  # u sin u
+    sin2: np.ndarray  # sin^2 u
+    real0: np.ndarray  # d (2u - d) / u^2, d = u - sin u
+
+
+def _lattice_nodes(xi) -> _LatticeNodes:
+    """``_LatticeNodes`` of the nodes xi, 0 < |xi| <= 1/2."""
+    u = np.pi * np.asarray(xi, dtype=float)
+    d = _u_minus_sin(u)
+    sin = np.sin(u)
+    return _LatticeNodes(u, d, u * sin, sin * sin, d * (2.0 * u - d) / (u * u))
+
+
+def _lattice_sum_rest(y, nodes: _LatticeNodes):
     """sum_{k != 0} e(k y)/(k + xi): the lattice sum less its k = 0 term 1/xi,
-    for 0 < |xi| <= 1/2, with the pole removed analytically.
+    for 0 < |xi| <= 1/2 (``nodes`` of the xi), with the pole removed
+    analytically; y broadcasts against the nodes.
 
     With u = pi xi and s = 1 - 2 {y} it equals
     pi (u - sin u - 2 u sin^2(u s / 2) + i u sin(u s)) / (u sin u).
     """
-    u = np.pi * np.asarray(xi, dtype=float)
+    u = nodes.u
     y = np.asarray(y, dtype=float)
-    s = 1.0 - 2.0 * (y - np.floor(y))
-    num = _u_minus_sin(u) - 2.0 * u * np.sin(0.5 * u * s) ** 2 + 1j * u * np.sin(u * s)
-    return np.pi * num / (u * np.sin(u))
+    us = u * (1.0 - 2.0 * (y - np.floor(y)))
+    num = nodes.u_minus_sin - 2.0 * u * np.sin(0.5 * us) ** 2 + 1j * u * np.sin(us)
+    return np.pi * num / nodes.u_sin
 
 
-def _lattice_sum2_rest(y, xi):
-    """sum_{k != 0} e(k y)/(k + xi)^2 for 0 < |xi| <= 1/2, pole removed.
+def _lattice_sum2_rest(y, nodes: _LatticeNodes):
+    """sum_{k != 0} e(k y)/(k + xi)^2 for 0 < |xi| <= 1/2 (``nodes`` of the
+    xi), pole removed; y broadcasts against the nodes.
 
     The full sum, -d/dxi of the lattice sum, is pi^2 e^{i u s} (cos u - i s sin u)
     / sin^2 u (u = pi xi, s = 1 - 2 {y}); product-to-sum identities and
     sin x = x - (x - sin x) leave terms of order u^2 (real) and u^3 (imag).
     """
-    u = np.pi * np.asarray(xi, dtype=float)
+    u = nodes.u
     y = np.asarray(y, dtype=float)
     s = 1.0 - 2.0 * (y - np.floor(y))
-    d = _u_minus_sin(u)
-    re = (
-        d * (2.0 * u - d) / (u * u)
-        - (1.0 + s) * np.sin(0.5 * u * (1.0 - s)) ** 2
-        - (1.0 - s) * np.sin(0.5 * u * (1.0 + s)) ** 2
-    )
-    im = 0.5 * (
-        (1.0 + s) * _u_minus_sin(u * (1.0 - s)) - (1.0 - s) * _u_minus_sin(u * (1.0 + s))
-    )
-    return np.pi**2 * (re + 1j * im) / np.sin(u) ** 2
+    below, above = u * (1.0 - s), u * (1.0 + s)
+    re = nodes.real0 - (1.0 + s) * np.sin(0.5 * below) ** 2 - (1.0 - s) * np.sin(0.5 * above) ** 2
+    im = 0.5 * ((1.0 + s) * _u_minus_sin(below) - (1.0 - s) * _u_minus_sin(above))
+    return np.pi**2 * (re + 1j * im) / nodes.sin2

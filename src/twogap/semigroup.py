@@ -37,7 +37,16 @@ touches the packet engine.
 The module also carries three resolvent routes on x in [1, alpha], each
 exact through the one per-cell Laplace integral ``_cell_laplace``: the plain
 shift generator's (no coupling), the density row over the causal horizon,
-and its z/(1 - z) resummation.  A non-finite time is a ValidationError.
+and its z/(1 - z) resummation.  ``_cell_laplace`` reads one antiderivative
+F(y) = int_{-inf}^y e^{lam (s - r)} f(s) ds, a prefix sum of the per-cell
+closed form plus the partial cell at y, so every x costs two lookups:
+e^{-lam (x - r)} (F(b) - F(a)) for its limits a <= b.  The anchor r is the
+largest upper limit b of a band of points no wider than 30 / Re lam, so
+no exponential overflows; one band covers every route unless Re lam times
+the spread of b exceeds 30.  The cost is O((points + cells) x frequencies)
+per band, against O(points x cells x frequencies) pair by pair.  Every
+route integrates the past of x: each limit b used lies at or below x.
+A non-finite time is a ValidationError.
 """
 
 from __future__ import annotations
@@ -346,24 +355,81 @@ def spatial_resolvent(
     return SampledProfile(x=x_grid, values=_cell_laplace(lam, f0, x_grid, -np.inf, x_grid))
 
 
+# widest Re(lam) (r - b) over the upper limits b of one anchor band r: the
+# factors e^{-lam (x - r)} of the band stay within e^30 ~ 1e13
+_BAND = 30.0
+
+
 def _cell_laplace(lam, f, x_grid, lo, hi):
     """sum over the cells (u, v) of f of int e^{-lam (x-y)} f(y) dy over
     max(u, lo) < y < min(v, hi), at every x; lo, hi scalars or per-x arrays.
-    With mu = lam + i 2 pi n a frequency-n cell clipped to (a, b) gives
-    c e^{-lam (x-b)} e(n b) (1 - e^{-mu (b-a)}) / mu, zero when b <= a."""
-    out = np.zeros(x_grid.shape, dtype=complex)
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    chunk = max(1, int(2e6 / max(len(x_grid), 1)))
-    for n, vals in f.waves.items():
-        mu = lam + 2j * np.pi * n
-        for start in range(0, f.n_cells, chunk):
-            sl = slice(start, start + chunk)
-            b = np.minimum(f.hi[sl], hi)
-            width = np.maximum(b - np.maximum(f.lo[sl], lo), 0.0)
-            cell = np.exp(-lam * (x_grid[:, None] - b)) * e2pi(n * b)
-            out += (cell * (-np.expm1(-mu * width) / mu)) @ vals[sl]
+
+    One antiderivative serves every x.  With F(y) = int_{-inf}^y e^{lam (s-r)}
+    f(s) ds for an anchor r, the value at x is e^{-lam (x-r)} (F(b) - F(a)),
+    b = min(hi, .) and a = max(lo, .) clipped into the support, a <= b.  F is
+    the prefix sum of the per-cell closed form
+
+        c e^{lam (v-r)} e(n v) (1 - e^{-mu (v-u)}) / mu,   mu = lam + i 2 pi n,
+
+    over the cells before y, plus that form on the partial cell at y, found
+    by one ``searchsorted`` on the cell starts.  The points are grouped into
+    bands whose upper limits b lie within _BAND / Re lam of the largest,
+    the band's anchor r, and the cell ends are clipped to r, so no factor
+    e^{lam (v-r)} exceeds 1; one band covers every point unless Re lam times
+    the spread of b exceeds _BAND.  All frequencies go as one (frequency x
+    cells) array: the cost is O((points + cells) x frequencies) per band.
+    Precondition: every cell end used (every b) lies at or below its x, as
+    each route integrates the past of x, so e^{-lam (x-r)} stays within
+    e^_BAND.
+    """
+    if f.is_empty:
+        return np.zeros(x_grid.shape, dtype=complex)
+    u, v = f.lo, f.hi
+    c = np.array(list(f.waves.values()))
+    tau = 2j * np.pi * np.array(list(f.waves), dtype=float)[:, None]
+    mu = -(lam + tau)
+    top = np.minimum(np.maximum(hi, u[0]), v[-1])
+    limits = [top]
+    if np.ndim(lo) or lo > u[0]:  # F(u[0]) = 0: a lower limit below adds nothing
+        limits.append(np.minimum(np.maximum(lo, u[0]), top))
+    out = np.empty(x_grid.shape, dtype=complex)
+    for band, r in _anchor_bands(top, _BAND / lam.real):
+        ends = [np.atleast_1d(e if np.ndim(e) == 0 else e[band]) for e in limits]
+        y = np.concatenate(ends)
+        k = np.searchsorted(u, y, side="right") - 1
+        vr = np.minimum(v, r)
+        # int_a^b e^{lam (s-r)} c e(n s) ds, a row per frequency n (tau = i 2 pi
+        # n, mu = -(lam + tau)), in one pass over the whole cells, ends
+        # clipped to r, and the partial cell k at each limit y
+        a = np.concatenate((np.minimum(u, vr), u[k]))
+        b = np.concatenate((vr, np.minimum(y, v[k])))
+        piece = np.exp(lam * (b - r) + tau * b) * (np.expm1(mu * (b - a)) / mu)
+        cols = (np.concatenate((c, c[:, k]), axis=1) * piece).sum(axis=0)
+        before = np.concatenate(([0j], np.cumsum(cols[: len(u) - 1])))
+        anti = before[k] + cols[len(u):]
+        span = anti[: len(ends[0])]
+        if len(ends) > 1:
+            span = span - anti[len(span):]
+        # a point before the support has span 0: its factor is taken at the
+        # support's start, which cannot overflow
+        out[band] = np.exp(-lam * (np.maximum(x_grid[band], ends[0]) - r)) * span
     return out
+
+
+def _anchor_bands(top, width):
+    """(index set, anchor r) per band of points: the upper limits ``top`` of
+    a band lie within ``width`` of its anchor, their largest.  A scalar
+    ``top`` is one band."""
+    r = top.max()
+    if np.ndim(top) == 0 or top.min() >= r - width:
+        return [(slice(None), r)]
+    bands, pending = [], np.arange(len(top))
+    while len(pending):
+        r = top[pending].max()
+        near = top[pending] >= r - width
+        bands.append((pending[near], r))
+        pending = pending[~near]
+    return bands
 
 
 def compressed_resolvent_profile(

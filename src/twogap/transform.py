@@ -30,7 +30,7 @@ from .eigen import eigen_coeffs
 from .errors import ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
 from .packets import StepPacket, sum_packets
-from .quadrature import _lattice_sum2_rest, _lattice_sum_rest, fold_nodes
+from .quadrature import _lattice_nodes, _lattice_sum2_rest, _lattice_sum_rest, fold_nodes
 
 __all__ = [
     "TransformSample",
@@ -42,6 +42,12 @@ __all__ = [
 
 # reconstruction points per cell of the adjoint transform
 _SUBDIVIDE = 4
+
+# most (rows x ends x nodes) elements in one block of a lattice-rest array:
+# a block's temporaries then peak near 0.3 MB (6 x 6 ends, 277 nodes), where
+# whole (ends x ends x nodes) arrays raise the process's peak memory by
+# about 0.4 MB
+_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,11 @@ def cross_term(
 
     y = (p - r + b_i - b_j)/ell.  The k = 0 terms of all pairs together are
     the closed-form integrand at lambda = xi/ell over ell (sinc form, so the
-    1/xi^2 poles cancel exactly); the k != 0 rest has no pole.
+    1/xi^2 poles cancel exactly); the k != 0 rest has no pole.  The rests
+    are evaluated as (f ends x g ends x nodes) blocks of at most _BLOCK
+    elements, their node-only factors once (``quadrature._lattice_nodes``),
+    and each block is weighted and summed in place: O(f ends x g ends x
+    nodes) arithmetic in O(f ends x g ends x nodes / _BLOCK) numpy calls.
     """
     _require_coupled(bm, "sigma pairing")
     _require_steps("sigma quadratures", f, g)
@@ -164,12 +174,25 @@ def cross_term(
     vf = _transform_values(co, f_parts, lam)
     vg = _transform_values(co, g_parts, lam)
     total = np.sum(wq * np.conj(vf) * vg / np.abs(co.a) ** 2) / domain.ell
-    # k != 0, one f end at a time: arrays of (g ends) x (nodes)
+    # k != 0: (f ends x g ends x nodes) blocks, each weighted and summed in place
+    nodes = _lattice_nodes(xi)
+    f_amp = np.conj(fval)[:, None] * wq * amp[fi]
     g_amp = gval[:, None] * np.conj(amp[gj])
-    for i, y_p, s_p in zip(fi, y, np.conj(fval)):
-        rest = e2pi(y_p[:, None] * xi) * _lattice_sum2_rest(y_p[:, None], xi)
-        total += domain.ell / (4.0 * np.pi**2) * s_p * np.sum((rest * g_amp) @ (wq * amp[i]))
-    return complex(total)
+    rest = 0.0
+    for rows in _blocks(len(fpos), len(gpos) * len(xi)):
+        y_b = y[rows, :, None]
+        terms = e2pi(y_b * xi) * _lattice_sum2_rest(y_b, nodes)
+        terms *= g_amp
+        terms *= f_amp[rows, None, :]
+        rest += terms.sum()
+    return complex(total + domain.ell / (4.0 * np.pi**2) * rest)
+
+
+def _blocks(rows, per_row):
+    """Slices of range(rows), each of at most _BLOCK elements at ``per_row``
+    elements a row (one row at least)."""
+    step = max(1, _BLOCK // max(per_row, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def sigma_norm2(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket) -> float:
@@ -194,7 +217,10 @@ def adjoint_transform(
         (t_r / 2 pi i) int amp_d conj(amp_j) e(xi y) sum_k e(k y)/(k + xi) d xi
 
     with y = (x - r + b_d - b_j)/ell; the k = 0 terms of all ends together
-    are the closed-form transform of f at lambda = xi/ell.
+    are the closed-form transform of f at lambda = xi/ell, one (points x
+    nodes) product.  The rests go as (points x ends x nodes) blocks of at
+    most _BLOCK elements, as in ``cross_term``: O(points x ends x nodes)
+    arithmetic with no loop over points.
     """
     _require_coupled(bm, "adjoint_transform")
     f = sample.source
@@ -215,13 +241,18 @@ def adjoint_transform(
     lam = xi / domain.ell
     # k = 0: (V f) A_d m^-2 e(lambda x) = (V f) amp_d e(lambda (x + b_d)) / m
     gvals = wq * _transform_values(co, f_parts, lam) / (domain.ell * np.abs(co.a))
+    d_amp = amp[dest]
+    values = (d_amp * e2pi(x_b[:, None] * lam)) @ gvals
+    # k != 0: (points x ends x nodes) blocks, each weighted and summed in place
+    nodes = _lattice_nodes(xi)
     f_amp = val[:, None] * np.conj(amp[j])
-    values = np.empty(xs.shape, dtype=complex)
-    for idx, (d, x, y_x) in enumerate(zip(dest, x_b, y)):
-        rest = e2pi(y_x[:, None] * xi) * _lattice_sum_rest(y_x[:, None], xi)
-        values[idx] = np.sum(gvals * amp[d] * e2pi(lam * x)) + np.sum(
-            (rest * f_amp) @ (wq * amp[d])
-        ) / (2j * np.pi)
+    d_amp *= wq
+    for rows in _blocks(len(xs), len(pos) * len(xi)):
+        y_b = y[rows, :, None]
+        terms = e2pi(y_b * xi) * _lattice_sum_rest(y_b, nodes)
+        terms *= f_amp
+        terms *= d_amp[rows, None, :]
+        values[rows] += terms.sum(axis=(1, 2)) / (2j * np.pi)
     return sum_packets(
         StepPacket.from_breakpoints(se, v)
         for se, v in zip(span_edges, values.reshape(-1, _SUBDIVIDE))

@@ -105,22 +105,32 @@ def cells_in_order(pieces):
 def side_by_side(pieces):
     """Reference for ``batch.merge_batch`` of one row: the sum of packets
     whose cells never overlap beyond the edge rule, cell by cell.  A gap or
-    overlap within the edge rule closes onto its leftmost edge; a cell that
-    then touches the cell before it and whose stack agrees with that cell's
-    (VALUE_TOL) extends the run, which keeps its first cell's values."""
+    overlap within the edge rule closes onto its leftmost edge; then, pass
+    after pass until no pass joins, a cell that touches the cell before it
+    and whose stack agrees with that cell's (VALUE_TOL) extends its run,
+    which keeps its first cell's values and stands as one cell in the next
+    pass."""
     lo, hi, waves = cells_in_order(pieces)
     stacks = np.array(list(waves.values())).reshape(len(waves), len(lo)).T
-    runs = []  # [lo, hi, stack of the run's first cell, stack of its last]
+    cells = []  # [lo, hi, stack]
     for a, b, v in zip(lo, hi, stacks):
-        if runs and not _wider(a - runs[-1][1], a):
-            a = runs[-1][1] = min(a, runs[-1][1])
-            last = runs[-1][3]
-            if np.all(np.abs(last - v) <= VALUE_TOL * np.maximum(1.0, np.maximum(np.abs(last), np.abs(v)))):
-                runs[-1][1], runs[-1][3] = b, v
-                continue
-        runs.append([a, b, v, v])
-    stacks = np.array([r[2] for r in runs]).reshape(len(runs), len(waves)).T
-    return StepPacket([r[0] for r in runs], [r[1] for r in runs], dict(zip(waves, stacks)))
+        if cells and not _wider(a - cells[-1][1], a):
+            a = cells[-1][1] = min(a, cells[-1][1])
+        cells.append([a, b, v])
+    while True:
+        runs = []  # [lo, hi, stack of the run's first cell, stack of its last]
+        for a, b, v in cells:
+            if runs and a == runs[-1][1]:
+                last = runs[-1][3]
+                if np.all(np.abs(last - v) <= VALUE_TOL * np.maximum(1.0, np.maximum(np.abs(last), np.abs(v)))):
+                    runs[-1][1], runs[-1][3] = b, v
+                    continue
+            runs.append([a, b, v, v])
+        if len(runs) == len(cells):
+            break
+        cells = [[a, b, v] for a, b, v, _ in runs]
+    stacks = np.array([c[2] for c in cells]).reshape(len(cells), len(waves)).T
+    return StepPacket([c[0] for c in cells], [c[1] for c in cells], dict(zip(waves, stacks)))
 
 
 def wrap_at(bm, dom, f0, t):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twogap import batch, cli, evolution, multipliers, packets
@@ -663,6 +663,19 @@ _NEAR_DOMAIN = make_domain(2.0, 10.0 / 3.0)
 
 
 @given(near_gap_cases())
+@example(
+    # a run of two cells joins, the next cell differs from the run's last
+    # cell by 1.05e-14 but from its kept first values by only 5.7e-15
+    (
+        0.3,
+        StepPacket(
+            [1.0, 4.478648400940121, 4.9786484009469705],
+            [2.0, 4.978648400940121, 5.5786484009401205],
+            {0: [1, 0.3 + 0.2j, 0.3 + 0.2j]},
+        ),
+        1000.0,
+    )
+)
 @settings(max_examples=60, deadline=None)
 def test_evolve_merges_its_rows_into_canonical_cells(case):
     # each t's packet is its shifted, clipped rows side by side, cell for

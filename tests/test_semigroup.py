@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twogap import quadrature, semigroup
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
@@ -371,6 +373,78 @@ def test_resolvent_three_routes():
     assert rep["laplace_vs_closed"] < 1e-8
 
 
+def _cell_laplace_reference(lam, f, x_grid, lo, hi):
+    """``semigroup._cell_laplace`` pair by pair: each (point, cell) adds
+    c e^{-lam (x-b)} e(n b) (1 - e^{-mu (b-a)}) / mu over the cell clipped to
+    (a, b) = (max(u, lo), min(v, hi)), zero when b <= a; mu = lam + i 2 pi n.
+    Returns the sums and, per point, the sum of the terms' magnitudes."""
+    out = np.zeros(x_grid.shape, dtype=complex)
+    size = np.zeros(x_grid.shape)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    for n, vals in f.waves.items():
+        mu = lam + 2j * np.pi * n
+        b = np.minimum(f.hi, hi)
+        width = np.maximum(b - np.maximum(f.lo, lo), 0.0)
+        cell = np.exp(-lam * (x_grid[:, None] - b)) * e2pi(n * b)
+        terms = cell * (-np.expm1(-mu * width) / mu) * vals
+        out += terms.sum(axis=1)
+        size += np.abs(terms).sum(axis=1)
+    return out, size
+
+
+@st.composite
+def laplace_cases(draw):
+    """(lam, f, x, lo, hi) with every upper limit at or below its x: f has
+    1-5 cells on [1, 4] with frequencies from 0-2; x is unsorted and holds
+    cell edges, points below the support, inside it and past it (by at most
+    min(20 / Re lam, 1): no value underflows, and no phase Im lam (x - v)
+    is so large that its own rounding shows).  The upper limit is x, or +inf
+    with every x past the support; the lower one -inf, a scalar below the
+    support, a cell start, or x - T per point with T in [1, 30] / Re lam (the
+    Laplace route's horizon is 27.6 / Re lam).  x always holds the support's
+    end v1, whose window ends there: a window that only grazes the support
+    gives a small F(b) - F(a) with cancellation, so every draw keeps one
+    value on the scale of the cell values to measure the error against."""
+    lam = complex(draw(st.floats(0.05, 800.0)), draw(st.floats(-5.0, 5.0)))
+    edges = sorted(draw(st.sets(st.integers(0, 48), min_size=2, max_size=10)))
+    edges = 1.0 + np.array(edges[: len(edges) // 2 * 2]) / 16.0
+    freqs = draw(st.sets(st.integers(0, 2), min_size=1))
+    value = st.sampled_from([1.0, -0.5j, 0.3 + 0.2j, -2.0 + 1.0j])
+    cells = len(edges) // 2
+    f = StepPacket(
+        edges[0::2], edges[1::2], {n: draw(st.lists(value, min_size=cells, max_size=cells)) for n in freqs}
+    )
+    u0, v1 = f.support()
+    reach = min(20.0 / lam.real, 1.0)
+    past = [v1] + [v1 + reach * draw(st.floats(0.0, 1.0)) for _ in range(draw(st.integers(0, 3)))]
+    x = past + draw(st.lists(st.sampled_from([*f.lo, *f.hi]), max_size=6))
+    x += draw(st.lists(st.floats(u0 - 1.0, v1), max_size=6))
+    x = np.array(draw(st.permutations(x)))
+    upper = draw(st.sampled_from(["x", "inf"]))
+    if upper == "inf":
+        x = np.array(draw(st.permutations(past)))
+    hi = x if upper == "x" else np.inf
+    lower = draw(st.sampled_from(["-inf", "below", "start", "x - T"]))
+    lo = {"-inf": -np.inf, "below": u0 - 0.5, "start": draw(st.sampled_from(list(f.lo)))}.get(lower)
+    if lower == "x - T":
+        lo = x - np.array([draw(st.floats(1.0, 30.0)) for _ in x]) / lam.real
+    return lam, f, x, lo, hi
+
+
+@given(laplace_cases())
+@settings(max_examples=200, deadline=None)
+def test_cell_laplace_matches_the_pairwise_sum(case):
+    # one antiderivative per anchor band against the (points x cells) sum,
+    # measured on the scale of the largest point's terms: frequencies of
+    # equal magnitude can cancel in a sum, as e(3.5) + e(7) = 0 does
+    lam, f, x, lo, hi = case
+    want, size = _cell_laplace_reference(lam, f, x, lo, hi)
+    got = semigroup._cell_laplace(lam, f, x, lo, hi)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(size)
+
+
 def _laplace_gauss_reference(bm, dom, lam, f, xs):
     """The Laplace route by order-16 Gauss-Legendre in t, one panel between
     consecutive times at which a cell edge of E f crosses x."""
@@ -401,7 +475,7 @@ def test_laplace_route_matches_gauss_reference():
         xs = np.concatenate(([1.0, alpha], np.linspace(1.0, alpha, 9)[1:-1]))
         for w in (1.0, 0.9, 0.5, 0.2, 0.05):
             bm = make_boundary_matrix(w=w, theta=0.1, phi=0.35, psi=0.3)
-            for lam in (0.05, 0.3 + 2j, 1.2 + 0.7j, 8.0):
+            for lam in (0.05, 0.3 + 2j, 1.2 + 0.7j, 8.0, 40.0 + 3j):
                 want = _laplace_gauss_reference(bm, dom, lam, f, xs)
                 got = compressed_resolvent_profile(bm, dom, lam, f, xs).values
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

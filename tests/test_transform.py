@@ -217,3 +217,33 @@ def test_import_needs_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_pairings_and_oracles_leave_numpy_ma_unimported():
+    # numpy 2.4's plain np.unique imports numpy.ma on its first call, about
+    # 10 ms in a fresh interpreter: no pairing or oracle below may pay it
+    src = str(Path(twogap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = """if True:
+        import sys
+        import numpy as np
+        from twogap import StepPacket, make_boundary_matrix, make_domain
+        from twogap.semigroup import resolvent_comparison
+        from twogap.transform import adjoint_transform, forward_transform, sigma_norm2
+
+        dom, bm = make_domain(2.0, 3.0), make_boundary_matrix(w=0.5, psi=0.2)
+        f = StepPacket.box(-2.0, -1.0, 0.5) + StepPacket.box(1.2, 1.8, 1.0)
+        g = StepPacket.box(1.5, 1.9, 1.0, freq=1)
+        seen = ["numpy.ma" in sys.modules]
+        f.inner(g)
+        f.breakpoints()
+        resolvent_comparison(bm, dom, 1.2 + 0.7j, g, np.linspace(1.0, 2.0, 11))
+        sigma_norm2(bm, dom, f)
+        adjoint_transform(bm, dom, forward_transform(bm, dom, f, [0.0, 0.5]))
+        seen.append("numpy.ma" in sys.modules)
+        print(seen)
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[False, False]"
