@@ -17,7 +17,10 @@ merged (equality tolerance 1e-14).  Every sum, ``box`` and
 ``from_breakpoints`` make it.  The untrusted constructor
 ``StepPacket(lo, hi, waves)`` only validates the cells: touching cells
 whose stacks agree, and zero-valued cells, stay as given until a sum
-(``+ StepPacket.zero()``) makes them canonical.
+(``+ StepPacket.zero()``) makes them canonical.  These three constructors
+refuse an infinite value (ValidationError): the sweep's snap would erase
+it, and its running sum would turn the next gap into NaN.  A NaN value is
+kept, so bad data never sums to zero.
 Every constructor and operation keeps one frequency rule: the keys of
 ``waves`` are in ascending order, and each key has at least one nonzero
 value (a frequency whose values all vanish, say by underflow, is dropped).
@@ -290,6 +293,8 @@ class StepPacket:
             for n, v in waves.items():
                 if v.shape != lo.shape:
                     raise ValidationError(f"coefficients for frequency {n} have wrong length")
+                if np.isinf(v).any():
+                    raise ValidationError(f"coefficients for frequency {n} must not be infinite")
             if len(lo):
                 if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
                     raise ValidationError("cell edges must be finite")
@@ -316,17 +321,21 @@ class StepPacket:
 
         Bit for bit ``sum_packets([box])``: a cell no wider than the edge
         rule's EDGE_TOL * max(1, |lo|, |hi|) is the zero packet, and edges and
-        value are stored as the sweep stores them (no -0.0).
+        value are stored as the sweep stores them (no -0.0).  An infinite
+        value is a ValidationError (the sweep would erase it); NaN is kept.
         """
         if not (hi > lo):
             raise OrderingViolation(f"box needs hi > lo, got [{lo}, {hi})")
+        value = complex(value)
+        if math.isinf(value.real) or math.isinf(value.imag):
+            raise ValidationError(f"box value must not be infinite, got {value!r}")
         lo, hi = float(lo) + 0.0, float(hi) + 0.0
         if value == 0 or not _wider(hi - lo, max(abs(lo), abs(hi))):
             return cls.zero()
         return cls(
             np.array([lo]),
             np.array([hi]),
-            {int(freq): np.array([0j + complex(value)])},
+            {int(freq): np.array([0j + value])},
             _trusted=True,
         )
 
@@ -337,6 +346,8 @@ class StepPacket:
         values = np.asarray(values, dtype=complex)
         if breaks.ndim != 1 or len(breaks) != len(values) + 1:
             raise ValidationError("need one more breakpoint than cell values")
+        if np.isinf(values).any():
+            raise ValidationError("cell values must not be infinite")
         if not np.all(np.diff(breaks) > 0):
             raise OrderingViolation("breakpoints must be strictly increasing")
         return cls(*_sum_cells([(breaks[:-1], breaks[1:], {0: values})]), _trusted=True)

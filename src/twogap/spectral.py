@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, make_boundary_matrix
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi, make_boundary_matrix
 from .errors import ValidationError
 from .multipliers import make_multiplier
 from .quadrature import fold_nodes
@@ -93,15 +93,23 @@ def period_integral(bm: BoundaryMatrix, domain: ExteriorDomain) -> float:
 
 @dataclass(frozen=True)
 class FourierCoefficientTable:
-    """Density Fourier coefficients a_k = q^|k| e(-k psi) for |k| <= K."""
+    """Density Fourier coefficients a_k = q^|k| e(-k psi) for |k| <= K.
+
+    a_k is z^k for k >= 0 and conj(z)^|k| for k < 0, with z = q e(-psi);
+    ``tail`` bounds the coefficients left out, and ``total`` adds them.
+    """
 
     k: np.ndarray
     values: np.ndarray
     step: float
     tail: float
+    z: complex
 
     def total(self) -> complex:
-        return complex(np.sum(self.values))
+        """sum_k a_k over all k: the listed coefficients plus the exact
+        remainder sum_{|k| > K} a_k = 2 Re(z^(K+1) / (1 - z))."""
+        rest = self.z ** (int(self.k[-1]) + 1) / (1.0 - self.z)
+        return complex(np.sum(self.values)) + 2.0 * rest.real
 
 
 def fourier_coeffs(
@@ -116,7 +124,8 @@ def fourier_coeffs(
     """
     _require_coupled(bm, "fourier_coeffs")
     m = make_multiplier(bm, domain, "m_squared_inv", tol)
-    return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=m.step, tail=m.tail)
+    z = bm.q * complex(e2pi(-bm.psi))
+    return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=m.step, tail=m.tail, z=z)
 
 
 def comb_limit_diagnostic(

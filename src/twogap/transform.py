@@ -12,8 +12,12 @@ fold the whole line onto one period of the density (lambda = (xi + k)/ell,
 summed over k in closed form by lattice sums) and integrate that period by
 the mapped midpoint rule of ``quadrature.fold_nodes``, whose nodes cluster
 at the density spike, O(1/w) of them: no window, no tails.
+Both pairings are sums over pairs of cell ends, and ``_pair_rest`` sums
+their lattice rest over one flat list of pairs: ``cross_term`` lists every
+pair (p, r), ``sigma_norm2`` only the Hermitian half p <= r, since for
+g = f the (r, p) term is the conjugate of the (p, r) term.
 The adjoint has this one route: it reconstructs V* V f for the source packet
-f of a ``forward_transform`` sample, on the cells of f.
+f of a ``forward_transform`` sample, on the cells of f, in one sweep.
 
 Only frequency-0 packets (plain steps) are supported; that is all the
 cross-checks need.
@@ -29,7 +33,7 @@ from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupl
 from .eigen import eigen_coeffs
 from .errors import ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
-from .packets import StepPacket, sum_packets
+from .packets import StepPacket, _sum_cells
 from .quadrature import _lattice_nodes, _lattice_sum2_rest, _lattice_sum_rest, fold_nodes
 
 __all__ = [
@@ -43,10 +47,10 @@ __all__ = [
 # reconstruction points per cell of the adjoint transform
 _SUBDIVIDE = 4
 
-# most (rows x ends x nodes) elements in one block of a lattice-rest array:
-# a block's temporaries then peak near 0.3 MB (6 x 6 ends, 277 nodes), where
-# whole (ends x ends x nodes) arrays raise the process's peak memory by
-# about 0.4 MB
+# most (pairs x nodes) or (points x ends x nodes) elements in one block of a
+# lattice-rest array: a block's temporaries then peak near 0.3 MB, where
+# whole (ends x ends x nodes) arrays (6 x 6 ends, 277 nodes) raise the
+# process's peak memory by about 0.4 MB
 _BLOCK = 1 << 11
 
 
@@ -155,11 +159,8 @@ def cross_term(
 
     y = (p - r + b_i - b_j)/ell.  The k = 0 terms of all pairs together are
     the closed-form integrand at lambda = xi/ell over ell (sinc form, so the
-    1/xi^2 poles cancel exactly); the k != 0 rest has no pole.  The rests
-    are evaluated as (f ends x g ends x nodes) blocks of at most _BLOCK
-    elements, their node-only factors once (``quadrature._lattice_nodes``),
-    and each block is weighted and summed in place: O(f ends x g ends x
-    nodes) arithmetic in O(f ends x g ends x nodes / _BLOCK) numpy calls.
+    1/xi^2 poles cancel exactly); the k != 0 rest has no pole and is summed
+    by ``_pair_rest`` over the flat list of every (p, r) pair.
     """
     _require_coupled(bm, "sigma pairing")
     _require_steps("sigma quadratures", f, g)
@@ -167,25 +168,74 @@ def cross_term(
     g_parts = decompose(g, domain)
     fi, fpos, fval = _shifted_ends(domain, f_parts)
     gj, gpos, gval = _shifted_ends(domain, g_parts)
-    y = (fpos[:, None] - gpos[None, :]) / domain.ell
+    p, r = _end_pairs(len(fpos), len(gpos))
+    y = (fpos[p] - gpos[r]) / domain.ell
     xi, wq, co, amp = _fold(bm, domain, y)
 
     lam = xi / domain.ell
     vf = _transform_values(co, f_parts, lam)
     vg = _transform_values(co, g_parts, lam)
     total = np.sum(wq * np.conj(vf) * vg / np.abs(co.a) ** 2) / domain.ell
-    # k != 0: (f ends x g ends x nodes) blocks, each weighted and summed in place
+    rest = _pair_rest(domain, xi, wq, amp, y, 3 * fi[p] + gj[r], np.conj(fval[p]) * gval[r])
+    return complex(total + rest)
+
+
+def sigma_norm2(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket) -> float:
+    """Quadrature value of the sigma-weighted norm of V f (Parseval check).
+
+    The pairing of ``cross_term`` with g = f, read over the Hermitian half of
+    its end pairs: for real xi the lattice sum at -y is the conjugate of the
+    one at y, and so is e(xi y), so the (r, p) term is the conjugate of the
+    (p, r) term.  The pairs p <= r are summed, those off the diagonal
+    weighted by 2, and the real part is kept; the k = 0 part is |V f|^2.
+    """
+    _require_coupled(bm, "sigma pairing")
+    _require_steps("sigma quadratures", f)
+    parts = decompose(f, domain)
+    i, pos, val = _shifted_ends(domain, parts)
+    p, r = _end_pairs(len(pos), len(pos))
+    half = p <= r
+    p, r = p[half], r[half]
+    y = (pos[p] - pos[r]) / domain.ell
+    xi, wq, co, amp = _fold(bm, domain, y)
+
+    vf = _transform_values(co, parts, xi / domain.ell)
+    total = np.sum(wq * np.abs(vf) ** 2 / np.abs(co.a) ** 2) / domain.ell
+    coef = np.where(p == r, 1.0, 2.0) * np.conj(val[p]) * val[r]
+    return float(total + _pair_rest(domain, xi, wq, amp, y, 3 * i[p] + i[r], coef).real)
+
+
+def _pair_rest(domain, xi, wq, amp, y, comp, coef):
+    """The k != 0 rest of the sigma pairing over a flat list of end pairs t:
+
+        (ell / 4 pi^2) sum_t coef_t int amp_i conj(amp_j) e(xi y_t) S(y_t, xi) d xi
+
+    on the fold nodes xi with weights wq (``_fold``), comp_t = 3 i + j naming
+    the components of the pair and S = ``quadrature._lattice_sum2_rest``.
+    The pairs go as (pairs x nodes) blocks of at most _BLOCK elements (one
+    pair at least), their node-only factors once (``_lattice_nodes``), and
+    each block is weighted and summed in place: O(pairs x nodes) arithmetic
+    in O(pairs x nodes / _BLOCK) numpy calls.
+    """
     nodes = _lattice_nodes(xi)
-    f_amp = np.conj(fval)[:, None] * wq * amp[fi]
-    g_amp = gval[:, None] * np.conj(amp[gj])
-    rest = 0.0
-    for rows in _blocks(len(fpos), len(gpos) * len(xi)):
-        y_b = y[rows, :, None]
+    # wq amp_i conj(amp_j), one row per component pair 3 i + j
+    pair_amp = ((wq * amp)[:, None, :] * np.conj(amp)[None, :, :]).reshape(-1, len(xi))
+    rest = 0j
+    for t in _blocks(len(y), len(xi)):
+        y_b = y[t, None]
         terms = e2pi(y_b * xi) * _lattice_sum2_rest(y_b, nodes)
-        terms *= g_amp
-        terms *= f_amp[rows, None, :]
-        rest += terms.sum()
-    return complex(total + domain.ell / (4.0 * np.pi**2) * rest)
+        terms *= pair_amp[comp[t]]
+        # a plain product and sum: a BLAS dot would page in library code
+        rest += (coef[t] * terms.sum(axis=1)).sum()
+    return domain.ell / (4.0 * np.pi**2) * rest
+
+
+def _end_pairs(n_f, n_g):
+    """(p, r) of every pair of n_f ends and n_g ends, p-major, as two index
+    arrays.  Integer arithmetic: index-grid helpers (``np.triu_indices``)
+    page in library code that a process otherwise never reads."""
+    k = np.arange(n_f * n_g)
+    return k // n_g, k % n_g
 
 
 def _blocks(rows, per_row):
@@ -193,11 +243,6 @@ def _blocks(rows, per_row):
     elements a row (one row at least)."""
     step = max(1, _BLOCK // max(per_row, 1))
     return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-def sigma_norm2(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket) -> float:
-    """Quadrature value of the sigma-weighted norm of V f (Parseval check)."""
-    return float(np.real(cross_term(bm, domain, f, f)))
 
 
 def adjoint_transform(
@@ -219,17 +264,19 @@ def adjoint_transform(
     with y = (x - r + b_d - b_j)/ell; the k = 0 terms of all ends together
     are the closed-form transform of f at lambda = xi/ell, one (points x
     nodes) product.  The rests go as (points x ends x nodes) blocks of at
-    most _BLOCK elements, as in ``cross_term``: O(points x ends x nodes)
-    arithmetic with no loop over points.
+    most _BLOCK elements, as in ``_pair_rest``: O(points x ends x nodes)
+    arithmetic with no loop over points.  The subcells of all cells, with
+    their values, go through one sweep (``packets._sum_cells``).
     """
     _require_coupled(bm, "adjoint_transform")
     f = sample.source
     if f is None:
         raise ValidationError("adjoint_transform needs a sample with its source packet")
     _require_steps("adjoint transform", f)
-    # reconstruction points: subcell midpoints, one edge array per cell
-    span_edges = [np.linspace(u, v, _SUBDIVIDE + 1) for u, v, _ in f.cells()]
-    xs = np.concatenate([0.5 * (se[:-1] + se[1:]) for se in span_edges])
+    # reconstruction points: subcell midpoints, one row of edges per cell
+    edges = np.linspace(f.lo, f.hi, _SUBDIVIDE + 1, axis=1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    xs = 0.5 * (lo + hi)
     dest = np.array([_component_index(domain, x) for x in xs])
 
     f_parts = decompose(f, domain)
@@ -253,10 +300,7 @@ def adjoint_transform(
         terms *= f_amp
         terms *= d_amp[rows, None, :]
         values[rows] += terms.sum(axis=(1, 2)) / (2j * np.pi)
-    return sum_packets(
-        StepPacket.from_breakpoints(se, v)
-        for se, v in zip(span_edges, values.reshape(-1, _SUBDIVIDE))
-    )
+    return StepPacket(*_sum_cells([(lo, hi, {0: values})]), _trusted=True)
 
 
 def _component_index(domain, x):

@@ -301,6 +301,18 @@ def test_sum_keeps_a_nan_value():
     assert f.lo.tolist() == [0.0] and np.isnan(f.waves[0][0])
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(1.0, np.inf), complex(-np.inf, 0.0)])
+def test_constructors_refuse_an_infinite_value(value):
+    # the snap would erase an infinite value, and its running sum would
+    # write NaN into the next gap: every constructor refuses it instead
+    with pytest.raises(ValidationError):
+        StepPacket.box(0.0, 1.0, value)
+    with pytest.raises(ValidationError):
+        StepPacket([0.0, 2.0], [1.0, 3.0], {0: [1.0, value]})
+    with pytest.raises(ValidationError):
+        StepPacket.from_breakpoints([0.0, 1.0, 2.0], [value, 1.0])
+
+
 def rows_of(ps):
     """A batch whose row b holds the cells of packet ps[b] as they are."""
     return PacketBatch(len(ps), *_gather([(np.full(p.n_cells, b), p.lo, p.hi, p.waves) for b, p in enumerate(ps)]))

@@ -138,6 +138,20 @@ def test_normalization_identity():
     assert m0_sq * np.real(table.total()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [1e-2, 1e-12])
+@pytest.mark.parametrize("w, psi", [(0.7, 0.0), (0.5, 0.3), (0.2, 0.45)])
+def test_table_total_adds_the_exact_remainder(w, psi, tol):
+    # the listed coefficients stop at a tail of tol; total() adds the rest
+    # in closed form, so m(0)^2 times it is 1 to the rounding of a pairwise
+    # sum of the listed terms, whatever the cut
+    bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=psi)
+    dom = make_domain(2.25, 3.75)
+    table = fourier_coeffs(bm, domain=dom, tol=tol)
+    m0_sq = float(eigen_coeffs(bm, dom, 0.0).m) ** 2
+    rounding = np.finfo(float).eps * np.log2(len(table.k)) * np.sum(np.abs(table.values))
+    assert abs(m0_sq * table.total() - 1.0) < m0_sq * rounding
+
+
 def test_comb_limit_monotone():
     dom = make_domain(2.0, 3.0)
     recs = comb_limit_diagnostic(dom, w_sequence=[0.5, 0.1, 0.02], window_width=0.1)

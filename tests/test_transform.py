@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twogap
 from twogap import transform
@@ -198,6 +200,40 @@ def test_cross_term_matches_plain_rule(monkeypatch, w):
     assert abs(mapped - cross_term(bm, dom, f, g)) < 1e-12
 
 
+@st.composite
+def pairing_cases(draw):
+    """(bm, f, g): w in [0.05, 1], psi 0 or drawn, and two frequency-0
+    packets of 1-2 boxes on each component of ``_FOLD_DOMAIN``."""
+    w = draw(st.floats(0.05, 1.0))
+    psi = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    bm = make_boundary_matrix(w, theta=draw(st.floats(0.0, 1.0)), phi=draw(st.floats(0.0, 1.0)), psi=psi)
+    value = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+    def packet():
+        out = StepPacket.zero()
+        for lo, hi in ((-3.0, -0.1), (1.05, 1.95), (3.4, 6.5)):  # I-, I0, I+
+            for _ in range(draw(st.integers(1, 2))):
+                a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+                out = out + StepPacket.box(a, max(b, a + 1e-3), draw(value))
+        return out
+
+    return bm, packet(), packet()
+
+
+@given(pairing_cases())
+@settings(max_examples=25, deadline=None)
+def test_pairing_is_hermitian_and_sigma_reads_its_half(case):
+    # the (r, p) term of the pairing is the conjugate of the (p, r) term, so
+    # <f, g> = conj <g, f>, and sigma_norm2 over the pairs p <= r is the
+    # all-pairs Re cross_term(f, f)
+    bm, f, g = case
+    dom = _FOLD_DOMAIN
+    fg, gf = cross_term(bm, dom, f, g), cross_term(bm, dom, g, f)
+    assert abs(fg - np.conj(gf)) <= 1e-13 * max(1.0, np.sqrt(f.norm2() * g.norm2()))
+    full = np.real(cross_term(bm, dom, f, f))
+    assert abs(sigma_norm2(bm, dom, f) - full) <= 1e-14 * max(1.0, f.norm2())
+
+
 def test_quadrature_oracles_read_no_series(monkeypatch, generic):
     # the oracles check the packet engine, so they must not share its series
     forbid_series(monkeypatch, "quadrature oracle")
@@ -228,8 +264,9 @@ def test_pairings_and_oracles_leave_numpy_ma_unimported():
         import sys
         import numpy as np
         from twogap import StepPacket, make_boundary_matrix, make_domain
-        from twogap.semigroup import resolvent_comparison
-        from twogap.transform import adjoint_transform, forward_transform, sigma_norm2
+        from twogap.semigroup import norm_decay_profile, resolvent_comparison, semigroup_kernel_apply
+        from twogap.spectral import period_integral
+        from twogap.transform import adjoint_transform, cross_term, forward_transform, sigma_norm2
 
         dom, bm = make_domain(2.0, 3.0), make_boundary_matrix(w=0.5, psi=0.2)
         f = StepPacket.box(-2.0, -1.0, 0.5) + StepPacket.box(1.2, 1.8, 1.0)
@@ -239,7 +276,11 @@ def test_pairings_and_oracles_leave_numpy_ma_unimported():
         f.breakpoints()
         resolvent_comparison(bm, dom, 1.2 + 0.7j, g, np.linspace(1.0, 2.0, 11))
         sigma_norm2(bm, dom, f)
+        cross_term(bm, dom, f, f.translate(0.1))
         adjoint_transform(bm, dom, forward_transform(bm, dom, f, [0.0, 0.5]))
+        semigroup_kernel_apply(bm, g, 0.5, np.linspace(-1.0, 1.0, 5))
+        norm_decay_profile(bm, 1, [0.5, 1.5])
+        period_integral(bm, dom)
         seen.append("numpy.ma" in sys.modules)
         print(seen)
     """
