@@ -8,7 +8,10 @@ rows at once) builds them at finite times (evolution, single block entries)
 and ``_train_row`` at t = inf (scattering, both translation
 representations): all are rows of that matrix.  A row is never summed
 block by block: it gathers the unswept translates of every block
-(``packets._translates``) and sums them in one canonical sweep.
+(``packets._translates``) and sums them in one canonical sweep.  The rows
+of one call read the causal terms of all their blocks from one
+``multipliers.causal_terms`` call, so from one coefficient table, and each
+source part is translated once, by the terms of all its blocks.
 The packet picture of, say, a left-launched packet is: the identity copy
 keeps moving on I_minus, the transmitted geometric train enters the middle
 interval through a_inv, and the outgoing train leaves through a_inv_c (one
@@ -56,7 +59,7 @@ import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _require_coupled, e2pi
 from .errors import EmptySupport, SupportViolation, ValidationError
-from .multipliers import BLOCK_KIND, causal_multiplier, train_terms
+from .multipliers import BLOCK_KIND, causal_terms, train_terms
 from .batch import PacketBatch, merge_batch
 from .packets import PacketTrain, StepPacket, _nonzero, _sum_cells, _sum_rows, _translates
 
@@ -149,22 +152,35 @@ def block_row(
 
 def _block_rows(bm, domain, parts, dests, span) -> PacketBatch:
     """``block_row`` for each of ``dests``: the rows of one batch, from one
-    batched sweep (``packets._sum_rows``) of the unswept cells of every
-    block (a part's own cells, or the translates of its causal terms)."""
-    pieces = []
-    for b, dest in enumerate(dests):
+    batched sweep (``packets._sum_rows``).  The causal terms of every block
+    come from one ``multipliers.causal_terms`` call, so from one table of
+    coefficients; each source part is translated once, by the terms of all
+    its blocks (each cell labelled with its block's row), and adds its own
+    cells to the row of its identity block.  Within a row the cells keep
+    their source and term order, so each row sums as its own sweep."""
+    windows = []
+    for dest in dests:
         lo, hi = domain.component(dest)
-        window = (lo - span[1], hi - span[0])
-        for src, fsrc in zip(COMPONENTS, parts):
-            if not fsrc.waves:  # no cells, or cells whose values all vanish
-                continue
-            kind = BLOCK_KIND[(dest, src)]
-            if kind == "identity":
-                cells = (fsrc.lo, fsrc.hi, fsrc.waves)
-            else:
-                m = causal_multiplier(bm, domain, kind, fsrc.support(), window)
-                cells = _translates(fsrc, *m.terms())
-            pieces.append((np.full(len(cells[0]), b), *cells))
+        windows.append((lo - span[1], hi - span[0]))
+    # cells with no frequency (none, or all values zero) add nothing
+    sources = [(src, fsrc) for src, fsrc in zip(COMPONENTS, parts) if fsrc.waves]
+    requests, blocks = [], []  # per source: the rows of its causal and identity blocks
+    for src, fsrc in sources:
+        kinds = [BLOCK_KIND[(dest, src)] for dest in dests]
+        causal = [b for b, kind in enumerate(kinds) if kind != "identity"]
+        support = fsrc.support()
+        requests += [(kinds[b], support, windows[b]) for b in causal]
+        blocks.append((causal, [b for b, kind in enumerate(kinds) if kind == "identity"]))
+    counts, shifts, weights = causal_terms(bm, domain, requests)
+    pieces, done, end = [], 0, 0
+    for (_, fsrc), (causal, own) in zip(sources, blocks):
+        if causal:
+            n_terms = counts[done : done + len(causal)]
+            terms = slice(end, end + sum(n_terms))
+            done, end = done + len(causal), terms.stop
+            row = np.repeat(causal, np.multiply(n_terms, fsrc.n_cells))
+            pieces.append((row, *_translates(fsrc, shifts[terms], weights[terms])))
+        pieces += [(np.full(fsrc.n_cells, b), fsrc.lo, fsrc.hi, fsrc.waves) for b in own]
     return PacketBatch(len(dests), *_sum_rows(len(dests), pieces))
 
 

@@ -12,11 +12,15 @@ with integer lattice indices n and step = alpha - 1.  On the spatial side
 
 i.e. a weighted sum of translates — exact on step packets.  The inverse
 coefficient functions are geometric series, and every series is generated
-by one routine (``_lattice_series``) over a range of lattice indices:
+by one routine (``_lattice_series``) over ranges of lattice indices, one
+per request; all the requests of one call read one table of
+q^m e(-m psi), m = 0 ... max |n|, whatever the sign of n or the kind:
 
-* ``causal_multiplier`` keeps exactly the terms that carry a given support
-  into a given window.  At a finite time only about |t| / step terms reach
-  the output, so every evolution is an exact finite sum (tail 0).
+* ``causal_terms`` keeps, for each of many (kind, support, window)
+  requests, exactly the terms that carry the support into the window.  At
+  a finite time only about |t| / step terms reach the output, so every
+  evolution is an exact finite sum (tail 0); the rows of one evolution are
+  one call, so one table, one weight product and one term array.
 * ``train_terms`` keeps the n = 0 term of a one-sided kind and its direct
   reflection: with the ratio z = q e(-psi) they are the whole series as an
   exact geometric train (``packets.PacketTrain``), which is how the t = inf
@@ -57,7 +61,7 @@ from .packets import StepPacket, _sum_cells, _translates
 __all__ = [
     "MultiplierSeries",
     "make_multiplier",
-    "causal_multiplier",
+    "causal_terms",
     "train_terms",
     "apply_multiplier",
     "conjugate_multiplier",
@@ -155,8 +159,9 @@ class MultiplierSeries:
 def _product(ar, ai, br, bi) -> np.ndarray:
     """(ar + i ai)(br + i bi) elementwise, rounded as Python's complex product
     (numpy's vectorized one differs in the last bit for many terms)."""
-    out = np.empty(np.shape(br), dtype=complex)
-    out.real = ar * br - ai * bi
+    real = ar * br - ai * bi
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
     out.imag = ar * bi + ai * br
     return out
 
@@ -196,53 +201,104 @@ def _check_kind(bm: BoundaryMatrix, kind: str) -> None:
         )
 
 
-def _lattice_series(bm, domain, kind, reach, tail) -> MultiplierSeries:
-    """The terms of an inverse kind whose lattice index n lies in
-    ``reach(base_shift)`` = (lo, hi), a float range that may be unbounded.
+def _coefficient_table(q: float, psi: float, size: int):
+    """(q^m, e(-m psi)) for m = 0 ... size - 1: Python's float pow per m
+    (numpy's array power differs in the last bit)."""
+    return np.array([q**m for m in range(size)], dtype=float), e2pi(-np.arange(size) * psi)
 
-    This is the one place the series coefficients are written: the kind's
-    own indices (n >= 0, n <= 0 or all n) are kept, up to the index where
-    q^|n| underflows to an exact zero.  The mirrored kinds are conjugates of
-    their partners, generated on the mirrored range.
-    """
-    if kind in _MIRRORED:
 
-        def mirrored(base):
-            lo, hi = reach(-base)
-            return -hi, -lo
-
-        partner = _lattice_series(bm, domain, _CONJ_KIND[kind], mirrored, tail)
-        return conjugate_multiplier(partner)
-    w, q = bm.w, bm.q
-    theta, phi, psi = bm.theta, bm.phi, bm.psi
-    gap = domain.gap
-    cap = _underflow_index(q)
-    # scalar, base shift and the train: weight * q^|n| e(-n psi), first <= n <= last
+@functools.lru_cache(maxsize=256)
+def _own_terms(bm, domain, kind):
+    """(scalar, base shift, weight, first, last, direct) of a kind that is
+    not mirrored: its terms are scalar * weight * q^|n| e(-n psi) at the
+    shifts base + n * step, first <= n <= last (q^last the last nonzero
+    power), and a_inv_c has the direct reflection ``direct`` at n = -1."""
+    w, q, cap = bm.w, bm.q, _underflow_index(bm.q)
+    theta, phi, psi, gap = bm.theta, bm.phi, bm.psi, domain.gap
     if kind == "a_inv":
-        scalar, base, weight, first, last = w * complex(e2pi(-phi)), -1.0, 1.0, 0, cap
-    elif kind == "c_inv":
-        scalar, base, weight, first, last = w * complex(e2pi(theta - phi)), gap, 1.0, -cap, 0
-    elif kind == "m_squared_inv":
-        scalar, base, weight, first, last = 1.0 + 0j, 0.0, 1.0, -cap, cap
-    elif kind == "a_inv_c":  # the direct reflection at n = -1, then w^2 times the train
-        scalar, base, weight, first, last = complex(e2pi(-theta)), -(gap + 1.0), w * w, 0, cap
-    else:
-        raise ValidationError(f"{kind!r} is not a lattice series")
-    lo, hi = reach(base)
-    lo = math.floor(max(lo, -cap - 1.0))
-    hi = math.ceil(min(hi, cap + 1.0))
-    # the direct reflection is kept when the rounded range reaches n <= 0, so
-    # every eps series holds it; the train then starts at n = 0
-    direct = kind == "a_inv_c" and lo <= 0 and hi >= -1
-    start = -1 if direct else max(lo, first)
-    ns = np.arange(start, min(hi, last) + 1)
-    # Python's float pow per index: numpy's array power differs in the last bit
-    mag = weight * np.array([q**n for n in np.abs(ns).tolist()], dtype=float)
-    phase = e2pi(-ns * psi)
-    coeffs = _product(mag, 0.0, phase.real, phase.imag)
-    if direct:
-        coeffs[0] = -q * complex(e2pi(psi))
-    return MultiplierSeries(scalar, base, domain.ell, start, coeffs, kind, tail)
+        return w * complex(e2pi(-phi)), -1.0, 1.0, 0, cap, None
+    if kind == "c_inv":
+        return w * complex(e2pi(theta - phi)), gap, 1.0, -cap, 0, None
+    if kind == "m_squared_inv":
+        return 1.0 + 0j, 0.0, 1.0, -cap, cap, None
+    if kind == "a_inv_c":  # the direct reflection, then w^2 times the train
+        return complex(e2pi(-theta)), -(gap + 1.0), w * w, 0, cap, -q * complex(e2pi(psi))
+    raise ValidationError(f"{kind!r} is not a lattice series")
+
+
+def _lattice_series(bm, domain, requests):
+    """The terms of inverse kinds, one request (kind, reach) each: the
+    lattice indices n of the kind's own side (n >= 0, n <= 0 or all n) that
+    lie in ``reach(base_shift)`` = (lo, hi), a float range that may be
+    unbounded, up to the index where q^|n| underflows to an exact zero.
+
+    This is the one place the series coefficients are written, those of
+    every request from one table over m = 0 ... max |n|
+    (``_coefficient_table``): weight * q^m times e(-m psi) at n = m and
+    times the conjugate phase at n = -m, each with the bits of the scalar
+    weight * q**|n| * complex(e2pi(-n * psi)).  The direct reflection of
+    a_inv_c at n = -1 is written apart.  The mirrored kinds are the
+    conjugates of their partners, read on the mirrored range.
+
+    Returns (heads, counts, coeffs): the (scalar, base shift, first index n)
+    and the number of terms of each request, and the coefficients c_n of
+    all requests, concatenated in request order, each ascending in n.
+    """
+    cap = _underflow_index(bm.q)
+    plans, columns = [], {}  # columns: (weight, phase sign) -> table row
+    for kind, reach in requests:
+        mirrored = kind in _MIRRORED
+        own = _CONJ_KIND[kind] if mirrored else kind
+        scalar, base, weight, first, last, reflection = _own_terms(bm, domain, own)
+        lo, hi = reach(-base) if mirrored else reach(base)
+        if mirrored:
+            lo, hi = -hi, -lo
+        lo = math.floor(max(lo, -cap - 1.0))
+        hi = math.ceil(min(hi, cap + 1.0))
+        # the direct reflection is kept when the rounded range reaches n <= 0, so
+        # every eps series holds it; the train then starts at n = 0
+        direct = reflection if reflection is not None and lo <= 0 and hi >= -1 else None
+        start, stop = (-1 if direct is not None else max(lo, first)), min(hi, last)
+        if start <= stop and start < 0 and direct is None:
+            columns.setdefault((weight, -1.0), len(columns))
+        if start <= stop and stop >= 0:
+            columns.setdefault((weight, 1.0), len(columns))
+        plans.append((mirrored, scalar, base, weight, direct, start, stop))
+    size = 1 + max((max(-start, stop) for *_, start, stop in plans if start <= stop), default=-1)
+    mag, phase = _coefficient_table(bm.q, bm.psi, size)
+    # one product for every column: weight * q^m times e(-m psi) or its conjugate
+    keys = np.array(list(columns), dtype=float).reshape(-1, 2)
+    table = _product(keys[:, :1] * mag, 0.0, phase.real, keys[:, 1:] * phase.imag)
+
+    heads, counts, pieces, flips, total = [], [], [], [], 0
+    for mirrored, scalar, base, weight, direct, start, stop in plans:
+        run = []  # the coefficients of the kind's own range, ascending in n
+        if start <= stop:
+            if direct is not None:
+                run.append(np.array([direct]))
+            elif start < 0:
+                run.append(table[columns[weight, -1.0], -start : max(-stop, 1) - 1 : -1])
+            if stop >= 0:
+                run.append(table[columns[weight, 1.0], max(start, 0) : stop + 1])
+        count = max(stop - start + 1, 0)
+        if mirrored:  # n -> -n, conjugated once the runs are joined
+            run = [r[::-1] for r in reversed(run)]
+            scalar, base, start = scalar.conjugate(), -base, -stop
+            flips.append(slice(total, total + count))
+        heads.append((scalar, base, start))
+        counts.append(count)
+        pieces += run
+        total += count
+    coeffs = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
+    for span in flips:
+        np.conjugate(coeffs[span], out=coeffs[span])
+    return heads, counts, coeffs
+
+
+def _series(bm, domain, kind, reach, tail) -> MultiplierSeries:
+    """The one-request ``_lattice_series`` of ``kind`` as a MultiplierSeries."""
+    ((scalar, base, first),), _, coeffs = _lattice_series(bm, domain, [(kind, reach)])
+    return MultiplierSeries(scalar, base, domain.ell, first, coeffs, kind, tail)
 
 
 @functools.lru_cache(maxsize=256)
@@ -255,11 +311,12 @@ def make_multiplier(
     """Build one of the named series for (bm, domain) at tolerance eps.
 
     This is the whole series, truncated.  A finite time or horizon reads
-    ``causal_multiplier``, and t = inf the exact train of ``train_terms``;
+    ``causal_terms``, and t = inf the exact train of ``train_terms``;
     the one library caller is the density Fourier table of
     ``spectral.fourier_coeffs``, and acceptance criterion 01 reads it too.
     Series are cached per (bm, domain, kind, eps) and shared by every caller;
-    their arrays are read-only.
+    their arrays are read-only.  A mirrored kind is its partner's cached
+    series, conjugated (``conjugate_multiplier``).
     """
     _check_kind(bm, kind)
     w, q = bm.w, bm.q
@@ -273,40 +330,56 @@ def make_multiplier(
     if kind == "c":
         coeffs = [-q * complex(e2pi(psi)), 1.0 + 0j]
         return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, -1, coeffs, "c")
+    if kind in _MIRRORED:
+        return conjugate_multiplier(make_multiplier(bm, domain, _CONJ_KIND[kind], eps))
     if kind == "m_squared_inv":
         n_terms = _geom_terms(q, eps / 2.0)
         tail = 2.0 * q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
     else:
         n_terms = _geom_terms(q, eps)
         geo_tail = q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
-        tail = (w * w if kind in ("a_inv_c", "c_inv_a") else w) * geo_tail
-    return _lattice_series(bm, domain, kind, lambda base: (-n_terms, n_terms), tail)
+        tail = (w * w if kind == "a_inv_c" else w) * geo_tail
+    return _series(bm, domain, kind, lambda base: (-n_terms, n_terms), tail)
 
 
-def causal_multiplier(
-    bm: BoundaryMatrix,
-    domain: ExteriorDomain,
-    kind: str,
-    support,
-    window,
-) -> MultiplierSeries:
-    """Every term of ``kind`` that carries a packet supported on ``support``
-    into the open interval ``window``; exact, so its tail is 0.
+def causal_terms(bm: BoundaryMatrix, domain: ExteriorDomain, requests):
+    """The terms of several causal series at once, from one coefficient
+    table; exact, so their tail is 0.  Not cached.
 
-    Term n sends (a, b) to (a - s, b - s) with s = base + n * step, and it is
-    kept when a - s < window[1] and b - s > window[0] (the index range is
-    rounded outward, so a term at the edge may be kept with no overlap).
-    A window bounded on the side where the kind's indices are bounded makes
-    the series finite; so does the underflow of q^|n|.  Not cached.
+    Request (kind, support, window) asks for every term of ``kind`` that
+    carries a packet supported on ``support`` into the open interval
+    ``window``.  Term n sends (a, b) to (a - s, b - s) with
+    s = base + n * step, and it is kept when a - s < window[1] and
+    b - s > window[0] (the index range is rounded outward, so a term at the
+    edge may be kept with no overlap).  A window bounded on the side where
+    the kind's indices are bounded makes the series finite; so does the
+    underflow of q^|n|.
+
+    Returns (counts, shifts, weights): the number of terms of each request,
+    and the spatial shifts base + n * step and the weights scalar * c_n of
+    all of them, concatenated in request order, each request's ascending in
+    n, bit for bit its ``MultiplierSeries.terms``.
     """
-    _check_kind(bm, kind)
-    (a, b), (win_lo, win_hi) = support, window
-    step = domain.ell
+    reaches = []
+    for kind, (a, b), (win_lo, win_hi) in requests:
+        _check_kind(bm, kind)
+        reaches.append((kind, _reach(a, b, win_lo, win_hi, domain.ell)))
+    heads, counts, coeffs = _lattice_series(bm, domain, reaches)
+    scalar, base, skip, at = [], [], [], 0
+    for (c, b, first), count in zip(heads, counts):
+        scalar.append(c)
+        base.append(b)
+        skip.append(first - at)  # a term's index n less its position
+        at += count
+    ns = np.arange(at) + np.array(skip, dtype=int).repeat(counts)
+    shifts = np.array(base, dtype=float).repeat(counts) + ns * domain.ell
+    scalar = np.array(scalar, dtype=complex).repeat(counts)
+    return counts, shifts, _product(scalar.real, scalar.imag, coeffs.real, coeffs.imag)
 
-    def reach(base):
-        return (a - win_hi - base) / step, (b - win_lo - base) / step
 
-    return _lattice_series(bm, domain, kind, reach, 0.0)
+def _reach(a, b, win_lo, win_hi, step):
+    """The float index range of the terms that carry (a, b) into the window."""
+    return lambda base: ((a - win_hi - base) / step, (b - win_lo - base) / step)
 
 
 def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str) -> MultiplierSeries:
@@ -320,7 +393,7 @@ def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str) -> Multip
     Read from ``_lattice_series`` like every other series; tail 0.
     """
     _check_kind(bm, kind)
-    return _lattice_series(bm, domain, kind, lambda base: (0.0, 0.0), 0.0)
+    return _series(bm, domain, kind, lambda base: (0.0, 0.0), 0.0)
 
 
 def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:

@@ -92,10 +92,13 @@ def osc_integral(u, v, k):
 def _translates(p, shifts, weights):
     """The cells of sum_k weights[k] p(. + shifts[k]), unswept, in shift
     order, as (lo, hi, waves) for ``_sum_cells``: p(x + s) moves a cell by
-    -s, and a frequency-n value v becomes v e(n s)."""
+    -s, and a frequency-n value v becomes v e(n s).  Each term's cells have
+    the bits they have when the term is translated alone."""
     waves = {}
     for freq, vals in p.waves.items():
-        wf = weights * e2pi(freq * shifts) if freq else weights
+        # not ``*``: from 16,384 terms numpy would multiply into the
+        # temporary phase array, by a loop that rounds differently
+        wf = np.multiply(weights, e2pi(freq * shifts)) if freq else weights
         waves[freq] = (vals[None, :] * wf[:, None]).ravel()
     lo = (p.lo[None, :] - shifts[:, None]).ravel()
     hi = (p.hi[None, :] - shifts[:, None]).ravel()

@@ -519,20 +519,150 @@ def test_evolve_cost_follows_reflections(monkeypatch):
     # at w = 0.05 the eps series holds tens of thousands of terms; the window
     # builds about |t| / ell of them per row
     applied = []
-    causal = multipliers.causal_multiplier
+    causal = multipliers.causal_terms
 
     def counting(*args, **kwargs):
-        m = causal(*args, **kwargs)
-        applied.append(len(m.coeffs))
-        return m
+        counts, shifts, weights = causal(*args, **kwargs)
+        applied.extend(counts)
+        return counts, shifts, weights
 
-    monkeypatch.setattr(evolution, "causal_multiplier", counting)
+    monkeypatch.setattr(evolution, "causal_terms", counting)
     bm = make_boundary_matrix(w=0.05, theta=0.15, phi=0.3, psi=0.45)
     dom, f, t = _WINDOW_DOMAIN, _WINDOW_F, 100.0
     res = evolve(bm, dom, f, t)
     assert res.truncation == 0.0
     width = f.support()[1] - f.support()[0]
     assert 0 < sum(applied) <= 3 * (math.ceil((abs(t) + width) / dom.ell) + 3)
+
+
+_PARTNER = {"a_conj_inv": "a_inv", "c_conj_inv": "c_inv", "c_inv_a": "a_inv_c"}
+
+
+def _scalar_term(bm, dom, kind, n):
+    """(base shift, scalar, c_n) of term n of ``kind`` by Python's scalar
+    arithmetic; a mirrored kind is its partner's term -n, conjugated."""
+    if kind in _PARTNER:
+        base, scalar, c = _scalar_term(bm, dom, _PARTNER[kind], -n)
+        return -base, scalar.conjugate(), c.conjugate()
+    w, q, psi = bm.w, bm.q, bm.psi
+    scalar, base = {
+        "a_inv": (w * complex(e2pi(-bm.phi)), -1.0),
+        "c_inv": (w * complex(e2pi(bm.theta - bm.phi)), dom.gap),
+        "m_squared_inv": (1.0 + 0j, 0.0),
+        "a_inv_c": (complex(e2pi(-bm.theta)), -(dom.gap + 1.0)),
+    }[kind]
+    if kind == "a_inv_c" and n == -1:  # the direct reflection
+        c = -q * complex(e2pi(psi))
+    else:
+        c = (w * w if kind == "a_inv_c" else 1.0) * q ** abs(n) * complex(e2pi(-n * psi))
+    return base, scalar, c
+
+
+def _block_terms(monkeypatch, bm, dom, parts, span):
+    """Per causal block of one ``_block_rows`` call: (kind, n, shifts,
+    weights), the block's lattice indices n read back from its shifts."""
+    calls = []
+    causal = multipliers.causal_terms
+
+    def spy(*args):
+        out = causal(*args)
+        calls.append((args[2], out))
+        return out
+
+    monkeypatch.setattr(evolution, "causal_terms", spy)
+    evolution._block_rows(bm, dom, parts, _COMPONENTS, span)
+    monkeypatch.undo()
+    ((requests, (counts, shifts, weights)),) = calls
+    blocks, end = [], 0
+    for (kind, _, _), count in zip(requests, counts):
+        terms = slice(end, end + count)
+        end = terms.stop
+        base = _scalar_term(bm, dom, kind, 0)[0]
+        n = np.rint((shifts[terms] - base) / dom.ell).astype(int)
+        blocks.append((kind, n, shifts[terms], weights[terms]))
+    assert end == len(shifts) == len(weights)
+    return blocks
+
+
+def _assert_scalar_terms(monkeypatch, bm, dom, parts, span):
+    """Every block's terms are the scalar loop's, bit for bit; returns the
+    features the call covered."""
+    seen = set()
+    for kind, n, shifts, weights in _block_terms(monkeypatch, bm, dom, parts, span):
+        if not len(n):
+            continue
+        assert np.array_equal(n, np.arange(n[0], n[0] + len(n)))
+        want = [(k, *_scalar_term(bm, dom, kind, k)) for k in n.tolist()]
+        assert shifts.tobytes() == np.array([b + k * dom.ell for k, b, _, _ in want]).tobytes()
+        assert weights.tobytes() == np.array([a * c for _, _, a, c in want], dtype=complex).tobytes()
+        seen.add("mirrored" if kind in _PARTNER else kind)
+        if kind == "m_squared_inv" and n[0] < 0 < n[-1]:
+            seen.add("two-sided")
+        if (kind == "a_inv_c" and n[0] == -1) or (kind == "c_inv_a" and n[-1] == 1):
+            seen.add("direct")
+    return seen
+
+
+@st.composite
+def block_term_cases(draw):
+    """(bm, dom, parts, span): a coupling with w in [0.01, 1] (below it q
+    nears 1 and the series grow long), a cell on each component and a span
+    with |t| <= 1e4."""
+    unit = st.floats(0.0, 1.0)
+    psi = draw(st.sampled_from([0.0, 0.25, 0.5]) | unit)
+    bm = make_boundary_matrix(w=draw(st.floats(0.01, 1.0)), theta=draw(unit), phi=draw(unit), psi=psi)
+    alpha = draw(st.floats(1.2, 3.0))
+    dom = make_domain(alpha, alpha + draw(st.floats(0.3, 2.0)))
+    parts = []
+    for lo, hi in ((-3.0, 0.0), (1.0, alpha), (dom.beta, dom.beta + 3.0)):
+        a = draw(st.floats(lo, hi - 1e-3))
+        b = draw(st.floats(a + 1e-3, hi))
+        parts.append(StepPacket.box(a, b, 1.0, freq=draw(st.sampled_from([0, 1]))))
+    t_lo = draw(st.floats(-1e4, 1e4))
+    return bm, dom, parts, (t_lo, min(t_lo + draw(st.floats(0.0, 100.0)), 1e4))
+
+
+@given(block_term_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_block_terms_are_scalar_arithmetic(case):
+    # every block of one _block_rows call reads its terms from one table,
+    # with the bits of the scalar loop: shifts base + n ell, weights
+    # scalar * (q**|n| e(-n psi)), the mirrored kinds conjugated
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_scalar_terms(monkeypatch, *case)
+
+
+def test_batched_block_terms_cover_every_kind(monkeypatch):
+    # near t = 0 the rows hold the mirrored kinds, the two-sided
+    # m_squared_inv range across n = 0 and the direct reflection at n = -1
+    bm = make_boundary_matrix(w=0.5, theta=0.15, phi=0.3, psi=0.0)
+    parts = decompose(_WINDOW_F, _WINDOW_DOMAIN)
+    seen = set()
+    for span in ((-0.5, 0.5), (2.0, 3.0), (-3.0, -2.0)):
+        seen |= _assert_scalar_terms(monkeypatch, bm, _WINDOW_DOMAIN, parts, span)
+    assert seen == {"a_inv", "c_inv", "m_squared_inv", "a_inv_c", "mirrored", "two-sided", "direct"}
+
+
+@pytest.mark.parametrize("t", [1e4, -1e4])
+def test_coefficient_table_follows_the_largest_index(monkeypatch, t):
+    # one table per evolution, over m = 0 ... max |n| of every block: not
+    # the signed span min n ... max n, which far from t = 0 holds both signs
+    sizes = []
+    table = multipliers._coefficient_table
+
+    def spy(q, psi, size):
+        sizes.append(size)
+        return table(q, psi, size)
+
+    bm = make_boundary_matrix(w=0.2, theta=0.15, phi=0.3, psi=0.45)
+    parts = decompose(_WINDOW_F, _WINDOW_DOMAIN)
+    assert all(p.waves for p in parts)
+    blocks = _block_terms(monkeypatch, bm, _WINDOW_DOMAIN, parts, (t, t))
+    monkeypatch.setattr(multipliers, "_coefficient_table", spy)
+    evolve(bm, _WINDOW_DOMAIN, _WINDOW_F, t)
+    n = np.concatenate([n for _, n, _, _ in blocks])
+    assert sizes == [np.abs(n).max() + 1]
+    assert sizes[0] < n.max() - n.min() + 1
 
 
 def test_evolve_many_contracts():
@@ -790,13 +920,13 @@ def test_cli_evolve_builds_each_row_once(monkeypatch, tmp_path):
     # the grid of example_5_9 holds 13 times; it builds the causal series of
     # one single-time evolve, not 13 sets
     built = []
-    causal = multipliers.causal_multiplier
+    causal = multipliers.causal_terms
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return causal(*args, **kwargs)
+    def counting(bm, domain, requests):
+        built.extend(requests)
+        return causal(bm, domain, requests)
 
-    monkeypatch.setattr(evolution, "causal_multiplier", counting)
+    monkeypatch.setattr(evolution, "causal_terms", counting)
     sc = bundled_scenario("example_5_9")
     assert sc.grid("time_grid").size > 1
     evolve(sc.bm, sc.domain, sc.packet("f"), 1.5)

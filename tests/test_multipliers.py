@@ -10,7 +10,7 @@ from twogap.multipliers import (
     BLOCK_KIND,
     MULTIPLIER_KINDS,
     apply_multiplier,
-    causal_multiplier,
+    causal_terms,
     conjugate_multiplier,
     make_multiplier,
 )
@@ -252,23 +252,25 @@ _INVERSE_KINDS = [k for k in MULTIPLIER_KINDS if k not in ("identity", "a", "c")
 @pytest.mark.parametrize("w", [1.0, 0.7, 0.2])
 @pytest.mark.parametrize("kind", _INVERSE_KINDS)
 def test_causal_terms_are_series_terms(kind, w):
-    # one generator: a window's terms carry the same coefficients as the
-    # eps series, and exactly the indices whose image meets the window
+    # one generator: a window's terms are terms of the eps series, bit for
+    # bit, and exactly the indices whose image meets the window
     bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
     dom = make_domain(2.25, 3.75)
     full = make_multiplier(bm, dom, kind, eps=1e-15)
     support, window = (-1.3, -0.2), (-4.0, 6.5)
-    m = causal_multiplier(bm, dom, kind, support, window)
-    assert (m.scalar, m.base_shift, m.step, m.tail) == (full.scalar, full.base_shift, dom.ell, 0.0)
-    full_coeffs = dict(zip(full.indices.tolist(), full.coeffs))
+    counts, shifts, weights = causal_terms(bm, dom, [(kind, support, window)])
+    assert counts == [len(shifts)] == [len(weights)]
+    full_shifts, full_weights = full.terms()
+    at = {n: i for i, n in enumerate(full.indices.tolist())}
     reaching = {
-        n for n in full_coeffs
-        if support[0] - (full.base_shift + n * dom.ell) < window[1]
-        and support[1] - (full.base_shift + n * dom.ell) > window[0]
+        n for n in at
+        if support[0] - full_shifts[at[n]] < window[1] and support[1] - full_shifts[at[n]] > window[0]
     }
-    assert reaching <= set(m.indices.tolist()) <= set(full_coeffs)
-    assert len(m.coeffs) <= len(reaching) + 2
-    assert all(c == full_coeffs[n] for n, c in zip(m.indices.tolist(), m.coeffs))
+    ns = [n for n in at if full_shifts[at[n]] in shifts]
+    assert reaching <= set(ns) and len(ns) == len(shifts) <= len(reaching) + 2
+    i = at[min(ns)]
+    assert shifts.tobytes() == full_shifts[i : i + len(ns)].tobytes()
+    assert weights.tobytes() == full_weights[i : i + len(ns)].tobytes()
 
 
 @pytest.mark.parametrize("w", [0.9, 0.5, 0.05])
@@ -290,6 +292,6 @@ def test_causal_needs_a_lattice_series():
     dom = make_domain(2.0, 3.0)
     for kind in ("identity", "a", "c", "nonsense"):
         with pytest.raises(ValidationError):
-            causal_multiplier(bm, dom, kind, (-1.0, 0.0), (0.0, 1.0))
+            causal_terms(bm, dom, [("a_inv", (-1.0, 0.0), (0.0, 1.0)), (kind, (-1.0, 0.0), (0.0, 1.0))])
     with pytest.raises(DegenerateRegime):
-        causal_multiplier(make_boundary_matrix(w=0.0), dom, "a_inv", (-1.0, 0.0), (0.0, 1.0))
+        causal_terms(make_boundary_matrix(w=0.0), dom, [("a_inv", (-1.0, 0.0), (0.0, 1.0))])
