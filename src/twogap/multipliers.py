@@ -38,12 +38,18 @@ be changed by one of them.
 
 Kinds
 -----
-a_inv, c_inv          reciprocals of the two eigenfunction coefficients
-a_conj_inv, c_conj_inv  reciprocals of their conjugates
-a_inv_c, c_inv_a      the scattering quotients c/a and a/c
-m_squared_inv         1/|a|^2, the spectral density factor (two-sided series)
-identity              multiplication by 1
-a, c                  the coefficient functions themselves (finite, 2 terms)
+Each kind is one row of ``_kind_terms``: a scalar, a base shift, a weight
+and its own range of n, with c_n = weight * q^|n| e(-n psi) there.
+
+a_inv, c_inv            reciprocals of the two eigenfunction coefficients
+                        (n >= 0 and n <= 0)
+a_conj_inv, c_conj_inv  reciprocals of their conjugates: the partner's
+                        row with the scalar conjugated, the base negated
+                        and the range reflected
+a_inv_c, c_inv_a        the scattering quotients c/a and a/c (weight w^2,
+                        n >= 0 and n <= 0), plus a direct reflection at
+                        n = -1 and n = 1, one the conjugate of the other
+m_squared_inv           1/|a|^2, the spectral density factor (all n)
 """
 
 from __future__ import annotations
@@ -64,13 +70,11 @@ __all__ = [
     "causal_terms",
     "train_terms",
     "apply_multiplier",
-    "conjugate_multiplier",
     "BLOCK_KIND",
     "MULTIPLIER_KINDS",
 ]
 
 MULTIPLIER_KINDS = (
-    "identity",
     "a_inv",
     "c_inv",
     "a_inv_c",
@@ -78,14 +82,13 @@ MULTIPLIER_KINDS = (
     "a_conj_inv",
     "c_conj_inv",
     "m_squared_inv",
-    "a",
-    "c",
 )
 
 # (destination component, source component) -> multiplier kind.  These are
 # the nine entries of the evolution block matrix: the (i, j) entry is
 # m^-2 a_i conj(a_j) with (a_-, a_0, a_+) = (a, 1, c), which telescopes to
-# the kinds below.
+# the kinds below; the two "identity" blocks are no series, and their
+# readers add the source's own cells.
 BLOCK_KIND = {
     ("iminus", "iminus"): "identity",
     ("iminus", "izero"): "a_conj_inv",
@@ -98,19 +101,6 @@ BLOCK_KIND = {
     ("iplus", "iplus"): "identity",
 }
 
-_CONJ_KIND = {
-    "identity": "identity",
-    "a_inv": "a_conj_inv",
-    "a_conj_inv": "a_inv",
-    "c_inv": "c_conj_inv",
-    "c_conj_inv": "c_inv",
-    "a_inv_c": "c_inv_a",
-    "c_inv_a": "a_inv_c",
-    "m_squared_inv": "m_squared_inv",
-}
-# kinds whose series is the conjugate of their partner's in _CONJ_KIND
-_MIRRORED = ("a_conj_inv", "c_conj_inv", "c_inv_a")
-
 
 @dataclass(frozen=True, eq=False)
 class MultiplierSeries:
@@ -121,7 +111,6 @@ class MultiplierSeries:
     step: float
     first: int  # lattice index n of coeffs[0]
     coeffs: np.ndarray  # complex c_n for n = first, first + 1, ...
-    kind: str = "custom"
     tail: float = 0.0
 
     def __post_init__(self):
@@ -180,10 +169,11 @@ def _geom_terms(q: float, eps: float) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _underflow_index(q: float) -> int:
-    """Largest n with q**n > 0: every term beyond it is an exact zero."""
+    """Largest n with q**n > 0: every term beyond it is an exact zero.  The
+    search starts where q**n falls below ulp(0) / 2, where it rounds to 0."""
     if q == 0.0:
         return 0
-    n = int(math.log(math.ulp(0.0)) / math.log(q))
+    n = math.floor((math.log(math.ulp(0.0)) - math.log(2.0)) / math.log(q))
     while q ** (n + 1) > 0.0:
         n += 1
     while n > 0 and q**n == 0.0:
@@ -191,14 +181,15 @@ def _underflow_index(q: float) -> int:
     return n
 
 
-def _check_kind(bm: BoundaryMatrix, kind: str) -> None:
-    if kind not in MULTIPLIER_KINDS:
-        raise ValidationError(f"unknown multiplier kind {kind!r}")
-    if bm.w == 0.0 and kind != "identity":
-        raise DegenerateRegime(
-            f"multiplier {kind!r} needs w > 0 (decoupled regime has no "
-            "transmission; evolve needs no multiplier at w = 0)"
-        )
+def _check_kinds(bm: BoundaryMatrix, kinds) -> None:
+    """The check of every route that builds terms: ValidationError for a name
+    that is not one of the seven kinds, DegenerateRegime when q rounds to 1
+    (w = 0, or w below about 1e-8), where no series decays."""
+    for kind in kinds:
+        if kind not in MULTIPLIER_KINDS:
+            raise ValidationError(f"unknown multiplier kind {kind!r}")
+    if bm.q == 1.0:
+        raise DegenerateRegime(f"lattice series need q = sqrt(1 - w^2) < 1, got q = 1 at w = {bm.w!r}")
 
 
 def _coefficient_table(q: float, psi: float, size: int):
@@ -208,97 +199,88 @@ def _coefficient_table(q: float, psi: float, size: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _own_terms(bm, domain, kind):
-    """(scalar, base shift, weight, first, last, direct) of a kind that is
-    not mirrored: its terms are scalar * weight * q^|n| e(-n psi) at the
-    shifts base + n * step, first <= n <= last (q^last the last nonzero
-    power), and a_inv_c has the direct reflection ``direct`` at n = -1."""
+def _kind_terms(bm, domain):
+    """kind -> (scalar, base shift, weight, first, last, direct): term n is
+    scalar * weight * q^|n| e(-n psi) at the shift base + n * step for
+    first <= n <= last (q^cap the last nonzero power), and ``direct`` =
+    (d, c_d) the direct reflection of a scattering quotient."""
     w, q, cap = bm.w, bm.q, _underflow_index(bm.q)
     theta, phi, psi, gap = bm.theta, bm.phi, bm.psi, domain.gap
-    if kind == "a_inv":
-        return w * complex(e2pi(-phi)), -1.0, 1.0, 0, cap, None
-    if kind == "c_inv":
-        return w * complex(e2pi(theta - phi)), gap, 1.0, -cap, 0, None
-    if kind == "m_squared_inv":
-        return 1.0 + 0j, 0.0, 1.0, -cap, cap, None
-    if kind == "a_inv_c":  # the direct reflection, then w^2 times the train
-        return complex(e2pi(-theta)), -(gap + 1.0), w * w, 0, cap, -q * complex(e2pi(psi))
-    raise ValidationError(f"{kind!r} is not a lattice series")
+    a_inv, c_inv = w * complex(e2pi(-phi)), w * complex(e2pi(theta - phi))
+    a_inv_c, reflection = complex(e2pi(-theta)), -q * complex(e2pi(psi))
+    return {
+        "a_inv": (a_inv, -1.0, 1.0, 0, cap, None),
+        "a_conj_inv": (a_inv.conjugate(), 1.0, 1.0, -cap, 0, None),
+        "c_inv": (c_inv, gap, 1.0, -cap, 0, None),
+        "c_conj_inv": (c_inv.conjugate(), -gap, 1.0, 0, cap, None),
+        "a_inv_c": (a_inv_c, -(gap + 1.0), w * w, 0, cap, (-1, reflection)),
+        "c_inv_a": (a_inv_c.conjugate(), gap + 1.0, w * w, -cap, 0, (1, reflection.conjugate())),
+        "m_squared_inv": (1.0 + 0j, 0.0, 1.0, -cap, cap, None),
+    }
 
 
 def _lattice_series(bm, domain, requests):
-    """The terms of inverse kinds, one request (kind, reach) each: the
-    lattice indices n of the kind's own side (n >= 0, n <= 0 or all n) that
-    lie in ``reach(base_shift)`` = (lo, hi), a float range that may be
-    unbounded, up to the index where q^|n| underflows to an exact zero.
+    """The terms of the kinds, one request (kind, reach) each: the lattice
+    indices n of the kind's own range that lie in ``reach(base_shift)`` =
+    (lo, hi), a float range that may be unbounded, up to the index where
+    q^|n| underflows to an exact zero.
 
     This is the one place the series coefficients are written, those of
     every request from one table over m = 0 ... max |n|
     (``_coefficient_table``): weight * q^m times e(-m psi) at n = m and
     times the conjugate phase at n = -m, each with the bits of the scalar
     weight * q**|n| * complex(e2pi(-n * psi)).  The direct reflection of
-    a_inv_c at n = -1 is written apart.  The mirrored kinds are the
-    conjugates of their partners, read on the mirrored range.
+    a scattering quotient is written apart.
 
     Returns (heads, counts, coeffs): the (scalar, base shift, first index n)
     and the number of terms of each request, and the coefficients c_n of
     all requests, concatenated in request order, each ascending in n.
     """
-    cap = _underflow_index(bm.q)
+    rows, cap = _kind_terms(bm, domain), _underflow_index(bm.q)
     plans, columns = [], {}  # columns: (weight, phase sign) -> table row
     for kind, reach in requests:
-        mirrored = kind in _MIRRORED
-        own = _CONJ_KIND[kind] if mirrored else kind
-        scalar, base, weight, first, last, reflection = _own_terms(bm, domain, own)
-        lo, hi = reach(-base) if mirrored else reach(base)
-        if mirrored:
-            lo, hi = -hi, -lo
+        scalar, base, weight, first, last, direct = rows[kind]
+        lo, hi = reach(base)
         lo = math.floor(max(lo, -cap - 1.0))
         hi = math.ceil(min(hi, cap + 1.0))
-        # the direct reflection is kept when the rounded range reaches n <= 0, so
-        # every eps series holds it; the train then starts at n = 0
-        direct = reflection if reflection is not None and lo <= 0 and hi >= -1 else None
-        start, stop = (-1 if direct is not None else max(lo, first)), min(hi, last)
-        if start <= stop and start < 0 and direct is None:
+        # the direct reflection at d is kept when the rounded range meets
+        # {0, d}, so every eps series holds it; the train then starts at n = 0
+        if direct is not None and not (lo <= max(direct[0], 0) and hi >= min(direct[0], 0)):
+            direct = None
+        start, stop = max(lo, first), min(hi, last)  # the terms read from the table
+        if start <= stop and start < 0:
             columns.setdefault((weight, -1.0), len(columns))
         if start <= stop and stop >= 0:
             columns.setdefault((weight, 1.0), len(columns))
-        plans.append((mirrored, scalar, base, weight, direct, start, stop))
+        plans.append((scalar, base, weight, direct, start, stop))
     size = 1 + max((max(-start, stop) for *_, start, stop in plans if start <= stop), default=-1)
     mag, phase = _coefficient_table(bm.q, bm.psi, size)
     # one product for every column: weight * q^m times e(-m psi) or its conjugate
     keys = np.array(list(columns), dtype=float).reshape(-1, 2)
     table = _product(keys[:, :1] * mag, 0.0, phase.real, keys[:, 1:] * phase.imag)
 
-    heads, counts, pieces, flips, total = [], [], [], [], 0
-    for mirrored, scalar, base, weight, direct, start, stop in plans:
-        run = []  # the coefficients of the kind's own range, ascending in n
-        if start <= stop:
-            if direct is not None:
-                run.append(np.array([direct]))
-            elif start < 0:
-                run.append(table[columns[weight, -1.0], -start : max(-stop, 1) - 1 : -1])
-            if stop >= 0:
-                run.append(table[columns[weight, 1.0], max(start, 0) : stop + 1])
+    heads, counts, pieces = [], [], []
+    for scalar, base, weight, direct, start, stop in plans:
+        run = []  # the coefficients of the kept range, ascending in n
+        if start <= stop and start < 0:
+            run.append(table[columns[weight, -1.0], -start : max(-stop, 1) - 1 : -1])
+        if start <= stop and stop >= 0:
+            run.append(table[columns[weight, 1.0], max(start, 0) : stop + 1])
         count = max(stop - start + 1, 0)
-        if mirrored:  # n -> -n, conjugated once the runs are joined
-            run = [r[::-1] for r in reversed(run)]
-            scalar, base, start = scalar.conjugate(), -base, -stop
-            flips.append(slice(total, total + count))
+        if direct is not None:  # at d = -1 before the range, at d = 1 after it
+            run.insert(0 if direct[0] < 0 else len(run), np.array([direct[1]]))
+            start, count = min(start, direct[0]), count + 1
         heads.append((scalar, base, start))
         counts.append(count)
         pieces += run
-        total += count
     coeffs = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
-    for span in flips:
-        np.conjugate(coeffs[span], out=coeffs[span])
     return heads, counts, coeffs
 
 
 def _series(bm, domain, kind, reach, tail) -> MultiplierSeries:
     """The one-request ``_lattice_series`` of ``kind`` as a MultiplierSeries."""
     ((scalar, base, first),), _, coeffs = _lattice_series(bm, domain, [(kind, reach)])
-    return MultiplierSeries(scalar, base, domain.ell, first, coeffs, kind, tail)
+    return MultiplierSeries(scalar, base, domain.ell, first, coeffs, tail)
 
 
 @functools.lru_cache(maxsize=256)
@@ -315,30 +297,19 @@ def make_multiplier(
     the one library caller is the density Fourier table of
     ``spectral.fourier_coeffs``, and acceptance criterion 01 reads it too.
     Series are cached per (bm, domain, kind, eps) and shared by every caller;
-    their arrays are read-only.  A mirrored kind is its partner's cached
-    series, conjugated (``conjugate_multiplier``).
+    their arrays are read-only.  Every kind, mirrored or not, is its own row
+    of ``_kind_terms`` read on |n| <= N, and a mirrored kind's tail bound is
+    its partner's.
     """
-    _check_kind(bm, kind)
+    _check_kinds(bm, (kind,))
     w, q = bm.w, bm.q
-    theta, phi, psi = bm.theta, bm.phi, bm.psi
-    ell, gap = domain.ell, domain.gap
-    if kind == "identity":
-        return MultiplierSeries(1.0 + 0j, 0.0, ell, 0, [1.0 + 0j], "identity")
-    if kind == "a":
-        coeffs = [1.0 + 0j, -q * complex(e2pi(-psi))]
-        return MultiplierSeries(complex(e2pi(phi)) / w, 1.0, ell, 0, coeffs, "a")
-    if kind == "c":
-        coeffs = [-q * complex(e2pi(psi)), 1.0 + 0j]
-        return MultiplierSeries(complex(e2pi(phi - theta)) / w, -gap, ell, -1, coeffs, "c")
-    if kind in _MIRRORED:
-        return conjugate_multiplier(make_multiplier(bm, domain, _CONJ_KIND[kind], eps))
     if kind == "m_squared_inv":
         n_terms = _geom_terms(q, eps / 2.0)
         tail = 2.0 * q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
     else:
         n_terms = _geom_terms(q, eps)
         geo_tail = q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
-        tail = (w * w if kind == "a_inv_c" else w) * geo_tail
+        tail = (w * w if kind in ("a_inv_c", "c_inv_a") else w) * geo_tail
     return _series(bm, domain, kind, lambda base: (-n_terms, n_terms), tail)
 
 
@@ -360,10 +331,8 @@ def causal_terms(bm: BoundaryMatrix, domain: ExteriorDomain, requests):
     all of them, concatenated in request order, each request's ascending in
     n, bit for bit its ``MultiplierSeries.terms``.
     """
-    reaches = []
-    for kind, (a, b), (win_lo, win_hi) in requests:
-        _check_kind(bm, kind)
-        reaches.append((kind, _reach(a, b, win_lo, win_hi, domain.ell)))
+    reaches = [(kind, _reach(a, b, lo, hi, domain.ell)) for kind, (a, b), (lo, hi) in requests]
+    _check_kinds(bm, [kind for kind, _ in reaches])
     heads, counts, coeffs = _lattice_series(bm, domain, reaches)
     scalar, base, skip, at = [], [], [], 0
     for (c, b, first), count in zip(heads, counts):
@@ -386,27 +355,14 @@ def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str) -> Multip
     """The terms of a one-sided inverse kind that do not continue its train.
 
     That is the n = 0 term and, for the scattering quotients, the direct
-    reflection before it (n = -1 for a_inv_c, n = 1 for c_inv_a).  Every
+    reflection beside it (n = -1 for a_inv_c, n = 1 for c_inv_a).  Every
     other term n is z^|n| times the n = 0 term shifted by n steps, with
     z = q e(-psi) for a_inv, c_conj_inv, a_inv_c and conj(z) for their
     partners, so these terms and z are the kind's whole series, exactly.
     Read from ``_lattice_series`` like every other series; tail 0.
     """
-    _check_kind(bm, kind)
+    _check_kinds(bm, (kind,))
     return _series(bm, domain, kind, lambda base: (0.0, 0.0), 0.0)
-
-
-def conjugate_multiplier(m: MultiplierSeries) -> MultiplierSeries:
-    """Pointwise complex conjugate on the real axis.
-
-    conj(M)(lambda) has conjugated scalar, negated base shift and the
-    coefficient at -n equal to conj(c_n).
-    """
-    kind = _CONJ_KIND.get(m.kind, f"conj({m.kind})")
-    first = -(m.first + len(m.coeffs) - 1)
-    return MultiplierSeries(
-        np.conj(m.scalar), -m.base_shift, m.step, first, np.conj(m.coeffs[::-1]), kind, m.tail
-    )
 
 
 def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:

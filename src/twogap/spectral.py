@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi, make_boundary_matrix
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, make_boundary_matrix
 from .errors import ValidationError
 from .multipliers import make_multiplier
 from .quadrature import fold_nodes
@@ -124,8 +124,7 @@ def fourier_coeffs(
     """
     _require_coupled(bm, "fourier_coeffs")
     m = make_multiplier(bm, domain, "m_squared_inv", tol)
-    z = bm.q * complex(e2pi(-bm.psi))
-    return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=m.step, tail=m.tail, z=z)
+    return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=m.step, tail=m.tail, z=bm.b_entry)
 
 
 def comb_limit_diagnostic(

@@ -480,10 +480,14 @@ def test_window_matches_full_series():
         for d in _COMPONENTS:
             pieces = []
             for s, p in zip(_COMPONENTS, parts):
-                if not p.is_empty:
-                    m = make_multiplier(bm, dom, BLOCK_KIND[(d, s)], 1e-15)
-                    pieces.append(apply_multiplier(m, p))
-                    budget += m.tail * np.sqrt(p.norm2())
+                if p.is_empty:
+                    continue
+                if BLOCK_KIND[(d, s)] == "identity":
+                    pieces.append(p)
+                    continue
+                m = make_multiplier(bm, dom, BLOCK_KIND[(d, s)], 1e-15)
+                pieces.append(apply_multiplier(m, p))
+                budget += m.tail * np.sqrt(p.norm2())
             rows[d] = sum_packets(pieces)
         ts = (0.0, 0.5, 3.0, 20.0, -7.0, 100.0)
         for t, on_grid in zip(ts, evolve_many(bm, dom, f, ts)):
@@ -535,26 +539,33 @@ def test_evolve_cost_follows_reflections(monkeypatch):
     assert 0 < sum(applied) <= 3 * (math.ceil((abs(t) + width) / dom.ell) + 3)
 
 
-_PARTNER = {"a_conj_inv": "a_inv", "c_conj_inv": "c_inv", "c_inv_a": "a_inv_c"}
+_MIRRORED = ("a_conj_inv", "c_conj_inv", "c_inv_a")
 
 
 def _scalar_term(bm, dom, kind, n):
     """(base shift, scalar, c_n) of term n of ``kind`` by Python's scalar
-    arithmetic; a mirrored kind is its partner's term -n, conjugated."""
-    if kind in _PARTNER:
-        base, scalar, c = _scalar_term(bm, dom, _PARTNER[kind], -n)
-        return -base, scalar.conjugate(), c.conjugate()
-    w, q, psi = bm.w, bm.q, bm.psi
+    arithmetic: c_n = weight * q**|n| * e(-n psi), or the direct reflection
+    (n = -1 of a_inv_c, n = 1 of c_inv_a).  A mirrored kind's scalar and
+    base are its partner's, conjugated and negated."""
+    w, q, psi, gap = bm.w, bm.q, bm.psi, dom.gap
+    a_inv, c_inv = w * complex(e2pi(-bm.phi)), w * complex(e2pi(bm.theta - bm.phi))
+    a_inv_c = complex(e2pi(-bm.theta))
     scalar, base = {
-        "a_inv": (w * complex(e2pi(-bm.phi)), -1.0),
-        "c_inv": (w * complex(e2pi(bm.theta - bm.phi)), dom.gap),
+        "a_inv": (a_inv, -1.0),
+        "a_conj_inv": (a_inv.conjugate(), 1.0),
+        "c_inv": (c_inv, gap),
+        "c_conj_inv": (c_inv.conjugate(), -gap),
         "m_squared_inv": (1.0 + 0j, 0.0),
-        "a_inv_c": (complex(e2pi(-bm.theta)), -(dom.gap + 1.0)),
+        "a_inv_c": (a_inv_c, -(gap + 1.0)),
+        "c_inv_a": (a_inv_c.conjugate(), gap + 1.0),
     }[kind]
-    if kind == "a_inv_c" and n == -1:  # the direct reflection
-        c = -q * complex(e2pi(psi))
+    reflection = -q * complex(e2pi(psi))
+    if (kind, n) == ("a_inv_c", -1):
+        c = reflection
+    elif (kind, n) == ("c_inv_a", 1):
+        c = reflection.conjugate()
     else:
-        c = (w * w if kind == "a_inv_c" else 1.0) * q ** abs(n) * complex(e2pi(-n * psi))
+        c = (w * w if kind in ("a_inv_c", "c_inv_a") else 1.0) * q ** abs(n) * complex(e2pi(-n * psi))
     return base, scalar, c
 
 
@@ -595,7 +606,7 @@ def _assert_scalar_terms(monkeypatch, bm, dom, parts, span):
         want = [(k, *_scalar_term(bm, dom, kind, k)) for k in n.tolist()]
         assert shifts.tobytes() == np.array([b + k * dom.ell for k, b, _, _ in want]).tobytes()
         assert weights.tobytes() == np.array([a * c for _, _, a, c in want], dtype=complex).tobytes()
-        seen.add("mirrored" if kind in _PARTNER else kind)
+        seen.add("mirrored" if kind in _MIRRORED else kind)
         if kind == "m_squared_inv" and n[0] < 0 < n[-1]:
             seen.add("two-sided")
         if (kind == "a_inv_c" and n[0] == -1) or (kind == "c_inv_a" and n[-1] == 1):
@@ -627,7 +638,7 @@ def block_term_cases(draw):
 def test_batched_block_terms_are_scalar_arithmetic(case):
     # every block of one _block_rows call reads its terms from one table,
     # with the bits of the scalar loop: shifts base + n ell, weights
-    # scalar * (q**|n| e(-n psi)), the mirrored kinds conjugated
+    # scalar * (weight * q**|n| e(-n psi)), or the direct reflection
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_scalar_terms(monkeypatch, *case)
 

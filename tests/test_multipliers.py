@@ -1,19 +1,24 @@
 """Translation-series multipliers: closed forms, algebra, spatial action."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import DegenerateRegime, ValidationError
-from twogap.evolution import block_row
+from twogap.evolution import block_row, evolve, scatter, translation_representation
 from twogap.multipliers import (
     BLOCK_KIND,
     MULTIPLIER_KINDS,
     apply_multiplier,
     causal_terms,
-    conjugate_multiplier,
+    _underflow_index,
     make_multiplier,
+    train_terms,
 )
+from twogap.semigroup import compress_evolve
+from twogap.spectral import fourier_coeffs
 from twogap.packets import StepPacket
 
 from conftest import random_boundary, random_geometry, random_packet
@@ -38,9 +43,6 @@ def coeff_c(bm, dom, lam):
 
 
 CLOSED_FORMS = {
-    "identity": lambda bm, dom, lam: np.ones_like(lam, dtype=complex),
-    "a": coeff_a,
-    "c": coeff_c,
     "a_inv": lambda bm, dom, lam: 1.0 / coeff_a(bm, dom, lam),
     "c_inv": lambda bm, dom, lam: 1.0 / coeff_c(bm, dom, lam),
     "a_conj_inv": lambda bm, dom, lam: 1.0 / np.conj(coeff_a(bm, dom, lam)),
@@ -83,7 +85,7 @@ def test_transform_intertwines_spatial_action():
         bm = random_boundary(rng)
         dom = random_geometry(rng)
         f = random_packet(rng, freqs=(-1, 0, 2))
-        for kind in ("a_inv", "a_inv_c", "m_squared_inv", "c"):
+        for kind in ("a_inv", "a_inv_c", "m_squared_inv", "c_inv"):
             m = make_multiplier(bm, dom, kind, eps=1e-13)
             g = apply_multiplier(m, f)
             lhs = g.transform(LAM)
@@ -110,13 +112,10 @@ def test_apply_oscillatory_cell_phase():
     dom = make_domain(2.0, 3.0)
     bm = make_boundary_matrix(w=0.6, psi=0.3)
     f = StepPacket.box(0.0, 1.0, 1.0, freq=2)
-    m = make_multiplier(bm, dom, "a", eps=1e-12)
+    m = make_multiplier(bm, dom, "a_inv", eps=1e-3)
     g = apply_multiplier(m, f)
     xs = np.array([1.2, 1.7, 2.4])
-    want = m.scalar * (
-        m.coeffs[0] * f.sample(xs + m.base_shift)
-        + m.coeffs[1] * f.sample(xs + m.base_shift + m.step)
-    )
+    want = m.scalar * sum(c * f.sample(xs + m.base_shift + n * m.step) for n, c in zip(m.indices, m.coeffs))
     assert np.max(np.abs(g.sample(xs) - want)) < 1e-13
 
 
@@ -127,31 +126,41 @@ def test_apply_empty_packet():
     assert apply_multiplier(m, StepPacket.zero()).is_empty
 
 
+MIRRORED_PAIRS = [("a_conj_inv", "a_inv"), ("c_conj_inv", "c_inv"), ("c_inv_a", "a_inv_c")]
+
+
 def test_conjugate_is_pointwise_conjugate():
+    # each mirrored kind, written out as its own row, is its partner's conjugate
     rng = np.random.default_rng(3)
-    bm = random_boundary(rng)
-    dom = random_geometry(rng)
-    for kind in ("a", "a_inv", "a_inv_c", "m_squared_inv"):
-        m = make_multiplier(bm, dom, kind)
-        mc = conjugate_multiplier(m)
-        assert np.max(np.abs(mc.value(LAM) - np.conj(m.value(LAM)))) < 1e-13
+    for _ in range(4):
+        bm = random_boundary(rng)
+        dom = random_geometry(rng)
+        for kind, partner in MIRRORED_PAIRS:
+            m, mp = make_multiplier(bm, dom, kind), make_multiplier(bm, dom, partner)
+            assert np.max(np.abs(m.value(LAM) - np.conj(mp.value(LAM)))) < 1e-13
 
 
-def test_conjugate_involution():
-    bm = make_boundary_matrix(w=0.55, theta=0.2, phi=0.4, psi=0.8)
-    dom = make_domain(1.5, 2.75)
-    m = make_multiplier(bm, dom, "c_inv")
-    back = conjugate_multiplier(conjugate_multiplier(m))
-    assert back.kind == m.kind
-    assert back.scalar == pytest.approx(m.scalar)
-    assert np.array_equal(back.indices, m.indices)
+def test_mirrored_terms_are_partner_terms_reflected():
+    # index n <-> -n: shifts negated, weights conjugated (equal as values,
+    # so a zero imaginary part may carry either sign)
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        bm = random_boundary(rng)
+        dom = random_geometry(rng)
+        for (kind, partner), build in itertools.product(MIRRORED_PAIRS, (make_multiplier, train_terms)):
+            m, mp = build(bm, dom, kind), build(bm, dom, partner)
+            assert np.array_equal(m.indices, -mp.indices[::-1])
+            shifts, weights = m.terms()
+            partner_shifts, partner_weights = mp.terms()
+            assert np.array_equal(shifts, -partner_shifts[::-1])
+            assert np.array_equal(weights, np.conj(partner_weights[::-1]))
 
 
 def test_coefficient_times_inverse_is_one():
     rng = np.random.default_rng(11)
     bm = random_boundary(rng)
     dom = random_geometry(rng)
-    a = make_multiplier(bm, dom, "a", eps=1e-13).value(LAM)
+    a = coeff_a(bm, dom, LAM)
     a_inv = make_multiplier(bm, dom, "a_inv", eps=1e-13)
     # a * a^-1 = 1 up to the declared truncation tail, scaled by |a|
     assert np.all(np.abs(a * a_inv.value(LAM) - 1.0) < np.abs(a) * a_inv.tail + 1e-12)
@@ -179,6 +188,9 @@ def test_block_entry_two_routes(dest, src):
     a, c = coeff_a(bm, dom, LAM), coeff_c(bm, dom, LAM)
     factor = {"iminus": a, "izero": 1.0, "iplus": c}
     closed = factor[dest] * np.conj(factor[src]) / np.abs(a) ** 2
+    if BLOCK_KIND[(dest, src)] == "identity":  # no series: the part itself
+        assert np.max(np.abs(closed - 1.0)) < 1e-11
+        return
     direct = make_multiplier(bm, dom, BLOCK_KIND[(dest, src)], eps=1e-13)
     assert np.max(np.abs(direct.value(LAM) - closed)) < direct.tail + 1e-11
 
@@ -196,8 +208,6 @@ def test_decoupled_regime_rejected():
     dom = make_domain(2.0, 3.0)
     with pytest.raises(DegenerateRegime):
         make_multiplier(bm, dom, "a_inv")
-    # identity needs no coupling
-    make_multiplier(bm, dom, "identity")
 
 
 def test_unknown_kind_rejected():
@@ -246,11 +256,8 @@ def test_shifts_follow_lattice():
     assert np.allclose(np.diff(shifts), dom.ell)
 
 
-_INVERSE_KINDS = [k for k in MULTIPLIER_KINDS if k not in ("identity", "a", "c")]
-
-
 @pytest.mark.parametrize("w", [1.0, 0.7, 0.2])
-@pytest.mark.parametrize("kind", _INVERSE_KINDS)
+@pytest.mark.parametrize("kind", MULTIPLIER_KINDS)
 def test_causal_terms_are_series_terms(kind, w):
     # one generator: a window's terms are terms of the eps series, bit for
     # bit, and exactly the indices whose image meets the window
@@ -295,3 +302,41 @@ def test_causal_needs_a_lattice_series():
             causal_terms(bm, dom, [("a_inv", (-1.0, 0.0), (0.0, 1.0)), (kind, (-1.0, 0.0), (0.0, 1.0))])
     with pytest.raises(DegenerateRegime):
         causal_terms(make_boundary_matrix(w=0.0), dom, [("a_inv", (-1.0, 0.0), (0.0, 1.0))])
+
+
+@pytest.mark.parametrize("w", [0.9, 0.05, 1e-2, 1e-3, 1e-4, 1e-6])
+def test_underflow_index_is_the_last_nonzero_power(w):
+    # the search starts at the underflow boundary, so even w = 1e-6
+    # (n about 1.5e15) takes a step or two
+    q = make_boundary_matrix(w=w).q
+    n = _underflow_index(q)
+    assert q**n > 0.0 and q ** (n + 1) == 0.0
+
+
+_Q_ONE = make_boundary_matrix(w=1e-9, psi=0.3)  # 1 - w^2 rounds to 1, so q = 1
+_Q_ONE_F = StepPacket.box(-1.0, -0.5, 1.0) + StepPacket.box(1.2, 1.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda dom: evolve(_Q_ONE, dom, _Q_ONE_F, 3.0),
+        lambda dom: evolve(_Q_ONE, dom, StepPacket.zero(), 3.0),
+        lambda dom: scatter(_Q_ONE, dom, StepPacket.box(-1.0, -0.5, 1.0)),
+        lambda dom: translation_representation(_Q_ONE, dom, _Q_ONE_F, "+"),
+        lambda dom: translation_representation(_Q_ONE, dom, _Q_ONE_F, "-"),
+        lambda dom: fourier_coeffs(_Q_ONE, dom),
+        lambda dom: make_multiplier(_Q_ONE, dom, "a_inv"),
+        lambda dom: train_terms(_Q_ONE, dom, "c_inv_a"),
+        lambda dom: causal_terms(_Q_ONE, dom, []),
+    ],
+    ids=["evolve", "evolve_zero", "scatter", "rep_plus", "rep_minus", "fourier", "make", "train", "causal"],
+)
+def test_q_one_is_a_degenerate_regime(route):
+    with pytest.raises(DegenerateRegime, match="q = 1"):
+        route(make_domain(2.0, 3.0))
+
+
+def test_q_one_compressed_evolution_reads_no_series():
+    g = compress_evolve(_Q_ONE, make_domain(2.0, 3.0), StepPacket.box(1.2, 1.5, 1.0), 2.0)
+    assert g.packet.norm2() <= StepPacket.box(1.2, 1.5, 1.0).norm2() * (1.0 + 1e-14)

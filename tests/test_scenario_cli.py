@@ -209,6 +209,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["evolve", "scatter", "density"])
+def test_cli_q_one_is_a_typed_error(tmp_path, capsys, command):
+    # at w = 1e-9, 1 - w^2 rounds to 1, so q = 1 and no series decays: a
+    # DegenerateRegime (exit 1) with a message, not an arithmetic traceback
+    payload = json.loads(json.dumps(GOOD))
+    payload["boundary"]["w"] = 1e-9
+    path = write(tmp_path, payload)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("twogap: ") and "q = 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "model",
     [
