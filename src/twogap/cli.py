@@ -3,10 +3,12 @@
     twogap <command> --scenario <file-or-bundled-name> [--out DIR]
 
 Commands write deterministic CSV (every float through repr-faithful %.17g)
-so runs can be diffed byte for byte; no option sets a tolerance (the
-series cut is fixed).  Exit codes: 0 on success, 1 when a computation or
-verification fails, 2 for unusable input (bad scenario file, missing
-packets, malformed arguments).
+so runs can be diffed byte for byte.  No option sets a tolerance: the two
+listings of an infinite series, the density Fourier table and the
+scatter train, are cut at a fixed tail of 1e-12, and a model whose cut
+would list more than 2**20 terms (w below about 1e-2) exits 1.  Exit
+codes: 0 on success, 1 when a computation or verification fails, 2 for
+unusable input (bad scenario file, missing packets, malformed arguments).
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def _cmd_eigen(sc: Scenario, out: Path) -> int:
 def _cmd_density(sc: Scenario, out: Path) -> int:
     bm, dom = _need_pair(sc)
     lams = sc.grid("lambda_grid")
+    table = fourier_coeffs(bm, domain=dom)  # before any file: it may refuse the model
     _write_csv(out / "density.csv", ["lambda", "value"], zip(lams, SpectralDensity(bm, dom)(lams)))
-    table = fourier_coeffs(bm, domain=dom)
     _write_csv(
         out / "density_coeffs.csv",
         ["k", "re", "im"],
@@ -125,7 +127,8 @@ def _scatter_listing(bm, dom, f: StepPacket) -> StepPacket:
     """The cells scatter.csv lists: the exact train of ``scatter`` has
     infinitely many, so the file lists its head and its first N + 1 terms,
     with N the smallest count whose geometric tail q^(N+1)/(1 - q) is at
-    most the fixed cut 1e-12; the terms left out weigh at most w^2 1e-12."""
+    most the fixed cut 1e-12 (``_geom_terms`` refuses more than 2**20); the
+    terms left out weigh at most w^2 1e-12."""
     return scatter(bm, dom, f).materialize(_geom_terms(bm.q, 1e-12) + 1)
 
 

@@ -203,8 +203,7 @@ def _train_row(bm: BoundaryMatrix, domain: ExteriorDomain, parts, dest: str) -> 
         if kind == "identity":
             heads.append((fsrc.lo, fsrc.hi, fsrc.waves))
             continue
-        m = train_terms(bm, domain, kind)
-        for n, shift, weight in zip(m.indices, *m.terms()):
+        for n, shift, weight in zip(*train_terms(bm, domain, kind)):
             term = _translates(fsrc, np.array([shift]), np.array([weight]))
             (bodies if n == 0 else heads).append(term)
     z, ell = bm.b_entry, domain.ell

@@ -14,7 +14,8 @@ i.e. a weighted sum of translates — exact on step packets.  The inverse
 coefficient functions are geometric series, and every series is generated
 by one routine (``_lattice_series``) over ranges of lattice indices, one
 per request; all the requests of one call read one table of
-q^m e(-m psi), m = 0 ... max |n|, whatever the sign of n or the kind:
+q^m e(-m psi), m = 0 ... max |n|, whatever the sign of n or the kind.
+Two routes read it exactly, with no truncation:
 
 * ``causal_terms`` keeps, for each of many (kind, support, window)
   requests, exactly the terms that carry the support into the window.  At
@@ -25,16 +26,12 @@ q^m e(-m psi), m = 0 ... max |n|, whatever the sign of n or the kind:
   reflection: with the ratio z = q e(-psi) they are the whole series as an
   exact geometric train (``packets.PacketTrain``), which is how the t = inf
   pictures (scattering, the translation representations) read it.
-* ``make_multiplier`` truncates the whole series at a relative tolerance
-  eps and caches it; the ``tail`` field carries the sup-norm bound
-  |scalar| * sum of dropped |c_n|.  The density Fourier table of
-  ``spectral.fourier_coeffs`` reads it at the default eps = 1e-12, as does
-  acceptance criterion 01; other values serve the tail-bound tests.
 
-A series stores its terms as the lattice index ``first`` of its first term
-and the read-only array ``coeffs`` of the complex c_n for the consecutive
-n = first, first + 1, ..., so a cached series shared by every caller cannot
-be changed by one of them.
+A window cut at a tolerance is only ever a listing, never an operator:
+the density Fourier table of ``spectral.fourier_coeffs`` reads the
+``m_squared_inv`` coefficients on |n| <= K (and the CLI lists the first
+terms of a scattered train).  ``_geom_terms`` sizes both windows and
+refuses one of more than 2**20 terms.
 
 Kinds
 -----
@@ -56,20 +53,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, e2pi
 from .errors import DegenerateRegime, ValidationError
-from .packets import StepPacket, _sum_cells, _translates
 
 __all__ = [
-    "MultiplierSeries",
-    "make_multiplier",
     "causal_terms",
     "train_terms",
-    "apply_multiplier",
     "BLOCK_KIND",
     "MULTIPLIER_KINDS",
 ]
@@ -102,49 +94,6 @@ BLOCK_KIND = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplierSeries:
-    """One translation series; see the module docstring for semantics."""
-
-    scalar: complex
-    base_shift: float
-    step: float
-    first: int  # lattice index n of coeffs[0]
-    coeffs: np.ndarray  # complex c_n for n = first, first + 1, ...
-    tail: float = 0.0
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def indices(self) -> np.ndarray:
-        """The lattice indices n, one per coefficient."""
-        return self.first + np.arange(len(self.coeffs))
-
-    def value(self, lam) -> np.ndarray:
-        """Pointwise multiplier value on a real lambda grid."""
-        lam = _real_lambda(lam)
-        scalar_input = lam.ndim == 0
-        lam = np.atleast_1d(lam)
-        ns, cs = self.indices, self.coeffs
-        acc = np.zeros(lam.shape, dtype=complex)
-        chunk = max(1, int(2e6 / max(len(lam), 1)))
-        for start in range(0, len(ns), chunk):
-            sl = slice(start, start + chunk)
-            acc += (cs[sl, None] * e2pi(ns[sl, None] * self.step * lam[None, :])).sum(axis=0)
-        out = self.scalar * e2pi(self.base_shift * lam) * acc
-        return out[0] if scalar_input else out
-
-    def terms(self):
-        """(shifts, weights), sorted by lattice index n: the spatial shifts
-        base + n * step and the weights scalar * c_n."""
-        shifts = self.base_shift + self.indices * self.step
-        sc = complex(self.scalar)
-        return shifts, _product(sc.real, sc.imag, self.coeffs.real, self.coeffs.imag)
-
-
 def _product(ar, ai, br, bi) -> np.ndarray:
     """(ar + i ai)(br + i bi) elementwise, rounded as Python's complex product
     (numpy's vectorized one differs in the last bit for many terms)."""
@@ -155,8 +104,17 @@ def _product(ar, ai, br, bi) -> np.ndarray:
     return out
 
 
+# the most terms a window cut at a tolerance may hold: 2**20 terms is 16 MB
+# of complex coefficients; the density table at w = 1e-2 needs 764,514, at
+# w = 1e-3 about 85 million
+MAX_WINDOW_TERMS = 2**20
+
+
 def _geom_terms(q: float, eps: float) -> int:
-    """Smallest N with q^(N+1)/(1-q) <= eps (tail of a unit geometric series)."""
+    """Smallest N with q^(N+1)/(1-q) <= eps (tail of a unit geometric series).
+
+    The one sizer of a window cut at a tolerance; DegenerateRegime when N
+    exceeds ``MAX_WINDOW_TERMS``, before any such window is built."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValidationError("truncation tolerance must be positive and finite")
     if q == 0.0:
@@ -164,6 +122,11 @@ def _geom_terms(q: float, eps: float) -> int:
     n = max(0, int(np.ceil(np.log(eps * (1.0 - q)) / np.log(q))) - 1)
     while q ** (n + 1) / (1.0 - q) > eps:
         n += 1
+    if n > MAX_WINDOW_TERMS:
+        raise DegenerateRegime(
+            f"a window with tail at most eps = {eps!r} at q = {q!r} needs {n} terms, "
+            f"more than {MAX_WINDOW_TERMS}"
+        )
     return n
 
 
@@ -179,17 +142,6 @@ def _underflow_index(q: float) -> int:
     while n > 0 and q**n == 0.0:
         n -= 1
     return n
-
-
-def _check_kinds(bm: BoundaryMatrix, kinds) -> None:
-    """The check of every route that builds terms: ValidationError for a name
-    that is not one of the seven kinds, DegenerateRegime when q rounds to 1
-    (w = 0, or w below about 1e-8), where no series decays."""
-    for kind in kinds:
-        if kind not in MULTIPLIER_KINDS:
-            raise ValidationError(f"unknown multiplier kind {kind!r}")
-    if bm.q == 1.0:
-        raise DegenerateRegime(f"lattice series need q = sqrt(1 - w^2) < 1, got q = 1 at w = {bm.w!r}")
 
 
 def _coefficient_table(q: float, psi: float, size: int):
@@ -232,19 +184,28 @@ def _lattice_series(bm, domain, requests):
     weight * q**|n| * complex(e2pi(-n * psi)).  The direct reflection of
     a scattering quotient is written apart.
 
+    It is also the one check of every request: DegenerateRegime when q
+    rounds to 1 (w = 0, or w below about 1e-8), where no series decays,
+    before any reach is called; ValidationError for a name that is not one
+    of the seven kinds.
+
     Returns (heads, counts, coeffs): the (scalar, base shift, first index n)
     and the number of terms of each request, and the coefficients c_n of
     all requests, concatenated in request order, each ascending in n.
     """
+    if bm.q == 1.0:
+        raise DegenerateRegime(f"lattice series need q = sqrt(1 - w^2) < 1, got q = 1 at w = {bm.w!r}")
     rows, cap = _kind_terms(bm, domain), _underflow_index(bm.q)
     plans, columns = [], {}  # columns: (weight, phase sign) -> table row
     for kind, reach in requests:
+        if kind not in MULTIPLIER_KINDS:
+            raise ValidationError(f"unknown multiplier kind {kind!r}")
         scalar, base, weight, first, last, direct = rows[kind]
         lo, hi = reach(base)
         lo = math.floor(max(lo, -cap - 1.0))
         hi = math.ceil(min(hi, cap + 1.0))
         # the direct reflection at d is kept when the rounded range meets
-        # {0, d}, so every eps series holds it; the train then starts at n = 0
+        # {0, d}, so a window |n| <= K holds it; the train then starts at n = 0
         if direct is not None and not (lo <= max(direct[0], 0) and hi >= min(direct[0], 0)):
             direct = None
         start, stop = max(lo, first), min(hi, last)  # the terms read from the table
@@ -277,40 +238,22 @@ def _lattice_series(bm, domain, requests):
     return heads, counts, coeffs
 
 
-def _series(bm, domain, kind, reach, tail) -> MultiplierSeries:
-    """The one-request ``_lattice_series`` of ``kind`` as a MultiplierSeries."""
-    ((scalar, base, first),), _, coeffs = _lattice_series(bm, domain, [(kind, reach)])
-    return MultiplierSeries(scalar, base, domain.ell, first, coeffs, tail)
-
-
-@functools.lru_cache(maxsize=256)
-def make_multiplier(
-    bm: BoundaryMatrix,
-    domain: ExteriorDomain,
-    kind: str,
-    eps: float = 1e-12,
-) -> MultiplierSeries:
-    """Build one of the named series for (bm, domain) at tolerance eps.
-
-    This is the whole series, truncated.  A finite time or horizon reads
-    ``causal_terms``, and t = inf the exact train of ``train_terms``;
-    the one library caller is the density Fourier table of
-    ``spectral.fourier_coeffs``, and acceptance criterion 01 reads it too.
-    Series are cached per (bm, domain, kind, eps) and shared by every caller;
-    their arrays are read-only.  Every kind, mirrored or not, is its own row
-    of ``_kind_terms`` read on |n| <= N, and a mirrored kind's tail bound is
-    its partner's.
-    """
-    _check_kinds(bm, (kind,))
-    w, q = bm.w, bm.q
-    if kind == "m_squared_inv":
-        n_terms = _geom_terms(q, eps / 2.0)
-        tail = 2.0 * q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
-    else:
-        n_terms = _geom_terms(q, eps)
-        geo_tail = q ** (n_terms + 1) / (1.0 - q) if q > 0.0 else 0.0
-        tail = (w * w if kind in ("a_inv_c", "c_inv_a") else w) * geo_tail
-    return _series(bm, domain, kind, lambda base: (-n_terms, n_terms), tail)
+def _term_arrays(bm, domain, requests):
+    """``_lattice_series`` as arrays: (counts, ns, shifts, weights), the
+    number of terms of each request, and the lattice indices n, the spatial
+    shifts base + n * step and the weights scalar * c_n of all of them,
+    concatenated in request order, each request's ascending in n."""
+    heads, counts, coeffs = _lattice_series(bm, domain, requests)
+    scalar, base, skip, at = [], [], [], 0
+    for (c, b, first), count in zip(heads, counts):
+        scalar.append(c)
+        base.append(b)
+        skip.append(first - at)  # a term's index n less its position
+        at += count
+    ns = np.arange(at) + np.array(skip, dtype=int).repeat(counts)
+    shifts = np.array(base, dtype=float).repeat(counts) + ns * domain.ell
+    scalar = np.array(scalar, dtype=complex).repeat(counts)
+    return counts, ns, shifts, _product(scalar.real, scalar.imag, coeffs.real, coeffs.imag)
 
 
 def causal_terms(bm: BoundaryMatrix, domain: ExteriorDomain, requests):
@@ -329,21 +272,11 @@ def causal_terms(bm: BoundaryMatrix, domain: ExteriorDomain, requests):
     Returns (counts, shifts, weights): the number of terms of each request,
     and the spatial shifts base + n * step and the weights scalar * c_n of
     all of them, concatenated in request order, each request's ascending in
-    n, bit for bit its ``MultiplierSeries.terms``.
+    n.
     """
     reaches = [(kind, _reach(a, b, lo, hi, domain.ell)) for kind, (a, b), (lo, hi) in requests]
-    _check_kinds(bm, [kind for kind, _ in reaches])
-    heads, counts, coeffs = _lattice_series(bm, domain, reaches)
-    scalar, base, skip, at = [], [], [], 0
-    for (c, b, first), count in zip(heads, counts):
-        scalar.append(c)
-        base.append(b)
-        skip.append(first - at)  # a term's index n less its position
-        at += count
-    ns = np.arange(at) + np.array(skip, dtype=int).repeat(counts)
-    shifts = np.array(base, dtype=float).repeat(counts) + ns * domain.ell
-    scalar = np.array(scalar, dtype=complex).repeat(counts)
-    return counts, shifts, _product(scalar.real, scalar.imag, coeffs.real, coeffs.imag)
+    counts, _, shifts, weights = _term_arrays(bm, domain, reaches)
+    return counts, shifts, weights
 
 
 def _reach(a, b, win_lo, win_hi, step):
@@ -351,7 +284,7 @@ def _reach(a, b, win_lo, win_hi, step):
     return lambda base: ((a - win_hi - base) / step, (b - win_lo - base) / step)
 
 
-def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str) -> MultiplierSeries:
+def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str):
     """The terms of a one-sided inverse kind that do not continue its train.
 
     That is the n = 0 term and, for the scattering quotients, the direct
@@ -359,15 +292,9 @@ def train_terms(bm: BoundaryMatrix, domain: ExteriorDomain, kind: str) -> Multip
     other term n is z^|n| times the n = 0 term shifted by n steps, with
     z = q e(-psi) for a_inv, c_conj_inv, a_inv_c and conj(z) for their
     partners, so these terms and z are the kind's whole series, exactly.
-    Read from ``_lattice_series`` like every other series; tail 0.
+
+    Returns (ns, shifts, weights), ascending in n, read from
+    ``_lattice_series`` like every other series.
     """
-    _check_kinds(bm, (kind,))
-    return _series(bm, domain, kind, lambda base: (0.0, 0.0), 0.0)
-
-
-def apply_multiplier(m: MultiplierSeries, f: StepPacket) -> StepPacket:
-    """Spatial action: scalar * sum_n c_n f(. + base + n step), one sweep."""
-    if f.is_empty or not len(m.coeffs):
-        return StepPacket.zero()
-    return StepPacket(*_sum_cells([_translates(f, *m.terms())]), _trusted=True)
-
+    _, ns, shifts, weights = _term_arrays(bm, domain, [(kind, lambda base: (0.0, 0.0))])
+    return ns, shifts, weights

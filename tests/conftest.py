@@ -1,12 +1,13 @@
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from twogap import multipliers
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
-from twogap.packets import VALUE_TOL, StepPacket, _wider
+from twogap.packets import VALUE_TOL, StepPacket, _sum_cells, _translates, _wider
 
 # random couplings stay inside [0.3, 0.95], the range the seeded draws below
 # were made with (changing it reshuffles every draw); w -> 1 collapses q -> 0,
@@ -35,17 +36,80 @@ def generic():
     return bm, dom
 
 
-def forbid_series(monkeypatch, what):
-    """Make every twogap binding of ``make_multiplier`` raise, so a call that
-    builds a whole truncated series fails with ``what`` in its message."""
-    original = multipliers.make_multiplier
+def forbid_series(monkeypatch, what, *names):
+    """Make every twogap binding of ``multipliers._geom_terms``, the one
+    sizer of a window cut at a tolerance, raise, and of each of ``names``
+    (other ``multipliers`` functions) too, so a call that reaches one fails
+    with ``what`` in its message."""
+    for attr in ("_geom_terms", *names):
+        original = getattr(multipliers, attr)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{what} built a multiplier series")
+        def refuse(*args, _attr=attr, **kwargs):
+            raise AssertionError(f"{what} reached multipliers.{_attr}")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "twogap" and getattr(module, "make_multiplier", None) is original:
-            monkeypatch.setattr(module, "make_multiplier", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "twogap" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, refuse)
+
+
+@dataclass(frozen=True, eq=False)
+class CutSeries:
+    """The whole series of one kind cut to |n| <= N, as read from the one
+    generator, with the sup-norm bound ``tail`` = |scalar| * sum of the
+    dropped |c_n|: a reference for the exact routes."""
+
+    scalar: complex
+    base_shift: float
+    step: float
+    first: int  # lattice index n of coeffs[0]
+    coeffs: np.ndarray  # complex c_n for n = first, first + 1, ...
+    tail: float
+
+    @property
+    def indices(self):
+        return self.first + np.arange(len(self.coeffs))
+
+    def value(self, lam):
+        """scalar * e(base lam) * sum_n c_n e(n step lam) on a real grid."""
+        lam = np.asarray(lam, dtype=float)
+        scalar_input = lam.ndim == 0
+        lam = np.atleast_1d(lam)
+        ns, cs = self.indices, self.coeffs
+        acc = np.zeros(lam.shape, dtype=complex)
+        chunk = max(1, int(2e6 / max(len(lam), 1)))
+        for start in range(0, len(ns), chunk):
+            sl = slice(start, start + chunk)
+            acc += (cs[sl, None] * e2pi(ns[sl, None] * self.step * lam[None, :])).sum(axis=0)
+        out = self.scalar * e2pi(self.base_shift * lam) * acc
+        return out[0] if scalar_input else out
+
+    def terms(self):
+        """(shifts, weights): base + n * step and scalar * c_n, rounded as
+        the library's term arrays."""
+        sc = complex(self.scalar)
+        weights = multipliers._product(sc.real, sc.imag, self.coeffs.real, self.coeffs.imag)
+        return self.base_shift + self.indices * self.step, weights
+
+
+def cut_series(bm, dom, kind, eps=1e-12):
+    """``kind`` on |n| <= N, N the smallest count whose geometric tail
+    q^(N+1)/(1-q) is at most eps (eps/2 on each side for m_squared_inv);
+    the tail is w (w^2 for the scattering quotients) times that, or twice
+    it for m_squared_inv."""
+    q, w = bm.q, bm.w
+    n = multipliers._geom_terms(q, eps / 2.0 if kind == "m_squared_inv" else eps)
+    geo_tail = q ** (n + 1) / (1.0 - q) if q > 0.0 else 0.0
+    factor = {"m_squared_inv": 2.0, "a_inv_c": w * w, "c_inv_a": w * w}.get(kind, w)
+    ((scalar, base, first),), _, coeffs = multipliers._lattice_series(bm, dom, [(kind, lambda base: (-n, n))])
+    return CutSeries(scalar, base, dom.ell, first, coeffs, factor * geo_tail)
+
+
+def apply_series(m, f):
+    """The spatial action scalar * sum_n c_n f(. + base + n step), summed in
+    one sweep."""
+    if f.is_empty or not len(m.coeffs):
+        return StepPacket.zero()
+    return StepPacket(*_sum_cells([_translates(f, *m.terms())]), _trusted=True)
 
 
 def random_boundary(rng):

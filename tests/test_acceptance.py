@@ -31,8 +31,8 @@ from twogap.degenerate import (
     two_points_bounds,
     two_points_multiplier,
 )
-from twogap.multipliers import apply_multiplier, make_multiplier
-from twogap.packets import StepPacket
+from twogap.multipliers import causal_terms
+from twogap.packets import StepPacket, sum_packets
 from twogap.rkhs import KernelSpec, point_eval_via_kernel
 from twogap.semigroup import (
     compress_evolve,
@@ -66,8 +66,10 @@ def report_trend(num, label, values, ok):
 
 
 def test_criterion_01_worked_example_trains():
-    # in-region geometric train: (sqrt(3)/2)(1/2)^n at shifts 1 - n
-    got_in = apply_multiplier(make_multiplier(EX_BM, EX_DOM, "a_inv"), EX_PACKET)
+    # in-region geometric train: (sqrt(3)/2)(1/2)^n at shifts 1 - n; every
+    # term of the a_inv series, summed as translates
+    _, shifts, weights = causal_terms(EX_BM, EX_DOM, [("a_inv", EX_PACKET.support(), (-np.inf, np.inf))])
+    got_in = sum_packets(EX_PACKET.translate(-s).scale(c) for s, c in zip(shifts, weights))
     manual_in = StepPacket.zero()
     for n in range(48):
         manual_in = manual_in + EX_PACKET.translate(1.0 - n).scale(

@@ -16,7 +16,6 @@ from twogap.eigen import (
     transfer_H,
 )
 from twogap.errors import DegenerateRegime, NotDecoupled, OutOfDomain, ValidationError
-from twogap.multipliers import make_multiplier
 from twogap.packets import StepPacket
 from twogap.semigroup import semigroup_kernel_apply
 from twogap.spectral import SpectralDensity, density
@@ -177,8 +176,6 @@ def test_complex_lambda_rejected(ex59, lam):
         density(bm, dom, lam)
     with pytest.raises(ValidationError):
         SpectralDensity(bm, dom)(lam)
-    with pytest.raises(ValidationError):
-        make_multiplier(bm, dom, "a_inv").value(lam)
     with pytest.raises(ValidationError):
         forward_transform(bm, dom, StepPacket.box(-1.0, -0.5, 1.0), lam)
     with pytest.raises(ValidationError):

@@ -114,3 +114,26 @@ def test_one_module_owns_the_sweep(path):
         for alias in node.names
     }
     assert not (_loads(tree) | imported) & SWEEP_INTERNALS
+
+
+GENERATOR_INTERNALS = {"_coefficient_table", "_kind_terms", "_product", "_underflow_index"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(Path(twogap.__file__).parent.glob("*.py")) if p.name != "multipliers.py"],
+    ids=lambda p: p.name,
+)
+def test_one_module_writes_the_coefficients(path):
+    """The coefficient table, the kind rows, the product that rounds the
+    weights and the underflow cap are read in ``multipliers`` alone, whose
+    ``_lattice_series`` is the one writer of series coefficients: no other
+    library module reads or imports them, so a second writer cannot grow."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not (_loads(tree) | imported) & GENERATOR_INTERNALS

@@ -10,18 +10,18 @@ from twogap.errors import DegenerateRegime, ValidationError
 from twogap.evolution import block_row, evolve, scatter, translation_representation
 from twogap.multipliers import (
     BLOCK_KIND,
+    MAX_WINDOW_TERMS,
     MULTIPLIER_KINDS,
-    apply_multiplier,
     causal_terms,
+    _geom_terms,
     _underflow_index,
-    make_multiplier,
     train_terms,
 )
 from twogap.semigroup import compress_evolve
 from twogap.spectral import fourier_coeffs
 from twogap.packets import StepPacket
 
-from conftest import random_boundary, random_geometry, random_packet
+from conftest import apply_series, cut_series, random_boundary, random_geometry, random_packet
 
 LAM = np.linspace(-3.7, 4.1, 113)
 
@@ -59,7 +59,7 @@ def test_series_matches_closed_form(kind):
     for _ in range(5):
         bm = random_boundary(rng)
         dom = random_geometry(rng)
-        m = make_multiplier(bm, dom, kind, eps=1e-13)
+        m = cut_series(bm, dom, kind, eps=1e-13)
         got = m.value(LAM)
         want = CLOSED_FORMS[kind](bm, dom, LAM)
         assert np.max(np.abs(got - want)) < 1e-11
@@ -68,7 +68,7 @@ def test_series_matches_closed_form(kind):
 def test_density_series_is_real_even_lattice():
     bm = make_boundary_matrix(w=np.sqrt(3.0) / 2.0)
     dom = make_domain(2.0, 3.0)
-    m = make_multiplier(bm, dom, "m_squared_inv")
+    m = cut_series(bm, dom, "m_squared_inv")
     # zero phases: coefficients are q^|k|, real and symmetric
     coeffs = dict(zip(m.indices.tolist(), m.coeffs))
     for k, c in coeffs.items():
@@ -86,8 +86,8 @@ def test_transform_intertwines_spatial_action():
         dom = random_geometry(rng)
         f = random_packet(rng, freqs=(-1, 0, 2))
         for kind in ("a_inv", "a_inv_c", "m_squared_inv", "c_inv"):
-            m = make_multiplier(bm, dom, kind, eps=1e-13)
-            g = apply_multiplier(m, f)
+            m = cut_series(bm, dom, kind, eps=1e-13)
+            g = apply_series(m, f)
             lhs = g.transform(LAM)
             rhs = m.value(LAM) * f.transform(LAM)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -97,14 +97,14 @@ def test_apply_matches_manual_translates():
     rng = np.random.default_rng(21)
     bm = random_boundary(rng)
     dom = random_geometry(rng)
-    m = make_multiplier(bm, dom, "a_inv", eps=1e-12)
+    m = cut_series(bm, dom, "a_inv", eps=1e-12)
     # the second packet's oscillatory cells pick up a phase per translate
     for f in (random_packet(rng), random_packet(rng, freqs=(-1, 0, 2))):
         # (M f)(x) = scalar sum_n c_n f(x + base + n step) = sum c_n T_{-base-n step} f
         manual = StepPacket.zero()
         for n, c in zip(m.indices.tolist(), m.coeffs):
             manual = manual + f.translate(-(m.base_shift + n * m.step)).scale(m.scalar * c)
-        assert apply_multiplier(m, f).distance2(manual) < 1e-24
+        assert apply_series(m, f).distance2(manual) < 1e-24
 
 
 def test_apply_oscillatory_cell_phase():
@@ -112,18 +112,11 @@ def test_apply_oscillatory_cell_phase():
     dom = make_domain(2.0, 3.0)
     bm = make_boundary_matrix(w=0.6, psi=0.3)
     f = StepPacket.box(0.0, 1.0, 1.0, freq=2)
-    m = make_multiplier(bm, dom, "a_inv", eps=1e-3)
-    g = apply_multiplier(m, f)
+    m = cut_series(bm, dom, "a_inv", eps=1e-3)
+    g = apply_series(m, f)
     xs = np.array([1.2, 1.7, 2.4])
     want = m.scalar * sum(c * f.sample(xs + m.base_shift + n * m.step) for n, c in zip(m.indices, m.coeffs))
     assert np.max(np.abs(g.sample(xs) - want)) < 1e-13
-
-
-def test_apply_empty_packet():
-    bm = make_boundary_matrix(w=0.5)
-    dom = make_domain(2.0, 3.0)
-    m = make_multiplier(bm, dom, "a_inv")
-    assert apply_multiplier(m, StepPacket.zero()).is_empty
 
 
 MIRRORED_PAIRS = [("a_conj_inv", "a_inv"), ("c_conj_inv", "c_inv"), ("c_inv_a", "a_inv_c")]
@@ -136,8 +129,13 @@ def test_conjugate_is_pointwise_conjugate():
         bm = random_boundary(rng)
         dom = random_geometry(rng)
         for kind, partner in MIRRORED_PAIRS:
-            m, mp = make_multiplier(bm, dom, kind), make_multiplier(bm, dom, partner)
+            m, mp = cut_series(bm, dom, kind), cut_series(bm, dom, partner)
             assert np.max(np.abs(m.value(LAM) - np.conj(mp.value(LAM)))) < 1e-13
+
+
+def _cut_arrays(bm, dom, kind):
+    m = cut_series(bm, dom, kind)
+    return (m.indices, *m.terms())
 
 
 def test_mirrored_terms_are_partner_terms_reflected():
@@ -147,11 +145,12 @@ def test_mirrored_terms_are_partner_terms_reflected():
     for _ in range(4):
         bm = random_boundary(rng)
         dom = random_geometry(rng)
-        for (kind, partner), build in itertools.product(MIRRORED_PAIRS, (make_multiplier, train_terms)):
-            m, mp = build(bm, dom, kind), build(bm, dom, partner)
-            assert np.array_equal(m.indices, -mp.indices[::-1])
-            shifts, weights = m.terms()
-            partner_shifts, partner_weights = mp.terms()
+        for (kind, partner), build in itertools.product(MIRRORED_PAIRS, (_cut_arrays, train_terms)):
+            (ns, shifts, weights), (partner_ns, partner_shifts, partner_weights) = (
+                build(bm, dom, kind),
+                build(bm, dom, partner),
+            )
+            assert np.array_equal(ns, -partner_ns[::-1])
             assert np.array_equal(shifts, -partner_shifts[::-1])
             assert np.array_equal(weights, np.conj(partner_weights[::-1]))
 
@@ -161,7 +160,7 @@ def test_coefficient_times_inverse_is_one():
     bm = random_boundary(rng)
     dom = random_geometry(rng)
     a = coeff_a(bm, dom, LAM)
-    a_inv = make_multiplier(bm, dom, "a_inv", eps=1e-13)
+    a_inv = cut_series(bm, dom, "a_inv", eps=1e-13)
     # a * a^-1 = 1 up to the declared truncation tail, scaled by |a|
     assert np.all(np.abs(a * a_inv.value(LAM) - 1.0) < np.abs(a) * a_inv.tail + 1e-12)
 
@@ -171,8 +170,8 @@ def test_scattering_quotients_are_reciprocal():
     rng = np.random.default_rng(13)
     bm = random_boundary(rng)
     dom = random_geometry(rng)
-    m1 = make_multiplier(bm, dom, "a_inv_c", eps=1e-13)
-    m2 = make_multiplier(bm, dom, "c_inv_a", eps=1e-13)
+    m1 = cut_series(bm, dom, "a_inv_c", eps=1e-13)
+    m2 = cut_series(bm, dom, "c_inv_a", eps=1e-13)
     # both are unimodular, so each truncation tail enters once
     tails = m1.tail + m2.tail + m1.tail * m2.tail
     assert np.max(np.abs(m1.value(LAM) * m2.value(LAM) - 1.0)) < tails + 1e-11
@@ -191,7 +190,7 @@ def test_block_entry_two_routes(dest, src):
     if BLOCK_KIND[(dest, src)] == "identity":  # no series: the part itself
         assert np.max(np.abs(closed - 1.0)) < 1e-11
         return
-    direct = make_multiplier(bm, dom, BLOCK_KIND[(dest, src)], eps=1e-13)
+    direct = cut_series(bm, dom, BLOCK_KIND[(dest, src)], eps=1e-13)
     assert np.max(np.abs(direct.value(LAM) - closed)) < direct.tail + 1e-11
 
 
@@ -207,41 +206,41 @@ def test_decoupled_regime_rejected():
     bm = make_boundary_matrix(w=0.0, theta=0.25)
     dom = make_domain(2.0, 3.0)
     with pytest.raises(DegenerateRegime):
-        make_multiplier(bm, dom, "a_inv")
+        train_terms(bm, dom, "a_inv")
 
 
 def test_unknown_kind_rejected():
     bm = make_boundary_matrix(w=0.5)
     dom = make_domain(2.0, 3.0)
     with pytest.raises(ValidationError):
-        make_multiplier(bm, dom, "b_inv")
+        train_terms(bm, dom, "b_inv")
 
 
 def test_bad_eps_rejected():
+    # the one sizer of a cut window, and the density table that reads it
     bm = make_boundary_matrix(w=0.5)
     dom = make_domain(2.0, 3.0)
-    for kind in ("a_inv", "m_squared_inv"):
-        for eps in (0.0, -1e-12, float("nan"), float("inf")):
-            with pytest.raises(ValidationError):
-                make_multiplier(bm, dom, kind, eps=eps)
+    for eps in (0.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            _geom_terms(bm.q, eps)
+        with pytest.raises(ValidationError):
+            fourier_coeffs(bm, dom, eps)
 
 
-def test_series_are_built_once_and_shared():
-    bm = make_boundary_matrix(w=0.4, psi=0.37)
-    dom = make_domain(2.3, 3.1)
-    m = make_multiplier(bm, dom, "c_inv_a", 1e-12)
-    assert make_multiplier(bm, dom, "c_inv_a", 1e-12) is m
-    assert make_multiplier(bm, dom, "c_inv_a", 1e-11) is not m
-    # shared, so read-only: a write would reach every later caller
-    with pytest.raises(ValueError, match="read-only"):
-        m.coeffs[0] = 0.0
+def test_cut_window_has_a_size_cap():
+    # the density table's window (1e-12 over both sides) fits at w = 1e-2;
+    # at w = 1e-3 it would need about 85 million terms
+    assert _geom_terms(make_boundary_matrix(w=1e-2).q, 0.5e-12) == 764_514 <= MAX_WINDOW_TERMS
+    q = make_boundary_matrix(w=1e-3).q
+    with pytest.raises(DegenerateRegime, match=r"eps = 5e-13 at q = 0\.99999\d+ needs \d{8} terms"):
+        _geom_terms(q, 0.5e-12)
 
 
 def test_tail_bound_is_honest():
     bm = make_boundary_matrix(w=0.4, psi=0.37)
     dom = make_domain(2.3, 3.1)
-    crude = make_multiplier(bm, dom, "a_inv", eps=1e-5)
-    fine = make_multiplier(bm, dom, "a_inv", eps=1e-15)
+    crude = cut_series(bm, dom, "a_inv", eps=1e-5)
+    fine = cut_series(bm, dom, "a_inv", eps=1e-15)
     gap = np.max(np.abs(crude.value(LAM) - fine.value(LAM)))
     assert gap <= crude.tail + 1e-13
     assert crude.tail <= 1e-5 * 1.000001
@@ -250,8 +249,7 @@ def test_tail_bound_is_honest():
 def test_shifts_follow_lattice():
     bm = make_boundary_matrix(w=0.5, psi=0.1)
     dom = make_domain(2.5, 4.0)
-    m = make_multiplier(bm, dom, "a_inv", eps=1e-10)
-    shifts = m.terms()[0]
+    shifts = cut_series(bm, dom, "a_inv", eps=1e-10).terms()[0]
     assert shifts[0] == pytest.approx(-1.0)
     assert np.allclose(np.diff(shifts), dom.ell)
 
@@ -263,7 +261,7 @@ def test_causal_terms_are_series_terms(kind, w):
     # bit, and exactly the indices whose image meets the window
     bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
     dom = make_domain(2.25, 3.75)
-    full = make_multiplier(bm, dom, kind, eps=1e-15)
+    full = cut_series(bm, dom, kind, eps=1e-15)
     support, window = (-1.3, -0.2), (-4.0, 6.5)
     counts, shifts, weights = causal_terms(bm, dom, [(kind, support, window)])
     assert counts == [len(shifts)] == [len(weights)]
@@ -283,12 +281,15 @@ def test_causal_terms_are_series_terms(kind, w):
 @pytest.mark.parametrize("w", [0.9, 0.5, 0.05])
 def test_series_weights_are_scalar_arithmetic(w):
     # the array code keeps the bits of the scalar loop: Python's float pow
-    # and complex product (numpy's vectorized ones differ in the last bit)
+    # and complex product (numpy's vectorized ones differ in the last bit);
+    # the window holds every term of the series cut at 1e-12
     bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
     dom = make_domain(2.25, 3.75)
     for kind in ("a_inv", "m_squared_inv"):
-        m = make_multiplier(bm, dom, kind)
-        shifts, weights = m.terms()
+        m = cut_series(bm, dom, kind)
+        lo, hi = m.terms()[0][[0, -1]]
+        _, shifts, weights = causal_terms(bm, dom, [(kind, (0.0, 0.0), (-hi, -lo))])
+        assert len(shifts) >= len(m.coeffs)
         ns = np.rint((shifts - m.base_shift) / dom.ell).astype(int).tolist()
         want = [m.scalar * (bm.q ** abs(n) * complex(e2pi(-n * bm.psi))) for n in ns]
         assert weights.tobytes() == np.array(want, dtype=complex).tobytes()
@@ -326,11 +327,10 @@ _Q_ONE_F = StepPacket.box(-1.0, -0.5, 1.0) + StepPacket.box(1.2, 1.5, 1.0)
         lambda dom: translation_representation(_Q_ONE, dom, _Q_ONE_F, "+"),
         lambda dom: translation_representation(_Q_ONE, dom, _Q_ONE_F, "-"),
         lambda dom: fourier_coeffs(_Q_ONE, dom),
-        lambda dom: make_multiplier(_Q_ONE, dom, "a_inv"),
         lambda dom: train_terms(_Q_ONE, dom, "c_inv_a"),
         lambda dom: causal_terms(_Q_ONE, dom, []),
     ],
-    ids=["evolve", "evolve_zero", "scatter", "rep_plus", "rep_minus", "fourier", "make", "train", "causal"],
+    ids=["evolve", "evolve_zero", "scatter", "rep_plus", "rep_minus", "fourier", "train", "causal"],
 )
 def test_q_one_is_a_degenerate_regime(route):
     with pytest.raises(DegenerateRegime, match="q = 1"):

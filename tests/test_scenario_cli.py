@@ -221,6 +221,20 @@ def test_cli_q_one_is_a_typed_error(tmp_path, capsys, command):
     assert err.startswith("twogap: ") and "q = 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["density", "scatter"])
+def test_cli_oversized_cut_is_a_typed_error(tmp_path, capsys, command):
+    # at w = 1e-3 the 1e-12 cut of the density table and of the scatter
+    # listing would hold about 85 million terms: a DegenerateRegime (exit 1)
+    # before any file is written, not a memory blow-up
+    payload = json.loads(json.dumps(GOOD))
+    payload["boundary"]["w"] = 1e-3
+    path = write(tmp_path, payload)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("twogap: ") and "terms" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -1,12 +1,13 @@
 """Spectral density, Fourier coefficient tables, measure classification."""
 
+import time
+
 import numpy as np
 import pytest
 
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import bound_state_spectrum, eigen_coeffs
 from twogap.errors import DegenerateRegime, ValidationError
-from twogap.multipliers import make_multiplier
 from twogap.spectral import (
     SpectralDensity,
     comb_limit_diagnostic,
@@ -15,7 +16,7 @@ from twogap.spectral import (
     period_integral,
 )
 
-from conftest import random_boundary, random_geometry
+from conftest import cut_series, random_boundary, random_geometry
 
 
 def test_half_coupling_density_anchors(ex59):
@@ -121,12 +122,33 @@ def test_fourier_table_is_the_density_series(w):
     bm = make_boundary_matrix(w=w, theta=0.15, phi=0.3, psi=0.45)
     dom = make_domain(2.25, 3.75)
     table = fourier_coeffs(bm, domain=dom)
-    series = make_multiplier(bm, dom, "m_squared_inv")
+    series = cut_series(bm, dom, "m_squared_inv")
     shifts, weights = series.terms()
     assert (series.scalar, series.base_shift) == (1.0, 0.0)
     assert np.array_equal(table.k, np.rint(shifts / dom.ell))
     assert table.values.tobytes() == weights.tobytes()
     assert (table.step, table.tail) == (dom.ell, series.tail)
+
+
+def test_fourier_table_is_built_once_and_shared():
+    bm = make_boundary_matrix(w=0.4, psi=0.37)
+    dom = make_domain(2.3, 3.1)
+    table = fourier_coeffs(bm, dom, 1e-12)
+    assert fourier_coeffs(bm, dom, 1e-12) is table
+    assert fourier_coeffs(bm, dom, 1e-11) is not table
+    # shared, so read-only: a write would reach every later caller
+    for values in (table.k, table.values):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+
+
+def test_fourier_table_past_the_size_cap_is_refused_at_once():
+    # w = 1e-3 would need a window of about 85 million terms at 1e-12
+    bm = make_boundary_matrix(w=1e-3, psi=0.3)
+    start = time.perf_counter()
+    with pytest.raises(DegenerateRegime, match="terms"):
+        fourier_coeffs(bm, make_domain(2.0, 3.0))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_normalization_identity():

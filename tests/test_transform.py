@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import twogap
 from twogap import transform
-from twogap.domain import make_boundary_matrix, make_domain
+from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.eigen import eigenfunction_eval
 from twogap.errors import DegenerateRegime, ValidationError
+from twogap.evolution import evolve
 from twogap.packets import StepPacket
 from twogap.transform import (
     TransformSample,
@@ -54,6 +55,67 @@ def test_forward_matches_eigenfunction_pairing(generic):
         # limited by the midpoint rule, not the closed form
         assert abs(sample.values[k] - brute) < 1e-8
     assert sample.source is f
+
+
+# lambda points free of any simple ratio with a time grid: at one of them
+# 2 lambda t is not an integer whenever t != 0, so e(-lambda t) and
+# e(+lambda t) differ (on a 0.1-step grid, t = 25 would make them agree)
+_INTERTWINING_LAM = np.array([-2.37, -1.6180339887, -0.7071067811, -0.291, 0.1732050807,
+                              0.577, 1.0954451150, 1.7320508075, 2.2360679775])
+# worst scaled gap measured over 2,000 draws of the property below: 9.7e-15
+_INTERTWINING_BOUND = 1e-13
+
+
+def _intertwining_gap(bm, dom, f, t, sign=-1.0):
+    """max |V U(t) f - e(sign lambda t) V f| on ``_INTERTWINING_LAM``,
+    relative to max |V f| and scaled by 1 + |t| max |lambda| (the phase
+    e(lambda t) is rounded at an argument of that size)."""
+    lam = _INTERTWINING_LAM
+    vf = forward_transform(bm, dom, f, lam).values
+    vu = forward_transform(bm, dom, evolve(bm, dom, f, t).packet, lam).values
+    scale = np.max(np.abs(vf)) * (1.0 + abs(t) * np.max(np.abs(lam)))
+    return np.max(np.abs(vu - e2pi(sign * lam * t) * vf)) / scale
+
+
+@st.composite
+def packets_on_every_component(draw):
+    """(bm, dom, f): w in [1e-3, 1] (below about 1e-8 q rounds to 1 and the
+    series route is refused) and one cell of frequency 0, 1 or 2 on each
+    component, within 4 of its finite end."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    bm = make_boundary_matrix(w=draw(st.floats(1e-3, 1.0)), theta=draw(unit), phi=draw(unit), psi=draw(unit))
+    alpha = draw(st.floats(1.2, 3.0))
+    dom = make_domain(alpha, alpha + draw(st.floats(0.3, 2.0)))
+    f = StepPacket.zero()
+    for component in ("iminus", "izero", "iplus"):
+        lo, hi = dom.component(component)
+        lo = hi - 4.0 if lo == -np.inf else lo
+        hi = min(hi, lo + 4.0)
+        a = lo + draw(st.floats(0.0, 0.8)) * (hi - lo)
+        b = a + draw(st.floats(0.05, 0.2)) * (hi - lo)
+        value = draw(st.floats(0.1, 2.0)) * complex(e2pi(draw(unit)))
+        f = f + StepPacket.box(a, b, value, freq=draw(st.sampled_from([0, 1, 2])))
+    return bm, dom, f
+
+
+@given(packets_on_every_component(), st.floats(-30.0, 30.0))
+@settings(max_examples=100, deadline=None)
+def test_transform_intertwines_evolution(case, t):
+    # the unitary equivalence itself: V U(t) f = e(-lambda t) V f
+    assert _intertwining_gap(*case, t) <= _INTERTWINING_BOUND
+
+
+@pytest.mark.parametrize("t", [-7.3, 2.9, 25.0])
+def test_intertwining_check_sees_a_flipped_sign(generic, t):
+    # e(+lambda t) in place of e(-lambda t) must fail the same bound
+    bm, dom = generic
+    f = (
+        StepPacket.box(-1.2, -0.4, 1.0 - 0.5j)
+        + StepPacket.box(1.1, 1.9, 0.25j, freq=1)
+        + StepPacket.box(4.0, 4.6, 0.7, freq=2)
+    )
+    assert _intertwining_gap(bm, dom, f, t) <= _INTERTWINING_BOUND
+    assert _intertwining_gap(bm, dom, f, t, sign=1.0) > 1e3 * _INTERTWINING_BOUND
 
 
 def test_sigma_norm_is_packet_norm():
@@ -235,8 +297,9 @@ def test_pairing_is_hermitian_and_sigma_reads_its_half(case):
 
 
 def test_quadrature_oracles_read_no_series(monkeypatch, generic):
-    # the oracles check the packet engine, so they must not share its series
-    forbid_series(monkeypatch, "quadrature oracle")
+    # the oracles check the packet engine, so they must read no engine
+    # series at all: neither a cut window nor the one generator
+    forbid_series(monkeypatch, "quadrature oracle", "_lattice_series")
     bm, dom = generic
     f = StepPacket.box(-1.0, -0.25, 1.0) + StepPacket.box(1.3, 1.9, -0.5)
     g = StepPacket.box(-0.75, -0.1, 2.0 - 1.0j) + StepPacket.box(4.0, 5.0, 1.0)
