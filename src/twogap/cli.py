@@ -6,9 +6,10 @@ Commands write deterministic CSV (every float through repr-faithful %.17g)
 so runs can be diffed byte for byte.  No option sets a tolerance: the two
 listings of an infinite series, the density Fourier table and the
 scatter train, are cut at a fixed tail of 1e-12, and a model whose cut
-would list more than 2**20 terms (w below about 1e-2) exits 1.  Exit
-codes: 0 on success, 1 when a computation or verification fails, 2 for
-unusable input (bad scenario file, missing packets, malformed arguments).
+would need more than 2**20 terms on a side (w below about 9e-3) exits 1.
+Exit codes: 0 on success, 1 when a computation or verification fails, 2
+for unusable input (bad scenario file, missing packets, malformed
+arguments).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _scatter_listing(bm, dom, f: StepPacket) -> StepPacket:
     """The cells scatter.csv lists: the exact train of ``scatter`` has
     infinitely many, so the file lists its head and its first N + 1 terms,
     with N the smallest count whose geometric tail q^(N+1)/(1 - q) is at
-    most the fixed cut 1e-12 (``_geom_terms`` refuses more than 2**20); the
+    most the fixed cut 1e-12 (``_geom_terms`` refuses an N above 2**20); the
     terms left out weigh at most w^2 1e-12."""
     return scatter(bm, dom, f).materialize(_geom_terms(bm.q, 1e-12) + 1)
 

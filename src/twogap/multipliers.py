@@ -28,10 +28,10 @@ Two routes read it exactly, with no truncation:
   pictures (scattering, the translation representations) read it.
 
 A window cut at a tolerance is only ever a listing, never an operator:
-the density Fourier table of ``spectral.fourier_coeffs`` reads the
-``m_squared_inv`` coefficients on |n| <= K (and the CLI lists the first
-terms of a scattered train).  ``_geom_terms`` sizes both windows and
-refuses one of more than 2**20 terms.
+``make_multiplier`` lists the density multiplier ``m_squared_inv`` on
+|n| <= N for the Fourier table of ``spectral.fourier_coeffs`` (and the CLI
+lists the first N + 1 terms of a scattered train).  ``_geom_terms`` sizes
+both windows and refuses an N, the number of terms on a side, above 2**20.
 
 Kinds
 -----
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .domain import BoundaryMatrix, ExteriorDomain, e2pi
 from .errors import DegenerateRegime, ValidationError
 
 __all__ = [
+    "make_multiplier",
     "causal_terms",
     "train_terms",
     "BLOCK_KIND",
@@ -104,9 +106,10 @@ def _product(ar, ai, br, bi) -> np.ndarray:
     return out
 
 
-# the most terms a window cut at a tolerance may hold: 2**20 terms is 16 MB
-# of complex coefficients; the density table at w = 1e-2 needs 764,514, at
-# w = 1e-3 about 85 million
+# the largest N, the number of terms on each side, of a window cut at a
+# tolerance: the two-sided density window |n| <= N then holds at most
+# 2**21 + 1 terms, 32 MB of complex coefficients.  The density table at
+# w = 1e-2 needs N = 764,514, at w = 1e-3 about 85 million
 MAX_WINDOW_TERMS = 2**20
 
 
@@ -114,7 +117,8 @@ def _geom_terms(q: float, eps: float) -> int:
     """Smallest N with q^(N+1)/(1-q) <= eps (tail of a unit geometric series).
 
     The one sizer of a window cut at a tolerance; DegenerateRegime when N
-    exceeds ``MAX_WINDOW_TERMS``, before any such window is built."""
+    (the terms on one side) exceeds ``MAX_WINDOW_TERMS``, before any such
+    window is built."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValidationError("truncation tolerance must be positive and finite")
     if q == 0.0:
@@ -124,7 +128,7 @@ def _geom_terms(q: float, eps: float) -> int:
         n += 1
     if n > MAX_WINDOW_TERMS:
         raise DegenerateRegime(
-            f"a window with tail at most eps = {eps!r} at q = {q!r} needs {n} terms, "
+            f"a window with tail at most eps = {eps!r} at q = {q!r} needs {n} terms on each side, "
             f"more than {MAX_WINDOW_TERMS}"
         )
     return n
@@ -254,6 +258,39 @@ def _term_arrays(bm, domain, requests):
     shifts = np.array(base, dtype=float).repeat(counts) + ns * domain.ell
     scalar = np.array(scalar, dtype=complex).repeat(counts)
     return counts, ns, shifts, _product(scalar.real, scalar.imag, coeffs.real, coeffs.imag)
+
+
+class DensityWindow(NamedTuple):
+    """The coefficients c_n = q^|n| e(-n psi) of ``m_squared_inv`` for the
+    consecutive n = -N ... N, read-only, and ``tail`` = 2 q^(N+1)/(1-q),
+    the sum of the |c_n| left out."""
+
+    indices: np.ndarray
+    coeffs: np.ndarray
+    tail: float
+
+
+@functools.lru_cache(maxsize=256)
+def make_multiplier(bm: BoundaryMatrix, domain: ExteriorDomain, eps: float = 1e-12) -> DensityWindow:
+    """The density multiplier m^-2 = 1/|a|^2 listed on the smallest window
+    |n| <= N whose tail 2 q^(N+1)/(1-q) is at most eps.
+
+    A listing, never applied to a packet: its one reader is the density
+    Fourier table of ``spectral.fourier_coeffs``.  Windows are cached per
+    (bm, domain, eps) and shared by every caller, so their arrays are
+    read-only.  N is sized inside ``_lattice_series``, after its check of
+    q < 1.
+    """
+
+    def window(base):
+        n = _geom_terms(bm.q, eps / 2.0)
+        return -n, n
+
+    ((_, _, first),), (count,), coeffs = _lattice_series(bm, domain, [("m_squared_inv", window)])
+    indices = first + np.arange(count)
+    indices.flags.writeable = coeffs.flags.writeable = False
+    tail = 2.0 * bm.q ** (1 - first) / (1.0 - bm.q) if bm.q > 0.0 else 0.0
+    return DensityWindow(indices, coeffs, tail)
 
 
 def causal_terms(bm: BoundaryMatrix, domain: ExteriorDomain, requests):

@@ -20,14 +20,13 @@ splits into an absolutely continuous half-line part and atoms.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, make_boundary_matrix
 from .errors import ValidationError
-from .multipliers import _geom_terms, _lattice_series
+from .multipliers import make_multiplier
 from .quadrature import fold_nodes
 
 __all__ = [
@@ -113,32 +112,22 @@ class FourierCoefficientTable:
         return complex(np.sum(self.values)) + 2.0 * rest.real
 
 
-@functools.lru_cache(maxsize=256)
 def fourier_coeffs(
     bm: BoundaryMatrix, domain: ExteriorDomain, tol: float = 1e-12
 ) -> FourierCoefficientTable:
     """Coefficient table of the density in the periodic lattice variable.
 
-    The values are the ``m_squared_inv`` coefficients of the one generator
-    (``multipliers._lattice_series``) on the smallest window |k| <= K whose
-    geometric tail bound 2 q^(K+1)/(1-q) is at most tol, on the lattice step
-    alpha - 1; ``total`` adds the exact remainder.  K comes from
-    ``multipliers._geom_terms``, which raises DegenerateRegime for a window
-    of more than 2**20 terms (w below about 1e-2 at the default tol).
-    Tables are cached per (bm, domain, tol) and shared by every caller, so
-    their arrays are read-only.
+    The table is the density window of ``make_multiplier`` at tolerance
+    tol: the ``m_squared_inv`` coefficients of the one generator on the
+    smallest window |k| <= K whose geometric tail bound 2 q^(K+1)/(1-q) is
+    at most tol, on the lattice step alpha - 1; ``total`` adds the exact
+    remainder.  DegenerateRegime when K would exceed 2**20 terms on each
+    side (w below about 1e-2 at the default tol).  Its arrays are the
+    cached window's own and are read-only.
     """
     _require_coupled(bm, "fourier_coeffs")
-
-    def window(base):  # sized inside the generator, after its check of q < 1
-        n = _geom_terms(bm.q, tol / 2.0)
-        return -n, n
-
-    ((_, _, first),), (count,), values = _lattice_series(bm, domain, [("m_squared_inv", window)])
-    k = first + np.arange(count)
-    k.flags.writeable = values.flags.writeable = False
-    tail = 2.0 * bm.q ** (1 - first) / (1.0 - bm.q) if bm.q > 0.0 else 0.0
-    return FourierCoefficientTable(k=k, values=values, step=domain.ell, tail=tail, z=bm.b_entry)
+    m = make_multiplier(bm, domain, tol)
+    return FourierCoefficientTable(k=m.indices, values=m.coeffs, step=domain.ell, tail=m.tail, z=bm.b_entry)
 
 
 def comb_limit_diagnostic(

