@@ -540,7 +540,9 @@ class StepPacket:
         return idx, (x >= self.lo[idx]) & (x < self.hi[idx])
 
     def distance2(self, other: "StepPacket") -> float:
-        """Squared L2 distance to another packet."""
+        """Squared L2 distance to another packet or to a train."""
+        if isinstance(other, PacketTrain):
+            return other.distance2(self)
         return (self - other).norm2()
 
 
@@ -699,6 +701,11 @@ class PacketTrain:
             return StepPacket.zero()
         if self.body.is_empty:
             return self.head.restrict(lo, hi)
+        return self._terms(*self._reach(lo, hi)).restrict(lo, hi)
+
+    def _reach(self, lo, hi):
+        """(first, stop): the terms first <= n < stop reach the window
+        (lo, hi), lo < hi, of a train with a body."""
         b_lo, b_hi = self.body.support()
         # term n covers (b_lo - n step, b_hi - n step): it meets the window
         # for n strictly between these two bounds (both rounded outward)
@@ -706,15 +713,13 @@ class PacketTrain:
         if not math.isfinite(max(ends)):
             raise ValidationError("a train restricted to a window open on its far side is infinite")
         first = 0 if min(ends) < 0 else math.floor(min(ends))
-        return self._terms(first, math.floor(max(ends)) + 2).restrict(lo, hi)
+        return first, math.floor(max(ends)) + 2
 
     def _split(self, x0):
         """(T on the near side of x0, T on the window one step beyond it)."""
         if self.body.is_empty:
             return self.head, StepPacket.zero()
-        s = self.step
-        near = (x0, np.inf) if s > 0 else (-np.inf, x0)
-        window = (x0 - s, x0) if s > 0 else (x0, x0 - s)
+        near, window = _sides(x0, self.step)
         seen = self.restrict(min(window[0], near[0]), max(window[1], near[1]))
         return seen.restrict(*near), seen.restrict(*window)
 
@@ -742,8 +747,22 @@ class PacketTrain:
 
     def distance2(self, other) -> float:
         """Squared L2 distance to a packet or a train of the same ratio,
-        step and leak."""
-        return (self - other).norm2()
+        step and leak: ``norm2`` of the difference, for one cut x0 of both,
+        whose near side and window sum the heads and every term of both
+        bodies that reaches them (``other``'s negated) in one sweep."""
+        other = self._coerce(other)
+        if self.body.is_empty and other.body.is_empty:
+            return self.head.distance2(other.head)
+        near, window = _sides(_cut(self, other), self.step)
+        lo, hi = min(window[0], near[0]), max(window[1], near[1])
+        cells = [(self.head.lo, self.head.hi, self.head.waves)]
+        cells.append((other.head.lo, other.head.hi, {n: -v for n, v in other.head.waves.items()}))
+        for train, sign in ((self, 1.0), (other, -1.0)):
+            if not train.body.is_empty:
+                k = np.arange(*train._reach(lo, hi))
+                cells.append(_translates(train.body, k * self.step, sign * np.power(self.ratio, k)))
+        seen = StepPacket(*_sum_cells(cells), _trusted=True).restrict(lo, hi)
+        return seen.restrict(*near).norm2() + seen.restrict(*window).norm2() / self.leak
 
     def max_abs(self) -> float:
         """Upper bound for sup|T|: |ratio| < 1, so no image beats its window."""
@@ -751,6 +770,14 @@ class PacketTrain:
             return self.head.max_abs()
         near, window = self._split(_cut(self))
         return max(near.max_abs(), window.max_abs())
+
+
+def _sides(x0, step):
+    """(near, window): the side of the cut x0 that holds the heads, and the
+    window one step beyond x0."""
+    if step > 0:
+        return (x0, np.inf), (x0 - step, x0)
+    return (-np.inf, x0), (x0, x0 - step)
 
 
 def _cut(*trains) -> float:

@@ -6,6 +6,15 @@ pass/fail meaning (regime-dependent discrepancies, limit diagnostics) and
 never fail a run.  The battery adapts to the scenario: coupled, decoupled
 and transparent geometries get their own identities, degenerate-model
 scenarios exercise the explicit conjugations instead.
+
+Shared quantities are computed once.  Each packet is evolved on one time
+grid: ``evolve_many`` over the time grid plus the group law's time t1 + t2
+(or, decoupled, plus the period), and one ``compress_evolve_many`` grid
+for the contraction and the kernel route.  f and U(t1) f are split by
+``decompose`` once each; those parts feed the cross terms and both
+translation representations (``evolution._train_row``, the rows behind
+``translation_representation``), and each representation gap is one
+``PacketTrain.distance2`` sweep.
 """
 
 from __future__ import annotations
@@ -25,16 +34,10 @@ from .degenerate import (
 from .domain import e2pi
 from .eigen import _route_spread, eigen_coeffs, eigen_residual, scattering_matrix_routes
 from .errors import DegenerateRegime, TwogapError
-from .evolution import (
-    cesaro_decay,
-    decompose,
-    evolve,
-    evolve_many,
-    translation_representation,
-)
+from .evolution import _train_row, cesaro_decay, decompose, evolve, evolve_many
 from .packets import StepPacket
 from .scenario import Scenario
-from .semigroup import compress_evolve, compress_evolve_many, semigroup_kernel_apply
+from .semigroup import compress_evolve_many, semigroup_kernel_apply
 from .spectral import comb_limit_diagnostic, fourier_coeffs, period_integral
 from .transform import cross_term, sigma_norm2
 
@@ -102,21 +105,23 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
     norm0 = f.norm2()
     ts = sc.grid("time_grid", _TIME_GRID)
 
-    evolved = [r.packet for r in evolve_many(bm, dom, f, ts)]
+    # one grid for f: the times of ts, then the group law's reference t1 + t2
+    t1, t2 = float(ts[-1]), float(ts[len(ts) // 2])
+    *evolved, once = (r.packet for r in evolve_many(bm, dom, f, [*ts, t1 + t2]))
     drift = max(abs(g.norm2() - norm0) for g in evolved)
     out.append(_judge("evolution_unitary", drift, 1e-10))
 
     # U(t1) f, reused by the group law, inverse and intertwining checks
-    t1, t2, u1 = float(ts[-1]), float(ts[len(ts) // 2]), evolved[-1]
-    once = evolve(bm, dom, f, t1 + t2).packet
+    u1 = evolved[-1]
     twice, back = (r.packet for r in evolve_many(bm, dom, u1, [t2, -t1]))
     out.append(_judge("evolution_group_law", np.sqrt(once.distance2(twice)), 1e-9))
     out.append(_judge("evolution_inverse", np.sqrt(back.distance2(f)), 1e-9))
 
+    # f and U(t1) f split once each, for the cross terms and both representations
+    parts, parts_u1 = decompose(f, dom), decompose(u1, dom)
     if all(n == 0 for n in f.frequencies()):
         sig = sigma_norm2(bm, dom, f)
         out.append(_judge("transform_isometry", abs(sig - norm0), 1e-6 * max(1.0, norm0)))
-        parts = decompose(f, dom)
         pair_gap = 0.0
         for i, pi in enumerate(parts):
             for pj in parts[i + 1 :]:
@@ -125,9 +130,10 @@ def _packet_checks(sc: Scenario) -> list[CheckResult]:
                 pair_gap = max(pair_gap, abs(cross_term(bm, dom, pi, pj)))
         out.append(_judge("transform_cross_terms", pair_gap, 1e-8 * max(1.0, norm0)))
 
-    for sign in ("+", "-"):
-        rep_f = translation_representation(bm, dom, f, sign)
-        rep_uf = translation_representation(bm, dom, u1, sign)
+    # the rows of ``translation_representation``, from the parts above
+    for sign, dest in (("+", "iplus"), ("-", "iminus")):
+        rep_f = _train_row(bm, dom, parts, dest)
+        rep_uf = _train_row(bm, dom, parts_u1, dest)
         gap = np.sqrt(rep_uf.distance2(rep_f.translate(t1)))
         out.append(_judge(f"translation_rep_intertwines_{sign}", gap, 1e-9))
     return out
@@ -142,7 +148,9 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
         mid = StepPacket.box(lo, hi, 1.0)
     ts = [t for t in sc.grid("time_grid", _TIME_GRID) if t >= 0.0] or [0.5]
 
-    norms = [r.packet.norm2() for r in compress_evolve_many(bm, dom, mid, sorted(ts))]
+    grid = sorted(ts)
+    moved = [r.packet for r in compress_evolve_many(bm, dom, mid, grid)]
+    norms = [g.norm2() for g in moved]
     growth = max(
         (norms[i + 1] - norms[i] for i in range(len(norms) - 1)), default=0.0
     )
@@ -151,7 +159,8 @@ def _semigroup_checks(sc: Scenario) -> list[CheckResult]:
     if abs(dom.ell - 1.0) < 1e-12:
         lam = sc.grid("lambda_grid", _LAMBDA_GRID)[:9]
         t = float(ts[min(1, len(ts) - 1)])
-        eng_vals = compress_evolve(bm, dom, mid, t).packet.transform(lam)
+        # the wrap works row by row: this row is Z(t) mid of its own grid
+        eng_vals = moved[grid.index(t)].transform(lam)
         ora = semigroup_kernel_apply(bm, mid, t, lam).values
         gap = float(np.max(np.abs(eng_vals - ora)))
         out.append(_judge("semigroup_kernel_route", gap, 1e-8))
@@ -167,10 +176,12 @@ def _decoupled_checks(sc: Scenario) -> list[CheckResult]:
     if mid.is_empty:
         mid = StepPacket.box(lo, hi, 1.0)
     ts = sc.grid("time_grid", _TIME_GRID)
-    drift = max(abs(r.packet.norm2() - mid.norm2()) for r in evolve_many(bm, dom, mid, ts))
+    # one grid for mid: the times of ts, then one period; at w = 0 the wrap
+    # and the splice work row by row
+    *evolved, period = (r.packet for r in evolve_many(bm, dom, mid, [*ts, dom.ell]))
+    drift = max(abs(g.norm2() - mid.norm2()) for g in evolved)
     out.append(_judge("decoupled_unitary", drift, 1e-10))
 
-    period = evolve(bm, dom, mid, dom.ell).packet
     gap = np.sqrt(period.distance2(mid.scale(e2pi(-bm.psi))))
     out.append(_judge("decoupled_middle_periodicity", gap, 1e-10))
 

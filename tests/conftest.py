@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from twogap import multipliers
+from twogap import batch, evolution, multipliers, packets
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.packets import VALUE_TOL, StepPacket, _sum_cells, _translates, _wider
 
@@ -143,6 +143,19 @@ def assert_same_packet(got, want):
     assert list(got.waves) == list(want.waves)
     for n, v in want.waves.items():
         assert got.waves[n].tobytes() == v.tobytes()
+
+
+def count_sweeps(monkeypatch):
+    """The list that every later canonical sweep appends its row count to."""
+    swept, sweep = [], packets._sweep
+
+    def counting(*args):
+        swept.append(args[0])
+        return sweep(*args)
+
+    for module in (evolution, batch, packets):
+        monkeypatch.setattr(module, "_sweep", counting, raising=False)
+    return swept
 
 
 def cells_in_order(pieces):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twogap import batch, cli, evolution, multipliers, packets
+from twogap import batch, cli, evolution, multipliers
 from twogap.degenerate import OneIntervalModel, OnePointModel, degenerate_evolve
 from twogap.domain import e2pi, make_boundary_matrix, make_domain
 from twogap.errors import (
@@ -37,6 +37,7 @@ from conftest import (
     apply_series,
     assert_same_packet,
     cells_in_order,
+    count_sweeps,
     cut_series,
     forbid_series,
     random_boundary,
@@ -887,23 +888,10 @@ def test_decoupled_evolve_closes_an_overlap_the_constructor_accepts():
     assert np.allclose([*got[0].lo, *got[0].hi], [1.3, 1.6, 1.6, 1.9], rtol=0.0, atol=1e-14)
 
 
-def _count_sweeps(monkeypatch):
-    """The list that every later canonical sweep appends its row count to."""
-    swept, sweep = [], packets._sweep
-
-    def counting(*args):
-        swept.append(args[0])
-        return sweep(*args)
-
-    for module in (evolution, batch, packets):
-        monkeypatch.setattr(module, "_sweep", counting, raising=False)
-    return swept
-
-
 def test_coupled_evolve_sweeps_once(monkeypatch):
     # the three rows are built in one sweep and merged with none, for one t
     # or a grid
-    swept = _count_sweeps(monkeypatch)
+    swept = count_sweeps(monkeypatch)
     bm = make_boundary_matrix(w=0.5, theta=0.15, phi=0.3, psi=0.45)
     for ts in ([7.5], [0.0, -3.0, 20.0, 7.5]):
         swept.clear()
@@ -915,7 +903,7 @@ def test_side_by_side_evolutions_never_sweep(monkeypatch):
     # the w = 0 evolution, the compressed semigroup and the point and
     # interval models only move cells past each other: their pieces merge
     # with no sweep, also where the wrap spills and where mass crosses a cut
-    swept = _count_sweeps(monkeypatch)
+    swept = count_sweeps(monkeypatch)
     dom, f = _WINDOW_DOMAIN, _WINDOW_F
     bm = make_boundary_matrix(w=0.0, theta=0.15, phi=0.3, psi=0.45)
     assert len(evolve_many(bm, dom, f, [0.3, -3.0, 20.0, 7.5])) == 4

@@ -18,7 +18,7 @@ from twogap.packets import (
     sum_packets,
 )
 
-from conftest import assert_same_packet
+from conftest import assert_same_packet, count_sweeps
 
 finite = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 small_complex = st.builds(
@@ -522,6 +522,44 @@ def test_train_with_empty_body_is_its_head():
     assert t.distance2(g) == _HEAD.distance2(g)
     assert t.max_abs() == _HEAD.max_abs()
     assert t.materialize(5) is _HEAD
+
+
+def test_train_distance_sweeps_once(monkeypatch):
+    # both heads and every term of both bodies that reaches the cut's near
+    # side and window go into one sweep; the norms read it with no other
+    swept = count_sweeps(monkeypatch)
+    for step in (1.0, -1.0):
+        t, u = _train(step), _train(step, head=_BODY, body=_HEAD).translate(0.3)
+        swept.clear()
+        t.distance2(u)
+        assert swept == [1]
+        swept.clear()
+        _BODY.distance2(t)  # a packet's distance to a train takes the same route
+        assert swept == [1]
+
+
+@st.composite
+def train_pairs(draw):
+    """Two trains of one random ratio (|ratio| <= 0.9), step of either sign
+    and leak; heads and bodies of up to three boxes of frequency -1 to 2,
+    any of them possibly empty."""
+    def part():
+        cells = st.tuples(finite, st.floats(0.01, 5.0), small_complex, st.integers(-1, 2))
+        return sum_packets([StepPacket.box(a, a + w, v, freq=n) for a, w, v, n in draw(st.lists(cells, max_size=3))])
+
+    ratio = draw(st.floats(0.0, 0.9)) * complex(e2pi(draw(st.floats(0.0, 1.0))))
+    step = draw(st.floats(0.2, 6.0)) * draw(st.sampled_from([1.0, -1.0]))
+    leak = 1.0 - abs(ratio) ** 2
+    return [PacketTrain(part(), part(), ratio, step, leak) for _ in range(2)]
+
+
+@given(train_pairs())
+@settings(max_examples=300, deadline=None)
+def test_train_distance_is_the_norm_of_the_difference(trains):
+    # the one-sweep distance and the difference train's norm are one number
+    # to rounding
+    a, b = trains
+    assert abs(a.distance2(b) - (a - b).norm2()) <= 1e-14 * (a.norm2() + b.norm2())
 
 
 def test_train_rejects_what_it_cannot_sum():
