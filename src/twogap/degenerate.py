@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _real_lambda, e2pi
+from .domain import _co_coupling, _real_lambda, _round_trip, e2pi
 from .batch import merge_batch
 from .errors import ValidationError
 from .evolution import _partition, _require_kept, _splice
@@ -84,7 +84,7 @@ class TwoPointsModel:
 
     @property
     def q(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.w * self.w)))
+        return _co_coupling(self.w)
 
 
 def _cut(model):
@@ -152,9 +152,9 @@ def conjugation_residual(model, f: StepPacket, t: float) -> float:
 
 
 def two_points_multiplier(model: TwoPointsModel, xi):
-    """a(xi) = (1 - q e(alpha xi)) / w."""
+    """a(xi) = (1 - q e(alpha xi)) / w, the round trip of ``domain._round_trip``."""
     xi = _real_lambda(xi)
-    return (1.0 - model.q * e2pi(model.alpha * xi)) / model.w
+    return _round_trip(model.w, model.q, model.alpha * xi) / model.w
 
 
 def two_points_abs2_routes(model: TwoPointsModel, xi_grid):

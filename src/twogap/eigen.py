@@ -16,6 +16,11 @@ so |a| = |c| =: m(lambda), bounded between w/2 and 2/w.  The transfer factor
 
 collects the round-trip geometric series inside the middle interval, and
 the scattering coefficient is the unimodular quotient S(lambda) = c/a.
+All three read one round-trip factor D = 1 - q e(ell lambda - psi), from
+``domain._round_trip``, which writes it without cancellation near the
+spikes: a carries D, c carries conj(D) (for real x, 1 - q e(-x) is
+conj(1 - q e(x))), and H = 1/D.  ``eigen_coeffs_solve`` and
+``eigen_residual`` do not read it: they are the independent routes.
 
 At w = 0 the middle interval decouples: bound states on the lattice
 (psi + n)/ell plus a two-sided continuum family supported on the half-lines.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoundaryMatrix, ExteriorDomain, Region, classify_point, e2pi
-from .domain import _lambda_rule, _require_coupled
+from .domain import _lambda_rule, _require_coupled, _round_trip
 from .errors import NotDecoupled, OutOfDomain, ValidationError
 
 __all__ = [
@@ -68,11 +73,11 @@ def transfer_H(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
 def eigen_coeffs(bm: BoundaryMatrix, domain: ExteriorDomain, lam) -> EigenCoefficients:
     """Closed-form coefficients a, c plus H and the modulus m = |a| = |c|."""
     _require_coupled(bm, "eigen_coeffs")
-    w, q = bm.w, bm.q
-    ell, gap = domain.ell, domain.gap
-    inv_h = 1.0 - q * e2pi(-bm.psi + ell * lam)  # the round trip, 1 / H
+    w = bm.w
+    inv_h = _round_trip(w, bm.q, domain.ell * lam - bm.psi)  # 1 / H
     a = (e2pi(bm.phi + lam) / w) * inv_h
-    c = (e2pi(bm.phi - bm.theta - gap * lam) / w) * (1.0 - q * e2pi(bm.psi - ell * lam))
+    # 1 - q e(-x) = conj(1 - q e(x)) for real x
+    c = (e2pi(bm.phi - bm.theta - domain.gap * lam) / w) * np.conj(inv_h)
     return EigenCoefficients(lam=lam, a=a, c=c, h=1.0 / inv_h, m=np.abs(a))
 
 
@@ -182,7 +187,8 @@ def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) ->
 
     'ratio'   : c(lambda)/a(lambda) from the closed coefficient forms
     'quotient': e(-theta - (gap+1) lambda) (1 - q e(psi - ell lambda))
-                                         / (1 - q e(-psi + ell lambda))
+                                         / (1 - q e(-psi + ell lambda)),
+                that is e(-theta - (gap+1) lambda) H / conj(H)
     'split'   : direct reflection term plus the transmitted geometric
                 resonance sum, e(-theta)e(-(gap+1)lambda) w^2 H(lambda)
                 - q e(psi - theta) e(-beta lambda)
@@ -190,15 +196,9 @@ def scattering_matrix_routes(bm: BoundaryMatrix, domain: ExteriorDomain, lam) ->
     _require_coupled(bm, "scattering_matrix_routes")
     co = eigen_coeffs(bm, domain, lam)  # one call gives a, c and H
     q, w = bm.q, bm.w
-    ell, gap, beta = domain.ell, domain.gap, domain.beta
-    quotient = (
-        e2pi(-bm.theta - (gap + 1.0) * lam)
-        * (1.0 - q * e2pi(bm.psi - ell * lam))
-        / (1.0 - q * e2pi(-bm.psi + ell * lam))
-    )
-    split = w * w * e2pi(-bm.theta - (gap + 1.0) * lam) * co.h - q * e2pi(
-        bm.psi - bm.theta - beta * lam
-    )
+    delay = e2pi(-bm.theta - (domain.gap + 1.0) * lam)
+    quotient = delay * co.h / np.conj(co.h)  # conj(1/H) / (1/H)
+    split = w * w * delay * co.h - q * e2pi(bm.psi - bm.theta - domain.beta * lam)
     return {"ratio": co.c / co.a, "quotient": quotient, "split": split}
 
 

@@ -6,7 +6,7 @@ respect to Lebesgue measure in lambda)
 
     rho(lambda) = m(lambda)^-2
                = (1 - q^2) / (1 - 2 q cos(2 pi (ell lambda - psi)) + q^2)
-               = w^2 / ((1 - q)^2 + 4 q sin^2(pi (ell lambda - psi))),
+               = w^2 / |1 - q e(ell lambda - psi)|^2,
 
 a Poisson-kernel profile in the periodic variable ell lambda - psi with
 q = sqrt(1 - w^2).  Its mean over one period 1/ell is exactly 1, and its
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, make_boundary_matrix
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, _round_trip, make_boundary_matrix
 from .errors import ValidationError
 from .multipliers import make_multiplier
 from .quadrature import fold_nodes
@@ -42,16 +42,13 @@ __all__ = [
 def density(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
     """Spectral density m(lambda)^-2; requires w > 0.
 
-    Evaluated as w^2 / ((1 - q)^2 + 4 q sin^2(pi (ell lambda - psi))) with
-    1 - q = w^2 / (1 + q): no cancellation near the spikes, where
+    Evaluated as w^2 / |1 - q e(ell lambda - psi)|^2, the round trip read
+    from ``domain._round_trip``: no cancellation near the spikes, where
     1 - 2 q cos + q^2 would lose about 2e-16 / w^4 relative.
     """
     _require_coupled(bm, "density")
     lam = _real_lambda(lam)
-    q = bm.q
-    w2 = bm.w * bm.w
-    s = np.sin(np.pi * (domain.ell * lam - bm.psi))
-    return w2 / ((w2 / (1.0 + q)) ** 2 + 4.0 * q * s * s)
+    return bm.w * bm.w / np.abs(_round_trip(bm.w, bm.q, domain.ell * lam - bm.psi)) ** 2
 
 
 @dataclass(frozen=True)
@@ -153,11 +150,12 @@ def comb_limit_diagnostic(
         raise ValidationError("window width must be inside one period")
     records = []
     for w in w_sequence:
-        q = make_boundary_matrix(w).q
+        bm = make_boundary_matrix(w)
+        q = bm.q
         if q == 1.0:
             raise ValidationError(f"comb diagnostic needs q < 1, got w = {w!r}")
         s_half = np.pi * domain.ell * window_width  # half-window, angle units
-        amp = (1.0 + q) / (1.0 - q)
+        amp = (1.0 + q) ** 2 / (bm.w * bm.w)  # (1 + q)/(1 - q), 1 - q = w^2/(1 + q)
         mass_in = float(
             2.0 * np.arctan(amp * np.tan(s_half / 2.0)) / (np.pi * domain.ell)
         )

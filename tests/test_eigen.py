@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twogap.degenerate import TwoPointsModel, two_points_multiplier
 from twogap.domain import Region, classify_point, e2pi, make_boundary_matrix, make_domain
 from twogap.eigen import (
+    _route_spread,
     bound_state_spectrum,
     eigen_coeffs,
     eigen_coeffs_solve,
@@ -94,6 +97,35 @@ def test_scattering_unimodular_three_routes():
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 assert np.max(np.abs(vals[i] - vals[j])) < 1e-12
+
+
+@st.composite
+def spike_cases(draw):
+    """A model with w in [1e-6, 1] and random phases, alpha in [1.05, 4],
+    beta - alpha in [0.05, 3], and lambdas on a density spike
+    (psi + k)/ell, |k| <= 5, or within 1e-6 of one in the lattice variable."""
+    phase = st.floats(0.0, 1.0)
+    bm = make_boundary_matrix(draw(st.floats(1e-6, 1.0)), draw(phase), draw(phase), draw(phase))
+    alpha = draw(st.floats(1.05, 4.0))
+    dom = make_domain(alpha, alpha + draw(st.floats(0.05, 3.0)))
+    offset = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6))
+    ks = draw(st.lists(st.tuples(st.integers(-5, 5), offset), min_size=1, max_size=6))
+    return bm, dom, np.array([(bm.psi + k + d) / dom.ell for k, d in ks])
+
+
+@given(spike_cases())
+@settings(max_examples=200, deadline=None)
+def test_scattering_routes_agree_on_the_spikes(case):
+    # the routes share one cancellation-free round trip 1 - q e(x), so they
+    # agree to rounding however narrow the spike (about w^2 wide); the bound
+    # grows with the phase arguments, since e2pi(X) carries about X ulp and
+    # the largest argument here is about beta |lambda|
+    bm, dom, lam = case
+    routes = scattering_matrix_routes(bm, dom, lam)
+    assert np.max(_route_spread(routes)) <= 1e-14 * (1.0 + np.max(np.abs(lam)) * dom.beta)
+    # S = c/a; the split route subtracts two O(1) terms, and its modulus is
+    # held by the spread above
+    assert np.max(np.abs(1.0 - np.abs(routes["ratio"]))) <= 1e-15
 
 
 def test_transparent_scattering_is_pure_delay():

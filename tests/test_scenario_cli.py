@@ -248,6 +248,19 @@ def test_cli_verify_fails_the_oversized_density_row_alone(tmp_path, capsys):
     assert rows["evolution_unitary"][0] == rows["semigroup_kernel_route"][0] == "0"
 
 
+def test_cli_verify_route_spread_holds_at_weak_coupling(tmp_path, capsys):
+    # the three S-matrix routes read one cancellation-free round trip, so
+    # their spread stays at rounding where the spikes are w^2/(4 pi) wide
+    payload = json.loads((resources.files("twogap") / "scenarios/example_5_9.json").read_text())
+    payload["boundary"]["w"] = 1e-3
+    path = write(tmp_path, payload)
+    main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
+    capsys.readouterr()
+    rows = {row.split(",")[0]: row.split(",")[1:3] for row in (tmp_path / "verify.csv").read_text().splitlines()}
+    status, measured = rows["smatrix_route_spread"]
+    assert status == "0" and float(measured) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -239,14 +239,15 @@ def _check_folded_oracles(bm):
     assert np.max(np.abs(back.sample(xs) - f.sample(xs))) < 1e-12
 
 
-@pytest.mark.parametrize("w", [1.0, 0.9, 0.5, 0.2, 0.1, 0.05])
+@pytest.mark.parametrize("w", [1.0, 0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005])
 def test_folded_oracles_across_coupling(w):
     # the fold sizes its mapped rule from q, so the spikes of the density
-    # near w -> 0 cost nodes, not accuracy
+    # near w -> 0 cost nodes, not accuracy; below w = 0.005 a node near the
+    # spike, stored to ulp(psi), errs by about 1e-16 4 pi / w^2 relative
     _check_folded_oracles(make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.45))
 
 
-@pytest.mark.parametrize("w", [0.2, 0.05])
+@pytest.mark.parametrize("w", [0.2, 0.05, 0.01, 0.005])
 def test_folded_oracles_spike_on_pole(w):
     # psi = 0 puts the density spike on xi = 0, the removable pole of the
     # lattice sums, which the rule straddles with two nodes
