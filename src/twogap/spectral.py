@@ -44,11 +44,15 @@ def density(bm: BoundaryMatrix, domain: ExteriorDomain, lam):
 
     Evaluated as w^2 / |1 - q e(ell lambda - psi)|^2, the round trip read
     from ``domain._round_trip``: no cancellation near the spikes, where
-    1 - 2 q cos + q^2 would lose about 2e-16 / w^4 relative.
+    1 - 2 q cos + q^2 would lose about 2e-16 / w^4 relative.  |D|^2 is
+    written as re*re + im*im: a float64 scalar ``** 2`` goes through pow and
+    can differ by one ulp from the array square, which would break the
+    lambda rule.
     """
     _require_coupled(bm, "density")
     lam = _real_lambda(lam)
-    return bm.w * bm.w / np.abs(_round_trip(bm.w, bm.q, domain.ell * lam - bm.psi)) ** 2
+    d = _round_trip(bm.w, bm.q, domain.ell * lam - bm.psi)
+    return bm.w * bm.w / (d.real * d.real + d.imag * d.imag)
 
 
 @dataclass(frozen=True)
