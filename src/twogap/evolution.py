@@ -21,7 +21,7 @@ Propagation is finite: by time t only about |t| / ell reflections have
 happened.  So the finite-time routines (``evolve_many``, ``evolve``,
 ``block_matrix_entry``, ``correlation``, ``cesaro_decay``) give ``block_row``
 the span of times a row serves; it applies only the lattice terms that reach
-the component over that span: exact finite sums with truncation 0, at a
+the component over that span: exact finite sums, with no truncation, at a
 cost that follows the reflections, not w.  ``evolve_many`` builds its three
 rows once per time grid in one sweep; shifted, each lies on its own
 component, so they add with no sweep (``batch.merge_batch``).
@@ -114,11 +114,10 @@ def _require_kept(f: StepPacket, removed, what: str, where: str) -> None:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Evolved packet plus its series-truncation budget (0 when exact)."""
+    """Evolved packet at time t."""
 
     packet: StepPacket
     t: float
-    truncation: float
 
 
 def _finite_time(t) -> float:
@@ -228,7 +227,7 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
     broadcast, and each t merges its rows (``batch.merge_batch``, no sweep).
     At w = 0 no row is built and nothing is swept: the pieces of the middle
     wrap and of the half-line splice, for the whole grid, merge the same
-    way.  Exact (truncation 0).  An empty ``ts`` raises ValidationError.
+    way.  Exact, with no truncation.  An empty ``ts`` raises ValidationError.
     """
     ts = [_finite_time(t) for t in ts]
     if not ts:
@@ -244,7 +243,7 @@ def evolve_many(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, ts) -
         g = PacketBatch.tile(rows, len(ts)).translate(np.repeat(ts, 3)).restrict(*clip)
         pieces = [PacketBatch(len(ts), g.row // 3, g.lo, g.hi, g.waves)]
     moved = merge_batch(pieces).packets()
-    return [EvolutionResult(g, t, 0.0) for g, t in zip(moved, ts)]
+    return [EvolutionResult(g, t) for g, t in zip(moved, ts)]
 
 
 def evolve(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket, t: float) -> EvolutionResult:
@@ -366,7 +365,9 @@ def correlation(
     g: StepPacket,
     t: float,
 ) -> complex:
-    """<f, U(t) g> (conjugate-first pairing)."""
+    """<f, U(t) g> (conjugate-first pairing).  Obstacle mass on f or g
+    raises SupportViolation (``decompose``)."""
+    decompose(f, domain)
     return f.inner(evolve(bm, domain, g, t).packet)
 
 
@@ -388,6 +389,7 @@ def cesaro_decay(
     built once, on the window |t| <= max T reaches, where f has mass; no
     ``evolve`` or ``inner`` per panel, O(pairs log pairs).  A float for one
     horizon, else an array in input order; exactly 0 if no pair meets.
+    Obstacle mass on f or g raises SupportViolation (``decompose``).
     """
     _require_steps("cesaro_decay", f, g)
     horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
@@ -395,7 +397,7 @@ def cesaro_decay(
         raise ValidationError("Cesàro horizons must be positive and finite")
     reach = float(np.max(horizons))
     # cells whose values all vanish carry no frequency: no row for them
-    f_parts = {tag: f.restrict(*domain.component(tag)) for tag in COMPONENTS}
+    f_parts = dict(zip(COMPONENTS, decompose(f, domain)))
     tags = [tag for tag in COMPONENTS if f_parts[tag].waves]
     rows = _block_rows(bm, domain, decompose(g, domain), tags, (-reach, reach)).packets()
     pairs = [[np.empty(0)] * 5]  # per cell pair: f cell (a, b), row cell (c, d), conj(u) v

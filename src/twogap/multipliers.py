@@ -13,8 +13,9 @@ with integer lattice indices n and step = alpha - 1.  On the spatial side
 i.e. a weighted sum of translates — exact on step packets.  The inverse
 coefficient functions are geometric series, and every series is generated
 by one routine (``_lattice_series``) over ranges of lattice indices, one
-per request; all the requests of one call read one table of
-q^m e(-m psi), m = 0 ... max |n|, whatever the sign of n or the kind.
+per request; the indices of all the requests of one call form one array,
+and each term n reads one table of q^m e(-m psi), m = 0 ... max |n|, at
+m = |n|, whatever the sign of n or the kind.
 Two routes read it exactly, with no truncation:
 
 * ``causal_terms`` keeps, for each of many (kind, support, window)
@@ -181,26 +182,28 @@ def _lattice_series(bm, domain, requests):
     (lo, hi), a float range that may be unbounded, up to the index where
     q^|n| underflows to an exact zero.
 
-    This is the one place the series coefficients are written, those of
-    every request from one table over m = 0 ... max |n|
-    (``_coefficient_table``): weight * q^m times e(-m psi) at n = m and
-    times the conjugate phase at n = -m, each with the bits of the scalar
-    weight * q**|n| * complex(e2pi(-n * psi)).  The direct reflection of
-    a scattering quotient is written apart.
+    This is the one place the series coefficients are written: the indices
+    of every request go into one array, and each term reads the one table
+    of q^m and e(-m psi) over m = 0 ... max |n| (``_coefficient_table``) at
+    m = |n|, as weight * q^m times e(-m psi), or its conjugate for n < 0, in
+    one product, with the bits of the scalar weight * q**|n| *
+    complex(e2pi(-n * psi)).  The direct reflection of a scattering quotient
+    is then written at its index.
 
     It is also the one check of every request: DegenerateRegime when q
     rounds to 1 (w = 0, or w below about 1e-8), where no series decays,
     before any reach is called; ValidationError for a name that is not one
     of the seven kinds.
 
-    Returns (heads, counts, coeffs): the (scalar, base shift, first index n)
-    and the number of terms of each request, and the coefficients c_n of
-    all requests, concatenated in request order, each ascending in n.
+    Returns (heads, counts, ns, coeffs): the (scalar, base shift) and the
+    number of terms of each request, and the lattice indices n and the
+    coefficients c_n of all requests, concatenated in request order, each
+    request's consecutive and ascending in n.
     """
     if bm.q == 1.0:
         raise DegenerateRegime(f"lattice series need q = sqrt(1 - w^2) < 1, got q = 1 at w = {bm.w!r}")
     rows, cap = _kind_terms(bm, domain), _underflow_index(bm.q)
-    plans, columns = [], {}  # columns: (weight, phase sign) -> table row
+    heads, counts, weights, runs, directs, at = [], [], [], [np.empty(0, dtype=int)], [], 0
     for kind, reach in requests:
         if kind not in MULTIPLIER_KINDS:
             raise ValidationError(f"unknown multiplier kind {kind!r}")
@@ -208,55 +211,38 @@ def _lattice_series(bm, domain, requests):
         lo, hi = reach(base)
         lo = math.floor(max(lo, -cap - 1.0))
         hi = math.ceil(min(hi, cap + 1.0))
+        start, stop = max(lo, first), min(hi, last)
         # the direct reflection at d is kept when the rounded range meets
-        # {0, d}, so a window |n| <= K holds it; the train then starts at n = 0
-        if direct is not None and not (lo <= max(direct[0], 0) and hi >= min(direct[0], 0)):
-            direct = None
-        start, stop = max(lo, first), min(hi, last)  # the terms read from the table
-        if start <= stop and start < 0:
-            columns.setdefault((weight, -1.0), len(columns))
-        if start <= stop and stop >= 0:
-            columns.setdefault((weight, 1.0), len(columns))
-        plans.append((scalar, base, weight, direct, start, stop))
-    size = 1 + max((max(-start, stop) for *_, start, stop in plans if start <= stop), default=-1)
-    mag, phase = _coefficient_table(bm.q, bm.psi, size)
-    # one product for every column: weight * q^m times e(-m psi) or its conjugate
-    keys = np.array(list(columns), dtype=float).reshape(-1, 2)
-    table = _product(keys[:, :1] * mag, 0.0, phase.real, keys[:, 1:] * phase.imag)
-
-    heads, counts, pieces = [], [], []
-    for scalar, base, weight, direct, start, stop in plans:
-        run = []  # the coefficients of the kept range, ascending in n
-        if start <= stop and start < 0:
-            run.append(table[columns[weight, -1.0], -start : max(-stop, 1) - 1 : -1])
-        if start <= stop and stop >= 0:
-            run.append(table[columns[weight, 1.0], max(start, 0) : stop + 1])
+        # {0, d}, so a window |n| <= K holds it; it lies next to the range,
+        # at d = -1 before it and at d = 1 after it
+        if direct is not None and lo <= max(direct[0], 0) and hi >= min(direct[0], 0):
+            start, stop = min(start, direct[0]), max(stop, direct[0])
+            directs.append((at + direct[0] - start, direct[1]))
         count = max(stop - start + 1, 0)
-        if direct is not None:  # at d = -1 before the range, at d = 1 after it
-            run.insert(0 if direct[0] < 0 else len(run), np.array([direct[1]]))
-            start, count = min(start, direct[0]), count + 1
-        heads.append((scalar, base, start))
+        heads.append((scalar, base))
         counts.append(count)
-        pieces += run
-    coeffs = np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
-    return heads, counts, coeffs
+        weights.append(weight)
+        runs.append(np.arange(start, start + count))
+        at += count
+    ns = np.concatenate(runs)
+    m = np.abs(ns)
+    mag, phase = _coefficient_table(bm.q, bm.psi, int(m.max()) + 1 if at else 0)
+    imag = phase.imag[m]
+    weights = np.array(weights, dtype=float).repeat(counts)
+    coeffs = _product(weights * mag[m], 0.0, phase.real[m], np.where(ns < 0, -imag, imag))
+    for i, c in directs:
+        coeffs[i] = c
+    return heads, counts, ns, coeffs
 
 
 def _term_arrays(bm, domain, requests):
     """``_lattice_series`` as arrays: (counts, ns, shifts, weights), the
-    number of terms of each request, and the lattice indices n, the spatial
-    shifts base + n * step and the weights scalar * c_n of all of them,
-    concatenated in request order, each request's ascending in n."""
-    heads, counts, coeffs = _lattice_series(bm, domain, requests)
-    scalar, base, skip, at = [], [], [], 0
-    for (c, b, first), count in zip(heads, counts):
-        scalar.append(c)
-        base.append(b)
-        skip.append(first - at)  # a term's index n less its position
-        at += count
-    ns = np.arange(at) + np.array(skip, dtype=int).repeat(counts)
-    shifts = np.array(base, dtype=float).repeat(counts) + ns * domain.ell
-    scalar = np.array(scalar, dtype=complex).repeat(counts)
+    number of terms of each request, and its lattice indices n with the
+    spatial shifts base + n * step and the weights scalar * c_n of all of
+    them, concatenated in request order, each request's ascending in n."""
+    heads, counts, ns, coeffs = _lattice_series(bm, domain, requests)
+    scalar = np.array([c for c, _ in heads], dtype=complex).repeat(counts)
+    shifts = np.array([b for _, b in heads], dtype=float).repeat(counts) + ns * domain.ell
     return counts, ns, shifts, _product(scalar.real, scalar.imag, coeffs.real, coeffs.imag)
 
 
@@ -286,10 +272,9 @@ def make_multiplier(bm: BoundaryMatrix, domain: ExteriorDomain, eps: float = 1e-
         n = _geom_terms(bm.q, eps / 2.0)
         return -n, n
 
-    ((_, _, first),), (count,), coeffs = _lattice_series(bm, domain, [("m_squared_inv", window)])
-    indices = first + np.arange(count)
+    _, _, indices, coeffs = _lattice_series(bm, domain, [("m_squared_inv", window)])
     indices.flags.writeable = coeffs.flags.writeable = False
-    tail = 2.0 * bm.q ** (1 - first) / (1.0 - bm.q) if bm.q > 0.0 else 0.0
+    tail = 2.0 * bm.q ** (1 - int(indices[0])) / (1.0 - bm.q) if bm.q > 0.0 else 0.0
     return DensityWindow(indices, coeffs, tail)
 
 

@@ -99,7 +99,7 @@ def compress_evolve_many(
 ) -> list[EvolutionResult]:
     """Z(t) f for f on the middle interval and each t >= 0 of ``ts``, in
     input order: the damped wrap (z = ``bm.b_entry`` per pass) of the whole
-    grid, its pieces merged with no sweep, exact, so the truncation is 0.
+    grid, its pieces merged with no sweep, exact, with no truncation.
     f's leak off the interval is checked once per grid; any t < 0 raises
     NegativeTime and an empty ``ts`` ValidationError."""
     ts = [_finite_time(t) for t in ts]
@@ -110,7 +110,7 @@ def compress_evolve_many(
         raise NegativeTime(f"compressed semigroup needs t >= 0, got {min(ts)}")
     f0 = _require_on(f, *domain.component("izero"), "compress_evolve input")
     moved = merge_batch(_wrap_middle(bm, domain, f0, ts)).packets()
-    return [EvolutionResult(packet=g, t=t, truncation=0.0) for g, t in zip(moved, ts)]
+    return [EvolutionResult(packet=g, t=t) for g, t in zip(moved, ts)]
 
 
 def compress_evolve(

@@ -94,8 +94,8 @@ def cut_series(bm, dom, kind, eps=1e-12):
     n = multipliers._geom_terms(q, eps / 2.0 if kind == "m_squared_inv" else eps)
     geo_tail = q ** (n + 1) / (1.0 - q) if q > 0.0 else 0.0
     factor = {"m_squared_inv": 2.0, "a_inv_c": w * w, "c_inv_a": w * w}.get(kind, w)
-    ((scalar, base, first),), _, coeffs = multipliers._lattice_series(bm, dom, [(kind, lambda base: (-n, n))])
-    return CutSeries(scalar, base, dom.ell, first, coeffs, factor * geo_tail)
+    ((scalar, base),), _, ns, coeffs = multipliers._lattice_series(bm, dom, [(kind, lambda base: (-n, n))])
+    return CutSeries(scalar, base, dom.ell, int(ns[0]), coeffs, factor * geo_tail)
 
 
 def apply_series(m, f):

@@ -82,7 +82,6 @@ def test_unitarity_and_group_law_battery():
         n2 = f.norm2()
         for t in (-2.3, -0.4, 0.7, 3.1):
             res = evolve(bm, dom, f, t)
-            assert res.truncation == 0.0
             assert abs(res.packet.norm2() - n2) < 1e-10 * max(1.0, n2)
         for s, t in ((0.6, 1.1), (-0.9, 2.4), (1.7, -1.7)):
             two_step = evolve(bm, dom, evolve(bm, dom, f, t).packet, s).packet
@@ -464,6 +463,20 @@ def test_error_paths():
         cesaro_decay(bm, dom, f, f, [0.0])
 
 
+def test_correlations_apply_the_leak_rule_to_both_packets():
+    # f carries mass 15 on [0, 1]: refused whichever side it pairs on, as
+    # g's is, not restricted away in silence
+    bm = make_boundary_matrix(w=0.5, theta=0.1, phi=0.2, psi=0.3)
+    dom = make_domain(2.0, 3.0)
+    g = StepPacket.box(-2.0, -1.0, 1.0)
+    f = g + StepPacket.box(0.2, 0.8, 5.0)
+    for left, right in ((f, g), (g, f)):
+        with pytest.raises(SupportViolation, match="off the domain"):
+            cesaro_decay(bm, dom, left, right, [5.0])
+        with pytest.raises(SupportViolation, match="off the domain"):
+            correlation(bm, dom, left, right, 1.0)
+
+
 def test_leak_rule_bound_is_relative_to_the_norm():
     # ||f||^2 = 1e6: obstacle mass 5e-7 (5e-13 relative) passes, 2e-6 raises;
     # mass on either removed interval counts, and the parts stay exact
@@ -529,7 +542,6 @@ def test_window_matches_full_series():
                 [rows[d].translate(t).restrict(*dom.component(d)) for d in _COMPONENTS]
             )
             for res in (evolve(bm, dom, f, t), on_grid):
-                assert res.truncation == 0.0
                 assert np.sqrt(res.packet.distance2(ref)) <= 1e-14 * scale + budget
 
 
@@ -568,7 +580,6 @@ def test_evolve_cost_follows_reflections(monkeypatch):
     bm = make_boundary_matrix(w=0.05, theta=0.15, phi=0.3, psi=0.45)
     dom, f, t = _WINDOW_DOMAIN, _WINDOW_F, 100.0
     res = evolve(bm, dom, f, t)
-    assert res.truncation == 0.0
     width = f.support()[1] - f.support()[0]
     assert 0 < sum(applied) <= 3 * (math.ceil((abs(t) + width) / dom.ell) + 3)
 
@@ -719,7 +730,6 @@ def test_evolve_many_contracts():
         got = evolve_many(bm, dom, f, ts)
         assert [r.t for r in got] == ts
         for t, res in zip(ts, got):
-            assert res.truncation == 0.0
             one = evolve(bm, dom, f, t).packet
             assert np.sqrt(res.packet.distance2(one)) <= 1e-14 * scale
         assert got[0].packet.distance2(got[3].packet) == 0.0
@@ -1077,8 +1087,7 @@ def test_cesaro_contracts():
     # the longer horizon meets the rows; the shorter one still reads 0
     avgs = cesaro_decay(bm, dom, f, g, [10.0, 1.0])
     assert avgs[0] > 0.0 and avgs[1] == 0.0
-    zero = StepPacket.box(2.5, 3.0, 1.0)  # on the obstacle [alpha, beta]
-    assert cesaro_decay(bm, dom, zero, g, [2.0]) == 0.0
+    assert cesaro_decay(bm, dom, StepPacket.zero(), g, [2.0]) == 0.0
     assert cesaro_decay(bm, dom, f, StepPacket.zero(), [2.0]) == 0.0
     with pytest.raises(ValidationError):
         cesaro_decay(bm, dom, StepPacket.box(-1.0, -0.5, 1.0, freq=1), g, [1.0])
