@@ -1,6 +1,6 @@
 """Quadrature helpers: Gauss-Legendre panels, the mapped rule for one
-period of the spectral density and the periodized lattice sums less their
-poles.
+period of the spectral density, the node sums of the simple-pole lattice
+sum and the squared lattice sum less its pole.
 
 Every composite Gauss-Legendre sum in the package goes through
 ``gauss_panels``.
@@ -26,6 +26,10 @@ which clusters the nodes at the spike, and takes the midpoint rule in phi
 midpoint between 0 and q the density becomes the Poisson kernel of r in phi,
 the poles of the density and of the map both sit ln(1/r) ~ w off the real
 phi axis, and N grows like ln(1/tol)/w.
+
+The point-value oracles (``semigroup``'s, the adjoint transform) read the
+simple-pole sum through ``_node_sums``; the sigma-pairings read the squared
+sum, whose double pole no cell cancels, through ``_lattice_sum2_rest``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .domain import e2pi
 from .errors import DegenerateRegime, ValidationError
 
 __all__ = [
@@ -127,8 +132,24 @@ def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
     return xi, k / (n * (k * k * cos * cos + sin * sin))
 
 
+def _node_sums(xi, wq, lattice):
+    """S0(K) = sum_j W_j e(xi_j K) and S1(K) = sum_j W_j pi cot(pi xi_j)
+    (e(xi_j K) - e(xi_j K0)), K0 the least K, for each integer K of
+    ``lattice`` and node weights W = ``wq``: the columns of a (K, 2) array.
+    As e(xi y) sum_k e(k y)/(k + xi - n) = pi e(xi (K + 1/2)) e(n {y})
+    / sin(pi xi) for K = floor(y), a cell end at y reads S1(K) + i pi S0(K)
+    and a term common to all K, which the opposite values of the two ends
+    of a cell cancel; without the K0 term the pole of cot at xi = 0 never
+    enters, as each e(xi_j K0) expm1(i 2 pi xi_j (K - K0)) is of order xi_j."""
+    base = e2pi(lattice[:1, None] * xi)
+    step = np.expm1(2j * np.pi * np.outer(lattice - lattice[:1], xi))
+    s0 = (base + base * step) @ wq
+    s1 = (base * step) @ (wq * np.pi / np.tan(np.pi * xi))
+    return np.stack([s0, s1], axis=1)
+
+
 # Taylor coefficients of (u - sin u)/u^3 in powers of u^2: 14 terms reach
-# full precision for |u| <= pi, the widest argument the lattice rests pass
+# full precision for |u| <= pi, the widest argument the squared rest passes
 _U_MINUS_SIN = [(-1) ** k / math.factorial(2 * k + 3) for k in range(14)]
 
 
@@ -145,12 +166,10 @@ def _u_minus_sin(u):
 
 
 class _LatticeNodes(NamedTuple):
-    """The factors of the lattice rests that depend on the nodes alone, for
-    u = pi xi: computed once per node set, shared by every y."""
+    """The factors of the squared lattice rest that depend on the nodes
+    alone, for u = pi xi: computed once per node set, shared by every y."""
 
     u: np.ndarray
-    u_minus_sin: np.ndarray  # u - sin u
-    u_sin: np.ndarray  # u sin u
     sin2: np.ndarray  # sin^2 u
     real0: np.ndarray  # d (2u - d) / u^2, d = u - sin u
 
@@ -159,23 +178,7 @@ def _lattice_nodes(xi) -> _LatticeNodes:
     """``_LatticeNodes`` of the nodes xi, 0 < |xi| <= 1/2."""
     u = np.pi * np.asarray(xi, dtype=float)
     d = _u_minus_sin(u)
-    sin = np.sin(u)
-    return _LatticeNodes(u, d, u * sin, sin * sin, d * (2.0 * u - d) / (u * u))
-
-
-def _lattice_sum_rest(y, nodes: _LatticeNodes):
-    """sum_{k != 0} e(k y)/(k + xi): the lattice sum less its k = 0 term 1/xi,
-    for 0 < |xi| <= 1/2 (``nodes`` of the xi), with the pole removed
-    analytically; y broadcasts against the nodes.
-
-    With u = pi xi and s = 1 - 2 {y} it equals
-    pi (u - sin u - 2 u sin^2(u s / 2) + i u sin(u s)) / (u sin u).
-    """
-    u = nodes.u
-    y = np.asarray(y, dtype=float)
-    us = u * (1.0 - 2.0 * (y - np.floor(y)))
-    num = nodes.u_minus_sin - 2.0 * u * np.sin(0.5 * us) ** 2 + 1j * u * np.sin(us)
-    return np.pi * num / nodes.u_sin
+    return _LatticeNodes(u, np.sin(u) ** 2, d * (2.0 * u - d) / (u * u))
 
 
 def _lattice_sum2_rest(y, nodes: _LatticeNodes):

@@ -31,8 +31,8 @@ e(xi floor(y)) on the nodes, so both oracles read the two node sums
 K = floor(y), and everything else per point or per lambda: the space oracle
 costs O(K count x nodes + points x ends), the kernel oracle O(nodes + ends x
 lambdas).  The pole of cot at xi = 0 cancels between the two ends of each
-cell; ``_node_sums`` cancels it analytically.  Nothing in the oracles
-touches the packet engine.
+cell; ``quadrature._node_sums`` cancels it analytically.  Nothing in the
+oracles touches the packet engine.
 
 The module also carries three resolvent routes on x in [1, alpha], each
 exact through the one per-cell Laplace integral ``_cell_laplace``: the plain
@@ -61,7 +61,7 @@ from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, _finite_time, _partition, _require_kept, _wrap_middle, block_row
 from .packets import StepPacket
-from .quadrature import fold_nodes
+from .quadrature import _node_sums, fold_nodes
 from .spectral import density
 from .transform import TransformSample, _cell_ends
 
@@ -125,7 +125,7 @@ def compress_evolve(
 
 
 # ----------------------------------------------------------------------
-# folded-lattice oracles: shared node sums, then the kernel form
+# folded-lattice oracles: the fold rule, then the kernel form
 # ----------------------------------------------------------------------
 
 
@@ -134,21 +134,6 @@ def _fold_rule(bm, span):
     folded integrand below is periodic in xi, so the window is immaterial."""
     xi, wq = fold_nodes(bm, span=span)
     return xi, wq * density(bm, _UNIT_DOMAIN, xi)
-
-
-def _node_sums(xi, wq, lattice):
-    """S0(K) = sum_j W_j e(xi_j K) and S1(K) = sum_j W_j pi cot(pi xi_j)
-    (e(xi_j K) - e(xi_j K0)), K0 the least K, for each integer K of
-    ``lattice``: the columns of a (K, 2) array.  The two ends of a cell carry
-    opposite values at one frequency, so a term common to all K drops out of
-    every oracle sum; without the K0 term the pole of cot at xi = 0 never
-    enters, as each difference e(xi_j K0) expm1(i 2 pi xi_j (K - K0)) is of
-    order xi_j."""
-    base = e2pi(lattice[:1, None] * xi)
-    step = np.expm1(2j * np.pi * np.outer(lattice - lattice[:1], xi))
-    s0 = (base + base * step) @ wq
-    s1 = (base * step) @ (wq * np.pi / np.tan(np.pi * xi))
-    return np.stack([s0, s1], axis=1)
 
 
 def _kernel_transform_oracle(bm, f_centered, t, lam):
@@ -270,10 +255,12 @@ def norm_decay_profile(
     data), so each of the two pieces integrates as its length times its
     midpoint value.  With t = k + r (0 <= r < 1) the exact profile is
     q^(2k) (1 - r) + q^(2k+2) r; the reference column max(1-t, 0) is that
-    only in the transparent case w = 1.
+    only in the transparent case w = 1.  An empty grid is a ValidationError.
     """
     _require_coupled(bm, "norm_decay_profile")
     t_grid = np.array([_finite_time(t) for t in np.atleast_1d(t_grid)])
+    if not len(t_grid):
+        raise ValidationError("norm_decay_profile needs at least one time")
     if np.any(t_grid < 0):
         raise NegativeTime("profile times must be >= 0")
     f = StepPacket.box(-0.5, 0.5, 1.0, freq=int(n))
@@ -330,14 +317,21 @@ class SampledProfile:
     values: np.ndarray
 
 
-def _x_points(domain, x_grid):
-    """x_grid as a 1-d float array; ValidationError unless every point is a
-    number in the closed middle interval [1, alpha], where Z(t) f lives."""
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+def _resolvent_input(domain, lam, f, x_grid):
+    """Complex lam (Re > 0), f on (1, alpha) (the leak rule) and x_grid as a
+    1-d float array, ValidationError unless it is not empty and every point
+    is a number in [1, alpha], where Z(t) f lives."""
+    lam = complex(lam)
+    if lam.real <= 0:
+        raise HalfPlaneViolation("resolvent needs Re lambda > 0")
     lo, hi = domain.component("izero")
+    f0 = _require_on(f, lo, hi, "resolvent input")
+    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if not x_grid.size:
+        raise ValidationError("resolvent needs at least one point")
     if not np.all((x_grid >= lo) & (x_grid <= hi)):
         raise ValidationError(f"resolvent points must lie in [{lo:g}, {hi:g}]")
-    return x_grid
+    return lam, f0, x_grid
 
 
 def spatial_resolvent(
@@ -347,11 +341,7 @@ def spatial_resolvent(
 
         (R(lam) f)(x) = int_1^x e^{-lam (x-y)} f(y) dy,   Re lam > 0.
     """
-    lam = complex(lam)
-    if lam.real <= 0:
-        raise HalfPlaneViolation("resolvent needs Re lambda > 0")
-    f0 = _require_on(f, *domain.component("izero"), "resolvent input")
-    x_grid = _x_points(domain, x_grid)
+    lam, f0, x_grid = _resolvent_input(domain, lam, f, x_grid)
     return SampledProfile(x=x_grid, values=_cell_laplace(lam, f0, x_grid, -np.inf, x_grid))
 
 
@@ -447,11 +437,7 @@ def compressed_resolvent_profile(
     it is exact per cell of the step packet E f.
     """
     _require_coupled(bm, "compressed_resolvent_profile")
-    lam = complex(lam)
-    if lam.real <= 0:
-        raise HalfPlaneViolation("resolvent needs Re lambda > 0")
-    f0 = _require_on(f, *domain.component("izero"), "resolvent input")
-    x_grid = _x_points(domain, x_grid)
+    lam, f0, x_grid = _resolvent_input(domain, lam, f, x_grid)
     t_max = -np.log(1e-12) / lam.real
     zero = StepPacket.zero()
     ef = block_row(bm, domain, (zero, f0, zero), "izero", span=(0.0, t_max))
@@ -459,21 +445,20 @@ def compressed_resolvent_profile(
     return SampledProfile(x=x_grid, values=values)
 
 
-def _compressed_resolvent_closed(bm, domain, lam, f, x_grid):
-    """Closed-form Laplace of the compressed evolution (series in k):
+def _compressed_resolvent_closed(bm, domain, lam, f0, x_grid):
+    """Closed-form Laplace of the compressed evolution (series in k) of f0
+    on the middle interval, for complex lam:
 
     R f(x) = int_1^x e^{-lam(x-y)} f(y) dy
              + (sum_{k>=1} a_k e^{-lam k ell}) int_I0 e^{-lam(x-u)} f(u) du.
     """
-    lam = complex(lam)
-    f0 = f.restrict(*domain.component("izero"))
     base = _cell_laplace(lam, f0, x_grid, -np.inf, x_grid)
     # sum_{k>=1} q^k e(-k psi) e^{-lam k ell} (the k >= 1 half of the series);
     # its first e^{-lam ell} goes into the whole-interval integral, whose
     # exponent -lam (x + ell - u) then has Re <= 0 and cannot overflow
     z = bm.b_entry * np.exp(-lam * domain.ell)
     whole = _cell_laplace(lam, f0, x_grid + domain.ell, -np.inf, np.inf)
-    return SampledProfile(x=x_grid, values=base + bm.b_entry / (1.0 - z) * whole)
+    return base + bm.b_entry / (1.0 - z) * whole
 
 
 def resolvent_comparison(
@@ -492,19 +477,21 @@ def resolvent_comparison(
     with the measured rms gap 'rescaled_discrepancy' (a reported quantity,
     not an identity: it vanishes in the transparent case and grows as w
     decreases).  Every route is exact per cell; x must lie in [1, alpha].
+    The input is checked once, by the Laplace route, and shared.
     """
     laplace = compressed_resolvent_profile(bm, domain, lam, f, x_grid)
-    closed = _compressed_resolvent_closed(bm, domain, lam, f, laplace.x)
+    lam, x_grid = complex(lam), laplace.x
+    f0 = f.restrict(*domain.component("izero"))  # bit for bit what the check kept
+    closed = _compressed_resolvent_closed(bm, domain, lam, f0, x_grid)
     m0 = float(np.abs(eigen_coeffs(bm, domain, 0.0).a))
-    rescaled = spatial_resolvent(domain, complex(lam) * m0**2, f, laplace.x)
-    gap_routes = float(np.max(np.abs(laplace.values - closed.values)))
-    diff = laplace.values - rescaled.values
-    rms = float(np.sqrt(np.mean(np.abs(diff) ** 2)))
+    rescaled = _cell_laplace(lam * m0**2, f0, x_grid, -np.inf, x_grid)
+    gap_routes = float(np.max(np.abs(laplace.values - closed)))
+    rms = float(np.sqrt(np.mean(np.abs(laplace.values - rescaled) ** 2)))
     return {
-        "x": laplace.x,
+        "x": x_grid,
         "laplace": laplace.values,
-        "closed_form": closed.values,
-        "rescaled_spatial": rescaled.values,
+        "closed_form": closed,
+        "rescaled_spatial": rescaled,
         "laplace_vs_closed": gap_routes,
         "rescaled_discrepancy": rms,
         "m0_squared": m0**2,

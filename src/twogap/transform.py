@@ -13,11 +13,13 @@ summed over k in closed form by lattice sums) and integrate that period by
 the mapped midpoint rule of ``quadrature.fold_nodes``, whose nodes cluster
 at the density spike, O(1/w) of them: no window, no tails.
 Both pairings are sums over pairs of cell ends, and ``_pair_rest`` sums
-their lattice rest over one flat list of pairs: ``cross_term`` lists every
-pair (p, r), ``sigma_norm2`` only the Hermitian half p <= r, since for
-g = f the (r, p) term is the conjugate of the (p, r) term.
+their squared lattice sum, less its double pole, over one flat list of
+pairs: ``cross_term`` lists every pair (p, r), ``sigma_norm2`` only the
+Hermitian half p <= r, since for g = f the (r, p) term is the conjugate of
+the (p, r) term.
 The adjoint has this one route: it reconstructs V* V f for the source packet
-f of a ``forward_transform`` sample, on the cells of f, in one sweep.
+f of a ``forward_transform`` sample, on the cells of f, in one sweep, from
+the node sums of ``semigroup``'s space oracle (``quadrature._node_sums``).
 
 Only frequency-0 packets (plain steps) are supported; that is all the
 cross-checks need.
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, classify_point, e2pi
+from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi
 from .eigen import eigen_coeffs
 from .errors import ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
 from .packets import StepPacket, _sum_cells
-from .quadrature import _lattice_nodes, _lattice_sum2_rest, _lattice_sum_rest, fold_nodes
+from .quadrature import _lattice_nodes, _lattice_sum2_rest, _node_sums, fold_nodes
 
 __all__ = [
     "TransformSample",
@@ -47,10 +49,10 @@ __all__ = [
 # reconstruction points per cell of the adjoint transform
 _SUBDIVIDE = 4
 
-# most (pairs x nodes) or (points x ends x nodes) elements in one block of a
-# lattice-rest array: a block's temporaries then peak near 0.3 MB, where
-# whole (ends x ends x nodes) arrays (6 x 6 ends, 277 nodes) raise the
-# process's peak memory by about 0.4 MB
+# most (pairs x nodes) elements in one block of a squared lattice-rest
+# array: a block's temporaries then peak near 0.3 MB, where whole (ends x
+# ends x nodes) arrays (6 x 6 ends, 277 nodes) raise the process's peak
+# memory by about 0.4 MB
 _BLOCK = 1 << 11
 
 
@@ -95,18 +97,17 @@ def _cell_ends(packet):
 
     A cell (u, v) carrying value * e(n x) transforms to
     value (e((n - lambda) u) - e((n - lambda) v)) / (i 2 pi (lambda - n));
-    the expansion enumerates (u, +value, n) and (v, -value, n).
+    the expansion enumerates (u, +value, n) and (v, -value, n), cell by
+    cell, frequencies ascending, for every nonzero value.
     """
-    pos, val, freq = [], [], []
-    for u, v, stack in packet.cells():
-        for n, x in stack.items():
-            pos.extend((u, v))
-            val.extend((x, -x))
-            freq.extend((n, n))
+    freqs = np.array(list(packet.waves), dtype=int)
+    table = np.array(list(packet.waves.values()), dtype=complex).reshape(len(freqs), packet.n_cells)
+    cell, k = np.nonzero(table.T)
+    x = table[k, cell]
     return (
-        np.asarray(pos, dtype=float),
-        np.asarray(val, dtype=complex),
-        np.asarray(freq, dtype=int),
+        np.stack([packet.lo[cell], packet.hi[cell]], axis=1).ravel(),
+        np.stack([x, -x], axis=1).ravel(),
+        np.repeat(freqs[k], 2),
     )
 
 
@@ -261,12 +262,11 @@ def adjoint_transform(
 
         (t_r / 2 pi i) int amp_d conj(amp_j) e(xi y) sum_k e(k y)/(k + xi) d xi
 
-    with y = (x - r + b_d - b_j)/ell; the k = 0 terms of all ends together
-    are the closed-form transform of f at lambda = xi/ell, one (points x
-    nodes) product.  The rests go as (points x ends x nodes) blocks of at
-    most _BLOCK elements, as in ``_pair_rest``: O(points x ends x nodes)
-    arithmetic with no loop over points.  The subcells of all cells, with
-    their values, go through one sweep (``packets._sum_cells``).
+    with y = (x - r + b_d - b_j)/ell, that is (t_r / 2 pi i) (S1 + i pi
+    S0)(floor(y)) for the node sums of ``quadrature._node_sums`` with weights
+    wq amp_d conj(amp_j), formed once per component pair (d, j) that occurs:
+    O(floor(y) count x nodes + points x ends).  The subcells of all cells,
+    with their values, go through one sweep (``packets._sum_cells``).
     """
     _require_coupled(bm, "adjoint_transform")
     f = sample.source
@@ -277,35 +277,31 @@ def adjoint_transform(
     edges = np.linspace(f.lo, f.hi, _SUBDIVIDE + 1, axis=1)
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     xs = 0.5 * (lo + hi)
-    dest = np.array([_component_index(domain, x) for x in xs])
+    dest = _component_indices(domain, xs)
 
-    f_parts = decompose(f, domain)
-    j, pos, val = _shifted_ends(domain, f_parts)
-    x_b = xs + _offsets(domain)[dest]
-    y = (x_b[:, None] - pos[None, :]) / domain.ell
-    xi, wq, co, amp = _fold(bm, domain, y)
-
-    lam = xi / domain.ell
-    # k = 0: (V f) A_d m^-2 e(lambda x) = (V f) amp_d e(lambda (x + b_d)) / m
-    gvals = wq * _transform_values(co, f_parts, lam) / (domain.ell * np.abs(co.a))
-    d_amp = amp[dest]
-    values = (d_amp * e2pi(x_b[:, None] * lam)) @ gvals
-    # k != 0: (points x ends x nodes) blocks, each weighted and summed in place
-    nodes = _lattice_nodes(xi)
-    f_amp = val[:, None] * np.conj(amp[j])
-    d_amp *= wq
-    for rows in _blocks(len(xs), len(pos) * len(xi)):
-        y_b = y[rows, :, None]
-        terms = e2pi(y_b * xi) * _lattice_sum_rest(y_b, nodes)
-        terms *= f_amp
-        terms *= d_amp[rows, None, :]
-        values[rows] += terms.sum(axis=(1, 2)) / (2j * np.pi)
+    comp, pos, val = _shifted_ends(domain, decompose(f, domain))
+    y = ((xs + _offsets(domain)[dest])[:, None] - pos) / domain.ell
+    xi, wq, _, amp = _fold(bm, domain, y)
+    values = np.zeros(len(xs), dtype=complex)
+    for d in range(len(COMPONENTS)):
+        rows = np.flatnonzero(dest == d)
+        for j in range(len(COMPONENTS)):
+            ends = np.flatnonzero(comp == j)
+            if len(rows) and len(ends):
+                lattice, at = np.unique(np.floor(y[rows[:, None], ends]), return_inverse=True)
+                s0, s1 = _node_sums(xi, wq * amp[d] * np.conj(amp[j]), lattice).T
+                g = (s1 + 1j * np.pi * s0)[at.reshape(len(rows), len(ends))]
+                values[rows] += g @ val[ends]
+    values /= 2j * np.pi
     return StepPacket(*_sum_cells([(lo, hi, {0: values})]), _trusted=True)
 
 
-def _component_index(domain, x):
-    """Index in COMPONENTS of the component holding a reconstruction point."""
-    tag = classify_point(domain, float(x)).value
-    if tag not in COMPONENTS:
-        raise ValidationError(f"reconstruction point {x} is not in the domain")
-    return COMPONENTS.index(tag)
+def _component_indices(domain, xs):
+    """Index in COMPONENTS of the component holding each reconstruction
+    point; ValidationError for a point on an obstacle or its boundary."""
+    ends = np.array([0.0, 1.0, domain.alpha, domain.beta])
+    above = np.sum(xs[:, None] > ends, axis=1)
+    off = (above % 2 == 1) | np.any(xs[:, None] == ends, axis=1)
+    if np.any(off):
+        raise ValidationError(f"reconstruction point {xs[off][0]} is not in the domain")
+    return above // 2

@@ -540,6 +540,20 @@ def test_error_paths():
         norm_decay_profile(bm, 0, [-0.5])
 
 
+def test_norm_decay_profile_refuses_an_empty_grid():
+    with pytest.raises(ValidationError, match="at least one time"):
+        norm_decay_profile(make_boundary_matrix(w=0.7), 0, [])
+
+
+def test_resolvent_routes_refuse_an_empty_grid():
+    dom = make_domain(2.0, 3.0)
+    f = StepPacket.box(1.2, 1.8, 1.0)
+    with pytest.raises(ValidationError, match="at least one point"):
+        resolvent_comparison(make_boundary_matrix(w=0.7), dom, 1.0 + 0.5j, f, [])
+    with pytest.raises(ValidationError, match="at least one point"):
+        spatial_resolvent(dom, 1.0 + 0.5j, f, [])
+
+
 def test_oracles_integrate_the_restricted_packet():
     # a sliver on [alpha, beta] whose norm^2 of 1e-13 passes the leak rule:
     # every route must integrate the restricted packet, not the sliver

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twogap
-from twogap import transform
-from twogap.domain import e2pi, make_boundary_matrix, make_domain
+from twogap import quadrature, transform
+from twogap.domain import classify_point, e2pi, make_boundary_matrix, make_domain
 from twogap.eigen import eigenfunction_eval
 from twogap.errors import DegenerateRegime, ValidationError
-from twogap.evolution import evolve
+from twogap.evolution import COMPONENTS, evolve
 from twogap.packets import StepPacket
 from twogap.transform import (
     TransformSample,
@@ -261,6 +261,52 @@ def test_cross_term_matches_plain_rule(monkeypatch, w):
     mapped = cross_term(bm, dom, f, g)
     monkeypatch.setattr(transform, "fold_nodes", plain_fold_nodes)
     assert abs(mapped - cross_term(bm, dom, f, g)) < 1e-12
+
+
+def test_adjoint_reads_one_node_sum_per_component_pair(monkeypatch):
+    # the adjoint folds once and reads the node sums of the space oracle
+    # once per (point component, end component) pair; _FOLD_F has cells on
+    # all three components, so nine pairs occur
+    calls = {"fold": 0, "sums": 0}
+
+    def counted_fold(*args, **kwargs):
+        calls["fold"] += 1
+        return quadrature.fold_nodes(*args, **kwargs)
+
+    def counted_sums(*args, **kwargs):
+        calls["sums"] += 1
+        return quadrature._node_sums(*args, **kwargs)
+
+    bm = make_boundary_matrix(0.3, theta=0.15, phi=0.3, psi=0.45)
+    sample = forward_transform(bm, _FOLD_DOMAIN, _FOLD_F, [0.0])
+    monkeypatch.setattr(transform, "fold_nodes", counted_fold)
+    monkeypatch.setattr(transform, "_node_sums", counted_sums)
+    adjoint_transform(bm, _FOLD_DOMAIN, sample)
+    assert calls == {"fold": 1, "sums": 9}
+    calls.update(fold=0, sums=0)
+    middle = _FOLD_F.restrict(1.0, 2.0)
+    adjoint_transform(bm, _FOLD_DOMAIN, forward_transform(bm, _FOLD_DOMAIN, middle, [0.0]))
+    assert calls == {"fold": 1, "sums": 1}
+
+
+def test_adjoint_of_the_zero_packet_is_zero(generic):
+    # V* V 0 = 0: no cell, no reconstruction point
+    bm, dom = generic
+    back = adjoint_transform(bm, dom, forward_transform(bm, dom, StepPacket.zero(), [0.0]))
+    assert back.is_empty
+
+
+def test_component_indices_follow_classify_point():
+    dom = _FOLD_DOMAIN
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([rng.uniform(-2.0, 6.0, 200), [-1e-300, 1.0 + 1e-15, np.nextafter(dom.beta, 9.0)]])
+    inside = np.array([classify_point(dom, x).value in COMPONENTS for x in xs])
+    got = transform._component_indices(dom, xs[inside])
+    assert got.tolist() == [COMPONENTS.index(classify_point(dom, x).value) for x in xs[inside]]
+    # a point on an obstacle or one of its four ends is not in the domain
+    for x in xs[~inside].tolist() + [0.0, 1.0, dom.alpha, dom.beta]:
+        with pytest.raises(ValidationError, match="not in the domain"):
+            transform._component_indices(dom, np.array([1.5, x]))
 
 
 @st.composite
