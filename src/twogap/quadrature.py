@@ -1,6 +1,6 @@
 """Quadrature helpers: Gauss-Legendre panels, the mapped rule for one
-period of the spectral density, the node sums of the simple-pole lattice
-sum and the squared lattice sum less its pole.
+period of the spectral density and the node sums of the simple-pole
+lattice sum.
 
 Every composite Gauss-Legendre sum in the package goes through
 ``gauss_panels``.
@@ -28,15 +28,16 @@ the poles of the density and of the map both sit ln(1/r) ~ w off the real
 phi axis, and N grows like ln(1/tol)/w.
 
 The point-value oracles (``semigroup``'s, the adjoint transform) read the
-simple-pole sum through ``_node_sums``; the sigma-pairings read the squared
-sum, whose double pole no cell cancels, through ``_lattice_sum2_rest``.
+simple-pole sum through ``_node_sums``.  The sigma-pairings read the
+a-derivative: once the cell ends' pole parts cancel, it is a polynomial in
+e(xi), so ``transform`` integrates it as ramp sums over the Fourier
+coefficients sum wq W e(n xi) of the weight W on the nodes of this rule.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -77,6 +78,8 @@ def gauss_panels(fn, edges):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValidationError("panel edges must be increasing")
+    if not np.all(np.isfinite(edges)):
+        raise ValidationError("panel edges must be finite")
     nodes, weights = _gauss_rule()
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -104,7 +107,12 @@ def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
     least count that meets tol at the best a of ``_STRIP_FRACTIONS``.  At
     q = 0 (w = 1) the map is a rotation and the integrand a trigonometric
     polynomial of degree at most span, so N = ceil(span) + 2 is exact.
+    ValidationError unless 0 < tol < 1 and span is finite and >= 0.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"the fold rule needs a tolerance in (0, 1), got tol={tol}")
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ValidationError(f"the fold rule needs a finite span >= 0, got span={span}")
     q = bm.q
     if not 0.0 <= q < 1.0:
         raise DegenerateRegime(f"the fold rule needs 0 <= q < 1 (w > 0), got q={q}")
@@ -146,53 +154,3 @@ def _node_sums(xi, wq, lattice):
     s0 = (base + base * step) @ wq
     s1 = (base * step) @ (wq * np.pi / np.tan(np.pi * xi))
     return np.stack([s0, s1], axis=1)
-
-
-# Taylor coefficients of (u - sin u)/u^3 in powers of u^2: 14 terms reach
-# full precision for |u| <= pi, the widest argument the squared rest passes
-_U_MINUS_SIN = [(-1) ** k / math.factorial(2 * k + 3) for k in range(14)]
-
-
-def _u_minus_sin(u):
-    """u - sin(u) to full relative precision for |u| <= pi, by Horner's rule
-    on its Taylor series (no cancellation near u = 0)."""
-    u = np.asarray(u, dtype=float)
-    u2 = u * u
-    series = np.full_like(u, _U_MINUS_SIN[-1])
-    for c in _U_MINUS_SIN[-2::-1]:
-        series *= u2
-        series += c
-    return series * u2 * u
-
-
-class _LatticeNodes(NamedTuple):
-    """The factors of the squared lattice rest that depend on the nodes
-    alone, for u = pi xi: computed once per node set, shared by every y."""
-
-    u: np.ndarray
-    sin2: np.ndarray  # sin^2 u
-    real0: np.ndarray  # d (2u - d) / u^2, d = u - sin u
-
-
-def _lattice_nodes(xi) -> _LatticeNodes:
-    """``_LatticeNodes`` of the nodes xi, 0 < |xi| <= 1/2."""
-    u = np.pi * np.asarray(xi, dtype=float)
-    d = _u_minus_sin(u)
-    return _LatticeNodes(u, np.sin(u) ** 2, d * (2.0 * u - d) / (u * u))
-
-
-def _lattice_sum2_rest(y, nodes: _LatticeNodes):
-    """sum_{k != 0} e(k y)/(k + xi)^2 for 0 < |xi| <= 1/2 (``nodes`` of the
-    xi), pole removed; y broadcasts against the nodes.
-
-    The full sum, -d/dxi of the lattice sum, is pi^2 e^{i u s} (cos u - i s sin u)
-    / sin^2 u (u = pi xi, s = 1 - 2 {y}); product-to-sum identities and
-    sin x = x - (x - sin x) leave terms of order u^2 (real) and u^3 (imag).
-    """
-    u = nodes.u
-    y = np.asarray(y, dtype=float)
-    s = 1.0 - 2.0 * (y - np.floor(y))
-    below, above = u * (1.0 - s), u * (1.0 + s)
-    re = nodes.real0 - (1.0 + s) * np.sin(0.5 * below) ** 2 - (1.0 - s) * np.sin(0.5 * above) ** 2
-    im = 0.5 * ((1.0 + s) * _u_minus_sin(below) - (1.0 - s) * _u_minus_sin(above))
-    return np.pi**2 * (re + 1j * im) / nodes.sin2

@@ -12,11 +12,11 @@ fold the whole line onto one period of the density (lambda = (xi + k)/ell,
 summed over k in closed form by lattice sums) and integrate that period by
 the mapped midpoint rule of ``quadrature.fold_nodes``, whose nodes cluster
 at the density spike, O(1/w) of them: no window, no tails.
-Both pairings are sums over pairs of cell ends, and ``_pair_rest`` sums
-their squared lattice sum, less its double pole, over one flat list of
-pairs: ``cross_term`` lists every pair (p, r), ``sigma_norm2`` only the
-Hermitian half p <= r, since for g = f the (r, p) term is the conjugate of
-the (p, r) term.
+Both pairings are one sum over pairs of cell ends (``_pairing``), exact as
+ramp sums over the Fourier coefficients of the folded weight: the squared
+lattice sum of each pair, less a part that the four end pairs of each pair
+of cells cancel, is a polynomial in e(xi).  ``sigma_norm2`` is the real
+part of the pairing of f with itself.
 The adjoint has this one route: it reconstructs V* V f for the source packet
 f of a ``forward_transform`` sample, on the cells of f, in one sweep, from
 the node sums of ``semigroup``'s space oracle (``quadrature._node_sums``).
@@ -36,7 +36,7 @@ from .eigen import eigen_coeffs
 from .errors import ValidationError
 from .evolution import COMPONENTS, _require_steps, decompose
 from .packets import StepPacket, _sum_cells
-from .quadrature import _lattice_nodes, _lattice_sum2_rest, _node_sums, fold_nodes
+from .quadrature import _node_sums, fold_nodes
 
 __all__ = [
     "TransformSample",
@@ -49,11 +49,8 @@ __all__ = [
 # reconstruction points per cell of the adjoint transform
 _SUBDIVIDE = 4
 
-# most (pairs x nodes) elements in one block of a squared lattice-rest
-# array: a block's temporaries then peak near 0.3 MB, where whole (ends x
-# ends x nodes) arrays (6 x 6 ends, 277 nodes) raise the process's peak
-# memory by about 0.4 MB
-_BLOCK = 1 << 11
+# most elements in one row block of the sigma pairings' phase table e(n xi)
+_PHASE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,19 +74,9 @@ def forward_transform(
     _require_coupled(bm, "forward_transform")
     grid = np.atleast_1d(_real_lambda(grid))
     co = eigen_coeffs(bm, domain, grid)
-    vals = _transform_values(co, decompose(f, domain), grid)
+    fm, f0, fp = decompose(f, domain)
+    vals = np.conj(co.a) * fm.transform(grid) + f0.transform(grid) + np.conj(co.c) * fp.transform(grid)
     return TransformSample(grid=grid, values=vals, source=f)
-
-
-def _transform_values(co, parts, lam):
-    """(V f)(lambda) from pre-split components and the eigen coefficients
-    ``co`` at the points lambda."""
-    fm, f0, fp = parts
-    return (
-        np.conj(co.a) * fm.transform(lam)
-        + f0.transform(lam)
-        + np.conj(co.c) * fp.transform(lam)
-    )
 
 
 def _cell_ends(packet):
@@ -130,10 +117,12 @@ def _shifted_ends(domain, parts):
 
 def _fold(bm, domain, y):
     """``fold_nodes`` xi on (-1/2, 1/2], none at the pole xi = 0, for
-    integrands carrying e(xi y) for every y in the array y; their weights, the
-    eigen coefficients at lambda = xi/ell, and rows amp_i = A_i e(-b_i lambda)/m
-    of period 1, so A_i conj(A_j) m^-2 = e((b_i - b_j) lambda) amp_i conj(amp_j).
-    Each amp_i conj(amp_j) grows like one more phase off the real axis, hence
+    integrands carrying a phase e(s xi) with |s| <= max|y| for the array y:
+    e(xi y) in the adjoint, e(n xi) in the pairings' ramp sums, whose n run
+    from 1 to floor(y) (from floor(y) + 1 to 0 when y < 0); their weights
+    and rows amp_i = A_i e(-b_i lambda)/m of period 1, lambda = xi/ell, so
+    A_i conj(A_j) m^-2 = e((b_i - b_j) lambda) amp_i conj(amp_j).  Each
+    amp_i conj(amp_j) grows like one more phase off the real axis, hence
     the span max|y| + 1.
     """
     xi, wq = fold_nodes(bm, span=np.max(np.abs(y), initial=0.0) + 1.0)
@@ -141,7 +130,7 @@ def _fold(bm, domain, y):
     co = eigen_coeffs(bm, domain, lam)
     m = np.abs(co.a)
     amp = np.array([co.a, np.ones_like(m), co.c]) * e2pi(-_offsets(domain)[:, None] * lam) / m
-    return xi, wq, co, amp
+    return xi, wq, amp
 
 
 def cross_term(
@@ -153,97 +142,85 @@ def cross_term(
     """The sigma-weighted pairing  int conj(Vf) Vg m^-2 d lambda.
 
     Equals <f, g> when the transform is the claimed isometry; computed here
-    by a fold onto one period of the density, without referencing that
-    claim.  Each pair of cell ends (p of f_i, r of g_j) adds
-
-        (ell / 4 pi^2) int amp_i conj(amp_j) e(xi y) sum_k e(k y)/(k + xi)^2 d xi,
-
-    y = (p - r + b_i - b_j)/ell.  The k = 0 terms of all pairs together are
-    the closed-form integrand at lambda = xi/ell over ell (sinc form, so the
-    1/xi^2 poles cancel exactly); the k != 0 rest has no pole and is summed
-    by ``_pair_rest`` over the flat list of every (p, r) pair.
+    by a fold onto one period of the density (``_pairing``), without
+    referencing that claim.
     """
     _require_coupled(bm, "sigma pairing")
     _require_steps("sigma quadratures", f, g)
-    f_parts = decompose(f, domain)
-    g_parts = decompose(g, domain)
-    fi, fpos, fval = _shifted_ends(domain, f_parts)
-    gj, gpos, gval = _shifted_ends(domain, g_parts)
-    p, r = _end_pairs(len(fpos), len(gpos))
-    y = (fpos[p] - gpos[r]) / domain.ell
-    xi, wq, co, amp = _fold(bm, domain, y)
-
-    lam = xi / domain.ell
-    vf = _transform_values(co, f_parts, lam)
-    vg = _transform_values(co, g_parts, lam)
-    total = np.sum(wq * np.conj(vf) * vg / np.abs(co.a) ** 2) / domain.ell
-    rest = _pair_rest(domain, xi, wq, amp, y, 3 * fi[p] + gj[r], np.conj(fval[p]) * gval[r])
-    return complex(total + rest)
+    return _pairing(
+        bm, domain, _shifted_ends(domain, decompose(f, domain)), _shifted_ends(domain, decompose(g, domain))
+    )
 
 
 def sigma_norm2(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket) -> float:
-    """Quadrature value of the sigma-weighted norm of V f (Parseval check).
-
-    The pairing of ``cross_term`` with g = f, read over the Hermitian half of
-    its end pairs: for real xi the lattice sum at -y is the conjugate of the
-    one at y, and so is e(xi y), so the (r, p) term is the conjugate of the
-    (p, r) term.  The pairs p <= r are summed, those off the diagonal
-    weighted by 2, and the real part is kept; the k = 0 part is |V f|^2.
-    """
+    """Quadrature value of the sigma-weighted norm of V f (Parseval check):
+    the real part of the pairing of ``cross_term`` with g = f."""
     _require_coupled(bm, "sigma pairing")
     _require_steps("sigma quadratures", f)
-    parts = decompose(f, domain)
-    i, pos, val = _shifted_ends(domain, parts)
-    p, r = _end_pairs(len(pos), len(pos))
-    half = p <= r
-    p, r = p[half], r[half]
-    y = (pos[p] - pos[r]) / domain.ell
-    xi, wq, co, amp = _fold(bm, domain, y)
-
-    vf = _transform_values(co, parts, xi / domain.ell)
-    total = np.sum(wq * np.abs(vf) ** 2 / np.abs(co.a) ** 2) / domain.ell
-    coef = np.where(p == r, 1.0, 2.0) * np.conj(val[p]) * val[r]
-    return float(total + _pair_rest(domain, xi, wq, amp, y, 3 * i[p] + i[r], coef).real)
+    ends = _shifted_ends(domain, decompose(f, domain))
+    return _pairing(bm, domain, ends, ends).real
 
 
-def _pair_rest(domain, xi, wq, amp, y, comp, coef):
-    """The k != 0 rest of the sigma pairing over a flat list of end pairs t:
+def _pairing(bm, domain, f_ends, g_ends):
+    """The sigma pairing of f and g from the ``_shifted_ends`` of their
+    component parts (the two ends of a cell adjacent, lower first), as a sum
+    of ramps over the Fourier coefficients of the folded weight.
 
-        (ell / 4 pi^2) sum_t coef_t int amp_i conj(amp_j) e(xi y_t) S(y_t, xi) d xi
+    Each pair t of cell ends (p of f_i, r of g_j), c_t = conj(v_p) v_r, adds
 
-    on the fold nodes xi with weights wq (``_fold``), comp_t = 3 i + j naming
-    the components of the pair and S = ``quadrature._lattice_sum2_rest``.
-    The pairs go as (pairs x nodes) blocks of at most _BLOCK elements (one
-    pair at least), their node-only factors once (``_lattice_nodes``), and
-    each block is weighted and summed in place: O(pairs x nodes) arithmetic
-    in O(pairs x nodes / _BLOCK) numpy calls.
+        (ell / 4 pi^2) c_t int amp_i conj(amp_j) e(xi y) sum_k e(k y)/(k + xi)^2 d xi,
+
+    y = (p - r + b_i - b_j)/ell.  With G_K = pi e(xi (K + 1/2))/sin(pi xi),
+    the lattice sum times e(xi y) is 2 pi i y G_K - G_K' for K = floor(y).
+    The four end pairs of one pair of cells have sum c_t = sum c_t y_t = 0,
+    so a G_a common to them adds to nothing.  With a the least of their K,
+    G_K - G_a = 2 pi i sum_{n=a+1..K} e(n xi) has no pole, each integrand
+    is 4 pi^2 amp_i conj(amp_j) sum_{n=a+1..K} (n - y) e(n xi), and the
+    pairing is
+
+        ell sum_t c_t [S1_a(K_t - a) - (y_t - a) S0_a(K_t - a)]
+
+    for the window sums S0_a(d) and S1_a(d) of M_ij(a + m) and m M_ij(a + m)
+    over m = 1 ... d, M_ij(n) = sum_xi wq amp_i conj(amp_j) e(n xi) on the
+    fold nodes (``_fold``).  Anchored at its own cell pair, a ramp is of the
+    order of the cells' lengths squared, not of their distance squared, so
+    the sum over pairs cancels no large terms.  The phase table e(n xi) has
+    a row for each distinct n the windows read, and one matrix-vector
+    product per component pair that occurs turns it into M: O(distinct n x
+    nodes + pairs) in all, in row blocks of at most _PHASE_BLOCK elements,
+    so a long lattice span costs time, not memory.
     """
-    nodes = _lattice_nodes(xi)
-    # wq amp_i conj(amp_j), one row per component pair 3 i + j
-    pair_amp = ((wq * amp)[:, None, :] * np.conj(amp)[None, :, :]).reshape(-1, len(xi))
-    rest = 0j
-    for t in _blocks(len(y), len(xi)):
-        y_b = y[t, None]
-        terms = e2pi(y_b * xi) * _lattice_sum2_rest(y_b, nodes)
-        terms *= pair_amp[comp[t]]
-        # a plain product and sum: a BLAS dot would page in library code
-        rest += (coef[t] * terms.sum(axis=1)).sum()
-    return domain.ell / (4.0 * np.pi**2) * rest
-
-
-def _end_pairs(n_f, n_g):
-    """(p, r) of every pair of n_f ends and n_g ends, p-major, as two index
-    arrays.  Integer arithmetic: index-grid helpers (``np.triu_indices``)
-    page in library code that a process otherwise never reads."""
-    k = np.arange(n_f * n_g)
-    return k // n_g, k % n_g
-
-
-def _blocks(rows, per_row):
-    """Slices of range(rows), each of at most _BLOCK elements at ``per_row``
-    elements a row (one row at least)."""
-    step = max(1, _BLOCK // max(per_row, 1))
-    return [slice(i, i + step) for i in range(0, rows, step)]
+    fi, fpos, fval = f_ends
+    gj, gpos, gval = g_ends
+    y = (fpos[:, None] - gpos) / domain.ell
+    # floor(y) stays float: np.unique of an int array pages in numpy's
+    # integer sort code, about 0.25 MB of resident memory
+    lattice = np.floor(y)
+    xi, wq, amp = _fold(bm, domain, y)
+    # the anchor a of each end pair: the least floor(y) of its cell pair
+    cells = lattice.reshape(len(fpos) // 2, 2, len(gpos) // 2, 2)
+    anchor = np.repeat(np.repeat(cells.min(axis=(1, 3)), 2, axis=0), 2, axis=1)
+    starts, at = np.unique(anchor.ravel(), return_inverse=True)
+    depth = (lattice - anchor).astype(int)
+    steps = np.arange(1, np.max(depth, initial=0) + 1)
+    ns, where = np.unique((starts[:, None] + steps).ravel(), return_inverse=True)
+    weights = (wq * amp)[:, None, :] * np.conj(amp)
+    coeffs = np.zeros(weights.shape[:2] + ns.shape, dtype=complex)
+    occurring = [(i, j) for i in set(fi.tolist()) for j in set(gj.tolist())]
+    block = max(1, _PHASE_BLOCK // len(xi))
+    for rows in range(0, len(ns), block):
+        phases = e2pi(np.outer(ns[rows : rows + block], xi))
+        for i, j in occurring:
+            coeffs[i, j, rows : rows + block] = phases @ weights[i, j]
+    # sums of M(a + m) and m M(a + m) over m = 1 ... d, for each anchor a
+    window = coeffs[..., where.reshape(len(starts), len(steps))]
+    s0 = np.zeros(window.shape[:-1] + (len(steps) + 1,), dtype=complex)
+    s1 = np.zeros_like(s0)
+    np.cumsum(window, axis=-1, out=s0[..., 1:])
+    np.cumsum(steps * window, axis=-1, out=s1[..., 1:])
+    pick = fi[:, None], gj, at.reshape(anchor.shape), depth
+    ramps = s1[pick] - (y - anchor) * s0[pick]
+    return complex(domain.ell * np.sum(np.conj(fval)[:, None] * gval * ramps))
 
 
 def adjoint_transform(
@@ -281,7 +258,7 @@ def adjoint_transform(
 
     comp, pos, val = _shifted_ends(domain, decompose(f, domain))
     y = ((xs + _offsets(domain)[dest])[:, None] - pos) / domain.ell
-    xi, wq, _, amp = _fold(bm, domain, y)
+    xi, wq, amp = _fold(bm, domain, y)
     values = np.zeros(len(xs), dtype=complex)
     for d in range(len(COMPONENTS)):
         rows = np.flatnonzero(dest == d)

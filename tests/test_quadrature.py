@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from twogap.domain import make_boundary_matrix, make_domain
-from twogap.errors import DegenerateRegime
-from twogap.quadrature import fold_nodes
+from twogap.errors import DegenerateRegime, ValidationError
+from twogap.quadrature import fold_nodes, gauss_panels
 from twogap.spectral import density
 
 _UNIT = make_domain(2.0, 3.0)
@@ -64,3 +64,24 @@ def test_pole_lies_midway_between_nodes(w):
 def test_fold_nodes_need_coupling():
     with pytest.raises(DegenerateRegime):
         fold_nodes(make_boundary_matrix(0.0))
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0])
+def test_fold_nodes_refuse_a_bad_tolerance_or_span(w):
+    # unchecked, a tolerance outside (0, 1) divides by zero or takes the log
+    # of a negative (and goes unread at w = 1), span inf overflows, and a
+    # negative span returns a short rule (1 node at w = 0.5, none at w = 1)
+    bm = make_boundary_matrix(w, psi=0.3)
+    for tol in (0.0, -1e-3, 1.0, 2.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tolerance"):
+            fold_nodes(bm, tol=tol)
+    for span in (math.inf, -math.inf, math.nan, -50.0, -1e-9):
+        with pytest.raises(ValidationError, match="span"):
+            fold_nodes(bm, span=span)
+
+
+def test_gauss_panels_refuse_non_finite_edges():
+    for edges in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0], [math.nan, 1.0]):
+        with pytest.raises(ValidationError, match="finite"):
+            gauss_panels(np.cos, edges)
+    assert abs(gauss_panels(np.cos, [0.0, 0.5, 1.0]) - math.sin(1.0)) < 1e-15

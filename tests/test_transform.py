@@ -332,15 +332,106 @@ def pairing_cases(draw):
 @given(pairing_cases())
 @settings(max_examples=25, deadline=None)
 def test_pairing_is_hermitian_and_sigma_reads_its_half(case):
-    # the (r, p) term of the pairing is the conjugate of the (p, r) term, so
-    # <f, g> = conj <g, f>, and sigma_norm2 over the pairs p <= r is the
-    # all-pairs Re cross_term(f, f)
+    # swapping f and g conjugates every pair's ramp sum, so <f, g> = conj
+    # <g, f>; sigma_norm2 is the real part of that one pairing of f with
+    # itself, Re cross_term(f, f)
     bm, f, g = case
     dom = _FOLD_DOMAIN
     fg, gf = cross_term(bm, dom, f, g), cross_term(bm, dom, g, f)
     assert abs(fg - np.conj(gf)) <= 1e-13 * max(1.0, np.sqrt(f.norm2() * g.norm2()))
     full = np.real(cross_term(bm, dom, f, f))
     assert abs(sigma_norm2(bm, dom, f) - full) <= 1e-14 * max(1.0, f.norm2())
+
+
+@st.composite
+def ramp_cases(draw):
+    """(bm, f, g): w in [0.05, 1], psi 0 or drawn, and two frequency-0
+    packets of 1-8 boxes on each component of ``_FOLD_DOMAIN`` (ell = 1),
+    the half-line ones drawn from supports 10.4 lattice steps long."""
+    w = draw(st.floats(0.05, 1.0))
+    psi = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    bm = make_boundary_matrix(w, theta=draw(st.floats(0.0, 1.0)), phi=draw(st.floats(0.0, 1.0)), psi=psi)
+    value = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    beta = _FOLD_DOMAIN.beta
+
+    def packet():
+        out = StepPacket.zero()
+        for lo, hi in ((-10.5, -0.1), (1.05, 1.95), (beta + 0.1, beta + 10.5)):  # I-, I0, I+
+            for _ in range(draw(st.integers(1, 8))):
+                a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+                out = out + StepPacket.box(a, max(b, a + 1e-3), draw(value))
+        return out
+
+    return bm, packet(), packet()
+
+
+@given(ramp_cases())
+@settings(max_examples=30, deadline=None)
+def test_ramp_sum_pairing_is_the_inner_product(case):
+    # the pairing as ramp sums over the weight's Fourier coefficients meets
+    # the fold rule's 1e-13 target with ends up to 22 lattice steps apart;
+    # the zero packet pairs to exactly 0
+    bm, f, g = case
+    dom = _FOLD_DOMAIN
+    scale = max(1.0, np.sqrt(f.norm2() * g.norm2()))
+    assert abs(cross_term(bm, dom, f, g) - f.inner(g)) <= 1e-13 * scale
+    assert abs(sigma_norm2(bm, dom, f) - f.norm2()) <= 1e-13 * max(1.0, f.norm2())
+    zero = StepPacket.zero()
+    assert cross_term(bm, dom, f, zero) == 0.0
+    assert cross_term(bm, dom, zero, g) == 0.0
+    assert sigma_norm2(bm, dom, zero) == 0.0
+
+
+@pytest.mark.parametrize("w", [0.9, 0.45, 0.2, 0.1])
+def test_pairing_error_does_not_grow_with_cell_distance(w):
+    # short cells spread over 120 lattice steps: each ramp is anchored at
+    # its own cell pair, so no term grows with the distance between cells
+    # (one anchor at floor(y) = 0 for all pairs erred by up to 1.7e-13 here)
+    bm = make_boundary_matrix(w, theta=0.15, phi=0.3, psi=0.45)
+    dom = _FOLD_DOMAIN
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        f, g = StepPacket.zero(), StepPacket.zero()
+        for _ in range(8):
+            a, b = rng.uniform(-120.0, -1.0), rng.uniform(dom.beta + 0.1, dom.beta + 119.0)
+            f = f + StepPacket.box(a, a + rng.uniform(0.05, 0.5), complex(*rng.normal(size=2)))
+            g = g + StepPacket.box(b, b + rng.uniform(0.05, 0.5), complex(*rng.normal(size=2)))
+            a, b = rng.uniform(1.05, 1.85), rng.uniform(-120.0, -1.0)
+            f = f + StepPacket.box(a, a + 0.05, complex(*rng.normal(size=2)))
+            g = g + StepPacket.box(b, b + rng.uniform(0.05, 0.5), complex(*rng.normal(size=2)))
+        scale = max(1.0, np.sqrt(f.norm2() * g.norm2()))
+        assert abs(cross_term(bm, dom, f, g) - f.inner(g)) <= 1e-13 * scale
+        assert abs(sigma_norm2(bm, dom, f) - f.norm2()) <= 1e-13 * max(1.0, f.norm2())
+
+
+def test_sigma_builds_no_pair_by_node_array(monkeypatch):
+    # the pairing evaluates e(n xi) once per lattice index n and node, not
+    # e(xi y) once per pair of cell ends and node: 39 cells (6,084 end
+    # pairs) whose shifted ends lie within 5 lattice steps of each other
+    # reach n = -5 ... 4, so the phases hold 10 rows of nodes and the
+    # three of amp
+    seen = {"nodes": 0, "elements": 0}
+
+    def counted_fold(*args, **kwargs):
+        xi, wq = quadrature.fold_nodes(*args, **kwargs)
+        seen["nodes"] = len(xi)
+        return xi, wq
+
+    def counted_e2pi(x):
+        seen["elements"] += np.size(x)
+        return e2pi(x)
+
+    f = StepPacket.zero()
+    for k in range(13):
+        f = f + StepPacket.box(-1.9 + 0.14 * k, -1.8 + 0.14 * k, 1.0 + 0.1j * k)
+        f = f + StepPacket.box(1.02 + 0.07 * k, 1.06 + 0.07 * k, 0.5 - 0.2j * k)
+        f = f + StepPacket.box(3.4 + 0.14 * k, 3.5 + 0.14 * k, -0.3 + 0.4j)
+    assert f.n_cells == 39
+    bm = make_boundary_matrix(0.2, theta=0.15, phi=0.3, psi=0.45)
+    monkeypatch.setattr(transform, "fold_nodes", counted_fold)
+    monkeypatch.setattr(transform, "e2pi", counted_e2pi)
+    assert abs(sigma_norm2(bm, _FOLD_DOMAIN, f) - f.norm2()) <= 1e-13 * f.norm2()
+    assert 0 < seen["elements"] <= 13 * seen["nodes"]
 
 
 def test_quadrature_oracles_read_no_series(monkeypatch, generic):
