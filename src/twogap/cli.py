@@ -153,8 +153,8 @@ def _cmd_semigroup(sc: Scenario, out: Path) -> int:
     ts = sc.grid("time_grid")
     _require(bool(np.all(ts >= 0.0)), "semigroup needs a nonnegative time_grid")
     rows = [(t, r.packet.norm2()) for t, r in zip(ts, compress_evolve_many(bm, dom, mid, ts))]
-    _write_csv(out / "semigroup_norms.csv", ["t", "norm2"], rows)
     prof = norm_decay_profile(bm, 0, ts)
+    _write_csv(out / "semigroup_norms.csv", ["t", "norm2"], rows)
     _write_csv(
         out / "semigroup_profile.csv",
         ["t", "engine", "oracle", "reference"],

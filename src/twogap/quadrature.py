@@ -1,6 +1,6 @@
 """Quadrature helpers: Gauss-Legendre panels, the mapped rule for one
-period of the spectral density and the node sums of the simple-pole
-lattice sum.
+period of the spectral density and the window sums of the folded weight's
+Fourier coefficients, which every fold oracle reads.
 
 Every composite Gauss-Legendre sum in the package goes through
 ``gauss_panels``.
@@ -27,11 +27,10 @@ midpoint between 0 and q the density becomes the Poisson kernel of r in phi,
 the poles of the density and of the map both sit ln(1/r) ~ w off the real
 phi axis, and N grows like ln(1/tol)/w.
 
-The point-value oracles (``semigroup``'s, the adjoint transform) read the
-simple-pole sum through ``_node_sums``.  The sigma-pairings read the
-a-derivative: once the cell ends' pole parts cancel, it is a polynomial in
-e(xi), so ``transform`` integrates it as ramp sums over the Fourier
-coefficients sum wq W e(n xi) of the weight W on the nodes of this rule.
+Once the two ends of a cell cancel the pole, its folded lattice sum is a
+polynomial in e(xi): every fold oracle integrates it as window sums of the
+Fourier coefficients M(n) = sum wq W e(n xi) of its weight W on the nodes
+of this rule (``_fold_windows``).
 """
 
 from __future__ import annotations
@@ -55,6 +54,12 @@ _FOLD_TOL = 1e-13
 
 # strip half-widths tried when sizing the mapped rule, in units of ln(1/r)
 _STRIP_FRACTIONS = np.linspace(0.01, 0.99, 99)
+
+# most nodes of one fold rule
+MAX_FOLD_NODES = 2**20
+
+# most elements in one row block of the phase table e(n xi)
+_PHASE_BLOCK = 1 << 16
 
 
 # the order of every Gauss-Legendre panel
@@ -107,7 +112,8 @@ def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
     least count that meets tol at the best a of ``_STRIP_FRACTIONS``.  At
     q = 0 (w = 1) the map is a rotation and the integrand a trigonometric
     polynomial of degree at most span, so N = ceil(span) + 2 is exact.
-    ValidationError unless 0 < tol < 1 and span is finite and >= 0.
+    ValidationError unless 0 < tol < 1 and span is finite and >= 0, and
+    DegenerateRegime, before any node is built, if N > ``MAX_FOLD_NODES``.
     """
     if not 0.0 < tol < 1.0:
         raise ValidationError(f"the fold rule needs a tolerance in (0, 1), got tol={tol}")
@@ -124,10 +130,16 @@ def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
         far = -np.expm1(-a - rim)  # 1 - r e^-a
         log_m = math.log(-math.expm1(-2.0 * rim)) - np.log(near * far)
         log_g = a + np.log(far / near)
-        log_bound = math.log(2.0 / tol) + log_m + span * log_g
-        n = math.ceil(np.min(np.logaddexp(0.0, log_bound) / a))
+        with np.errstate(over="ignore"):  # a span far past the cap sizes to inf
+            log_bound = math.log(2.0 / tol) + log_m + span * log_g
+            count = np.min(np.logaddexp(0.0, log_bound) / a)
     else:
-        n = math.ceil(span) + 2
+        count = math.ceil(span) + 2
+    if not count <= MAX_FOLD_NODES:
+        raise DegenerateRegime(
+            f"a fold rule for span {span:.6g} at w = {bm.w:.6g} needs {count:.3g} nodes, more than {MAX_FOLD_NODES}"
+        )
+    n = math.ceil(count)
     # phi of xi = 0 (theta - theta_0 = -2 pi psi), then a grid straddling it;
     # phi/2 is taken into [-pi/2, pi/2], so xi - psi keeps full relative
     # precision near the spike
@@ -140,17 +152,43 @@ def fold_nodes(bm, tol: float = _FOLD_TOL, span: float = 0.0):
     return xi, k / (n * (k * k * cos * cos + sin * sin))
 
 
-def _node_sums(xi, wq, lattice):
-    """S0(K) = sum_j W_j e(xi_j K) and S1(K) = sum_j W_j pi cot(pi xi_j)
-    (e(xi_j K) - e(xi_j K0)), K0 the least K, for each integer K of
-    ``lattice`` and node weights W = ``wq``: the columns of a (K, 2) array.
-    As e(xi y) sum_k e(k y)/(k + xi - n) = pi e(xi (K + 1/2)) e(n {y})
-    / sin(pi xi) for K = floor(y), a cell end at y reads S1(K) + i pi S0(K)
-    and a term common to all K, which the opposite values of the two ends
-    of a cell cancel; without the K0 term the pole of cot at xi = 0 never
-    enters, as each e(xi_j K0) expm1(i 2 pi xi_j (K - K0)) is of order xi_j."""
-    base = e2pi(lattice[:1, None] * xi)
-    step = np.expm1(2j * np.pi * np.outer(lattice - lattice[:1], xi))
-    s0 = (base + base * step) @ wq
-    s1 = (base * step) @ (wq * np.pi / np.tan(np.pi * xi))
-    return np.stack([s0, s1], axis=1)
+def _fold_coefficients(xi, weights, occurring, ns):
+    """M_r(n) = sum_j weights[r, j] e(n xi_j) for each n of ``ns`` and each
+    row r of ``occurring``, zero in the other rows: a (rows, len(ns)) array.
+    The phase table e(n xi) goes in row blocks of at most _PHASE_BLOCK
+    elements, so a long lattice span costs time, not memory, each block
+    times one matrix-vector product per row (a 2-D complex product pages in
+    BLAS code a process may never have run)."""
+    coeffs = np.zeros((len(weights), len(ns)), dtype=complex)
+    block = max(1, _PHASE_BLOCK // len(xi))
+    for start in range(0, len(ns), block):
+        phases = e2pi(np.outer(ns[start : start + block], xi))
+        for r in occurring:
+            coeffs[r, start : start + block] = phases @ weights[r]
+    return coeffs
+
+
+def _fold_windows(xi, weights, rows, anchor, depth):
+    """The window sums S0 = sum_{m=1..d} M_r(a + m) and S1 = sum_{m=1..d}
+    m M_r(a + m) of ``_fold_coefficients`` for the entries of the equal-
+    shaped arrays ``rows`` (r), ``anchor`` (integer a, as floats) and
+    ``depth`` (int d >= 0), reading M at the distinct n the windows reach.
+
+    With G_K = pi e(xi (K + 1/2))/sin(pi xi), the lattice sum e(xi y)
+    sum_k e(k y)/(k + xi) is G_K for K = floor(y), and G_K - G_a = 2 pi i
+    sum_{n=a+1..K} e(n xi) has no pole.  So a cell (ends lo, hi; value v)
+    with K_lo = floor(y_lo) >= K_hi = floor(y_hi) folds to 2 pi i v S0 at
+    a = K_hi, d = K_lo - K_hi, and the squared sum 2 pi i y G_K - G_K', less
+    the same form in G_a, to the ramp 4 pi^2 (S1 - (y - a) S0).
+    """
+    starts, at = np.unique(anchor.ravel(), return_inverse=True)
+    steps = np.arange(1, np.max(depth, initial=0) + 1)
+    ns, where = np.unique((starts[:, None] + steps).ravel(), return_inverse=True)
+    coeffs = _fold_coefficients(xi, weights, set(rows.ravel().tolist()), ns)
+    window = coeffs[:, where.reshape(len(starts), len(steps))]
+    s0 = np.zeros(window.shape[:-1] + (len(steps) + 1,), dtype=complex)
+    s1 = np.zeros_like(s0)
+    np.cumsum(window, axis=-1, out=s0[..., 1:])
+    np.cumsum(steps * window, axis=-1, out=s1[..., 1:])
+    pick = rows, at.reshape(anchor.shape), depth
+    return s0[pick], s1[pick]

@@ -23,16 +23,13 @@ middle interval (1, 2), where the density has unit period.
 
 The folded integrands separate.  For a cell end at p, sin(pi(xi - n)) =
 (-1)^n sin(pi xi) and the phase e(xi y) of the lattice sum leaves only
-e(xi floor(y)) on the nodes, so both oracles read the two node sums
-
-    S0(K) = sum_j W_j e(xi_j K),   S1(K) = sum_j W_j pi cot(pi xi_j) e(xi_j K)
-
-(W_j the weights times the density) once per distinct lattice integer
+e(xi floor(y)) on the nodes, and the two ends of a cell cancel the pole at
+xi = 0, so both oracles read the Fourier coefficients M(K) = sum_j W_j
+e(xi_j K) (W_j the weights times the density) of one table,
+``quadrature._fold_coefficients``, once per distinct lattice integer
 K = floor(y), and everything else per point or per lambda: the space oracle
-costs O(K count x nodes + points x ends), the kernel oracle O(nodes + ends x
-lambdas).  The pole of cot at xi = 0 cancels between the two ends of each
-cell; ``quadrature._node_sums`` cancels it analytically.  Nothing in the
-oracles touches the packet engine.
+costs O(K count x nodes + points x cells), the kernel oracle O(nodes + ends
+x lambdas).  Nothing in the oracles touches the packet engine.
 
 The module also carries three resolvent routes on x in [1, alpha], each
 exact through the one per-cell Laplace integral ``_cell_laplace``: the plain
@@ -61,7 +58,7 @@ from .errors import HalfPlaneViolation, NegativeTime, ValidationError
 from .eigen import eigen_coeffs
 from .evolution import EvolutionResult, _finite_time, _partition, _require_kept, _wrap_middle, block_row
 from .packets import StepPacket
-from .quadrature import _node_sums, fold_nodes
+from .quadrature import _fold_coefficients, fold_nodes
 from .spectral import density
 from .transform import TransformSample, _cell_ends
 
@@ -154,28 +151,31 @@ def _kernel_transform_oracle(bm, f_centered, t, lam):
     cos(pi xi) - cos(pi lam) sin(pi xi) and E2 = e^{i pi sigma lam}
     e^{-i pi sigma xi}, leaving three node sums per end.  With K = floor(y),
     sin(pi(xi-n)) = (-1)^n sin(pi xi) and e(-xi(t+p)) e^{-i pi sigma xi}
-    = e(xi K) they are multiples of S0(K) and S1(K) (``_node_sums``), and
-    written in g = lam - n the end contributes
+    = e(xi K) they are multiples of M(K) = sum_j W_j e(xi_j K) and of
+    S1(K) = sum_j W_j pi cot(pi xi_j) e(xi_j K) = G_K - i pi M(K).  A
+    centered packet's ends share at most two K, K0 and K0 + 1, and G_{K0+1}
+    - G_{K0} = 2 pi i M(K0 + 1) (``quadrature._fold_windows``), so S1 is
+    c i pi M(K), c = -1 at K0 and +1 at K0 + 1, up to a part the ends of
+    each cell cancel, and in g = lam - n the end contributes
 
-        s e(-n t) / (2 pi i) * [ sinc(g) S1(K)
-            + pi S0(K) (2u sinc(g u) sin(pi g (1-u)) + i sigma sinc(sigma g)) ],
+        s e(-n t) M(K) / 2i * [ c i sinc(g)
+            + 2u sinc(g u) sin(pi g (1-u)) + i sigma sinc(sigma g) ],
 
     sinc(x) = sin(pi x)/(pi x): analytic through lam = n, so no digits
-    cancel near it.  The ends of a centered packet share at most two K, so
-    the work is O(nodes + ends x lambdas).
+    cancel near it.  The work is O(nodes + ends x lambdas).
     """
     pos, val, freq = _cell_ends(f_centered)
     xi, wq = _fold_rule(bm, abs(t) + 2.0)
     y = 0.5 - t - pos
     lattice, at = np.unique(np.floor(y), return_inverse=True)
-    s0, s1 = _node_sums(xi, wq, lattice)[at].T
+    coeffs = _fold_coefficients(xi, wq[None], [0], lattice)[0, at]
     u = y - lattice[at]
     sign = 2.0 * u - 1.0
     g = lam[:, None] - freq
-    bracket = np.sinc(g) * s1 + np.pi * s0 * (
+    bracket = np.where(at > 0, 1j, -1j) * np.sinc(g) + (
         2.0 * u * np.sinc(g * u) * np.sin(np.pi * g * (1.0 - u)) + 1j * sign * np.sinc(sign * g)
     )
-    return bracket @ (val * e2pi(-freq * t)) / (2j * np.pi)
+    return bracket @ (val * coeffs * e2pi(-freq * t)) / 2j
 
 
 def semigroup_kernel_apply(
@@ -223,21 +223,23 @@ def _space_oracle_values(bm, f_centered, t, xs):
 
         e(xi y) L(y, xi - n) = pi/sin(pi xi) e(xi (floor(y) + 1/2)) e(n {y}),
 
-    so each end adds s e(n (x - t)) G(K) / (2 pi i) with K = floor(y) and
-    G(K) = sum_j W_j pi/sin(pi xi_j) e(xi_j (K + 1/2)) = S1(K) + i pi S0(K)
-    (``_node_sums``, whose S1 drops a term common to all K that the ends
-    cancel; pi e(xi/2)/sin(pi xi) = pi cot(pi xi) + i pi).  G is summed once
-    per distinct K and gathered per (point, end): the work is O(K count x
-    nodes + points x ends), the fold rule sized for max |t|.
+    so each end adds s e(n (x - t)) G_K / (2 pi i), K = floor(y), and a cell
+    (ends lo, hi; value v) adds v e(n (x - t)) sum_{K_hi < m <= K_lo} M(m)
+    (``quadrature._fold_windows``).  A cell of a centered packet spans at
+    most one lattice step, so that window is M(K_lo) or empty: M is read
+    once per distinct K_lo and gathered per (point, cell), O(K count x
+    nodes + points x cells), the fold rule sized for max |t|.
     """
     pos, val, freq = _cell_ends(f_centered)
     xs = np.asarray(xs, dtype=float)
     t = np.broadcast_to(np.asarray(t, dtype=float), xs.shape)
     xi, wq = _fold_rule(bm, np.max(np.abs(t), initial=0.0) + 2.0)
-    lattice, at = np.unique(np.floor(xs[:, None] - t[:, None] - pos), return_inverse=True)
-    s0, s1 = _node_sums(xi, wq, lattice).T
-    g = (s1 + 1j * np.pi * s0)[at.reshape(len(xs), len(pos))]
-    return (g * e2pi(freq * (xs - t)[:, None])) @ val / (2j * np.pi)
+    y = xs[:, None] - t[:, None] - pos
+    upper, lower = np.floor(y[:, 0::2]), np.floor(y[:, 1::2])
+    lattice, at = np.unique(upper, return_inverse=True)
+    coeffs = _fold_coefficients(xi, wq[None], [0], lattice)[0, at.reshape(upper.shape)]
+    window = np.where(upper > lower, coeffs, 0.0)
+    return (window * e2pi(freq[0::2] * (xs - t)[:, None])) @ val[0::2]
 
 
 def norm_decay_profile(
@@ -255,9 +257,12 @@ def norm_decay_profile(
     data), so each of the two pieces integrates as its length times its
     midpoint value.  With t = k + r (0 <= r < 1) the exact profile is
     q^(2k) (1 - r) + q^(2k+2) r; the reference column max(1-t, 0) is that
-    only in the transparent case w = 1.  An empty grid is a ValidationError.
+    only in the transparent case w = 1.  An empty grid, or a mode n that is
+    not an integer, is a ValidationError.
     """
     _require_coupled(bm, "norm_decay_profile")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"norm_decay_profile needs an integer mode n, got {n!r}")
     t_grid = np.array([_finite_time(t) for t in np.atleast_1d(t_grid)])
     if not len(t_grid):
         raise ValidationError("norm_decay_profile needs at least one time")

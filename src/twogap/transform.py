@@ -12,14 +12,13 @@ fold the whole line onto one period of the density (lambda = (xi + k)/ell,
 summed over k in closed form by lattice sums) and integrate that period by
 the mapped midpoint rule of ``quadrature.fold_nodes``, whose nodes cluster
 at the density spike, O(1/w) of them: no window, no tails.
-Both pairings are one sum over pairs of cell ends (``_pairing``), exact as
-ramp sums over the Fourier coefficients of the folded weight: the squared
-lattice sum of each pair, less a part that the four end pairs of each pair
-of cells cancel, is a polynomial in e(xi).  ``sigma_norm2`` is the real
-part of the pairing of f with itself.
-The adjoint has this one route: it reconstructs V* V f for the source packet
-f of a ``forward_transform`` sample, on the cells of f, in one sweep, from
-the node sums of ``semigroup``'s space oracle (``quadrature._node_sums``).
+Both directions read window sums of the Fourier coefficients of the folded
+weight (``quadrature._fold_windows``), on which the pole of each cell's
+lattice sum cancels.  Both pairings are one sum of ramps over pairs of cell
+ends (``_pairing``); ``sigma_norm2`` is the real part of the pairing of f
+with itself.  The adjoint has this one route: it reconstructs V* V f for
+the source packet f of a ``forward_transform`` sample, on the cells of f,
+in one sweep, one window per (point, cell).
 
 Only frequency-0 packets (plain steps) are supported; that is all the
 cross-checks need.
@@ -34,9 +33,9 @@ import numpy as np
 from .domain import BoundaryMatrix, ExteriorDomain, _real_lambda, _require_coupled, e2pi
 from .eigen import eigen_coeffs
 from .errors import ValidationError
-from .evolution import COMPONENTS, _require_steps, decompose
+from .evolution import _require_steps, decompose
 from .packets import StepPacket, _sum_cells
-from .quadrature import _node_sums, fold_nodes
+from .quadrature import _fold_windows, fold_nodes
 
 __all__ = [
     "TransformSample",
@@ -48,9 +47,6 @@ __all__ = [
 
 # reconstruction points per cell of the adjoint transform
 _SUBDIVIDE = 4
-
-# most elements in one row block of the sigma pairings' phase table e(n xi)
-_PHASE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,21 +112,20 @@ def _shifted_ends(domain, parts):
 
 
 def _fold(bm, domain, y):
-    """``fold_nodes`` xi on (-1/2, 1/2], none at the pole xi = 0, for
-    integrands carrying a phase e(s xi) with |s| <= max|y| for the array y:
-    e(xi y) in the adjoint, e(n xi) in the pairings' ramp sums, whose n run
-    from 1 to floor(y) (from floor(y) + 1 to 0 when y < 0); their weights
-    and rows amp_i = A_i e(-b_i lambda)/m of period 1, lambda = xi/ell, so
-    A_i conj(A_j) m^-2 = e((b_i - b_j) lambda) amp_i conj(amp_j).  Each
-    amp_i conj(amp_j) grows like one more phase off the real axis, hence
-    the span max|y| + 1.
+    """``fold_nodes`` xi on (-1/2, 1/2], none at the pole xi = 0, for the
+    phases e(n xi) of window sums whose n lie between floor(y) and the
+    anchor, |n| <= max|y| for the array y, and the weight rows wq amp_i
+    conj(amp_j) in row 3 i + j: amp_i = A_i e(-b_i lambda)/m has period 1,
+    lambda = xi/ell, and A_i conj(A_j) m^-2 = e((b_i - b_j) lambda) amp_i
+    conj(amp_j).  Each amp_i conj(amp_j) grows like one more phase off the
+    real axis, hence the span max|y| + 1.
     """
     xi, wq = fold_nodes(bm, span=np.max(np.abs(y), initial=0.0) + 1.0)
     lam = xi / domain.ell
     co = eigen_coeffs(bm, domain, lam)
     m = np.abs(co.a)
     amp = np.array([co.a, np.ones_like(m), co.c]) * e2pi(-_offsets(domain)[:, None] * lam) / m
-    return xi, wq, amp
+    return xi, ((wq * amp)[:, None, :] * np.conj(amp)).reshape(9, len(xi))
 
 
 def cross_term(
@@ -163,32 +158,19 @@ def sigma_norm2(bm: BoundaryMatrix, domain: ExteriorDomain, f: StepPacket) -> fl
 
 def _pairing(bm, domain, f_ends, g_ends):
     """The sigma pairing of f and g from the ``_shifted_ends`` of their
-    component parts (the two ends of a cell adjacent, lower first), as a sum
-    of ramps over the Fourier coefficients of the folded weight.
+    component parts (the two ends of a cell adjacent, lower first).
 
     Each pair t of cell ends (p of f_i, r of g_j), c_t = conj(v_p) v_r, adds
 
         (ell / 4 pi^2) c_t int amp_i conj(amp_j) e(xi y) sum_k e(k y)/(k + xi)^2 d xi,
 
-    y = (p - r + b_i - b_j)/ell.  With G_K = pi e(xi (K + 1/2))/sin(pi xi),
-    the lattice sum times e(xi y) is 2 pi i y G_K - G_K' for K = floor(y).
-    The four end pairs of one pair of cells have sum c_t = sum c_t y_t = 0,
-    so a G_a common to them adds to nothing.  With a the least of their K,
-    G_K - G_a = 2 pi i sum_{n=a+1..K} e(n xi) has no pole, each integrand
-    is 4 pi^2 amp_i conj(amp_j) sum_{n=a+1..K} (n - y) e(n xi), and the
-    pairing is
-
-        ell sum_t c_t [S1_a(K_t - a) - (y_t - a) S0_a(K_t - a)]
-
-    for the window sums S0_a(d) and S1_a(d) of M_ij(a + m) and m M_ij(a + m)
-    over m = 1 ... d, M_ij(n) = sum_xi wq amp_i conj(amp_j) e(n xi) on the
-    fold nodes (``_fold``).  Anchored at its own cell pair, a ramp is of the
-    order of the cells' lengths squared, not of their distance squared, so
-    the sum over pairs cancels no large terms.  The phase table e(n xi) has
-    a row for each distinct n the windows read, and one matrix-vector
-    product per component pair that occurs turns it into M: O(distinct n x
-    nodes + pairs) in all, in row blocks of at most _PHASE_BLOCK elements,
-    so a long lattice span costs time, not memory.
+    y_t = (p - r + b_i - b_j)/ell.  The four end pairs of one pair of cells
+    have sum c_t = sum c_t y_t = 0, so a part common to them adds nothing,
+    and with a the least of their floor(y) the pairing is the sum of ramps
+    ell sum_t c_t (S1 - (y_t - a) S0) over the windows of depth floor(y_t)
+    - a (``quadrature._fold_windows``, weights of ``_fold``).  Anchored at
+    its own cell pair, a ramp is of the order of the cells' lengths squared,
+    not of their distance squared, so the sum cancels no large terms.
     """
     fi, fpos, fval = f_ends
     gj, gpos, gval = g_ends
@@ -196,30 +178,13 @@ def _pairing(bm, domain, f_ends, g_ends):
     # floor(y) stays float: np.unique of an int array pages in numpy's
     # integer sort code, about 0.25 MB of resident memory
     lattice = np.floor(y)
-    xi, wq, amp = _fold(bm, domain, y)
+    xi, weights = _fold(bm, domain, y)
     # the anchor a of each end pair: the least floor(y) of its cell pair
     cells = lattice.reshape(len(fpos) // 2, 2, len(gpos) // 2, 2)
     anchor = np.repeat(np.repeat(cells.min(axis=(1, 3)), 2, axis=0), 2, axis=1)
-    starts, at = np.unique(anchor.ravel(), return_inverse=True)
-    depth = (lattice - anchor).astype(int)
-    steps = np.arange(1, np.max(depth, initial=0) + 1)
-    ns, where = np.unique((starts[:, None] + steps).ravel(), return_inverse=True)
-    weights = (wq * amp)[:, None, :] * np.conj(amp)
-    coeffs = np.zeros(weights.shape[:2] + ns.shape, dtype=complex)
-    occurring = [(i, j) for i in set(fi.tolist()) for j in set(gj.tolist())]
-    block = max(1, _PHASE_BLOCK // len(xi))
-    for rows in range(0, len(ns), block):
-        phases = e2pi(np.outer(ns[rows : rows + block], xi))
-        for i, j in occurring:
-            coeffs[i, j, rows : rows + block] = phases @ weights[i, j]
-    # sums of M(a + m) and m M(a + m) over m = 1 ... d, for each anchor a
-    window = coeffs[..., where.reshape(len(starts), len(steps))]
-    s0 = np.zeros(window.shape[:-1] + (len(steps) + 1,), dtype=complex)
-    s1 = np.zeros_like(s0)
-    np.cumsum(window, axis=-1, out=s0[..., 1:])
-    np.cumsum(steps * window, axis=-1, out=s1[..., 1:])
-    pick = fi[:, None], gj, at.reshape(anchor.shape), depth
-    ramps = s1[pick] - (y - anchor) * s0[pick]
+    rows = 3 * fi[:, None] + gj
+    s0, s1 = _fold_windows(xi, weights, rows, anchor, (lattice - anchor).astype(int))
+    ramps = s1 - (y - anchor) * s0
     return complex(domain.ell * np.sum(np.conj(fval)[:, None] * gval * ramps))
 
 
@@ -239,11 +204,11 @@ def adjoint_transform(
 
         (t_r / 2 pi i) int amp_d conj(amp_j) e(xi y) sum_k e(k y)/(k + xi) d xi
 
-    with y = (x - r + b_d - b_j)/ell, that is (t_r / 2 pi i) (S1 + i pi
-    S0)(floor(y)) for the node sums of ``quadrature._node_sums`` with weights
-    wq amp_d conj(amp_j), formed once per component pair (d, j) that occurs:
-    O(floor(y) count x nodes + points x ends).  The subcells of all cells,
-    with their values, go through one sweep (``packets._sum_cells``).
+    with y = (x - r + b_d - b_j)/ell.  As floor(y_lo) >= floor(y_hi), a cell
+    (value v) adds v S0 over the window floor(y_hi) < n <= floor(y_lo) of
+    ``_fold``'s weight row 3 d + j (``quadrature._fold_windows``), in one
+    call for all (point, cell) pairs.  The subcells of all cells, with their
+    values, go through one sweep (``packets._sum_cells``).
     """
     _require_coupled(bm, "adjoint_transform")
     f = sample.source
@@ -258,19 +223,11 @@ def adjoint_transform(
 
     comp, pos, val = _shifted_ends(domain, decompose(f, domain))
     y = ((xs + _offsets(domain)[dest])[:, None] - pos) / domain.ell
-    xi, wq, amp = _fold(bm, domain, y)
-    values = np.zeros(len(xs), dtype=complex)
-    for d in range(len(COMPONENTS)):
-        rows = np.flatnonzero(dest == d)
-        for j in range(len(COMPONENTS)):
-            ends = np.flatnonzero(comp == j)
-            if len(rows) and len(ends):
-                lattice, at = np.unique(np.floor(y[rows[:, None], ends]), return_inverse=True)
-                s0, s1 = _node_sums(xi, wq * amp[d] * np.conj(amp[j]), lattice).T
-                g = (s1 + 1j * np.pi * s0)[at.reshape(len(rows), len(ends))]
-                values[rows] += g @ val[ends]
-    values /= 2j * np.pi
-    return StepPacket(*_sum_cells([(lo, hi, {0: values})]), _trusted=True)
+    xi, weights = _fold(bm, domain, y)
+    upper, lower = np.floor(y[:, 0::2]), np.floor(y[:, 1::2])
+    rows = 3 * dest[:, None] + comp[0::2]
+    s0, _ = _fold_windows(xi, weights, rows, lower, (upper - lower).astype(int))
+    return StepPacket(*_sum_cells([(lo, hi, {0: s0 @ val[0::2]})]), _trusted=True)
 
 
 def _component_indices(domain, xs):

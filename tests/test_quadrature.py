@@ -7,7 +7,7 @@ import pytest
 
 from twogap.domain import make_boundary_matrix, make_domain
 from twogap.errors import DegenerateRegime, ValidationError
-from twogap.quadrature import fold_nodes, gauss_panels
+from twogap.quadrature import MAX_FOLD_NODES, fold_nodes, gauss_panels
 from twogap.spectral import density
 
 _UNIT = make_domain(2.0, 3.0)
@@ -85,3 +85,13 @@ def test_gauss_panels_refuse_non_finite_edges():
         with pytest.raises(ValidationError, match="finite"):
             gauss_panels(np.cos, edges)
     assert abs(gauss_panels(np.cos, [0.0, 0.5, 1.0]) - math.sin(1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("w", [1.0, 0.5])
+@pytest.mark.parametrize("span", [1e17, 1e308])
+def test_fold_nodes_refuse_an_oversized_rule(w, span):
+    # a rule of more than MAX_FOLD_NODES nodes is refused before it is built,
+    # and a sizing that overflows is refused the same way (these spans used
+    # to raise MemoryError, OverflowError or ValueError)
+    with pytest.raises(DegenerateRegime, match=f"more than {MAX_FOLD_NODES}"):
+        fold_nodes(make_boundary_matrix(w, psi=0.3), span=span)

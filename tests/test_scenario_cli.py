@@ -235,6 +235,19 @@ def test_cli_oversized_cut_is_a_typed_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_oversized_fold_rule_is_a_typed_error(tmp_path, capsys):
+    # a time grid out to t = 1e17 would size the profile oracle's fold rule
+    # at about 2e17 nodes: a DegenerateRegime (exit 1) before any file is
+    # written, not a memory error
+    payload = json.loads(json.dumps(GOOD))
+    payload["time_grid"] = {"start": 0.0, "stop": 1e17, "num": 3}
+    path = write(tmp_path, payload)
+    assert main(["semigroup", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("twogap: ") and "nodes" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_verify_fails_the_oversized_density_row_alone(tmp_path, capsys):
     # the density table refuses its window at w = 1e-3; the other checks
     # still run and verify.csv is still written

@@ -155,6 +155,46 @@ def test_compressed_semigroup_reads_no_series(monkeypatch):
     compressed_resolvent_profile(bm, dom, 1.0 + 0.5j, f, [1.2, 1.9])
 
 
+@pytest.mark.parametrize("w", [0.05, 0.01])
+@pytest.mark.parametrize("n", [0, 1])
+def test_wide_grid_profile_keeps_its_digits(w, n):
+    # psi = 0 puts the density spike on the fold's pole; a grid out to
+    # t = 700 must read each time as well as a grid of that time alone
+    # (one anchor for the whole grid erred by 5.1e-13 and 1.2e-12 here)
+    bm = make_boundary_matrix(w, theta=0.15, phi=0.4, psi=0.0)
+    prof = norm_decay_profile(bm, n, [0.0, 0.35, 1.3, 4.6, 30.2, 100.5, 700.25])
+    assert np.max(np.abs(prof.engine - prof.oracle)) < 1e-13
+
+
+def test_sparse_profile_reads_the_table_at_its_own_lattice_integers(monkeypatch):
+    # t = 0, 10.3 and 1000.6 reach a handful of lattice integers 1000 apart:
+    # the phase table holds a row per integer the cells reach, never one per
+    # integer of the range between them
+    seen = {"nodes": 0, "elements": 0}
+
+    def counted_fold(*args, **kwargs):
+        xi, wq = quadrature.fold_nodes(*args, **kwargs)
+        seen["nodes"] = len(xi)
+        return xi, wq
+
+    def counted_e2pi(x):
+        seen["elements"] += np.size(x)
+        return e2pi(x)
+
+    monkeypatch.setattr(semigroup, "fold_nodes", counted_fold)
+    monkeypatch.setattr(quadrature, "e2pi", counted_e2pi)
+    ts = np.array([0.0, 10.3, 1000.6])
+    for w in (0.5, 0.05):
+        seen.update(nodes=0, elements=0)
+        prof = norm_decay_profile(make_boundary_matrix(w, theta=0.15, phi=0.4, psi=0.3), 1, ts)
+        assert np.max(np.abs(prof.engine - prof.oracle)) < 1e-12
+        # the oracle's points, the two pieces' midpoints, and the ends -1/2, 1/2
+        cut = ts % 1.0 - 0.5
+        mid = np.concatenate([0.5 * (cut - 0.5), 0.5 * (cut + 0.5)])
+        y = (mid - np.tile(ts, 2))[:, None] - np.array([-0.5, 0.5])
+        assert 0 < seen["elements"] <= len(np.unique(np.floor(y))) * seen["nodes"]
+
+
 def test_kernel_route_matches_engine():
     dom = make_domain(2.0, 3.0)
     lam = np.array([-1.2, 0.3, 1.0, 2.0, 3.7, 5.0])
@@ -543,6 +583,20 @@ def test_error_paths():
 def test_norm_decay_profile_refuses_an_empty_grid():
     with pytest.raises(ValidationError, match="at least one time"):
         norm_decay_profile(make_boundary_matrix(w=0.7), 0, [])
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", np.nan, 1e30, True, None])
+def test_norm_decay_profile_refuses_a_non_integer_mode(bad):
+    # 1.5 used to profile mode 1, "1" passed, NaN and 1e30 escaped as
+    # ValueError and OverflowError
+    with pytest.raises(ValidationError, match="integer mode"):
+        norm_decay_profile(make_boundary_matrix(w=0.7), bad, [0.5])
+
+
+def test_norm_decay_profile_takes_a_numpy_integer_mode():
+    bm = make_boundary_matrix(w=0.7, psi=0.2)
+    got, want = norm_decay_profile(bm, np.int64(-2), [0.5, 1.3]), norm_decay_profile(bm, -2, [0.5, 1.3])
+    assert np.array_equal(got.engine, want.engine) and np.array_equal(got.oracle, want.oracle)
 
 
 def test_resolvent_routes_refuse_an_empty_grid():

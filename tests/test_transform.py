@@ -263,30 +263,28 @@ def test_cross_term_matches_plain_rule(monkeypatch, w):
     assert abs(mapped - cross_term(bm, dom, f, g)) < 1e-12
 
 
-def test_adjoint_reads_one_node_sum_per_component_pair(monkeypatch):
-    # the adjoint folds once and reads the node sums of the space oracle
-    # once per (point component, end component) pair; _FOLD_F has cells on
-    # all three components, so nine pairs occur
-    calls = {"fold": 0, "sums": 0}
+def test_adjoint_folds_once_and_reads_one_window_sum(monkeypatch):
+    # the adjoint folds once and reads the window sums of every (point,
+    # cell) pair in one call, whatever components occur: _FOLD_F has cells
+    # on all three components, its middle part on one
+    calls = {"fold": 0, "windows": 0}
 
     def counted_fold(*args, **kwargs):
         calls["fold"] += 1
         return quadrature.fold_nodes(*args, **kwargs)
 
-    def counted_sums(*args, **kwargs):
-        calls["sums"] += 1
-        return quadrature._node_sums(*args, **kwargs)
+    def counted_windows(*args, **kwargs):
+        calls["windows"] += 1
+        return quadrature._fold_windows(*args, **kwargs)
 
     bm = make_boundary_matrix(0.3, theta=0.15, phi=0.3, psi=0.45)
-    sample = forward_transform(bm, _FOLD_DOMAIN, _FOLD_F, [0.0])
     monkeypatch.setattr(transform, "fold_nodes", counted_fold)
-    monkeypatch.setattr(transform, "_node_sums", counted_sums)
-    adjoint_transform(bm, _FOLD_DOMAIN, sample)
-    assert calls == {"fold": 1, "sums": 9}
-    calls.update(fold=0, sums=0)
-    middle = _FOLD_F.restrict(1.0, 2.0)
-    adjoint_transform(bm, _FOLD_DOMAIN, forward_transform(bm, _FOLD_DOMAIN, middle, [0.0]))
-    assert calls == {"fold": 1, "sums": 1}
+    monkeypatch.setattr(transform, "_fold_windows", counted_windows)
+    for f in (_FOLD_F, _FOLD_F.restrict(1.0, 2.0)):
+        calls.update(fold=0, windows=0)
+        sample = forward_transform(bm, _FOLD_DOMAIN, f, [0.0])
+        adjoint_transform(bm, _FOLD_DOMAIN, sample)
+        assert calls == {"fold": 1, "windows": 1}
 
 
 def test_adjoint_of_the_zero_packet_is_zero(generic):
@@ -331,7 +329,7 @@ def pairing_cases(draw):
 
 @given(pairing_cases())
 @settings(max_examples=25, deadline=None)
-def test_pairing_is_hermitian_and_sigma_reads_its_half(case):
+def test_pairing_is_hermitian_and_sigma_is_its_real_part(case):
     # swapping f and g conjugates every pair's ramp sum, so <f, g> = conj
     # <g, f>; sigma_norm2 is the real part of that one pairing of f with
     # itself, Re cross_term(f, f)
@@ -430,6 +428,7 @@ def test_sigma_builds_no_pair_by_node_array(monkeypatch):
     bm = make_boundary_matrix(0.2, theta=0.15, phi=0.3, psi=0.45)
     monkeypatch.setattr(transform, "fold_nodes", counted_fold)
     monkeypatch.setattr(transform, "e2pi", counted_e2pi)
+    monkeypatch.setattr(quadrature, "e2pi", counted_e2pi)
     assert abs(sigma_norm2(bm, _FOLD_DOMAIN, f) - f.norm2()) <= 1e-13 * f.norm2()
     assert 0 < seen["elements"] <= 13 * seen["nodes"]
 
